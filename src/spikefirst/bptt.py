@@ -12,7 +12,11 @@ Three estimators bridge the non-differentiable pieces:
 The tape records every layer's per-timestep inputs, membrane potentials,
 spikes and firing probabilities during the forward pass; ``backward`` replays
 it in reverse, accumulating one gradient per weight tensor, summed over
-timesteps.
+timesteps.  A direct-encoded (time-broadcast) input is recorded once, and
+``forward`` computes layer 0's drive from it once.  That layer's weight
+gradient is folded over time: its drive gradient is summed over the steps,
+then goes through one GEMM or one ``conv2d_backward``.  The gradient with
+respect to the network input is never computed, since nothing reads it.
 """
 
 from __future__ import annotations
@@ -80,6 +84,9 @@ class LayerTrace:
     weight: np.ndarray | None = None
     inputs: np.ndarray | None = None    # (T, N, ...) input to the synaptic op
     input_step_shape: tuple = ()        # per-step shape before flattening
+    # Set on layer 0 when its input is the same at every step: ``inputs`` then
+    # holds it once, as (N, ...).
+    time_constant: bool = False
     v: np.ndarray | None = None         # (T, N, n) membrane potentials
     spikes: np.ndarray | None = None
     probs: np.ndarray | None = None     # stochastic layers only
@@ -96,31 +103,40 @@ class Tape:
     complete: bool = False
 
 
-def _synaptic_backward(trace: LayerTrace, g_drive: np.ndarray):
+def _synaptic_backward(trace: LayerTrace, g_drive: np.ndarray, need_input: bool):
     """Backprop one layer's drive gradient through its linear/conv op.
 
     Returns (grad_weight, grad_input) with grad_input in the layer's original
-    per-step input shape.
+    per-step input shape, or None when ``need_input`` is false.  A
+    time-constant trace is always the first synaptic layer, whose input
+    gradient is never needed.
     """
     layer = trace.layer
+    inputs = trace.inputs
+    if trace.time_constant:
+        # sum_t g_t^T x = (sum_t g_t)^T x when x is the same at every step
+        g_drive = g_drive.sum(axis=0)[None]
+        inputs = inputs[None]
     horizon = g_drive.shape[0]
     if layer.kind == "linear":
         # grads over all timesteps in one pair of matmuls
-        tn = trace.inputs.shape[0] * trace.inputs.shape[1]
-        x = trace.inputs.reshape(tn, -1)
+        tn = inputs.shape[0] * inputs.shape[1]
         g = g_drive.reshape(tn, -1)
-        grad_w = g.T @ x
+        grad_w = g.T @ inputs.reshape(tn, -1)
+        if not need_input:
+            return grad_w, None
         grad_in = (g @ trace.weight).reshape(
             (horizon, g_drive.shape[1]) + trace.input_step_shape)
         return grad_w, grad_in
     if layer.kind == "conv":
         grad_w = np.zeros_like(trace.weight)
-        grad_in = np.empty_like(trace.inputs)
+        grad_in = np.empty_like(inputs) if need_input else None
         for t in range(horizon):
-            gi, gw = conv2d_backward(g_drive[t], trace.inputs[t], trace.weight,
-                                     layer.stride, layer.pad)
+            gi, gw = conv2d_backward(g_drive[t], inputs[t], trace.weight,
+                                     layer.stride, layer.pad, need_input=need_input)
             grad_w += gw
-            grad_in[t] = gi
+            if need_input:
+                grad_in[t] = gi
         return grad_w, grad_in
     raise StateError(f"layer kind {layer.kind!r} has no synaptic op")
 
@@ -156,7 +172,10 @@ def backward(tape: Tape, loss) -> dict:
     else:
         raise StateError(f"unknown loss kind {loss.kind!r}")
 
-    for trace in reversed(tape.traces):
+    # The sweep stops at the first synaptic layer: nothing reads the gradient
+    # with respect to its input.
+    first = next(i for i, tr in enumerate(tape.traces) if tr.wname is not None)
+    for trace in reversed(tape.traces[first:]):
         layer = trace.layer
         if layer.kind == "pool":
             g_in = np.empty_like(trace.inputs)
@@ -197,7 +216,8 @@ def backward(tape: Tape, loss) -> dict:
         else:
             raise StateError(f"weighted layer without neuron model: {layer}")
 
-        grad_w, g_in = _synaptic_backward(trace, g_drive)
+        grad_w, g_in = _synaptic_backward(trace, g_drive,
+                                          need_input=trace is not tape.traces[first])
         grads[trace.wname] = grads.get(trace.wname, 0) + grad_w
         g_spikes, g_probs = g_in, None
 

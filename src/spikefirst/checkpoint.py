@@ -123,13 +123,17 @@ def load_checkpoint(path) -> Checkpoint:
         sections[name] = body[off : off + plen]
         off += plen
     try:
-        spec = parse_spec(sections["spec"].decode())
+        spec_text = sections["spec"]
         meta = json.loads(sections["meta"].decode())
         params = _unpack_arrays(sections["params"])
         adam_m = _unpack_arrays(sections["adam_m"])
         adam_v = _unpack_arrays(sections["adam_v"])
     except KeyError as exc:
         raise CheckpointError(f"{path}: missing section {exc}") from exc
+    try:
+        spec = parse_spec(spec_text.decode())
+    except (ValueError, SyntaxError, TypeError, KeyError) as exc:
+        raise CheckpointError(f"{path}: malformed network spec: {exc!r}") from exc
     return Checkpoint(spec=spec, params=params, adam_m=adam_m, adam_v=adam_v,
                       adam_step=int(meta["adam_step"]), epoch=int(meta["epoch"]),
                       seed=int(meta["seed"]),

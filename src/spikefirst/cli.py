@@ -26,8 +26,7 @@ from .errors import CheckpointError, FormatError, ParameterError, SpikeFirstErro
 from .metrics import (evaluate, noise_sweep, write_metrics_csv, write_noise_csv,
                       write_rates_csv)
 from .network import serialize_spec
-from .train import (PRESETS, TrainConfig, TrainingDiverged, save_checkpoint as _save,
-                    train, write_log_csv)
+from .train import PRESETS, TrainConfig, TrainingDiverged, train, write_log_csv
 from .tuner import DeConfig, de_optimize, write_de_csv
 
 EXIT_OK = 0
@@ -318,7 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", help=f"dataset root (default ${DATA_ENV})")
     p.add_argument("--out", help="output directory (default ./runs)")
     p.add_argument("--subset", type=int, help="train on the first N samples only")
-    p.add_argument("--workers", type=int, default=1, help="worker pool cap")
     for flag, typ in (("model-kind", str), ("arch", str), ("epochs", int),
                       ("batch-size", int), ("lr", float), ("weight-decay", float),
                       ("scheduler-step", int), ("scheduler-gamma", float),

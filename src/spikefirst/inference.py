@@ -20,9 +20,9 @@ import numpy as np
 
 from .errors import ParameterError
 from .neurons import sigmoid
-from .network import NetworkSpec
+from .network import NetworkSpec, synaptic_drive
 from .rng import RngStream, rng_gaussian, rng_uniform
-from .tensor import conv2d, pool2d
+from .tensor import pool2d
 
 
 @dataclass
@@ -67,6 +67,9 @@ def run_network(spec: NetworkSpec, params: dict, images: np.ndarray,
     weighted = [i for i, l in enumerate(spec.layers) if l.kind in ("linear", "conv")]
     neuron_layers = [i for i, l in enumerate(spec.layers) if l.neuron != "none"]
     out_idx = neuron_layers[-1]
+    # Without input noise layer 0 sees the same input at every step, so its
+    # drive and input sums are computed once per batch.
+    hoisted = input_noise_std == 0 and spec.layers[0].kind in ("linear", "conv")
 
     predictions = np.full(n_total, -1, dtype=np.int64)
     latencies = np.zeros(n_total)
@@ -81,6 +84,10 @@ def run_network(spec: NetworkSpec, params: dict, images: np.ndarray,
         x0 = np.asarray(images[b_start:b_end], dtype=np.float64)
         nb = b_end - b_start
         active = np.arange(nb)
+        if hoisted:
+            drive0, flat0 = synaptic_drive(spec.layers[0], params["layer0.w"], x0)
+            sum0 = _feature_sum(flat0)
+            syn_sizes[0] = int(np.prod(flat0.shape[1:]))
         states: dict[int, tuple] = {}
         out_n = None
         out_acc_v = None
@@ -88,7 +95,10 @@ def run_network(spec: NetworkSpec, params: dict, images: np.ndarray,
         base = RngStream(seed, stream_id=0)
 
         for t in range(1, horizon + 1):
-            if input_noise_std > 0:
+            all_active = active.size == nb
+            if hoisted:
+                x = None
+            elif input_noise_std > 0:
                 noise_stream = RngStream(noise_seed,
                                          stream_id=((b_start + 1) << 16) | t)
                 step_noise = rng_gaussian(noise_stream, x0.shape,
@@ -104,14 +114,14 @@ def run_network(spec: NetworkSpec, params: dict, images: np.ndarray,
                 if layer.kind == "pool":
                     x = pool2d(x, layer.window, layer.pool_mode)
                     continue
-                if layer.kind == "linear":
-                    x = x.reshape(x.shape[0], -1)
-                syn_sums[wpos][b_start + active] += _feature_sum(x)
-                syn_sizes[wpos] = int(np.prod(x.shape[1:]))
-                if layer.kind == "linear":
-                    drive = x @ params[f"layer{i}.w"].T
+                if hoisted and i == 0:
+                    # while every sample is active the full arrays need no copy
+                    drive = drive0 if all_active else drive0[active]
+                    syn_sums[0][b_start + active] += sum0 if all_active else sum0[active]
                 else:
-                    drive = conv2d(x, params[f"layer{i}.w"], layer.stride, layer.pad)
+                    drive, flat = synaptic_drive(layer, params[f"layer{i}.w"], x)
+                    syn_sums[wpos][b_start + active] += _feature_sum(flat)
+                    syn_sizes[wpos] = int(np.prod(flat.shape[1:]))
                 wpos += 1
 
                 if i not in states:

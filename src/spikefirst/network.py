@@ -13,6 +13,7 @@ adjusts per layer.
 
 from __future__ import annotations
 
+import ast
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -183,7 +184,7 @@ def init_params(spec: NetworkSpec, stream: RngStream) -> dict:
     return params
 
 
-def _drive(layer: LayerSpec, weight: np.ndarray, x: np.ndarray):
+def synaptic_drive(layer: LayerSpec, weight: np.ndarray, x: np.ndarray):
     """Synaptic input for one timestep; returns (drive, flattened_input)."""
     if layer.kind == "linear":
         flat = x.reshape(x.shape[0], -1)
@@ -202,6 +203,13 @@ def forward(spec: NetworkSpec, params: dict, encoded: np.ndarray,
     ``streams`` supplies one RngStream per neuron layer.  Returns
     (records, tape) where records is a list of per-neuron-layer spike arrays
     (T, N, n) and, for stochastic layers, the tape also holds probabilities.
+
+    When ``encoded`` is time-broadcast (stride 0 along time, as
+    ``data.encode_direct`` returns it) and layer 0 is linear or conv, layer
+    0's drive is computed once and reused at every step, and its tape entry
+    holds the input once as (N, ...) with ``time_constant`` set; ``backward``
+    then folds that layer's weight gradient over time.  Any other input is
+    simulated step by step.
     """
     horizon = encoded.shape[0]
     if horizon != spec.horizon:
@@ -231,6 +239,11 @@ def forward(spec: NetworkSpec, params: dict, encoded: np.ndarray,
             neuron_idx[i] = ni
             ni += 1
 
+    # a time-broadcast input gives layer 0 the same drive at every step
+    if encoded.strides[0] == 0 and spec.layers[0].kind in ("linear", "conv"):
+        drive0, traces[0].inputs = synaptic_drive(spec.layers[0], traces[0].weight, encoded[0])
+        traces[0].time_constant = True
+
     for t in range(horizon):
         x = encoded[t]
         for i, layer in enumerate(spec.layers):
@@ -241,15 +254,19 @@ def forward(spec: NetworkSpec, params: dict, encoded: np.ndarray,
                 trace.inputs[t] = x
                 x = pool2d(x, layer.window, layer.pool_mode)
                 continue
-            drive, flat = _drive(layer, trace.weight, x)
-            if trace.inputs is None:
-                trace.inputs = np.empty((horizon,) + flat.shape)
-                trace.input_step_shape = x.shape[1:]
+            if trace.time_constant:
+                drive = drive0
+            else:
+                drive, flat = synaptic_drive(layer, trace.weight, x)
+                if trace.inputs is None:
+                    trace.inputs = np.empty((horizon,) + flat.shape)
+                    trace.input_step_shape = x.shape[1:]
+                trace.inputs[t] = flat
+            if trace.v is None:
                 trace.v = np.empty((horizon,) + drive.shape)
                 trace.spikes = np.empty((horizon,) + drive.shape)
                 if layer.neuron == "stoch":
                     trace.probs = np.empty((horizon,) + drive.shape)
-            trace.inputs[t] = flat
             if i not in states:
                 states[i] = LayerState.zeros(drive.shape)
             state = states[i]
@@ -297,7 +314,12 @@ def serialize_spec(spec: NetworkSpec) -> str:
 
 
 def parse_spec(text: str) -> NetworkSpec:
-    """Inverse of serialize_spec."""
+    """Inverse of serialize_spec.
+
+    Values are read as Python literals only, so checkpoint text cannot run
+    code.  Malformed text raises ValueError, SyntaxError, TypeError or
+    KeyError.
+    """
     header = {}
     layers = []
     for line in text.strip().splitlines():
@@ -306,7 +328,7 @@ def parse_spec(text: str) -> NetworkSpec:
             kwargs = {}
             for item in body.strip().split(","):
                 name, _, val = item.partition("=")
-                kwargs[name] = eval(val)  # noqa: S307 - values we wrote ourselves
+                kwargs[name] = ast.literal_eval(val)
             layers.append(LayerSpec(**kwargs))
         else:
             name, _, val = line.partition("=")
@@ -317,5 +339,5 @@ def parse_spec(text: str) -> NetworkSpec:
         horizon=int(header["horizon"]),
         model_kind=header["model_kind"],
         arch=header["arch"],
-        alpha=float(eval(header["alpha"])),
+        alpha=float(ast.literal_eval(header["alpha"])),
     )

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import expit
 
 from .errors import ParameterError, ShapeError
 from .rng import RngStream, rng_uniform
@@ -83,13 +84,8 @@ class SpikeRecord:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    # Split by sign to avoid exp overflow on large |x|.
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    e = np.exp(x[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    """Logistic function in float64, free of overflow for any |x|."""
+    return expit(np.asarray(x, dtype=np.float64))
 
 
 def det_lif_step(state: LayerState, params: DetLifParams, drive: np.ndarray):

@@ -100,11 +100,11 @@ def conv2d(inp: np.ndarray, kernel: np.ndarray, stride: int = 1, pad: int = 0) -
 
 
 def conv2d_backward(grad_out: np.ndarray, inp: np.ndarray, kernel: np.ndarray,
-                    stride: int = 1, pad: int = 0):
+                    stride: int = 1, pad: int = 0, *, need_input: bool = True):
     """Gradients of conv2d w.r.t. input and kernel.
 
     Returns ``(grad_input, grad_kernel)`` with the same shapes as ``inp`` and
-    ``kernel``.
+    ``kernel``; ``grad_input`` is None when ``need_input`` is false.
     """
     x, squeeze = _batched(inp, 4)
     g, gsq = _batched(grad_out, 4)
@@ -118,6 +118,8 @@ def conv2d_backward(grad_out: np.ndarray, inp: np.ndarray, kernel: np.ndarray,
                          f"{(x.shape[0], co, oh, ow)}")
     gmat = g.reshape(x.shape[0], co, oh * ow)
     grad_kernel = np.einsum("nop,nkp->ok", gmat, cols, optimize=True).reshape(k.shape)
+    if not need_input:
+        return None, grad_kernel
     gcols = np.einsum("ok,nop->nkp", k.reshape(co, ci * kh * kw), gmat, optimize=True)
     grad_input = _col2im(gcols, x.shape, kh, kw, stride, pad)
     if squeeze:

@@ -18,6 +18,7 @@ from spikefirst.errors import StateError
 from spikefirst.network import LayerSpec
 from spikefirst.neurons import sigmoid
 from spikefirst.rng import RngStream
+from spikefirst.tensor import conv2d, pool2d
 
 
 def test_surrogate_hand_values():
@@ -142,6 +143,55 @@ def test_deterministic_end_to_end_gradient():
             s0 = smoothed_spike(v0 - 1.0) + off0[t]
             v1 = 0.9 * v1 + s0 @ w1.T - reset1[t]
             c = c + smoothed_spike(v1 - 1.0) + off1[t]
+        return rate_ce_loss_batch(c, labels).value
+
+    _fd_check(params, grads, relaxed_loss)
+
+
+@pytest.mark.parametrize("materialise", [False, True])
+def test_deterministic_conv_pool_end_to_end_gradient(materialise):
+    # conv -> average pool -> linear.  The broadcast input takes the hoisted
+    # layer-0 path (drive gradient summed over time, one conv2d_backward);
+    # a materialised copy takes the per-step path.
+    horizon, n, nout = 5, 2, 3
+    spec = sf.NetworkSpec(layers=[
+        LayerSpec(kind="conv", in_channels=1, out_channels=2, kernel=3, pad=1,
+                  neuron="det", leak=0.9, v_th=1.0),
+        LayerSpec(kind="pool", window=2, pool_mode="average"),
+        LayerSpec(kind="linear", in_features=8, out_features=nout,
+                  neuron="det", leak=0.9, v_th=1.0),
+    ], coding="rate", horizon=horizon, model_kind="D-R-BPTT", arch="lenet5")
+    rng = np.random.default_rng(9)
+    params = {"layer0.w": rng.normal(size=(2, 1, 3, 3)) * 0.8,
+              "layer2.w": rng.normal(size=(nout, 8)) * 1.5}
+    x = rng.uniform(0, 1, size=(n, 1, 4, 4))
+    labels = np.array([0, 2])
+
+    encoded = sf.encode_direct(x, horizon)
+    if materialise:
+        encoded = np.ascontiguousarray(encoded)
+    _, tape = sf.forward(spec, params, encoded)
+    assert tape.traces[0].time_constant is not materialise
+    counts = tape.traces[-1].spikes.sum(axis=0)
+    grads = sf.backward(tape, rate_ce_loss_batch(counts, labels))
+
+    tr0, tr2 = tape.traces[0], tape.traces[2]
+    reset0 = (np.concatenate([np.zeros((1,) + tr0.v.shape[1:]), tr0.v[:-1]]) >= 1.0)
+    reset2 = (np.concatenate([np.zeros((1, n, nout)), tr2.v[:-1]]) >= 1.0)
+    off0 = tr0.spikes - smoothed_spike(tr0.v - 1.0)
+    off2 = tr2.spikes - smoothed_spike(tr2.v - 1.0)
+    assert 0 < tr0.spikes.mean() < 1 and 0 < tr2.spikes.mean() < 1
+
+    def relaxed_loss():
+        w0, w2 = params["layer0.w"], params["layer2.w"]
+        v0 = np.zeros(tr0.v.shape[1:])
+        v2 = np.zeros((n, nout))
+        c = np.zeros((n, nout))
+        for t in range(horizon):
+            v0 = 0.9 * v0 + conv2d(x, w0, 1, 1) - reset0[t]
+            s0 = smoothed_spike(v0 - 1.0) + off0[t]
+            v2 = 0.9 * v2 + pool2d(s0, 2).reshape(n, -1) @ w2.T - reset2[t]
+            c = c + smoothed_spike(v2 - 1.0) + off2[t]
         return rate_ce_loss_batch(c, labels).value
 
     _fd_check(params, grads, relaxed_loss)

@@ -8,7 +8,7 @@ import pytest
 from spikefirst.checkpoint import (MAGIC, Checkpoint, load_checkpoint,
                                    save_checkpoint)
 from spikefirst.errors import CheckpointError
-from spikefirst.network import build, init_params
+from spikefirst.network import build, init_params, serialize_spec
 from spikefirst.rng import RngStream
 
 
@@ -95,3 +95,23 @@ def test_empty_optimizer_state(tmp_path):
     save_checkpoint(ckpt, path)
     back = load_checkpoint(path)
     assert back.adam_m == {} and back.adam_v == {}
+
+
+@pytest.mark.parametrize("where", ["layer", "header"])
+def test_spec_with_code_is_rejected_not_run(ckpt, tmp_path, monkeypatch, where):
+    # a crafted but CRC-valid checkpoint: its spec text holds an expression
+    # that would create a file if it were evaluated
+    marker = tmp_path / "ran"
+    payload = f"__import__('os').system('touch {marker}')"
+    text = serialize_spec(ckpt.spec)
+    if where == "layer":
+        text = text.replace("kind='linear'", f"kind={payload}", 1)
+    else:
+        text = text.replace(f"alpha={ckpt.spec.alpha!r}", f"alpha={payload}")
+    assert payload in text
+    monkeypatch.setattr("spikefirst.checkpoint.serialize_spec", lambda spec: text)
+    path = tmp_path / "evil.ckpt"
+    save_checkpoint(ckpt, path)
+    with pytest.raises(CheckpointError):
+        load_checkpoint(path)
+    assert not marker.exists()

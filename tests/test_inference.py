@@ -3,9 +3,14 @@
 import numpy as np
 import pytest
 
+import spikefirst as sf
+from spikefirst.bptt import backward
+from spikefirst.coding import fts_ce_loss_batch
 from spikefirst.errors import ParameterError
 from spikefirst.inference import run_network
 from spikefirst.network import LayerSpec, NetworkSpec
+from spikefirst.neurons import first_spike_times
+from spikefirst.rng import RngStream
 
 
 def single_layer_spec(n, horizon, leak=0.0, v_th=1.0):
@@ -119,3 +124,61 @@ def test_run_network_validates():
         run_network(spec, identity_params(2), np.zeros((0, 2)))
     with pytest.raises(ParameterError):
         run_network(spec, identity_params(2), np.zeros((1, 2)), mode="phase")
+
+
+def fts_from_full_horizon(spikes, v):
+    """Predictions and latencies by the module's tie and timeout rules, read
+    off a full-horizon record of the output layer (T, N, n)."""
+    horizon = v.shape[0]
+    times = first_spike_times(spikes)
+    first = times.min(axis=1)
+    acc = np.zeros_like(v[0])
+    for t in range(horizon):
+        acc += v[t]
+    preds = np.empty(len(first), dtype=np.int64)
+    for s, t in enumerate(first):
+        if t <= horizon:
+            preds[s] = np.where(times[s] == t, v[int(t) - 1, s], -np.inf).argmax()
+        else:
+            preds[s] = acc[s].argmax()
+    return preds, np.minimum(first, horizon)
+
+
+@pytest.mark.parametrize("arch,overrides,gain", [
+    ("mlp2", {"hidden": 32, "horizon": 12}, 2.0),
+    ("lenet5", {"horizon": 6}, 3.0),
+])
+def test_early_exit_matches_full_horizon_forward(arch, overrides, gain):
+    spec = sf.build(arch, "D-F-BPTT", overrides)
+    params = {k: w * gain for k, w in sf.init_params(spec, RngStream(3, 0)).items()}
+    rng = np.random.default_rng(11)
+    images = rng.uniform(size=(12, 1, 28, 28)) * (rng.uniform(size=(12, 1, 28, 28)) < 0.3)
+    horizon = spec.horizon
+
+    res = run_network(spec, params, images, batch_size=5)
+    encoded = sf.encode_direct(images, horizon)
+    records, tape = sf.forward(spec, params, encoded)
+    preds, lat = fts_from_full_horizon(records[-1], tape.traces[-1].v)
+    assert np.array_equal(res.predictions, preds)
+    assert np.array_equal(res.latencies, lat)
+    assert np.array_equal(res.steps, lat)
+    assert (lat < horizon).any() and (lat == horizon).any()   # exits and timeouts
+
+    # a materialised copy of the same input takes the per-step layer-0 path
+    dense = np.ascontiguousarray(encoded)
+    records_d, tape_d = sf.forward(spec, params, dense)
+    assert tape.traces[0].time_constant and not tape_d.traces[0].time_constant
+    assert tape.traces[0].inputs.shape[0] == len(images)
+    for a, b in zip(records, records_d):
+        assert np.array_equal(a, b)
+    for a, b in zip(tape.traces, tape_d.traces):
+        assert np.array_equal(a.v, b.v)
+
+    # the two paths differ only in the summation order of layer 0's gradient
+    loss = fts_ce_loss_batch(first_spike_times(records[-1]), np.arange(12) % 10)
+    grads, grads_d = backward(tape, loss), backward(tape_d, loss)
+    for name in grads:
+        if name == "layer0.w":
+            assert np.allclose(grads[name], grads_d[name], rtol=1e-12, atol=1e-15)
+        else:
+            assert np.array_equal(grads[name], grads_d[name])

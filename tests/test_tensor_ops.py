@@ -98,6 +98,8 @@ def test_conv2d_backward_finite_difference():
     loss = lambda: float((conv2d(x, k, 2, 1) * gout).sum())  # noqa: E731
     assert np.allclose(fd_grad(loss, x), gi, atol=1e-6)
     assert np.allclose(fd_grad(loss, k), gk, atol=1e-6)
+    none, gk_only = conv2d_backward(gout, x, k, 2, 1, need_input=False)
+    assert none is None and np.array_equal(gk_only, gk)
 
 
 def test_conv2d_backward_rejects_wrong_grad_shape():
