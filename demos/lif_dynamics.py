@@ -9,18 +9,19 @@ script to see both trajectories side by side under the same constant drive.
 
 import numpy as np
 
-from spikefirst import (DetLifParams, LayerState, RngStream, StochLifParams,
-                        det_lif_step, first_spike_times, stoch_lif_step)
+from spikefirst import (LayerSpec, LayerState, RngStream, det_lif_step,
+                        first_spike_times, stoch_lif_step)
 
 HORIZON = 12
 DRIVE = 0.55
 
 
 def main():
-    det = DetLifParams(v_th=1.0, leak=0.9)
-    sto = StochLifParams(k=1.0, leak=0.7)
-    det_state = LayerState.zeros((1,))
-    sto_state = LayerState.zeros((1,))
+    # a one-neuron layer of each kind; the step functions read v_th / k / leak
+    det = LayerSpec(kind="linear", neuron="det", v_th=1.0, leak=0.9)
+    sto = LayerSpec(kind="linear", neuron="stoch", k=1.0, leak=0.7)
+    det_state = LayerState(v=np.zeros(1))
+    sto_state = LayerState(v=np.zeros(1))
     stream = RngStream(seed=7, stream_id=1)
 
     print(f"constant drive {DRIVE}, {HORIZON} timesteps")

@@ -18,11 +18,10 @@ from .data import (AugmentConfig, Dataset, LabeledImage, augment,
                    encode_direct, load_cifar10_bin, load_mnist_idx)
 from .metrics import (MetricsReport, energy_cost, evaluate, layer_ops,
                       noise_sweep)
-from .network import LayerSpec, NetworkSpec, build, forward, init_params
-from .neurons import (DetLifParams, LayerState, SpikeRecord, StochLifParams,
-                      det_lif_step, first_spike_times, stoch_lif_step)
+from .network import LayerSpec, NetworkSpec, build, forward, init_params, step
+from .neurons import LayerState, det_lif_step, first_spike_times, stoch_lif_step
 from .rng import RngStream, rng_gaussian, rng_uniform
-from .tensor import conv2d, conv2d_backward, matmul, pool2d, pool2d_backward, tensor
+from .tensor import conv2d, conv2d_backward, pool2d, pool2d_backward
 from .train import (AdamState, PRESETS, TrainConfig, adam_step, lr_at, train)
 from .tuner import DeConfig, DeResult, de_minimize, de_optimize, tradeoff_objective
 

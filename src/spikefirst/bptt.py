@@ -83,7 +83,6 @@ class LayerTrace:
     wname: str | None = None
     weight: np.ndarray | None = None
     inputs: np.ndarray | None = None    # (T, N, ...) input to the synaptic op
-    input_step_shape: tuple = ()        # per-step shape before flattening
     # Set on layer 0 when its input is the same at every step: ``inputs`` then
     # holds it once, as (N, ...).
     time_constant: bool = False
@@ -97,7 +96,6 @@ class Tape:
     """Ordered forward recording over T timesteps."""
 
     horizon: int
-    batch: int
     alpha: float = 2.0
     traces: list = field(default_factory=list)
     complete: bool = False
@@ -106,10 +104,9 @@ class Tape:
 def _synaptic_backward(trace: LayerTrace, g_drive: np.ndarray, need_input: bool):
     """Backprop one layer's drive gradient through its linear/conv op.
 
-    Returns (grad_weight, grad_input) with grad_input in the layer's original
-    per-step input shape, or None when ``need_input`` is false.  A
-    time-constant trace is always the first synaptic layer, whose input
-    gradient is never needed.
+    Returns (grad_weight, grad_input) with grad_input shaped like the taped
+    inputs, or None when ``need_input`` is false.  A time-constant trace is
+    always the first synaptic layer, whose input gradient is never needed.
     """
     layer = trace.layer
     inputs = trace.inputs
@@ -117,7 +114,6 @@ def _synaptic_backward(trace: LayerTrace, g_drive: np.ndarray, need_input: bool)
         # sum_t g_t^T x = (sum_t g_t)^T x when x is the same at every step
         g_drive = g_drive.sum(axis=0)[None]
         inputs = inputs[None]
-    horizon = g_drive.shape[0]
     if layer.kind == "linear":
         # grads over all timesteps in one pair of matmuls
         tn = inputs.shape[0] * inputs.shape[1]
@@ -125,13 +121,11 @@ def _synaptic_backward(trace: LayerTrace, g_drive: np.ndarray, need_input: bool)
         grad_w = g.T @ inputs.reshape(tn, -1)
         if not need_input:
             return grad_w, None
-        grad_in = (g @ trace.weight).reshape(
-            (horizon, g_drive.shape[1]) + trace.input_step_shape)
-        return grad_w, grad_in
+        return grad_w, (g @ trace.weight).reshape(inputs.shape)
     if layer.kind == "conv":
         grad_w = np.zeros_like(trace.weight)
         grad_in = np.empty_like(inputs) if need_input else None
-        for t in range(horizon):
+        for t in range(g_drive.shape[0]):
             gi, gw = conv2d_backward(g_drive[t], inputs[t], trace.weight,
                                      layer.stride, layer.pad, need_input=need_input)
             grad_w += gw

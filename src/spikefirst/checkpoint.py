@@ -10,13 +10,14 @@ identical training runs produce identical files.
 from __future__ import annotations
 
 import json
+import math
 import struct
 import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CheckpointError
+from .errors import CheckpointError, ParameterError
 from .network import NetworkSpec, parse_spec, serialize_spec
 
 MAGIC = b"SPIKEFST"
@@ -52,21 +53,48 @@ def _pack_arrays(arrays: dict) -> bytes:
     return b"".join(out)
 
 
-def _unpack_arrays(buf: bytes) -> dict:
+class _Reader:
+    """Bounds-checked cursor over a byte buffer; overruns raise CheckpointError."""
+
+    def __init__(self, buf: bytes, what: str, off: int = 0):
+        self.buf, self.off, self.what = buf, off, what
+
+    def left(self) -> int:
+        return len(self.buf) - self.off
+
+    def take(self, n: int) -> bytes:
+        if n > self.left():
+            raise CheckpointError(f"{self.what}: needs {n} bytes, {self.left()} left")
+        out = self.buf[self.off : self.off + n]
+        self.off += n
+        return out
+
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+
+    def name(self) -> str:
+        (n,) = self.unpack("<H")
+        try:
+            return self.take(n).decode()
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"{self.what}: name is not UTF-8") from exc
+
+
+def _unpack_arrays(buf: bytes, what: str) -> dict:
+    r = _Reader(buf, what)
     arrays = {}
-    (count,), off = struct.unpack_from("<I", buf), 4
+    (count,) = r.unpack("<I")
     for _ in range(count):
-        (nlen,) = struct.unpack_from("<H", buf, off)
-        off += 2
-        name = buf[off : off + nlen].decode()
-        off += nlen
-        (ndim,) = struct.unpack_from("<B", buf, off)
-        off += 1
-        shape = struct.unpack_from(f"<{ndim}I", buf, off)
-        off += 4 * ndim
-        size = int(np.prod(shape)) * 8
-        arrays[name] = np.frombuffer(buf[off : off + size], dtype=np.float64).reshape(shape).copy()
-        off += size
+        name = r.name()
+        (ndim,) = r.unpack("<B")
+        shape = r.unpack(f"<{ndim}I")
+        data = r.take(math.prod(shape) * 8)
+        try:
+            arrays[name] = np.frombuffer(data, dtype=np.float64).reshape(shape).copy()
+        except ValueError as exc:    # an empty shape whose other dims overflow
+            raise CheckpointError(f"{what}: array {name!r} has shape {shape}") from exc
+    if r.left():
+        raise CheckpointError(f"{what}: {r.left()} trailing bytes")
     return arrays
 
 
@@ -109,34 +137,30 @@ def load_checkpoint(path) -> Checkpoint:
     (version,) = struct.unpack_from("<I", body, 8)
     if version != VERSION:
         raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
-    off = 12
+    r = _Reader(body, f"{path}: sections", off=12)
     sections = {}
-    while off < len(body):
-        (nlen,) = struct.unpack_from("<H", body, off)
-        off += 2
-        name = body[off : off + nlen].decode()
-        off += nlen
-        (plen,) = struct.unpack_from("<Q", body, off)
-        off += 8
-        if off + plen > len(body):
-            raise CheckpointError(f"{path}: section {name!r} overruns file")
-        sections[name] = body[off : off + plen]
-        off += plen
+    while r.left():
+        name = r.name()
+        (plen,) = r.unpack("<Q")
+        sections[name] = r.take(plen)
     try:
-        spec_text = sections["spec"]
-        meta = json.loads(sections["meta"].decode())
-        params = _unpack_arrays(sections["params"])
-        adam_m = _unpack_arrays(sections["adam_m"])
-        adam_v = _unpack_arrays(sections["adam_v"])
+        spec_text, meta_text = sections["spec"], sections["meta"]
+        params, adam_m, adam_v = [_unpack_arrays(sections[name], f"{path}: {name}")
+                                  for name in ("params", "adam_m", "adam_v")]
     except KeyError as exc:
         raise CheckpointError(f"{path}: missing section {exc}") from exc
     try:
         spec = parse_spec(spec_text.decode())
-    except (ValueError, SyntaxError, TypeError, KeyError) as exc:
+    except (ValueError, SyntaxError, TypeError, KeyError, OverflowError,
+            ParameterError) as exc:
         raise CheckpointError(f"{path}: malformed network spec: {exc!r}") from exc
-    return Checkpoint(spec=spec, params=params, adam_m=adam_m, adam_v=adam_v,
-                      adam_step=int(meta["adam_step"]), epoch=int(meta["epoch"]),
-                      seed=int(meta["seed"]),
-                      best_accuracy=float(meta["best_accuracy"]),
-                      train_config=meta.get("train_config", {}),
-                      format_version=version)
+    try:
+        meta = json.loads(meta_text.decode())
+        return Checkpoint(spec=spec, params=params, adam_m=adam_m, adam_v=adam_v,
+                          adam_step=int(meta["adam_step"]), epoch=int(meta["epoch"]),
+                          seed=int(meta["seed"]),
+                          best_accuracy=float(meta["best_accuracy"]),
+                          train_config=meta.get("train_config", {}),
+                          format_version=version)
+    except (ValueError, KeyError, TypeError, OverflowError, AttributeError) as exc:
+        raise CheckpointError(f"{path}: malformed metadata: {exc!r}") from exc

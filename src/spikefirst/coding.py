@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError
-from .neurons import SpikeRecord, sigmoid
+from .neurons import sigmoid
 
 # Probabilities are clamped away from {0, 1} before logs/products so losses
 # stay finite and gradients nonzero.
@@ -204,22 +204,15 @@ def ml_loss_logits_batch(v: np.ndarray, targets: np.ndarray) -> LossValue:
     return LossValue(value=float(losses.mean()), grad=grads / n_samples, kind="ml-v")
 
 
-def _accumulate(output) -> np.ndarray:
-    if isinstance(output, SpikeRecord):
-        return output.spikes.sum(axis=0)
-    arr = np.asarray(output, dtype=np.float64)
-    if arr.ndim == 2:
-        return arr.sum(axis=0)
-    return arr
-
-
 def rate_ce_loss(output, target: int) -> LossValue:
     """Softmax cross-entropy on output accumulated across all timesteps.
 
-    ``output`` may be a spike record / (T, n) array (summed over time) or an
+    ``output`` may be a (T, n) spike array (summed over time) or an
     already-accumulated (n,) vector.  Gradient is w.r.t. the accumulation.
     """
-    acc = _accumulate(output)
+    acc = np.asarray(output, dtype=np.float64)
+    if acc.ndim == 2:
+        acc = acc.sum(axis=0)
     n = acc.shape[-1]
     if not 0 <= target < n:
         raise IndexError(f"target {target} out of range for {n} neurons")

@@ -14,15 +14,16 @@ membrane potential is predicted and latency is recorded as the horizon.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ParameterError
-from .neurons import sigmoid
-from .network import NetworkSpec, synaptic_drive
-from .rng import RngStream, rng_gaussian, rng_uniform
-from .tensor import pool2d
+# sigmoid is re-exported for code that reaches it through this module
+from .neurons import LayerState, sigmoid  # noqa: F401
+from .network import NetworkSpec, step, synaptic_drive
+from .rng import RngStream, rng_gaussian
 
 
 @dataclass
@@ -66,7 +67,7 @@ def run_network(spec: NetworkSpec, params: dict, images: np.ndarray,
 
     weighted = [i for i, l in enumerate(spec.layers) if l.kind in ("linear", "conv")]
     neuron_layers = [i for i, l in enumerate(spec.layers) if l.neuron != "none"]
-    out_idx = neuron_layers[-1]
+    stochastic = any(spec.layers[i].neuron == "stoch" for i in neuron_layers)
     # Without input noise layer 0 sees the same input at every step, so its
     # drive and input sums are computed once per batch.
     hoisted = input_noise_std == 0 and spec.layers[0].kind in ("linear", "conv")
@@ -85,19 +86,20 @@ def run_network(spec: NetworkSpec, params: dict, images: np.ndarray,
         nb = b_end - b_start
         active = np.arange(nb)
         if hoisted:
-            drive0, flat0 = synaptic_drive(spec.layers[0], params["layer0.w"], x0)
-            sum0 = _feature_sum(flat0)
-            syn_sizes[0] = int(np.prod(flat0.shape[1:]))
-        states: dict[int, tuple] = {}
-        out_n = None
+            full_drive0 = synaptic_drive(spec.layers[0], params["layer0.w"], x0)
+            sum0 = _feature_sum(x0)
+            syn_sizes[0] = math.prod(x0.shape[1:])
+        states = {}
         out_acc_v = None
         out_counts = None
-        base = RngStream(seed, stream_id=0)
+        streams = None
 
         for t in range(1, horizon + 1):
             all_active = active.size == nb
+            x = drive0 = None       # frees the last step's input before the next
             if hoisted:
-                x = None
+                # while every sample is active the full arrays need no copy
+                drive0 = full_drive0 if all_active else full_drive0[active]
             elif input_noise_std > 0:
                 noise_stream = RngStream(noise_seed,
                                          stream_id=((b_start + 1) << 16) | t)
@@ -106,57 +108,36 @@ def run_network(spec: NetworkSpec, params: dict, images: np.ndarray,
                 x = x0[active] + step_noise[active]
             else:
                 x = x0[active]
-            steps[b_start + active] += 1
-            wpos = 0
-            npos = 0
-            out_spikes = out_score = None
-            for i, layer in enumerate(spec.layers):
-                if layer.kind == "pool":
-                    x = pool2d(x, layer.window, layer.pool_mode)
+            if stochastic:
+                key = ((stream_tag & 0xFFFF) << 48) | ((b_start & 0xFFFFFFFF) << 16)
+                streams = [RngStream(seed, key | (i & 0xFFFF), counter=t)
+                           for i in neuron_layers]
+            samples = b_start + active
+            steps[samples] += 1
+            # every weighted layer is a neuron layer, so one position walks both
+            pos = 0
+            for inp, v, spikes, probs in step(spec, params, x, states, streams, drive0):
+                if v is None:           # pool layer
                     continue
-                if hoisted and i == 0:
-                    # while every sample is active the full arrays need no copy
-                    drive = drive0 if all_active else drive0[active]
-                    syn_sums[0][b_start + active] += sum0 if all_active else sum0[active]
+                if inp is None:         # layer 0 driven by drive0
+                    syn_sums[0][samples] += sum0 if all_active else sum0[active]
                 else:
-                    drive, flat = synaptic_drive(layer, params[f"layer{i}.w"], x)
-                    syn_sums[wpos][b_start + active] += _feature_sum(flat)
-                    syn_sizes[wpos] = int(np.prod(flat.shape[1:]))
-                wpos += 1
-
-                if i not in states:
-                    states[i] = (np.zeros_like(drive), np.zeros_like(drive))
-                v_prev, fired_prev = states[i]
-                if layer.neuron == "det":
-                    v = layer.leak * v_prev + drive - fired_prev * layer.v_th
-                    spikes = (v >= layer.v_th).astype(np.float64)
-                    score = v
-                else:
-                    v = (layer.leak * v_prev + drive) / layer.k
-                    probs = sigmoid(v)
-                    stream = base.split(
-                        ((stream_tag & 0xFFFF) << 48) | ((b_start & 0xFFFFFFFF) << 16)
-                        | (i & 0xFFFF))
-                    stream.counter = t
-                    spikes = (rng_uniform(stream, probs.shape) < probs).astype(np.float64)
-                    score = probs
-                states[i] = (v, spikes)
-                spk_sums[npos][b_start + active] += _feature_sum(spikes)
-                layer_sizes[npos] = int(np.prod(spikes.shape[1:]))
-                npos += 1
-                if i == out_idx:
-                    out_spikes, out_score = spikes, score
-                    if out_acc_v is None:
-                        out_n = spikes.shape[1]
-                        out_acc_v = np.zeros((nb, out_n))
-                        out_counts = np.zeros((nb, out_n))
-                    out_acc_v[active] += v
-                    out_counts[active] += spikes
-                x = spikes
+                    syn_sums[pos][samples] += _feature_sum(inp)
+                    syn_sizes[pos] = math.prod(inp.shape[1:])
+                spk_sums[pos][samples] += _feature_sum(spikes)
+                layer_sizes[pos] = math.prod(spikes.shape[1:])
+                pos += 1
+                out_v, out_spikes, out_probs = v, spikes, probs
+            if out_acc_v is None:
+                out_acc_v = np.zeros((nb,) + out_v.shape[1:])
+                out_counts = np.zeros((nb,) + out_v.shape[1:])
+            out_acc_v[active] += out_v
+            out_counts[active] += out_spikes
 
             if mode == "first-to-spike":
                 fired = out_spikes.any(axis=1)
                 if fired.any():
+                    out_score = out_v if out_probs is None else out_probs
                     masked = np.where(out_spikes[fired] > 0, out_score[fired], -np.inf)
                     winners = masked.argmax(axis=1)
                     done = active[fired]
@@ -164,7 +145,8 @@ def run_network(spec: NetworkSpec, params: dict, images: np.ndarray,
                     latencies[b_start + done] = t
                     keep = ~fired
                     active = active[keep]
-                    states = {i: (v[keep], s[keep]) for i, (v, s) in states.items()}
+                    states = {i: LayerState(v=s.v[keep], fired_prev=s.fired_prev[keep])
+                              for i, s in states.items()}
                     if active.size == 0:
                         break
 

@@ -107,23 +107,18 @@ def evaluate(ckpt: Checkpoint, dataset: Dataset, mode: str = "first-to-spike",
     mean_latency = float(res.latencies.mean())
     total_steps = res.steps.sum()
 
-    # Aggregate binary rates: input activation rate first, then each neuron
-    # layer's spikes / (neurons * steps simulated).
-    rates = [float(res.synaptic_input_sums[0].sum()
-                   / (res.synaptic_input_sizes[0] * total_steps))]
-    for sums, size in zip(res.layer_spike_sums, res.layer_sizes):
-        rates.append(float(sums.sum() / (size * total_steps)))
+    def rate(sums, size):
+        return float(sums.sum() / (size * total_steps))
 
-    hw = dataset.images.shape[-2:]
-    ops = np.asarray(network_op_counts(spec, hw), dtype=np.float64)
-    weights = ops / ops.sum()
-    # Per-sample energy: spikes-per-neuron feeding each weighted layer,
-    # weighted by that layer's share of ANN compute.
-    e = np.zeros(len(dataset))
-    for w_i, sums, size in zip(weights, res.synaptic_input_sums, res.synaptic_input_sizes):
-        e += w_i * sums / size
+    # Binary rates, spikes / (neurons * steps simulated): the rate feeding
+    # each weighted layer (the input activation rate first) for the energy,
+    # and the input rate then each neuron layer's rate for the report.
+    feeding = [rate(s, n) for s, n in zip(res.synaptic_input_sums, res.synaptic_input_sizes)]
+    rates = feeding[:1] + [rate(s, n) for s, n in zip(res.layer_spike_sums, res.layer_sizes)]
+    energy = energy_cost(feeding, total_steps / len(dataset),
+                         network_op_counts(spec, dataset.images.shape[-2:]))
     return MetricsReport(accuracy=accuracy, mean_latency=mean_latency,
-                         layer_rates=rates, energy_cost=float(e.mean()),
+                         layer_rates=rates, energy_cost=energy,
                          n_samples=len(dataset), mode=mode,
                          horizon=int(horizon or spec.horizon))
 

@@ -1,10 +1,13 @@
 """Declarative architecture construction and the unrolled forward pass.
 
 ``build`` resolves an architecture name (mlp2 / lenet5 / vgg15) and model kind
-(D-F-BPTT / S-F-BPTT / D-R-BPTT) into a fully specified layer stack;
-``forward`` simulates it over the time horizon, recording spikes and the BPTT
-tape.  First-to-spike coding applies only to the final output layer; hidden
-layers always communicate through their spike trains.
+(D-F-BPTT / S-F-BPTT / D-R-BPTT) into a fully specified layer stack.  ``step``
+is the simulator core: it advances every layer by one timestep (pooling, the
+synaptic op, then the LIF update of ``neurons``) and returns each layer's
+input, membrane potential, spikes and firing probabilities.  ``forward``
+calls it for t = 1..T and records the BPTT tape; ``inference.run_network``
+calls it with early exit.  First-to-spike coding applies only to the final
+output layer; hidden layers always communicate through their spike trains.
 
 Layers carry no bias terms; thresholds (deterministic) and membrane scales
 (stochastic) play that role and are the quantities the evolutionary tuner
@@ -14,13 +17,14 @@ adjusts per layer.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .bptt import LayerTrace, Tape
-from .errors import ShapeError
-from .neurons import LayerState, sigmoid
+from .errors import ParameterError, ShapeError
+# sigmoid is re-exported for code that reaches it through this module
+from .neurons import LayerState, det_lif_step, sigmoid, stoch_lif_step  # noqa: F401
 from .rng import RngStream, rng_uniform
 from .tensor import conv2d, pool2d
 
@@ -52,6 +56,15 @@ class LayerSpec:
     v_th: float = 1.0
     k: float = 1.0
     leak: float = DET_LEAK
+
+    def __post_init__(self):
+        self.v_th, self.k, self.leak = float(self.v_th), float(self.k), float(self.leak)
+        if self.v_th <= 0:
+            raise ParameterError(f"v_th must be > 0, got {self.v_th}")
+        if self.k <= 0:
+            raise ParameterError(f"k must be > 0, got {self.k}")
+        if not 0.0 <= self.leak <= 1.0:
+            raise ParameterError(f"leak must be in [0, 1], got {self.leak}")
 
 
 @dataclass
@@ -184,15 +197,59 @@ def init_params(spec: NetworkSpec, stream: RngStream) -> dict:
     return params
 
 
-def synaptic_drive(layer: LayerSpec, weight: np.ndarray, x: np.ndarray):
-    """Synaptic input for one timestep; returns (drive, flattened_input)."""
+def synaptic_drive(layer: LayerSpec, weight: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Synaptic input of a linear or conv layer for one timestep."""
     if layer.kind == "linear":
         flat = x.reshape(x.shape[0], -1)
         if flat.shape[1] != layer.in_features:
             raise ShapeError(f"linear layer expects {layer.in_features} features, "
                              f"got {flat.shape[1]} (input shape {x.shape})")
-        return flat @ weight.T, flat
-    return conv2d(x, weight, layer.stride, layer.pad), x
+        return flat @ weight.T
+    return conv2d(x, weight, layer.stride, layer.pad)
+
+
+def step(spec: NetworkSpec, params: dict, x, states: dict, streams,
+         drive0: np.ndarray | None = None) -> list:
+    """Advance every layer of ``spec`` by one timestep.
+
+    ``x`` is the network input at this step, (N, ...).  ``states`` maps layer
+    index to its ``LayerState``; missing entries start at rest and the dict
+    is updated in place.  ``streams`` holds one RngStream per neuron layer
+    (entries of deterministic layers are ignored; None for a deterministic
+    network).  A given ``drive0`` is used as layer 0's drive and ``x`` is not
+    read.  Returns one ``(input, v, spikes, probs)`` tuple per layer: a pool
+    layer has only its input, a deterministic layer no probs, and layer 0
+    driven by ``drive0`` no input.
+    """
+    out = []
+    n = 0
+    for i, layer in enumerate(spec.layers):
+        if layer.kind == "pool":
+            out.append((x, None, None, None))
+            x = pool2d(x, layer.window, layer.pool_mode)
+            continue
+        if i == 0 and drive0 is not None:
+            inp, drive = None, drive0
+        else:
+            inp, drive = x, synaptic_drive(layer, params[f"layer{i}.w"], x)
+        state = states.get(i)
+        if state is None:
+            state = LayerState(v=np.zeros_like(drive))
+        probs = None
+        if layer.neuron == "det":
+            state, spikes = det_lif_step(state, layer, drive)
+        elif layer.neuron == "stoch":
+            stream = streams[n] if streams is not None else None
+            if stream is None:
+                raise ShapeError("stochastic network requires RNG streams")
+            state, spikes, probs = stoch_lif_step(state, layer, drive, stream)
+        else:
+            raise ShapeError(f"weighted layer without neuron model at index {i}")
+        states[i] = state
+        n += 1
+        out.append((inp, state.v, spikes, probs))
+        x = spikes
+    return out
 
 
 def forward(spec: NetworkSpec, params: dict, encoded: np.ndarray,
@@ -214,14 +271,6 @@ def forward(spec: NetworkSpec, params: dict, encoded: np.ndarray,
     horizon = encoded.shape[0]
     if horizon != spec.horizon:
         raise ShapeError(f"encoded input has {horizon} steps, spec expects {spec.horizon}")
-    batch = encoded.shape[1]
-    tape = Tape(horizon=horizon, batch=batch, alpha=spec.alpha)
-
-    n_neuron_layers = len(spec.neuron_layers())
-    if streams is None:
-        streams = [None] * n_neuron_layers
-
-    # Per-layer running activations, time-major buffers filled step by step.
     traces = []
     for i, layer in enumerate(spec.layers):
         trace = LayerTrace(layer=layer)
@@ -229,66 +278,28 @@ def forward(spec: NetworkSpec, params: dict, encoded: np.ndarray,
             trace.wname = f"layer{i}.w"
             trace.weight = params[trace.wname]
         traces.append(trace)
-    tape.traces = traces
-
-    states = {}
-    neuron_idx = {}
-    ni = 0
-    for i, layer in enumerate(spec.layers):
-        if layer.neuron != "none":
-            neuron_idx[i] = ni
-            ni += 1
 
     # a time-broadcast input gives layer 0 the same drive at every step
+    drive0 = None
     if encoded.strides[0] == 0 and spec.layers[0].kind in ("linear", "conv"):
-        drive0, traces[0].inputs = synaptic_drive(spec.layers[0], traces[0].weight, encoded[0])
+        traces[0].inputs = encoded[0]
         traces[0].time_constant = True
+        drive0 = synaptic_drive(spec.layers[0], traces[0].weight, encoded[0])
 
+    states = {}
     for t in range(horizon):
-        x = encoded[t]
-        for i, layer in enumerate(spec.layers):
-            trace = traces[i]
-            if layer.kind == "pool":
-                if trace.inputs is None:
-                    trace.inputs = np.empty((horizon,) + x.shape)
-                trace.inputs[t] = x
-                x = pool2d(x, layer.window, layer.pool_mode)
-                continue
-            if trace.time_constant:
-                drive = drive0
-            else:
-                drive, flat = synaptic_drive(layer, trace.weight, x)
-                if trace.inputs is None:
-                    trace.inputs = np.empty((horizon,) + flat.shape)
-                    trace.input_step_shape = x.shape[1:]
-                trace.inputs[t] = flat
-            if trace.v is None:
-                trace.v = np.empty((horizon,) + drive.shape)
-                trace.spikes = np.empty((horizon,) + drive.shape)
-                if layer.neuron == "stoch":
-                    trace.probs = np.empty((horizon,) + drive.shape)
-            if i not in states:
-                states[i] = LayerState.zeros(drive.shape)
-            state = states[i]
-            if layer.neuron == "det":
-                v = layer.leak * state.v + drive - state.fired_prev * layer.v_th
-                spikes = (v >= layer.v_th).astype(np.float64)
-            elif layer.neuron == "stoch":
-                v = (layer.leak * state.v + drive) / layer.k
-                probs = sigmoid(v)
-                stream = streams[neuron_idx[i]]
-                if stream is None:
-                    raise ShapeError("stochastic network requires RNG streams")
-                spikes = (rng_uniform(stream, probs.shape) < probs).astype(np.float64)
-                trace.probs[t] = probs
-            else:
-                raise ShapeError(f"weighted layer without neuron model at index {i}")
-            trace.v[t] = v
-            trace.spikes[t] = spikes
-            states[i] = LayerState(v=v, fired_prev=spikes)
-            x = spikes
+        for trace, values in zip(traces, step(spec, params, encoded[t], states,
+                                              streams, drive0)):
+            for name, value in zip(("inputs", "v", "spikes", "probs"), values):
+                if value is None:
+                    continue
+                buf = getattr(trace, name)
+                if buf is None:
+                    buf = np.empty((horizon,) + value.shape)
+                    setattr(trace, name, buf)
+                buf[t] = value
 
-    tape.complete = True
+    tape = Tape(horizon=horizon, alpha=spec.alpha, traces=traces, complete=True)
     records = [traces[i].spikes for i, l in enumerate(spec.layers) if l.neuron != "none"]
     return records, tape
 

@@ -1,5 +1,11 @@
 """Deterministic and stochastic leaky integrate-and-fire layer dynamics.
 
+This module is the only definition of the LIF update: training
+(``network.forward``) and evaluation (``inference.run_network``) both advance
+their neurons through ``det_lif_step`` and ``stoch_lif_step``, which read the
+threshold ``v_th``, membrane scale ``k`` and ``leak`` from the layer's
+``LayerSpec``.
+
 The deterministic neuron integrates leaky state plus synaptic drive, fires at
 a hard threshold, and soft-resets by subtracting the threshold one step after
 the crossing, carrying any residual potential forward:
@@ -21,36 +27,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit
 
-from .errors import ParameterError, ShapeError
+from .errors import ShapeError
 from .rng import RngStream, rng_uniform
-
-
-@dataclass
-class DetLifParams:
-    """Deterministic LIF parameters: firing threshold and leak factor."""
-
-    v_th: float = 1.0
-    leak: float = 0.9
-
-    def __post_init__(self):
-        if self.v_th <= 0:
-            raise ParameterError(f"v_th must be > 0, got {self.v_th}")
-        if not 0.0 <= self.leak <= 1.0:
-            raise ParameterError(f"leak must be in [0, 1], got {self.leak}")
-
-
-@dataclass
-class StochLifParams:
-    """Stochastic LIF parameters: membrane scale k and leak factor."""
-
-    k: float = 1.0
-    leak: float = 0.7
-
-    def __post_init__(self):
-        if self.k <= 0:
-            raise ParameterError(f"k must be > 0, got {self.k}")
-        if not 0.0 <= self.leak <= 1.0:
-            raise ParameterError(f"leak must be in [0, 1], got {self.leak}")
 
 
 @dataclass
@@ -60,10 +38,6 @@ class LayerState:
     v: np.ndarray
     fired_prev: np.ndarray = field(default=None)
 
-    @classmethod
-    def zeros(cls, shape) -> "LayerState":
-        return cls(v=np.zeros(shape), fired_prev=np.zeros(shape))
-
     def __post_init__(self):
         self.v = np.asarray(self.v, dtype=np.float64)
         if self.fired_prev is None:
@@ -72,53 +46,45 @@ class LayerState:
             self.fired_prev = np.asarray(self.fired_prev, dtype=np.float64)
 
 
-@dataclass
-class SpikeRecord:
-    """Binary spikes over the full horizon; first axis is time."""
-
-    spikes: np.ndarray
-
-    @property
-    def horizon(self) -> int:
-        return self.spikes.shape[0]
-
-
 def sigmoid(x: np.ndarray) -> np.ndarray:
     """Logistic function in float64, free of overflow for any |x|."""
     return expit(np.asarray(x, dtype=np.float64))
 
 
-def det_lif_step(state: LayerState, params: DetLifParams, drive: np.ndarray):
-    """One deterministic LIF timestep; returns (new_state, spikes)."""
+def _drive(state: LayerState, drive) -> np.ndarray:
     drive = np.asarray(drive, dtype=np.float64)
     if drive.shape != state.v.shape:
         raise ShapeError(f"drive shape {drive.shape} != state shape {state.v.shape}")
-    v = params.leak * state.v + drive - state.fired_prev * params.v_th
-    spikes = (v >= params.v_th).astype(np.float64)
+    return drive
+
+
+def det_lif_step(state: LayerState, layer, drive: np.ndarray):
+    """One deterministic LIF timestep of ``layer`` (a LayerSpec); returns
+    (new_state, spikes)."""
+    drive = _drive(state, drive)
+    v = layer.leak * state.v + drive - state.fired_prev * layer.v_th
+    spikes = (v >= layer.v_th).astype(np.float64)
     return LayerState(v=v, fired_prev=spikes), spikes
 
 
-def stoch_lif_step(state: LayerState, params: StochLifParams, drive: np.ndarray,
-                   stream: RngStream):
-    """One stochastic LIF timestep; returns (new_state, spikes, probs)."""
-    drive = np.asarray(drive, dtype=np.float64)
-    if drive.shape != state.v.shape:
-        raise ShapeError(f"drive shape {drive.shape} != state shape {state.v.shape}")
-    v = (params.leak * state.v + drive) / params.k
+def stoch_lif_step(state: LayerState, layer, drive: np.ndarray, stream: RngStream):
+    """One stochastic LIF timestep of ``layer`` (a LayerSpec); returns
+    (new_state, spikes, probs)."""
+    drive = _drive(state, drive)
+    v = (layer.leak * state.v + drive) / layer.k
     probs = sigmoid(v)
-    u = rng_uniform(stream, probs.shape)
-    spikes = (u < probs).astype(np.float64)
+    spikes = (rng_uniform(stream, probs.shape) < probs).astype(np.float64)
     return LayerState(v=v, fired_prev=spikes), spikes, probs
 
 
-def first_spike_times(record, horizon: int | None = None) -> np.ndarray:
+def first_spike_times(spikes, horizon: int | None = None) -> np.ndarray:
     """Earliest firing time per neuron, 1-indexed along the first (time) axis.
 
     Neurons that never fire within the horizon get the sentinel time T + 1,
     which strictly exceeds every real spike time so that downstream softmax
     scoring penalizes silence.
     """
-    spikes = record.spikes if isinstance(record, SpikeRecord) else np.asarray(record)
+    spikes = np.asarray(spikes)
     t = spikes.shape[0]
     if horizon is not None and horizon != t:
         raise ShapeError(f"record has {t} rows, expected horizon {horizon}")

@@ -1,8 +1,8 @@
-"""Dense tensor primitives: matmul, 2-D convolution/pooling and their gradients.
+"""Dense tensor primitives: 2-D convolution/pooling and their gradients.
 
 All values are 64-bit floats.  Operations are pure and use fixed accumulation
-orders (BLAS matmul with a fixed loop structure), so repeated runs on the same
-machine are bit-identical.
+orders (im2col with BLAS contractions in a fixed loop structure), so repeated
+runs on the same machine are bit-identical.
 
 Convolution uses the cross-correlation convention (no kernel flip) with zero
 padding.  ``conv2d``/``pool2d`` accept either a single sample ``(C, H, W)`` or
@@ -14,25 +14,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ShapeError
-
-
-def tensor(data) -> np.ndarray:
-    """Build a float64 tensor from external data, rejecting NaN/Inf."""
-    arr = np.asarray(data, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("tensor data must be finite (NaN/Inf rejected)")
-    return arr
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product of a (m, k) and b (k, n)."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul expects 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"inner dimensions differ: {a.shape} x {b.shape}")
-    return a @ b
 
 
 def _conv_out_size(size: int, k: int, stride: int, pad: int) -> int:

@@ -6,6 +6,7 @@ import pytest
 
 import spikefirst as sf
 from spikefirst.checkpoint import load_checkpoint, save_checkpoint
+from spikefirst.data import save_mnist_idx
 from spikefirst.train import PRESETS, train
 
 MNIST_DIR = Path(os.environ.get("SPIKEFIRST_DATA", "/root/data")) / "mnist"
@@ -34,6 +35,21 @@ def mnist_test():
         pytest.skip("MNIST IDX files not found")
     return sf.load_mnist_idx(MNIST_DIR / "t10k-images-idx3-ubyte",
                              MNIST_DIR / "t10k-labels-idx1-ubyte", "test")
+
+
+@pytest.fixture(scope="session")
+def synthetic_mnist(tmp_path_factory):
+    """Dataset root holding small MNIST-shaped IDX files: 600 train and 200
+    test images of sparse random pixels with random labels.  It exercises
+    the data and CLI plumbing only; accuracy gates need the real MNIST."""
+    root = tmp_path_factory.mktemp("synthetic_mnist")
+    rng = np.random.default_rng(0)
+    for prefix, n in (("train", 600), ("t10k", 200)):
+        pixels = rng.integers(0, 256, size=(n, 1, 28, 28)) * (rng.random((n, 1, 28, 28)) < 0.2)
+        ds = sf.Dataset(images=pixels / 255.0, labels=rng.integers(0, 10, size=n))
+        save_mnist_idx(ds, root / f"{prefix}-images-idx3-ubyte",
+                       root / f"{prefix}-labels-idx1-ubyte")
+    return str(root)
 
 
 def trained_smoke(preset: str, train_ds, test_ds):

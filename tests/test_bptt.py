@@ -84,7 +84,7 @@ def test_straight_through_identity():
 def test_backward_requires_complete_tape():
     from spikefirst.bptt import Tape
     with pytest.raises(StateError):
-        sf.backward(Tape(horizon=2, batch=1), None)
+        sf.backward(Tape(horizon=2), None)
 
 
 def _two_layer_spec(model_kind, nin, nh, nout, horizon, **neuron_kw):

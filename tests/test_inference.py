@@ -164,6 +164,13 @@ def test_early_exit_matches_full_horizon_forward(arch, overrides, gain):
     assert np.array_equal(res.steps, lat)
     assert (lat < horizon).any() and (lat == horizon).any()   # exits and timeouts
 
+    # rate mode runs the full horizon and predicts the most active output
+    rate_spec = sf.build(arch, "D-R-BPTT", overrides)
+    rate_res = run_network(rate_spec, params, images, mode="rate", batch_size=5)
+    rate_records, _ = sf.forward(rate_spec, params, sf.encode_direct(images, rate_spec.horizon))
+    assert np.array_equal(rate_res.predictions, rate_records[-1].sum(axis=0).argmax(axis=1))
+    assert np.array_equal(rate_res.steps, np.full(len(images), rate_spec.horizon))
+
     # a materialised copy of the same input takes the per-step layer-0 path
     dense = np.ascontiguousarray(encoded)
     records_d, tape_d = sf.forward(spec, params, dense)

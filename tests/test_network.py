@@ -7,7 +7,7 @@ import spikefirst as sf
 from spikefirst.errors import ShapeError
 from spikefirst.network import (build, init_params, normalize_model_kind,
                                 parse_spec, serialize_spec, weight_shape)
-from spikefirst.neurons import DetLifParams, LayerState, det_lif_step
+from spikefirst.neurons import LayerState, det_lif_step
 from spikefirst.rng import RngStream
 
 
@@ -107,12 +107,11 @@ def test_forward_matches_stepwise_neuron_module():
 
     records, tape = sf.forward(spec, params, sf.encode_direct(x, horizon))
 
-    s0 = LayerState.zeros((n, 5))
-    s1 = LayerState.zeros((n, 10))
-    lif = DetLifParams(v_th=1.0, leak=0.9)
+    s0 = LayerState(v=np.zeros((n, 5)))
+    s1 = LayerState(v=np.zeros((n, 10)))
     for t in range(horizon):
-        s0, spk0 = det_lif_step(s0, lif, x @ params["layer0.w"].T)
-        s1, spk1 = det_lif_step(s1, lif, spk0 @ params["layer1.w"].T)
+        s0, spk0 = det_lif_step(s0, spec.layers[0], x @ params["layer0.w"].T)
+        s1, spk1 = det_lif_step(s1, spec.layers[1], spk0 @ params["layer1.w"].T)
         assert np.array_equal(records[0][t], spk0)
         assert np.array_equal(records[1][t], spk1)
 

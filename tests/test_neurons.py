@@ -6,17 +6,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spikefirst.errors import ParameterError, ShapeError
-from spikefirst.neurons import (DetLifParams, LayerState, SpikeRecord,
-                                StochLifParams, det_lif_step, first_spike_times,
+from spikefirst.network import LayerSpec
+from spikefirst.neurons import (LayerState, det_lif_step, first_spike_times,
                                 sigmoid, stoch_lif_step)
 from spikefirst.rng import RngStream
 
 
-def run_det(drives, params):
-    state = LayerState.zeros(np.shape(drives[0]))
+def det(v_th=1.0, leak=0.9):
+    return LayerSpec(kind="linear", neuron="det", v_th=v_th, leak=leak)
+
+
+def stoch(k=1.0, leak=0.7):
+    return LayerSpec(kind="linear", neuron="stoch", k=k, leak=leak)
+
+
+def rest(shape):
+    return LayerState(v=np.zeros(shape))
+
+
+def run_det(drives, layer):
+    state = rest(np.shape(drives[0]))
     vs, spikes = [], []
     for d in drives:
-        state, s = det_lif_step(state, params, np.asarray(d, dtype=float))
+        state, s = det_lif_step(state, layer, np.asarray(d, dtype=float))
         vs.append(state.v.copy())
         spikes.append(s.copy())
     return np.array(vs), np.array(spikes)
@@ -24,50 +36,49 @@ def run_det(drives, params):
 
 def test_det_lif_constant_drive_trajectory():
     # leak 0.9, v_th 1: v = 0.6, 1.14 (spike), 0.626, 1.1634 (spike), 0.64706
-    params = DetLifParams(v_th=1.0, leak=0.9)
-    vs, spikes = run_det([[0.6]] * 5, params)
+    layer = det(v_th=1.0, leak=0.9)
+    vs, spikes = run_det([[0.6]] * 5, layer)
     assert np.allclose(vs[:, 0], [0.6, 1.14, 0.626, 1.1634, 0.64706], atol=1e-12)
     assert np.array_equal(spikes[:, 0], [0, 1, 0, 1, 0])
 
 
 def test_det_lif_soft_reset_keeps_residual():
     # a big drive pushes far over threshold; only v_th is subtracted next step
-    params = DetLifParams(v_th=1.0, leak=1.0)
-    vs, spikes = run_det([[3.0], [0.0]], params)
+    layer = det(v_th=1.0, leak=1.0)
+    vs, spikes = run_det([[3.0], [0.0]], layer)
     assert spikes[0, 0] == 1.0
     assert vs[1, 0] == pytest.approx(3.0 - 1.0)
 
 
 def test_det_lif_reset_lags_one_step():
     # the subtraction uses the previous step's firing, not the current one
-    params = DetLifParams(v_th=1.0, leak=0.9)
-    state = LayerState.zeros((1,))
-    state, s1 = det_lif_step(state, params, np.array([1.5]))
+    layer = det(v_th=1.0, leak=0.9)
+    state = rest((1,))
+    state, s1 = det_lif_step(state, layer, np.array([1.5]))
     assert s1[0] == 1.0 and state.v[0] == 1.5   # no subtraction yet
-    state, _ = det_lif_step(state, params, np.array([0.0]))
+    state, _ = det_lif_step(state, layer, np.array([0.0]))
     assert state.v[0] == pytest.approx(0.9 * 1.5 - 1.0)
 
 
 def test_det_lif_threshold_boundary_fires():
-    params = DetLifParams(v_th=1.0, leak=0.5)
-    _, spikes = run_det([[1.0]], params)
+    layer = det(v_th=1.0, leak=0.5)
+    _, spikes = run_det([[1.0]], layer)
     assert spikes[0, 0] == 1.0                   # v >= v_th is inclusive
 
 
 def test_det_lif_shape_mismatch():
     with pytest.raises(ShapeError):
-        det_lif_step(LayerState.zeros((3,)), DetLifParams(), np.zeros((4,)))
+        det_lif_step(rest((3,)), det(), np.zeros((4,)))
 
 
 def test_param_validation():
-    with pytest.raises(ParameterError):
-        DetLifParams(v_th=0.0)
-    with pytest.raises(ParameterError):
-        DetLifParams(leak=1.5)
-    with pytest.raises(ParameterError):
-        StochLifParams(k=0.0)
-    with pytest.raises(ParameterError):
-        StochLifParams(leak=-0.1)
+    # the neuron parameters live on the LayerSpec, which range-checks them
+    for bad in ({"v_th": 0.0}, {"v_th": -1.0}, {"k": 0.0}, {"leak": 1.5},
+                {"leak": -0.1}):
+        with pytest.raises(ParameterError):
+            LayerSpec(kind="linear", neuron="det", **bad)
+    assert LayerSpec(kind="linear", leak=0.0).leak == 0.0
+    assert LayerSpec(kind="linear", leak=1.0).leak == 1.0
 
 
 def test_sigmoid_stable_and_correct():
@@ -80,40 +91,40 @@ def test_sigmoid_stable_and_correct():
 
 def test_stoch_lif_membrane_and_probs():
     # v = (0.7 * v + drive) / 2
-    params = StochLifParams(k=2.0, leak=0.7)
-    state = LayerState.zeros((1,))
+    layer = stoch(k=2.0, leak=0.7)
+    state = rest((1,))
     stream = RngStream(0, 0)
-    state, _, p1 = stoch_lif_step(state, params, np.array([1.0]), stream)
+    state, _, p1 = stoch_lif_step(state, layer, np.array([1.0]), stream)
     assert state.v[0] == pytest.approx(0.5)
     assert p1[0] == pytest.approx(sigmoid(np.array([0.5]))[0])
-    state, _, _ = stoch_lif_step(state, params, np.array([1.0]), stream)
+    state, _, _ = stoch_lif_step(state, layer, np.array([1.0]), stream)
     assert state.v[0] == pytest.approx((0.7 * 0.5 + 1.0) / 2.0)
 
 
 def test_stoch_lif_no_reset_after_firing():
-    params = StochLifParams(k=1.0, leak=0.5)
-    state = LayerState.zeros((1,))
+    layer = stoch(k=1.0, leak=0.5)
+    state = rest((1,))
     stream = RngStream(0, 1)
-    state, _, _ = stoch_lif_step(state, params, np.array([10.0]), stream)
-    state, _, _ = stoch_lif_step(state, params, np.array([0.0]), stream)
+    state, _, _ = stoch_lif_step(state, layer, np.array([10.0]), stream)
+    state, _, _ = stoch_lif_step(state, layer, np.array([0.0]), stream)
     # pure leak, no threshold subtraction regardless of the (certain) spike
     assert state.v[0] == pytest.approx(5.0)
 
 
 def test_stoch_lif_spike_frequency_matches_probability():
-    params = StochLifParams(k=1.0, leak=0.0)
+    layer = stoch(k=1.0, leak=0.0)
     stream = RngStream(3, 9)
     drive = np.full(20000, 0.8)
-    state = LayerState.zeros(drive.shape)
-    _, spikes, probs = stoch_lif_step(state, params, drive, stream)
+    state = rest(drive.shape)
+    _, spikes, probs = stoch_lif_step(state, layer, drive, stream)
     assert abs(spikes.mean() - probs[0]) < 0.02
 
 
 def test_stoch_lif_reproducible_given_stream():
-    params = StochLifParams()
+    layer = stoch()
     d = np.zeros(50)
-    _, a, _ = stoch_lif_step(LayerState.zeros(d.shape), params, d, RngStream(4, 4))
-    _, b, _ = stoch_lif_step(LayerState.zeros(d.shape), params, d, RngStream(4, 4))
+    _, a, _ = stoch_lif_step(rest(d.shape), layer, d, RngStream(4, 4))
+    _, b, _ = stoch_lif_step(rest(d.shape), layer, d, RngStream(4, 4))
     assert np.array_equal(a, b)
 
 
@@ -123,7 +134,7 @@ def test_first_spike_times_table():
         [0, 0, 1, 0],
         [1, 1, 0, 0],
     ], dtype=float)
-    times = first_spike_times(SpikeRecord(spikes))
+    times = first_spike_times(spikes)
     assert np.array_equal(times, [3, 1, 2, 4])   # silent neuron gets T + 1
 
 
