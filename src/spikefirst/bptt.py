@@ -12,11 +12,20 @@ Three estimators bridge the non-differentiable pieces:
 The tape records every layer's per-timestep inputs, membrane potentials,
 spikes and firing probabilities during the forward pass; ``backward`` replays
 it in reverse, accumulating one gradient per weight tensor, summed over
-timesteps.  A direct-encoded (time-broadcast) input is recorded once, and
-``forward`` computes layer 0's drive from it once.  That layer's weight
-gradient is folded over time: its drive gradient is summed over the steps,
-then goes through one GEMM or one ``conv2d_backward``.  The gradient with
-respect to the network input is never computed, since nothing reads it.
+timesteps.  A layer fed by a neuron layer reads that layer's spike buffer as
+its input, so each spike train is recorded once.  A direct-encoded
+(time-broadcast) input is recorded once, and ``forward`` computes layer 0's
+drive from it once.  That layer's weight gradient is folded over time: its
+drive gradient is summed over the steps, then goes through one GEMM or one
+``conv2d_backward``.  The gradient with respect to the network input is never
+computed, since nothing reads it.
+
+Each neuron layer's reverse time loop computes its per-step factors (the
+surrogate at ``v[t] - v_th``, or ``dL/dp · p · (1 - p)``) from step t's
+slices inside the loop, so the only whole-horizon arrays a layer allocates
+are its drive gradient and the input gradient passed down.  Conv and pool
+layers are differentiated one step at a time; a linear layer's two GEMMs
+span all T·N rows at once.
 """
 
 from __future__ import annotations
@@ -82,7 +91,9 @@ class LayerTrace:
     layer: object                       # LayerSpec
     wname: str | None = None
     weight: np.ndarray | None = None
-    inputs: np.ndarray | None = None    # (T, N, ...) input to the synaptic op
+    # (T, N, ...) input to the synaptic op; after a neuron layer this is the
+    # same array as that layer's ``spikes``
+    inputs: np.ndarray | None = None
     # Set on layer 0 when its input is the same at every step: ``inputs`` then
     # holds it once, as (N, ...).
     time_constant: bool = False
@@ -179,34 +190,33 @@ def backward(tape: Tape, loss) -> dict:
             g_spikes, g_probs = g_in, None
             continue
 
+        g_drive = np.empty_like(trace.v)
+        gv_carry = np.zeros_like(trace.v[0])
         if layer.neuron == "det":
             # dV_t/dV_{t-1}: leak path only; the reset indicator is treated
             # as a constant in the backward pass.
-            sur = arctan_surrogate_grad(trace.v - layer.v_th, tape.alpha)
-            g_drive = np.empty_like(trace.v)
-            gv_carry = np.zeros_like(trace.v[0])
             for t in range(horizon - 1, -1, -1):
-                gv = g_spikes[t] * sur[t] + gv_carry
+                sur = arctan_surrogate_grad(trace.v[t] - layer.v_th, tape.alpha)
+                gv = g_spikes[t] * sur + gv_carry
                 g_drive[t] = gv
                 gv_carry = gv * layer.leak
         elif layer.neuron == "stoch":
-            if g_v is not None:
-                direct = g_v                   # already dL/dV per timestep
-                g_v = None
-            else:
-                gp_total = np.zeros_like(trace.probs)
-                if g_probs is not None:
-                    gp_total += g_probs
-                if g_spikes is not None:
-                    gp_total += straight_through_backward(g_spikes)
-                direct = gp_total * trace.probs * (1.0 - trace.probs)
-            g_drive = np.empty_like(trace.v)
-            gv_carry = np.zeros_like(trace.v[0])
             inv_k = 1.0 / layer.k
             for t in range(horizon - 1, -1, -1):
-                gv = direct[t] + gv_carry
+                if g_v is not None:
+                    direct = g_v[t]            # already dL/dV per timestep
+                else:
+                    p = trace.probs[t]
+                    gp = np.zeros_like(p)
+                    if g_probs is not None:
+                        gp += g_probs[t]
+                    if g_spikes is not None:
+                        gp += straight_through_backward(g_spikes[t])
+                    direct = gp * p * (1.0 - p)
+                gv = direct + gv_carry
                 g_drive[t] = gv * inv_k
                 gv_carry = gv * (layer.leak * inv_k)
+            g_v = None
         else:
             raise StateError(f"weighted layer without neuron model: {layer}")
 

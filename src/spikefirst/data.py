@@ -12,6 +12,7 @@ applied as a constant synaptic drive at every timestep.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -51,6 +52,11 @@ class Dataset:
 
 
 def _read_exact(f, n: int, what: str) -> bytes:
+    # n can come from the file's own header: it is checked against the bytes
+    # left before reading, so a corrupt count cannot ask for a huge buffer
+    left = os.fstat(f.fileno()).st_size - f.tell()
+    if not 0 <= n <= left:
+        raise FormatError(f"cannot read {what}: needs {n} bytes, file has {left} left")
     buf = f.read(n)
     if len(buf) != n:
         raise FormatError(f"truncated file while reading {what}")

@@ -286,18 +286,22 @@ def forward(spec: NetworkSpec, params: dict, encoded: np.ndarray,
         traces[0].time_constant = True
         drive0 = synaptic_drive(spec.layers[0], traces[0].weight, encoded[0])
 
+    # A neuron layer's spike train is the next layer's input: it is taped once.
+    shared = [i for i in range(1, len(traces)) if spec.layers[i - 1].neuron != "none"]
     states = {}
     for t in range(horizon):
-        for trace, values in zip(traces, step(spec, params, encoded[t], states,
-                                              streams, drive0)):
+        for i, (trace, values) in enumerate(zip(traces, step(spec, params, encoded[t],
+                                                             states, streams, drive0))):
             for name, value in zip(("inputs", "v", "spikes", "probs"), values):
-                if value is None:
+                if value is None or (name == "inputs" and i in shared):
                     continue
                 buf = getattr(trace, name)
                 if buf is None:
                     buf = np.empty((horizon,) + value.shape)
                     setattr(trace, name, buf)
                 buf[t] = value
+    for i in shared:
+        traces[i].inputs = traces[i - 1].spikes
 
     tape = Tape(horizon=horizon, alpha=spec.alpha, traces=traces, complete=True)
     records = [traces[i].spikes for i, l in enumerate(spec.layers) if l.neuron != "none"]

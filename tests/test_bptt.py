@@ -7,16 +7,18 @@ rules as its exact derivatives: spikes become smoothed/probability values plus
 a frozen offset, and deterministic resets are frozen at their recorded values.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import spikefirst as sf
 from spikefirst.bptt import (arctan_surrogate_grad, sign_estimator_backward,
                              smoothed_spike, straight_through_backward)
-from spikefirst.coding import ml_loss_batch, rate_ce_loss_batch
+from spikefirst.coding import fts_ce_loss_batch, ml_loss_batch, rate_ce_loss_batch
 from spikefirst.errors import StateError
 from spikefirst.network import LayerSpec
-from spikefirst.neurons import sigmoid
+from spikefirst.neurons import first_spike_times, sigmoid
 from spikefirst.rng import RngStream
 from spikefirst.tensor import conv2d, pool2d
 
@@ -300,3 +302,25 @@ def test_backward_conv_pool_network_shapes():
     for name, g in grads.items():
         assert g.shape == params[name].shape
         assert np.isfinite(g).all()
+
+
+@pytest.mark.parametrize("arch,overrides,n", [("mlp2", {"hidden": 800}, 64),
+                                              ("lenet5", {}, 16)])
+def test_backward_peak_memory_is_bounded_by_membrane_tape(arch, overrides, n):
+    # the per-step loops make no whole-horizon temporaries: besides the
+    # (T, N, ...) drive and spike gradients, backward allocates little
+    horizon = 20
+    spec = sf.build(arch, "D-F-BPTT", {"horizon": horizon, **overrides})
+    params = {k: 4.0 * w for k, w in sf.init_params(spec, RngStream(0, 1)).items()}
+    x = np.random.default_rng(3).uniform(0, 1, size=(n, 1, 28, 28))
+    records, tape = sf.forward(spec, params, sf.encode_direct(x, horizon))
+    loss = fts_ce_loss_batch(first_spike_times(records[-1]), np.arange(n) % 10)
+    largest_v = max(tr.v.nbytes for tr in tape.traces if tr.v is not None)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        sf.backward(tape, loss)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * largest_v, f"backward peak {peak / largest_v:.2f}x the largest v tape"

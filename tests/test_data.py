@@ -4,6 +4,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spikefirst.data import (AugmentConfig, Dataset, LabeledImage, augment,
                              encode_direct, load_cifar10_bin, load_mnist_idx,
@@ -98,6 +100,46 @@ def test_idx_label_out_of_range(tmp_path):
                             np.array([1, 12], dtype=np.uint8))
     with pytest.raises(FormatError):
         load_mnist_idx(ip, lp)
+
+
+@pytest.mark.parametrize("which,count", [("images", 2**31 - 1), ("images", -1),
+                                          ("labels", 2**31 - 1), ("labels", -5)])
+def test_idx_declared_count_beyond_file_raises_format_error(tmp_path, which, count):
+    # a count past the file's size fails before any read is attempted (a
+    # 2^31-1 image count would otherwise ask for a ~1.6 TB buffer)
+    ip, lp = write_idx_pair(tmp_path, np.zeros((2, 28, 28), dtype=np.uint8),
+                            np.zeros(2, dtype=np.uint8))
+    path = ip if which == "images" else lp
+    raw = bytearray(path.read_bytes())
+    raw[4:8] = struct.pack(">i", count)     # the count follows the magic
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError):
+        load_mnist_idx(ip, lp)
+
+
+@pytest.fixture(scope="module")
+def idx_fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("idx_fuzz")
+
+
+@given(image_header=st.binary(min_size=16, max_size=16),
+       label_header=st.binary(min_size=8, max_size=8),
+       use_magic=st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_fuzzed_idx_headers_raise_only_documented_errors(idx_fuzz_dir, image_header,
+                                                         label_header, use_magic):
+    # random headers on 3 valid images: loading succeeds or raises FormatError
+    # or ConsistencyError (both exit 3 in the CLI), never another exception
+    if use_magic:   # reach the count checks, not just the magic check
+        image_header = struct.pack(">i", 0x803) + image_header[4:8] + struct.pack(">2i", 28, 28)
+        label_header = struct.pack(">i", 0x801) + label_header[4:]
+    ip, lp = idx_fuzz_dir / "imgs", idx_fuzz_dir / "lbls"
+    ip.write_bytes(image_header + bytes(3 * 784))
+    lp.write_bytes(label_header + bytes([1, 2, 3]))
+    try:
+        load_mnist_idx(ip, lp)
+    except (FormatError, ConsistencyError):
+        pass
 
 
 @needs_mnist

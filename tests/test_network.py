@@ -114,6 +114,7 @@ def test_forward_matches_stepwise_neuron_module():
         s1, spk1 = det_lif_step(s1, spec.layers[1], spk0 @ params["layer1.w"].T)
         assert np.array_equal(records[0][t], spk0)
         assert np.array_equal(records[1][t], spk1)
+    assert tape.traces[1].inputs is records[0]
 
 
 def test_forward_horizon_mismatch():
@@ -153,6 +154,15 @@ def test_forward_lenet_shapes():
     shapes = [r.shape for r in records]
     assert shapes == [(2, 2, 6, 28, 28), (2, 2, 16, 10, 10),
                       (2, 2, 120), (2, 2, 84), (2, 2, 10)]
+    # a neuron layer's spike train is taped once and read as the next
+    # layer's input; a pool layer's output is the next layer's own buffer
+    tr = tape.traces
+    for i in (1, 3, 5, 6):
+        assert tr[i].inputs is tr[i - 1].spikes
+    for i in (2, 4):
+        assert tr[i - 1].spikes is None
+        assert tr[i].inputs.shape[:2] == (2, 2)
+        assert not np.shares_memory(tr[i].inputs, tr[i - 2].spikes)
 
 
 @pytest.mark.parametrize("arch,kind", [("mlp2", "D-F-BPTT"), ("mlp2", "S-F-BPTT"),
