@@ -14,8 +14,8 @@ from .bptt import (Tape, arctan_surrogate_grad, backward,
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .coding import (LossValue, first_spike_event_prob, fts_ce_loss,
                      fts_softmax, ml_loss, rate_ce_loss)
-from .data import (AugmentConfig, Dataset, LabeledImage, augment,
-                   encode_direct, load_cifar10_bin, load_mnist_idx)
+from .data import (Dataset, LabeledImage, encode_direct, load_cifar10_bin,
+                   load_mnist_idx)
 from .metrics import (MetricsReport, energy_cost, evaluate, layer_ops,
                       noise_sweep)
 from .network import LayerSpec, NetworkSpec, build, forward, init_params, step

@@ -1,4 +1,4 @@
-"""Dataset ingestion, normalization, augmentation and input encoding.
+"""Dataset ingestion, normalization and input encoding.
 
 MNIST is parsed from the big-endian IDX binaries (image magic 0x00000803,
 label magic 0x00000801) and scaled to [0, 1].  CIFAR-10 is parsed from the
@@ -17,10 +17,8 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
-from .errors import ConsistencyError, FormatError
-from .rng import RngStream, rng_uniform
+from .errors import ConsistencyError, FormatError, ParameterError
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -101,6 +99,21 @@ def save_mnist_idx(dataset: Dataset, images_path, labels_path) -> None:
         f.write(dataset.labels.astype(np.uint8).tobytes())
 
 
+def _cifar_stats(stats):
+    """Validate caller-given per-channel ``(mean, std)`` statistics."""
+    try:
+        mean, std = (np.asarray(a, dtype=np.float64) for a in stats)
+    except (TypeError, ValueError) as exc:
+        raise ParameterError(f"stats must be a (mean, std) pair of arrays: {exc}") from exc
+    if mean.shape != (3,) or std.shape != (3,):
+        raise ParameterError(f"stats must hold 3 channel values each, got shapes "
+                             f"{mean.shape} and {std.shape}")
+    if not (np.isfinite(mean).all() and np.isfinite(std).all() and (std > 0).all()):
+        raise ParameterError(f"stats need a finite mean and a finite positive std, "
+                             f"got mean {mean} and std {std}")
+    return mean, std
+
+
 def load_cifar10_bin(paths, split: str = "train", stats=None):
     """Parse CIFAR-10 binary batches into a standardized dataset.
 
@@ -110,6 +123,11 @@ def load_cifar10_bin(paths, split: str = "train", stats=None):
     """
     if isinstance(paths, (str, bytes)) or hasattr(paths, "__fspath__"):
         paths = [paths]
+    paths = list(paths)
+    if not paths:
+        raise ParameterError("no CIFAR-10 batch files given")
+    if stats is not None:
+        mean, std = _cifar_stats(stats)
     chunks = []
     labels = []
     for path in paths:
@@ -123,89 +141,20 @@ def load_cifar10_bin(paths, split: str = "train", stats=None):
     labels = np.concatenate(labels)
     if labels.max() > 9:
         raise FormatError(f"label byte {labels.max()} out of range 0..9")
-    images = np.concatenate(chunks).astype(np.float64) / 255.0
+    pixels = np.concatenate(chunks)
+    images = pixels.astype(np.float64) / 255.0
     if stats is None:
+        # a constant channel has zero std and would standardize to NaN
+        constant = pixels.min(axis=(0, 2, 3)) == pixels.max(axis=(0, 2, 3))
+        if constant.any():
+            raise FormatError(f"channel {int(constant.argmax())} is constant over all "
+                              f"{len(labels)} images: cannot standardize")
         mean = images.mean(axis=(0, 2, 3))
         std = images.std(axis=(0, 2, 3))
         stats = (mean, std)
-    mean, std = stats
     images = (images - mean[None, :, None, None]) / std[None, :, None, None]
     return Dataset(images=images, labels=labels.astype(np.int64),
                    split=split, name="cifar10"), stats
-
-
-@dataclass
-class AugmentConfig:
-    """CIFAR augmentation switches; heavier transforms default off."""
-
-    flip: bool = True
-    rotate: bool = True
-    crop: bool = True
-    rotate_degrees: float = 15.0
-    crop_pad: int = 4
-    # optional extras, off by default
-    shear: bool = False
-    shear_degrees: float = 10.0
-    scale_jitter: bool = False
-    scale_range: tuple = (0.8, 1.2)
-    color_jitter: bool = False
-    color_factor: float = 0.2
-
-    @classmethod
-    def disabled(cls) -> "AugmentConfig":
-        return cls(flip=False, rotate=False, crop=False)
-
-
-def _rotate(pixels: np.ndarray, angle: float) -> np.ndarray:
-    out = np.empty_like(pixels)
-    for c in range(pixels.shape[0]):
-        out[c] = ndimage.rotate(pixels[c], angle, reshape=False, order=1,
-                                mode="constant", cval=0.0)
-    return out
-
-
-def _affine(pixels: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    h, w = pixels.shape[1:]
-    center = np.array([(h - 1) / 2.0, (w - 1) / 2.0])
-    offset = center - matrix @ center
-    out = np.empty_like(pixels)
-    for c in range(pixels.shape[0]):
-        out[c] = ndimage.affine_transform(pixels[c], matrix, offset=offset,
-                                          order=1, mode="constant", cval=0.0)
-    return out
-
-
-def augment(image: LabeledImage, config: AugmentConfig, stream: RngStream) -> LabeledImage:
-    """Apply flip / rotation / pad-and-crop (in that order); label unchanged.
-
-    Deterministic given the stream state; draws are consumed in a fixed order
-    regardless of which transforms are enabled.
-    """
-    px = image.pixels
-    draws = rng_uniform(stream, (7,))
-    if config.flip and draws[0] < 0.5:
-        px = px[:, :, ::-1].copy()
-    if config.rotate:
-        angle = (draws[1] * 2.0 - 1.0) * config.rotate_degrees
-        px = _rotate(px, angle)
-    if config.shear:
-        shear = np.deg2rad((draws[4] * 2.0 - 1.0) * config.shear_degrees)
-        px = _affine(px, np.array([[1.0, np.tan(shear)], [0.0, 1.0]]))
-    if config.scale_jitter:
-        lo, hi = config.scale_range
-        s = lo + draws[5] * (hi - lo)
-        px = _affine(px, np.array([[1.0 / s, 0.0], [0.0, 1.0 / s]]))
-    if config.color_jitter:
-        f = config.color_factor
-        px = px * (1.0 + (draws[6] * 2.0 - 1.0) * f)
-    if config.crop:
-        pad = config.crop_pad
-        h, w = px.shape[1:]
-        padded = np.pad(px, ((0, 0), (pad, pad), (pad, pad)))
-        oy = int(draws[2] * (2 * pad + 1))
-        ox = int(draws[3] * (2 * pad + 1))
-        px = padded[:, oy : oy + h, ox : ox + w]
-    return LabeledImage(pixels=np.ascontiguousarray(px), label=image.label)
 
 
 def encode_direct(image, horizon: int) -> np.ndarray:

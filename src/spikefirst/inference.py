@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterError
-# sigmoid is re-exported for code that reaches it through this module
+# sigmoid is re-exported: bench/test_bench.py reaches it through this module
 from .neurons import LayerState, sigmoid  # noqa: F401
 from .network import NetworkSpec, step, synaptic_drive
 from .rng import RngStream, rng_gaussian
@@ -116,15 +116,20 @@ def run_network(spec: NetworkSpec, params: dict, images: np.ndarray,
             steps[samples] += 1
             # every weighted layer is a neuron layer, so one position walks both
             pos = 0
+            spike_sum = None        # of the layer just before, if a neuron layer
             for inp, v, spikes, probs in step(spec, params, x, states, streams, drive0):
                 if v is None:           # pool layer
+                    spike_sum = None
                     continue
                 if inp is None:         # layer 0 driven by drive0
                     syn_sums[0][samples] += sum0 if all_active else sum0[active]
                 else:
-                    syn_sums[pos][samples] += _feature_sum(inp)
+                    # a layer fed straight by a neuron layer reads its spikes
+                    syn_sums[pos][samples] += (_feature_sum(inp) if spike_sum is None
+                                               else spike_sum)
                     syn_sizes[pos] = math.prod(inp.shape[1:])
-                spk_sums[pos][samples] += _feature_sum(spikes)
+                spike_sum = _feature_sum(spikes)
+                spk_sums[pos][samples] += spike_sum
                 layer_sizes[pos] = math.prod(spikes.shape[1:])
                 pos += 1
                 out_v, out_spikes, out_probs = v, spikes, probs

@@ -23,7 +23,7 @@ import numpy as np
 
 from .bptt import LayerTrace, Tape
 from .errors import ParameterError, ShapeError
-# sigmoid is re-exported for code that reaches it through this module
+# sigmoid is re-exported: bench/test_bench.py reaches it through this module
 from .neurons import LayerState, det_lif_step, sigmoid, stoch_lif_step  # noqa: F401
 from .rng import RngStream, rng_uniform
 from .tensor import conv2d, pool2d

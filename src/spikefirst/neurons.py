@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import ShapeError
 from .rng import RngStream, rng_uniform
@@ -47,8 +46,18 @@ class LayerState:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Logistic function in float64, free of overflow for any |x|."""
-    return expit(np.asarray(x, dtype=np.float64))
+    """Logistic function ``1 / (1 + exp(-x))`` in float64, built in one buffer.
+
+    Below x = -709.78, ``exp(-x)`` overflows to inf and the result is 0, where
+    the true value is under 5.6e-309; that overflow is expected and its
+    warning suppressed.  NaN propagates.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    out = np.negative(x, out=np.empty(x.shape))
+    with np.errstate(over="ignore"):
+        np.exp(out, out=out)
+    out += 1.0
+    return np.divide(1.0, out, out=out)
 
 
 def _drive(state: LayerState, drive) -> np.ndarray:
@@ -71,9 +80,14 @@ def stoch_lif_step(state: LayerState, layer, drive: np.ndarray, stream: RngStrea
     """One stochastic LIF timestep of ``layer`` (a LayerSpec); returns
     (new_state, spikes, probs)."""
     drive = _drive(state, drive)
-    v = (layer.leak * state.v + drive) / layer.k
+    # (leak * V + drive) / k, evaluated in that order in v's own buffer
+    v = layer.leak * state.v
+    v += drive
+    v /= layer.k
     probs = sigmoid(v)
-    spikes = (rng_uniform(stream, probs.shape) < probs).astype(np.float64)
+    # the draw's buffer receives its own comparison as 0.0 / 1.0
+    spikes = rng_uniform(stream, probs.shape)
+    np.less(spikes, probs, out=spikes)
     return LayerState(v=v, fired_prev=spikes), spikes, probs
 
 

@@ -241,9 +241,12 @@ def train(config: TrainConfig, train_ds: Dataset, test_ds: Dataset | None = None
                "test_acc": acc, "wall_time_s": time.monotonic() - t0}
         log_rows.append(row)
         last_good = _snapshot(spec, params, adam, epoch + 1, config, best_acc)
-        if test_ds is None or acc >= best_acc:
-            best_acc = max(best_acc, acc if test_ds is not None else 0.0)
-            best_ckpt = _snapshot(spec, params, adam, epoch + 1, config, best_acc)
+        if test_ds is None:
+            best_acc = max(best_acc, 0.0)
+        elif acc >= best_acc:
+            best_acc = acc
+            # the same epoch's arrays: last_good is never mutated, only replaced
+            best_ckpt = replace(last_good, best_accuracy=best_acc)
         if epoch_hook is not None:
             epoch_hook(row, last_good)
 

@@ -4,9 +4,14 @@ The commands read the small synthetic IDX dataset of ``conftest``, so they
 run without the real MNIST files."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import spikefirst
 from spikefirst.cli import EXIT_CHECKPOINT, EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
 
 
@@ -24,6 +29,21 @@ def tiny_run(tmp_path_factory, synthetic_mnist):
                "--out", str(out))
     assert code == EXIT_OK
     return out
+
+
+def test_package_imports_without_scipy():
+    # the runtime is numpy only: importing every module, the CLI included,
+    # must not pull in scipy (its import alone cost more than a run's set-up)
+    src = str(Path(spikefirst.__file__).resolve().parent.parent)
+    probe = ("import importlib, pkgutil, sys, spikefirst\n"
+             "for m in pkgutil.iter_modules(spikefirst.__path__):\n"
+             "    importlib.import_module('spikefirst.' + m.name)\n"
+             "assert 'spikefirst.cli' in sys.modules\n"
+             "print(sorted(n for n in sys.modules if n.split('.')[0] == 'scipy'))\n")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
 
 
 def test_version_flag(capsys):

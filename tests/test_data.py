@@ -1,4 +1,4 @@
-"""Dataset parsing, serialization round trips, augmentation, input encoding."""
+"""Dataset parsing, serialization round trips, input encoding."""
 
 import struct
 
@@ -7,11 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spikefirst.data import (AugmentConfig, Dataset, LabeledImage, augment,
-                             encode_direct, load_cifar10_bin, load_mnist_idx,
-                             save_mnist_idx)
-from spikefirst.errors import ConsistencyError, FormatError
-from spikefirst.rng import RngStream
+from spikefirst.data import (Dataset, LabeledImage, encode_direct, load_cifar10_bin,
+                             load_mnist_idx, save_mnist_idx)
+from spikefirst.errors import ConsistencyError, FormatError, ParameterError
 
 from conftest import MNIST_DIR, needs_mnist
 
@@ -211,38 +209,73 @@ def test_cifar_label_out_of_range(tmp_path):
         load_cifar10_bin(p)
 
 
-def test_augment_deterministic_given_stream():
-    rng = np.random.default_rng(5)
-    img = LabeledImage(pixels=rng.random((3, 32, 32)), label=4)
-    cfg = AugmentConfig()
-    a = augment(img, cfg, RngStream(1, 1))
-    b = augment(img, cfg, RngStream(1, 1))
-    assert np.array_equal(a.pixels, b.pixels)
-    assert a.label == 4
+@pytest.mark.parametrize("channel,records", [(0, 3), (1, 3), (2, 3), (0, 1)])
+def test_cifar_constant_channel_raises_format_error(tmp_path, channel, records):
+    # a zero-variance channel cannot be standardized (it would give NaNs)
+    p = tmp_path / "flat.bin"
+    rec = make_cifar_batch(p, records, 10)
+    rec[:, 1 + 1024 * channel : 1 + 1024 * (channel + 1)] = 77
+    p.write_bytes(rec.tobytes())
+    with pytest.raises(FormatError, match=f"channel {channel}"):
+        load_cifar10_bin(p)
 
 
-def test_augment_disabled_is_identity():
-    rng = np.random.default_rng(6)
-    img = LabeledImage(pixels=rng.random((3, 32, 32)), label=0)
-    out = augment(img, AugmentConfig.disabled(), RngStream(0, 0))
-    assert np.array_equal(out.pixels, img.pixels)
+def test_cifar_empty_path_list_raises_parameter_error():
+    with pytest.raises(ParameterError):
+        load_cifar10_bin([])
 
 
-def test_augment_consumes_fixed_draw_budget():
-    # enabling extra transforms must not shift later streams: the draw count
-    # per call is constant, so a following draw is unaffected
-    img = LabeledImage(pixels=np.random.default_rng(7).random((3, 32, 32)), label=0)
-    s1 = RngStream(9, 9)
-    augment(img, AugmentConfig.disabled(), s1)
-    s2 = RngStream(9, 9)
-    augment(img, AugmentConfig(shear=True, scale_jitter=True, color_jitter=True), s2)
-    assert s1.counter == s2.counter
+@pytest.mark.parametrize("stats", [
+    (np.zeros(2), np.ones(2)),                      # wrong channel count
+    (np.zeros((3, 1)), np.ones(3)),                 # wrong shape
+    (np.zeros(3), np.array([1.0, 0.0, 1.0])),       # zero std
+    (np.zeros(3), np.array([1.0, -1.0, 1.0])),      # negative std
+    (np.zeros(3), np.array([1.0, np.nan, 1.0])),    # NaN std
+    (np.array([0.0, np.inf, 0.0]), np.ones(3)),     # infinite mean
+    (np.zeros(3),),                                 # not a pair
+    1.5,                                            # not a sequence
+])
+def test_cifar_bad_caller_stats_raise_parameter_error(tmp_path, stats):
+    p = tmp_path / "b.bin"
+    make_cifar_batch(p, 4, 12)
+    with pytest.raises(ParameterError):
+        load_cifar10_bin(p, split="test", stats=stats)
 
 
-def test_augment_preserves_shape():
-    img = LabeledImage(pixels=np.random.default_rng(8).random((1, 28, 28)), label=1)
-    out = augment(img, AugmentConfig(), RngStream(3, 3))
-    assert out.pixels.shape == (1, 28, 28)
+@pytest.fixture(scope="module")
+def cifar_fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("cifar_fuzz")
+
+
+@given(records=st.integers(1, 3), cut=st.integers(-3073, 3073),
+       edits=st.lists(st.tuples(st.integers(0, 3 * 3073 - 1), st.integers(0, 255)),
+                      max_size=40),
+       flat=st.lists(st.booleans(), min_size=3, max_size=3), seed=st.integers(0, 2**16))
+@settings(max_examples=300, deadline=None)
+def test_fuzzed_cifar_records_raise_only_format_error(cifar_fuzz_dir, records, cut, edits,
+                                                      flat, seed):
+    # random record bytes (some channels flattened, bytes overwritten) and a
+    # file cut or padded by up to one record: loading raises FormatError or
+    # returns finite images, never another exception or a warning
+    rec = np.random.default_rng(seed).integers(0, 256, size=(records, 3073), dtype=np.uint8)
+    rec[:, 0] %= 10
+    for c, is_flat in enumerate(flat):
+        if is_flat:
+            rec[:, 1 + 1024 * c : 1 + 1024 * (c + 1)] = c
+    raw = bytearray(rec.tobytes())
+    for pos, value in edits:
+        if pos < len(raw):
+            raw[pos] = value
+    raw = raw[:len(raw) + cut] if cut < 0 else raw + bytes(cut)
+    p = cifar_fuzz_dir / "fuzz.bin"
+    p.write_bytes(bytes(raw))
+    try:
+        ds, (mean, std) = load_cifar10_bin(p)
+    except FormatError:
+        return
+    assert np.isfinite(ds.images).all()
+    assert ds.images.shape == (len(raw) // 3073, 3, 32, 32)
+    assert (std > 0).all() and ds.labels.max() <= 9
 
 
 def test_encode_direct_single_and_batch():

@@ -1,5 +1,7 @@
 """LIF step dynamics against hand-computed trajectories."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,7 @@ from spikefirst.errors import ParameterError, ShapeError
 from spikefirst.network import LayerSpec
 from spikefirst.neurons import (LayerState, det_lif_step, first_spike_times,
                                 sigmoid, stoch_lif_step)
-from spikefirst.rng import RngStream
+from spikefirst.rng import RngStream, rng_uniform
 
 
 def det(v_th=1.0, leak=0.9):
@@ -82,11 +84,56 @@ def test_param_validation():
 
 
 def test_sigmoid_stable_and_correct():
-    x = np.array([-800.0, -2.0, 0.0, 2.0, 800.0])
-    y = sigmoid(x)
+    x = np.array([-800.0, -2.0, 0.0, 2.0, 800.0, -np.inf, np.inf, np.nan])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")      # the exp overflow stays silent
+        y = sigmoid(x)
     assert y[0] == 0.0 and y[4] == 1.0
+    assert y[5] == 0.0 and y[6] == 1.0
     assert y[2] == 0.5
+    assert np.isnan(y[7])
     assert np.allclose(y[[1, 3]], [1 / (1 + np.e**2), 1 / (1 + np.e**-2)])
+
+
+def test_sigmoid_within_3_ulp_of_extended_precision():
+    rng = np.random.default_rng(4)
+    x = np.concatenate([np.linspace(-709.0, 709.0, 200001),
+                        rng.normal(0.0, 4.0, 100000), rng.normal(0.0, 40.0, 100000)])
+    xl = x.astype(np.longdouble)
+    ref = 1 / (1 + np.exp(-xl))
+    ulp = np.spacing(ref.astype(np.float64)).astype(np.longdouble)
+    err = np.abs(sigmoid(x).astype(np.longdouble) - ref) / ulp
+    assert err.max() <= 3.0
+
+
+def test_sigmoid_keeps_shape_and_input():
+    x = np.arange(-3.0, 3.0).reshape(2, 3)
+    before = x.copy()
+    y = sigmoid(x)
+    assert y.shape == (2, 3) and y.dtype == np.float64
+    assert np.array_equal(x, before)
+    assert sigmoid(0.0) == 0.5 and sigmoid([0, 0]).tolist() == [0.5, 0.5]
+
+
+def test_stoch_lif_step_matches_formula_without_touching_inputs():
+    layer = stoch(k=1.3, leak=0.7)
+    rng = np.random.default_rng(8)
+    state = LayerState(v=rng.normal(size=(4, 6)), fired_prev=np.ones((4, 6)))
+    drive = rng.normal(size=(4, 6))
+    v0, d0 = state.v.copy(), drive.copy()
+    new, spikes, probs = stoch_lif_step(state, layer, drive, RngStream(5, 2))
+    v = (0.7 * v0 + d0) / 1.3
+    assert np.array_equal(new.v, v)
+    assert np.array_equal(probs, sigmoid(v))
+    u = rng_uniform(RngStream(5, 2), v.shape)
+    assert np.array_equal(spikes, (u < probs).astype(np.float64))
+    assert spikes.dtype == np.float64 and new.fired_prev is spikes
+    # the in-place kernel leaves its inputs alone and shares no result buffer
+    assert np.array_equal(state.v, v0) and np.array_equal(drive, d0)
+    arrays = [new.v, spikes, probs, state.v, drive]
+    for i, a in enumerate(arrays):
+        for b in arrays[i + 1:]:
+            assert not np.shares_memory(a, b)
 
 
 def test_stoch_lif_membrane_and_probs():

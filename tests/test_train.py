@@ -129,6 +129,33 @@ def test_train_tracks_best_accuracy():
     assert ckpt.best_accuracy == max(r["test_acc"] for r in rows)
 
 
+def test_returned_checkpoint_does_not_alias_live_arrays():
+    # the returned checkpoint holds copies: training on after its epoch
+    # never reaches into its arrays
+    ds = synthetic_mnist_like(60)
+    test = synthetic_mnist_like(30, seed=1)
+    seen = []
+
+    def hook(row, ckpt):
+        seen.append((ckpt, {k: v.copy() for k, v in ckpt.params.items()},
+                     {k: v.copy() for k, v in ckpt.adam_m.items()}))
+
+    for test_ds in (test, None):
+        seen.clear()
+        ckpt, _ = train(tiny_config(epochs=3), ds, test_ds, epoch_hook=hook)
+        own = [s for s in seen if s[0].epoch == ckpt.epoch]
+        assert len(own) == 1 and len(seen) == 3
+        _, params, adam_m = own[0]
+        for k in params:
+            assert np.array_equal(ckpt.params[k], params[k])
+            assert np.array_equal(ckpt.adam_m[k], adam_m[k])
+            for other, _, _ in seen:
+                if other.epoch != ckpt.epoch:
+                    assert not np.shares_memory(ckpt.params[k], other.params[k])
+                    assert not np.shares_memory(ckpt.adam_m[k], other.adam_m[k])
+                    assert not np.shares_memory(ckpt.adam_v[k], other.adam_v[k])
+
+
 def test_train_bit_identical_across_runs(tmp_path):
     ds = synthetic_mnist_like()
     a, _ = train(tiny_config(model_kind="S-F-BPTT", lambda_leak=0.7), ds)
