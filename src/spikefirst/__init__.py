@@ -9,8 +9,7 @@ differential evolution.
 
 __version__ = "0.1.0"
 
-from .bptt import (Tape, arctan_surrogate_grad, backward,
-                   sign_estimator_backward, straight_through_backward)
+from .bptt import Tape, arctan_surrogate_grad, backward, sign_estimator_backward
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .coding import (LossValue, first_spike_event_prob, fts_ce_loss,
                      fts_softmax, ml_loss, rate_ce_loss)

@@ -9,23 +9,29 @@ Three estimators bridge the non-differentiable pieces:
 * straight-through estimator passing gradients unchanged through the Bernoulli
   draw of stochastic neurons.
 
-The tape records every layer's per-timestep inputs, membrane potentials,
-spikes and firing probabilities during the forward pass; ``backward`` replays
-it in reverse, accumulating one gradient per weight tensor, summed over
-timesteps.  A layer fed by a neuron layer reads that layer's spike buffer as
-its input, so each spike train is recorded once.  A direct-encoded
-(time-broadcast) input is recorded once, and ``forward`` computes layer 0's
-drive from it once.  That layer's weight gradient is folded over time: its
-drive gradient is summed over the steps, then goes through one GEMM or one
-``conv2d_backward``.  The gradient with respect to the network input is never
-computed, since nothing reads it.
+The tape records, per timestep, only what ``backward`` reads: each synaptic
+layer's input, every neuron layer's spikes, the membrane potential ``v`` of
+deterministic layers and of the output layer (the fused ``ml-v`` loss enters
+there), and the firing probabilities ``probs`` of hidden stochastic layers.
+Spike trains are taped as ``uint8``; 0 and 1 are exact, so casting them back
+to float64 for the GEMMs leaves every gradient bit-identical.  ``backward``
+replays the tape in reverse, accumulating one gradient per weight tensor,
+summed over timesteps.  A layer fed by a neuron layer reads that layer's
+spike buffer as its input, so each spike train is recorded once.  A
+direct-encoded (time-broadcast) input is recorded once, and ``forward``
+computes layer 0's drive from it once.  That layer's weight gradient is
+folded over time: its drive gradient is summed over the steps, then goes
+through one GEMM or one ``conv2d_backward``.  The gradient with respect to
+the network input is never computed, since nothing reads it.
 
 Each neuron layer's reverse time loop computes its per-step factors (the
 surrogate at ``v[t] - v_th``, or ``dL/dp · p · (1 - p)``) from step t's
 slices inside the loop, so the only whole-horizon arrays a layer allocates
 are its drive gradient and the input gradient passed down.  Conv and pool
-layers are differentiated one step at a time; a linear layer's two GEMMs
-span all T·N rows at once.
+layers are differentiated one step at a time, casting that step's input; a
+linear layer's two GEMMs span all T·N rows at once, and the float64 copy of
+a spike input made for the weight-gradient GEMM then receives the input
+gradient.
 """
 
 from __future__ import annotations
@@ -79,11 +85,6 @@ def sign_estimator_backward(grad_times: np.ndarray, first_times: np.ndarray,
     return flat_out.reshape((horizon,) + grad_times.shape)
 
 
-def straight_through_backward(grad_out: np.ndarray) -> np.ndarray:
-    """Identity backward through the Bernoulli sampling step."""
-    return np.asarray(grad_out, dtype=np.float64)
-
-
 @dataclass
 class LayerTrace:
     """Forward record for one layer across the whole horizon."""
@@ -92,14 +93,15 @@ class LayerTrace:
     wname: str | None = None
     weight: np.ndarray | None = None
     # (T, N, ...) input to the synaptic op; after a neuron layer this is the
-    # same array as that layer's ``spikes``
+    # same uint8 array as that layer's ``spikes``
     inputs: np.ndarray | None = None
     # Set on layer 0 when its input is the same at every step: ``inputs`` then
     # holds it once, as (N, ...).
     time_constant: bool = False
-    v: np.ndarray | None = None         # (T, N, n) membrane potentials
-    spikes: np.ndarray | None = None
-    probs: np.ndarray | None = None     # stochastic layers only
+    # (T, N, ...) membrane potentials: deterministic layers and the output layer
+    v: np.ndarray | None = None
+    spikes: np.ndarray | None = None    # (T, N, ...) uint8 0/1, neuron layers
+    probs: np.ndarray | None = None     # (T, N, ...) hidden stochastic layers only
 
 
 @dataclass
@@ -129,14 +131,21 @@ def _synaptic_backward(trace: LayerTrace, g_drive: np.ndarray, need_input: bool)
         # grads over all timesteps in one pair of matmuls
         tn = inputs.shape[0] * inputs.shape[1]
         g = g_drive.reshape(tn, -1)
-        grad_w = g.T @ inputs.reshape(tn, -1)
+        x = inputs.reshape(tn, -1)
+        cast = x.dtype != np.float64
+        if cast:
+            x = x.astype(np.float64)    # a uint8 spike train, cast once
+        grad_w = g.T @ x
         if not need_input:
             return grad_w, None
-        return grad_w, (g @ trace.weight).reshape(inputs.shape)
+        # the cast copy is free again: it receives the input gradient
+        grad_in = np.matmul(g, trace.weight, out=x if cast else None)
+        return grad_w, grad_in.reshape(inputs.shape)
     if layer.kind == "conv":
         grad_w = np.zeros_like(trace.weight)
-        grad_in = np.empty_like(inputs) if need_input else None
+        grad_in = np.empty(inputs.shape) if need_input else None
         for t in range(g_drive.shape[0]):
+            # conv2d_backward casts a uint8 step to float64
             gi, gw = conv2d_backward(g_drive[t], inputs[t], trace.weight,
                                      layer.stride, layer.pad, need_input=need_input)
             grad_w += gw
@@ -151,8 +160,10 @@ def backward(tape: Tape, loss) -> dict:
 
     ``loss`` is a LossValue whose ``kind`` selects how the output-layer
     gradient enters the network: "fts" routes dL/dt through the sign
-    estimator, "ml" supplies dL/dp directly, "rate" spreads dL/d(count) over
-    every timestep.  Returns a dict mapping weight names to gradients.
+    estimator, "rate" spreads dL/d(count) over every timestep, and "ml-v"
+    supplies dL/dV at the membrane potential of a stochastic output layer,
+    the only kind such a layer takes.  Returns a dict mapping weight names
+    to gradients.
     """
     if not tape.complete:
         raise StateError("tape does not record a complete forward pass")
@@ -160,22 +171,22 @@ def backward(tape: Tape, loss) -> dict:
     grads: dict[str, np.ndarray] = {}
 
     g_spikes = None   # (T, N, n) gradient w.r.t. a layer's output spikes
-    g_probs = None    # (T, N, n) gradient w.r.t. firing probabilities
     g_v = None        # (T, N, n) gradient w.r.t. membrane potentials (fused)
-    if loss.kind == "fts":
-        g_spikes = sign_estimator_backward(loss.grad, loss.aux["first_times"], horizon)
-    elif loss.kind == "ml":
-        # loss.grad is (N, T, n); tape layout is time-major
-        g_probs = np.ascontiguousarray(np.moveaxis(loss.grad, 1, 0))
-    elif loss.kind == "ml-v":
-        # gradient already fused through the output sigmoid; enters at the
-        # membrane potential of the top stochastic layer
+    if tape.traces[-1].layer.neuron == "stoch":
+        if loss.kind != "ml-v":
+            raise StateError(f"a stochastic output layer takes the fused 'ml-v' loss, "
+                             f"got loss kind {loss.kind!r}")
+        # gradient already fused through the output sigmoid; (N, T, n) to the
+        # tape's time-major layout
         g_v = np.ascontiguousarray(np.moveaxis(loss.grad, 1, 0))
+    elif loss.kind == "fts":
+        g_spikes = sign_estimator_backward(loss.grad, loss.aux["first_times"], horizon)
     elif loss.kind == "rate":
         # accumulated count is a plain sum over time: same gradient each step
         g_spikes = np.broadcast_to(loss.grad, (horizon,) + loss.grad.shape).copy()
     else:
-        raise StateError(f"unknown loss kind {loss.kind!r}")
+        raise StateError(f"loss kind {loss.kind!r} does not apply to a deterministic "
+                         "output layer")
 
     # The sweep stops at the first synaptic layer: nothing reads the gradient
     # with respect to its input.
@@ -183,15 +194,17 @@ def backward(tape: Tape, loss) -> dict:
     for trace in reversed(tape.traces[first:]):
         layer = trace.layer
         if layer.kind == "pool":
-            g_in = np.empty_like(trace.inputs)
+            g_in = np.empty(trace.inputs.shape)
             for t in range(horizon):
+                # pool2d_backward casts a uint8 step to float64
                 g_in[t] = pool2d_backward(g_spikes[t], trace.inputs[t],
                                           layer.window, layer.pool_mode)
-            g_spikes, g_probs = g_in, None
+            g_spikes = g_in
             continue
 
-        g_drive = np.empty_like(trace.v)
-        gv_carry = np.zeros_like(trace.v[0])
+        g_out = g_v if g_v is not None else g_spikes
+        g_drive = np.empty(g_out.shape)
+        gv_carry = np.zeros(g_out.shape[1:])
         if layer.neuron == "det":
             # dV_t/dV_{t-1}: leak path only; the reset indicator is treated
             # as a constant in the backward pass.
@@ -206,13 +219,9 @@ def backward(tape: Tape, loss) -> dict:
                 if g_v is not None:
                     direct = g_v[t]            # already dL/dV per timestep
                 else:
+                    # straight through the Bernoulli draw, then the sigmoid
                     p = trace.probs[t]
-                    gp = np.zeros_like(p)
-                    if g_probs is not None:
-                        gp += g_probs[t]
-                    if g_spikes is not None:
-                        gp += straight_through_backward(g_spikes[t])
-                    direct = gp * p * (1.0 - p)
+                    direct = g_spikes[t] * p * (1.0 - p)
                 gv = direct + gv_carry
                 g_drive[t] = gv * inv_k
                 gv_carry = gv * (layer.leak * inv_k)
@@ -220,9 +229,8 @@ def backward(tape: Tape, loss) -> dict:
         else:
             raise StateError(f"weighted layer without neuron model: {layer}")
 
-        grad_w, g_in = _synaptic_backward(trace, g_drive,
-                                          need_input=trace is not tape.traces[first])
-        grads[trace.wname] = grads.get(trace.wname, 0) + grad_w
-        g_spikes, g_probs = g_in, None
+        # each weight name appears once per tape
+        grads[trace.wname], g_spikes = _synaptic_backward(
+            trace, g_drive, need_input=trace is not tape.traces[first])
 
     return grads

@@ -32,8 +32,9 @@ PROB_CLAMP = 1e-7
 class LossValue:
     """A scalar loss plus the gradient w.r.t. the loss inputs.
 
-    ``kind`` records which coding scheme produced it ("fts", "ml" or "rate");
-    ``aux`` carries whatever the backward pass needs (e.g. first-spike times).
+    ``kind`` records which coding scheme produced it ("fts", "ml", "ml-v" or
+    "rate"; ``bptt.backward`` takes all but "ml"); ``aux`` carries whatever
+    the backward pass needs (e.g. first-spike times).
     """
 
     value: float

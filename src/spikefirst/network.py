@@ -259,7 +259,12 @@ def forward(spec: NetworkSpec, params: dict, encoded: np.ndarray,
     ``encoded`` is time-major: (T, N, ...).  For stochastic networks
     ``streams`` supplies one RngStream per neuron layer.  Returns
     (records, tape) where records is a list of per-neuron-layer spike arrays
-    (T, N, n) and, for stochastic layers, the tape also holds probabilities.
+    (T, N, ...) of 0/1 ``uint8``, the same arrays as the tape's ``spikes``.
+
+    The tape holds only what ``bptt.backward`` reads: the membrane potential
+    ``v`` of deterministic layers and of the output layer, the firing
+    probabilities ``probs`` of hidden stochastic layers, every spike train
+    (shared as the next layer's ``inputs``) and any other synaptic input.
 
     When ``encoded`` is time-broadcast (stride 0 along time, as
     ``data.encode_direct`` returns it) and layer 0 is linear or conv, layer
@@ -288,16 +293,24 @@ def forward(spec: NetworkSpec, params: dict, encoded: np.ndarray,
 
     # A neuron layer's spike train is the next layer's input: it is taped once.
     shared = [i for i in range(1, len(traces)) if spec.layers[i - 1].neuron != "none"]
+    taped = []
+    for i, layer in enumerate(spec.layers):
+        names = set() if i in shared or traces[i].time_constant else {"inputs"}
+        if layer.neuron != "none":
+            hidden_stoch = layer.neuron == "stoch" and i < len(spec.layers) - 1
+            names |= {"spikes", "probs" if hidden_stoch else "v"}
+        taped.append(names)
     states = {}
     for t in range(horizon):
-        for i, (trace, values) in enumerate(zip(traces, step(spec, params, encoded[t],
-                                                             states, streams, drive0))):
+        for trace, names, values in zip(traces, taped, step(spec, params, encoded[t],
+                                                            states, streams, drive0)):
             for name, value in zip(("inputs", "v", "spikes", "probs"), values):
-                if value is None or (name == "inputs" and i in shared):
+                if name not in names:
                     continue
                 buf = getattr(trace, name)
                 if buf is None:
-                    buf = np.empty((horizon,) + value.shape)
+                    buf = np.empty((horizon,) + value.shape,
+                                   np.uint8 if name == "spikes" else np.float64)
                     setattr(trace, name, buf)
                 buf[t] = value
     for i in shared:

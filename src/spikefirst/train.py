@@ -197,6 +197,8 @@ def train(config: TrainConfig, train_ds: Dataset, test_ds: Dataset | None = None
         adam = AdamState()
         start_epoch = 0
         best_acc = -1.0
+    if test_ds is None:
+        best_acc = max(best_acc, 0.0)   # nothing is ranked: every snapshot records 0.0
 
     n = len(train_ds)
     log_rows = []
@@ -241,9 +243,7 @@ def train(config: TrainConfig, train_ds: Dataset, test_ds: Dataset | None = None
                "test_acc": acc, "wall_time_s": time.monotonic() - t0}
         log_rows.append(row)
         last_good = _snapshot(spec, params, adam, epoch + 1, config, best_acc)
-        if test_ds is None:
-            best_acc = max(best_acc, 0.0)
-        elif acc >= best_acc:
+        if test_ds is not None and acc >= best_acc:
             best_acc = acc
             # the same epoch's arrays: last_good is never mutated, only replaced
             best_ckpt = replace(last_good, best_accuracy=best_acc)

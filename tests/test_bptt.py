@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 
 import spikefirst as sf
-from spikefirst.bptt import (arctan_surrogate_grad, sign_estimator_backward,
-                             smoothed_spike, straight_through_backward)
-from spikefirst.coding import fts_ce_loss_batch, ml_loss_batch, rate_ce_loss_batch
+from spikefirst.bptt import arctan_surrogate_grad, sign_estimator_backward, smoothed_spike
+from spikefirst.coding import (fts_ce_loss_batch, ml_loss_batch, ml_loss_logits_batch,
+                               rate_ce_loss_batch)
 from spikefirst.errors import StateError
 from spikefirst.network import LayerSpec
 from spikefirst.neurons import first_spike_times, sigmoid
@@ -76,11 +76,6 @@ def test_sign_estimator_batched():
     assert out.shape == (2, 2, 2)
     assert out[0, 0, 0] == -0.1 and out[1, 0, 1] == -0.2
     assert out[1, 1, 0] == -0.3 and out[1, 1, 1] == -0.4  # silent -> t = T
-
-
-def test_straight_through_identity():
-    g = np.array([1.0, -2.0, 0.5])
-    assert np.array_equal(straight_through_backward(g), g)
 
 
 def test_backward_requires_complete_tape():
@@ -199,44 +194,9 @@ def test_deterministic_conv_pool_end_to_end_gradient(materialise):
     _fd_check(params, grads, relaxed_loss)
 
 
-def test_stochastic_end_to_end_gradient():
-    horizon, nin, nh, nout, n = 4, 6, 8, 3, 2
-    rng = np.random.default_rng(42)
-    spec = _two_layer_spec("S-F-BPTT", nin, nh, nout, horizon, leak=0.7)
-    spec.layers[0].k = 1.3
-    spec.layers[1].k = 0.8
-    params = {"layer0.w": rng.normal(size=(nh, nin)) * 0.5,
-              "layer1.w": rng.normal(size=(nout, nh)) * 0.5}
-    x = rng.uniform(0, 1, size=(n, nin))
-    labels = np.array([0, 2])
-
-    streams = [RngStream(5, 11), RngStream(5, 12)]
-    _, tape = sf.forward(spec, params, sf.encode_direct(x, horizon), streams)
-    loss = ml_loss_batch(np.moveaxis(tape.traces[-1].probs, 0, 1), labels)
-    grads = sf.backward(tape, loss)
-
-    off0 = tape.traces[0].spikes - tape.traces[0].probs  # frozen noise offsets
-
-    def relaxed_loss():
-        w0, w1 = params["layer0.w"], params["layer1.w"]
-        v0 = np.zeros((n, nh))
-        v1 = np.zeros((n, nout))
-        pouts = []
-        for t in range(horizon):
-            v0 = (0.7 * v0 + x @ w0.T) / 1.3
-            out0 = sigmoid(v0) + off0[t]
-            v1 = (0.7 * v1 + out0 @ w1.T) / 0.8
-            pouts.append(sigmoid(v1))
-        return ml_loss_batch(np.stack(pouts, axis=1), labels).value
-
-    _fd_check(params, grads, relaxed_loss)
-
-
 def test_stochastic_end_to_end_gradient_fused_logits():
-    # the trainer's path: loss gradient enters at the output membrane
-    # potential instead of the probability table; must agree with finite
-    # differences of the same relaxed forward model
-    from spikefirst.coding import ml_loss_logits_batch
+    # the trainer's path: the loss gradient enters at the output membrane
+    # potential; hidden spikes are their probabilities plus frozen noise
     horizon, nin, nh, nout, n = 4, 6, 8, 3, 2
     rng = np.random.default_rng(43)
     spec = _two_layer_spec("S-F-BPTT", nin, nh, nout, horizon, leak=0.7)
@@ -267,6 +227,89 @@ def test_stochastic_end_to_end_gradient_fused_logits():
         return ml_loss_logits_batch(np.stack(vouts, axis=1), labels).value
 
     _fd_check(params, grads, relaxed_loss)
+
+
+def _sf_conv_spec(horizon):
+    # conv -> conv -> max pool -> linear, all stochastic: the VGG pattern
+    return sf.NetworkSpec(layers=[
+        LayerSpec(kind="conv", in_channels=1, out_channels=2, kernel=3, pad=1,
+                  neuron="stoch", leak=0.7, k=1.3),
+        LayerSpec(kind="conv", in_channels=2, out_channels=2, kernel=3, pad=1,
+                  neuron="stoch", leak=0.7, k=0.9),
+        LayerSpec(kind="pool", window=2, pool_mode="max"),
+        LayerSpec(kind="linear", in_features=8, out_features=3,
+                  neuron="stoch", leak=0.7, k=0.8),
+    ], coding="first-to-spike", horizon=horizon, model_kind="S-F-BPTT", arch="vgg15")
+
+
+def _windows(a):
+    # (..., C, H, W) -> (..., C, H/2, W/2, 4): each 2x2 window, row-major, as
+    # pool2d_backward orders it
+    *lead, c, h, w = a.shape
+    a = a.reshape(*lead, c, h // 2, 2, w // 2, 2)
+    return np.moveaxis(a, -3, -2).reshape(*lead, c, h // 2, w // 2, 4)
+
+
+def test_stochastic_conv_max_pool_end_to_end_gradient():
+    # stochastic conv backward on uint8 spike inputs and max-pool backward.
+    # The relaxed model freezes the noise offsets (spikes - probs) and the
+    # max-pool routing, the first-occurrence argmax of the taped spikes.
+    horizon, n, nout = 4, 2, 3
+    spec = _sf_conv_spec(horizon)
+    rng = np.random.default_rng(12)
+    params = {"layer0.w": rng.normal(size=(2, 1, 3, 3)) * 0.8,
+              "layer1.w": rng.normal(size=(2, 2, 3, 3)) * 0.8,
+              "layer3.w": rng.normal(size=(nout, 8)) * 0.8}
+    x = rng.uniform(0, 1, size=(n, 1, 4, 4))
+    labels = np.array([1, 2])
+
+    streams = [RngStream(8, 20 + i) for i in range(3)]
+    _, tape = sf.forward(spec, params, sf.encode_direct(x, horizon), streams)
+    loss = ml_loss_logits_batch(np.moveaxis(tape.traces[-1].v, 0, 1), labels)
+    grads = sf.backward(tape, loss)
+
+    tr0, tr1 = tape.traces[0], tape.traces[1]
+    assert tr1.inputs.dtype == np.uint8
+    off0 = tr0.spikes - tr0.probs        # frozen noise offsets
+    off1 = tr1.spikes - tr1.probs
+    route = _windows(tr1.spikes).argmax(axis=-1)[..., None]   # frozen routing
+    assert 0 < tr0.spikes.mean() < 1 and 0 < tr1.spikes.mean() < 1
+    assert (route > 0).any()
+
+    def relaxed_loss():
+        w0, w1, w3 = params["layer0.w"], params["layer1.w"], params["layer3.w"]
+        v0 = np.zeros(tr0.spikes.shape[1:])
+        v1 = np.zeros(tr1.spikes.shape[1:])
+        v3 = np.zeros((n, nout))
+        vouts = []
+        for t in range(horizon):
+            v0 = (0.7 * v0 + conv2d(x, w0, 1, 1)) / 1.3
+            s0 = sigmoid(v0) + off0[t]
+            v1 = (0.7 * v1 + conv2d(s0, w1, 1, 1)) / 0.9
+            s1 = sigmoid(v1) + off1[t]
+            pooled = np.take_along_axis(_windows(s1), route[t], axis=-1)
+            v3 = (0.7 * v3 + pooled.reshape(n, -1) @ w3.T) / 0.8
+            vouts.append(v3)
+        return ml_loss_logits_batch(np.stack(vouts, axis=1), labels).value
+
+    assert relaxed_loss() == pytest.approx(loss.value, rel=1e-12)
+    _fd_check(params, grads, relaxed_loss)
+
+
+def test_stochastic_output_layer_takes_only_fused_loss():
+    horizon, n = 3, 2
+    spec = _two_layer_spec("S-F-BPTT", 6, 8, 3, horizon, leak=0.7)
+    rng = np.random.default_rng(5)
+    params = {"layer0.w": rng.normal(size=(8, 6)), "layer1.w": rng.normal(size=(3, 8))}
+    streams = [RngStream(1, 0), RngStream(1, 1)]
+    records, tape = sf.forward(spec, params, sf.encode_direct(rng.uniform(size=(n, 6)), horizon),
+                               streams)
+    labels = np.array([0, 1])
+    for loss in (ml_loss_batch(np.full((n, horizon, 3), 0.5), labels),
+                 fts_ce_loss_batch(first_spike_times(records[-1]), labels),
+                 rate_ce_loss_batch(records[-1].sum(axis=0), labels)):
+        with pytest.raises(StateError, match="ml-v"):
+            sf.backward(tape, loss)
 
 
 def test_fts_backward_only_touches_first_spike_steps():
@@ -324,3 +367,96 @@ def test_backward_peak_memory_is_bounded_by_membrane_tape(arch, overrides, n):
     finally:
         tracemalloc.stop()
     assert peak <= 4 * largest_v, f"backward peak {peak / largest_v:.2f}x the largest v tape"
+
+
+def _taped_net(kind):
+    """A small network of ``kind`` (D-F, S-F or S-F conv), its tape and loss."""
+    rng = np.random.default_rng(21)
+    horizon, n = 4, 3
+    labels = np.array([0, 1, 2])
+    streams = None if kind == "D-F" else [RngStream(4, 30 + i) for i in range(3)]
+    if kind == "S-F conv":
+        spec = _sf_conv_spec(horizon)
+        params = {"layer0.w": rng.normal(size=(2, 1, 3, 3)),
+                  "layer1.w": rng.normal(size=(2, 2, 3, 3)),
+                  "layer3.w": rng.normal(size=(3, 8))}
+        x = rng.uniform(size=(n, 1, 4, 4))
+    else:
+        spec = _two_layer_spec(kind + "-BPTT", 6, 8, 3, horizon,
+                               leak=0.7 if kind == "S-F" else 0.9)
+        params = {"layer0.w": rng.normal(size=(8, 6)) * 1.5,
+                  "layer1.w": rng.normal(size=(3, 8)) * 1.5}
+        x = rng.uniform(size=(n, 6))
+    records, tape = sf.forward(spec, params, sf.encode_direct(x, horizon), streams)
+    if spec.model_kind.startswith("S"):
+        loss = ml_loss_logits_batch(np.moveaxis(tape.traces[-1].v, 0, 1), labels)
+    else:
+        loss = fts_ce_loss_batch(first_spike_times(records[-1]), labels)
+    return records, tape, loss
+
+
+@pytest.mark.parametrize("kind", ["D-F", "S-F", "S-F conv"])
+def test_tape_records_only_what_backward_reads(kind):
+    records, tape, _ = _taped_net(kind)
+    traces = tape.traces
+    last = len(traces) - 1
+    neuron = [tr for tr in traces if tr.layer.neuron != "none"]
+    assert len(records) == len(neuron)
+    assert all(r is tr.spikes for r, tr in zip(records, neuron))
+    for i, tr in enumerate(traces):
+        if i > 0 and traces[i - 1].layer.neuron != "none":
+            assert tr.inputs is traces[i - 1].spikes         # shared, uint8
+        else:
+            assert tr.inputs.dtype == np.float64             # image or pooled input
+        if tr.layer.neuron == "none":
+            assert tr.v is None and tr.spikes is None and tr.probs is None
+            continue
+        assert tr.spikes.dtype == np.uint8
+        assert set(np.unique(tr.spikes)) <= {0, 1}
+        # backward reads probs of hidden stochastic layers, v of the rest
+        hidden_stoch = tr.layer.neuron == "stoch" and i < last
+        kept = tr.probs if hidden_stoch else tr.v
+        assert (tr.v is None) == hidden_stoch and (tr.probs is None) != hidden_stoch
+        assert kept.dtype == np.float64 and kept.shape == tr.spikes.shape
+
+
+@pytest.mark.parametrize("kind", ["D-F", "S-F", "S-F conv"])
+def test_uint8_spike_tape_gives_bit_identical_gradients(kind):
+    _, tape, loss = _taped_net(kind)
+    taped = [None if tr.spikes is None else tr.spikes.copy() for tr in tape.traces]
+    grads = sf.backward(tape, loss)
+    # backward writes into a cast copy of a spike train, never into the tape
+    for tr, before in zip(tape.traces, taped):
+        assert before is None or np.array_equal(tr.spikes, before)
+    for i, tr in enumerate(tape.traces):
+        if tr.spikes is not None:
+            tr.spikes = tr.spikes.astype(np.float64)
+        if i > 0 and tape.traces[i - 1].spikes is not None:
+            tr.inputs = tape.traces[i - 1].spikes
+    wide = sf.backward(tape, loss)
+    assert set(grads) == set(wide)
+    for name in grads:
+        assert np.array_equal(grads[name], wide[name]), name
+
+
+def test_stochastic_forward_backward_peak_memory_is_bounded():
+    # S-F mlp2 tapes uint8 spikes, the hidden layer's probs and the output
+    # layer's v: forward + loss + backward stay within five (T, N, hidden)
+    # float64 buffers
+    horizon, n, hidden = 20, 64, 800
+    spec = sf.build("mlp2", "S-F-BPTT", {"hidden": hidden, "horizon": horizon})
+    params = sf.init_params(spec, RngStream(0, 1))
+    x = np.random.default_rng(3).uniform(0, 1, size=(n, 1, 28, 28))
+    encoded = sf.encode_direct(x, horizon)
+    streams = [RngStream(0, 10), RngStream(0, 11)]
+    unit = horizon * n * hidden * 8
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        _, tape = sf.forward(spec, params, encoded, streams)
+        loss = ml_loss_logits_batch(np.moveaxis(tape.traces[-1].v, 0, 1), np.arange(n) % 10)
+        sf.backward(tape, loss)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * unit, f"forward + backward peak {peak / unit:.2f}x one (T, N, hidden) buffer"

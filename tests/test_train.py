@@ -129,6 +129,17 @@ def test_train_tracks_best_accuracy():
     assert ckpt.best_accuracy == max(r["test_acc"] for r in rows)
 
 
+@pytest.mark.parametrize("epochs", [1, 3])
+def test_train_without_test_set_records_zero_best_accuracy(epochs):
+    # nothing is ranked without a test set: the returned checkpoint and every
+    # epoch's snapshot record 0.0, however many epochs ran
+    seen = []
+    ckpt, _ = train(tiny_config(epochs=epochs), synthetic_mnist_like(40), None,
+                    epoch_hook=lambda row, snap: seen.append(snap.best_accuracy))
+    assert ckpt.best_accuracy == 0.0
+    assert seen == [0.0] * epochs
+
+
 def test_returned_checkpoint_does_not_alias_live_arrays():
     # the returned checkpoint holds copies: training on after its epoch
     # never reaches into its arrays
