@@ -24,10 +24,14 @@ folded over time: its drive gradient is summed over the steps, then goes
 through one GEMM or one ``conv2d_backward``.  The gradient with respect to
 the network input is never computed, since nothing reads it.
 
-Each neuron layer's reverse time loop computes its per-step factors (the
-surrogate at ``v[t] - v_th``, or ``dL/dp · p · (1 - p)``) from step t's
-slices inside the loop, so the only whole-horizon arrays a layer allocates
-are its drive gradient and the input gradient passed down.  Conv and pool
+The reverse sweep runs in place.  Every (T, N, ...) gradient it passes from
+layer to layer is a buffer ``backward`` allocated itself: the loss gradient
+brought to the tape's time-major layout, or the input gradient of the layer
+above.  Each neuron layer's reverse time loop computes its per-step factors
+(the surrogate at ``v[t] - v_th``, or ``dL/dp · p · (1 - p)``) from step t's
+slices and writes step t's drive gradient over step t of the output
+gradient it received, which it has already read.  So the only whole-horizon
+array a layer allocates is the input gradient it passes down.  Conv and pool
 layers are differentiated one step at a time, casting that step's input; a
 linear layer's two GEMMs span all T·N rows at once, and the float64 copy of
 a spike input made for the weight-gradient GEMM then receives the input
@@ -164,6 +168,10 @@ def backward(tape: Tape, loss) -> dict:
     supplies dL/dV at the membrane potential of a stochastic output layer,
     the only kind such a layer takes.  Returns a dict mapping weight names
     to gradients.
+
+    ``backward`` writes only into buffers it allocated: neither
+    ``loss.grad`` nor any array on the tape is modified, so a tape can be
+    swept again.
     """
     if not tape.complete:
         raise StateError("tape does not record a complete forward pass")
@@ -177,8 +185,9 @@ def backward(tape: Tape, loss) -> dict:
             raise StateError(f"a stochastic output layer takes the fused 'ml-v' loss, "
                              f"got loss kind {loss.kind!r}")
         # gradient already fused through the output sigmoid; (N, T, n) to the
-        # tape's time-major layout
-        g_v = np.ascontiguousarray(np.moveaxis(loss.grad, 1, 0))
+        # tape's time-major layout, as a copy: the sweep overwrites it, and
+        # the moved axes are a view of loss.grad when N or T is 1
+        g_v = np.moveaxis(loss.grad, 1, 0).copy()
     elif loss.kind == "fts":
         g_spikes = sign_estimator_backward(loss.grad, loss.aux["first_times"], horizon)
     elif loss.kind == "rate":
@@ -202,9 +211,10 @@ def backward(tape: Tape, loss) -> dict:
             g_spikes = g_in
             continue
 
-        g_out = g_v if g_v is not None else g_spikes
-        g_drive = np.empty(g_out.shape)
-        gv_carry = np.zeros(g_out.shape[1:])
+        # step t of the drive gradient overwrites step t of the output
+        # gradient, after the loop has read it
+        g_drive = g_v if g_v is not None else g_spikes
+        gv_carry = np.zeros(g_drive.shape[1:])
         if layer.neuron == "det":
             # dV_t/dV_{t-1}: leak path only; the reset indicator is treated
             # as a constant in the backward pass.

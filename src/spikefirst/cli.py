@@ -171,8 +171,15 @@ def _build_train_config(args) -> tuple[TrainConfig, dict]:
         extras["data"] = args.data
     if args.out:
         extras["out"] = args.out
-    if getattr(args, "subset", None):
-        extras["subset"] = args.subset
+    subset = args.subset if args.subset is not None else extras["subset"]
+    if subset is not None:
+        try:
+            subset = int(subset)
+        except ValueError as exc:
+            raise CliError(f"bad value for config key 'subset': {exc}", EXIT_CONFIG)
+        if subset < 1:
+            raise CliError(f"subset must be a positive integer, got {subset}", EXIT_CONFIG)
+    extras["subset"] = subset
     return config, extras
 
 
@@ -181,10 +188,9 @@ def cmd_train(args) -> int:
     args.data = extras.get("data") or args.data
     args.out = extras.get("out") or args.out
     train_ds, test_ds = _load_dataset_pair(args, extras["dataset"])
-    subset = extras.get("subset")
-    if subset:
-        n = int(subset)
-        train_ds = train_ds.subset(np.arange(min(n, len(train_ds))))
+    subset = extras["subset"]
+    if subset is not None:
+        train_ds = train_ds.subset(np.arange(min(subset, len(train_ds))))
     out = _out_dir(args)
     ckpt_path = out / "checkpoint.ckpt"
     log_path = out / "train_log.csv"

@@ -60,7 +60,9 @@ def run_network(spec: NetworkSpec, params: dict, images: np.ndarray,
     """
     if mode not in ("first-to-spike", "rate"):
         raise ParameterError(f"unknown inference mode {mode!r}")
-    horizon = int(horizon or spec.horizon)
+    horizon = spec.horizon if horizon is None else int(horizon)
+    if horizon < 1:
+        raise ParameterError(f"horizon must be >= 1, got {horizon}")
     n_total = images.shape[0]
     if n_total == 0:
         raise ParameterError("empty dataset")
@@ -93,6 +95,12 @@ def run_network(spec: NetworkSpec, params: dict, images: np.ndarray,
         out_acc_v = None
         out_counts = None
         streams = None
+        if stochastic:
+            # each stochastic layer draws once per step, so step t draws at
+            # counter t
+            key = ((stream_tag & 0xFFFF) << 48) | ((b_start & 0xFFFFFFFF) << 16)
+            streams = [RngStream(seed, key | (i & 0xFFFF), counter=1)
+                       for i in neuron_layers]
 
         for t in range(1, horizon + 1):
             all_active = active.size == nb
@@ -108,10 +116,6 @@ def run_network(spec: NetworkSpec, params: dict, images: np.ndarray,
                 x = x0[active] + step_noise[active]
             else:
                 x = x0[active]
-            if stochastic:
-                key = ((stream_tag & 0xFFFF) << 48) | ((b_start & 0xFFFFFFFF) << 16)
-                streams = [RngStream(seed, key | (i & 0xFFFF), counter=t)
-                           for i in neuron_layers]
             samples = b_start + active
             steps[samples] += 1
             # every weighted layer is a neuron layer, so one position walks both

@@ -9,7 +9,7 @@ reproducible regardless of batch iteration order or worker scheduling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,6 +30,11 @@ class RngStream:
     seed: int
     stream_id: int = 0
     counter: int = 0
+    # One Philox generator per stream and the state dict that rewinds it:
+    # building a fresh generator for every draw costs several times more.
+    _gen: np.random.Generator | None = field(default=None, init=False,
+                                             repr=False, compare=False)
+    _state: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.seed = int(self.seed) & _MASK64
@@ -37,12 +42,19 @@ class RngStream:
         self.counter = int(self.counter) & _MASK64
 
     def _generator(self) -> np.random.Generator:
-        key = (self.seed << 64) | self.stream_id
-        bg = np.random.Philox(key=key)
-        # One jump per past call; 2**64 Philox blocks per jump keeps calls
+        if self._gen is None:
+            self._gen = np.random.Generator(np.random.Philox(0))
+            # an empty output buffer (buffer_pos 4): nothing carries over
+            # from one draw to the next
+            self._state = self._gen.bit_generator.state
+        # Key (seed << 64) | stream_id, counter advanced by counter << 64 from
+        # zero: one jump of 2**64 Philox blocks per past call keeps calls
         # disjoint no matter how many values a single call consumes.
-        bg = bg.advance(self.counter << 64)
-        return np.random.Generator(bg)
+        philox = self._state["state"]
+        philox["key"][:] = (self.stream_id, self.seed)
+        philox["counter"][:] = (0, self.counter, 0, 0)
+        self._gen.bit_generator.state = self._state
+        return self._gen
 
     def split(self, stream_id: int) -> "RngStream":
         """Derive an independent stream sharing this stream's seed."""

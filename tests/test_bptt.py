@@ -347,11 +347,8 @@ def test_backward_conv_pool_network_shapes():
         assert np.isfinite(g).all()
 
 
-@pytest.mark.parametrize("arch,overrides,n", [("mlp2", {"hidden": 800}, 64),
-                                              ("lenet5", {}, 16)])
-def test_backward_peak_memory_is_bounded_by_membrane_tape(arch, overrides, n):
-    # the per-step loops make no whole-horizon temporaries: besides the
-    # (T, N, ...) drive and spike gradients, backward allocates little
+def _df_backward_peak_ratio(arch, overrides, n):
+    """Peak memory of one D-F ``backward`` over the largest taped ``v``."""
     horizon = 20
     spec = sf.build(arch, "D-F-BPTT", {"horizon": horizon, **overrides})
     params = {k: 4.0 * w for k, w in sf.init_params(spec, RngStream(0, 1)).items()}
@@ -366,15 +363,36 @@ def test_backward_peak_memory_is_bounded_by_membrane_tape(arch, overrides, n):
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak <= 4 * largest_v, f"backward peak {peak / largest_v:.2f}x the largest v tape"
+    return peak / largest_v
 
 
-def _taped_net(kind):
-    """A small network of ``kind`` (D-F, S-F or S-F conv), its tape and loss."""
+_DF_NETS = [("mlp2", {"hidden": 800}, 64), ("lenet5", {}, 16)]
+
+
+@pytest.mark.parametrize("arch,overrides,n", _DF_NETS)
+def test_backward_peak_memory_is_bounded_by_membrane_tape(arch, overrides, n):
+    # the per-step loops make no whole-horizon temporaries: besides the
+    # (T, N, ...) drive and spike gradients, backward allocates little
+    ratio = _df_backward_peak_ratio(arch, overrides, n)
+    assert ratio <= 4, f"backward peak {ratio:.2f}x the largest v tape"
+
+
+@pytest.mark.parametrize("arch,overrides,n", _DF_NETS)
+def test_in_place_backward_peak_memory(arch, overrides, n):
+    # a neuron layer's drive gradient overwrites the output gradient it
+    # received, so one layer holds a single (T, N, ...) gradient buffer
+    # besides the input gradient it passes down
+    ratio = _df_backward_peak_ratio(arch, overrides, n)
+    assert ratio <= 2.2, f"backward peak {ratio:.2f}x the largest v tape"
+
+
+def _taped_net(kind, n=3):
+    """A small network of ``kind`` (D-F, D-R, S-F or S-F conv) run on ``n``
+    samples, its tape and loss."""
     rng = np.random.default_rng(21)
-    horizon, n = 4, 3
-    labels = np.array([0, 1, 2])
-    streams = None if kind == "D-F" else [RngStream(4, 30 + i) for i in range(3)]
+    horizon = 4
+    labels = np.arange(n) % 3
+    streams = None if kind.startswith("D") else [RngStream(4, 30 + i) for i in range(3)]
     if kind == "S-F conv":
         spec = _sf_conv_spec(horizon)
         params = {"layer0.w": rng.normal(size=(2, 1, 3, 3)),
@@ -390,9 +408,29 @@ def _taped_net(kind):
     records, tape = sf.forward(spec, params, sf.encode_direct(x, horizon), streams)
     if spec.model_kind.startswith("S"):
         loss = ml_loss_logits_batch(np.moveaxis(tape.traces[-1].v, 0, 1), labels)
+    elif kind == "D-R":
+        loss = rate_ce_loss_batch(records[-1].sum(axis=0), labels)
     else:
         loss = fts_ce_loss_batch(first_spike_times(records[-1]), labels)
     return records, tape, loss
+
+
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("kind,loss_kind", [("D-F", "fts"), ("D-R", "rate"),
+                                            ("S-F", "ml-v"), ("S-F conv", "ml-v")])
+def test_backward_writes_nothing_it_is_given(kind, loss_kind, n):
+    # the reverse sweep overwrites gradient buffers in place, so it must own
+    # them: at n=1 the time-major ml-v gradient is a view of loss.grad
+    _, tape, loss = _taped_net(kind, n)
+    assert loss.kind == loss_kind
+    given = [("loss.grad", loss.grad)] + [
+        (f"layer{i}.{name}", getattr(tr, name)) for i, tr in enumerate(tape.traces)
+        for name in ("inputs", "weight", "v", "spikes", "probs")
+        if getattr(tr, name) is not None]
+    before = [a.tobytes() for _, a in given]
+    sf.backward(tape, loss)
+    for (name, a), b in zip(given, before):
+        assert a.tobytes() == b, f"backward wrote into {name}"
 
 
 @pytest.mark.parametrize("kind", ["D-F", "S-F", "S-F conv"])
@@ -439,10 +477,9 @@ def test_uint8_spike_tape_gives_bit_identical_gradients(kind):
         assert np.array_equal(grads[name], wide[name]), name
 
 
-def test_stochastic_forward_backward_peak_memory_is_bounded():
-    # S-F mlp2 tapes uint8 spikes, the hidden layer's probs and the output
-    # layer's v: forward + loss + backward stay within five (T, N, hidden)
-    # float64 buffers
+def _sf_forward_backward_peak_ratio():
+    """Peak memory of S-F mlp2 forward + loss + backward over one
+    (T, N, hidden) float64 buffer."""
     horizon, n, hidden = 20, 64, 800
     spec = sf.build("mlp2", "S-F-BPTT", {"hidden": hidden, "horizon": horizon})
     params = sf.init_params(spec, RngStream(0, 1))
@@ -459,4 +496,19 @@ def test_stochastic_forward_backward_peak_memory_is_bounded():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak <= 5 * unit, f"forward + backward peak {peak / unit:.2f}x one (T, N, hidden) buffer"
+    return peak / unit
+
+
+def test_stochastic_forward_backward_peak_memory_is_bounded():
+    # S-F mlp2 tapes uint8 spikes, the hidden layer's probs and the output
+    # layer's v: forward + loss + backward stay within five (T, N, hidden)
+    # float64 buffers
+    ratio = _sf_forward_backward_peak_ratio()
+    assert ratio <= 5, f"forward + backward peak {ratio:.2f}x one (T, N, hidden) buffer"
+
+
+def test_stochastic_in_place_forward_backward_peak_memory():
+    # with the in-place sweep the hidden layer's drive gradient reuses the
+    # input-gradient buffer the output layer passed down
+    ratio = _sf_forward_backward_peak_ratio()
+    assert ratio <= 3.5, f"forward + backward peak {ratio:.2f}x one (T, N, hidden) buffer"

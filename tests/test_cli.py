@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import spikefirst
+from spikefirst import cli
 from spikefirst.cli import EXIT_CHECKPOINT, EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
 
 
@@ -103,6 +104,40 @@ def test_config_file_overridden_by_flags(tmp_path, synthetic_mnist):
     assert manifest["config"]["epochs"] == 0 and manifest["config"]["hidden"] == 8
 
 
+def _subset_argv(tmp_path, how, value):
+    if how == "flag":
+        return ["--subset", value]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"subset={value}\n")
+    return ["--config", str(cfg)]
+
+
+@pytest.mark.parametrize("how,value", [("flag", "0"), ("flag", "-3"), ("config", "0"),
+                                       ("config", "-3"), ("config", "abc")])
+def test_bad_subset_rejected(tmp_path, synthetic_mnist, how, value):
+    argv = _subset_argv(tmp_path, how, value)
+    assert run("train", "--epochs", "0", *argv, "--data", synthetic_mnist,
+               "--out", str(tmp_path)) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("how", ["flag", "config"])
+@pytest.mark.parametrize("value,size", [("5", 5), ("5000", 600)])
+def test_subset_limits_training_set(tmp_path, synthetic_mnist, monkeypatch, how,
+                                    value, size):
+    sizes = []
+    real_train = cli.train
+
+    def recording_train(config, train_ds, test_ds):
+        sizes.append(len(train_ds))
+        return real_train(config, train_ds, test_ds)
+
+    monkeypatch.setattr(cli, "train", recording_train)
+    argv = _subset_argv(tmp_path, how, value)
+    assert run("train", "--epochs", "0", *argv, "--data", synthetic_mnist,
+               "--out", str(tmp_path)) == EXIT_OK
+    assert sizes == [size]
+
+
 def test_missing_data_root(tmp_path, monkeypatch):
     monkeypatch.delenv("SPIKEFIRST_DATA", raising=False)
     assert run("train", "--epochs", "0", "--out", str(tmp_path)) == EXIT_DATA
@@ -133,6 +168,15 @@ def test_eval_happy_path(tiny_run, tmp_path, capsys, synthetic_mnist):
     assert (tmp_path / "layer_rates.csv").exists()
     text = capsys.readouterr().out
     assert "accuracy" in text and "energy cost" in text
+
+
+@pytest.mark.parametrize("mode", ["first-to-spike", "rate"])
+@pytest.mark.parametrize("timesteps", ["0", "-1"])
+def test_eval_rejects_nonpositive_timesteps(tiny_run, tmp_path, synthetic_mnist,
+                                            mode, timesteps):
+    assert run("eval", str(tiny_run / "checkpoint.ckpt"), "--mode", mode,
+               "--timesteps", timesteps, "--data", synthetic_mnist,
+               "--out", str(tmp_path)) == EXIT_CONFIG
 
 
 def test_show_prints_architecture(tiny_run, capsys):

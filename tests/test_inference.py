@@ -126,6 +126,16 @@ def test_run_network_validates():
         run_network(spec, identity_params(2), np.zeros((1, 2)), mode="phase")
 
 
+@pytest.mark.parametrize("mode", ["first-to-spike", "rate"])
+@pytest.mark.parametrize("horizon", [0, -2])
+def test_run_network_rejects_nonpositive_horizon(mode, horizon):
+    # 0 must not fall back to the spec's horizon, nor a negative one crash
+    spec = single_layer_spec(2, horizon=3)
+    with pytest.raises(ParameterError, match="horizon"):
+        run_network(spec, identity_params(2), np.ones((1, 2)), mode=mode,
+                    horizon=horizon)
+
+
 def fts_from_full_horizon(spikes, v):
     """Predictions and latencies by the module's tie and timeout rules, read
     off a full-horizon record of the output layer (T, N, n)."""

@@ -82,3 +82,33 @@ def test_gaussian_zero_std_is_constant_but_advances():
 def test_gaussian_negative_std_rejected():
     with pytest.raises(ParameterError):
         rng_gaussian(RngStream(0, 0), (3,), std=-1.0)
+
+
+def _philox_at(state) -> np.random.Generator:
+    """Reference: a new Philox keyed (seed << 64) | stream_id, advanced by
+    counter << 64 blocks."""
+    seed, stream_id, counter = state
+    return np.random.Generator(np.random.Philox(key=(seed << 64) | stream_id)
+                               .advance(counter << 64))
+
+
+def test_reused_stream_equals_fresh_streams():
+    # a stream rewinds one generator before every draw: interleaved draws of
+    # varied shapes and kinds equal draws from a fresh stream at each state,
+    # and the reference Philox construction
+    s = RngStream(2**64 - 3, 2**63 + 5, counter=2**64 - 2)
+    shapes = [(), (1,), (7,), (3, 5), (100003,), (2, 1, 4)]
+    for i in range(24):
+        shape = shapes[i % len(shapes)]
+        saved = s.state()
+        if i % 3 == 2:
+            a = rng_gaussian(s, shape, mean=0.5, std=2.0)
+            b = rng_gaussian(RngStream.from_state(saved), shape, mean=0.5, std=2.0)
+            ref = _philox_at(saved).normal(0.5, 2.0, size=shape)
+        else:
+            a = rng_uniform(s, shape)
+            b = rng_uniform(RngStream.from_state(saved), shape)
+            ref = _philox_at(saved).random(size=shape)
+        assert a.shape == shape, i
+        assert np.array_equal(a, b) and np.array_equal(a, ref), i
+    assert s.counter == (2**64 - 2 + 24) & (2**64 - 1)
