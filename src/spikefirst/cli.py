@@ -194,7 +194,8 @@ def cmd_train(args) -> int:
     out = _out_dir(args)
     ckpt_path = out / "checkpoint.ckpt"
     log_path = out / "train_log.csv"
-    _write_manifest(out, "train", dataclasses.asdict(config), config.seed,
+    _write_manifest(out, "train", dict(dataclasses.asdict(config), subset=subset,
+                                       dataset=extras["dataset"]), config.seed,
                     {"checkpoint": ckpt_path, "log": log_path})
     try:
         ckpt, log = train(config, train_ds, test_ds)
@@ -269,7 +270,8 @@ def cmd_tune(args) -> int:
     tuned_path = out / "tuned.ckpt"
     history_path = out / "de_history.csv"
     _write_manifest(out, "tune", {"checkpoint": str(args.checkpoint),
-                                  "beta": args.beta, "generations": args.generations},
+                                  "beta": args.beta, "generations": args.generations,
+                                  "pop": args.pop, "bounds": args.bounds},
                     args.seed, {"tuned": tuned_path, "history": history_path})
     tuned, result = de_optimize(ckpt, train_ds, config)
     save_checkpoint(tuned, tuned_path)

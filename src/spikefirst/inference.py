@@ -63,6 +63,8 @@ def run_network(spec: NetworkSpec, params: dict, images: np.ndarray,
     horizon = spec.horizon if horizon is None else int(horizon)
     if horizon < 1:
         raise ParameterError(f"horizon must be >= 1, got {horizon}")
+    if batch_size < 1:
+        raise ParameterError(f"batch size must be >= 1, got {batch_size}")
     n_total = images.shape[0]
     if n_total == 0:
         raise ParameterError("empty dataset")

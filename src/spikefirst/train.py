@@ -54,6 +54,8 @@ class TrainConfig:
         self.model_kind = normalize_model_kind(self.model_kind)
         if self.epochs < 0 or self.batch_size < 1 or self.horizon < 1:
             raise ParameterError("epochs/batch_size/horizon out of range")
+        if self.eval_batch < 1:
+            raise ParameterError(f"eval batch must be >= 1, got {self.eval_batch}")
         if not 0.0 < self.scheduler_gamma <= 1.0:
             raise ParameterError(f"scheduler gamma must be in (0, 1], got {self.scheduler_gamma}")
 

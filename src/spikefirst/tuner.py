@@ -41,6 +41,8 @@ class DeConfig:
     eval_seed: int = 99             # fixed per-candidate evaluation seed
 
     def __post_init__(self):
+        if self.max_generations < 1:
+            raise ParameterError(f"max generations must be >= 1, got {self.max_generations}")
         if not 0.0 < self.mutation_factor < 2.0:
             raise ParameterError(f"mutation factor must be in (0, 2), got {self.mutation_factor}")
         if not 0.0 <= self.crossover_rate <= 1.0:

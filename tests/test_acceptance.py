@@ -16,14 +16,13 @@ import numpy as np
 import pytest
 
 import spikefirst as sf
-from spikefirst.bptt import smoothed_spike
-from spikefirst.coding import first_spike_event_prob, ml_loss
 from spikefirst.metrics import energy_cost, evaluate, noise_sweep
 from spikefirst.train import PRESETS, train, write_log_csv
 from spikefirst.tuner import DeConfig, de_minimize, de_optimize
 from spikefirst.checkpoint import load_checkpoint, save_checkpoint
 
 from conftest import CACHE_DIR, needs_mnist
+from oracles import first_spike_event_prob, ml_loss, smoothed_spike
 
 FULL = os.environ.get("SPIKEFIRST_FULL") == "1"
 needs_full = pytest.mark.skipif(not FULL, reason="full published schedule; "

@@ -13,14 +13,16 @@ import numpy as np
 import pytest
 
 import spikefirst as sf
-from spikefirst.bptt import arctan_surrogate_grad, sign_estimator_backward, smoothed_spike
-from spikefirst.coding import (fts_ce_loss_batch, ml_loss_batch, ml_loss_logits_batch,
+from spikefirst.bptt import arctan_surrogate_grad, sign_estimator_backward
+from spikefirst.coding import (LossValue, fts_ce_loss_batch, ml_loss_logits_batch,
                                rate_ce_loss_batch)
 from spikefirst.errors import StateError
 from spikefirst.network import LayerSpec
 from spikefirst.neurons import first_spike_times, sigmoid
 from spikefirst.rng import RngStream
 from spikefirst.tensor import conv2d, pool2d
+
+from oracles import smoothed_spike
 
 
 def test_surrogate_hand_values():
@@ -305,7 +307,8 @@ def test_stochastic_output_layer_takes_only_fused_loss():
     records, tape = sf.forward(spec, params, sf.encode_direct(rng.uniform(size=(n, 6)), horizon),
                                streams)
     labels = np.array([0, 1])
-    for loss in (ml_loss_batch(np.full((n, horizon, 3), 0.5), labels),
+    # "ml" is the probability-table form of the ML loss (oracles.ml_loss)
+    for loss in (LossValue(0.0, np.full((n, horizon, 3), 0.5), kind="ml"),
                  fts_ce_loss_batch(first_spike_times(records[-1]), labels),
                  rate_ce_loss_batch(records[-1].sum(axis=0), labels)):
         with pytest.raises(StateError, match="ml-v"):
@@ -347,14 +350,21 @@ def test_backward_conv_pool_network_shapes():
         assert np.isfinite(g).all()
 
 
-def _df_backward_peak_ratio(arch, overrides, n):
-    """Peak memory of one D-F ``backward`` over the largest taped ``v``."""
-    horizon = 20
-    spec = sf.build(arch, "D-F-BPTT", {"horizon": horizon, **overrides})
-    params = {k: 4.0 * w for k, w in sf.init_params(spec, RngStream(0, 1)).items()}
+def _backward_peak(model_kind, arch, overrides, n, horizon=20):
+    """``tracemalloc`` peak of one ``backward`` (D-F or S-F) and the largest
+    taped ``v``, in bytes."""
+    spec = sf.build(arch, model_kind, {"horizon": horizon, **overrides})
+    params = sf.init_params(spec, RngStream(0, 1))
     x = np.random.default_rng(3).uniform(0, 1, size=(n, 1, 28, 28))
-    records, tape = sf.forward(spec, params, sf.encode_direct(x, horizon))
-    loss = fts_ce_loss_batch(first_spike_times(records[-1]), np.arange(n) % 10)
+    labels = np.arange(n) % 10
+    if model_kind.startswith("S"):
+        streams = [RngStream(0, 10 + i) for i in range(len(spec.neuron_layers()))]
+        _, tape = sf.forward(spec, params, sf.encode_direct(x, horizon), streams)
+        loss = ml_loss_logits_batch(np.moveaxis(tape.traces[-1].v, 0, 1), labels)
+    else:
+        params = {k: 4.0 * w for k, w in params.items()}
+        records, tape = sf.forward(spec, params, sf.encode_direct(x, horizon))
+        loss = fts_ce_loss_batch(first_spike_times(records[-1]), labels)
     largest_v = max(tr.v.nbytes for tr in tape.traces if tr.v is not None)
     tracemalloc.start()
     try:
@@ -363,6 +373,12 @@ def _df_backward_peak_ratio(arch, overrides, n):
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
+    return peak, largest_v
+
+
+def _df_backward_peak_ratio(arch, overrides, n):
+    """Peak memory of one D-F ``backward`` over the largest taped ``v``."""
+    peak, largest_v = _backward_peak("D-F-BPTT", arch, overrides, n)
     return peak / largest_v
 
 
@@ -371,19 +387,30 @@ _DF_NETS = [("mlp2", {"hidden": 800}, 64), ("lenet5", {}, 16)]
 
 @pytest.mark.parametrize("arch,overrides,n", _DF_NETS)
 def test_backward_peak_memory_is_bounded_by_membrane_tape(arch, overrides, n):
-    # the per-step loops make no whole-horizon temporaries: besides the
-    # (T, N, ...) drive and spike gradients, backward allocates little
+    # the per-step loops make no whole-horizon temporaries
     ratio = _df_backward_peak_ratio(arch, overrides, n)
     assert ratio <= 4, f"backward peak {ratio:.2f}x the largest v tape"
 
 
 @pytest.mark.parametrize("arch,overrides,n", _DF_NETS)
 def test_in_place_backward_peak_memory(arch, overrides, n):
-    # a neuron layer's drive gradient overwrites the output gradient it
-    # received, so one layer holds a single (T, N, ...) gradient buffer
-    # besides the input gradient it passes down
+    # backward allocates no (T, N, ...) gradient buffer, so its peak stays
+    # well below the membrane tape it reads
     ratio = _df_backward_peak_ratio(arch, overrides, n)
     assert ratio <= 2.2, f"backward peak {ratio:.2f}x the largest v tape"
+
+
+@pytest.mark.parametrize("model_kind,arch,overrides,n",
+                         [("D-F-BPTT",) + net for net in _DF_NETS]
+                         + [("S-F-BPTT", "mlp2", {"hidden": 800}, 64)])
+def test_backward_peak_memory_does_not_grow_with_horizon(model_kind, arch, overrides, n):
+    # the time-major sweep passes one step's (N, ...) gradient from layer to
+    # layer and keeps one (N, ...) carry per neuron layer: only the small
+    # (T, N, n_out) loss gradient grows with T
+    short, _ = _backward_peak(model_kind, arch, overrides, n, horizon=10)
+    long, _ = _backward_peak(model_kind, arch, overrides, n, horizon=40)
+    assert long <= 1.1 * short, (f"backward peak {short / 2**20:.2f} MiB at T=10, "
+                                 f"{long / 2**20:.2f} MiB at T=40")
 
 
 def _taped_net(kind, n=3):
@@ -419,8 +446,8 @@ def _taped_net(kind, n=3):
 @pytest.mark.parametrize("kind,loss_kind", [("D-F", "fts"), ("D-R", "rate"),
                                             ("S-F", "ml-v"), ("S-F conv", "ml-v")])
 def test_backward_writes_nothing_it_is_given(kind, loss_kind, n):
-    # the reverse sweep overwrites gradient buffers in place, so it must own
-    # them: at n=1 the time-major ml-v gradient is a view of loss.grad
+    # the reverse sweep adds into gradient buffers in place, so it must own
+    # them: the time-major ml-v gradient it reads is a view of loss.grad
     _, tape, loss = _taped_net(kind, n)
     assert loss.kind == loss_kind
     given = [("loss.grad", loss.grad)] + [
@@ -463,7 +490,7 @@ def test_uint8_spike_tape_gives_bit_identical_gradients(kind):
     _, tape, loss = _taped_net(kind)
     taped = [None if tr.spikes is None else tr.spikes.copy() for tr in tape.traces]
     grads = sf.backward(tape, loss)
-    # backward writes into a cast copy of a spike train, never into the tape
+    # backward reads a cast copy of a spike step, never writes into the tape
     for tr, before in zip(tape.traces, taped):
         assert before is None or np.array_equal(tr.spikes, before)
     for i, tr in enumerate(tape.traces):
@@ -508,7 +535,6 @@ def test_stochastic_forward_backward_peak_memory_is_bounded():
 
 
 def test_stochastic_in_place_forward_backward_peak_memory():
-    # with the in-place sweep the hidden layer's drive gradient reuses the
-    # input-gradient buffer the output layer passed down
+    # backward adds no (T, N, hidden) gradient buffer to the forward's tape
     ratio = _sf_forward_backward_peak_ratio()
     assert ratio <= 3.5, f"forward + backward peak {ratio:.2f}x one (T, N, hidden) buffer"

@@ -93,6 +93,24 @@ def test_bad_config_value(tmp_path, synthetic_mnist):
                "--out", str(tmp_path)) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_bad_eval_batch_in_config_file(tmp_path, synthetic_mnist, value):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"eval_batch={value}\n")
+    assert run("train", "--config", str(cfg), "--epochs", "0", "--data", synthetic_mnist,
+               "--out", str(tmp_path)) == EXIT_CONFIG
+    assert not (tmp_path / "checkpoint.ckpt").exists()
+
+
+def test_train_manifest_records_subset_and_dataset(tmp_path, synthetic_mnist):
+    code = run("train", "--epochs", "0", "--hidden", "8", "--subset", "7",
+               "--data", synthetic_mnist, "--out", str(tmp_path))
+    assert code == EXIT_OK
+    config = json.loads((tmp_path / "manifest.json").read_text())["config"]
+    assert config["subset"] == 7 and config["dataset"] == "mnist"
+    assert config["hidden"] == 8
+
+
 def test_config_file_overridden_by_flags(tmp_path, synthetic_mnist):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("model_kind=D-R-BPTT\nepochs=0\nhidden=8\nhorizon=3\n")
@@ -204,6 +222,15 @@ def test_tune_bad_bounds(tiny_run, tmp_path, synthetic_mnist):
                "--data", synthetic_mnist, "--out", str(tmp_path)) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("generations", ["0", "-3"])
+def test_tune_rejects_nonpositive_generations(tiny_run, tmp_path, synthetic_mnist,
+                                              generations):
+    assert run("tune", str(tiny_run / "checkpoint.ckpt"), "--generations", generations,
+               "--data", synthetic_mnist, "--out", str(tmp_path)) == EXIT_CONFIG
+    assert not (tmp_path / "tuned.ckpt").exists()
+    assert not (tmp_path / "de_history.csv").exists()
+
+
 def test_tune_happy_path(tiny_run, tmp_path, synthetic_mnist):
     code = run("tune", str(tiny_run / "checkpoint.ckpt"), "--generations", "1",
                "--pop", "4", "--bounds", "0.5,2.0",
@@ -212,3 +239,6 @@ def test_tune_happy_path(tiny_run, tmp_path, synthetic_mnist):
     assert (tmp_path / "tuned.ckpt").exists()
     lines = (tmp_path / "de_history.csv").read_text().splitlines()
     assert lines[0].startswith("generation,best_objective") and len(lines) == 2
+    config = json.loads((tmp_path / "manifest.json").read_text())["config"]
+    assert config["pop"] == 4 and config["bounds"] == "0.5,2.0"
+    assert config["generations"] == 1

@@ -1,15 +1,19 @@
-"""Output-coding losses: hand values, brute-force oracles, finite differences."""
+"""Output-coding losses: hand values, brute-force oracles, finite differences.
+
+The single-sample references (``first_spike_event_prob``, ``ml_loss``) live
+in ``oracles``; the package's batched losses are checked against them.
+"""
 
 import itertools
 
 import numpy as np
 import pytest
 
-from spikefirst.coding import (PROB_CLAMP, first_spike_event_prob, fts_ce_loss,
-                               fts_ce_loss_batch, fts_softmax, ml_loss,
-                               ml_loss_batch, ml_loss_logits_batch, rate_ce_loss,
+from spikefirst.coding import (fts_ce_loss_batch, fts_softmax, ml_loss_logits_batch,
                                rate_ce_loss_batch)
 from spikefirst.neurons import sigmoid
+
+from oracles import PROB_CLAMP, first_spike_event_prob, ml_loss
 
 
 def brute_force_event_prob(p, correct, t):
@@ -46,31 +50,33 @@ def test_fts_softmax_overflow_safe():
 
 
 def test_fts_ce_loss_value_and_gradient():
-    t = np.array([2.0, 3.0, 5.0])
-    loss = fts_ce_loss(t, target=0)
-    p = fts_softmax(t)
+    t = np.array([[2.0, 3.0, 5.0]])
+    target = np.array([0])
+    loss = fts_ce_loss_batch(t, target)
+    p = fts_softmax(t[0])
     assert loss.value == pytest.approx(-np.log(p[0]))
     # analytic gradient y - p checked against central differences
     eps = 1e-6
     for i in range(3):
-        tp = t.copy(); tp[i] += eps
-        tm = t.copy(); tm[i] -= eps
-        fd = (fts_ce_loss(tp, 0).value - fts_ce_loss(tm, 0).value) / (2 * eps)
-        assert fd == pytest.approx(loss.grad[i], abs=1e-8)
+        tp = t.copy(); tp[0, i] += eps
+        tm = t.copy(); tm[0, i] -= eps
+        fd = (fts_ce_loss_batch(tp, target).value
+              - fts_ce_loss_batch(tm, target).value) / (2 * eps)
+        assert fd == pytest.approx(loss.grad[0, i], abs=1e-8)
 
 
 def test_fts_ce_loss_batch_is_mean():
     t = np.array([[2.0, 3.0], [1.0, 4.0]])
     targets = np.array([0, 1])
     batch = fts_ce_loss_batch(t, targets)
-    singles = [fts_ce_loss(t[i], targets[i]) for i in range(2)]
+    singles = [fts_ce_loss_batch(t[i : i + 1], targets[i : i + 1]) for i in range(2)]
     assert batch.value == pytest.approx(np.mean([s.value for s in singles]))
-    assert np.allclose(batch.grad, np.stack([s.grad for s in singles]) / 2)
+    assert np.allclose(batch.grad, np.concatenate([s.grad for s in singles]) / 2)
 
 
 def test_fts_ce_loss_target_range():
     with pytest.raises(IndexError):
-        fts_ce_loss(np.array([1.0, 2.0]), target=2)
+        fts_ce_loss_batch(np.array([[1.0, 2.0]]), np.array([2]))
 
 
 def test_event_prob_hand_value():
@@ -155,14 +161,15 @@ def test_ml_loss_long_horizon_no_underflow():
     assert np.isfinite(loss.value)
 
 
-def test_ml_loss_batch_is_mean_of_singles():
+def test_ml_loss_logits_batch_is_mean_of_singles():
     rng = np.random.default_rng(15)
     p = rng.uniform(0.1, 0.9, size=(3, 4, 5))
+    v = np.log(p / (1.0 - p))
     targets = np.array([0, 2, 4])
-    batch = ml_loss_batch(p, targets)
-    singles = [ml_loss(p[i], targets[i]) for i in range(3)]
+    batch = ml_loss_logits_batch(v, targets)
+    singles = [ml_loss_logits_batch(v[i : i + 1], targets[i : i + 1]) for i in range(3)]
     assert batch.value == pytest.approx(np.mean([s.value for s in singles]))
-    assert np.allclose(batch.grad, np.stack([s.grad for s in singles]) / 3)
+    assert np.allclose(batch.grad, np.concatenate([s.grad for s in singles]) / 3)
 
 
 def test_ml_loss_logits_matches_probability_form():
@@ -170,11 +177,12 @@ def test_ml_loss_logits_matches_probability_form():
     v = rng.normal(scale=2.0, size=(3, 5, 4))
     targets = np.array([0, 3, 1])
     fused = ml_loss_logits_batch(v, targets)
-    ref = ml_loss_batch(sigmoid(v), targets)
-    assert fused.value == pytest.approx(ref.value, abs=1e-12)
-    # chain rule: dL/dv = dL/dp * p(1-p) on moderate logits
     p = sigmoid(v)
-    assert np.allclose(fused.grad, ref.grad * p * (1.0 - p), atol=1e-12)
+    refs = [ml_loss(p[i], targets[i]) for i in range(3)]
+    assert fused.value == pytest.approx(np.mean([r.value for r in refs]), abs=1e-12)
+    # chain rule: dL/dv = dL/dp * p(1-p) on moderate logits
+    ref_grad = np.stack([r.grad for r in refs]) / 3
+    assert np.allclose(fused.grad, ref_grad * p * (1.0 - p), atol=1e-12)
 
 
 def test_ml_loss_logits_gradient_finite_difference():
@@ -204,18 +212,20 @@ def test_ml_loss_logits_survives_saturation():
 
 def test_rate_ce_loss_hand_value():
     counts = np.array([3.0, 1.0, 0.0])
-    loss = rate_ce_loss(counts, target=0)
+    loss = rate_ce_loss_batch(counts[None], np.array([0]))
     e = np.exp(counts - counts.max())
     p = e / e.sum()
     assert loss.value == pytest.approx(-np.log(p[0]))
-    assert np.allclose(loss.grad, p - np.array([1.0, 0.0, 0.0]))
+    assert np.allclose(loss.grad[0], p - np.array([1.0, 0.0, 0.0]))
 
 
-def test_rate_ce_loss_accepts_spike_trains():
-    spikes = np.array([[1.0, 0.0], [1.0, 1.0], [1.0, 0.0]])
-    from_train = rate_ce_loss(spikes, 0)
-    from_counts = rate_ce_loss(np.array([3.0, 1.0]), 0)
+def test_rate_ce_loss_batch_accepts_spike_counts():
+    # training sums the output layer's (T, N, n) uint8 spike train over time
+    spikes = np.array([[[1, 0]], [[1, 1]], [[1, 0]]], dtype=np.uint8)
+    from_train = rate_ce_loss_batch(spikes.sum(axis=0), np.array([0]))
+    from_counts = rate_ce_loss_batch(np.array([[3.0, 1.0]]), np.array([0]))
     assert from_train.value == from_counts.value
+    assert np.array_equal(from_train.grad, from_counts.grad)
 
 
 def test_rate_ce_loss_batch_gradient_fd():

@@ -136,6 +136,17 @@ def test_run_network_rejects_nonpositive_horizon(mode, horizon):
                     horizon=horizon)
 
 
+@pytest.mark.parametrize("mode", ["first-to-spike", "rate"])
+@pytest.mark.parametrize("batch_size", [0, -5])
+def test_run_network_rejects_nonpositive_batch_size(mode, batch_size):
+    # -5 would simulate nothing and predict -1 everywhere; 0 would escape
+    # from range() as a bare ValueError
+    spec = single_layer_spec(2, horizon=3)
+    with pytest.raises(ParameterError, match="batch size"):
+        run_network(spec, identity_params(2), np.ones((1, 2)), mode=mode,
+                    batch_size=batch_size)
+
+
 def fts_from_full_horizon(spikes, v):
     """Predictions and latencies by the module's tie and timeout rules, read
     off a full-horizon record of the output layer (T, N, n)."""

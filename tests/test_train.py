@@ -76,6 +76,13 @@ def test_config_validation():
         TrainConfig(model_kind="Q-BPTT")
 
 
+@pytest.mark.parametrize("eval_batch", [0, -3])
+def test_config_rejects_nonpositive_eval_batch(eval_batch):
+    # run_network would reject it only after a whole epoch of training
+    with pytest.raises(ParameterError, match="eval batch"):
+        TrainConfig(eval_batch=eval_batch)
+
+
 def test_presets_follow_published_schedules():
     sf = PRESETS["mnist-sf-bptt"]
     assert (sf.lr, sf.weight_decay, sf.scheduler_step, sf.scheduler_gamma) == \

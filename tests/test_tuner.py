@@ -83,6 +83,9 @@ def test_config_validation():
         DeConfig(crossover_rate=1.5)
     with pytest.raises(ParameterError):
         DeConfig(latency_weight=-0.1)
+    for generations in (0, -3):
+        with pytest.raises(ParameterError, match="generations"):
+            DeConfig(max_generations=generations)
     with pytest.raises(ParameterError):
         de_minimize(sphere, np.array([[1.0, 0.0]]), DeConfig())
     with pytest.raises(ParameterError):
