@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import time
@@ -286,8 +287,8 @@ def cmd_noise(args) -> int:
     ckpt = _load_ckpt(args.checkpoint)
     try:
         variances = [float(x) for x in args.variances.split(",") if x.strip()]
-        if not variances or any(v < 0 for v in variances):
-            raise ValueError("variances must be non-negative")
+        if not variances or not all(math.isfinite(v) and v >= 0 for v in variances):
+            raise ValueError("variances must be finite and non-negative")
     except ValueError as exc:
         raise CliError(f"bad variance list: {exc}", EXIT_CONFIG)
     _, test_ds = _load_dataset_pair(args, "cifar10" if ckpt.spec.arch == "vgg15" else "mnist")

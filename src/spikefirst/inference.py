@@ -53,10 +53,12 @@ def run_network(spec: NetworkSpec, params: dict, images: np.ndarray,
 
     ``images`` is (N, C, H, W) or (N, F); direct encoding applies the image
     as constant drive every step.  ``input_noise_std`` > 0 adds fresh
-    elementwise Gaussian noise to the drive at every timestep (drawn for the
-    whole batch so a sample's noise does not depend on other samples' early
-    exits).  Stochastic draws are keyed by (seed, stream_tag, batch, layer)
-    and noise by (noise_seed, batch, timestep), so results are reproducible.
+    elementwise Gaussian noise to the drive at every timestep, drawn only for
+    the samples still active.  Stochastic draws are keyed by (seed,
+    stream_tag, batch, layer) and the noise of sample i at step t by
+    (noise_seed, i, t), where i is the sample's index in ``images``: a
+    sample's noise depends neither on the batch size nor on which other
+    samples exited, and results are reproducible.
     """
     if mode not in ("first-to-spike", "rate"):
         raise ParameterError(f"unknown inference mode {mode!r}")
@@ -65,6 +67,9 @@ def run_network(spec: NetworkSpec, params: dict, images: np.ndarray,
         raise ParameterError(f"horizon must be >= 1, got {horizon}")
     if batch_size < 1:
         raise ParameterError(f"batch size must be >= 1, got {batch_size}")
+    if not (math.isfinite(input_noise_std) and input_noise_std >= 0):
+        raise ParameterError(f"input noise std must be finite and >= 0, "
+                             f"got {input_noise_std}")
     n_total = images.shape[0]
     if n_total == 0:
         raise ParameterError("empty dataset")
@@ -83,6 +88,8 @@ def run_network(spec: NetworkSpec, params: dict, images: np.ndarray,
     syn_sizes = [0 for _ in weighted]
     spk_sums = [np.zeros(n_total) for _ in neuron_layers]
     layer_sizes = [0 for _ in neuron_layers]
+    # step t draws every sample's noise at counter t, one keyed row per sample
+    noise = RngStream(noise_seed) if input_noise_std > 0 else None
 
     for b_start in range(0, n_total, batch_size):
         b_end = min(b_start + batch_size, n_total)
@@ -110,15 +117,12 @@ def run_network(spec: NetworkSpec, params: dict, images: np.ndarray,
             if hoisted:
                 # while every sample is active the full arrays need no copy
                 drive0 = full_drive0 if all_active else full_drive0[active]
-            elif input_noise_std > 0:
-                noise_stream = RngStream(noise_seed,
-                                         stream_id=((b_start + 1) << 16) | t)
-                step_noise = rng_gaussian(noise_stream, x0.shape,
-                                          0.0, input_noise_std)
-                x = x0[active] + step_noise[active]
             else:
                 x = x0[active]
             samples = b_start + active
+            if noise is not None:
+                noise.counter = t
+                x += rng_gaussian(noise, x.shape, 0.0, input_noise_std, rows=samples)
             steps[samples] += 1
             # every weighted layer is a neuron layer, so one position walks both
             pos = 0

@@ -15,6 +15,7 @@ spikes-per-neuron actually emitted, averaged over samples.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -133,13 +134,15 @@ def noise_sweep(ckpt: Checkpoint, dataset: Dataset, variances,
     exactly as configured); variance 0 reuses the clean inputs bit-for-bit.
     Per-step redrawing is what lets rate-coded models average perturbations
     out over their horizon while first-to-spike models, which commit at the
-    first output spike, cannot.  Returns a list of (variance, accuracy)
+    first output spike, cannot.  The noise of each sample at each step is
+    keyed by (seed + variance index, sample index, step), so the results do
+    not depend on ``batch_size``.  Returns a list of (variance, accuracy)
     pairs.
     """
     variances = [float(v) for v in variances]
     for v in variances:
-        if v < 0:
-            raise ParameterError(f"variance must be >= 0, got {v}")
+        if not (math.isfinite(v) and v >= 0):
+            raise ParameterError(f"variance must be finite and >= 0, got {v}")
     if mode is None:
         mode = "rate" if ckpt.spec.coding == "rate" else "first-to-spike"
     rows = []

@@ -5,10 +5,15 @@ function of ``(seed, stream_id, counter)``: replaying the same state yields the
 same values on every platform, and distinct ``stream_id`` values give
 statistically independent sequences.  This is what keeps stochastic-neuron runs
 reproducible regardless of batch iteration order or worker scheduling.
+
+A Gaussian draw may also be keyed per row (``rng_gaussian(..., rows=ids)``):
+row i then comes from its own block, a pure function of (seed, stream_id,
+counter, ids[i]), so it does not depend on which other rows are drawn.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,7 +46,7 @@ class RngStream:
         self.stream_id = int(self.stream_id) & _MASK64
         self.counter = int(self.counter) & _MASK64
 
-    def _generator(self) -> np.random.Generator:
+    def _generator(self, keyed_rows: bool = False) -> np.random.Generator:
         if self._gen is None:
             self._gen = np.random.Generator(np.random.Philox(0))
             # an empty output buffer (buffer_pos 4): nothing carries over
@@ -49,12 +54,24 @@ class RngStream:
             self._state = self._gen.bit_generator.state
         # Key (seed << 64) | stream_id, counter advanced by counter << 64 from
         # zero: one jump of 2**64 Philox blocks per past call keeps calls
-        # disjoint no matter how many values a single call consumes.
+        # disjoint no matter how many values a single call consumes.  Keyed
+        # rows tag counter word 3 with 1 and put the row id in word 2, so row
+        # blocks never meet each other nor any whole-call draw, which leaves
+        # words 2 and 3 at 0, whatever the key.
         philox = self._state["state"]
         philox["key"][:] = (self.stream_id, self.seed)
-        philox["counter"][:] = (0, self.counter, 0, 0)
+        philox["counter"][:] = (0, self.counter, 0, int(keyed_rows))
         self._gen.bit_generator.state = self._state
         return self._gen
+
+    def _row_generators(self, rows):
+        """Yield the generator rewound to each row id's block in turn."""
+        gen = self._generator(keyed_rows=True)
+        counter = self._state["state"]["counter"]
+        for row in rows:
+            counter[2] = int(row) & _MASK64
+            gen.bit_generator.state = self._state
+            yield gen
 
     def split(self, stream_id: int) -> "RngStream":
         """Derive an independent stream sharing this stream's seed."""
@@ -77,18 +94,34 @@ def rng_uniform(stream: RngStream, shape) -> np.ndarray:
     return out
 
 
-def rng_gaussian(stream: RngStream, shape, mean: float = 0.0, std: float = 1.0) -> np.ndarray:
+def rng_gaussian(stream: RngStream, shape, mean: float = 0.0, std: float = 1.0,
+                 rows=None) -> np.ndarray:
     """Gaussian draws via the ziggurat transform of uniform words.
 
     ``std`` must be non-negative; ``std == 0`` returns an all-``mean`` tensor.
+    With ``rows`` (one integer id per entry of ``shape[0]``), ``out[i]`` is
+    drawn from the block keyed by ``rows[i]`` at this call's counter: equal ids
+    give equal rows, whatever the other ids and their order.  Either way the
+    counter advances by one call.
     """
     if std < 0:
         raise ParameterError(f"std must be >= 0, got {std}")
+    shape = tuple(shape)
+    if rows is not None and (not shape or len(rows) != shape[0]):
+        raise ParameterError(f"need one row id per leading entry of {shape}, "
+                             f"got {len(rows)}")
     if std == 0:
         # Still burn a call so the counter advances uniformly.
-        stream.counter = (stream.counter + 1) & _MASK64
-        return np.full(tuple(shape), float(mean), dtype=np.float64)
-    g = stream._generator()
-    out = g.normal(loc=mean, scale=std, size=tuple(shape))
+        out = np.full(shape, float(mean), dtype=np.float64)
+    elif rows is None:
+        out = stream._generator().normal(loc=mean, scale=std, size=shape)
+    else:
+        out = np.empty(shape)
+        flat = out.reshape(len(rows), math.prod(shape[1:]))
+        for gen, values in zip(stream._row_generators(rows), flat):
+            gen.standard_normal(out=values)
+        out *= std
+        if mean:
+            out += mean
     stream.counter = (stream.counter + 1) & _MASK64
     return out

@@ -56,6 +56,8 @@ class TrainConfig:
             raise ParameterError("epochs/batch_size/horizon out of range")
         if self.eval_batch < 1:
             raise ParameterError(f"eval batch must be >= 1, got {self.eval_batch}")
+        if self.scheduler_step < 1:
+            raise ParameterError(f"scheduler step must be >= 1, got {self.scheduler_step}")
         if not 0.0 < self.scheduler_gamma <= 1.0:
             raise ParameterError(f"scheduler gamma must be in (0, 1], got {self.scheduler_gamma}")
 

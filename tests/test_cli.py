@@ -102,6 +102,22 @@ def test_bad_eval_batch_in_config_file(tmp_path, synthetic_mnist, value):
     assert not (tmp_path / "checkpoint.ckpt").exists()
 
 
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_nonpositive_scheduler_step_flag(tmp_path, synthetic_mnist, value):
+    assert run("train", "--scheduler-step", value, "--epochs", "0",
+               "--data", synthetic_mnist, "--out", str(tmp_path)) == EXIT_CONFIG
+    assert not (tmp_path / "checkpoint.ckpt").exists()
+
+
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_nonpositive_scheduler_step_in_config_file(tmp_path, synthetic_mnist, value):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"scheduler_step={value}\n")
+    assert run("train", "--config", str(cfg), "--epochs", "0", "--data", synthetic_mnist,
+               "--out", str(tmp_path)) == EXIT_CONFIG
+    assert not (tmp_path / "checkpoint.ckpt").exists()
+
+
 def test_train_manifest_records_subset_and_dataset(tmp_path, synthetic_mnist):
     code = run("train", "--epochs", "0", "--hidden", "8", "--subset", "7",
                "--data", synthetic_mnist, "--out", str(tmp_path))
@@ -207,6 +223,13 @@ def test_show_prints_architecture(tiny_run, capsys):
 def test_noise_bad_variances(tiny_run, tmp_path, synthetic_mnist):
     assert run("noise", str(tiny_run / "checkpoint.ckpt"), "--variances", "0,-1",
                "--data", synthetic_mnist, "--out", str(tmp_path)) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("variances", ["nan", "0,inf"])
+def test_noise_rejects_non_finite_variances(tiny_run, tmp_path, synthetic_mnist, variances):
+    assert run("noise", str(tiny_run / "checkpoint.ckpt"), "--variances", variances,
+               "--data", synthetic_mnist, "--out", str(tmp_path)) == EXIT_CONFIG
+    assert not (tmp_path / "noise_sweep.csv").exists()
 
 
 def test_noise_happy_path(tiny_run, tmp_path, synthetic_mnist):

@@ -10,7 +10,7 @@ from spikefirst.errors import ParameterError
 from spikefirst.inference import run_network
 from spikefirst.network import LayerSpec, NetworkSpec
 from spikefirst.neurons import first_spike_times
-from spikefirst.rng import RngStream
+from spikefirst.rng import RngStream, rng_gaussian
 
 
 def single_layer_spec(n, horizon, leak=0.0, v_th=1.0):
@@ -147,6 +147,14 @@ def test_run_network_rejects_nonpositive_batch_size(mode, batch_size):
                     batch_size=batch_size)
 
 
+@pytest.mark.parametrize("std", [-0.5, float("nan"), float("inf")])
+def test_run_network_rejects_bad_noise_std(std):
+    # a negative std used to run silently without noise, inf on NaN drives
+    spec = single_layer_spec(2, horizon=3)
+    with pytest.raises(ParameterError, match="noise"):
+        run_network(spec, identity_params(2), np.ones((1, 2)), input_noise_std=std)
+
+
 def fts_from_full_horizon(spikes, v):
     """Predictions and latencies by the module's tie and timeout rules, read
     off a full-horizon record of the output layer (T, N, n)."""
@@ -185,6 +193,23 @@ def test_early_exit_matches_full_horizon_forward(arch, overrides, gain):
     assert np.array_equal(res.steps, lat)
     assert (lat < horizon).any() and (lat == horizon).any()   # exits and timeouts
 
+    # with input noise, sample i's noise at step t is its own keyed row, drawn
+    # whichever samples are still active: a full-horizon forward on the same
+    # rows for every sample and step gives the early-exit results
+    std, noise_seed = 0.3, 21
+    noisy = np.stack([images + rng_gaussian(RngStream(noise_seed, counter=t), images.shape,
+                                            0.0, std, rows=np.arange(len(images)))
+                      for t in range(1, horizon + 1)])
+    noisy_res = run_network(spec, params, images, batch_size=5, input_noise_std=std,
+                            noise_seed=noise_seed)
+    records_n, tape_n = sf.forward(spec, params, noisy)
+    preds_n, lat_n = fts_from_full_horizon(records_n[-1], tape_n.traces[-1].v)
+    assert np.array_equal(noisy_res.predictions, preds_n)
+    assert np.array_equal(noisy_res.latencies, lat_n)
+    assert np.array_equal(noisy_res.steps, lat_n)
+    assert not np.array_equal(lat_n, lat)                     # the noise matters
+    assert len(np.unique(lat_n)) > 1        # later steps draw for a subset
+
     # rate mode runs the full horizon and predicts the most active output
     rate_spec = sf.build(arch, "D-R-BPTT", overrides)
     rate_res = run_network(rate_spec, params, images, mode="rate", batch_size=5)
@@ -210,3 +235,23 @@ def test_early_exit_matches_full_horizon_forward(arch, overrides, gain):
             assert np.allclose(grads[name], grads_d[name], rtol=1e-12, atol=1e-15)
         else:
             assert np.array_equal(grads[name], grads_d[name])
+
+
+@pytest.mark.parametrize("arch,overrides,gain,n", [
+    ("mlp2", {"hidden": 32, "horizon": 12}, 2.0, 600),
+    ("lenet5", {"horizon": 6}, 3.0, 240),
+])
+def test_noisy_inference_is_batch_size_invariant(arch, overrides, gain, n):
+    # noise is keyed by (noise_seed, sample index, step), so a sample's
+    # result does not depend on its batch-mates or on their early exits
+    spec = sf.build(arch, "D-F-BPTT", overrides)
+    params = {k: w * gain for k, w in sf.init_params(spec, RngStream(3, 0)).items()}
+    rng = np.random.default_rng(12)
+    images = rng.uniform(size=(n, 1, 28, 28)) * (rng.uniform(size=(n, 1, 28, 28)) < 0.3)
+    runs = [run_network(spec, params, images, batch_size=b, input_noise_std=0.3,
+                        noise_seed=8) for b in (512, 100, 7)]
+    for res in runs[1:]:
+        assert np.array_equal(res.predictions, runs[0].predictions)
+        assert np.array_equal(res.latencies, runs[0].latencies)
+        assert np.array_equal(res.steps, runs[0].steps)
+    assert len(np.unique(runs[0].latencies)) > 1

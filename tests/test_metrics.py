@@ -119,6 +119,13 @@ def test_noise_sweep_deterministic_and_validated():
         noise_sweep(ckpt, ds, [-0.1])
 
 
+@pytest.mark.parametrize("variance", [float("nan"), float("inf"), -float("inf")])
+def test_noise_sweep_rejects_non_finite_variance(variance):
+    # nan used to return an accuracy row; inf ran the network on NaN drives
+    with pytest.raises(ParameterError, match="variance"):
+        noise_sweep(random_checkpoint(), random_dataset(), [0.0, variance])
+
+
 def test_noise_sweep_rate_model_uses_rate_mode():
     ckpt = random_checkpoint("D-R-BPTT")
     rows = noise_sweep(ckpt, random_dataset(16), [0.0])

@@ -112,3 +112,121 @@ def test_reused_stream_equals_fresh_streams():
         assert a.shape == shape, i
         assert np.array_equal(a, b) and np.array_equal(a, ref), i
     assert s.counter == (2**64 - 2 + 24) & (2**64 - 1)
+
+
+# ------------------------------------------------------- keyed Gaussian rows
+
+def _row_block(seed, stream_id, counter, row) -> np.random.Philox:
+    """Reference: the Philox block of one keyed row, counter words
+    (0, counter, row, 1)."""
+    return np.random.Philox(key=(seed << 64) | stream_id,
+                            counter=(1 << 192) | (row << 128) | (counter << 64))
+
+
+def test_keyed_rows_match_reference_blocks():
+    s = RngStream(2**64 - 3, 2**63 + 5, counter=7)
+    rows = [0, 5, 2**40 + 1, 2**64 - 1]
+    x = rng_gaussian(s, (4, 3, 5), std=0.25, rows=rows)
+    assert s.counter == 8
+    for i, row in enumerate(rows):
+        ref = np.random.Generator(_row_block(2**64 - 3, 2**63 + 5, 7, row))
+        assert np.array_equal(x[i], ref.standard_normal((3, 5)) * 0.25), i
+
+
+@given(st.lists(st.integers(0, 2**40), min_size=1, max_size=12, unique=True),
+       st.integers(0, 2**20), st.randoms(use_true_random=False))
+@settings(max_examples=25, deadline=None)
+def test_keyed_rows_equal_rows_drawn_one_at_a_time(rows, counter, rnd):
+    # any subset, in any order: a row depends only on its own id
+    rnd.shuffle(rows)
+    s = RngStream(11, 4, counter=counter)
+    x = rng_gaussian(s, (len(rows), 7), mean=0.5, std=0.3, rows=np.array(rows))
+    for i, row in enumerate(rows):
+        one = rng_gaussian(RngStream(11, 4, counter=counter), (1, 7), mean=0.5,
+                           std=0.3, rows=[row])
+        assert np.array_equal(x[i], one[0]), row
+
+
+def test_keyed_rows_moments():
+    # 200 x 784 = 156800 values: the standard errors of the mean and the
+    # std are 7.6e-4 and 5.4e-4, so both bounds sit about 6 errors out
+    sigma = 0.3
+    x = rng_gaussian(RngStream(3), (200, 784), std=sigma, rows=np.arange(200))
+    assert abs(x.mean()) < 0.005
+    assert abs(x.std() - sigma) < 0.003
+
+
+def test_keyed_rows_uncorrelated_across_ids_and_steps():
+    # neighbouring sample ids at one step, and one id at consecutive steps;
+    # 199 x 784 pairs give a correlation standard error of 2.5e-3
+    s = RngStream(3)
+    ids = np.arange(1000, 1200)
+    a = rng_gaussian(s, (200, 784), rows=ids)
+    b = rng_gaussian(s, (200, 784), rows=ids)
+    neighbours = np.corrcoef(a[:-1].ravel(), a[1:].ravel())[0, 1]
+    steps = np.corrcoef(a.ravel(), b.ravel())[0, 1]
+    assert abs(neighbours) < 0.0125 and abs(steps) < 0.0125
+
+
+def test_keyed_rows_need_one_id_per_row():
+    with pytest.raises(ParameterError):
+        rng_gaussian(RngStream(0), (3, 2), rows=[0, 1])
+    with pytest.raises(ParameterError):
+        rng_gaussian(RngStream(0), (), rows=[0])
+
+
+@pytest.mark.parametrize("stream_tag", [0, 3])
+def test_inference_noise_never_meets_bernoulli_streams(monkeypatch, stream_tag):
+    # Keyed rows set counter word 3 to 1; whole-call draws leave it 0.  So
+    # with noise_seed == seed, where stream_tag 0 even gives the first
+    # Bernoulli stream the noise stream's key, no noise block is a Bernoulli
+    # block: the raw Philox words they consume share nothing.
+    from spikefirst import inference, neurons
+    from spikefirst.network import LayerSpec, NetworkSpec
+
+    calls = []
+
+    def recording(kind, fn):
+        def draw(stream, shape, *args, **kwargs):
+            calls.append((kind, stream.state(), kwargs.get("rows")))
+            out = fn(stream, shape, *args, **kwargs)
+            calls[-1] += (out,)
+            return out
+        return draw
+
+    monkeypatch.setattr(neurons, "rng_uniform", recording("uniform", neurons.rng_uniform))
+    monkeypatch.setattr(inference, "rng_gaussian",
+                        recording("gaussian", inference.rng_gaussian))
+    layers = [LayerSpec(kind="linear", neuron="stoch", in_features=20, out_features=16,
+                        leak=0.7, k=1.0),
+              LayerSpec(kind="linear", neuron="stoch", in_features=16, out_features=10,
+                        leak=0.7, k=1.0)]
+    spec = NetworkSpec(layers=layers, coding="first-to-spike", horizon=6,
+                       model_kind="S-F-BPTT", arch="mlp2")
+    rng = np.random.default_rng(2)
+    params = {"layer0.w": rng.normal(size=(16, 20)) * 0.3,
+              "layer1.w": rng.normal(size=(10, 16)) * 0.3}
+    seed, std = 5, 0.2
+    # rate mode keeps every sample for the whole horizon
+    inference.run_network(spec, params, rng.uniform(size=(40, 20)), mode="rate",
+                          seed=seed, batch_size=16, stream_tag=stream_tag,
+                          input_noise_std=std, noise_seed=seed)
+
+    keys = {kind: {state[:2] for k, state, _, _ in calls if k == kind}
+            for kind in ("uniform", "gaussian")}
+    assert bool(keys["uniform"] & keys["gaussian"]) == (stream_tag == 0)
+    bernoulli, noise = set(), set()
+    for kind, (s_seed, stream_id, counter), rows, out in calls:
+        assert s_seed == seed
+        if kind == "uniform":
+            block = _philox_at((s_seed, stream_id, counter))
+            bernoulli.update(block.bit_generator.random_raw(out.size).tolist())
+            continue
+        for row, values in zip(rows.tolist(), out):
+            block = _row_block(s_seed, stream_id, counter, row)
+            ref = np.random.Generator(block).standard_normal(values.shape) * std
+            assert np.array_equal(values, ref)
+            noise.update(_row_block(s_seed, stream_id, counter, row)
+                         .random_raw(values.size).tolist())
+    assert len(bernoulli) == 40 * 26 * 6 and len(noise) == 40 * 20 * 6
+    assert not bernoulli & noise

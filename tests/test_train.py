@@ -83,6 +83,13 @@ def test_config_rejects_nonpositive_eval_batch(eval_batch):
         TrainConfig(eval_batch=eval_batch)
 
 
+@pytest.mark.parametrize("step", [0, -2])
+def test_config_rejects_nonpositive_scheduler_step(step):
+    # 0 made lr_at divide by zero; -2 made the rate grow (0.4 at epoch 3)
+    with pytest.raises(ParameterError, match="scheduler step"):
+        TrainConfig(lr=0.1, scheduler_gamma=0.5, scheduler_step=step)
+
+
 def test_presets_follow_published_schedules():
     sf = PRESETS["mnist-sf-bptt"]
     assert (sf.lr, sf.weight_decay, sf.scheduler_step, sf.scheduler_gamma) == \
