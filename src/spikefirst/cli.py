@@ -101,15 +101,21 @@ def _load_cifar(root: Path, split: str, stats=None):
         raise CliError(f"bad CIFAR-10 data: {exc}", EXIT_DATA)
 
 
-def _load_dataset_pair(args, name: str):
+def _load_splits(args, name: str, *splits: str) -> list:
+    """The named splits of dataset ``name``, in order.  CIFAR-10's test split
+    is standardized with the training split's statistics, so it reads both."""
     root = _data_root(args)
     if name == "mnist":
-        return _load_mnist(root, "train"), _load_mnist(root, "test")
+        return [_load_mnist(root, split) for split in splits]
     if name == "cifar10":
         train_ds, stats = _load_cifar(root, "train")
-        test_ds, _ = _load_cifar(root, "test", stats=stats)
-        return train_ds, test_ds
+        return [train_ds if split == "train" else _load_cifar(root, split, stats=stats)[0]
+                for split in splits]
     raise CliError(f"unknown dataset {name!r}", EXIT_CONFIG)
+
+
+def _dataset_of(ckpt) -> str:
+    return "cifar10" if ckpt.spec.arch == "vgg15" else "mnist"
 
 
 def _out_dir(args) -> Path:
@@ -143,7 +149,6 @@ def _build_train_config(args) -> tuple[TrainConfig, dict]:
               "data": values.pop("data", None),
               "out": values.pop("out", None),
               "subset": values.pop("subset", None)}
-    field_types = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
     updates = {}
     for key, raw in values.items():
         updates[key] = raw
@@ -188,7 +193,7 @@ def cmd_train(args) -> int:
     config, extras = _build_train_config(args)
     args.data = extras.get("data") or args.data
     args.out = extras.get("out") or args.out
-    train_ds, test_ds = _load_dataset_pair(args, extras["dataset"])
+    train_ds, test_ds = _load_splits(args, extras["dataset"], "train", "test")
     subset = extras["subset"]
     if subset is not None:
         train_ds = train_ds.subset(np.arange(min(subset, len(train_ds))))
@@ -230,8 +235,7 @@ def _load_ckpt(path):
 
 def cmd_eval(args) -> int:
     ckpt = _load_ckpt(args.checkpoint)
-    dataset_name = "cifar10" if ckpt.spec.arch == "vgg15" else "mnist"
-    _, test_ds = _load_dataset_pair(args, dataset_name)
+    (test_ds,) = _load_splits(args, _dataset_of(ckpt), "test")
     mode = args.mode or ("rate" if ckpt.spec.coding == "rate" else "first-to-spike")
     out = _out_dir(args)
     metrics_path = out / "metrics.csv"
@@ -254,7 +258,7 @@ def cmd_eval(args) -> int:
 
 def cmd_tune(args) -> int:
     ckpt = _load_ckpt(args.checkpoint)
-    train_ds, _ = _load_dataset_pair(args, "cifar10" if ckpt.spec.arch == "vgg15" else "mnist")
+    (train_ds,) = _load_splits(args, _dataset_of(ckpt), "train")
     try:
         bounds = None
         if args.bounds:
@@ -291,7 +295,7 @@ def cmd_noise(args) -> int:
             raise ValueError("variances must be finite and non-negative")
     except ValueError as exc:
         raise CliError(f"bad variance list: {exc}", EXIT_CONFIG)
-    _, test_ds = _load_dataset_pair(args, "cifar10" if ckpt.spec.arch == "vgg15" else "mnist")
+    (test_ds,) = _load_splits(args, _dataset_of(ckpt), "test")
     out = _out_dir(args)
     noise_path = out / "noise_sweep.csv"
     _write_manifest(out, "noise", {"checkpoint": str(args.checkpoint),

@@ -26,12 +26,6 @@ CIFAR_RECORD = 3073
 
 
 @dataclass
-class LabeledImage:
-    pixels: np.ndarray          # (C, H, W), normalized
-    label: int
-
-
-@dataclass
 class Dataset:
     images: np.ndarray          # (N, C, H, W) float64
     labels: np.ndarray          # (N,) int64
@@ -40,9 +34,6 @@ class Dataset:
 
     def __len__(self):
         return len(self.labels)
-
-    def __getitem__(self, i) -> LabeledImage:
-        return LabeledImage(pixels=self.images[i], label=int(self.labels[i]))
 
     def subset(self, indices) -> "Dataset":
         return Dataset(images=self.images[indices], labels=self.labels[indices],
@@ -166,5 +157,5 @@ def encode_direct(image, horizon: int) -> np.ndarray:
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    pixels = image.pixels if isinstance(image, LabeledImage) else np.asarray(image)
+    pixels = np.asarray(image)
     return np.broadcast_to(pixels, (horizon,) + pixels.shape)

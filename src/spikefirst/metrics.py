@@ -60,9 +60,9 @@ def _conv_out(size, kernel, stride, pad):
     return (size + 2 * pad - kernel) // stride + 1
 
 
-def network_op_counts(spec: NetworkSpec, input_hw: tuple | None = None) -> list:
-    """OP_i for every weighted layer, tracking spatial dims through the stack."""
-    h, w = input_hw if input_hw is not None else (28, 28)
+def network_op_counts(spec: NetworkSpec, input_hw: tuple) -> list:
+    """OP_i for every weighted layer, tracking the input's (H, W) through the stack."""
+    h, w = input_hw
     ops = []
     for layer in spec.layers:
         if layer.kind == "pool":
@@ -90,26 +90,24 @@ def energy_cost(layer_rates, horizon: float, layer_op_counts) -> float:
 
 
 def evaluate(ckpt: Checkpoint, dataset: Dataset, mode: str = "first-to-spike",
-             horizon: int | None = None, batch_size: int = 512,
-             seed: int | None = None) -> MetricsReport:
+             horizon: int | None = None) -> MetricsReport:
     """Run the test protocol and assemble the tradeoff report.
 
     First-to-spike mode early-exits per sample; rate mode runs a fixed
     horizon (pass ``horizon`` to override the spec's).  Stochastic draws are
-    keyed by ``seed`` (defaults to the checkpoint's training seed).
+    keyed by the checkpoint's training seed.
     """
     if len(dataset) == 0:
         raise ParameterError("empty dataset")
     spec = ckpt.spec
-    seed = ckpt.seed if seed is None else seed
     res = run_network(spec, ckpt.params, dataset.images, mode=mode,
-                      horizon=horizon, seed=seed, batch_size=batch_size)
+                      horizon=horizon, seed=ckpt.seed)
     accuracy = float((res.predictions == dataset.labels).mean())
     mean_latency = float(res.latencies.mean())
     total_steps = res.steps.sum()
 
-    def rate(sums, size):
-        return float(sums.sum() / (size * total_steps))
+    def rate(total, size):
+        return float(total / (size * total_steps))
 
     # Binary rates, spikes / (neurons * steps simulated): the rate feeding
     # each weighted layer (the input activation rate first) for the energy,
@@ -125,8 +123,7 @@ def evaluate(ckpt: Checkpoint, dataset: Dataset, mode: str = "first-to-spike",
 
 
 def noise_sweep(ckpt: Checkpoint, dataset: Dataset, variances,
-                mode: str | None = None, horizon: int | None = None,
-                seed: int = 1234, batch_size: int = 512) -> list:
+                seed: int = 1234) -> list:
     """Accuracy under additive elementwise Gaussian input noise.
 
     Noise with the given variances is added to the normalized input drive,
@@ -134,23 +131,22 @@ def noise_sweep(ckpt: Checkpoint, dataset: Dataset, variances,
     exactly as configured); variance 0 reuses the clean inputs bit-for-bit.
     Per-step redrawing is what lets rate-coded models average perturbations
     out over their horizon while first-to-spike models, which commit at the
-    first output spike, cannot.  The noise of each sample at each step is
-    keyed by (seed + variance index, sample index, step), so the results do
-    not depend on ``batch_size``.  Returns a list of (variance, accuracy)
-    pairs.
+    first output spike, cannot.  Rate models are run in rate mode, the others
+    in first-to-spike mode.  One sweep draws one set of standard normals,
+    keyed by (seed, sample index, step), and scales it by each variance's
+    std: a variance's row depends neither on the other variances nor on the
+    batch size.  Returns a list of (variance, accuracy) pairs.
     """
     variances = [float(v) for v in variances]
     for v in variances:
         if not (math.isfinite(v) and v >= 0):
             raise ParameterError(f"variance must be finite and >= 0, got {v}")
-    if mode is None:
-        mode = "rate" if ckpt.spec.coding == "rate" else "first-to-spike"
+    mode = "rate" if ckpt.spec.coding == "rate" else "first-to-spike"
     rows = []
-    for vi, var in enumerate(variances):
+    for var in variances:
         res = run_network(ckpt.spec, ckpt.params, dataset.images, mode=mode,
-                          horizon=horizon, seed=ckpt.seed, batch_size=batch_size,
-                          input_noise_std=np.sqrt(var),
-                          noise_seed=seed + vi)
+                          seed=ckpt.seed, input_noise_std=np.sqrt(var),
+                          noise_seed=seed)
         rows.append((var, float((res.predictions == dataset.labels).mean())))
     return rows
 

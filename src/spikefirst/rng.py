@@ -6,9 +6,10 @@ same values on every platform, and distinct ``stream_id`` values give
 statistically independent sequences.  This is what keeps stochastic-neuron runs
 reproducible regardless of batch iteration order or worker scheduling.
 
-A Gaussian draw may also be keyed per row (``rng_gaussian(..., rows=ids)``):
-row i then comes from its own block, a pure function of (seed, stream_id,
-counter, ids[i]), so it does not depend on which other rows are drawn.
+A uniform draw is keyed per call.  Gaussian draws are keyed per row only
+(``rng_gaussian(..., rows=ids)``): row i comes from its own block, a pure
+function of (seed, stream_id, counter, ids[i]), so it does not depend on
+which other rows are drawn.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ class RngStream:
         # zero: one jump of 2**64 Philox blocks per past call keeps calls
         # disjoint no matter how many values a single call consumes.  Keyed
         # rows tag counter word 3 with 1 and put the row id in word 2, so row
-        # blocks never meet each other nor any whole-call draw, which leaves
+        # blocks never meet each other nor any uniform draw, which leaves
         # words 2 and 3 at 0, whatever the key.
         philox = self._state["state"]
         philox["key"][:] = (self.stream_id, self.seed)
@@ -77,14 +78,6 @@ class RngStream:
         """Derive an independent stream sharing this stream's seed."""
         return RngStream(self.seed, stream_id=stream_id, counter=0)
 
-    def state(self) -> tuple[int, int, int]:
-        return (self.seed, self.stream_id, self.counter)
-
-    @classmethod
-    def from_state(cls, state) -> "RngStream":
-        seed, stream_id, counter = state
-        return cls(seed, stream_id, counter)
-
 
 def rng_uniform(stream: RngStream, shape) -> np.ndarray:
     """Uniform [0, 1) draws; advances the stream's counter by one call."""
@@ -94,34 +87,24 @@ def rng_uniform(stream: RngStream, shape) -> np.ndarray:
     return out
 
 
-def rng_gaussian(stream: RngStream, shape, mean: float = 0.0, std: float = 1.0,
-                 rows=None) -> np.ndarray:
-    """Gaussian draws via the ziggurat transform of uniform words.
+def rng_gaussian(stream: RngStream, shape, std: float = 1.0, *, rows) -> np.ndarray:
+    """Zero-mean Gaussian draws with non-negative ``std``, keyed per row.
 
-    ``std`` must be non-negative; ``std == 0`` returns an all-``mean`` tensor.
-    With ``rows`` (one integer id per entry of ``shape[0]``), ``out[i]`` is
-    drawn from the block keyed by ``rows[i]`` at this call's counter: equal ids
-    give equal rows, whatever the other ids and their order.  Either way the
-    counter advances by one call.
+    ``rows`` holds one integer id per entry of ``shape[0]``: ``out[i]`` is
+    drawn (ziggurat) from the block keyed by ``rows[i]`` at this call's
+    counter, so equal ids give equal rows, whatever the other ids and their
+    order.  The counter advances by one call.
     """
     if std < 0:
         raise ParameterError(f"std must be >= 0, got {std}")
     shape = tuple(shape)
-    if rows is not None and (not shape or len(rows) != shape[0]):
+    if not shape or len(rows) != shape[0]:
         raise ParameterError(f"need one row id per leading entry of {shape}, "
                              f"got {len(rows)}")
-    if std == 0:
-        # Still burn a call so the counter advances uniformly.
-        out = np.full(shape, float(mean), dtype=np.float64)
-    elif rows is None:
-        out = stream._generator().normal(loc=mean, scale=std, size=shape)
-    else:
-        out = np.empty(shape)
-        flat = out.reshape(len(rows), math.prod(shape[1:]))
-        for gen, values in zip(stream._row_generators(rows), flat):
-            gen.standard_normal(out=values)
-        out *= std
-        if mean:
-            out += mean
+    out = np.empty(shape)
+    flat = out.reshape(len(rows), math.prod(shape[1:]))
+    for gen, values in zip(stream._row_generators(rows), flat):
+        gen.standard_normal(out=values)
+    out *= std
     stream.counter = (stream.counter + 1) & _MASK64
     return out

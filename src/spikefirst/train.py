@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, asdict, replace
 import numpy as np
 
 from .bptt import backward
-from .checkpoint import Checkpoint, save_checkpoint, load_checkpoint  # noqa: F401
+from .checkpoint import Checkpoint
 from .coding import fts_ce_loss_batch, ml_loss_logits_batch, rate_ce_loss_batch
 from .data import Dataset, encode_direct
 from .errors import NumericalError, ParameterError
@@ -159,11 +159,10 @@ def _batch_loss(spec, tape_records, tape, labels):
     return rate_ce_loss_batch(counts, labels)
 
 
-def test_accuracy(spec, params, dataset: Dataset, config: TrainConfig,
-                  stream_tag: int = 0) -> float:
+def test_accuracy(spec, params, dataset: Dataset, config: TrainConfig) -> float:
     mode = "rate" if spec.coding == "rate" else "first-to-spike"
     res = run_network(spec, params, dataset.images, mode=mode, seed=config.seed,
-                      batch_size=config.eval_batch, stream_tag=stream_tag)
+                      batch_size=config.eval_batch)
     return float((res.predictions == dataset.labels).mean())
 
 

@@ -27,6 +27,7 @@ DEFAULT_F = 0.5
 DEFAULT_CR = 0.7
 DEFAULT_GENERATIONS = 30
 VALIDATION_SIZE = 2000
+EVAL_SEED = 99                      # fixed seed of every candidate's evaluation
 
 
 @dataclass
@@ -38,7 +39,6 @@ class DeConfig:
     bounds: np.ndarray | None = None  # (dims, 2)
     latency_weight: float = 0.1
     seed: int = 0
-    eval_seed: int = 99             # fixed per-candidate evaluation seed
 
     def __post_init__(self):
         if self.max_generations < 1:
@@ -145,11 +145,12 @@ def apply_candidate(ckpt: Checkpoint, vector) -> Checkpoint:
 
 
 def tradeoff_objective(ckpt: Checkpoint, candidate_vector, eval_subset: Dataset,
-                       beta: float = 0.1, eval_seed: int = 99) -> float:
-    """(1 - accuracy) + beta * mean_latency / T on the validation subset."""
+                       beta: float = 0.1) -> float:
+    """(1 - accuracy) + beta * mean_latency / T on the validation subset,
+    stochastic draws keyed by ``EVAL_SEED``."""
     cand = apply_candidate(ckpt, candidate_vector)
     res = run_network(cand.spec, cand.params, eval_subset.images,
-                      mode="first-to-spike", seed=eval_seed)
+                      mode="first-to-spike", seed=EVAL_SEED)
     accuracy = float((res.predictions == eval_subset.labels).mean())
     latency = float(res.latencies.mean())
     return (1.0 - accuracy) + beta * latency / cand.spec.horizon
@@ -175,7 +176,7 @@ def de_optimize(ckpt: Checkpoint, train_ds: Dataset, config: DeConfig):
         bounds = np.tile([0.3, 3.0], (n_layers, 1))
     subset = validation_subset(train_ds, seed=config.seed)
     objective = lambda vec: tradeoff_objective(  # noqa: E731
-        ckpt, vec, subset, beta=config.latency_weight, eval_seed=config.eval_seed)
+        ckpt, vec, subset, beta=config.latency_weight)
     result = de_minimize(objective, bounds, config)
     return apply_candidate(ckpt, result.best_vector), result
 

@@ -5,6 +5,7 @@ run without the real MNIST files."""
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -265,3 +266,26 @@ def test_tune_happy_path(tiny_run, tmp_path, synthetic_mnist):
     config = json.loads((tmp_path / "manifest.json").read_text())["config"]
     assert config["pop"] == 4 and config["bounds"] == "0.5,2.0"
     assert config["generations"] == 1
+
+
+def copy_split(synthetic_mnist, root: Path, prefix: str) -> str:
+    """A dataset root holding only one split ("train" or "t10k") of ``synthetic_mnist``."""
+    root.mkdir()
+    for kind in ("images-idx3", "labels-idx1"):
+        name = f"{prefix}-{kind}-ubyte"
+        shutil.copy(Path(synthetic_mnist) / name, root / name)
+    return str(root)
+
+
+def test_eval_and_noise_read_only_the_test_split(tiny_run, tmp_path, synthetic_mnist):
+    data = copy_split(synthetic_mnist, tmp_path / "test_only", "t10k")
+    ckpt = str(tiny_run / "checkpoint.ckpt")
+    assert run("eval", ckpt, "--data", data, "--out", str(tmp_path / "eval")) == EXIT_OK
+    assert run("noise", ckpt, "--variances", "0,0.5", "--data", data,
+               "--out", str(tmp_path / "noise")) == EXIT_OK
+
+
+def test_tune_reads_only_the_train_split(tiny_run, tmp_path, synthetic_mnist):
+    data = copy_split(synthetic_mnist, tmp_path / "train_only", "train")
+    assert run("tune", str(tiny_run / "checkpoint.ckpt"), "--generations", "1",
+               "--pop", "4", "--data", data, "--out", str(tmp_path)) == EXIT_OK

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spikefirst.data import (Dataset, LabeledImage, encode_direct, load_cifar10_bin,
+from spikefirst.data import (Dataset, encode_direct, load_cifar10_bin,
                              load_mnist_idx, save_mnist_idx)
 from spikefirst.errors import ConsistencyError, FormatError, ParameterError
 
@@ -44,7 +44,7 @@ def test_idx_parse_and_normalize(idx_pair):
     assert ds.images.dtype == np.float64
     assert np.array_equal(ds.images[:, 0] * 255.0, images.astype(np.float64))
     assert np.array_equal(ds.labels, labels)
-    assert len(ds) == 5 and ds[1].label == 3
+    assert len(ds) == 5 and ds.labels[1] == 3
 
 
 def test_idx_round_trip(idx_pair, tmp_path):
@@ -283,7 +283,7 @@ def test_encode_direct_single_and_batch():
     enc = encode_direct(x, 5)
     assert enc.shape == (5, 2, 1, 4, 4)
     assert np.array_equal(enc[0], x) and np.array_equal(enc[4], x)
-    single = encode_direct(LabeledImage(pixels=x[0], label=0), 3)
+    single = encode_direct(x[0], 3)
     assert single.shape == (3, 1, 4, 4)
 
 

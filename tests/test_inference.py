@@ -88,6 +88,13 @@ def test_batched_equals_unbatched():
     split = run_network(spec, params, images, batch_size=3)
     assert np.array_equal(full.predictions, split.predictions)
     assert np.array_equal(full.latencies, split.latencies)
+    # the activity totals are summed per sample, so no batching moves them
+    for batch_size in (512, 100, 7):
+        res = run_network(spec, params, images, batch_size=batch_size)
+        assert np.array_equal(res.predictions, full.predictions)
+        assert np.array_equal(res.steps, full.steps)
+        assert res.synaptic_input_sums == full.synaptic_input_sums
+        assert res.layer_spike_sums == full.layer_spike_sums
 
 
 def test_spike_and_input_accounting():
@@ -95,10 +102,14 @@ def test_spike_and_input_accounting():
     images = np.array([[0.6, 0.2]])
     res = run_network(spec, identity_params(2), images)
     # two steps simulated (fires at t=2): the input feeds the layer twice
-    assert res.synaptic_input_sums[0][0] == pytest.approx(0.8 * 2)
-    assert res.synaptic_input_sizes[0] == 2
-    assert res.layer_spike_sums[0][0] == 1.0       # the single output spike
-    assert res.layer_sizes[0] == 2
+    assert res.synaptic_input_sums == [pytest.approx(0.8 * 2)]
+    assert res.synaptic_input_sizes == [2]
+    assert res.layer_spike_sums == [1.0]           # the single output spike
+    assert res.layer_sizes == [2]
+    # a second sample adds its own steps' worth: it times out after 3 steps
+    res = run_network(spec, identity_params(2), np.array([[0.6, 0.2], [0.1, 0.2]]))
+    assert res.synaptic_input_sums == [pytest.approx(0.8 * 2 + 0.3 * 3)]
+    assert res.layer_spike_sums == [1.0]
 
 
 def test_stochastic_inference_reproducible():
@@ -173,6 +184,34 @@ def fts_from_full_horizon(spikes, v):
     return preds, np.minimum(first, horizon)
 
 
+def summed_over_steps(record, steps):
+    """Total of a (T, N, ...) record over each sample's first ``steps[i]`` steps."""
+    horizon, n = record.shape[:2]
+    per_step = record.reshape(horizon, n, -1).sum(axis=2, dtype=np.float64)
+    return (per_step * (np.arange(1, horizon + 1)[:, None] <= steps)).sum()
+
+
+def assert_totals_match_tape(res, spec, tape, steps):
+    """``res``'s activity totals equal the same sums read off a full-horizon
+    tape: exactly for spike-fed layers, within rounding for layer 0."""
+    weighted = [i for i, l in enumerate(spec.layers) if l.kind in ("linear", "conv")]
+    neuron_layers = [i for i, l in enumerate(spec.layers) if l.neuron != "none"]
+    for k, i in enumerate(neuron_layers):
+        spikes = tape.traces[i].spikes
+        assert res.layer_spike_sums[k] == summed_over_steps(spikes, steps), i
+        assert res.layer_sizes[k] == np.prod(spikes.shape[2:])
+    for k, i in enumerate(weighted):
+        inputs = tape.traces[i].inputs
+        if tape.traces[i].time_constant:
+            inputs = np.broadcast_to(inputs, (tape.horizon,) + inputs.shape)
+        want = summed_over_steps(inputs, steps)
+        if i == 0:
+            assert res.synaptic_input_sums[k] == pytest.approx(want, rel=1e-12, abs=0)
+        else:           # spikes, or average-pooled spikes: exact in any order
+            assert res.synaptic_input_sums[k] == want, i
+        assert res.synaptic_input_sizes[k] == np.prod(inputs.shape[2:])
+
+
 @pytest.mark.parametrize("arch,overrides,gain", [
     ("mlp2", {"hidden": 32, "horizon": 12}, 2.0),
     ("lenet5", {"horizon": 6}, 3.0),
@@ -192,13 +231,14 @@ def test_early_exit_matches_full_horizon_forward(arch, overrides, gain):
     assert np.array_equal(res.latencies, lat)
     assert np.array_equal(res.steps, lat)
     assert (lat < horizon).any() and (lat == horizon).any()   # exits and timeouts
+    assert_totals_match_tape(res, spec, tape, lat)
 
     # with input noise, sample i's noise at step t is its own keyed row, drawn
     # whichever samples are still active: a full-horizon forward on the same
     # rows for every sample and step gives the early-exit results
     std, noise_seed = 0.3, 21
     noisy = np.stack([images + rng_gaussian(RngStream(noise_seed, counter=t), images.shape,
-                                            0.0, std, rows=np.arange(len(images)))
+                                            std, rows=np.arange(len(images)))
                       for t in range(1, horizon + 1)])
     noisy_res = run_network(spec, params, images, batch_size=5, input_noise_std=std,
                             noise_seed=noise_seed)
@@ -207,15 +247,18 @@ def test_early_exit_matches_full_horizon_forward(arch, overrides, gain):
     assert np.array_equal(noisy_res.predictions, preds_n)
     assert np.array_equal(noisy_res.latencies, lat_n)
     assert np.array_equal(noisy_res.steps, lat_n)
+    assert_totals_match_tape(noisy_res, spec, tape_n, lat_n)
     assert not np.array_equal(lat_n, lat)                     # the noise matters
     assert len(np.unique(lat_n)) > 1        # later steps draw for a subset
 
     # rate mode runs the full horizon and predicts the most active output
     rate_spec = sf.build(arch, "D-R-BPTT", overrides)
     rate_res = run_network(rate_spec, params, images, mode="rate", batch_size=5)
-    rate_records, _ = sf.forward(rate_spec, params, sf.encode_direct(images, rate_spec.horizon))
+    rate_records, rate_tape = sf.forward(rate_spec, params,
+                                         sf.encode_direct(images, rate_spec.horizon))
     assert np.array_equal(rate_res.predictions, rate_records[-1].sum(axis=0).argmax(axis=1))
     assert np.array_equal(rate_res.steps, np.full(len(images), rate_spec.horizon))
+    assert_totals_match_tape(rate_res, rate_spec, rate_tape, rate_res.steps)
 
     # a materialised copy of the same input takes the per-step layer-0 path
     dense = np.ascontiguousarray(encoded)

@@ -11,7 +11,8 @@ from spikefirst.metrics import (energy_cost, evaluate, layer_ops,
                                 write_metrics_csv, write_noise_csv,
                                 write_rates_csv)
 from spikefirst.network import LayerSpec, build, init_params
-from spikefirst.rng import RngStream
+from spikefirst import inference, metrics
+from spikefirst.rng import RngStream, rng_gaussian
 
 
 def test_energy_cost_toy_example_exact():
@@ -46,7 +47,7 @@ def test_layer_ops_formulas():
 
 def test_network_op_counts_mlp():
     spec = build("mlp2", "D-F-BPTT")
-    ops = network_op_counts(spec)
+    ops = network_op_counts(spec, (28, 28))
     assert ops == [784 * 800, 800 * 10]
     # the hidden layer dominates the ANN compute on this architecture
     w = np.array(ops) / sum(ops)
@@ -124,6 +125,50 @@ def test_noise_sweep_rejects_non_finite_variance(variance):
     # nan used to return an accuracy row; inf ran the network on NaN drives
     with pytest.raises(ParameterError, match="variance"):
         noise_sweep(random_checkpoint(), random_dataset(), [0.0, variance])
+
+
+def record_noise(monkeypatch) -> list:
+    """Record (std, values) of every input-noise draw of ``run_network``."""
+    draws = []
+
+    def draw(stream, shape, *args, **kwargs):
+        out = rng_gaussian(stream, shape, *args, **kwargs)
+        draws.append((args[-1], out))       # the std is passed last
+        return out
+
+    monkeypatch.setattr(inference, "rng_gaussian", draw)
+    return draws
+
+
+def test_noise_sweep_row_does_not_depend_on_other_variances(monkeypatch):
+    runs = []
+
+    def run_network(*args, **kwargs):
+        runs.append(inference.run_network(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(metrics, "run_network", run_network)
+    ckpt, ds = random_checkpoint(), random_dataset(300)
+    both = noise_sweep(ckpt, ds, [0.1, 0.5], seed=1)
+    alone = noise_sweep(ckpt, ds, [0.5], seed=1)
+    assert both[1] == alone[0]
+    assert np.array_equal(runs[1].predictions, runs[2].predictions)
+    assert np.array_equal(runs[1].latencies, runs[2].latencies)
+
+
+def test_noise_sweep_scales_one_noise_set_per_seed(monkeypatch):
+    # sweeps at neighbouring seeds draw independent noise: variance index 1
+    # at seed 1 does not draw the noise of variance index 0 at seed 2
+    ckpt, ds = random_checkpoint(), random_dataset(300)
+    draws = record_noise(monkeypatch)
+    noise_sweep(ckpt, ds, [0.1, 0.5], seed=1)
+    first = {std: out for std, out in draws[::-1]}      # each std's step-1 draw
+    draws.clear()
+    noise_sweep(ckpt, ds, [0.5], seed=2)
+    assert not np.array_equal(first[np.sqrt(0.5)], draws[0][1])
+    # within a sweep every variance scales the same standard normals
+    assert np.allclose(first[np.sqrt(0.1)] / np.sqrt(0.1),
+                       first[np.sqrt(0.5)] / np.sqrt(0.5), rtol=1e-14, atol=0)
 
 
 def test_noise_sweep_rate_model_uses_rate_mode():

@@ -26,9 +26,9 @@ def test_counter_advances_and_changes_output():
 def test_replay_from_saved_state():
     s = RngStream(1, 2)
     rng_uniform(s, (5,))
-    saved = s.state()
+    saved = (s.seed, s.stream_id, s.counter)
     a = rng_uniform(s, (5,))
-    b = rng_uniform(RngStream.from_state(saved), (5,))
+    b = rng_uniform(RngStream(*saved), (5,))
     assert np.array_equal(a, b)
 
 
@@ -67,21 +67,21 @@ def test_uniform_range_and_rough_mean():
 
 
 def test_gaussian_moments():
-    x = rng_gaussian(RngStream(0, 1), (200000,), mean=2.0, std=3.0)
-    assert abs(x.mean() - 2.0) < 0.05
+    x = rng_gaussian(RngStream(0, 1), (200, 1000), std=3.0, rows=np.arange(200))
+    assert abs(x.mean()) < 0.05
     assert abs(x.std() - 3.0) < 0.05
 
 
 def test_gaussian_zero_std_is_constant_but_advances():
     s = RngStream(0, 2)
-    x = rng_gaussian(s, (10,), mean=1.5, std=0.0)
-    assert np.array_equal(x, np.full(10, 1.5))
+    x = rng_gaussian(s, (2, 5), std=0.0, rows=[0, 1])
+    assert np.array_equal(x, np.zeros((2, 5)))
     assert s.counter == 1
 
 
 def test_gaussian_negative_std_rejected():
     with pytest.raises(ParameterError):
-        rng_gaussian(RngStream(0, 0), (3,), std=-1.0)
+        rng_gaussian(RngStream(0, 0), (3,), std=-1.0, rows=[0, 1, 2])
 
 
 def _philox_at(state) -> np.random.Generator:
@@ -95,19 +95,21 @@ def _philox_at(state) -> np.random.Generator:
 def test_reused_stream_equals_fresh_streams():
     # a stream rewinds one generator before every draw: interleaved draws of
     # varied shapes and kinds equal draws from a fresh stream at each state,
-    # and the reference Philox construction
+    # and the reference Philox constructions
     s = RngStream(2**64 - 3, 2**63 + 5, counter=2**64 - 2)
     shapes = [(), (1,), (7,), (3, 5), (100003,), (2, 1, 4)]
     for i in range(24):
         shape = shapes[i % len(shapes)]
-        saved = s.state()
+        saved = (s.seed, s.stream_id, s.counter)
         if i % 3 == 2:
-            a = rng_gaussian(s, shape, mean=0.5, std=2.0)
-            b = rng_gaussian(RngStream.from_state(saved), shape, mean=0.5, std=2.0)
-            ref = _philox_at(saved).normal(0.5, 2.0, size=shape)
+            rows = list(range(i, i + shape[0]))
+            a = rng_gaussian(s, shape, std=2.0, rows=rows)
+            b = rng_gaussian(RngStream(*saved), shape, std=2.0, rows=rows)
+            ref = np.stack([np.random.Generator(_row_block(*saved, row))
+                            .standard_normal(shape[1:]) * 2.0 for row in rows])
         else:
             a = rng_uniform(s, shape)
-            b = rng_uniform(RngStream.from_state(saved), shape)
+            b = rng_uniform(RngStream(*saved), shape)
             ref = _philox_at(saved).random(size=shape)
         assert a.shape == shape, i
         assert np.array_equal(a, b) and np.array_equal(a, ref), i
@@ -140,10 +142,10 @@ def test_keyed_rows_equal_rows_drawn_one_at_a_time(rows, counter, rnd):
     # any subset, in any order: a row depends only on its own id
     rnd.shuffle(rows)
     s = RngStream(11, 4, counter=counter)
-    x = rng_gaussian(s, (len(rows), 7), mean=0.5, std=0.3, rows=np.array(rows))
+    x = rng_gaussian(s, (len(rows), 7), std=0.3, rows=np.array(rows))
     for i, row in enumerate(rows):
-        one = rng_gaussian(RngStream(11, 4, counter=counter), (1, 7), mean=0.5,
-                           std=0.3, rows=[row])
+        one = rng_gaussian(RngStream(11, 4, counter=counter), (1, 7), std=0.3,
+                           rows=[row])
         assert np.array_equal(x[i], one[0]), row
 
 
@@ -175,12 +177,11 @@ def test_keyed_rows_need_one_id_per_row():
         rng_gaussian(RngStream(0), (), rows=[0])
 
 
-@pytest.mark.parametrize("stream_tag", [0, 3])
-def test_inference_noise_never_meets_bernoulli_streams(monkeypatch, stream_tag):
-    # Keyed rows set counter word 3 to 1; whole-call draws leave it 0.  So
-    # with noise_seed == seed, where stream_tag 0 even gives the first
-    # Bernoulli stream the noise stream's key, no noise block is a Bernoulli
-    # block: the raw Philox words they consume share nothing.
+def test_inference_noise_never_meets_bernoulli_streams(monkeypatch):
+    # Keyed rows set counter word 3 to 1; uniform draws leave it 0.  So with
+    # noise_seed == seed, which gives the first Bernoulli stream the noise
+    # stream's key, no noise block is a Bernoulli block: the raw Philox
+    # words they consume share nothing.
     from spikefirst import inference, neurons
     from spikefirst.network import LayerSpec, NetworkSpec
 
@@ -188,7 +189,8 @@ def test_inference_noise_never_meets_bernoulli_streams(monkeypatch, stream_tag):
 
     def recording(kind, fn):
         def draw(stream, shape, *args, **kwargs):
-            calls.append((kind, stream.state(), kwargs.get("rows")))
+            calls.append((kind, (stream.seed, stream.stream_id, stream.counter),
+                          kwargs.get("rows")))
             out = fn(stream, shape, *args, **kwargs)
             calls[-1] += (out,)
             return out
@@ -209,12 +211,11 @@ def test_inference_noise_never_meets_bernoulli_streams(monkeypatch, stream_tag):
     seed, std = 5, 0.2
     # rate mode keeps every sample for the whole horizon
     inference.run_network(spec, params, rng.uniform(size=(40, 20)), mode="rate",
-                          seed=seed, batch_size=16, stream_tag=stream_tag,
-                          input_noise_std=std, noise_seed=seed)
+                          seed=seed, batch_size=16, input_noise_std=std, noise_seed=seed)
 
     keys = {kind: {state[:2] for k, state, _, _ in calls if k == kind}
             for kind in ("uniform", "gaussian")}
-    assert bool(keys["uniform"] & keys["gaussian"]) == (stream_tag == 0)
+    assert keys["uniform"] & keys["gaussian"]
     bernoulli, noise = set(), set()
     for kind, (s_seed, stream_id, counter), rows, out in calls:
         assert s_seed == seed
