@@ -16,6 +16,7 @@ import math
 import os
 import sys
 import time
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,7 @@ import numpy as np
 from . import __version__
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import Dataset, load_cifar10_bin, load_mnist_idx
-from .errors import CheckpointError, FormatError, ParameterError, SpikeFirstError
+from .errors import CheckpointError, ParameterError, SpikeFirstError
 from .metrics import (evaluate, noise_sweep, write_metrics_csv, write_noise_csv,
                       write_rates_csv)
 from .network import serialize_spec
@@ -37,8 +38,13 @@ EXIT_CHECKPOINT = 4
 
 DATA_ENV = "SPIKEFIRST_DATA"
 
-_CONFIG_KEYS = {f.name for f in dataclasses.fields(TrainConfig)} | {
-    "preset", "dataset", "data", "out", "subset"}
+# TrainConfig's fields are the training settings: their annotated types cast
+# config-file values and type the flags
+_CASTS = typing.get_type_hints(TrainConfig)
+_TRAIN_FLAGS = ("model_kind", "arch", "epochs", "batch_size", "lr", "weight_decay",
+                "scheduler_step", "scheduler_gamma", "lambda_leak", "horizon", "seed",
+                "hidden")
+_CONFIG_KEYS = set(_CASTS) | {"preset", "dataset", "data", "out", "subset"}
 
 
 class CliError(Exception):
@@ -65,13 +71,6 @@ def _read_config_file(path) -> dict:
     return values
 
 
-def _data_root(args) -> Path:
-    root = getattr(args, "data", None) or os.environ.get(DATA_ENV)
-    if not root:
-        raise CliError(f"no dataset root: pass --data or set {DATA_ENV}", EXIT_DATA)
-    return Path(root)
-
-
 def _load_mnist(root: Path, split: str) -> Dataset:
     base = root / "mnist" if (root / "mnist").is_dir() else root
     prefix = "train" if split == "train" else "t10k"
@@ -81,7 +80,7 @@ def _load_mnist(root: Path, split: str) -> Dataset:
         return load_mnist_idx(images, labels, split=split)
     except OSError as exc:
         raise CliError(f"MNIST files not found under {base}: {exc}", EXIT_DATA)
-    except (FormatError, SpikeFirstError) as exc:
+    except SpikeFirstError as exc:
         raise CliError(f"bad MNIST data: {exc}", EXIT_DATA)
 
 
@@ -97,14 +96,18 @@ def _load_cifar(root: Path, split: str, stats=None):
         return load_cifar10_bin(paths, split=split, stats=stats)
     except OSError as exc:
         raise CliError(f"CIFAR-10 files not found under {base}: {exc}", EXIT_DATA)
-    except (FormatError, SpikeFirstError) as exc:
+    except SpikeFirstError as exc:
         raise CliError(f"bad CIFAR-10 data: {exc}", EXIT_DATA)
 
 
-def _load_splits(args, name: str, *splits: str) -> list:
-    """The named splits of dataset ``name``, in order.  CIFAR-10's test split
-    is standardized with the training split's statistics, so it reads both."""
-    root = _data_root(args)
+def _load_splits(data, name: str, *splits: str) -> list:
+    """The named splits of dataset ``name`` under root ``data`` (default
+    ``$SPIKEFIRST_DATA``), in order.  CIFAR-10's test split is standardized
+    with the training split's statistics, so it reads both."""
+    data = data or os.environ.get(DATA_ENV)
+    if not data:
+        raise CliError(f"no dataset root: pass --data or set {DATA_ENV}", EXIT_DATA)
+    root = Path(data)
     if name == "mnist":
         return [_load_mnist(root, split) for split in splits]
     if name == "cifar10":
@@ -118,8 +121,8 @@ def _dataset_of(ckpt) -> str:
     return "cifar10" if ckpt.spec.arch == "vgg15" else "mnist"
 
 
-def _out_dir(args) -> Path:
-    out = Path(getattr(args, "out", None) or "runs")
+def _out_dir(out) -> Path:
+    out = Path(out or "runs")
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -136,68 +139,46 @@ def _write_manifest(out: Path, command: str, config: dict, seed, artifacts: dict
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
+def _cast(key: str, cast, raw):
+    try:
+        return cast(raw)
+    except ValueError as exc:
+        raise CliError(f"bad value for config key {key!r}: {exc}", EXIT_CONFIG)
+
+
 def _build_train_config(args) -> tuple[TrainConfig, dict]:
-    values: dict = {}
-    if args.config:
-        values.update(_read_config_file(args.config))
-    preset = args.preset or values.pop("preset", None)
+    """The run's TrainConfig and its ``dataset``, ``data``, ``out`` and
+    ``subset``, from the preset, the config file and the flags; flags win."""
+    values = _read_config_file(args.config) if args.config else {}
+    for key in (*_TRAIN_FLAGS, "preset", "data", "out", "subset"):
+        flag = getattr(args, key)
+        if flag is not None:
+            values[key] = flag
+    preset = values.pop("preset", None)
     if preset is not None and preset not in PRESETS:
         raise CliError(f"unknown preset {preset!r}; available: {sorted(PRESETS)}", EXIT_CONFIG)
-    config = PRESETS[preset] if preset else TrainConfig()
-
-    extras = {"dataset": values.pop("dataset", "mnist"),
-              "data": values.pop("data", None),
-              "out": values.pop("out", None),
-              "subset": values.pop("subset", None)}
-    updates = {}
-    for key, raw in values.items():
-        updates[key] = raw
-    for key in ("model_kind", "arch", "epochs", "batch_size", "lr", "weight_decay",
-                "scheduler_step", "scheduler_gamma", "lambda_leak", "horizon",
-                "seed", "hidden"):
-        flag = getattr(args, key, None)
-        if flag is not None:
-            updates[key] = flag
-    if updates:
-        casts = {"model_kind": str, "arch": str, "epochs": int, "batch_size": int,
-                 "lr": float, "weight_decay": float, "scheduler_step": int,
-                 "scheduler_gamma": float, "lambda_leak": float, "horizon": int,
-                 "seed": int, "hidden": int, "alpha": float, "eval_batch": int}
-        kwargs = dataclasses.asdict(config)
-        for key, raw in updates.items():
-            try:
-                kwargs[key] = casts[key](raw)
-            except (KeyError, ValueError) as exc:
-                raise CliError(f"bad value for config key {key!r}: {exc}", EXIT_CONFIG)
-        try:
-            config = TrainConfig(**kwargs)
-        except (ParameterError, ValueError) as exc:
-            raise CliError(str(exc), EXIT_CONFIG)
-    if args.data:
-        extras["data"] = args.data
-    if args.out:
-        extras["out"] = args.out
-    subset = args.subset if args.subset is not None else extras["subset"]
-    if subset is not None:
-        try:
-            subset = int(subset)
-        except ValueError as exc:
-            raise CliError(f"bad value for config key 'subset': {exc}", EXIT_CONFIG)
-        if subset < 1:
-            raise CliError(f"subset must be a positive integer, got {subset}", EXIT_CONFIG)
-    extras["subset"] = subset
-    return config, extras
+    extras = {"dataset": values.pop("dataset", "mnist"), "data": values.pop("data", None),
+              "out": values.pop("out", None), "subset": values.pop("subset", None)}
+    if extras["subset"] is not None:
+        extras["subset"] = _cast("subset", int, extras["subset"])
+        if extras["subset"] < 1:
+            raise CliError(f"subset must be a positive integer, got {extras['subset']}",
+                           EXIT_CONFIG)
+    kwargs = dataclasses.asdict(PRESETS[preset] if preset else TrainConfig())
+    kwargs.update((key, _cast(key, _CASTS[key], raw)) for key, raw in values.items())
+    try:
+        return TrainConfig(**kwargs), extras
+    except (ParameterError, ValueError) as exc:
+        raise CliError(str(exc), EXIT_CONFIG)
 
 
 def cmd_train(args) -> int:
     config, extras = _build_train_config(args)
-    args.data = extras.get("data") or args.data
-    args.out = extras.get("out") or args.out
-    train_ds, test_ds = _load_splits(args, extras["dataset"], "train", "test")
+    train_ds, test_ds = _load_splits(extras["data"], extras["dataset"], "train", "test")
     subset = extras["subset"]
     if subset is not None:
         train_ds = train_ds.subset(np.arange(min(subset, len(train_ds))))
-    out = _out_dir(args)
+    out = _out_dir(extras["out"])
     ckpt_path = out / "checkpoint.ckpt"
     log_path = out / "train_log.csv"
     _write_manifest(out, "train", dict(dataclasses.asdict(config), subset=subset,
@@ -235,9 +216,9 @@ def _load_ckpt(path):
 
 def cmd_eval(args) -> int:
     ckpt = _load_ckpt(args.checkpoint)
-    (test_ds,) = _load_splits(args, _dataset_of(ckpt), "test")
+    (test_ds,) = _load_splits(args.data, _dataset_of(ckpt), "test")
     mode = args.mode or ("rate" if ckpt.spec.coding == "rate" else "first-to-spike")
-    out = _out_dir(args)
+    out = _out_dir(args.out)
     metrics_path = out / "metrics.csv"
     rates_path = out / "layer_rates.csv"
     _write_manifest(out, "eval", {"checkpoint": str(args.checkpoint), "mode": mode,
@@ -258,7 +239,7 @@ def cmd_eval(args) -> int:
 
 def cmd_tune(args) -> int:
     ckpt = _load_ckpt(args.checkpoint)
-    (train_ds,) = _load_splits(args, _dataset_of(ckpt), "train")
+    (train_ds,) = _load_splits(args.data, _dataset_of(ckpt), "train")
     try:
         bounds = None
         if args.bounds:
@@ -271,7 +252,7 @@ def cmd_tune(args) -> int:
                           latency_weight=args.beta, seed=args.seed, bounds=bounds)
     except (ValueError, ParameterError) as exc:
         raise CliError(f"bad DE configuration: {exc}", EXIT_CONFIG)
-    out = _out_dir(args)
+    out = _out_dir(args.out)
     tuned_path = out / "tuned.ckpt"
     history_path = out / "de_history.csv"
     _write_manifest(out, "tune", {"checkpoint": str(args.checkpoint),
@@ -295,8 +276,8 @@ def cmd_noise(args) -> int:
             raise ValueError("variances must be finite and non-negative")
     except ValueError as exc:
         raise CliError(f"bad variance list: {exc}", EXIT_CONFIG)
-    (test_ds,) = _load_splits(args, _dataset_of(ckpt), "test")
-    out = _out_dir(args)
+    (test_ds,) = _load_splits(args.data, _dataset_of(ckpt), "test")
+    out = _out_dir(args.out)
     noise_path = out / "noise_sweep.csv"
     _write_manifest(out, "noise", {"checkpoint": str(args.checkpoint),
                                    "variances": variances},
@@ -330,13 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", help=f"dataset root (default ${DATA_ENV})")
     p.add_argument("--out", help="output directory (default ./runs)")
     p.add_argument("--subset", type=int, help="train on the first N samples only")
-    for flag, typ in (("model-kind", str), ("arch", str), ("epochs", int),
-                      ("batch-size", int), ("lr", float), ("weight-decay", float),
-                      ("scheduler-step", int), ("scheduler-gamma", float),
-                      ("lambda-leak", float), ("horizon", int), ("seed", int),
-                      ("hidden", int)):
-        p.add_argument(f"--{flag}", type=typ, default=None,
-                       dest=flag.replace("-", "_"))
+    for key in _TRAIN_FLAGS:
+        p.add_argument("--" + key.replace("_", "-"), type=_CASTS[key], dest=key)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint")

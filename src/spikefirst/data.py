@@ -78,18 +78,6 @@ def load_mnist_idx(images_path, labels_path, split: str = "train") -> Dataset:
                    labels=labels.astype(np.int64), split=split, name="mnist")
 
 
-def save_mnist_idx(dataset: Dataset, images_path, labels_path) -> None:
-    """Re-serialize a parsed MNIST dataset to IDX bytes (exact round trip)."""
-    n, _, rows, cols = dataset.images.shape
-    pixels = np.rint(dataset.images * 255.0).astype(np.uint8)
-    with open(images_path, "wb") as f:
-        f.write(struct.pack(">4i", IDX_IMAGES_MAGIC, n, rows, cols))
-        f.write(pixels.tobytes())
-    with open(labels_path, "wb") as f:
-        f.write(struct.pack(">2i", IDX_LABELS_MAGIC, n))
-        f.write(dataset.labels.astype(np.uint8).tobytes())
-
-
 def _cifar_stats(stats):
     """Validate caller-given per-channel ``(mean, std)`` statistics."""
     try:

@@ -17,6 +17,7 @@ adjusts per layer.
 from __future__ import annotations
 
 import ast
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -133,9 +134,8 @@ def _vgg15_layers() -> list:
 def build(arch_name: str, model_kind: str, overrides: dict | None = None) -> NetworkSpec:
     """Resolve an architecture + model kind into a concrete NetworkSpec.
 
-    ``overrides`` may set ``hidden``, ``horizon``, ``leak``, ``alpha`` and the
-    per-layer lists ``v_th`` / ``k`` (tuner output, one value per neuron
-    layer, applied in order).
+    ``overrides`` may set ``hidden``, ``horizon``, ``leak`` and ``alpha``;
+    ``tuner.apply_candidate`` sets per-layer thresholds and scales.
     """
     overrides = dict(overrides or {})
     kind = normalize_model_kind(model_kind)
@@ -156,17 +156,6 @@ def build(arch_name: str, model_kind: str, overrides: dict | None = None) -> Net
     for i, l in enumerate(layers):
         if l.neuron != "none":
             layers[i] = replace(l, neuron="stoch" if stochastic else "det", leak=leak)
-
-    neuron_layers = [i for i, l in enumerate(layers) if l.neuron != "none"]
-    for key in ("v_th", "k"):
-        values = overrides.pop(key, None)
-        if values is not None:
-            values = list(np.atleast_1d(values).astype(float))
-            if len(values) != len(neuron_layers):
-                raise ValueError(f"{key} override needs {len(neuron_layers)} values, "
-                                 f"got {len(values)}")
-            for idx, val in zip(neuron_layers, values):
-                layers[idx] = replace(layers[idx], **{key: val})
 
     coding = "rate" if kind == "D-R-BPTT" else "first-to-spike"
     horizon = int(overrides.pop("horizon", 15 if coding == "rate" else 20))
@@ -346,26 +335,32 @@ def parse_spec(text: str) -> NetworkSpec:
 
     Values are read as Python literals only, so checkpoint text cannot run
     code.  Malformed text raises ValueError, SyntaxError, TypeError or
-    KeyError.
+    KeyError; text the parser would only warn about (``1if 1 else 0``, or an
+    invalid escape, a DeprecationWarning before Python 3.12) raises
+    SyntaxError too.
     """
     header = {}
     layers = []
-    for line in text.strip().splitlines():
-        if line.startswith("layer") and ":" in line:
-            _, _, body = line.partition(":")
-            kwargs = {}
-            for item in body.strip().split(","):
-                name, _, val = item.partition("=")
-                kwargs[name] = ast.literal_eval(val)
-            layers.append(LayerSpec(**kwargs))
-        else:
-            name, _, val = line.partition("=")
-            header[name] = val
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", SyntaxWarning)
+        warnings.simplefilter("error", DeprecationWarning)
+        for line in text.strip().splitlines():
+            if line.startswith("layer") and ":" in line:
+                _, _, body = line.partition(":")
+                kwargs = {}
+                for item in body.strip().split(","):
+                    name, _, val = item.partition("=")
+                    kwargs[name] = ast.literal_eval(val)
+                layers.append(LayerSpec(**kwargs))
+            else:
+                name, _, val = line.partition("=")
+                header[name] = val
+        alpha = float(ast.literal_eval(header["alpha"]))
     return NetworkSpec(
         layers=layers,
         coding=header["coding"],
         horizon=int(header["horizon"]),
         model_kind=header["model_kind"],
         arch=header["arch"],
-        alpha=float(ast.literal_eval(header["alpha"])),
+        alpha=alpha,
     )

@@ -91,7 +91,7 @@ def stoch_lif_step(state: LayerState, layer, drive: np.ndarray, stream: RngStrea
     return LayerState(v=v, fired_prev=spikes), spikes, probs
 
 
-def first_spike_times(spikes, horizon: int | None = None) -> np.ndarray:
+def first_spike_times(spikes) -> np.ndarray:
     """Earliest firing time per neuron, 1-indexed along the first (time) axis.
 
     Neurons that never fire within the horizon get the sentinel time T + 1,
@@ -100,8 +100,6 @@ def first_spike_times(spikes, horizon: int | None = None) -> np.ndarray:
     """
     spikes = np.asarray(spikes)
     t = spikes.shape[0]
-    if horizon is not None and horizon != t:
-        raise ShapeError(f"record has {t} rows, expected horizon {horizon}")
     fired = spikes > 0
     any_fired = fired.any(axis=0)
     first = fired.argmax(axis=0) + 1

@@ -4,9 +4,8 @@ All values are 64-bit floats.  Operations are pure and use fixed accumulation
 orders, so repeated runs on the same machine are bit-identical.
 
 Convolution uses the cross-correlation convention (no kernel flip) with zero
-padding.  ``conv2d``/``pool2d`` accept either a single sample ``(C, H, W)`` or
-a batch ``(N, C, H, W)`` in any memory layout; gradients mirror the forward
-layout and results are C-contiguous.
+padding.  ``conv2d``/``pool2d`` take a batch ``(N, C, H, W)`` in any memory
+layout; results are C-contiguous.
 
 Layout.  ``_im2col`` unrolls a batch into a ``(C·KH·KW, N·OH·OW)`` matrix: one
 row per kernel tap (channel, then tap row, then tap column) and one column per
@@ -77,19 +76,17 @@ def _col2im(cols: np.ndarray, x_shape, kh: int, kw: int, stride: int, pad: int) 
     return np.ascontiguousarray(xp[:, :, pad : pad + h, pad : pad + w].transpose(1, 0, 2, 3))
 
 
-def _batched(x: np.ndarray, rank: int):
-    """Promote a single sample to a batch of one; report whether we did."""
+def _batch(x: np.ndarray) -> np.ndarray:
+    """``x`` as a float64 (N, C, H, W) batch."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim == rank - 1:
-        return x[None], True
-    if x.ndim != rank:
-        raise ShapeError(f"expected rank {rank - 1} or {rank}, got shape {x.shape}")
-    return x, False
+    if x.ndim != 4:
+        raise ShapeError(f"expected an (N, C, H, W) batch, got shape {x.shape}")
+    return x
 
 
 def conv2d(inp: np.ndarray, kernel: np.ndarray, stride: int = 1, pad: int = 0) -> np.ndarray:
     """Cross-correlation of (N, C_I, H, W) with kernel (C_O, C_I, K_H, K_W)."""
-    x, squeeze = _batched(inp, 4)
+    x = _batch(inp)
     k = np.asarray(kernel, dtype=np.float64)
     if k.ndim != 4:
         raise ShapeError(f"kernel must be 4-D, got {k.shape}")
@@ -100,8 +97,7 @@ def conv2d(inp: np.ndarray, kernel: np.ndarray, stride: int = 1, pad: int = 0) -
     cols, oh, ow = _im2col(x, kh, kw, stride, pad)
     # (C_O, K) @ (N, K, OH*OW): one GEMM per sample, read in place from cols
     out = k.reshape(co, -1) @ cols.reshape(-1, n, oh * ow).transpose(1, 0, 2)
-    out = out.reshape(n, co, oh, ow)
-    return out[0] if squeeze else out
+    return out.reshape(n, co, oh, ow)
 
 
 def conv2d_backward(grad_out: np.ndarray, inp: np.ndarray, kernel: np.ndarray,
@@ -111,10 +107,8 @@ def conv2d_backward(grad_out: np.ndarray, inp: np.ndarray, kernel: np.ndarray,
     Returns ``(grad_input, grad_kernel)`` with the same shapes as ``inp`` and
     ``kernel``; ``grad_input`` is None when ``need_input`` is false.
     """
-    x, squeeze = _batched(inp, 4)
-    g, gsq = _batched(grad_out, 4)
-    if squeeze != gsq:
-        raise ShapeError("grad_out and input batching disagree")
+    x = _batch(inp)
+    g = _batch(grad_out)
     k = np.asarray(kernel, dtype=np.float64)
     co, ci, kh, kw = k.shape
     cols, oh, ow = _im2col(x, kh, kw, stride, pad)
@@ -126,8 +120,6 @@ def conv2d_backward(grad_out: np.ndarray, inp: np.ndarray, kernel: np.ndarray,
     if not need_input:
         return None, grad_kernel
     grad_input = _col2im(k.reshape(co, -1).T @ gmat, x.shape, kh, kw, stride, pad)
-    if squeeze:
-        grad_input = grad_input[0]
     return grad_input, grad_kernel
 
 
@@ -135,7 +127,7 @@ def pool2d(inp: np.ndarray, window: int, mode: str = "average") -> np.ndarray:
     """Non-overlapping 2-D pooling over square windows."""
     if mode not in ("average", "max"):
         raise ValueError(f"unknown pool mode {mode!r}")
-    x, squeeze = _batched(inp, 4)
+    x = _batch(inp)
     n, c, h, w = x.shape
     if h % window or w % window:
         raise ShapeError(f"spatial dims {h}x{w} not divisible by window {window}")
@@ -147,7 +139,7 @@ def pool2d(inp: np.ndarray, window: int, mode: str = "average") -> np.ndarray:
         out /= window * window
     else:
         out = x.reshape(n, c, h // window, window, w // window, window).max(axis=(3, 5))
-    return out[0] if squeeze else out
+    return out
 
 
 def pool2d_backward(grad_out: np.ndarray, inp: np.ndarray, window: int,
@@ -157,8 +149,8 @@ def pool2d_backward(grad_out: np.ndarray, inp: np.ndarray, window: int,
     Max mode routes gradient to the window argmax (first occurrence on ties),
     matching the indices the forward pass would record.
     """
-    x, squeeze = _batched(inp, 4)
-    g, _ = _batched(grad_out, 4)
+    x = _batch(inp)
+    g = _batch(grad_out)
     n, c, h, w = x.shape
     if h % window or w % window:
         raise ShapeError(f"spatial dims {h}x{w} not divisible by window {window}")
@@ -175,4 +167,4 @@ def pool2d_backward(grad_out: np.ndarray, inp: np.ndarray, window: int,
         grad = (mask * g.reshape(n, c, h // window, 1, w // window, 1)).reshape(n, c, h, w)
     else:
         raise ValueError(f"unknown pool mode {mode!r}")
-    return grad[0] if squeeze else grad
+    return grad

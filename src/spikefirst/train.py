@@ -48,14 +48,11 @@ class TrainConfig:
     seed: int = 0
     hidden: int = 800
     alpha: float = 2.0
-    eval_batch: int = 1024
 
     def __post_init__(self):
         self.model_kind = normalize_model_kind(self.model_kind)
         if self.epochs < 0 or self.batch_size < 1 or self.horizon < 1:
             raise ParameterError("epochs/batch_size/horizon out of range")
-        if self.eval_batch < 1:
-            raise ParameterError(f"eval batch must be >= 1, got {self.eval_batch}")
         if self.scheduler_step < 1:
             raise ParameterError(f"scheduler step must be >= 1, got {self.scheduler_step}")
         if not 0.0 < self.scheduler_gamma <= 1.0:
@@ -161,8 +158,9 @@ def _batch_loss(spec, tape_records, tape, labels):
 
 def test_accuracy(spec, params, dataset: Dataset, config: TrainConfig) -> float:
     mode = "rate" if spec.coding == "rate" else "first-to-spike"
-    res = run_network(spec, params, dataset.images, mode=mode, seed=config.seed,
-                      batch_size=config.eval_batch)
+    # run_network's default batch, as metrics.evaluate uses: stochastic
+    # predictions depend on the batch, and the log must match `spikefirst eval`
+    res = run_network(spec, params, dataset.images, mode=mode, seed=config.seed)
     return float((res.predictions == dataset.labels).mean())
 
 

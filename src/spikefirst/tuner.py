@@ -23,8 +23,8 @@ from .errors import ParameterError
 from .inference import run_network
 from .rng import RngStream, rng_uniform
 
-DEFAULT_F = 0.5
-DEFAULT_CR = 0.7
+DEFAULT_F = 0.5                     # DE/rand/1/bin mutation factor
+DEFAULT_CR = 0.7                    # and crossover rate
 DEFAULT_GENERATIONS = 30
 VALIDATION_SIZE = 2000
 EVAL_SEED = 99                      # fixed seed of every candidate's evaluation
@@ -34,8 +34,6 @@ EVAL_SEED = 99                      # fixed seed of every candidate's evaluation
 class DeConfig:
     pop_size: int = 0               # 0: 15 * dims, capped at 60
     max_generations: int = DEFAULT_GENERATIONS
-    mutation_factor: float = DEFAULT_F
-    crossover_rate: float = DEFAULT_CR
     bounds: np.ndarray | None = None  # (dims, 2)
     latency_weight: float = 0.1
     seed: int = 0
@@ -43,10 +41,6 @@ class DeConfig:
     def __post_init__(self):
         if self.max_generations < 1:
             raise ParameterError(f"max generations must be >= 1, got {self.max_generations}")
-        if not 0.0 < self.mutation_factor < 2.0:
-            raise ParameterError(f"mutation factor must be in (0, 2), got {self.mutation_factor}")
-        if not 0.0 <= self.crossover_rate <= 1.0:
-            raise ParameterError(f"crossover rate must be in [0, 1], got {self.crossover_rate}")
         if self.latency_weight < 0:
             raise ParameterError(f"latency weight must be >= 0, got {self.latency_weight}")
 
@@ -90,8 +84,6 @@ def de_minimize(objective, bounds, config: DeConfig) -> DeResult:
 
     history = []
     vectors = []
-    f = config.mutation_factor
-    cr = config.crossover_rate
     for _ in range(config.max_generations):
         draws = rng_uniform(stream, (pop_size, dims + 4))
         trials = np.empty_like(pop)
@@ -104,8 +96,8 @@ def de_minimize(objective, bounds, config: DeConfig) -> DeResult:
             b = rem[int(picks[1] * len(rem)) % len(rem)]
             rem2 = [j for j in rem if j != b]
             c = rem2[int(picks[2] * len(rem2)) % len(rem2)]
-            mutant = pop[a] + f * (pop[b] - pop[c])
-            cross = draws[i, 4:] < cr
+            mutant = pop[a] + DEFAULT_F * (pop[b] - pop[c])
+            cross = draws[i, 4:] < DEFAULT_CR
             jrand = int(draws[i, 3] * dims) % dims
             cross[jrand] = True      # at least one gene from the mutant
             trial = np.where(cross, mutant, pop[i])

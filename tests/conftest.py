@@ -1,4 +1,5 @@
 import os
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -6,11 +7,23 @@ import pytest
 
 import spikefirst as sf
 from spikefirst.checkpoint import load_checkpoint, save_checkpoint
-from spikefirst.data import save_mnist_idx
+from spikefirst.data import IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC
 from spikefirst.train import PRESETS, train
 
 MNIST_DIR = Path(os.environ.get("SPIKEFIRST_DATA", "/root/data")) / "mnist"
 CACHE_DIR = Path(__file__).resolve().parent.parent / ".cache"
+
+
+def save_mnist_idx(dataset: sf.Dataset, images_path, labels_path) -> None:
+    """Re-serialize a parsed MNIST dataset to IDX bytes (exact round trip)."""
+    n, _, rows, cols = dataset.images.shape
+    pixels = np.rint(dataset.images * 255.0).astype(np.uint8)
+    with open(images_path, "wb") as f:
+        f.write(struct.pack(">4i", IDX_IMAGES_MAGIC, n, rows, cols))
+        f.write(pixels.tobytes())
+    with open(labels_path, "wb") as f:
+        f.write(struct.pack(">2i", IDX_LABELS_MAGIC, n))
+        f.write(dataset.labels.astype(np.uint8).tobytes())
 
 
 def mnist_available() -> bool:

@@ -1,6 +1,7 @@
 """Binary checkpoint container: round trips and corruption detection."""
 
 import struct
+import warnings
 import zlib
 
 import numpy as np
@@ -13,6 +14,7 @@ from spikefirst.checkpoint import (MAGIC, Checkpoint, load_checkpoint,
 from spikefirst.errors import CheckpointError
 from spikefirst.network import build, init_params, serialize_spec
 from spikefirst.rng import RngStream
+from spikefirst.tuner import apply_candidate
 
 
 @pytest.fixture
@@ -148,12 +150,14 @@ def rewrite_section(path, section, edit):
 
 
 def test_round_trip_of_overridden_spec(tmp_path):
-    # build() receives tuner-style numpy values; the spec must still load back
-    spec = build("mlp2", "D-F-BPTT", {"hidden": 4, "v_th": np.array([1.2, 0.9])})
+    # the tuner sets thresholds from numpy values; the spec must still load back
+    spec = build("mlp2", "D-F-BPTT", {"hidden": 4})
+    tuned = apply_candidate(Checkpoint(spec=spec, params=init_params(spec, RngStream(0, 1))),
+                            np.array([1.2, 0.9]))
     path = tmp_path / "o.ckpt"
-    save_checkpoint(Checkpoint(spec=spec, params=init_params(spec, RngStream(0, 1))), path)
+    save_checkpoint(tuned, path)
     back = load_checkpoint(path)
-    assert back.spec == spec
+    assert back.spec == tuned.spec
     assert [l.v_th for l in back.spec.layers] == [1.2, 0.9]
 
 
@@ -163,6 +167,20 @@ def test_rejects_out_of_range_neuron_parameter(ckpt, tmp_path):
     rewrite_section(path, "spec", lambda p: p.replace(b"k=1.0", b"k=0.0", 1))
     with pytest.raises(CheckpointError):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("value", [b"1if 1 else 0", b"'\\e'"])
+def test_spec_value_that_only_warns_is_rejected(ckpt, tmp_path, value):
+    # ast.literal_eval parses these after a parser warning; the warning itself
+    # takes the CheckpointError path and never reaches the caller
+    path = tmp_path / "w.ckpt"
+    save_checkpoint(ckpt, path)
+    rewrite_section(path, "spec", lambda p: p.replace(b"k=1.0", b"k=" + value, 1))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+    assert [str(w.message) for w in caught] == []
 
 
 def _set(payload, at, fmt, value):

@@ -3,6 +3,8 @@
 The commands read the small synthetic IDX dataset of ``conftest``, so they
 run without the real MNIST files."""
 
+import argparse
+import dataclasses
 import json
 import os
 import shutil
@@ -15,6 +17,7 @@ import pytest
 import spikefirst
 from spikefirst import cli
 from spikefirst.cli import EXIT_CHECKPOINT, EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
+from spikefirst.train import PRESETS
 
 
 def run(*argv):
@@ -94,15 +97,6 @@ def test_bad_config_value(tmp_path, synthetic_mnist):
                "--out", str(tmp_path)) == EXIT_CONFIG
 
 
-@pytest.mark.parametrize("value", ["0", "-3"])
-def test_bad_eval_batch_in_config_file(tmp_path, synthetic_mnist, value):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"eval_batch={value}\n")
-    assert run("train", "--config", str(cfg), "--epochs", "0", "--data", synthetic_mnist,
-               "--out", str(tmp_path)) == EXIT_CONFIG
-    assert not (tmp_path / "checkpoint.ckpt").exists()
-
-
 @pytest.mark.parametrize("value", ["0", "-2"])
 def test_nonpositive_scheduler_step_flag(tmp_path, synthetic_mnist, value):
     assert run("train", "--scheduler-step", value, "--epochs", "0",
@@ -130,13 +124,38 @@ def test_train_manifest_records_subset_and_dataset(tmp_path, synthetic_mnist):
 
 def test_config_file_overridden_by_flags(tmp_path, synthetic_mnist):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("model_kind=D-R-BPTT\nepochs=0\nhidden=8\nhorizon=3\n")
+    cfg.write_text("model_kind=D-R-BPTT\nepochs=3\nhidden=8\nhorizon=3\nsubset=5\n"
+                   f"data={tmp_path / 'nowhere'}\nout={tmp_path / 'file_out'}\n")
     out = tmp_path / "out"
-    code = run("train", "--config", str(cfg), "--subset", "64",
-               "--data", synthetic_mnist, "--out", str(out))
+    code = run("train", "--config", str(cfg), "--epochs", "0", "--hidden", "6",
+               "--subset", "64", "--data", synthetic_mnist, "--out", str(out))
     assert code == EXIT_OK
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["config"]["epochs"] == 0 and manifest["config"]["hidden"] == 8
+    config = json.loads((out / "manifest.json").read_text())["config"]
+    assert (config["epochs"], config["hidden"], config["subset"]) == (0, 6, 64)
+    assert config["horizon"] == 3 and config["model_kind"] == "D-R-BPTT"
+    assert not (tmp_path / "file_out").exists()
+
+
+def test_train_flag_set():
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    flags = {opt for a in sub.choices["train"]._actions for opt in a.option_strings}
+    assert flags == {"-h", "--help", "--preset", "--config", "--data", "--out", "--subset",
+                     "--model-kind", "--arch", "--epochs", "--batch-size", "--lr",
+                     "--weight-decay", "--scheduler-step", "--scheduler-gamma",
+                     "--lambda-leak", "--horizon", "--seed", "--hidden"}
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_preset_round_trips_through_config_file(tmp_path, preset):
+    want = PRESETS[preset]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(f"{k}={v}\n" for k, v in dataclasses.asdict(want).items()))
+    config, _ = cli._build_train_config(
+        cli.build_parser().parse_args(["train", "--config", str(cfg)]))
+    assert config == want
+    for f in dataclasses.fields(want):
+        assert type(getattr(config, f.name)) is type(getattr(want, f.name)), f.name
 
 
 def _subset_argv(tmp_path, how, value):

@@ -7,11 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spikefirst.data import (Dataset, encode_direct, load_cifar10_bin,
-                             load_mnist_idx, save_mnist_idx)
+from spikefirst.data import Dataset, encode_direct, load_cifar10_bin, load_mnist_idx
 from spikefirst.errors import ConsistencyError, FormatError, ParameterError
 
-from conftest import MNIST_DIR, needs_mnist
+from conftest import MNIST_DIR, needs_mnist, save_mnist_idx
 
 
 def write_idx_pair(tmp_path, images, labels, image_magic=0x803, label_magic=0x801,

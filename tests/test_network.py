@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 import spikefirst as sf
+from spikefirst.checkpoint import Checkpoint
 from spikefirst.errors import ShapeError
 from spikefirst.network import (build, init_params, normalize_model_kind,
                                 parse_spec, serialize_spec, weight_shape)
 from spikefirst.neurons import LayerState, det_lif_step
 from spikefirst.rng import RngStream
+from spikefirst.tuner import apply_candidate
 
 
 def test_normalize_model_kind():
@@ -60,16 +62,20 @@ def test_build_vgg15_stack():
 
 def test_build_overrides():
     spec = build("mlp2", "D-F-BPTT", {"hidden": 64, "horizon": 7, "leak": 0.5,
-                                      "alpha": 3.0, "v_th": [1.5, 0.8]})
+                                      "alpha": 3.0})
     assert spec.layers[0].out_features == 64
     assert spec.horizon == 7 and spec.alpha == 3.0
     assert [l.leak for l in spec.layers] == [0.5, 0.5]
-    assert [l.v_th for l in spec.layers] == [1.5, 0.8]
+    # per-layer thresholds come from the tuner, as numpy values
+    tuned = apply_candidate(Checkpoint(spec=spec, params={}), np.array([1.5, 0.8]))
+    assert [l.v_th for l in tuned.spec.layers] == [1.5, 0.8]
+    assert all(type(l.v_th) is float for l in tuned.spec.layers)
+    assert [l.leak for l in tuned.spec.layers] == [0.5, 0.5]
 
 
 def test_build_rejects_bad_overrides():
     with pytest.raises(ValueError):
-        build("mlp2", "D-F-BPTT", {"v_th": [1.0]})        # needs 2 values
+        build("mlp2", "D-F-BPTT", {"v_th": [1.0, 1.0]})   # the tuner sets thresholds
     with pytest.raises(ValueError):
         build("mlp2", "D-F-BPTT", {"nonsense": 1})
     with pytest.raises(ValueError):

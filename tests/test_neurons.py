@@ -193,11 +193,6 @@ def test_first_spike_times_batched():
     assert times[0, 2] == 2 and times[0, 0] == 3
 
 
-def test_first_spike_times_horizon_check():
-    with pytest.raises(ShapeError):
-        first_spike_times(np.zeros((4, 2)), horizon=5)
-
-
 @given(st.integers(1, 6), st.integers(1, 5), st.integers(0, 1000))
 @settings(max_examples=30, deadline=None)
 def test_first_spike_times_property(horizon, n, seed):

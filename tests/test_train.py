@@ -11,6 +11,7 @@ train_mod = importlib.import_module("spikefirst.train")
 from spikefirst.checkpoint import save_checkpoint
 from spikefirst.data import Dataset
 from spikefirst.errors import NumericalError, ParameterError
+from spikefirst.metrics import evaluate
 from spikefirst.train import (AdamState, PRESETS, TrainConfig, TrainingDiverged,
                               adam_step, lr_at, train, write_log_csv)
 
@@ -76,13 +77,6 @@ def test_config_validation():
         TrainConfig(model_kind="Q-BPTT")
 
 
-@pytest.mark.parametrize("eval_batch", [0, -3])
-def test_config_rejects_nonpositive_eval_batch(eval_batch):
-    # run_network would reject it only after a whole epoch of training
-    with pytest.raises(ParameterError, match="eval batch"):
-        TrainConfig(eval_batch=eval_batch)
-
-
 @pytest.mark.parametrize("step", [0, -2])
 def test_config_rejects_nonpositive_scheduler_step(step):
     # 0 made lr_at divide by zero; -2 made the rate grow (0.4 at epoch 3)
@@ -141,6 +135,19 @@ def test_train_tracks_best_accuracy():
     test = synthetic_mnist_like(30, seed=1)
     ckpt, rows = train(tiny_config(epochs=4), ds, test)
     assert ckpt.best_accuracy == max(r["test_acc"] for r in rows)
+
+
+def test_logged_test_acc_equals_evaluate_for_stochastic_model():
+    # a stochastic model's predictions depend on the simulation batch, so the
+    # log matches `spikefirst eval` only if both use run_network's default
+    # batch; the test set is larger than that batch
+    ds = synthetic_mnist_like(40)
+    test = synthetic_mnist_like(700, seed=1)
+    seen = []
+    ckpt, rows = train(tiny_config(model_kind="S-F-BPTT", lambda_leak=0.7), ds, test,
+                       epoch_hook=lambda row, snap: seen.append(evaluate(snap, test).accuracy))
+    assert [r["test_acc"] for r in rows] == seen
+    assert ckpt.best_accuracy == evaluate(ckpt, test).accuracy
 
 
 @pytest.mark.parametrize("epochs", [1, 3])

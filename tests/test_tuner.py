@@ -78,10 +78,6 @@ def test_shifted_rastrigin_improves():
 
 def test_config_validation():
     with pytest.raises(ParameterError):
-        DeConfig(mutation_factor=0.0)
-    with pytest.raises(ParameterError):
-        DeConfig(crossover_rate=1.5)
-    with pytest.raises(ParameterError):
         DeConfig(latency_weight=-0.1)
     for generations in (0, -3):
         with pytest.raises(ParameterError, match="generations"):
