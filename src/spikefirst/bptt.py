@@ -16,8 +16,8 @@ there), and the firing probabilities ``probs`` of hidden stochastic layers.
 Spike trains are taped as ``uint8``; 0 and 1 are exact, so casting them back
 to float64 for the GEMMs leaves every gradient bit-identical.  A layer fed by
 a neuron layer reads that layer's spike buffer as its input, so each spike
-train is recorded once.  A direct-encoded (time-broadcast) input is recorded
-once, and ``forward`` computes layer 0's drive from it once.
+train is recorded once.  The network input is direct-encoded, the same at
+every step, so layer 0's input is recorded once, as (N, ...).
 
 ``backward`` replays the tape in one time-major reverse sweep: for t = T-1
 down to 0 it walks the layers from the output down, and each layer turns step
@@ -28,8 +28,8 @@ contribution to its weight gradient (one GEMM, or one ``conv2d_backward``)
 and passes the input gradient down.  So every gradient that moves between
 layers is one step's (N, ...) array, and the gradient memory is O(N * width)
 whatever the horizon; only the tape and the (T, N, n_out) loss gradient grow
-with T.  The time-constant layer 0 adds its drive gradient into one (N, ...)
-sum, which one GEMM or one ``conv2d_backward`` turns into its weight gradient
+with T.  Layer 0 adds its drive gradient into one (N, ...) sum over time,
+which one GEMM or one ``conv2d_backward`` turns into its weight gradient
 after the sweep.  The gradient with respect to the network input is never
 computed, since nothing reads it.
 """
@@ -80,11 +80,9 @@ class LayerTrace:
     wname: str | None = None
     weight: np.ndarray | None = None
     # (T, N, ...) input to the synaptic op; after a neuron layer this is the
-    # same uint8 array as that layer's ``spikes``
+    # same uint8 array as that layer's ``spikes``.  Layer 0's input is the
+    # same at every step and is held once, as (N, ...).
     inputs: np.ndarray | None = None
-    # Set on layer 0 when its input is the same at every step: ``inputs`` then
-    # holds it once, as (N, ...).
-    time_constant: bool = False
     # (T, N, ...) membrane potentials: deterministic layers and the output layer
     v: np.ndarray | None = None
     spikes: np.ndarray | None = None    # (T, N, ...) uint8 0/1, neuron layers
@@ -102,7 +100,7 @@ class Tape:
 
 
 def _synaptic_step(trace: LayerTrace, g_drive: np.ndarray, x: np.ndarray,
-                   need_input: bool):
+                   need_input: bool = True):
     """Backprop one step's drive gradient through a linear or conv op.
 
     ``g_drive`` is (N, ...) and ``x`` the op's input at that step.  Returns
@@ -167,15 +165,12 @@ def backward(tape: Tape, loss) -> dict:
         raise StateError(f"loss kind {loss.kind!r} does not apply to a deterministic "
                          "output layer")
 
-    # The sweep stops at the first synaptic layer: nothing reads the gradient
-    # with respect to its input.
-    first = next(i for i, tr in enumerate(traces) if tr.wname is not None)
     grads: dict[str, np.ndarray] = {}
     carry: dict[int, np.ndarray] = {}   # per neuron layer: dL/dV_t from step t+1
-    folded = None                       # time-constant layer 0: sum_t of its g_drive
+    folded = None                       # layer 0: sum_t of its g_drive
     for t in range(horizon - 1, -1, -1):
         g = g_top[t]
-        for i in range(last, first - 1, -1):
+        for i in range(last, -1, -1):
             trace = traces[i]
             layer = trace.layer
             if layer.kind == "pool":
@@ -205,7 +200,7 @@ def backward(tape: Tape, loss) -> dict:
                 raise StateError(f"weighted layer without neuron model: {layer}")
 
             # g is step t's drive gradient, a buffer this sweep allocated
-            if trace.time_constant:
+            if i == 0:
                 # the input is the same at every step:
                 # sum_t g_t^T x = (sum_t g_t)^T x, computed after the sweep
                 if folded is None:
@@ -213,14 +208,12 @@ def backward(tape: Tape, loss) -> dict:
                 else:
                     folded += g
                 continue
-            grad_w, g = _synaptic_step(trace, g, trace.inputs[t], need_input=i > first)
+            grad_w, g = _synaptic_step(trace, g, trace.inputs[t])
             if trace.wname in grads:
                 grads[trace.wname] += grad_w
             else:
                 grads[trace.wname] = grad_w
 
-    if folded is not None:
-        trace = traces[first]
-        grads[trace.wname], _ = _synaptic_step(trace, folded, trace.inputs,
+    grads[traces[0].wname], _ = _synaptic_step(traces[0], folded, traces[0].inputs,
                                                need_input=False)
     return grads

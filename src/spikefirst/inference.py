@@ -35,7 +35,7 @@ class InferenceResult:
     steps: np.ndarray               # (N,) int, timesteps simulated: the latency
     # Per weighted layer: input activation summed over samples and simulated
     # steps, and fan-in size.  The input to the first weighted layer is the
-    # encoded image itself.
+    # clean encoded image itself, input noise not counted.
     synaptic_input_sums: list = field(default_factory=list)
     synaptic_input_sizes: list = field(default_factory=list)
     # Per neuron layer: output spikes summed over samples and simulated steps,
@@ -51,13 +51,14 @@ def run_network(spec: NetworkSpec, params: dict, images: np.ndarray,
     """Simulate the network over a dataset; see module docstring for rules.
 
     ``images`` is (N, C, H, W) or (N, F); direct encoding applies the image
-    as constant drive every step.  ``input_noise_std`` > 0 adds fresh
-    elementwise Gaussian noise to the drive at every timestep, drawn only for
-    the samples still active.  Stochastic draws are keyed by (seed, batch,
-    layer) and the noise of sample i at step t by (noise_seed, i, t), where i
-    is the sample's index in ``images``: a sample's noise depends neither on
-    the batch size nor on which other samples exited, and results are
-    reproducible.
+    as constant drive every step, so layer 0's drive is computed once per
+    batch.  ``input_noise_std`` > 0 adds fresh elementwise Gaussian noise to
+    the image at every timestep, drawn only for the samples still active, and
+    layer 0's drive is then computed at every step.  Stochastic draws are
+    keyed by (seed, batch, layer) and the noise of sample i at step t by
+    (noise_seed, i, t), where i is the sample's index in ``images``: a
+    sample's noise depends neither on the batch size nor on which other
+    samples exited, and results are reproducible.
     """
     if mode not in ("first-to-spike", "rate"):
         raise ParameterError(f"unknown inference mode {mode!r}")
@@ -77,9 +78,6 @@ def run_network(spec: NetworkSpec, params: dict, images: np.ndarray,
     weighted = [i for i, l in enumerate(spec.layers) if l.kind in ("linear", "conv")]
     neuron_layers = [i for i, l in enumerate(spec.layers) if l.neuron != "none"]
     stochastic = any(spec.layers[i].neuron == "stoch" for i in neuron_layers)
-    # Without input noise layer 0 sees the same input at every step, so its
-    # drive is computed once per batch and its input total once per sample.
-    hoisted = input_noise_std == 0 and spec.layers[0].kind in ("linear", "conv")
 
     predictions = np.full(n_total, -1, dtype=np.int64)
     latencies = np.full(n_total, float(horizon))
@@ -87,7 +85,8 @@ def run_network(spec: NetworkSpec, params: dict, images: np.ndarray,
     syn_sizes = [0 for _ in weighted]
     spk_sums = [0.0 for _ in neuron_layers]
     layer_sizes = [0 for _ in neuron_layers]
-    row_sums0 = np.zeros(n_total) if hoisted else None
+    # layer 0's clean input is the same at every step: its total is summed per sample
+    row_sums0 = np.zeros(n_total)
     # step t draws every sample's noise at counter t, one keyed row per sample
     noise = RngStream(noise_seed) if input_noise_std > 0 else None
 
@@ -96,10 +95,10 @@ def run_network(spec: NetworkSpec, params: dict, images: np.ndarray,
         x0 = np.asarray(images[b_start:b_end], dtype=np.float64)
         nb = b_end - b_start
         active = np.arange(nb)
-        if hoisted:
+        row_sums0[b_start:b_end] = x0.reshape(nb, -1).sum(axis=1)
+        syn_sizes[0] = math.prod(x0.shape[1:])
+        if noise is None:
             full_drive0 = synaptic_drive(spec.layers[0], params["layer0.w"], x0)
-            row_sums0[b_start:b_end] = x0.reshape(nb, -1).sum(axis=1)
-            syn_sizes[0] = math.prod(x0.shape[1:])
         states = {}
         # the active samples' summed output: membrane potential in
         # first-to-spike mode (for timeouts), spike counts in rate mode
@@ -113,23 +112,23 @@ def run_network(spec: NetworkSpec, params: dict, images: np.ndarray,
                        for i in neuron_layers]
 
         for t in range(1, horizon + 1):
-            x = drive0 = None       # frees the last step's input before the next
-            if hoisted:
+            drive0 = None           # frees the last step's drive before the next
+            if noise is None:
                 # while every sample is active the full array needs no copy
                 drive0 = full_drive0 if active.size == nb else full_drive0[active]
             else:
-                x = x0[active]
-            if noise is not None:
                 noise.counter = t
-                x += rng_gaussian(noise, x.shape, input_noise_std, rows=b_start + active)
+                x = x0[active]
+                drive0 = synaptic_drive(spec.layers[0], params["layer0.w"], x + rng_gaussian(
+                    noise, x.shape, input_noise_std, rows=b_start + active))
             # every weighted layer is a neuron layer, so one position walks both
             pos = 0
             spike_sum = None        # of the layer just before, if a neuron layer
-            for inp, v, spikes, probs in step(spec, params, x, states, streams, drive0):
+            for inp, v, spikes, probs in step(spec, params, drive0, states, streams):
                 if v is None:           # pool layer
                     spike_sum = None
                     continue
-                if inp is not None:     # layer 0 driven by drive0 is summed per sample
+                if inp is not None:     # layer 0's total is summed per sample
                     # a layer fed straight by a neuron layer reads its spikes
                     syn_sums[pos] += inp.sum() if spike_sum is None else spike_sum
                     syn_sizes[pos] = math.prod(inp.shape[1:])
@@ -159,8 +158,7 @@ def run_network(spec: NetworkSpec, params: dict, images: np.ndarray,
         # first-to-spike timeouts, or every sample in rate mode
         predictions[b_start + active] = out_acc.argmax(axis=1)
 
-    if hoisted:
-        syn_sums[0] = (row_sums0 * latencies).sum()
+    syn_sums[0] = (row_sums0 * latencies).sum()
     return InferenceResult(predictions=predictions, latencies=latencies,
                            steps=latencies.astype(np.int64),
                            synaptic_input_sums=[float(s) for s in syn_sums],

@@ -4,7 +4,8 @@
 (D-F-BPTT / S-F-BPTT / D-R-BPTT) into a fully specified layer stack.  ``step``
 is the simulator core: it advances every layer by one timestep (pooling, the
 synaptic op, then the LIF update of ``neurons``) and returns each layer's
-input, membrane potential, spikes and firing probabilities.  ``forward``
+input, membrane potential, spikes and firing probabilities; the network
+input reaches it only as layer 0's drive, which the caller computes.  ``forward``
 calls it for t = 1..T and records the BPTT tape; ``inference.run_network``
 calls it with early exit.  First-to-spike coding applies only to the final
 output layer; hidden layers always communicate through their spike trains.
@@ -60,10 +61,10 @@ class LayerSpec:
 
     def __post_init__(self):
         self.v_th, self.k, self.leak = float(self.v_th), float(self.k), float(self.leak)
-        if self.v_th <= 0:
-            raise ParameterError(f"v_th must be > 0, got {self.v_th}")
-        if self.k <= 0:
-            raise ParameterError(f"k must be > 0, got {self.k}")
+        if not 0.0 < self.v_th < np.inf:
+            raise ParameterError(f"v_th must be finite and > 0, got {self.v_th}")
+        if not 0.0 < self.k < np.inf:
+            raise ParameterError(f"k must be finite and > 0, got {self.k}")
         if not 0.0 <= self.leak <= 1.0:
             raise ParameterError(f"leak must be in [0, 1], got {self.leak}")
 
@@ -197,28 +198,27 @@ def synaptic_drive(layer: LayerSpec, weight: np.ndarray, x: np.ndarray) -> np.nd
     return conv2d(x, weight, layer.stride, layer.pad)
 
 
-def step(spec: NetworkSpec, params: dict, x, states: dict, streams,
-         drive0: np.ndarray | None = None) -> list:
+def step(spec: NetworkSpec, params: dict, drive0: np.ndarray, states: dict,
+         streams) -> list:
     """Advance every layer of ``spec`` by one timestep.
 
-    ``x`` is the network input at this step, (N, ...).  ``states`` maps layer
-    index to its ``LayerState``; missing entries start at rest and the dict
-    is updated in place.  ``streams`` holds one RngStream per neuron layer
-    (entries of deterministic layers are ignored; None for a deterministic
-    network).  A given ``drive0`` is used as layer 0's drive and ``x`` is not
-    read.  Returns one ``(input, v, spikes, probs)`` tuple per layer: a pool
-    layer has only its input, a deterministic layer no probs, and layer 0
-    driven by ``drive0`` no input.
+    ``drive0`` is layer 0's synaptic drive at this step, (N, ...); layer 0 is
+    a linear or conv layer.  ``states`` maps layer index to its
+    ``LayerState``; missing entries start at rest and the dict is updated in
+    place.  ``streams`` holds one RngStream per neuron layer (entries of
+    deterministic layers are ignored; None for a deterministic network).
+    Returns one ``(input, v, spikes, probs)`` tuple per layer: a pool layer
+    has only its input, a deterministic layer no probs, and layer 0 no input.
     """
     out = []
     n = 0
     for i, layer in enumerate(spec.layers):
-        if layer.kind == "pool":
+        if i == 0:
+            inp, drive = None, drive0
+        elif layer.kind == "pool":
             out.append((x, None, None, None))
             x = pool2d(x, layer.window, layer.pool_mode)
             continue
-        if i == 0 and drive0 is not None:
-            inp, drive = None, drive0
         else:
             inp, drive = x, synaptic_drive(layer, params[f"layer{i}.w"], x)
         state = states.get(i)
@@ -255,16 +255,18 @@ def forward(spec: NetworkSpec, params: dict, encoded: np.ndarray,
     probabilities ``probs`` of hidden stochastic layers, every spike train
     (shared as the next layer's ``inputs``) and any other synaptic input.
 
-    When ``encoded`` is time-broadcast (stride 0 along time, as
-    ``data.encode_direct`` returns it) and layer 0 is linear or conv, layer
-    0's drive is computed once and reused at every step, and its tape entry
-    holds the input once as (N, ...) with ``time_constant`` set; ``backward``
-    then folds that layer's weight gradient over time.  Any other input is
-    simulated step by step.
+    ``encoded`` must be direct-encoded: the same input at every step, stride
+    0 along time, as ``data.encode_direct`` returns it; any other array
+    raises ShapeError.  Layer 0's drive is computed once and reused at every
+    step, and its tape entry holds the input once, as (N, ...); ``backward``
+    folds that layer's weight gradient over time.
     """
     horizon = encoded.shape[0]
     if horizon != spec.horizon:
         raise ShapeError(f"encoded input has {horizon} steps, spec expects {spec.horizon}")
+    if encoded.strides[0] != 0:
+        raise ShapeError("forward takes a direct-encoded input: the same input at every "
+                         "step, stride 0 along time, as data.encode_direct returns it")
     traces = []
     for i, layer in enumerate(spec.layers):
         trace = LayerTrace(layer=layer)
@@ -273,26 +275,22 @@ def forward(spec: NetworkSpec, params: dict, encoded: np.ndarray,
             trace.weight = params[trace.wname]
         traces.append(trace)
 
-    # a time-broadcast input gives layer 0 the same drive at every step
-    drive0 = None
-    if encoded.strides[0] == 0 and spec.layers[0].kind in ("linear", "conv"):
-        traces[0].inputs = encoded[0]
-        traces[0].time_constant = True
-        drive0 = synaptic_drive(spec.layers[0], traces[0].weight, encoded[0])
+    traces[0].inputs = encoded[0]
+    drive0 = synaptic_drive(spec.layers[0], traces[0].weight, encoded[0])
 
     # A neuron layer's spike train is the next layer's input: it is taped once.
     shared = [i for i in range(1, len(traces)) if spec.layers[i - 1].neuron != "none"]
     taped = []
     for i, layer in enumerate(spec.layers):
-        names = set() if i in shared or traces[i].time_constant else {"inputs"}
+        names = set() if i == 0 or i in shared else {"inputs"}
         if layer.neuron != "none":
             hidden_stoch = layer.neuron == "stoch" and i < len(spec.layers) - 1
             names |= {"spikes", "probs" if hidden_stoch else "v"}
         taped.append(names)
     states = {}
     for t in range(horizon):
-        for trace, names, values in zip(traces, taped, step(spec, params, encoded[t],
-                                                            states, streams, drive0)):
+        for trace, names, values in zip(traces, taped,
+                                        step(spec, params, drive0, states, streams)):
             for name, value in zip(("inputs", "v", "spikes", "probs"), values):
                 if name not in names:
                     continue

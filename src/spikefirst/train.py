@@ -51,8 +51,13 @@ class TrainConfig:
 
     def __post_init__(self):
         self.model_kind = normalize_model_kind(self.model_kind)
-        if self.epochs < 0 or self.batch_size < 1 or self.horizon < 1:
-            raise ParameterError("epochs/batch_size/horizon out of range")
+        if self.epochs < 0 or self.batch_size < 1 or self.horizon < 1 or self.hidden < 1:
+            raise ParameterError("epochs/batch_size/horizon/hidden out of range")
+        if not 0.0 < self.lr < np.inf:
+            raise ParameterError(f"lr must be finite and > 0, got {self.lr}")
+        if not 0.0 <= self.weight_decay < np.inf:
+            raise ParameterError(f"weight decay must be finite and >= 0, "
+                                 f"got {self.weight_decay}")
         if self.scheduler_step < 1:
             raise ParameterError(f"scheduler step must be >= 1, got {self.scheduler_step}")
         if not 0.0 < self.scheduler_gamma <= 1.0:

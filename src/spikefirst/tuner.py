@@ -41,8 +41,9 @@ class DeConfig:
     def __post_init__(self):
         if self.max_generations < 1:
             raise ParameterError(f"max generations must be >= 1, got {self.max_generations}")
-        if self.latency_weight < 0:
-            raise ParameterError(f"latency weight must be >= 0, got {self.latency_weight}")
+        if not 0.0 <= self.latency_weight < np.inf:
+            raise ParameterError(f"latency weight must be finite and >= 0, "
+                                 f"got {self.latency_weight}")
 
 
 @dataclass
@@ -69,6 +70,8 @@ def de_minimize(objective, bounds, config: DeConfig) -> DeResult:
     bounds = np.asarray(bounds, dtype=np.float64)
     if bounds.ndim != 2 or bounds.shape[1] != 2 or np.any(bounds[:, 0] > bounds[:, 1]):
         raise ParameterError(f"invalid bounds array with shape {bounds.shape}")
+    if not np.isfinite(bounds).all():
+        raise ParameterError(f"bounds must be finite, got {bounds.tolist()}")
     dims = bounds.shape[0]
     low, high = bounds[:, 0], bounds[:, 1]
     if np.all(low == high):

@@ -147,11 +147,9 @@ def test_deterministic_end_to_end_gradient():
     _fd_check(params, grads, relaxed_loss)
 
 
-@pytest.mark.parametrize("materialise", [False, True])
-def test_deterministic_conv_pool_end_to_end_gradient(materialise):
-    # conv -> average pool -> linear.  The broadcast input takes the hoisted
-    # layer-0 path (drive gradient summed over time, one conv2d_backward);
-    # a materialised copy takes the per-step path.
+def test_deterministic_conv_pool_end_to_end_gradient():
+    # conv -> average pool -> linear.  Layer 0's drive gradient is summed over
+    # time and turned into its weight gradient by one conv2d_backward.
     horizon, n, nout = 5, 2, 3
     spec = sf.NetworkSpec(layers=[
         LayerSpec(kind="conv", in_channels=1, out_channels=2, kernel=3, pad=1,
@@ -166,11 +164,8 @@ def test_deterministic_conv_pool_end_to_end_gradient(materialise):
     x = rng.uniform(0, 1, size=(n, 1, 4, 4))
     labels = np.array([0, 2])
 
-    encoded = sf.encode_direct(x, horizon)
-    if materialise:
-        encoded = np.ascontiguousarray(encoded)
-    _, tape = sf.forward(spec, params, encoded)
-    assert tape.traces[0].time_constant is not materialise
+    _, tape = sf.forward(spec, params, sf.encode_direct(x, horizon))
+    assert tape.traces[0].inputs.shape == x.shape
     counts = tape.traces[-1].spikes.sum(axis=0)
     grads = sf.backward(tape, rate_ce_loss_batch(counts, labels))
 

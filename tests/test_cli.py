@@ -95,6 +95,12 @@ def test_bad_config_value(tmp_path, synthetic_mnist):
     cfg.write_text("epochs=banana\n")
     assert run("train", "--config", str(cfg), "--data", synthetic_mnist,
                "--out", str(tmp_path)) == EXIT_CONFIG
+    # values that parse but cannot train
+    for flag, value in (("--hidden", "-5"), ("--hidden", "0"), ("--lr", "nan"),
+                        ("--lr", "0"), ("--weight-decay", "inf")):
+        assert run("train", flag, value, "--epochs", "0", "--data", synthetic_mnist,
+                   "--out", str(tmp_path)) == EXIT_CONFIG, flag
+        assert not (tmp_path / "checkpoint.ckpt").exists()
 
 
 @pytest.mark.parametrize("value", ["0", "-2"])
@@ -263,6 +269,15 @@ def test_noise_happy_path(tiny_run, tmp_path, synthetic_mnist):
 def test_tune_bad_bounds(tiny_run, tmp_path, synthetic_mnist):
     assert run("tune", str(tiny_run / "checkpoint.ckpt"), "--bounds", "2,1",
                "--data", synthetic_mnist, "--out", str(tmp_path)) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("flag,value", [("--bounds", "nan,1"), ("--bounds", "0.5,inf"),
+                                        ("--beta", "nan")])
+def test_tune_rejects_non_finite_settings(tiny_run, tmp_path, synthetic_mnist, flag, value):
+    # such a run wrote a tuned.ckpt that `show` could not read back
+    assert run("tune", str(tiny_run / "checkpoint.ckpt"), flag, value, "--generations", "1",
+               "--pop", "4", "--data", synthetic_mnist, "--out", str(tmp_path)) == EXIT_CONFIG
+    assert not (tmp_path / "tuned.ckpt").exists()
 
 
 @pytest.mark.parametrize("generations", ["0", "-3"])

@@ -135,8 +135,24 @@ def test_forward_stochastic_requires_streams():
     spec = build("mlp2", "S-F-BPTT", {"hidden": 4, "horizon": 2})
     spec.layers[0].in_features = 3
     params = {"layer0.w": np.zeros((4, 3)), "layer1.w": np.zeros((10, 4))}
-    with pytest.raises(ShapeError):
-        sf.forward(spec, params, np.zeros((2, 1, 3)))
+    with pytest.raises(ShapeError, match="streams"):
+        sf.forward(spec, params, sf.encode_direct(np.zeros((1, 3)), 2))
+
+
+def test_forward_rejects_materialised_input():
+    # layer 0's drive is computed once from a direct-encoded input; a dense
+    # (T, N, ...) copy is not one, even when every step holds the same values
+    spec = build("mlp2", "D-F-BPTT", {"hidden": 4, "horizon": 3})
+    spec.layers[0].in_features = 3
+    params = {"layer0.w": np.zeros((4, 3)), "layer1.w": np.zeros((10, 4))}
+    x = np.ones((2, 3))
+    with pytest.raises(ShapeError, match="direct-encoded"):
+        sf.forward(spec, params, np.ascontiguousarray(sf.encode_direct(x, 3)))
+    spec.horizon = 1
+    with pytest.raises(ShapeError, match="direct-encoded"):
+        sf.forward(spec, params, np.stack([x]))
+    records, tape = sf.forward(spec, params, sf.encode_direct(x, 1))
+    assert tape.traces[0].inputs.shape == (2, 3) and records[-1].shape == (1, 2, 10)
 
 
 def test_forward_stochastic_reproducible():

@@ -75,6 +75,17 @@ def test_config_validation():
         TrainConfig(scheduler_gamma=0.0)
     with pytest.raises(ValueError):
         TrainConfig(model_kind="Q-BPTT")
+    # settings that cannot train: a negative width failed inside numpy, and
+    # nan or inf rates saved a checkpoint of NaN parameters
+    for bad, match in (({"hidden": -5}, "hidden"), ({"hidden": 0}, "hidden"),
+                       ({"lr": 0.0}, "lr"), ({"lr": -1e-3}, "lr"),
+                       ({"lr": float("nan")}, "lr"), ({"lr": float("inf")}, "lr"),
+                       ({"weight_decay": -1e-4}, "weight decay"),
+                       ({"weight_decay": float("nan")}, "weight decay"),
+                       ({"weight_decay": float("inf")}, "weight decay")):
+        with pytest.raises(ParameterError, match=match):
+            TrainConfig(**bad)
+    assert TrainConfig(hidden=1, weight_decay=0.0).weight_decay == 0.0
 
 
 @pytest.mark.parametrize("step", [0, -2])

@@ -77,8 +77,9 @@ def test_shifted_rastrigin_improves():
 
 
 def test_config_validation():
-    with pytest.raises(ParameterError):
-        DeConfig(latency_weight=-0.1)
+    for weight in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(ParameterError, match="latency weight"):
+            DeConfig(latency_weight=weight)
     for generations in (0, -3):
         with pytest.raises(ParameterError, match="generations"):
             DeConfig(max_generations=generations)
@@ -86,6 +87,10 @@ def test_config_validation():
         de_minimize(sphere, np.array([[1.0, 0.0]]), DeConfig())
     with pytest.raises(ParameterError):
         de_minimize(sphere, np.tile([0.0, 1.0], (2, 1)), DeConfig(pop_size=3))
+    for bounds in ([[np.nan, 1.0]], [[0.5, np.inf]], [[-np.inf, 1.0]],
+                   [[0.0, 1.0], [1.0, np.nan]]):
+        with pytest.raises(ParameterError, match="finite"):
+            de_minimize(sphere, np.array(bounds), DeConfig())
 
 
 def _checkpoint(kind):
