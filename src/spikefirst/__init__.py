@@ -13,8 +13,7 @@ from .bptt import Tape, arctan_surrogate_grad, backward, sign_estimator_backward
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .coding import LossValue, fts_softmax
 from .data import Dataset, encode_direct, load_cifar10_bin, load_mnist_idx
-from .metrics import (MetricsReport, energy_cost, evaluate, layer_ops,
-                      noise_sweep)
+from .metrics import MetricsReport, energy_cost, evaluate, noise_sweep
 from .network import LayerSpec, NetworkSpec, build, forward, init_params, step
 from .neurons import LayerState, det_lif_step, first_spike_times, stoch_lif_step
 from .rng import RngStream, rng_gaussian, rng_uniform

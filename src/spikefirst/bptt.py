@@ -96,7 +96,6 @@ class Tape:
     horizon: int
     alpha: float = 2.0
     traces: list = field(default_factory=list)
-    complete: bool = False
 
 
 def _synaptic_step(trace: LayerTrace, g_drive: np.ndarray, x: np.ndarray,
@@ -142,8 +141,6 @@ def backward(tape: Tape, loss) -> dict:
     ``loss.grad`` nor any array on the tape is modified, so a tape can be
     swept again.
     """
-    if not tape.complete:
-        raise StateError("tape does not record a complete forward pass")
     horizon = tape.horizon
     traces = tape.traces
     last = len(traces) - 1

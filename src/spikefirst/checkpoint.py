@@ -4,7 +4,9 @@ Layout: 8-byte magic, uint32 version, a sequence of length-prefixed named
 sections, and a trailing CRC32 of everything before it.  Sections hold the
 serialized network spec, scalar metadata, and the parameter / optimizer
 tensors.  The container is self-describing and byte-deterministic, so
-identical training runs produce identical files.
+identical training runs produce identical files.  A loaded file holds
+exactly one weight ``layer{i}.w`` of the spec's shape per linear or conv
+layer, and optimizer moments only for those weights, at the same shapes.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CheckpointError, ParameterError
-from .network import NetworkSpec, parse_spec, serialize_spec
+from .network import NetworkSpec, parse_spec, serialize_spec, weight_shape
 
 MAGIC = b"SPIKEFST"
 VERSION = 1
@@ -37,7 +39,6 @@ class Checkpoint:
     seed: int = 0
     best_accuracy: float = 0.0
     train_config: dict = field(default_factory=dict)
-    format_version: int = VERSION
 
 
 def _pack_arrays(arrays: dict) -> bytes:
@@ -149,18 +150,28 @@ def load_checkpoint(path) -> Checkpoint:
                                   for name in ("params", "adam_m", "adam_v")]
     except KeyError as exc:
         raise CheckpointError(f"{path}: missing section {exc}") from exc
+    # deeply nested text exhausts the parser: RecursionError or MemoryError
     try:
         spec = parse_spec(spec_text.decode())
     except (ValueError, SyntaxError, TypeError, KeyError, OverflowError,
-            ParameterError) as exc:
+            RecursionError, MemoryError, ParameterError) as exc:
         raise CheckpointError(f"{path}: malformed network spec: {exc!r}") from exc
+    weights = {f"layer{i}.w": weight_shape(layer) for i, layer in spec.weighted_layers()}
+    if params.keys() != weights.keys():
+        raise CheckpointError(f"{path}: params hold {sorted(params)}, "
+                              f"the spec's weights are {sorted(weights)}")
+    for section, arrays in (("params", params), ("adam_m", adam_m), ("adam_v", adam_v)):
+        for name, arr in arrays.items():
+            if arr.shape != weights.get(name):
+                raise CheckpointError(f"{path}: {section} array {name!r} has shape "
+                                      f"{arr.shape}; the spec's weights are {weights}")
     try:
         meta = json.loads(meta_text.decode())
         return Checkpoint(spec=spec, params=params, adam_m=adam_m, adam_v=adam_v,
                           adam_step=int(meta["adam_step"]), epoch=int(meta["epoch"]),
                           seed=int(meta["seed"]),
                           best_accuracy=float(meta["best_accuracy"]),
-                          train_config=meta.get("train_config", {}),
-                          format_version=version)
-    except (ValueError, KeyError, TypeError, OverflowError, AttributeError) as exc:
+                          train_config=meta.get("train_config", {}))
+    except (ValueError, KeyError, TypeError, OverflowError, AttributeError,
+            RecursionError) as exc:
         raise CheckpointError(f"{path}: malformed metadata: {exc!r}") from exc

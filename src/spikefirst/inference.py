@@ -10,8 +10,10 @@ timestep the one with the highest membrane potential (deterministic) or
 firing probability (stochastic) wins, lowest index on exact ties; if no
 output neuron fires within the horizon the argmax of the accumulated output
 membrane potential is predicted and latency is recorded as the horizon.
-A sample is simulated for exactly its latency steps.  Spike and input
-activity are per-layer totals over all samples and simulated steps.
+A sample is simulated for exactly its latency steps.  Activity is reported
+as totals over all samples and simulated steps: one for the clean input
+image and one per layer, the spikes of a neuron layer or the output of a
+pool layer.
 """
 
 from __future__ import annotations
@@ -33,15 +35,11 @@ class InferenceResult:
     predictions: np.ndarray         # (N,) int
     latencies: np.ndarray           # (N,) float, first-spike step or horizon
     steps: np.ndarray               # (N,) int, timesteps simulated: the latency
-    # Per weighted layer: input activation summed over samples and simulated
-    # steps, and fan-in size.  The input to the first weighted layer is the
-    # clean encoded image itself, input noise not counted.
-    synaptic_input_sums: list = field(default_factory=list)
-    synaptic_input_sizes: list = field(default_factory=list)
-    # Per neuron layer: output spikes summed over samples and simulated steps,
-    # and layer size.
-    layer_spike_sums: list = field(default_factory=list)
-    layer_sizes: list = field(default_factory=list)
+    # Summed over samples and simulated steps: the clean input image (input
+    # noise not counted), and per spec layer its output, the spikes of a
+    # neuron layer or the pooled values of a pool layer.
+    input_total: float = 0.0
+    layer_totals: list = field(default_factory=list)
 
 
 def run_network(spec: NetworkSpec, params: dict, images: np.ndarray,
@@ -75,16 +73,14 @@ def run_network(spec: NetworkSpec, params: dict, images: np.ndarray,
         raise ParameterError("empty dataset")
 
     fts = mode == "first-to-spike"
-    weighted = [i for i, l in enumerate(spec.layers) if l.kind in ("linear", "conv")]
     neuron_layers = [i for i, l in enumerate(spec.layers) if l.neuron != "none"]
     stochastic = any(spec.layers[i].neuron == "stoch" for i in neuron_layers)
 
     predictions = np.full(n_total, -1, dtype=np.int64)
     latencies = np.full(n_total, float(horizon))
-    syn_sums = [0.0 for _ in weighted]
-    syn_sizes = [0 for _ in weighted]
-    spk_sums = [0.0 for _ in neuron_layers]
-    layer_sizes = [0 for _ in neuron_layers]
+    totals = [0.0 for _ in spec.layers]
+    # a pool layer's output is only seen as the next layer's input
+    pool_fed = [i > 0 and spec.layers[i - 1].kind == "pool" for i in range(len(spec.layers))]
     # layer 0's clean input is the same at every step: its total is summed per sample
     row_sums0 = np.zeros(n_total)
     # step t draws every sample's noise at counter t, one keyed row per sample
@@ -96,7 +92,6 @@ def run_network(spec: NetworkSpec, params: dict, images: np.ndarray,
         nb = b_end - b_start
         active = np.arange(nb)
         row_sums0[b_start:b_end] = x0.reshape(nb, -1).sum(axis=1)
-        syn_sizes[0] = math.prod(x0.shape[1:])
         if noise is None:
             full_drive0 = synaptic_drive(spec.layers[0], params["layer0.w"], x0)
         states = {}
@@ -121,22 +116,13 @@ def run_network(spec: NetworkSpec, params: dict, images: np.ndarray,
                 x = x0[active]
                 drive0 = synaptic_drive(spec.layers[0], params["layer0.w"], x + rng_gaussian(
                     noise, x.shape, input_noise_std, rows=b_start + active))
-            # every weighted layer is a neuron layer, so one position walks both
-            pos = 0
-            spike_sum = None        # of the layer just before, if a neuron layer
-            for inp, v, spikes, probs in step(spec, params, drive0, states, streams):
-                if v is None:           # pool layer
-                    spike_sum = None
-                    continue
-                if inp is not None:     # layer 0's total is summed per sample
-                    # a layer fed straight by a neuron layer reads its spikes
-                    syn_sums[pos] += inp.sum() if spike_sum is None else spike_sum
-                    syn_sizes[pos] = math.prod(inp.shape[1:])
-                spike_sum = spikes.sum()
-                spk_sums[pos] += spike_sum
-                layer_sizes[pos] = math.prod(spikes.shape[1:])
-                pos += 1
-                out_v, out_spikes, out_probs = v, spikes, probs
+            for i, (inp, v, spikes, probs) in enumerate(step(spec, params, drive0, states,
+                                                             streams)):
+                if pool_fed[i]:
+                    totals[i - 1] += inp.sum()
+                if spikes is not None:
+                    totals[i] += spikes.sum()
+            out_v, out_spikes, out_probs = v, spikes, probs     # the output layer's
             out_acc = out_acc + (out_v if fts else out_spikes)
 
             if fts:
@@ -158,10 +144,7 @@ def run_network(spec: NetworkSpec, params: dict, images: np.ndarray,
         # first-to-spike timeouts, or every sample in rate mode
         predictions[b_start + active] = out_acc.argmax(axis=1)
 
-    syn_sums[0] = (row_sums0 * latencies).sum()
     return InferenceResult(predictions=predictions, latencies=latencies,
                            steps=latencies.astype(np.int64),
-                           synaptic_input_sums=[float(s) for s in syn_sums],
-                           synaptic_input_sizes=syn_sizes,
-                           layer_spike_sums=[float(s) for s in spk_sums],
-                           layer_sizes=layer_sizes)
+                           input_total=float((row_sums0 * latencies).sum()),
+                           layer_totals=[float(t) for t in totals])

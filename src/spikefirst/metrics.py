@@ -6,7 +6,8 @@ iso-architecture non-spiking network:
     E = sum_{i=2..L} S_{i-1} * T * OP_i / sum_{j=2..L} OP_j
 
 with S the mean spiking rate of the layer feeding layer i, T the timesteps
-used at inference, and OP the multiply-accumulate count of layer i.  With
+used at inference, and OP the multiply-accumulate count of layer i: its
+output size times its fan-in, for linear and conv layers alike.  With
 direct (analog) input encoding the input layer has no binary spikes; its mean
 activation value stands in for S_1.  For first-to-spike models each sample is
 simulated only up to its own first output spike, so S * T collapses to
@@ -16,7 +17,6 @@ spikes-per-neuron actually emitted, averaged over samples.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +25,7 @@ from .checkpoint import Checkpoint
 from .data import Dataset
 from .errors import ParameterError
 from .inference import run_network
-from .network import LayerSpec, NetworkSpec
+from .network import NetworkSpec, layer_shapes, weight_shape
 
 
 @dataclass
@@ -39,41 +39,11 @@ class MetricsReport:
     horizon: int = 0
 
 
-def layer_ops(layer: LayerSpec, out_h: int = 0, out_w: int = 0) -> int:
-    """Multiply-accumulate count of one layer of the iso-architecture ANN.
-
-    Conv: C_I * K_H * K_W * C_O * O_H * O_W (pass the output spatial dims);
-    linear: I_F * O_F; anything else contributes 0.
-    """
-    if layer.kind == "linear":
-        return layer.in_features * layer.out_features
-    if layer.kind == "conv":
-        if out_h <= 0 or out_w <= 0:
-            raise ParameterError("conv layer_ops needs positive output dims")
-        return (layer.in_channels * layer.kernel * layer.kernel
-                * layer.out_channels * out_h * out_w)
-    warnings.warn(f"layer kind {layer.kind!r} contributes no synaptic ops")
-    return 0
-
-
-def _conv_out(size, kernel, stride, pad):
-    return (size + 2 * pad - kernel) // stride + 1
-
-
 def network_op_counts(spec: NetworkSpec, input_hw: tuple) -> list:
-    """OP_i for every weighted layer, tracking the input's (H, W) through the stack."""
-    h, w = input_hw
-    ops = []
-    for layer in spec.layers:
-        if layer.kind == "pool":
-            h, w = h // layer.window, w // layer.window
-        elif layer.kind == "conv":
-            h = _conv_out(h, layer.kernel, layer.stride, layer.pad)
-            w = _conv_out(w, layer.kernel, layer.stride, layer.pad)
-            ops.append(layer_ops(layer, h, w))
-        elif layer.kind == "linear":
-            ops.append(layer_ops(layer))
-    return ops
+    """OP_i for every weighted layer: output size times fan-in."""
+    shapes = layer_shapes(spec, input_hw)
+    return [math.prod(shapes[i]) * math.prod(weight_shape(layer)[1:])
+            for i, layer in spec.weighted_layers()]
 
 
 def energy_cost(layer_rates, horizon: float, layer_op_counts) -> float:
@@ -105,17 +75,18 @@ def evaluate(ckpt: Checkpoint, dataset: Dataset, mode: str = "first-to-spike",
     accuracy = float((res.predictions == dataset.labels).mean())
     mean_latency = float(res.latencies.mean())
     total_steps = res.steps.sum()
-
-    def rate(total, size):
-        return float(total / (size * total_steps))
-
-    # Binary rates, spikes / (neurons * steps simulated): the rate feeding
-    # each weighted layer (the input activation rate first) for the energy,
-    # and the input rate then each neuron layer's rate for the report.
-    feeding = [rate(s, n) for s, n in zip(res.synaptic_input_sums, res.synaptic_input_sizes)]
-    rates = feeding[:1] + [rate(s, n) for s, n in zip(res.layer_spike_sums, res.layer_sizes)]
+    input_hw = dataset.images.shape[-2:]
+    # Rates are activity per unit and step simulated: the rate feeding each
+    # weighted layer (the input activation rate first) for the energy, and
+    # the input rate then each neuron layer's rate for the report.
+    input_rate = float(res.input_total / (math.prod(dataset.images.shape[1:]) * total_steps))
+    layer_rates = [float(total / (math.prod(shape) * total_steps))
+                   for total, shape in zip(res.layer_totals, layer_shapes(spec, input_hw))]
+    feeding = [input_rate] + [layer_rates[i - 1] for i, _ in spec.weighted_layers()[1:]]
+    rates = [input_rate] + [layer_rates[i] for i, l in enumerate(spec.layers)
+                            if l.neuron != "none"]
     energy = energy_cost(feeding, total_steps / len(dataset),
-                         network_op_counts(spec, dataset.images.shape[-2:]))
+                         network_op_counts(spec, input_hw))
     return MetricsReport(accuracy=accuracy, mean_latency=mean_latency,
                          layer_rates=rates, energy_cost=energy,
                          n_samples=len(dataset), mode=mode,

@@ -28,7 +28,7 @@ from .errors import ParameterError, ShapeError
 # sigmoid is re-exported: bench/test_bench.py reaches it through this module
 from .neurons import LayerState, det_lif_step, sigmoid, stoch_lif_step  # noqa: F401
 from .rng import RngStream, rng_uniform
-from .tensor import conv2d, pool2d
+from .tensor import _conv_out_size, conv2d, pool2d
 
 MODEL_KINDS = ("D-F-BPTT", "S-F-BPTT", "D-R-BPTT")
 ARCHS = ("mlp2", "lenet5", "vgg15")
@@ -175,6 +175,25 @@ def weight_shape(layer: LayerSpec) -> tuple:
     raise ShapeError(f"layer kind {layer.kind!r} has no weights")
 
 
+def layer_shapes(spec: NetworkSpec, input_hw: tuple) -> list:
+    """Per-sample output shape of every layer for an (H, W) input: linear
+    ``(out_features,)``, conv ``(C_O, OH, OW)``, pool ``(C, H/w, W/w)``."""
+    h, w = input_hw
+    shapes = []
+    for layer in spec.layers:
+        if layer.kind == "linear":
+            shapes.append((layer.out_features,))
+            continue
+        if layer.kind == "conv":
+            c = layer.out_channels
+            h = _conv_out_size(h, layer.kernel, layer.stride, layer.pad)
+            w = _conv_out_size(w, layer.kernel, layer.stride, layer.pad)
+        else:
+            h, w = h // layer.window, w // layer.window
+        shapes.append((c, h, w))
+    return shapes
+
+
 def init_params(spec: NetworkSpec, stream: RngStream) -> dict:
     """Uniform fan-in-scaled weight initialization, one stream per layer."""
     params = {}
@@ -303,7 +322,7 @@ def forward(spec: NetworkSpec, params: dict, encoded: np.ndarray,
     for i in shared:
         traces[i].inputs = traces[i - 1].spikes
 
-    tape = Tape(horizon=horizon, alpha=spec.alpha, traces=traces, complete=True)
+    tape = Tape(horizon=horizon, alpha=spec.alpha, traces=traces)
     records = [traces[i].spikes for i, l in enumerate(spec.layers) if l.neuron != "none"]
     return records, tape
 

@@ -80,12 +80,6 @@ def test_sign_estimator_batched():
     assert out[1, 1, 0] == -0.3 and out[1, 1, 1] == -0.4  # silent -> t = T
 
 
-def test_backward_requires_complete_tape():
-    from spikefirst.bptt import Tape
-    with pytest.raises(StateError):
-        sf.backward(Tape(horizon=2), None)
-
-
 def _two_layer_spec(model_kind, nin, nh, nout, horizon, **neuron_kw):
     spec = sf.build("mlp2", model_kind, {"hidden": nh, "horizon": horizon})
     neuron = "stoch" if model_kind.startswith("S") else "det"

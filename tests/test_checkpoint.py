@@ -3,6 +3,7 @@
 import struct
 import warnings
 import zlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -101,6 +102,21 @@ def test_empty_optimizer_state(tmp_path):
     assert back.adam_m == {} and back.adam_v == {}
 
 
+@pytest.mark.parametrize("section,edit", [
+    ("params", lambda a: a.pop("layer1.w")),
+    ("params", lambda a: a.update({"layer0.w": np.zeros((5, 784))})),
+    ("params", lambda a: a.update({"bogus": np.zeros(3)})),
+    ("adam_m", lambda a: a.update({"bogus": np.zeros(3)})),
+    ("adam_v", lambda a: a.update({"layer1.w": np.zeros((8, 10))})),
+], ids=["missing", "misshapen", "extra", "moment-of-no-weight", "misshapen-moment"])
+def test_rejects_weights_that_do_not_fit_the_spec(ckpt, tmp_path, section, edit):
+    edit(getattr(ckpt, section))
+    path = tmp_path / "w.ckpt"
+    save_checkpoint(ckpt, path)
+    with pytest.raises(CheckpointError):
+        load_checkpoint(path)
+
+
 @pytest.mark.parametrize("where", ["layer", "header"])
 def test_spec_with_code_is_rejected_not_run(ckpt, tmp_path, monkeypatch, where):
     # a crafted but CRC-valid checkpoint: its spec text holds an expression
@@ -183,6 +199,18 @@ def test_spec_value_that_only_warns_is_rejected(ckpt, tmp_path, value):
     assert [str(w.message) for w in caught] == []
 
 
+@pytest.mark.parametrize("value", [b"-" * 3000 + b"1", b"-" * 100000 + b"1"],
+                         ids=["recursion", "parser-stack"])
+def test_rejects_deeply_nested_spec_value(ckpt, tmp_path, value):
+    # the parser runs out of recursion depth (RecursionError) or of its stack
+    # (MemoryError)
+    path = tmp_path / "n.ckpt"
+    save_checkpoint(ckpt, path)
+    rewrite_section(path, "spec", lambda p: p.replace(b"k=1.0", b"k=" + value, 1))
+    with pytest.raises(CheckpointError):
+        load_checkpoint(path)
+
+
 def _set(payload, at, fmt, value):
     out = bytearray(payload)
     struct.pack_into(fmt, out, at, value)
@@ -210,7 +238,8 @@ def test_rejects_malformed_array_section(ckpt, tmp_path, edit):
 
 @pytest.mark.parametrize("meta", [b"{not json", b"\xff", b"[]", b'{"epoch": 1}',
                                   b'{"adam_step": "x", "epoch": 1, "seed": 0, '
-                                  b'"best_accuracy": 0.5}'])
+                                  b'"best_accuracy": 0.5}',
+                                  pytest.param(b"[" * 100000, id="deeply-nested")])
 def test_rejects_malformed_meta(ckpt, tmp_path, meta):
     path = tmp_path / "m.ckpt"
     save_checkpoint(ckpt, path)
@@ -221,11 +250,15 @@ def test_rejects_malformed_meta(ckpt, tmp_path, meta):
 
 @pytest.fixture(scope="module")
 def small_ckpt(tmp_path_factory):
+    # 3 input features keep the file small, so most edits land in its structure
     spec = build("mlp2", "S-F-BPTT", {"hidden": 2, "horizon": 4})
+    spec.layers[0] = replace(spec.layers[0], in_features=3)
     params = {"layer0.w": np.arange(6.0).reshape(2, 3), "layer1.w": np.ones((10, 2))}
     path = tmp_path_factory.mktemp("fuzz") / "s.ckpt"
     save_checkpoint(Checkpoint(spec=spec, params=params, adam_m=params, seed=3,
                                train_config={"lr": 0.01}), path)
+    # unedited, the file loads: the fuzzed loads start from a valid checkpoint
+    assert load_checkpoint(path).spec == spec
     return path
 
 

@@ -220,6 +220,16 @@ def test_eval_corrupt_checkpoint(tmp_path, synthetic_mnist):
                "--out", str(tmp_path)) == EXIT_CHECKPOINT
 
 
+def test_eval_checkpoint_without_a_spec_weight(tmp_path, synthetic_mnist):
+    spec = spikefirst.build("mlp2", "D-F-BPTT", {"hidden": 4, "horizon": 3})
+    params = spikefirst.init_params(spec, spikefirst.RngStream(0, 1))
+    del params["layer1.w"]
+    path = tmp_path / "partial.ckpt"
+    spikefirst.save_checkpoint(spikefirst.Checkpoint(spec=spec, params=params), path)
+    assert run("eval", str(path), "--data", synthetic_mnist,
+               "--out", str(tmp_path)) == EXIT_CHECKPOINT
+
+
 def test_eval_happy_path(tiny_run, tmp_path, capsys, synthetic_mnist):
     code = run("eval", str(tiny_run / "checkpoint.ckpt"),
                "--data", synthetic_mnist, "--out", str(tmp_path))

@@ -93,8 +93,8 @@ def test_batched_equals_unbatched():
         res = run_network(spec, params, images, batch_size=batch_size)
         assert np.array_equal(res.predictions, full.predictions)
         assert np.array_equal(res.steps, full.steps)
-        assert res.synaptic_input_sums == full.synaptic_input_sums
-        assert res.layer_spike_sums == full.layer_spike_sums
+        assert res.input_total == full.input_total
+        assert res.layer_totals == full.layer_totals
 
 
 def test_spike_and_input_accounting():
@@ -102,14 +102,12 @@ def test_spike_and_input_accounting():
     images = np.array([[0.6, 0.2]])
     res = run_network(spec, identity_params(2), images)
     # two steps simulated (fires at t=2): the input feeds the layer twice
-    assert res.synaptic_input_sums == [pytest.approx(0.8 * 2)]
-    assert res.synaptic_input_sizes == [2]
-    assert res.layer_spike_sums == [1.0]           # the single output spike
-    assert res.layer_sizes == [2]
+    assert res.input_total == pytest.approx(0.8 * 2)
+    assert res.layer_totals == [1.0]               # the single output spike
     # a second sample adds its own steps' worth: it times out after 3 steps
     res = run_network(spec, identity_params(2), np.array([[0.6, 0.2], [0.1, 0.2]]))
-    assert res.synaptic_input_sums == [pytest.approx(0.8 * 2 + 0.3 * 3)]
-    assert res.layer_spike_sums == [1.0]
+    assert res.input_total == pytest.approx(0.8 * 2 + 0.3 * 3)
+    assert res.layer_totals == [1.0]
 
 
 def test_stochastic_inference_reproducible():
@@ -209,24 +207,17 @@ def stepped_tape(spec, params, images, drives0):
 
 def assert_totals_match_tape(res, spec, tape, steps):
     """``res``'s activity totals equal the same sums read off a full-horizon
-    tape: exactly for spike-fed layers, within rounding for layer 0, whose
-    input the tape holds once."""
-    weighted = [i for i, l in enumerate(spec.layers) if l.kind in ("linear", "conv")]
-    neuron_layers = [i for i, l in enumerate(spec.layers) if l.neuron != "none"]
-    for k, i in enumerate(neuron_layers):
-        spikes = tape.traces[i].spikes
-        assert res.layer_spike_sums[k] == summed_over_steps(spikes, steps), i
-        assert res.layer_sizes[k] == np.prod(spikes.shape[2:])
-    for k, i in enumerate(weighted):
-        inputs = tape.traces[i].inputs
-        if i == 0:
-            inputs = np.broadcast_to(inputs, (tape.horizon,) + inputs.shape)
-        want = summed_over_steps(inputs, steps)
-        if i == 0:
-            assert res.synaptic_input_sums[k] == pytest.approx(want, rel=1e-12, abs=0)
-        else:           # spikes, or average-pooled spikes: exact in any order
-            assert res.synaptic_input_sums[k] == want, i
-        assert res.synaptic_input_sizes[k] == np.prod(inputs.shape[2:])
+    tape: exactly for every layer, within rounding for the input image, which
+    the tape holds once."""
+    image = tape.traces[0].inputs
+    want = summed_over_steps(np.broadcast_to(image, (tape.horizon,) + image.shape), steps)
+    assert res.input_total == pytest.approx(want, rel=1e-12, abs=0)
+    assert len(res.layer_totals) == len(spec.layers)
+    for i, layer in enumerate(spec.layers):
+        # a pool layer's output is the next layer's input: average-pooled
+        # spikes, exact in any order
+        record = tape.traces[i + 1].inputs if layer.kind == "pool" else tape.traces[i].spikes
+        assert res.layer_totals[i] == summed_over_steps(record, steps), i
 
 
 @pytest.mark.parametrize("arch,overrides,gain", [
@@ -269,7 +260,7 @@ def test_early_exit_matches_full_horizon_forward(arch, overrides, gain):
     # layer 0's total counts the clean image, not the noise
     assert_totals_match_tape(noisy_res, spec, tape_n, lat_n)
     clean_total = (images.reshape(len(images), -1).sum(axis=1) * lat_n).sum()
-    assert noisy_res.synaptic_input_sums[0] == clean_total
+    assert noisy_res.input_total == clean_total
     assert not np.array_equal(lat_n, lat)                     # the noise matters
     assert len(np.unique(lat_n)) > 1        # later steps draw for a subset
 

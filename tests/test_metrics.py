@@ -6,11 +6,11 @@ import pytest
 from spikefirst.checkpoint import Checkpoint
 from spikefirst.data import Dataset
 from spikefirst.errors import ParameterError
-from spikefirst.metrics import (energy_cost, evaluate, layer_ops,
-                                network_op_counts, noise_sweep,
+from spikefirst.metrics import (energy_cost, evaluate, network_op_counts,
+                                noise_sweep,
                                 write_metrics_csv, write_noise_csv,
                                 write_rates_csv)
-from spikefirst.network import LayerSpec, build, init_params
+from spikefirst.network import build, init_params
 from spikefirst import inference, metrics
 from spikefirst.rng import RngStream, rng_gaussian
 
@@ -36,15 +36,6 @@ def test_energy_scales_linearly_with_rate_and_horizon():
     assert energy_cost([0.2, 0.2], 20, [5, 5]) == pytest.approx(2 * base)
 
 
-def test_layer_ops_formulas():
-    lin = LayerSpec(kind="linear", in_features=400, out_features=120)
-    assert layer_ops(lin) == 48000
-    conv = LayerSpec(kind="conv", in_channels=1, out_channels=6, kernel=5)
-    assert layer_ops(conv, out_h=28, out_w=28) == 1 * 5 * 5 * 6 * 28 * 28
-    with pytest.raises(ParameterError):
-        layer_ops(conv)                            # conv needs output dims
-
-
 def test_network_op_counts_mlp():
     spec = build("mlp2", "D-F-BPTT")
     ops = network_op_counts(spec, (28, 28))
@@ -60,6 +51,18 @@ def test_network_op_counts_lenet_tracks_spatial_dims():
     assert ops == [1 * 25 * 6 * 28 * 28,        # conv1 with pad 2 keeps 28x28
                    6 * 25 * 16 * 10 * 10,       # after pooling to 14, conv to 10
                    400 * 120, 120 * 84, 84 * 10]
+
+
+def test_network_op_counts_vgg15():
+    spec = build("vgg15", "D-F-BPTT")
+    ops = network_op_counts(spec, (32, 32))
+    # 3x3 convs with pad 1 keep the size; each channel block ends in a 2x2 pool
+    convs = [(3, 64, 32), (64, 64, 32), (64, 128, 16), (128, 128, 16),
+             (128, 256, 8), (256, 256, 8), (256, 256, 8),
+             (256, 512, 4), (512, 512, 4), (512, 512, 4),
+             (512, 512, 2), (512, 512, 2), (512, 512, 2)]
+    assert ops == [c_in * 9 * c_out * hw * hw for c_in, c_out, hw in convs] + [
+        512 * 512, 512 * 10]
 
 
 def random_checkpoint(kind="D-F-BPTT", hidden=16, horizon=6, seed=0):

@@ -6,8 +6,8 @@ import pytest
 import spikefirst as sf
 from spikefirst.checkpoint import Checkpoint
 from spikefirst.errors import ShapeError
-from spikefirst.network import (build, init_params, normalize_model_kind,
-                                parse_spec, serialize_spec, weight_shape)
+from spikefirst.network import (build, init_params, layer_shapes, normalize_model_kind,
+                                parse_spec, serialize_spec, synaptic_drive, weight_shape)
 from spikefirst.neurons import LayerState, det_lif_step
 from spikefirst.rng import RngStream
 from spikefirst.tuner import apply_candidate
@@ -88,6 +88,22 @@ def test_weight_shape():
     assert weight_shape(spec.layers[4]) == (120, 400)
     with pytest.raises(ShapeError):
         weight_shape(spec.layers[1])
+
+
+@pytest.mark.parametrize("arch,input_shape", [
+    ("mlp2", (1, 28, 28)), ("lenet5", (1, 28, 28)), ("vgg15", (3, 32, 32)),
+])
+def test_layer_shapes_match_one_step(arch, input_shape):
+    spec = build(arch, "D-F-BPTT", {"hidden": 16})
+    # the shapes do not depend on the weights
+    params = {f"layer{i}.w": np.zeros(weight_shape(l)) for i, l in spec.weighted_layers()}
+    x = np.random.default_rng(0).uniform(size=(2,) + input_shape)
+    outs = sf.step(spec, params, synaptic_drive(spec.layers[0], params["layer0.w"], x),
+                   {}, None)
+    # a layer's output is its spikes, or for a pool layer the next layer's input
+    got = [outs[i + 1][0].shape[1:] if l.kind == "pool" else outs[i][2].shape[1:]
+           for i, l in enumerate(spec.layers)]
+    assert layer_shapes(spec, input_shape[1:]) == got
 
 
 def test_init_params_deterministic_and_scaled():
