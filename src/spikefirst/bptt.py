@@ -32,6 +32,14 @@ with T.  Layer 0 adds its drive gradient into one (N, ...) sum over time,
 which one GEMM or one ``conv2d_backward`` turns into its weight gradient
 after the sweep.  The gradient with respect to the network input is never
 computed, since nothing reads it.
+
+The sweep allocates its per-step arrays once per call and overwrites them at
+every step: each neuron layer's carry, a work buffer that holds its
+surrogate, then dL/dV_t, then its drive gradient, a 1 - p scratch for a
+hidden stochastic layer, and a float64 buffer into which a linear layer
+casts its uint8 spike step.  Each is read only within its own step, and none
+escapes into the returned gradients; every ufunc keeps the operands and the
+order of the plain expressions, so the gradients are the same bits.
 """
 
 from __future__ import annotations
@@ -49,8 +57,17 @@ def arctan_surrogate_grad(v: np.ndarray, alpha: float = 2.0) -> np.ndarray:
 
     Used as d(spike)/dV in the backward pass, evaluated at V - v_th.
     """
-    z = np.pi * np.asarray(v, dtype=np.float64) * (alpha / 2.0)
-    return (1.0 / np.pi) / (1.0 + z * z)
+    v = np.asarray(v, dtype=np.float64)
+    return _arctan_surrogate_in_place(np.multiply(np.pi, v, out=np.empty(v.shape)), alpha)
+
+
+def _arctan_surrogate_in_place(z: np.ndarray, alpha: float) -> np.ndarray:
+    """``arctan_surrogate_grad`` of ``z / pi``, written over ``z``, which the
+    caller owns and has already multiplied by pi; returns ``z``."""
+    z *= alpha / 2.0
+    np.multiply(z, z, out=z)
+    z += 1.0
+    return np.divide(1.0 / np.pi, z, out=z)
 
 
 def sign_estimator_backward(grad_times: np.ndarray, first_times: np.ndarray,
@@ -99,16 +116,20 @@ class Tape:
 
 
 def _synaptic_step(trace: LayerTrace, g_drive: np.ndarray, x: np.ndarray,
-                   need_input: bool = True):
+                   need_input: bool = True, cast: np.ndarray | None = None):
     """Backprop one step's drive gradient through a linear or conv op.
 
     ``g_drive`` is (N, ...) and ``x`` the op's input at that step.  Returns
     (grad_weight, grad_input), grad_input shaped like ``x``, or None when
-    ``need_input`` is false.
+    ``need_input`` is false; both are fresh arrays.  ``cast``, a float64
+    buffer shaped like ``x``, receives a linear layer's uint8 spike step.
     """
     layer = trace.layer
     if layer.kind == "linear":
-        # a uint8 spike step is cast to float64
+        if cast is not None and x.dtype != np.float64:
+            np.copyto(cast, x)
+            x = cast
+        # a uint8 spike step without a ``cast`` buffer is cast to a fresh float64
         flat = x.reshape(x.shape[0], -1).astype(np.float64, copy=False)
         grad_w = g_drive.T @ flat
         if not need_input:
@@ -137,6 +158,10 @@ def backward(tape: Tape, loss) -> dict:
     (N, ...) array, so apart from the (T, N, n_out) loss gradient its memory
     is O(N * width) whatever the horizon.
 
+    The (N, ...) buffers the sweep reuses from step to step (see the module
+    docstring) never escape: the weight gradients are fresh GEMM results,
+    and layer 0's sum over time starts as a copy of its work buffer.
+
     ``backward`` writes only into buffers it allocated: neither
     ``loss.grad`` nor any array on the tape is modified, so a tape can be
     swept again.
@@ -163,7 +188,13 @@ def backward(tape: Tape, loss) -> dict:
                          "output layer")
 
     grads: dict[str, np.ndarray] = {}
-    carry: dict[int, np.ndarray] = {}   # per neuron layer: dL/dV_t from step t+1
+    # per neuron layer, reused at every step: dL/dV_t from step t+1 (zero
+    # before the first step, as x + 0.0 keeps the sign of zero the sweep has
+    # always given), the work buffer and the 1 - p scratch
+    carry: dict[int, np.ndarray] = {}
+    work: dict[int, np.ndarray] = {}
+    one_minus_p: dict[int, np.ndarray] = {}
+    cast: dict[int, np.ndarray] = {}    # per linear layer fed by uint8 spikes
     folded = None                       # layer 0: sum_t of its g_drive
     for t in range(horizon - 1, -1, -1):
         g = g_top[t]
@@ -175,37 +206,50 @@ def backward(tape: Tape, loss) -> dict:
                 g = pool2d_backward(g, trace.inputs[t], layer.window, layer.pool_mode)
                 continue
 
+            if i not in work:
+                carry[i] = np.zeros(g.shape)
+                work[i] = np.empty(g.shape)
+            gv = work[i]
             if layer.neuron == "det":
                 # dV_t/dV_{t-1}: leak path only; the reset indicator is treated
                 # as a constant in the backward pass.
-                sur = arctan_surrogate_grad(trace.v[t] - layer.v_th, tape.alpha)
-                gv = g * sur + carry.get(i, 0.0)
-                carry[i] = gv * layer.leak
-                g = gv
+                np.subtract(trace.v[t], layer.v_th, out=gv)
+                gv *= np.pi
+                _arctan_surrogate_in_place(gv, tape.alpha)
+                gv *= g
+                gv += carry[i]
+                np.multiply(gv, layer.leak, out=carry[i])
             elif layer.neuron == "stoch":
                 if i == last:
-                    direct = g                 # already dL/dV
+                    np.add(g, carry[i], out=gv)     # g is already dL/dV
                 else:
                     # straight through the Bernoulli draw, then the sigmoid
                     p = trace.probs[t]
-                    direct = g * p * (1.0 - p)
+                    if i not in one_minus_p:
+                        one_minus_p[i] = np.empty(g.shape)
+                    np.subtract(1.0, p, out=one_minus_p[i])
+                    np.multiply(g, p, out=gv)
+                    gv *= one_minus_p[i]
+                    gv += carry[i]
                 inv_k = 1.0 / layer.k
-                gv = direct + carry.get(i, 0.0)
-                carry[i] = gv * (layer.leak * inv_k)
-                g = gv * inv_k
+                np.multiply(gv, layer.leak * inv_k, out=carry[i])
+                gv *= inv_k
             else:
                 raise StateError(f"weighted layer without neuron model: {layer}")
 
-            # g is step t's drive gradient, a buffer this sweep allocated
+            # gv is step t's drive gradient, overwritten at step t - 1
             if i == 0:
                 # the input is the same at every step:
                 # sum_t g_t^T x = (sum_t g_t)^T x, computed after the sweep
                 if folded is None:
-                    folded = g
+                    folded = gv.copy()
                 else:
-                    folded += g
+                    folded += gv
                 continue
-            grad_w, g = _synaptic_step(trace, g, trace.inputs[t])
+            x = trace.inputs[t]
+            if layer.kind == "linear" and x.dtype != np.float64 and i not in cast:
+                cast[i] = np.empty(x.shape)
+            grad_w, g = _synaptic_step(trace, gv, x, cast=cast.get(i))
             if trace.wname in grads:
                 grads[trace.wname] += grad_w
             else:

@@ -32,6 +32,9 @@ from .tensor import _conv_out_size, conv2d, pool2d
 
 MODEL_KINDS = ("D-F-BPTT", "S-F-BPTT", "D-R-BPTT")
 ARCHS = ("mlp2", "lenet5", "vgg15")
+LAYER_KINDS = ("linear", "conv", "pool")
+NEURONS = ("det", "stoch", "none")
+POOL_MODES = ("average", "max")
 
 # Table-level defaults: leak 0.9 for deterministic models, 0.7 for stochastic.
 DET_LEAK = 0.9
@@ -60,6 +63,26 @@ class LayerSpec:
     leak: float = DET_LEAK
 
     def __post_init__(self):
+        # each kind checks the fields it reads; build() leaves the others at
+        # their defaults (kernel 0 on linear layers, window 0 on conv layers)
+        if self.kind not in LAYER_KINDS:
+            raise ParameterError(f"layer kind must be one of {LAYER_KINDS}, got {self.kind!r}")
+        if self.neuron not in NEURONS:
+            raise ParameterError(f"neuron must be one of {NEURONS}, got {self.neuron!r}")
+        if self.kind == "linear":
+            _check_count(self, "in_features", 0)
+            _check_count(self, "out_features", 0)
+        elif self.kind == "conv":
+            for name in ("in_channels", "out_channels", "kernel", "stride"):
+                _check_count(self, name, 1)
+            _check_count(self, "pad", 0)
+        else:
+            if self.neuron != "none":
+                raise ParameterError(f"a pool layer has no neuron model, got {self.neuron!r}")
+            _check_count(self, "window", 1)
+            if self.pool_mode not in POOL_MODES:
+                raise ParameterError(f"pool mode must be one of {POOL_MODES}, "
+                                     f"got {self.pool_mode!r}")
         self.v_th, self.k, self.leak = float(self.v_th), float(self.k), float(self.leak)
         if not 0.0 < self.v_th < np.inf:
             raise ParameterError(f"v_th must be finite and > 0, got {self.v_th}")
@@ -67,6 +90,13 @@ class LayerSpec:
             raise ParameterError(f"k must be finite and > 0, got {self.k}")
         if not 0.0 <= self.leak <= 1.0:
             raise ParameterError(f"leak must be in [0, 1], got {self.leak}")
+
+
+def _check_count(layer: LayerSpec, name: str, minimum: int) -> None:
+    value = getattr(layer, name)
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise ParameterError(f"{layer.kind} layer {name} must be an integer >= {minimum}, "
+                             f"got {value!r}")
 
 
 @dataclass

@@ -69,10 +69,20 @@ def _drive(state: LayerState, drive) -> np.ndarray:
 
 def det_lif_step(state: LayerState, layer, drive: np.ndarray):
     """One deterministic LIF timestep of ``layer`` (a LayerSpec); returns
-    (new_state, spikes)."""
+    (new_state, spikes).
+
+    Evaluated as ((leak * V) + drive) - (fired_prev * v_th) in two fresh
+    buffers: ``v`` takes the sum, ``spikes`` first the reset term and then
+    the comparison ``v >= v_th`` as 0.0 / 1.0.  ``state`` and ``drive`` are
+    only read; ``inference.run_network`` passes one hoisted drive at every
+    step.
+    """
     drive = _drive(state, drive)
-    v = layer.leak * state.v + drive - state.fired_prev * layer.v_th
-    spikes = (v >= layer.v_th).astype(np.float64)
+    v = np.multiply(layer.leak, state.v, out=np.empty(state.v.shape))
+    v += drive
+    spikes = np.multiply(state.fired_prev, layer.v_th, out=np.empty(v.shape))
+    v -= spikes
+    np.greater_equal(v, layer.v_th, out=spikes)
     return LayerState(v=v, fired_prev=spikes), spikes
 
 

@@ -116,7 +116,12 @@ class TrainingDiverged(NumericalError):
 
 def adam_step(params: dict, grads: dict, state: AdamState, lr: float,
               weight_decay: float = 0.0) -> None:
-    """Bias-corrected Adam update in place; L2 decay added to the gradient."""
+    """Bias-corrected Adam update in place; L2 decay added to the gradient.
+
+    Each weight's update runs in two scratch arrays, in the order of
+    ``p -= lr * (m / c1) / (sqrt(v / c2) + eps)`` with ``m += (1 - beta1) * g``
+    and ``v += (1 - beta2) * g * g``.  ``grads`` is only read.
+    """
     state.step += 1
     t = state.step
     c1 = 1.0 - ADAM_BETA1 ** t
@@ -125,18 +130,29 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr: float,
         g = grads[name]
         if not np.all(np.isfinite(g)):
             raise NumericalError(f"NaN/Inf gradient for parameter {name!r}")
+        p = params[name]
+        a = np.empty(p.shape)
+        b = np.empty(p.shape)
         if weight_decay:
-            g = g + weight_decay * params[name]
+            g = np.add(g, np.multiply(weight_decay, p, out=a), out=a)
         if name not in state.m:
-            state.m[name] = np.zeros_like(params[name])
-            state.v[name] = np.zeros_like(params[name])
+            state.m[name] = np.zeros_like(p)
+            state.v[name] = np.zeros_like(p)
         m = state.m[name]
         v = state.v[name]
         m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
+        m += np.multiply(1.0 - ADAM_BETA1, g, out=b)
         v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * g * g
-        params[name] -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+        np.multiply(1.0 - ADAM_BETA2, g, out=b)
+        v += np.multiply(b, g, out=b)
+        # a is free: g is no longer read
+        np.divide(m, c1, out=a)
+        a *= lr
+        np.divide(v, c2, out=b)
+        np.sqrt(b, out=b)
+        b += ADAM_EPS
+        a /= b
+        p -= a
 
 
 def lr_at(epoch: int, config: TrainConfig) -> float:
@@ -236,6 +252,9 @@ def train(config: TrainConfig, train_ds: Dataset, test_ds: Dataset | None = None
                 if not np.isfinite(loss.value):
                     raise NumericalError(f"loss diverged at epoch {epoch} batch {b}")
                 grads = backward(tape, loss)
+                # the tape is the step's largest allocation: free it before
+                # Adam's scratch arrays and the next batch's forward pass
+                del records, tape
                 adam_step(params, grads, adam, lr, config.weight_decay)
                 epoch_loss += loss.value
                 n_batches += 1

@@ -5,13 +5,20 @@
 * ``ml_loss``: the maximum-likelihood first-spike loss on a probability
   table, the reference for the fused ``coding.ml_loss_logits_batch``;
 * ``smoothed_spike``: the smooth relaxation of the hard threshold whose exact
-  derivative is the arctan surrogate, for finite-difference networks.
+  derivative is the arctan surrogate, for finite-difference networks;
+* ``backward`` and ``adam_step``: the reverse sweep and the Adam update as
+  they stood before they reused per-step buffers, kept verbatim (with the
+  surrogate and synaptic helpers they call) so that tests can demand
+  bit-identical gradients and parameters from the package's versions.
 """
 
 import numpy as np
 
+from spikefirst.bptt import LayerTrace, Tape, sign_estimator_backward
 from spikefirst.coding import LossValue
-from spikefirst.errors import NumericalError
+from spikefirst.errors import NumericalError, StateError
+from spikefirst.tensor import conv2d_backward, pool2d_backward
+from spikefirst.train import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState
 
 # ml_loss clamps probabilities away from {0, 1} so the loss stays finite
 PROB_CLAMP = 1e-7
@@ -98,3 +105,157 @@ def ml_loss(probs, correct: int) -> LossValue:
     pc = np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP)
     losses, grads = _ml_loss_core(pc[None], np.asarray([correct]))
     return LossValue(value=float(losses[0]), grad=grads[0], kind="ml")
+
+
+# ---- reference copies of the package's reverse sweep and Adam update
+
+def arctan_surrogate_grad(v: np.ndarray, alpha: float = 2.0) -> np.ndarray:
+    """Elementwise (1/pi) / (1 + (pi * v * alpha / 2)^2).
+
+    Used as d(spike)/dV in the backward pass, evaluated at V - v_th.
+    """
+    z = np.pi * np.asarray(v, dtype=np.float64) * (alpha / 2.0)
+    return (1.0 / np.pi) / (1.0 + z * z)
+
+
+def _synaptic_step(trace: LayerTrace, g_drive: np.ndarray, x: np.ndarray,
+                   need_input: bool = True):
+    """Backprop one step's drive gradient through a linear or conv op.
+
+    ``g_drive`` is (N, ...) and ``x`` the op's input at that step.  Returns
+    (grad_weight, grad_input), grad_input shaped like ``x``, or None when
+    ``need_input`` is false.
+    """
+    layer = trace.layer
+    if layer.kind == "linear":
+        # a uint8 spike step is cast to float64
+        flat = x.reshape(x.shape[0], -1).astype(np.float64, copy=False)
+        grad_w = g_drive.T @ flat
+        if not need_input:
+            return grad_w, None
+        return grad_w, (g_drive @ trace.weight).reshape(x.shape)
+    if layer.kind == "conv":
+        # conv2d_backward casts a uint8 step to float64
+        grad_in, grad_w = conv2d_backward(g_drive, x, trace.weight, layer.stride,
+                                          layer.pad, need_input=need_input)
+        return grad_w, grad_in
+    raise StateError(f"layer kind {layer.kind!r} has no synaptic op")
+
+
+def backward(tape: Tape, loss) -> dict:
+    """Reverse sweep over a recorded forward pass.
+
+    ``loss`` is a LossValue whose ``kind`` selects how the output-layer
+    gradient enters the network: "fts" routes dL/dt through the sign
+    estimator, "rate" spreads dL/d(count) over every timestep, and "ml-v"
+    supplies dL/dV at the membrane potential of a stochastic output layer,
+    the only kind such a layer takes.  Returns a dict mapping weight names
+    to gradients, each summed over the timesteps from t = T-1 down to 0.
+
+    The sweep is time-major (see the module docstring): each gradient passed
+    from layer to layer, and each neuron layer's carry, is one step's
+    (N, ...) array, so apart from the (T, N, n_out) loss gradient its memory
+    is O(N * width) whatever the horizon.
+
+    ``backward`` writes only into buffers it allocated: neither
+    ``loss.grad`` nor any array on the tape is modified, so a tape can be
+    swept again.
+    """
+    horizon = tape.horizon
+    traces = tape.traces
+    last = len(traces) - 1
+
+    # g_top[t]: step t's gradient w.r.t. the output layer's spikes or, for a
+    # stochastic output layer, its membrane potential; read only
+    if traces[last].layer.neuron == "stoch":
+        if loss.kind != "ml-v":
+            raise StateError(f"a stochastic output layer takes the fused 'ml-v' loss, "
+                             f"got loss kind {loss.kind!r}")
+        # already fused through the output sigmoid; (N, T, n) seen time-major
+        g_top = np.moveaxis(loss.grad, 1, 0)
+    elif loss.kind == "fts":
+        g_top = sign_estimator_backward(loss.grad, loss.aux["first_times"], horizon)
+    elif loss.kind == "rate":
+        # accumulated count is a plain sum over time: same gradient each step
+        g_top = np.broadcast_to(loss.grad, (horizon,) + loss.grad.shape)
+    else:
+        raise StateError(f"loss kind {loss.kind!r} does not apply to a deterministic "
+                         "output layer")
+
+    grads: dict[str, np.ndarray] = {}
+    carry: dict[int, np.ndarray] = {}   # per neuron layer: dL/dV_t from step t+1
+    folded = None                       # layer 0: sum_t of its g_drive
+    for t in range(horizon - 1, -1, -1):
+        g = g_top[t]
+        for i in range(last, -1, -1):
+            trace = traces[i]
+            layer = trace.layer
+            if layer.kind == "pool":
+                # pool2d_backward casts a uint8 step to float64
+                g = pool2d_backward(g, trace.inputs[t], layer.window, layer.pool_mode)
+                continue
+
+            if layer.neuron == "det":
+                # dV_t/dV_{t-1}: leak path only; the reset indicator is treated
+                # as a constant in the backward pass.
+                sur = arctan_surrogate_grad(trace.v[t] - layer.v_th, tape.alpha)
+                gv = g * sur + carry.get(i, 0.0)
+                carry[i] = gv * layer.leak
+                g = gv
+            elif layer.neuron == "stoch":
+                if i == last:
+                    direct = g                 # already dL/dV
+                else:
+                    # straight through the Bernoulli draw, then the sigmoid
+                    p = trace.probs[t]
+                    direct = g * p * (1.0 - p)
+                inv_k = 1.0 / layer.k
+                gv = direct + carry.get(i, 0.0)
+                carry[i] = gv * (layer.leak * inv_k)
+                g = gv * inv_k
+            else:
+                raise StateError(f"weighted layer without neuron model: {layer}")
+
+            # g is step t's drive gradient, a buffer this sweep allocated
+            if i == 0:
+                # the input is the same at every step:
+                # sum_t g_t^T x = (sum_t g_t)^T x, computed after the sweep
+                if folded is None:
+                    folded = g
+                else:
+                    folded += g
+                continue
+            grad_w, g = _synaptic_step(trace, g, trace.inputs[t])
+            if trace.wname in grads:
+                grads[trace.wname] += grad_w
+            else:
+                grads[trace.wname] = grad_w
+
+    grads[traces[0].wname], _ = _synaptic_step(traces[0], folded, traces[0].inputs,
+                                               need_input=False)
+    return grads
+
+
+def adam_step(params: dict, grads: dict, state: AdamState, lr: float,
+              weight_decay: float = 0.0) -> None:
+    """Bias-corrected Adam update in place; L2 decay added to the gradient."""
+    state.step += 1
+    t = state.step
+    c1 = 1.0 - ADAM_BETA1 ** t
+    c2 = 1.0 - ADAM_BETA2 ** t
+    for name in sorted(params):
+        g = grads[name]
+        if not np.all(np.isfinite(g)):
+            raise NumericalError(f"NaN/Inf gradient for parameter {name!r}")
+        if weight_decay:
+            g = g + weight_decay * params[name]
+        if name not in state.m:
+            state.m[name] = np.zeros_like(params[name])
+            state.v[name] = np.zeros_like(params[name])
+        m = state.m[name]
+        v = state.v[name]
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        params[name] -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)

@@ -22,6 +22,7 @@ from spikefirst.neurons import first_spike_times, sigmoid
 from spikefirst.rng import RngStream
 from spikefirst.tensor import conv2d, pool2d
 
+import oracles
 from oracles import smoothed_spike
 
 
@@ -527,3 +528,58 @@ def test_stochastic_in_place_forward_backward_peak_memory():
     # backward adds no (T, N, hidden) gradient buffer to the forward's tape
     ratio = _sf_forward_backward_peak_ratio()
     assert ratio <= 3.5, f"forward + backward peak {ratio:.2f}x one (T, N, hidden) buffer"
+
+
+def _assert_same_gradients(tape, loss):
+    grads = sf.backward(tape, loss)
+    want = oracles.backward(tape, loss)
+    assert set(grads) == set(want)
+    for name in want:
+        assert grads[name].tobytes() == want[name].tobytes(), name
+
+
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("kind", ["D-F", "D-R", "S-F", "S-F conv"])
+def test_backward_is_bit_identical_to_reference(kind, n):
+    # the sweep reuses its per-step buffers but keeps every operation, its
+    # operands and their order: gradients equal the reference bit for bit
+    _, tape, loss = _taped_net(kind, n)
+    _assert_same_gradients(tape, loss)
+
+
+@pytest.mark.parametrize("model_kind,arch,overrides,n",
+                         [("D-F-BPTT", "mlp2", {"hidden": 800}, 64),
+                          ("S-F-BPTT", "mlp2", {"hidden": 800}, 64),
+                          ("D-F-BPTT", "lenet5", {}, 8)])
+def test_training_step_gradients_are_bit_identical_to_reference(model_kind, arch,
+                                                                overrides, n):
+    spec = sf.build(arch, model_kind, overrides)
+    params = sf.init_params(spec, RngStream(0, 1))
+    x = np.random.default_rng(5).uniform(0, 1, size=(n, 1, 28, 28))
+    labels = np.arange(n) % 10
+    encoded = sf.encode_direct(x, spec.horizon)
+    if model_kind.startswith("S"):
+        streams = [RngStream(0, 10 + i) for i in range(len(spec.neuron_layers()))]
+        _, tape = sf.forward(spec, params, encoded, streams)
+        loss = ml_loss_logits_batch(np.moveaxis(tape.traces[-1].v, 0, 1), labels)
+    else:
+        params = {k: 4.0 * w for k, w in params.items()}
+        records, tape = sf.forward(spec, params, encoded)
+        loss = fts_ce_loss_batch(first_spike_times(records[-1]), labels)
+    _assert_same_gradients(tape, loss)
+
+
+@pytest.mark.parametrize("v", [0.0, 1.5, -2.0])
+def test_surrogate_takes_scalars_and_zero_d_arrays(v):
+    want = oracles.arctan_surrogate_grad(v, 3.0)
+    for arg in (v, np.float64(v), np.array(v)):
+        got = arctan_surrogate_grad(arg, 3.0)
+        assert np.shape(got) == () and got == want
+
+
+def test_surrogate_is_bit_identical_to_reference():
+    v = np.random.default_rng(2).normal(0.0, 3.0, size=(5, 7))
+    before = v.copy()
+    assert arctan_surrogate_grad(v, 2.0).tobytes() == \
+        oracles.arctan_surrogate_grad(v, 2.0).tobytes()
+    assert np.array_equal(v, before)

@@ -185,6 +185,29 @@ def test_rejects_out_of_range_neuron_parameter(ckpt, tmp_path):
         load_checkpoint(path)
 
 
+# A layer field of a CRC-valid lenet5 checkpoint that run_network cannot use:
+# it failed there with ValueError, ZeroDivisionError, KeyError or ShapeError.
+_BAD_LENET5_FIELDS = [(1, "pool_mode", "foo"), (1, "window", 0), (1, "kind", "foo"),
+                      (0, "neuron", "bogus"), (0, "stride", 0)]
+
+
+def save_lenet5_with(path, index, field, value):
+    """A lenet5 checkpoint whose layer ``index`` has ``field`` set to ``value``."""
+    spec = build("lenet5", "D-F-BPTT", {"horizon": 3})
+    params = init_params(spec, RngStream(1, 1))
+    setattr(spec.layers[index], field, value)    # past LayerSpec's own checks
+    save_checkpoint(Checkpoint(spec=spec, params=params), path)
+
+
+@pytest.mark.parametrize("index,field,value", _BAD_LENET5_FIELDS,
+                         ids=[f"layer{i}.{f}={v!r}" for i, f, v in _BAD_LENET5_FIELDS])
+def test_rejects_layer_field_its_kind_cannot_use(tmp_path, index, field, value):
+    path = tmp_path / "bad.ckpt"
+    save_lenet5_with(path, index, field, value)
+    with pytest.raises(CheckpointError, match="malformed network spec"):
+        load_checkpoint(path)
+
+
 @pytest.mark.parametrize("value", [b"1if 1 else 0", b"'\\e'"])
 def test_spec_value_that_only_warns_is_rejected(ckpt, tmp_path, value):
     # ast.literal_eval parses these after a parser warning; the warning itself

@@ -230,6 +230,16 @@ def test_eval_checkpoint_without_a_spec_weight(tmp_path, synthetic_mnist):
                "--out", str(tmp_path)) == EXIT_CHECKPOINT
 
 
+def test_eval_checkpoint_with_an_unusable_layer_field(tmp_path, synthetic_mnist):
+    spec = spikefirst.build("lenet5", "D-F-BPTT", {"horizon": 3})
+    params = spikefirst.init_params(spec, spikefirst.RngStream(0, 1))
+    spec.layers[1].window = 0           # past LayerSpec's own checks
+    path = tmp_path / "window0.ckpt"
+    spikefirst.save_checkpoint(spikefirst.Checkpoint(spec=spec, params=params), path)
+    assert run("eval", str(path), "--data", synthetic_mnist,
+               "--out", str(tmp_path)) == EXIT_CHECKPOINT
+
+
 def test_eval_happy_path(tiny_run, tmp_path, capsys, synthetic_mnist):
     code = run("eval", str(tiny_run / "checkpoint.ckpt"),
                "--data", synthetic_mnist, "--out", str(tmp_path))

@@ -5,9 +5,10 @@ import pytest
 
 import spikefirst as sf
 from spikefirst.checkpoint import Checkpoint
-from spikefirst.errors import ShapeError
-from spikefirst.network import (build, init_params, layer_shapes, normalize_model_kind,
-                                parse_spec, serialize_spec, synaptic_drive, weight_shape)
+from spikefirst.errors import ParameterError, ShapeError
+from spikefirst.network import (LayerSpec, build, init_params, layer_shapes,
+                                normalize_model_kind, parse_spec, serialize_spec,
+                                synaptic_drive, weight_shape)
 from spikefirst.neurons import LayerState, det_lif_step
 from spikefirst.rng import RngStream
 from spikefirst.tuner import apply_candidate
@@ -210,3 +211,29 @@ def test_spec_serialization_round_trip(arch, kind):
     spec.layers[0].v_th = 1.25
     back = parse_spec(serialize_spec(spec))
     assert back == spec
+
+
+# One field a layer of that kind reads, set to a value the simulator cannot use.
+_BAD_LAYER_FIELDS = [
+    ({"kind": "foo"}, "kind"),
+    ({"kind": "linear", "neuron": "bogus"}, "neuron"),
+    ({"kind": "linear", "in_features": -1}, "in_features"),
+    ({"kind": "linear", "out_features": 2.0}, "out_features"),
+    ({"kind": "conv", "in_channels": 1, "out_channels": 2, "kernel": 3, "stride": 0},
+     "stride"),
+    ({"kind": "conv", "in_channels": 1, "out_channels": 2, "kernel": 0}, "kernel"),
+    ({"kind": "conv", "in_channels": 0, "out_channels": 2, "kernel": 3}, "in_channels"),
+    ({"kind": "conv", "in_channels": 1, "out_channels": 2, "kernel": 3, "pad": -1}, "pad"),
+    ({"kind": "pool", "window": 0}, "window"),
+    ({"kind": "pool", "window": True}, "window"),
+    ({"kind": "pool", "window": 2, "pool_mode": "foo"}, "pool mode"),
+    ({"kind": "pool", "window": 2, "neuron": "det"}, "neuron"),
+]
+
+
+@pytest.mark.parametrize("fields,what", _BAD_LAYER_FIELDS,
+                         ids=[what for _, what in _BAD_LAYER_FIELDS])
+def test_layer_spec_rejects_fields_its_kind_cannot_use(fields, what):
+    with pytest.raises(ParameterError, match=what):
+        LayerSpec(**fields)
+

@@ -117,6 +117,29 @@ def test_sigmoid_keeps_shape_and_input():
     assert sigmoid(0.0) == 0.5 and sigmoid([0, 0]).tolist() == [0.5, 0.5]
 
 
+def test_det_lif_step_matches_formula_without_touching_inputs():
+    # run_network passes one hoisted layer-0 drive at every step: a write
+    # into it would corrupt every later step
+    layer = det(v_th=0.8, leak=0.9)
+    rng = np.random.default_rng(9)
+    fired = (rng.uniform(size=(4, 6)) < 0.5).astype(np.float64)
+    state = LayerState(v=rng.normal(size=(4, 6)), fired_prev=fired)
+    drive = rng.normal(size=(4, 6))
+    v0, f0, d0 = state.v.copy(), fired.copy(), drive.copy()
+    new, spikes = det_lif_step(state, layer, drive)
+    v = 0.9 * v0 + d0 - f0 * 0.8
+    assert new.v.tobytes() == v.tobytes()
+    assert np.array_equal(spikes, (v >= 0.8).astype(np.float64))
+    assert spikes.dtype == np.float64 and new.fired_prev is spikes
+    assert 0 < spikes.sum() < spikes.size
+    assert np.array_equal(state.v, v0) and np.array_equal(state.fired_prev, f0)
+    assert np.array_equal(drive, d0)
+    arrays = [new.v, spikes, state.v, state.fired_prev, drive]
+    for i, a in enumerate(arrays):
+        for b in arrays[i + 1:]:
+            assert not np.shares_memory(a, b)
+
+
 def test_stoch_lif_step_matches_formula_without_touching_inputs():
     layer = stoch(k=1.3, leak=0.7)
     rng = np.random.default_rng(8)

@@ -1,6 +1,7 @@
 """Adam, LR schedule, training loop determinism, resume, divergence handling."""
 
 import importlib
+import weakref
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from spikefirst.errors import NumericalError, ParameterError
 from spikefirst.metrics import evaluate
 from spikefirst.train import (AdamState, PRESETS, TrainConfig, TrainingDiverged,
                               adam_step, lr_at, train, write_log_csv)
+
+import oracles
 
 
 def test_adam_single_step_hand_value():
@@ -42,6 +45,28 @@ def test_adam_matches_reference_sequence():
         vhat = v / (1 - 0.999**t)
         ref = ref - 0.01 * mhat / (np.sqrt(vhat) + 1e-8)
     assert np.allclose(params["w"], ref, atol=1e-12)
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 0.5])
+def test_adam_is_bit_identical_to_reference(weight_decay):
+    # the in-place update keeps the reference's operations and their order,
+    # so parameters and moments agree bit for bit, not only to a tolerance
+    rng = np.random.default_rng(1)
+    shapes = {"a": (7, 5), "b": (3, 2, 2, 2)}
+    params = {k: rng.normal(size=shape) for k, shape in shapes.items()}
+    ref = {k: w.copy() for k, w in params.items()}
+    state, ref_state = AdamState(), AdamState()
+    for _ in range(5):
+        grads = {k: rng.normal(size=shape) for k, shape in shapes.items()}
+        given = {k: g.copy() for k, g in grads.items()}
+        adam_step(params, grads, state, lr=0.01, weight_decay=weight_decay)
+        oracles.adam_step(ref, given, ref_state, lr=0.01, weight_decay=weight_decay)
+        for k in shapes:
+            assert grads[k].tobytes() == given[k].tobytes()   # grads are only read
+            assert params[k].tobytes() == ref[k].tobytes()
+            assert state.m[k].tobytes() == ref_state.m[k].tobytes()
+            assert state.v[k].tobytes() == ref_state.v[k].tobytes()
+    assert state.step == ref_state.step == 5
 
 
 def test_adam_rejects_nonfinite_gradient():
@@ -241,6 +266,32 @@ def test_divergence_raises_with_last_good_state(monkeypatch):
         train(tiny_config(epochs=3), ds)
     assert exc.value.checkpoint is not None
     assert exc.value.checkpoint.epoch == 1    # the completed first epoch
+
+
+@pytest.mark.parametrize("model_kind", ["D-F-BPTT", "S-F-BPTT", "D-R-BPTT"])
+def test_tape_is_freed_before_the_optimizer_step(monkeypatch, model_kind):
+    # the tape is the step's largest allocation; Adam's scratch arrays and
+    # the end-of-epoch snapshot must not stack on top of it
+    ds = synthetic_mnist_like(40)
+    real_forward, real_adam = train_mod.net_forward, train_mod.adam_step
+    taped = []
+
+    def forward(*args, **kwargs):
+        records, tape = real_forward(*args, **kwargs)
+        arrays = [a for tr in tape.traces for a in (tr.v, tr.spikes, tr.probs)
+                  if a is not None]
+        taped.append([weakref.ref(tape)] + [weakref.ref(a) for a in arrays])
+        return records, tape
+
+    def adam(*args, **kwargs):
+        assert all(ref() is None for ref in taped[-1]), "tape alive during adam_step"
+        return real_adam(*args, **kwargs)
+
+    monkeypatch.setattr(train_mod, "net_forward", forward)
+    monkeypatch.setattr(train_mod, "adam_step", adam)
+    leak = 0.7 if model_kind.startswith("S") else 0.9
+    train(tiny_config(model_kind=model_kind, lambda_leak=leak, epochs=1), ds)
+    assert len(taped) == 2
 
 
 def test_write_log_csv(tmp_path):
