@@ -188,10 +188,10 @@ def backward(tape: Tape, loss) -> dict:
                          "output layer")
 
     grads: dict[str, np.ndarray] = {}
-    # per neuron layer, reused at every step: dL/dV_t from step t+1 (zeros,
-    # not absent, before the first step: adding them turns -0.0 into +0.0,
-    # and the weight gradients' bits depend on it), the work buffer and the
-    # 1 - p scratch
+    # per neuron layer, reused at every step: dL/dV_t from step t+1 (zeros
+    # before the first step rather than a skipped add, so that a -0.0 there
+    # becomes +0.0 as at every other step), the work buffer and the 1 - p
+    # scratch
     carry: dict[int, np.ndarray] = {}
     work: dict[int, np.ndarray] = {}
     one_minus_p: dict[int, np.ndarray] = {}
