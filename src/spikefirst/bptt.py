@@ -58,7 +58,8 @@ def arctan_surrogate_grad(v: np.ndarray, alpha: float = 2.0) -> np.ndarray:
     Used as d(spike)/dV in the backward pass, evaluated at V - v_th.
     """
     v = np.asarray(v, dtype=np.float64)
-    return _arctan_surrogate_in_place(np.multiply(np.pi, v, out=np.empty(v.shape)), alpha)
+    # [()] gives a scalar back for a scalar or 0-d input
+    return _arctan_surrogate_in_place(np.multiply(np.pi, v, out=np.empty(v.shape)), alpha)[()]
 
 
 def _arctan_surrogate_in_place(z: np.ndarray, alpha: float) -> np.ndarray:
@@ -116,20 +117,16 @@ class Tape:
 
 
 def _synaptic_step(trace: LayerTrace, g_drive: np.ndarray, x: np.ndarray,
-                   need_input: bool = True, cast: np.ndarray | None = None):
+                   need_input: bool = True):
     """Backprop one step's drive gradient through a linear or conv op.
 
     ``g_drive`` is (N, ...) and ``x`` the op's input at that step.  Returns
     (grad_weight, grad_input), grad_input shaped like ``x``, or None when
-    ``need_input`` is false; both are fresh arrays.  ``cast``, a float64
-    buffer shaped like ``x``, receives a linear layer's uint8 spike step.
+    ``need_input`` is false.
     """
     layer = trace.layer
     if layer.kind == "linear":
-        if cast is not None and x.dtype != np.float64:
-            np.copyto(cast, x)
-            x = cast
-        # a uint8 spike step without a ``cast`` buffer is cast to a fresh float64
+        # a uint8 spike step is cast to float64
         flat = x.reshape(x.shape[0], -1).astype(np.float64, copy=False)
         grad_w = g_drive.T @ flat
         if not need_input:
@@ -248,9 +245,12 @@ def backward(tape: Tape, loss) -> dict:
                     folded += gv
                 continue
             x = trace.inputs[t]
-            if layer.kind == "linear" and x.dtype != np.float64 and i not in cast:
-                cast[i] = np.empty(x.shape)
-            grad_w, g = _synaptic_step(trace, gv, x, cast=cast.get(i))
+            if layer.kind == "linear" and x.dtype != np.float64:
+                if i not in cast:
+                    cast[i] = np.empty(x.shape)
+                np.copyto(cast[i], x)
+                x = cast[i]
+            grad_w, g = _synaptic_step(trace, gv, x)
             if trace.wname in grads:
                 grads[trace.wname] += grad_w
             else:

@@ -70,8 +70,8 @@ class LayerSpec:
         if self.neuron not in NEURONS:
             raise ParameterError(f"neuron must be one of {NEURONS}, got {self.neuron!r}")
         if self.kind == "linear":
-            _check_count(self, "in_features", 0)
-            _check_count(self, "out_features", 0)
+            _check_count(self, "in_features", 1)
+            _check_count(self, "out_features", 1)
         elif self.kind == "conv":
             for name in ("in_channels", "out_channels", "kernel", "stride"):
                 _check_count(self, name, 1)

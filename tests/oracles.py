@@ -8,16 +8,17 @@
   derivative is the arctan surrogate, for finite-difference networks;
 * ``backward`` and ``adam_step``: the reverse sweep and the Adam update as
   they stood before they reused per-step buffers, kept verbatim (with the
-  surrogate and synaptic helpers they call) so that tests can demand
-  bit-identical gradients and parameters from the package's versions.
+  surrogate they call; the synaptic helper is the package's own) so that
+  tests can demand bit-identical gradients and parameters from the
+  package's versions.
 """
 
 import numpy as np
 
-from spikefirst.bptt import LayerTrace, Tape, sign_estimator_backward
+from spikefirst.bptt import Tape, _synaptic_step, sign_estimator_backward
 from spikefirst.coding import LossValue
 from spikefirst.errors import NumericalError, StateError
-from spikefirst.tensor import conv2d_backward, pool2d_backward
+from spikefirst.tensor import pool2d_backward
 from spikefirst.train import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState
 
 # ml_loss clamps probabilities away from {0, 1} so the loss stays finite
@@ -116,30 +117,6 @@ def arctan_surrogate_grad(v: np.ndarray, alpha: float = 2.0) -> np.ndarray:
     """
     z = np.pi * np.asarray(v, dtype=np.float64) * (alpha / 2.0)
     return (1.0 / np.pi) / (1.0 + z * z)
-
-
-def _synaptic_step(trace: LayerTrace, g_drive: np.ndarray, x: np.ndarray,
-                   need_input: bool = True):
-    """Backprop one step's drive gradient through a linear or conv op.
-
-    ``g_drive`` is (N, ...) and ``x`` the op's input at that step.  Returns
-    (grad_weight, grad_input), grad_input shaped like ``x``, or None when
-    ``need_input`` is false.
-    """
-    layer = trace.layer
-    if layer.kind == "linear":
-        # a uint8 spike step is cast to float64
-        flat = x.reshape(x.shape[0], -1).astype(np.float64, copy=False)
-        grad_w = g_drive.T @ flat
-        if not need_input:
-            return grad_w, None
-        return grad_w, (g_drive @ trace.weight).reshape(x.shape)
-    if layer.kind == "conv":
-        # conv2d_backward casts a uint8 step to float64
-        grad_in, grad_w = conv2d_backward(g_drive, x, trace.weight, layer.stride,
-                                          layer.pad, need_input=need_input)
-        return grad_w, grad_in
-    raise StateError(f"layer kind {layer.kind!r} has no synaptic op")
 
 
 def backward(tape: Tape, loss) -> dict:

@@ -188,7 +188,7 @@ def test_rejects_out_of_range_neuron_parameter(ckpt, tmp_path):
 # A layer field of a CRC-valid lenet5 checkpoint that run_network cannot use:
 # it failed there with ValueError, ZeroDivisionError, KeyError or ShapeError.
 _BAD_LENET5_FIELDS = [(1, "pool_mode", "foo"), (1, "window", 0), (1, "kind", "foo"),
-                      (0, "neuron", "bogus"), (0, "stride", 0)]
+                      (0, "neuron", "bogus"), (0, "stride", 0), (6, "out_features", 0)]
 
 
 def save_lenet5_with(path, index, field, value):
@@ -204,6 +204,19 @@ def save_lenet5_with(path, index, field, value):
 def test_rejects_layer_field_its_kind_cannot_use(tmp_path, index, field, value):
     path = tmp_path / "bad.ckpt"
     save_lenet5_with(path, index, field, value)
+    with pytest.raises(CheckpointError, match="malformed network spec"):
+        load_checkpoint(path)
+
+
+def test_rejects_empty_output_layer_whose_weights_fit(tmp_path):
+    # an (0, hidden) weight fits out_features=0; run_network would then take
+    # an argmax over an empty axis
+    spec = build("mlp2", "D-F-BPTT", {"hidden": 4})
+    params = init_params(spec, RngStream(1, 1))
+    spec.layers[1].out_features = 0              # past LayerSpec's own checks
+    params["layer1.w"] = np.zeros((0, 4))
+    path = tmp_path / "empty.ckpt"
+    save_checkpoint(Checkpoint(spec=spec, params=params), path)
     with pytest.raises(CheckpointError, match="malformed network spec"):
         load_checkpoint(path)
 

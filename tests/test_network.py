@@ -218,7 +218,8 @@ _BAD_LAYER_FIELDS = [
     ({"kind": "foo"}, "kind"),
     ({"kind": "linear", "neuron": "bogus"}, "neuron"),
     ({"kind": "linear", "in_features": -1}, "in_features"),
-    ({"kind": "linear", "out_features": 2.0}, "out_features"),
+    ({"kind": "linear", "in_features": 2, "out_features": 2.0}, "out_features"),
+    ({"kind": "linear", "in_features": 2, "out_features": 0}, "out_features"),
     ({"kind": "conv", "in_channels": 1, "out_channels": 2, "kernel": 3, "stride": 0},
      "stride"),
     ({"kind": "conv", "in_channels": 1, "out_channels": 2, "kernel": 0}, "kernel"),
@@ -232,7 +233,8 @@ _BAD_LAYER_FIELDS = [
 
 
 @pytest.mark.parametrize("fields,what", _BAD_LAYER_FIELDS,
-                         ids=[what for _, what in _BAD_LAYER_FIELDS])
+                         ids=[f"{what}={fields[what.replace(' ', '_')]!r}"
+                              for fields, what in _BAD_LAYER_FIELDS])
 def test_layer_spec_rejects_fields_its_kind_cannot_use(fields, what):
     with pytest.raises(ParameterError, match=what):
         LayerSpec(**fields)

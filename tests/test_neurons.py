@@ -15,11 +15,13 @@ from spikefirst.rng import RngStream, rng_uniform
 
 
 def det(v_th=1.0, leak=0.9):
-    return LayerSpec(kind="linear", neuron="det", v_th=v_th, leak=leak)
+    return LayerSpec(kind="linear", neuron="det", in_features=1, out_features=1,
+                     v_th=v_th, leak=leak)
 
 
 def stoch(k=1.0, leak=0.7):
-    return LayerSpec(kind="linear", neuron="stoch", k=k, leak=leak)
+    return LayerSpec(kind="linear", neuron="stoch", in_features=1, out_features=1,
+                     k=k, leak=leak)
 
 
 def rest(shape):
@@ -80,9 +82,9 @@ def test_param_validation():
                 {"leak": -0.1}, {"v_th": float("nan")}, {"v_th": float("inf")},
                 {"k": float("nan")}, {"k": float("inf")}):
         with pytest.raises(ParameterError):
-            LayerSpec(kind="linear", neuron="det", **bad)
-    assert LayerSpec(kind="linear", leak=0.0).leak == 0.0
-    assert LayerSpec(kind="linear", leak=1.0).leak == 1.0
+            det(**bad) if "k" not in bad else stoch(**bad)
+    assert det(leak=0.0).leak == 0.0
+    assert det(leak=1.0).leak == 1.0
 
 
 def test_sigmoid_stable_and_correct():
