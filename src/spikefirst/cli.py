@@ -27,7 +27,7 @@ from .data import Dataset, load_cifar10_bin, load_mnist_idx
 from .errors import CheckpointError, ParameterError, SpikeFirstError
 from .metrics import (evaluate, noise_sweep, write_metrics_csv, write_noise_csv,
                       write_rates_csv)
-from .network import serialize_spec
+from .network import CODINGS, serialize_spec
 from .train import PRESETS, TrainConfig, TrainingDiverged, train, write_log_csv
 from .tuner import DeConfig, de_optimize, write_de_csv
 
@@ -319,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("checkpoint")
     p.add_argument("--data")
     p.add_argument("--out")
-    p.add_argument("--mode", choices=["first-to-spike", "rate"], default=None)
+    p.add_argument("--mode", choices=CODINGS, default=None)
     p.add_argument("--timesteps", type=int, default=None)
     p.set_defaults(func=cmd_eval)
 

@@ -2,7 +2,8 @@
 
 First-to-spike mode stops simulating each sample at its first output spike
 (the early-exit contract): finished samples are physically removed from the
-active batch, so no computation happens for them afterwards.  Rate mode runs
+active batch, with their layer states and hoisted layer-0 drive, so no
+computation happens for them afterwards.  Rate mode runs
 the full horizon and predicts the argmax of the accumulated output spikes.
 
 Tie and timeout rules: if several output neurons fire at the same first
@@ -26,7 +27,7 @@ import numpy as np
 from .errors import ParameterError
 # sigmoid is re-exported: bench/test_bench.py reaches it through this module
 from .neurons import LayerState, sigmoid  # noqa: F401
-from .network import NetworkSpec, step, synaptic_drive
+from .network import CODINGS, NetworkSpec, step, synaptic_drive
 from .rng import RngStream, rng_gaussian
 
 
@@ -58,7 +59,7 @@ def run_network(spec: NetworkSpec, params: dict, images: np.ndarray,
     sample's noise depends neither on the batch size nor on which other
     samples exited, and results are reproducible.
     """
-    if mode not in ("first-to-spike", "rate"):
+    if mode not in CODINGS:
         raise ParameterError(f"unknown inference mode {mode!r}")
     horizon = spec.horizon if horizon is None else int(horizon)
     if horizon < 1:
@@ -92,12 +93,15 @@ def run_network(spec: NetworkSpec, params: dict, images: np.ndarray,
         nb = b_end - b_start
         active = np.arange(nb)
         row_sums0[b_start:b_end] = x0.reshape(nb, -1).sum(axis=1)
+        drive0 = None
         if noise is None:
-            full_drive0 = synaptic_drive(spec.layers[0], params["layer0.w"], x0)
+            # layer 0's drive is the same at every step: computed once, and
+            # compacted with the states when samples exit
+            drive0 = synaptic_drive(spec.layers[0], params["layer0.w"], x0)
         states = {}
         # the active samples' summed output: membrane potential in
         # first-to-spike mode (for timeouts), spike counts in rate mode
-        out_acc = 0.0
+        out_acc = None
         streams = None
         if stochastic:
             # each stochastic layer draws once per step, so step t draws at
@@ -107,23 +111,23 @@ def run_network(spec: NetworkSpec, params: dict, images: np.ndarray,
                        for i in neuron_layers]
 
         for t in range(1, horizon + 1):
-            drive0 = None           # frees the last step's drive before the next
-            if noise is None:
-                # while every sample is active the full array needs no copy
-                drive0 = full_drive0 if active.size == nb else full_drive0[active]
-            else:
+            if noise is not None:
+                # fresh noise for the active samples, whose images x0 holds
+                drive0 = None       # frees the last step's drive before the next
                 noise.counter = t
-                x = x0[active]
-                drive0 = synaptic_drive(spec.layers[0], params["layer0.w"], x + rng_gaussian(
-                    noise, x.shape, input_noise_std, rows=b_start + active))
+                drive0 = synaptic_drive(spec.layers[0], params["layer0.w"], x0 + rng_gaussian(
+                    noise, x0.shape, input_noise_std, rows=b_start + active))
             for i, (inp, v, spikes, probs) in enumerate(step(spec, params, drive0, states,
                                                              streams)):
                 if pool_fed[i]:
                     totals[i - 1] += inp.sum()
                 if spikes is not None:
                     totals[i] += spikes.sum()
-            out_v, out_spikes, out_probs = v, spikes, probs     # the output layer's
-            out_acc = out_acc + (out_v if fts else out_spikes)
+            # the output layer's; the next step overwrites these buffers
+            out_v, out_spikes, out_probs = v, spikes, probs
+            if out_acc is None:
+                out_acc = np.zeros_like(out_v)
+            out_acc += out_v if fts else out_spikes
 
             if fts:
                 fired = out_spikes.any(axis=1)
@@ -138,6 +142,10 @@ def run_network(spec: NetworkSpec, params: dict, images: np.ndarray,
                     out_acc = out_acc[keep]
                     states = {i: LayerState(v=s.v[keep], fired_prev=s.fired_prev[keep])
                               for i, s in states.items()}
+                    if noise is None:
+                        drive0 = drive0[keep]
+                    else:
+                        x0 = x0[keep]
                     if active.size == 0:
                         break
 

@@ -3,12 +3,13 @@
 ``build`` resolves an architecture name (mlp2 / lenet5 / vgg15) and model kind
 (D-F-BPTT / S-F-BPTT / D-R-BPTT) into a fully specified layer stack.  ``step``
 is the simulator core: it advances every layer by one timestep (pooling, the
-synaptic op, then the LIF update of ``neurons``) and returns each layer's
-input, membrane potential, spikes and firing probabilities; the network
-input reaches it only as layer 0's drive, which the caller computes.  ``forward``
-calls it for t = 1..T and records the BPTT tape; ``inference.run_network``
-calls it with early exit.  First-to-spike coding applies only to the final
-output layer; hidden layers always communicate through their spike trains.
+synaptic op, then the LIF update of ``neurons`` in the layer state's own
+buffers) and returns each layer's input, membrane potential, spikes and
+firing probabilities; the network input reaches it only as layer 0's drive,
+which the caller computes.  ``forward`` calls it for t = 1..T and records the
+BPTT tape; ``inference.run_network`` calls it with early exit.  First-to-spike
+coding applies only to the final output layer; hidden layers always
+communicate through their spike trains.
 
 Layers carry no bias terms; thresholds (deterministic) and membrane scales
 (stochastic) play that role and are the quantities the evolutionary tuner
@@ -31,6 +32,7 @@ from .rng import RngStream, rng_uniform
 from .tensor import _conv_out_size, conv2d, pool2d
 
 MODEL_KINDS = ("D-F-BPTT", "S-F-BPTT", "D-R-BPTT")
+CODINGS = ("first-to-spike", "rate")
 ARCHS = ("mlp2", "lenet5", "vgg15")
 LAYER_KINDS = ("linear", "conv", "pool")
 NEURONS = ("det", "stoch", "none")
@@ -109,6 +111,23 @@ class NetworkSpec:
     model_kind: str
     arch: str
     alpha: float = DEFAULT_ALPHA
+
+    def __post_init__(self):
+        if self.coding not in CODINGS:
+            raise ParameterError(f"coding must be one of {CODINGS}, got {self.coding!r}")
+        if self.model_kind not in MODEL_KINDS:
+            raise ParameterError(f"model kind must be one of {MODEL_KINDS}, "
+                                 f"got {self.model_kind!r}")
+        if self.arch not in ARCHS:
+            raise ParameterError(f"arch must be one of {ARCHS}, got {self.arch!r}")
+        if self.horizon < 1:
+            raise ParameterError(f"horizon must be >= 1, got {self.horizon}")
+        self.alpha = float(self.alpha)
+        if not 0.0 < self.alpha < np.inf:
+            raise ParameterError(f"alpha must be finite and > 0, got {self.alpha}")
+        for i, layer in self.weighted_layers():
+            if layer.neuron == "none":
+                raise ParameterError(f"{layer.kind} layer {i} has no neuron model")
 
     def neuron_layers(self):
         return [l for l in self.layers if l.neuron != "none"]
@@ -258,6 +277,14 @@ def step(spec: NetworkSpec, params: dict, drive0: np.ndarray, states: dict,
     deterministic layers are ignored; None for a deterministic network).
     Returns one ``(input, v, spikes, probs)`` tuple per layer: a pool layer
     has only its input, a deterministic layer no probs, and layer 0 no input.
+
+    Each neuron layer's state is advanced in its own buffers, so no step
+    allocates a new membrane or spike array: the returned ``v`` and
+    ``spikes`` (and a later layer's ``input``, which is the spikes of the
+    layer before) are ``states[i].v`` and ``states[i].fired_prev``
+    themselves.  They are valid until the next ``step`` on the same
+    ``states``, which overwrites them; a caller that keeps them longer
+    copies them.
     """
     out = []
     n = 0
@@ -272,15 +299,15 @@ def step(spec: NetworkSpec, params: dict, drive0: np.ndarray, states: dict,
             inp, drive = x, synaptic_drive(layer, params[f"layer{i}.w"], x)
         state = states.get(i)
         if state is None:
-            state = LayerState(v=np.zeros_like(drive))
+            state = LayerState(v=np.zeros(drive.shape))
         probs = None
         if layer.neuron == "det":
-            state, spikes = det_lif_step(state, layer, drive)
+            state, spikes = det_lif_step(state, layer, drive, out=state)
         elif layer.neuron == "stoch":
             stream = streams[n] if streams is not None else None
             if stream is None:
                 raise ShapeError("stochastic network requires RNG streams")
-            state, spikes, probs = stoch_lif_step(state, layer, drive, stream)
+            state, spikes, probs = stoch_lif_step(state, layer, drive, stream, out=state)
         else:
             raise ShapeError(f"weighted layer without neuron model at index {i}")
         states[i] = state

@@ -4,7 +4,10 @@ This module is the only definition of the LIF update: training
 (``network.forward``) and evaluation (``inference.run_network``) both advance
 their neurons through ``det_lif_step`` and ``stoch_lif_step``, which read the
 threshold ``v_th``, membrane scale ``k`` and ``leak`` from the layer's
-``LayerSpec``.
+``LayerSpec``.  Both return a new state in new buffers, or, given
+``out=``, write it into that state's own ``v`` and ``fired_prev``:
+``network.step`` passes ``out=state`` so that a layer's state lives in the
+same two buffers for a whole simulation.
 
 The deterministic neuron integrates leaky state plus synaptic drive, fires at
 a hard threshold, and soft-resets by subtracting the threshold one step after
@@ -38,11 +41,15 @@ class LayerState:
     fired_prev: np.ndarray = field(default=None)
 
     def __post_init__(self):
-        self.v = np.asarray(self.v, dtype=np.float64)
+        # C order: the stochastic step draws its uniforms into fired_prev
+        self.v = np.asarray(self.v, dtype=np.float64, order="C")
         if self.fired_prev is None:
             self.fired_prev = np.zeros_like(self.v)
         else:
-            self.fired_prev = np.asarray(self.fired_prev, dtype=np.float64)
+            self.fired_prev = np.asarray(self.fired_prev, dtype=np.float64, order="C")
+            if self.fired_prev.shape != self.v.shape:
+                raise ShapeError(f"fired_prev shape {self.fired_prev.shape} != "
+                                 f"v shape {self.v.shape}")
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -60,45 +67,58 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return np.divide(1.0, out, out=out)
 
 
-def _drive(state: LayerState, drive) -> np.ndarray:
+def _operands(state: LayerState, drive, out: LayerState | None):
+    """The step's drive as float64 and the state that receives the step."""
     drive = np.asarray(drive, dtype=np.float64)
     if drive.shape != state.v.shape:
         raise ShapeError(f"drive shape {drive.shape} != state shape {state.v.shape}")
-    return drive
+    if out is None:
+        out = LayerState(v=np.empty(drive.shape), fired_prev=np.empty(drive.shape))
+    elif out.v.shape != drive.shape:
+        raise ShapeError(f"out state shape {out.v.shape} != state shape {drive.shape}")
+    return drive, out
 
 
-def det_lif_step(state: LayerState, layer, drive: np.ndarray):
+def det_lif_step(state: LayerState, layer, drive: np.ndarray,
+                 out: LayerState | None = None):
     """One deterministic LIF timestep of ``layer`` (a LayerSpec); returns
     (new_state, spikes).
 
-    Evaluated as ((leak * V) + drive) - (fired_prev * v_th) in two fresh
-    buffers: ``v`` takes the sum, ``spikes`` first the reset term and then
-    the comparison ``v >= v_th`` as 0.0 / 1.0.  ``state`` and ``drive`` are
-    only read; ``inference.run_network`` passes one hoisted drive at every
-    step.
+    Evaluated as ((leak * V) + drive) - (fired_prev * v_th) in the new
+    state's two buffers: ``v`` takes the sum, ``fired_prev`` first the reset
+    term and then the comparison ``v >= v_th`` as 0.0 / 1.0, and is returned
+    as ``spikes``.  The new state is ``out`` if given, which may be ``state``
+    itself, and otherwise a new one; ``drive`` is only read, and so is
+    ``state`` unless it is ``out``.  ``inference.run_network`` passes one
+    hoisted drive at every step.
     """
-    drive = _drive(state, drive)
-    v = np.multiply(layer.leak, state.v, out=np.empty(state.v.shape))
-    v += drive
-    spikes = np.multiply(state.fired_prev, layer.v_th, out=np.empty(v.shape))
-    v -= spikes
-    np.greater_equal(v, layer.v_th, out=spikes)
-    return LayerState(v=v, fired_prev=spikes), spikes
+    drive, out = _operands(state, drive, out)
+    np.multiply(layer.leak, state.v, out=out.v)
+    out.v += drive
+    np.multiply(state.fired_prev, layer.v_th, out=out.fired_prev)
+    out.v -= out.fired_prev
+    np.greater_equal(out.v, layer.v_th, out=out.fired_prev)
+    return out, out.fired_prev
 
 
-def stoch_lif_step(state: LayerState, layer, drive: np.ndarray, stream: RngStream):
+def stoch_lif_step(state: LayerState, layer, drive: np.ndarray, stream: RngStream,
+                   out: LayerState | None = None):
     """One stochastic LIF timestep of ``layer`` (a LayerSpec); returns
-    (new_state, spikes, probs)."""
-    drive = _drive(state, drive)
-    # (leak * V + drive) / k, evaluated in that order in v's own buffer
-    v = layer.leak * state.v
-    v += drive
-    v /= layer.k
-    probs = sigmoid(v)
+    (new_state, spikes, probs).
+
+    The new state is ``out`` if given, which may be ``state`` itself, and
+    otherwise a new one, as in ``det_lif_step``; ``probs`` is a new array.
+    """
+    drive, out = _operands(state, drive, out)
+    # (leak * V + drive) / k, evaluated in that order in the new v
+    np.multiply(layer.leak, state.v, out=out.v)
+    out.v += drive
+    out.v /= layer.k
+    probs = sigmoid(out.v)
     # the draw's buffer receives its own comparison as 0.0 / 1.0
-    spikes = rng_uniform(stream, probs.shape)
+    spikes = rng_uniform(stream, probs.shape, out=out.fired_prev)
     np.less(spikes, probs, out=spikes)
-    return LayerState(v=v, fired_prev=spikes), spikes, probs
+    return out, spikes, probs
 
 
 def first_spike_times(spikes) -> np.ndarray:

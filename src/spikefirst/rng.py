@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, ShapeError
 
 _MASK64 = (1 << 64) - 1
 
@@ -79,10 +79,22 @@ class RngStream:
         return RngStream(self.seed, stream_id=stream_id, counter=0)
 
 
-def rng_uniform(stream: RngStream, shape) -> np.ndarray:
-    """Uniform [0, 1) draws; advances the stream's counter by one call."""
+def rng_uniform(stream: RngStream, shape, out: np.ndarray | None = None) -> np.ndarray:
+    """Uniform [0, 1) draws; advances the stream's counter by one call.
+
+    ``out``, a C-contiguous float64 array of ``shape``, receives the draws
+    in place of a new array: the same values at the same counter.
+    """
+    shape = tuple(shape)
+    if out is not None and not (out.shape == shape and out.dtype == np.float64
+                                and out.flags.c_contiguous and out.flags.writeable):
+        raise ShapeError(f"uniform draws of shape {shape} need a writable C-contiguous "
+                         f"float64 buffer of that shape, got {out.dtype} {out.shape}")
     g = stream._generator()
-    out = g.random(size=tuple(shape), dtype=np.float64)
+    if out is None:
+        out = g.random(size=shape, dtype=np.float64)
+    else:
+        g.random(out=out)
     stream.counter = (stream.counter + 1) & _MASK64
     return out
 

@@ -10,14 +10,20 @@
   they stood before they reused per-step buffers, kept verbatim (with the
   surrogate they call; the synaptic helper is the package's own) so that
   tests can demand bit-identical gradients and parameters from the
-  package's versions.
+  package's versions;
+* ``det_lif_step`` and ``stoch_lif_step``: the LIF updates as they stood
+  before ``network.step`` advanced each state in its own buffers, kept
+  verbatim, read-only and allocating every step, so that tests can demand
+  the same bytes from the in-place versions.
 """
 
 import numpy as np
 
 from spikefirst.bptt import Tape, _synaptic_step, sign_estimator_backward
 from spikefirst.coding import LossValue
-from spikefirst.errors import NumericalError, StateError
+from spikefirst.errors import NumericalError, ShapeError, StateError
+from spikefirst.neurons import LayerState, sigmoid
+from spikefirst.rng import RngStream, rng_uniform
 from spikefirst.tensor import pool2d_backward
 from spikefirst.train import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState
 
@@ -236,3 +242,46 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr: float,
         v *= ADAM_BETA2
         v += (1.0 - ADAM_BETA2) * g * g
         params[name] -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+
+
+# ---- reference copies of the package's LIF updates
+
+def _drive(state: LayerState, drive) -> np.ndarray:
+    drive = np.asarray(drive, dtype=np.float64)
+    if drive.shape != state.v.shape:
+        raise ShapeError(f"drive shape {drive.shape} != state shape {state.v.shape}")
+    return drive
+
+
+def det_lif_step(state: LayerState, layer, drive: np.ndarray):
+    """One deterministic LIF timestep of ``layer`` (a LayerSpec); returns
+    (new_state, spikes).
+
+    Evaluated as ((leak * V) + drive) - (fired_prev * v_th) in two fresh
+    buffers: ``v`` takes the sum, ``spikes`` first the reset term and then
+    the comparison ``v >= v_th`` as 0.0 / 1.0.  ``state`` and ``drive`` are
+    only read; ``inference.run_network`` passes one hoisted drive at every
+    step.
+    """
+    drive = _drive(state, drive)
+    v = np.multiply(layer.leak, state.v, out=np.empty(state.v.shape))
+    v += drive
+    spikes = np.multiply(state.fired_prev, layer.v_th, out=np.empty(v.shape))
+    v -= spikes
+    np.greater_equal(v, layer.v_th, out=spikes)
+    return LayerState(v=v, fired_prev=spikes), spikes
+
+
+def stoch_lif_step(state: LayerState, layer, drive: np.ndarray, stream: RngStream):
+    """One stochastic LIF timestep of ``layer`` (a LayerSpec); returns
+    (new_state, spikes, probs)."""
+    drive = _drive(state, drive)
+    # (leak * V + drive) / k, evaluated in that order in v's own buffer
+    v = layer.leak * state.v
+    v += drive
+    v /= layer.k
+    probs = sigmoid(v)
+    # the draw's buffer receives its own comparison as 0.0 / 1.0
+    spikes = rng_uniform(stream, probs.shape)
+    np.less(spikes, probs, out=spikes)
+    return LayerState(v=v, fired_prev=spikes), spikes, probs

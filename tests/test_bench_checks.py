@@ -40,3 +40,29 @@ def test_bench_train_digest_matches_reference_step(tmp_path, monkeypatch, worklo
     want = runner.train()
     assert got.problems == [] and want.problems == []
     assert got.digest == want.digest
+
+
+def _reference_det_lif_step(state, layer, drive, out=None):
+    return oracles.det_lif_step(state, layer, drive)
+
+
+def _reference_stoch_lif_step(state, layer, drive, stream, out=None):
+    return oracles.stoch_lif_step(state, layer, drive, stream)
+
+
+@pytest.mark.parametrize("workload", sorted(gen.WORKLOADS))
+def test_bench_eval_digests_match_reference_lif_steps(tmp_path, monkeypatch, workload):
+    # the bench's evaluations at their own shapes, once as is and once with
+    # the reference LIF steps, which leave their state alone and allocate a
+    # new one at every step: the reports agree bit for bit
+    sf, _ = harness.import_program(ROOT)
+    w = gen.WORKLOADS[workload]
+    runner = harness.Runner(sf, w, harness.make_setup(sf, w, 43, tmp_path))
+    ops = (runner.eval_fts, runner.eval_rate, runner.noise)
+    got = [op() for op in ops]
+    monkeypatch.setattr(sf.network, "det_lif_step", _reference_det_lif_step)
+    monkeypatch.setattr(sf.network, "stoch_lif_step", _reference_stoch_lif_step)
+    want = [op() for op in ops]
+    for op, g, r in zip(ops, got, want):
+        assert g.problems == [] and r.problems == [], op.__name__
+        assert g.digest == r.digest, op.__name__

@@ -221,6 +221,25 @@ def test_rejects_empty_output_layer_whose_weights_fit(tmp_path):
         load_checkpoint(path)
 
 
+# A header field of a CRC-valid mlp2 checkpoint that run_network ran as if
+# nothing were wrong (horizon 0: rejected there with exit 2), or a weighted
+# layer without a neuron model, which failed in network.step with ShapeError.
+_BAD_SPEC_FIELDS = [(None, "coding", "foo"), (None, "model_kind", "X"), (None, "arch", "foo"),
+                    (None, "horizon", 0), (None, "alpha", -1.0), (None, "alpha", 0.0),
+                    (1, "neuron", "none")]
+
+
+@pytest.mark.parametrize("index,field,value", _BAD_SPEC_FIELDS,
+                         ids=[f"{'spec' if i is None else f'layer{i}'}.{f}={v!r}"
+                              for i, f, v in _BAD_SPEC_FIELDS])
+def test_rejects_spec_field_the_network_cannot_use(ckpt, tmp_path, index, field, value):
+    setattr(ckpt.spec if index is None else ckpt.spec.layers[index], field, value)
+    path = tmp_path / "bad.ckpt"
+    save_checkpoint(ckpt, path)                  # past NetworkSpec's own checks
+    with pytest.raises(CheckpointError, match="malformed network spec"):
+        load_checkpoint(path)
+
+
 @pytest.mark.parametrize("value", [b"1if 1 else 0", b"'\\e'"])
 def test_spec_value_that_only_warns_is_rejected(ckpt, tmp_path, value):
     # ast.literal_eval parses these after a parser warning; the warning itself

@@ -230,6 +230,16 @@ def test_eval_checkpoint_without_a_spec_weight(tmp_path, synthetic_mnist):
                "--out", str(tmp_path)) == EXIT_CHECKPOINT
 
 
+def test_eval_checkpoint_with_an_unknown_coding(tmp_path, synthetic_mnist):
+    spec = spikefirst.build("mlp2", "D-F-BPTT", {"hidden": 4, "horizon": 3})
+    params = spikefirst.init_params(spec, spikefirst.RngStream(0, 1))
+    spec.coding = "foo"                 # past NetworkSpec's own checks
+    path = tmp_path / "coding.ckpt"
+    spikefirst.save_checkpoint(spikefirst.Checkpoint(spec=spec, params=params), path)
+    assert run("eval", str(path), "--data", synthetic_mnist,
+               "--out", str(tmp_path)) == EXIT_CHECKPOINT
+
+
 def test_eval_checkpoint_with_an_unusable_layer_field(tmp_path, synthetic_mnist):
     spec = spikefirst.build("lenet5", "D-F-BPTT", {"horizon": 3})
     params = spikefirst.init_params(spec, spikefirst.RngStream(0, 1))

@@ -192,9 +192,12 @@ def summed_over_steps(record, steps):
 def stepped_tape(spec, params, images, drives0):
     """A full-horizon record laid out like ``forward``'s tape, from
     ``network.step`` run for every sample with layer 0's drive ``drives0[t]``
-    at step t.  Layer 0's input is ``images``, held once."""
+    at step t.  Layer 0's input is ``images``, held once.  ``step`` returns
+    the states' own buffers, which its next call overwrites: each step's
+    outputs are copied as they are collected."""
     states = {}
-    outs = [sf.step(spec, params, d, states, None) for d in drives0]
+    outs = [[tuple(None if a is None else a.copy() for a in layer_out)
+             for layer_out in sf.step(spec, params, d, states, None)] for d in drives0]
 
     def stacked(i, k):
         return None if outs[0][i][k] is None else np.stack([o[i][k] for o in outs])

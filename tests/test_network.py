@@ -1,5 +1,7 @@
 """Architecture construction, the unrolled forward pass, spec round trips."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -83,6 +85,26 @@ def test_build_rejects_bad_overrides():
         build("mlp7", "D-F-BPTT")
 
 
+@pytest.mark.parametrize("field,value", [
+    ("coding", "foo"), ("model_kind", "X"), ("model_kind", "d-f-bptt"), ("arch", "foo"),
+    ("horizon", 0), ("alpha", -1.0), ("alpha", 0.0), ("alpha", float("nan")),
+    ("alpha", float("inf")),
+])
+def test_network_spec_rejects_bad_header_field(field, value):
+    spec = build("mlp2", "D-F-BPTT", {"hidden": 4})
+    with pytest.raises(ParameterError, match=field.replace("_", " ")):
+        replace(spec, **{field: value})
+
+
+def test_network_spec_rejects_weighted_layer_without_neuron_model():
+    spec = build("lenet5", "D-F-BPTT")
+    for i in (0, 2, 6):
+        layers = list(spec.layers)
+        layers[i] = replace(layers[i], neuron="none")
+        with pytest.raises(ParameterError, match=f"layer {i} has no neuron model"):
+            replace(spec, layers=layers)
+
+
 def test_weight_shape():
     spec = build("lenet5", "D-F-BPTT")
     assert weight_shape(spec.layers[0]) == (6, 1, 5, 5)
@@ -105,6 +127,29 @@ def test_layer_shapes_match_one_step(arch, input_shape):
     got = [outs[i + 1][0].shape[1:] if l.kind == "pool" else outs[i][2].shape[1:]
            for i, l in enumerate(spec.layers)]
     assert layer_shapes(spec, input_shape[1:]) == got
+
+
+@pytest.mark.parametrize("kind", ["D-F-BPTT", "S-F-BPTT"])
+def test_step_returns_the_states_own_buffers(kind):
+    # step advances every neuron layer in place: its outputs are the states'
+    # buffers, which the next step overwrites instead of allocating new ones
+    spec = build("lenet5", kind, {"horizon": 2})
+    params = init_params(spec, RngStream(0, 1))
+    x = np.random.default_rng(0).uniform(size=(3, 1, 28, 28))
+    drive0 = synaptic_drive(spec.layers[0], params["layer0.w"], x)
+    streams = [RngStream(1, i) for i in range(len(spec.neuron_layers()))]
+    states = {}
+    sf.step(spec, params, drive0, states, streams)
+    buffers = {i: (s.v, s.fired_prev) for i, s in states.items()}
+    outs = sf.step(spec, params, drive0, states, streams)
+    assert sorted(states) == [i for i, l in enumerate(spec.layers) if l.neuron != "none"]
+    for i, (v, fired_prev) in buffers.items():
+        assert states[i].v is v and states[i].fired_prev is fired_prev
+        _, out_v, out_spikes, _ = outs[i]
+        assert np.shares_memory(out_v, v) and np.shares_memory(out_spikes, fired_prev)
+        if i + 1 < len(spec.layers):
+            # the next layer's input, pooled or not, is these spikes
+            assert np.shares_memory(outs[i + 1][0], fired_prev)
 
 
 def test_init_params_deterministic_and_scaled():

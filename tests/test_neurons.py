@@ -1,5 +1,6 @@
 """LIF step dynamics against hand-computed trajectories."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,6 +13,8 @@ from spikefirst.network import LayerSpec
 from spikefirst.neurons import (LayerState, det_lif_step, first_spike_times,
                                 sigmoid, stoch_lif_step)
 from spikefirst.rng import RngStream, rng_uniform
+
+import oracles
 
 
 def det(v_th=1.0, leak=0.9):
@@ -161,6 +164,70 @@ def test_stoch_lif_step_matches_formula_without_touching_inputs():
     for i, a in enumerate(arrays):
         for b in arrays[i + 1:]:
             assert not np.shares_memory(a, b)
+
+
+@pytest.mark.parametrize("neuron,shape", [
+    ("det", (8, 30)), ("stoch", (8, 30)), ("det", (3, 6, 7, 7)), ("stoch", (3, 6, 7, 7)),
+], ids=["D-F", "S-F", "D-F conv", "S-F conv"])
+def test_lif_step_into_its_own_state_equals_fresh_state(neuron, shape):
+    # network.step advances each state in its own buffers: 20 chained steps
+    # give the bytes of the read-only form, which allocates every step, and
+    # of the reference step as it stood before the in-place form
+    layer = det(v_th=0.8) if neuron == "det" else stoch(k=1.3)
+    lif, ref_lif = ((det_lif_step, oracles.det_lif_step) if neuron == "det"
+                    else (stoch_lif_step, oracles.stoch_lif_step))
+
+    def advance(fn, state, drive, stream, **out):
+        args = (state, layer, drive) if neuron == "det" else (state, layer, drive, stream)
+        new, *outs = fn(*args, **out)        # spikes, and probs if stochastic
+        return new, [a.tobytes() for a in outs]
+
+    drives = np.random.default_rng(11).normal(0.3, 1.0, size=(20,) + shape)
+    state, fresh, ref = rest(shape), rest(shape), rest(shape)
+    buffers = (state.v, state.fired_prev)
+    streams = [RngStream(3, 1) for _ in range(3)]
+    fired = 0.0
+    for drive in drives:
+        new, got = advance(lif, state, drive, streams[0], out=state)
+        fresh, want = advance(lif, fresh, drive, streams[1])
+        ref, want_ref = advance(ref_lif, ref, drive, streams[2])
+        assert new is state and state.v is buffers[0] and state.fired_prev is buffers[1]
+        assert got[0] == state.fired_prev.tobytes()
+        assert got == want == want_ref
+        assert state.v.tobytes() == fresh.v.tobytes() == ref.v.tobytes()
+        fired += state.fired_prev.mean()
+    assert 0.05 < fired / len(drives) < 0.95
+    assert len({s.counter for s in streams}) == 1
+
+
+def test_lif_states_of_another_shape_are_rejected():
+    with pytest.raises(ShapeError):
+        LayerState(v=np.zeros((3, 4)), fired_prev=np.zeros(4))
+    # a state is kept in C order, the order the stochastic step draws in
+    assert LayerState(v=np.zeros((4, 3)).T).v.flags.c_contiguous
+    state = rest((3, 4))
+    for call in (lambda out: det_lif_step(state, det(), np.zeros((3, 4)), out=out),
+                 lambda out: stoch_lif_step(state, stoch(), np.zeros((3, 4)),
+                                            RngStream(0), out=out)):
+        with pytest.raises(ShapeError):
+            call(rest((3, 5)))
+
+
+def test_det_lif_step_into_its_own_state_allocates_no_array():
+    # at the bench's N=512 a (512, 800) step spent most of its time getting
+    # fresh memory; stepping in place keeps the peak below one such array
+    layer = det(v_th=1.0, leak=0.9)
+    rng = np.random.default_rng(5)
+    state = LayerState(v=rng.normal(size=(512, 800)))
+    drive = rng.normal(0.2, 1.0, size=(512, 800))
+    tracemalloc.start()
+    try:
+        for _ in range(20):
+            det_lif_step(state, layer, drive, out=state)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < drive.nbytes
 
 
 def test_stoch_lif_membrane_and_probs():

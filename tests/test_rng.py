@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spikefirst.errors import ParameterError
+from spikefirst.errors import ParameterError, ShapeError
 from spikefirst.rng import RngStream, rng_gaussian, rng_uniform
 
 
@@ -30,6 +30,34 @@ def test_replay_from_saved_state():
     a = rng_uniform(s, (5,))
     b = rng_uniform(RngStream(*saved), (5,))
     assert np.array_equal(a, b)
+
+
+def test_uniform_into_buffer_equals_fresh_draw():
+    # the stochastic LIF step draws into its state's spike buffer
+    s = RngStream(7, 3, counter=5)
+    buf = np.full((4, 6, 5), np.nan)
+    got = rng_uniform(s, buf.shape, out=buf)
+    assert got is buf and s.counter == 6
+    assert got.tobytes() == rng_uniform(RngStream(7, 3, counter=5), buf.shape).tobytes()
+    # the next call draws what it would after a fresh draw
+    assert (rng_uniform(s, (3,)).tobytes()
+            == rng_uniform(RngStream(7, 3, counter=6), (3,)).tobytes())
+
+
+def _read_only(a):
+    a.flags.writeable = False
+    return a
+
+
+@pytest.mark.parametrize("buf", [
+    np.empty((4, 6), order="F"), np.empty((4, 12))[:, ::2], np.empty((4, 6), np.float32),
+    np.empty((4, 5)), np.empty(24), _read_only(np.empty((4, 6))),
+], ids=["fortran", "strided", "float32", "shape", "flat", "read-only"])
+def test_uniform_rejects_a_buffer_it_cannot_fill_in_draw_order(buf):
+    s = RngStream(1)
+    with pytest.raises(ShapeError):
+        rng_uniform(s, (4, 6), out=buf)
+    assert s.counter == 0
 
 
 def test_draw_independent_of_earlier_shapes():
