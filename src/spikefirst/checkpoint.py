@@ -1,9 +1,11 @@
 """Versioned binary checkpoint container.
 
 Layout: 8-byte magic, uint32 version, a sequence of length-prefixed named
-sections, and a trailing CRC32 of everything before it.  Sections hold the
-serialized network spec, scalar metadata, and the parameter / optimizer
-tensors.  The container is self-describing and byte-deterministic, so
+sections, and a trailing CRC32 of everything before it.  This is format
+version 2: sections hold the network spec as JSON (``network.serialize_spec``),
+scalar metadata as JSON, and the parameter / optimizer tensors.  Files of any
+other version, such as version 1 with its key=value spec, raise
+CheckpointError.  The container is self-describing and byte-deterministic, so
 identical training runs produce identical files.  A loaded file holds
 exactly one weight ``layer{i}.w`` of the spec's shape per linear or conv
 layer, and optimizer moments only for those weights, at the same shapes.
@@ -23,7 +25,7 @@ from .errors import CheckpointError, ParameterError
 from .network import NetworkSpec, parse_spec, serialize_spec, weight_shape
 
 MAGIC = b"SPIKEFST"
-VERSION = 1
+VERSION = 2
 
 
 @dataclass
@@ -150,11 +152,10 @@ def load_checkpoint(path) -> Checkpoint:
                                   for name in ("params", "adam_m", "adam_v")]
     except KeyError as exc:
         raise CheckpointError(f"{path}: missing section {exc}") from exc
-    # deeply nested text exhausts the parser: RecursionError or MemoryError
     try:
-        spec = parse_spec(spec_text.decode())
-    except (ValueError, SyntaxError, TypeError, KeyError, OverflowError,
-            RecursionError, MemoryError, ParameterError) as exc:
+        spec = parse_spec(spec_text)
+    except (ValueError, TypeError, KeyError, OverflowError, RecursionError,
+            ParameterError) as exc:
         raise CheckpointError(f"{path}: malformed network spec: {exc!r}") from exc
     weights = {f"layer{i}.w": weight_shape(layer) for i, layer in spec.weighted_layers()}
     if params.keys() != weights.keys():

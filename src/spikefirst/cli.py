@@ -291,7 +291,7 @@ def cmd_noise(args) -> int:
 
 def cmd_show(args) -> int:
     ckpt = _load_ckpt(args.checkpoint)
-    print(serialize_spec(ckpt.spec), end="")
+    print(serialize_spec(ckpt.spec))
     print(f"epoch={ckpt.epoch} best_accuracy={ckpt.best_accuracy:.4f} seed={ckpt.seed}")
     for name in sorted(ckpt.params):
         print(f"param {name}: shape {ckpt.params[name].shape}")

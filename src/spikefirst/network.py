@@ -18,9 +18,8 @@ adjusts per layer.
 
 from __future__ import annotations
 
-import ast
-import warnings
-from dataclasses import dataclass, replace
+import json
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -72,19 +71,18 @@ class LayerSpec:
         if self.neuron not in NEURONS:
             raise ParameterError(f"neuron must be one of {NEURONS}, got {self.neuron!r}")
         if self.kind == "linear":
-            _check_count(self, "in_features", 1)
-            _check_count(self, "out_features", 1)
+            minima = {"in_features": 1, "out_features": 1}
         elif self.kind == "conv":
-            for name in ("in_channels", "out_channels", "kernel", "stride"):
-                _check_count(self, name, 1)
-            _check_count(self, "pad", 0)
+            minima = {"in_channels": 1, "out_channels": 1, "kernel": 1, "stride": 1, "pad": 0}
         else:
             if self.neuron != "none":
                 raise ParameterError(f"a pool layer has no neuron model, got {self.neuron!r}")
-            _check_count(self, "window", 1)
             if self.pool_mode not in POOL_MODES:
                 raise ParameterError(f"pool mode must be one of {POOL_MODES}, "
                                      f"got {self.pool_mode!r}")
+            minima = {"window": 1}
+        for name, minimum in minima.items():
+            setattr(self, name, _count(getattr(self, name), f"{self.kind} layer {name}", minimum))
         self.v_th, self.k, self.leak = float(self.v_th), float(self.k), float(self.leak)
         if not 0.0 < self.v_th < np.inf:
             raise ParameterError(f"v_th must be finite and > 0, got {self.v_th}")
@@ -94,11 +92,11 @@ class LayerSpec:
             raise ParameterError(f"leak must be in [0, 1], got {self.leak}")
 
 
-def _check_count(layer: LayerSpec, name: str, minimum: int) -> None:
-    value = getattr(layer, name)
+def _count(value, what: str, minimum: int) -> int:
+    """``value`` as a Python int, if it is an integer (not a bool) >= ``minimum``."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
-        raise ParameterError(f"{layer.kind} layer {name} must be an integer >= {minimum}, "
-                             f"got {value!r}")
+        raise ParameterError(f"{what} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
 
 
 @dataclass
@@ -120,8 +118,7 @@ class NetworkSpec:
                                  f"got {self.model_kind!r}")
         if self.arch not in ARCHS:
             raise ParameterError(f"arch must be one of {ARCHS}, got {self.arch!r}")
-        if self.horizon < 1:
-            raise ParameterError(f"horizon must be >= 1, got {self.horizon}")
+        self.horizon = _count(self.horizon, "horizon", 1)
         self.alpha = float(self.alpha)
         if not 0.0 < self.alpha < np.inf:
             raise ParameterError(f"alpha must be finite and > 0, got {self.alpha}")
@@ -385,56 +382,18 @@ def forward(spec: NetworkSpec, params: dict, encoded: np.ndarray,
 
 
 def serialize_spec(spec: NetworkSpec) -> str:
-    """Human-readable key-value block embedded in checkpoints."""
-    lines = [
-        f"arch={spec.arch}",
-        f"model_kind={spec.model_kind}",
-        f"coding={spec.coding}",
-        f"horizon={spec.horizon}",
-        f"alpha={spec.alpha!r}",
-        f"n_layers={len(spec.layers)}",
-    ]
-    for i, l in enumerate(spec.layers):
-        fields_txt = ",".join(
-            f"{name}={getattr(l, name)!r}"
-            for name in ("kind", "neuron", "in_features", "out_features",
-                         "in_channels", "out_channels", "kernel", "stride",
-                         "pad", "window", "pool_mode", "v_th", "k", "leak"))
-        lines.append(f"layer{i}: {fields_txt}")
-    return "\n".join(lines) + "\n"
+    """The spec as one line of JSON with sorted keys: a checkpoint's spec section."""
+    return json.dumps(asdict(spec), sort_keys=True)
 
 
-def parse_spec(text: str) -> NetworkSpec:
-    """Inverse of serialize_spec.
+def parse_spec(text: str | bytes) -> NetworkSpec:
+    """Inverse of serialize_spec; ``text`` is the JSON as str or bytes.
 
-    Values are read as Python literals only, so checkpoint text cannot run
-    code.  Malformed text raises ValueError, SyntaxError, TypeError or
-    KeyError; text the parser would only warn about (``1if 1 else 0``, or an
-    invalid escape, a DeprecationWarning before Python 3.12) raises
-    SyntaxError too.
+    json reads data only, so a checkpoint's spec cannot run code.  The field
+    checks live in ``LayerSpec`` and ``NetworkSpec``.  Malformed text raises
+    ValueError (``json.JSONDecodeError`` and bad UTF-8 included), TypeError
+    (a non-object, an unknown or missing field), KeyError (no ``layers``),
+    OverflowError, RecursionError (too deeply nested) or ParameterError.
     """
-    header = {}
-    layers = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", SyntaxWarning)
-        warnings.simplefilter("error", DeprecationWarning)
-        for line in text.strip().splitlines():
-            if line.startswith("layer") and ":" in line:
-                _, _, body = line.partition(":")
-                kwargs = {}
-                for item in body.strip().split(","):
-                    name, _, val = item.partition("=")
-                    kwargs[name] = ast.literal_eval(val)
-                layers.append(LayerSpec(**kwargs))
-            else:
-                name, _, val = line.partition("=")
-                header[name] = val
-        alpha = float(ast.literal_eval(header["alpha"]))
-    return NetworkSpec(
-        layers=layers,
-        coding=header["coding"],
-        horizon=int(header["horizon"]),
-        model_kind=header["model_kind"],
-        arch=header["arch"],
-        alpha=alpha,
-    )
+    fields = json.loads(text)
+    return NetworkSpec(**{**fields, "layers": [LayerSpec(**l) for l in fields["layers"]]})

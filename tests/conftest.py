@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import spikefirst as sf
-from spikefirst.checkpoint import load_checkpoint, save_checkpoint
+from spikefirst.checkpoint import VERSION, load_checkpoint, save_checkpoint
 from spikefirst.data import IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC
 from spikefirst.train import PRESETS, train
 
@@ -65,10 +65,16 @@ def synthetic_mnist(tmp_path_factory):
     return str(root)
 
 
+def cache_path(name: str) -> Path:
+    """On-disk cache file of one checkpoint.  Its name carries the checkpoint
+    format version, so a file of an older format is rebuilt, not loaded."""
+    CACHE_DIR.mkdir(exist_ok=True)
+    return CACHE_DIR / f"{name}.v{VERSION}.ckpt"
+
+
 def trained_smoke(preset: str, train_ds, test_ds):
     """Train (or load from the on-disk cache) one smoke-schedule model."""
-    CACHE_DIR.mkdir(exist_ok=True)
-    path = CACHE_DIR / f"{preset}.ckpt"
+    path = cache_path(preset)
     if path.exists():
         return load_checkpoint(path)
     ckpt, _ = train(PRESETS[preset], train_ds, test_ds)

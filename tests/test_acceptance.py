@@ -21,7 +21,7 @@ from spikefirst.train import PRESETS, train, write_log_csv
 from spikefirst.tuner import DeConfig, de_minimize, de_optimize
 from spikefirst.checkpoint import load_checkpoint, save_checkpoint
 
-from conftest import CACHE_DIR, needs_mnist
+from conftest import cache_path, needs_mnist
 from oracles import first_spike_event_prob, ml_loss, smoothed_spike
 
 FULL = os.environ.get("SPIKEFIRST_FULL") == "1"
@@ -116,7 +116,7 @@ def test_criterion_2_gradient_checks():
 
 def _tuned(ckpt, train_ds, tag):
     """DE-tune the first-to-spike thresholds/scales; cached like the models."""
-    path = CACHE_DIR / f"{tag}-tuned.ckpt"
+    path = cache_path(f"{tag}-tuned")
     if path.exists():
         return load_checkpoint(path)
     config = DeConfig(pop_size=8, max_generations=16, seed=0,

@@ -1,5 +1,7 @@
 """Binary checkpoint container: round trips and corruption detection."""
 
+import itertools
+import json
 import struct
 import warnings
 import zlib
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 from spikefirst.checkpoint import (MAGIC, Checkpoint, load_checkpoint,
                                    save_checkpoint)
 from spikefirst.errors import CheckpointError
-from spikefirst.network import build, init_params, serialize_spec
+from spikefirst.network import build, init_params
 from spikefirst.rng import RngStream
 from spikefirst.tuner import apply_candidate
 
@@ -85,12 +87,14 @@ def test_rejects_bitflip(ckpt, tmp_path):
 def test_rejects_unknown_version(ckpt, tmp_path):
     path = tmp_path / "v.ckpt"
     save_checkpoint(ckpt, path)
-    raw = bytearray(path.read_bytes()[:-4])
-    raw[8:12] = struct.pack("<I", 99)
-    raw += struct.pack("<I", zlib.crc32(bytes(raw)))   # keep the CRC valid
-    path.write_bytes(bytes(raw))
-    with pytest.raises(CheckpointError):
-        load_checkpoint(path)
+    for version in (99, 1):                      # version 1 held a key=value spec
+        raw = bytearray(path.read_bytes()[:-4])
+        raw[8:12] = struct.pack("<I", version)
+        raw += struct.pack("<I", zlib.crc32(bytes(raw)))   # keep the CRC valid
+        edited = tmp_path / f"v{version}.ckpt"
+        edited.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointError, match=f"unsupported checkpoint version {version}"):
+            load_checkpoint(edited)
 
 
 def test_empty_optimizer_state(tmp_path):
@@ -115,26 +119,6 @@ def test_rejects_weights_that_do_not_fit_the_spec(ckpt, tmp_path, section, edit)
     save_checkpoint(ckpt, path)
     with pytest.raises(CheckpointError):
         load_checkpoint(path)
-
-
-@pytest.mark.parametrize("where", ["layer", "header"])
-def test_spec_with_code_is_rejected_not_run(ckpt, tmp_path, monkeypatch, where):
-    # a crafted but CRC-valid checkpoint: its spec text holds an expression
-    # that would create a file if it were evaluated
-    marker = tmp_path / "ran"
-    payload = f"__import__('os').system('touch {marker}')"
-    text = serialize_spec(ckpt.spec)
-    if where == "layer":
-        text = text.replace("kind='linear'", f"kind={payload}", 1)
-    else:
-        text = text.replace(f"alpha={ckpt.spec.alpha!r}", f"alpha={payload}")
-    assert payload in text
-    monkeypatch.setattr("spikefirst.checkpoint.serialize_spec", lambda spec: text)
-    path = tmp_path / "evil.ckpt"
-    save_checkpoint(ckpt, path)
-    with pytest.raises(CheckpointError):
-        load_checkpoint(path)
-    assert not marker.exists()
 
 
 def read_sections(raw: bytes) -> list:
@@ -165,8 +149,35 @@ def rewrite_section(path, section, edit):
     path.write_bytes(with_crc(body))
 
 
+_CODE = "__import__('os').system('touch {marker}')"
+
+
+@pytest.mark.parametrize("old,new", [
+    ('"kind": "linear"', '"kind": {code}'),
+    ('"alpha": 2.0', '"alpha": {code}'),
+    ('"alpha": 2.0', '"alpha": "{code}"'),
+], ids=["layer", "header", "json-string"])
+def test_spec_with_code_is_rejected_not_run(ckpt, tmp_path, old, new):
+    # a crafted but CRC-valid checkpoint: its spec holds an expression, as raw
+    # text or as a JSON string, that would create a file if it were evaluated
+    marker = tmp_path / "ran"
+    path = tmp_path / "evil.ckpt"
+    save_checkpoint(ckpt, path)
+    new = new.format(code=_CODE.format(marker=marker))
+
+    def edit(payload):
+        assert old.encode() in payload
+        return payload.replace(old.encode(), new.encode(), 1)
+
+    rewrite_section(path, "spec", edit)
+    with pytest.raises(CheckpointError):
+        load_checkpoint(path)
+    assert not marker.exists()
+
+
 def test_round_trip_of_overridden_spec(tmp_path):
-    # the tuner sets thresholds from numpy values; the spec must still load back
+    # the tuner sets thresholds or scales from numpy values, and a spec may
+    # hold numpy counts; the spec must still load back
     spec = build("mlp2", "D-F-BPTT", {"hidden": 4})
     tuned = apply_candidate(Checkpoint(spec=spec, params=init_params(spec, RngStream(0, 1))),
                             np.array([1.2, 0.9]))
@@ -175,12 +186,26 @@ def test_round_trip_of_overridden_spec(tmp_path):
     back = load_checkpoint(path)
     assert back.spec == tuned.spec
     assert [l.v_th for l in back.spec.layers] == [1.2, 0.9]
+    for arch, kind in itertools.product(["mlp2", "lenet5"], ["D-F-BPTT", "S-F-BPTT", "D-R-BPTT"]):
+        spec = build(arch, kind, {"hidden": 4, "horizon": 3})
+        layers = list(spec.layers)
+        layers[-1] = replace(layers[-1], out_features=np.int64(10))
+        spec = replace(spec, layers=layers, horizon=np.int64(3))
+        vector = np.linspace(0.5, 1.5, len(spec.neuron_layers()))
+        tuned = apply_candidate(Checkpoint(spec=spec, params=init_params(spec, RngStream(0, 1))),
+                                vector)
+        save_checkpoint(tuned, path)
+        back = load_checkpoint(path)
+        assert back.spec == tuned.spec
+        key = "k" if kind.startswith("S") else "v_th"
+        assert [getattr(l, key) for l in back.spec.neuron_layers()] == list(vector)
+        assert type(back.spec.horizon) is int and type(back.spec.layers[-1].out_features) is int
 
 
 def test_rejects_out_of_range_neuron_parameter(ckpt, tmp_path):
     path = tmp_path / "k.ckpt"
     save_checkpoint(ckpt, path)
-    rewrite_section(path, "spec", lambda p: p.replace(b"k=1.0", b"k=0.0", 1))
+    rewrite_section(path, "spec", lambda p: p.replace(b'"k": 1.0', b'"k": 0.0', 1))
     with pytest.raises(CheckpointError):
         load_checkpoint(path)
 
@@ -188,7 +213,8 @@ def test_rejects_out_of_range_neuron_parameter(ckpt, tmp_path):
 # A layer field of a CRC-valid lenet5 checkpoint that run_network cannot use:
 # it failed there with ValueError, ZeroDivisionError, KeyError or ShapeError.
 _BAD_LENET5_FIELDS = [(1, "pool_mode", "foo"), (1, "window", 0), (1, "kind", "foo"),
-                      (0, "neuron", "bogus"), (0, "stride", 0), (6, "out_features", 0)]
+                      (0, "neuron", "bogus"), (0, "stride", 0), (6, "out_features", 0),
+                      (0, "kernel", 3.0)]
 
 
 def save_lenet5_with(path, index, field, value):
@@ -222,10 +248,12 @@ def test_rejects_empty_output_layer_whose_weights_fit(tmp_path):
 
 
 # A header field of a CRC-valid mlp2 checkpoint that run_network ran as if
-# nothing were wrong (horizon 0: rejected there with exit 2), or a weighted
-# layer without a neuron model, which failed in network.step with ShapeError.
+# nothing were wrong (horizon 0: rejected there with exit 2) or failed on
+# (a horizon that is not an integer), or a weighted layer without a neuron
+# model, which failed in network.step with ShapeError.
 _BAD_SPEC_FIELDS = [(None, "coding", "foo"), (None, "model_kind", "X"), (None, "arch", "foo"),
-                    (None, "horizon", 0), (None, "alpha", -1.0), (None, "alpha", 0.0),
+                    (None, "horizon", 0), (None, "horizon", 2.5), (None, "horizon", True),
+                    (None, "horizon", "20"), (None, "alpha", -1.0), (None, "alpha", 0.0),
                     (1, "neuron", "none")]
 
 
@@ -240,13 +268,14 @@ def test_rejects_spec_field_the_network_cannot_use(ckpt, tmp_path, index, field,
         load_checkpoint(path)
 
 
-@pytest.mark.parametrize("value", [b"1if 1 else 0", b"'\\e'"])
+@pytest.mark.parametrize("value", [b"1if 1 else 0", b"'\\e'", b'"\\e"'])
 def test_spec_value_that_only_warns_is_rejected(ckpt, tmp_path, value):
-    # ast.literal_eval parses these after a parser warning; the warning itself
-    # takes the CheckpointError path and never reaches the caller
+    # Python's own parser reads the first two only with a warning, and the
+    # last is a JSON string with an invalid escape: all take the
+    # CheckpointError path, and no warning reaches the caller
     path = tmp_path / "w.ckpt"
     save_checkpoint(ckpt, path)
-    rewrite_section(path, "spec", lambda p: p.replace(b"k=1.0", b"k=" + value, 1))
+    rewrite_section(path, "spec", lambda p: p.replace(b'"k": 1.0', b'"k": ' + value, 1))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with pytest.raises(CheckpointError):
@@ -254,15 +283,47 @@ def test_spec_value_that_only_warns_is_rejected(ckpt, tmp_path, value):
     assert [str(w.message) for w in caught] == []
 
 
-@pytest.mark.parametrize("value", [b"-" * 3000 + b"1", b"-" * 100000 + b"1"],
-                         ids=["recursion", "parser-stack"])
-def test_rejects_deeply_nested_spec_value(ckpt, tmp_path, value):
-    # the parser runs out of recursion depth (RecursionError) or of its stack
-    # (MemoryError)
+@pytest.mark.parametrize("depth", [3000, 100000], ids=["recursion", "parser-stack"])
+def test_rejects_deeply_nested_spec_value(ckpt, tmp_path, depth):
+    # both depths pass the recursion limit: json raises RecursionError
     path = tmp_path / "n.ckpt"
     save_checkpoint(ckpt, path)
-    rewrite_section(path, "spec", lambda p: p.replace(b"k=1.0", b"k=" + value, 1))
+    value = b"[" * depth + b"]" * depth
+    rewrite_section(path, "spec", lambda p: p.replace(b'"k": 1.0', b'"k": ' + value, 1))
     with pytest.raises(CheckpointError):
+        load_checkpoint(path)
+
+
+def _edit_json(edit):
+    """A payload edit that applies ``edit`` to the decoded JSON object."""
+    def rewrite(payload):
+        spec = json.loads(payload)
+        edit(spec)
+        return json.dumps(spec).encode()
+    return rewrite
+
+
+@pytest.mark.parametrize("edit", [
+    _edit_json(lambda s: s.update(bogus=1)),
+    _edit_json(lambda s: s["layers"][0].update(bogus=1)),
+    _edit_json(lambda s: s.pop("layers")),
+    _edit_json(lambda s: s["layers"][0].pop("kind")),
+    _edit_json(lambda s: s.update(layers={"0": s["layers"][0]})),
+    _edit_json(lambda s: s["layers"].append([])),
+    lambda p: b"[" + p + b"]",
+    lambda p: b'"mlp2"',
+    lambda p: b"null",
+    lambda p: p.replace(b'"v_th": 1.0', b'"v_th": NaN', 1),
+    lambda p: p.replace(b'"v_th": 1.0', b'"v_th": Infinity', 1),
+    lambda p: p.replace(b'"v_th": 1.0', b'"v_th": -Infinity', 1),
+], ids=["unknown-key", "unknown-layer-key", "no-layers", "layer-without-kind",
+        "layers-object", "layer-not-object", "top-level-list", "top-level-string",
+        "top-level-null", "v_th-NaN", "v_th-Infinity", "v_th-minus-Infinity"])
+def test_rejects_malformed_json_spec(ckpt, tmp_path, edit):
+    path = tmp_path / "j.ckpt"
+    save_checkpoint(ckpt, path)
+    rewrite_section(path, "spec", edit)
+    with pytest.raises(CheckpointError, match="malformed network spec"):
         load_checkpoint(path)
 
 

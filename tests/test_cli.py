@@ -16,7 +16,9 @@ import pytest
 
 import spikefirst
 from spikefirst import cli
+from spikefirst.checkpoint import load_checkpoint
 from spikefirst.cli import EXIT_CHECKPOINT, EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
+from spikefirst.network import parse_spec
 from spikefirst.train import PRESETS
 
 
@@ -272,7 +274,7 @@ def test_eval_rejects_nonpositive_timesteps(tiny_run, tmp_path, synthetic_mnist,
 def test_show_prints_architecture(tiny_run, capsys):
     assert run("show", str(tiny_run / "checkpoint.ckpt")) == EXIT_OK
     text = capsys.readouterr().out
-    assert "arch=mlp2" in text
+    assert parse_spec(text.splitlines()[0]) == load_checkpoint(tiny_run / "checkpoint.ckpt").spec
     assert "param layer0.w" in text
 
 

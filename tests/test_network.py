@@ -87,8 +87,8 @@ def test_build_rejects_bad_overrides():
 
 @pytest.mark.parametrize("field,value", [
     ("coding", "foo"), ("model_kind", "X"), ("model_kind", "d-f-bptt"), ("arch", "foo"),
-    ("horizon", 0), ("alpha", -1.0), ("alpha", 0.0), ("alpha", float("nan")),
-    ("alpha", float("inf")),
+    ("horizon", 0), ("horizon", 2.5), ("horizon", True), ("horizon", "20"), ("alpha", -1.0),
+    ("alpha", 0.0), ("alpha", float("nan")), ("alpha", float("inf")),
 ])
 def test_network_spec_rejects_bad_header_field(field, value):
     spec = build("mlp2", "D-F-BPTT", {"hidden": 4})
@@ -249,13 +249,26 @@ def test_forward_lenet_shapes():
         assert not np.shares_memory(tr[i].inputs, tr[i - 2].spikes)
 
 
-@pytest.mark.parametrize("arch,kind", [("mlp2", "D-F-BPTT"), ("mlp2", "S-F-BPTT"),
-                                       ("lenet5", "D-R-BPTT")])
-def test_spec_serialization_round_trip(arch, kind):
+_ROUND_TRIP_CASES = [(arch, kind, tuned) for tuned in (False, True)
+                     for arch in ("mlp2", "lenet5", "vgg15")
+                     for kind in ("D-F-BPTT", "S-F-BPTT", "D-R-BPTT")]
+
+
+@pytest.mark.parametrize("arch,kind,tuned", _ROUND_TRIP_CASES,
+                         ids=[f"{a}-{k}{'-tuned' if t else ''}" for a, k, t in _ROUND_TRIP_CASES])
+def test_spec_serialization_round_trip(arch, kind, tuned):
     spec = build(arch, kind, {"horizon": 9, "alpha": 2.5})
     spec.layers[0].v_th = 1.25
-    back = parse_spec(serialize_spec(spec))
+    if tuned:
+        # thresholds or scales from numpy floats, as the DE tuner sets them
+        vector = np.linspace(0.3, 3.0, len(spec.neuron_layers()))
+        spec = apply_candidate(Checkpoint(spec=spec, params={}), vector).spec
+    text = serialize_spec(spec)
+    assert serialize_spec(spec) == text          # two saves are byte-identical
+    back = parse_spec(text)
     assert back == spec
+    assert parse_spec(text.encode()) == spec
+    assert serialize_spec(back) == text
 
 
 # One field a layer of that kind reads, set to a value the simulator cannot use.

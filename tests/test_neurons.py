@@ -80,7 +80,8 @@ def test_det_lif_shape_mismatch():
 
 def test_param_validation():
     # the neuron parameters live on the LayerSpec, which range-checks them
-    # nan and inf would be written to a checkpoint that parse_spec cannot read
+    # a nan or inf v_th never fires, and a nan or inf k gives no usable firing
+    # probability
     for bad in ({"v_th": 0.0}, {"v_th": -1.0}, {"k": 0.0}, {"leak": 1.5},
                 {"leak": -0.1}, {"v_th": float("nan")}, {"v_th": float("inf")},
                 {"k": float("nan")}, {"k": float("inf")}):
