@@ -11,27 +11,28 @@ Three estimators bridge the non-differentiable pieces:
 
 The tape records, per timestep, only what ``backward`` reads: each synaptic
 layer's input, every neuron layer's spikes, the membrane potential ``v`` of
-deterministic layers and of the output layer (the fused ``ml-v`` loss enters
-there), and the firing probabilities ``probs`` of hidden stochastic layers.
-Spike trains are taped as ``uint8``; 0 and 1 are exact, so casting them back
-to float64 for the GEMMs leaves every gradient bit-identical.  A layer fed by
-a neuron layer reads that layer's spike buffer as its input, so each spike
-train is recorded once.  The network input is direct-encoded, the same at
+deterministic layers and of the output layer (the fused S-F loss gradient
+enters there), and the firing probabilities ``probs`` of hidden stochastic
+layers.  Spike trains are taped as ``uint8``; 0 and 1 are exact, so casting
+them back to float64 for the GEMMs leaves every gradient bit-identical.  A
+layer fed by a neuron layer reads that layer's spike buffer as its input, so
+each spike train is recorded once.  The network input is direct-encoded, the same at
 every step, so layer 0's input is recorded once, as (N, ...).
 
-``backward`` replays the tape in one time-major reverse sweep: for t = T-1
-down to 0 it walks the layers from the output down, and each layer turns step
-t's gradient with respect to its output into step t's gradient with respect
-to its input.  A neuron layer keeps its own (N, ...) carry, the gradient that
-flows to its membrane potential from step t+1; a synaptic layer adds step t's
-contribution to its weight gradient (one GEMM, or one ``conv2d_backward``)
-and passes the input gradient down.  So every gradient that moves between
-layers is one step's (N, ...) array, and the gradient memory is O(N * width)
-whatever the horizon; only the tape and the (T, N, n_out) loss gradient grow
-with T.  Layer 0 adds its drive gradient into one (N, ...) sum over time,
-which one GEMM or one ``conv2d_backward`` turns into its weight gradient
-after the sweep.  The gradient with respect to the network input is never
-computed, since nothing reads it.
+``backward`` starts from the (T, N, n_out) loss gradient at the output layer,
+whatever the loss, and replays the tape in one time-major reverse sweep: for
+t = T-1 down to 0 it walks the layers from the output down, and each layer
+turns step t's gradient with respect to its output into step t's gradient
+with respect to its input.  A neuron layer keeps its own (N, ...) carry, the
+gradient that flows to its membrane potential from step t+1; a synaptic
+layer adds step t's contribution to its weight gradient (one GEMM, or one
+``conv2d_backward``) and passes the input gradient down.  So every gradient
+that moves between layers is one step's (N, ...) array, and the gradient
+memory is O(N * width) whatever the horizon; only the tape and the
+(T, N, n_out) loss gradient grow with T.  Layer 0 adds its drive gradient
+into one (N, ...) sum over time, which one GEMM or one ``conv2d_backward``
+turns into its weight gradient after the sweep.  The gradient with respect
+to the network input is never computed, since nothing reads it.
 
 The sweep allocates its per-step arrays once per call and overwrites them at
 every step: each neuron layer's carry, a work buffer that holds its
@@ -140,49 +141,31 @@ def _synaptic_step(trace: LayerTrace, g_drive: np.ndarray, x: np.ndarray,
     raise StateError(f"layer kind {layer.kind!r} has no synaptic op")
 
 
-def backward(tape: Tape, loss) -> dict:
+def backward(tape: Tape, g_top: np.ndarray) -> dict:
     """Reverse sweep over a recorded forward pass.
 
-    ``loss`` is a LossValue whose ``kind`` selects how the output-layer
-    gradient enters the network: "fts" routes dL/dt through the sign
-    estimator, "rate" spreads dL/d(count) over every timestep, and "ml-v"
-    supplies dL/dV at the membrane potential of a stochastic output layer,
-    the only kind such a layer takes.  Returns a dict mapping weight names
-    to gradients, each summed over the timesteps from t = T-1 down to 0.
+    ``g_top`` is the (T, N, n) loss gradient at the output layer from
+    ``train._batch_loss``: with respect to the spikes of a deterministic
+    output layer, and to the membrane potential of a stochastic one, whose
+    fused S-F gradient already went through the sigmoid.  Returns a dict
+    mapping weight names to gradients, each summed over the timesteps from
+    t = T-1 down to 0.
 
     The sweep is time-major (see the module docstring): each gradient passed
     from layer to layer, and each neuron layer's carry, is one step's
-    (N, ...) array, so apart from the (T, N, n_out) loss gradient its memory
-    is O(N * width) whatever the horizon.
+    (N, ...) array, so apart from ``g_top`` its memory is O(N * width)
+    whatever the horizon.
 
     The (N, ...) buffers the sweep reuses from step to step (see the module
     docstring) never escape: the weight gradients are fresh GEMM results,
     and layer 0's sum over time starts as a copy of its work buffer.
 
-    ``backward`` writes only into buffers it allocated: neither
-    ``loss.grad`` nor any array on the tape is modified, so a tape can be
-    swept again.
+    ``backward`` writes only into buffers it allocated: neither ``g_top``
+    nor any array on the tape is modified, so a tape can be swept again.
     """
     horizon = tape.horizon
     traces = tape.traces
     last = len(traces) - 1
-
-    # g_top[t]: step t's gradient w.r.t. the output layer's spikes or, for a
-    # stochastic output layer, its membrane potential; read only
-    if traces[last].layer.neuron == "stoch":
-        if loss.kind != "ml-v":
-            raise StateError(f"a stochastic output layer takes the fused 'ml-v' loss, "
-                             f"got loss kind {loss.kind!r}")
-        # already fused through the output sigmoid; (N, T, n) seen time-major
-        g_top = np.moveaxis(loss.grad, 1, 0)
-    elif loss.kind == "fts":
-        g_top = sign_estimator_backward(loss.grad, loss.aux["first_times"], horizon)
-    elif loss.kind == "rate":
-        # accumulated count is a plain sum over time: same gradient each step
-        g_top = np.broadcast_to(loss.grad, (horizon,) + loss.grad.shape)
-    else:
-        raise StateError(f"loss kind {loss.kind!r} does not apply to a deterministic "
-                         "output layer")
 
     grads: dict[str, np.ndarray] = {}
     # per neuron layer, reused at every step: dL/dV_t from step t+1 (zeros

@@ -44,7 +44,8 @@ _CASTS = typing.get_type_hints(TrainConfig)
 _TRAIN_FLAGS = ("model_kind", "arch", "epochs", "batch_size", "lr", "weight_decay",
                 "scheduler_step", "scheduler_gamma", "lambda_leak", "horizon", "seed",
                 "hidden")
-_CONFIG_KEYS = set(_CASTS) | {"preset", "dataset", "data", "out", "subset"}
+_RUN_KEYS = ("preset", "data", "out", "subset")
+_CONFIG_KEYS = set(_CASTS) | set(_RUN_KEYS)
 
 
 class CliError(Exception):
@@ -101,24 +102,23 @@ def _load_cifar(root: Path, split: str, stats=None):
 
 
 def _load_splits(data, name: str, *splits: str) -> list:
-    """The named splits of dataset ``name`` under root ``data`` (default
-    ``$SPIKEFIRST_DATA``), in order.  CIFAR-10's test split is standardized
-    with the training split's statistics, so it reads both."""
+    """The named splits of dataset ``name`` (``mnist`` or ``cifar10``) under
+    root ``data`` (default ``$SPIKEFIRST_DATA``), in order.  CIFAR-10's test
+    split is standardized with the training split's statistics, so it reads
+    both."""
     data = data or os.environ.get(DATA_ENV)
     if not data:
         raise CliError(f"no dataset root: pass --data or set {DATA_ENV}", EXIT_DATA)
     root = Path(data)
     if name == "mnist":
         return [_load_mnist(root, split) for split in splits]
-    if name == "cifar10":
-        train_ds, stats = _load_cifar(root, "train")
-        return [train_ds if split == "train" else _load_cifar(root, split, stats=stats)[0]
-                for split in splits]
-    raise CliError(f"unknown dataset {name!r}", EXIT_CONFIG)
+    train_ds, stats = _load_cifar(root, "train")
+    return [train_ds if split == "train" else _load_cifar(root, split, stats=stats)[0]
+            for split in splits]
 
 
-def _dataset_of(ckpt) -> str:
-    return "cifar10" if ckpt.spec.arch == "vgg15" else "mnist"
+def _dataset_of(arch: str) -> str:
+    return "cifar10" if arch == "vgg15" else "mnist"
 
 
 def _out_dir(out) -> Path:
@@ -147,18 +147,17 @@ def _cast(key: str, cast, raw):
 
 
 def _build_train_config(args) -> tuple[TrainConfig, dict]:
-    """The run's TrainConfig and its ``dataset``, ``data``, ``out`` and
-    ``subset``, from the preset, the config file and the flags; flags win."""
+    """The run's TrainConfig and its ``data``, ``out`` and ``subset``, from
+    the preset, the config file and the flags; flags win."""
     values = _read_config_file(args.config) if args.config else {}
-    for key in (*_TRAIN_FLAGS, "preset", "data", "out", "subset"):
+    for key in (*_TRAIN_FLAGS, *_RUN_KEYS):
         flag = getattr(args, key)
         if flag is not None:
             values[key] = flag
     preset = values.pop("preset", None)
     if preset is not None and preset not in PRESETS:
         raise CliError(f"unknown preset {preset!r}; available: {sorted(PRESETS)}", EXIT_CONFIG)
-    extras = {"dataset": values.pop("dataset", "mnist"), "data": values.pop("data", None),
-              "out": values.pop("out", None), "subset": values.pop("subset", None)}
+    extras = {key: values.pop(key, None) for key in ("data", "out", "subset")}
     if extras["subset"] is not None:
         extras["subset"] = _cast("subset", int, extras["subset"])
         if extras["subset"] < 1:
@@ -174,7 +173,8 @@ def _build_train_config(args) -> tuple[TrainConfig, dict]:
 
 def cmd_train(args) -> int:
     config, extras = _build_train_config(args)
-    train_ds, test_ds = _load_splits(extras["data"], extras["dataset"], "train", "test")
+    dataset = _dataset_of(config.arch)
+    train_ds, test_ds = _load_splits(extras["data"], dataset, "train", "test")
     subset = extras["subset"]
     if subset is not None:
         train_ds = train_ds.subset(np.arange(min(subset, len(train_ds))))
@@ -182,7 +182,7 @@ def cmd_train(args) -> int:
     ckpt_path = out / "checkpoint.ckpt"
     log_path = out / "train_log.csv"
     _write_manifest(out, "train", dict(dataclasses.asdict(config), subset=subset,
-                                       dataset=extras["dataset"]), config.seed,
+                                       dataset=dataset), config.seed,
                     {"checkpoint": ckpt_path, "log": log_path})
     try:
         ckpt, log = train(config, train_ds, test_ds)
@@ -216,8 +216,8 @@ def _load_ckpt(path):
 
 def cmd_eval(args) -> int:
     ckpt = _load_ckpt(args.checkpoint)
-    (test_ds,) = _load_splits(args.data, _dataset_of(ckpt), "test")
-    mode = args.mode or ("rate" if ckpt.spec.coding == "rate" else "first-to-spike")
+    (test_ds,) = _load_splits(args.data, _dataset_of(ckpt.spec.arch), "test")
+    mode = args.mode or ckpt.spec.coding
     out = _out_dir(args.out)
     metrics_path = out / "metrics.csv"
     rates_path = out / "layer_rates.csv"
@@ -239,7 +239,7 @@ def cmd_eval(args) -> int:
 
 def cmd_tune(args) -> int:
     ckpt = _load_ckpt(args.checkpoint)
-    (train_ds,) = _load_splits(args.data, _dataset_of(ckpt), "train")
+    (train_ds,) = _load_splits(args.data, _dataset_of(ckpt.spec.arch), "train")
     try:
         bounds = None
         if args.bounds:
@@ -276,7 +276,7 @@ def cmd_noise(args) -> int:
             raise ValueError("variances must be finite and non-negative")
     except ValueError as exc:
         raise CliError(f"bad variance list: {exc}", EXIT_CONFIG)
-    (test_ds,) = _load_splits(args.data, _dataset_of(ckpt), "test")
+    (test_ds,) = _load_splits(args.data, _dataset_of(ckpt.spec.arch), "test")
     out = _out_dir(args.out)
     noise_path = out / "noise_sweep.csv"
     _write_manifest(out, "noise", {"checkpoint": str(args.checkpoint),

@@ -16,7 +16,7 @@ is implemented as the standard negative log-likelihood for minimization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,15 +28,13 @@ from .neurons import sigmoid
 class LossValue:
     """A scalar loss plus the gradient w.r.t. the loss inputs.
 
-    ``kind`` records which coding scheme produced it ("fts", "ml-v" or
-    "rate"), which selects how ``bptt.backward`` enters the network; ``aux``
-    carries whatever the backward pass needs (e.g. first-spike times).
+    ``grad`` has the shape of the loss function's input.  Turning it into the
+    (T, N, n) gradient at the output layer that ``bptt.backward`` takes is
+    ``train._batch_loss``'s job, which also picks the loss.
     """
 
     value: float
     grad: np.ndarray
-    kind: str = ""
-    aux: dict = field(default_factory=dict)
 
 
 def _softmax(x: np.ndarray) -> np.ndarray:
@@ -64,8 +62,7 @@ def fts_ce_loss_batch(first_times: np.ndarray, targets: np.ndarray) -> LossValue
     onehot = np.zeros_like(p)
     onehot[idx, targets] = 1.0
     grad = (onehot - p) / n_samples
-    return LossValue(value=float(value), grad=grad, kind="fts",
-                     aux={"first_times": t})
+    return LossValue(value=float(value), grad=grad)
 
 
 def _softplus(x: np.ndarray) -> np.ndarray:
@@ -108,7 +105,7 @@ def ml_loss_logits_batch(v: np.ndarray, targets: np.ndarray) -> LossValue:
     grads = suffix[:, :, None] * p
     pc = p[idx, :, targets]
     grads[idx, :, targets] = -(r * (1.0 - pc) - suffix_next * pc)
-    return LossValue(value=float(losses.mean()), grad=grads / n_samples, kind="ml-v")
+    return LossValue(value=float(losses.mean()), grad=grads / n_samples)
 
 
 def rate_ce_loss_batch(acc: np.ndarray, targets: np.ndarray) -> LossValue:
@@ -120,4 +117,4 @@ def rate_ce_loss_batch(acc: np.ndarray, targets: np.ndarray) -> LossValue:
     value = -np.log(np.maximum(p[idx, targets], np.finfo(np.float64).tiny)).mean()
     onehot = np.zeros_like(p)
     onehot[idx, targets] = 1.0
-    return LossValue(value=float(value), grad=(p - onehot) / n_samples, kind="rate")
+    return LossValue(value=float(value), grad=(p - onehot) / n_samples)

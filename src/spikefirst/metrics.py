@@ -112,10 +112,9 @@ def noise_sweep(ckpt: Checkpoint, dataset: Dataset, variances,
     for v in variances:
         if not (math.isfinite(v) and v >= 0):
             raise ParameterError(f"variance must be finite and >= 0, got {v}")
-    mode = "rate" if ckpt.spec.coding == "rate" else "first-to-spike"
     rows = []
     for var in variances:
-        res = run_network(ckpt.spec, ckpt.params, dataset.images, mode=mode,
+        res = run_network(ckpt.spec, ckpt.params, dataset.images, mode=ckpt.spec.coding,
                           seed=ckpt.seed, input_noise_std=np.sqrt(var),
                           noise_seed=seed)
         rows.append((var, float((res.predictions == dataset.labels).mean())))

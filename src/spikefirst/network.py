@@ -30,7 +30,12 @@ from .neurons import LayerState, det_lif_step, sigmoid, stoch_lif_step  # noqa: 
 from .rng import RngStream, rng_uniform
 from .tensor import _conv_out_size, conv2d, pool2d
 
-MODEL_KINDS = ("D-F-BPTT", "S-F-BPTT", "D-R-BPTT")
+# Each model kind's neuron model and output coding: a spec stores all three,
+# and they must agree.
+KIND_MODELS = {"D-F-BPTT": ("det", "first-to-spike"),
+               "S-F-BPTT": ("stoch", "first-to-spike"),
+               "D-R-BPTT": ("det", "rate")}
+MODEL_KINDS = tuple(KIND_MODELS)
 CODINGS = ("first-to-spike", "rate")
 ARCHS = ("mlp2", "lenet5", "vgg15")
 LAYER_KINDS = ("linear", "conv", "pool")
@@ -83,7 +88,8 @@ class LayerSpec:
             minima = {"window": 1}
         for name, minimum in minima.items():
             setattr(self, name, _count(getattr(self, name), f"{self.kind} layer {name}", minimum))
-        self.v_th, self.k, self.leak = float(self.v_th), float(self.k), float(self.leak)
+        self.v_th, self.k, self.leak = (_real(getattr(self, name), name)
+                                        for name in ("v_th", "k", "leak"))
         if not 0.0 < self.v_th < np.inf:
             raise ParameterError(f"v_th must be finite and > 0, got {self.v_th}")
         if not 0.0 < self.k < np.inf:
@@ -99,9 +105,27 @@ def _count(value, what: str, minimum: int) -> int:
     return int(value)
 
 
+def _real(value, what: str) -> float:
+    """``value`` as a Python float, if it is an int or a float (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ParameterError(f"{what} must be an int or a float, got {value!r}")
+    return float(value)
+
+
 @dataclass
 class NetworkSpec:
-    """Ordered layer stack plus coding mode and time horizon."""
+    """Ordered layer stack plus coding mode and time horizon.
+
+    The checks reject any spec the network cannot run as stored:
+    ``model_kind``, ``coding`` and every layer's neuron model must agree as
+    ``KIND_MODELS`` says; layer 0 is linear or conv and the last layer has a
+    neuron model; a linear layer takes the features of the linear layer
+    before it, and a conv layer the channels of the conv layer before it;
+    nothing but linear layers follows a linear layer.  Two shapes depend on
+    the input image and stay runtime ShapeErrors: the channels that reach
+    layer 0, and the flattened size where a conv or pool layer feeds a
+    linear one.
+    """
 
     layers: list
     coding: str                 # first-to-spike | rate
@@ -119,12 +143,39 @@ class NetworkSpec:
         if self.arch not in ARCHS:
             raise ParameterError(f"arch must be one of {ARCHS}, got {self.arch!r}")
         self.horizon = _count(self.horizon, "horizon", 1)
-        self.alpha = float(self.alpha)
+        self.alpha = _real(self.alpha, "alpha")
         if not 0.0 < self.alpha < np.inf:
             raise ParameterError(f"alpha must be finite and > 0, got {self.alpha}")
+        neuron, coding = KIND_MODELS[self.model_kind]
+        if self.coding != coding:
+            raise ParameterError(f"{self.model_kind} takes {coding} coding, got {self.coding}")
+        layers = self.layers
+        if not layers:
+            raise ParameterError("a network needs at least one layer")
+        if layers[0].kind == "pool":
+            raise ParameterError("layer 0 is a pool layer; it must be linear or conv")
         for i, layer in self.weighted_layers():
             if layer.neuron == "none":
                 raise ParameterError(f"{layer.kind} layer {i} has no neuron model")
+            if layer.neuron != neuron:
+                raise ParameterError(f"{self.model_kind} takes {neuron} neurons, "
+                                     f"layer {i} has {layer.neuron}")
+        if layers[-1].neuron == "none":
+            raise ParameterError(f"the last layer, a {layers[-1].kind} layer, "
+                                 "has no neuron model")
+        channels = layers[0].out_channels
+        for i, (prev, layer) in enumerate(zip(layers, layers[1:]), start=1):
+            if prev.kind == "linear":
+                if layer.kind != "linear":
+                    raise ParameterError(f"{layer.kind} layer {i} follows a linear layer")
+                if layer.in_features != prev.out_features:
+                    raise ParameterError(f"linear layer {i} takes {layer.in_features} "
+                                         f"features, layer {i - 1} gives {prev.out_features}")
+            elif layer.kind == "conv":
+                if layer.in_channels != channels:
+                    raise ParameterError(f"conv layer {i} takes {layer.in_channels} "
+                                         f"channels, {channels} reach it")
+                channels = layer.out_channels
 
     def neuron_layers(self):
         return [l for l in self.layers if l.neuron != "none"]
@@ -198,13 +249,12 @@ def build(arch_name: str, model_kind: str, overrides: dict | None = None) -> Net
         overrides.pop("hidden", None)
         layers = _vgg15_layers()
 
-    stochastic = kind.startswith("S")
-    leak = float(overrides.pop("leak", STOCH_LEAK if stochastic else DET_LEAK))
+    neuron, coding = KIND_MODELS[kind]
+    leak = float(overrides.pop("leak", STOCH_LEAK if neuron == "stoch" else DET_LEAK))
     for i, l in enumerate(layers):
         if l.neuron != "none":
-            layers[i] = replace(l, neuron="stoch" if stochastic else "det", leak=leak)
+            layers[i] = replace(l, neuron=neuron, leak=leak)
 
-    coding = "rate" if kind == "D-R-BPTT" else "first-to-spike"
     horizon = int(overrides.pop("horizon", 15 if coding == "rate" else 20))
     alpha = float(overrides.pop("alpha", DEFAULT_ALPHA))
     if overrides:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
 
-from .bptt import backward
+from .bptt import backward, sign_estimator_backward
 from .checkpoint import Checkpoint
 from .coding import fts_ce_loss_batch, ml_loss_logits_batch, rate_ce_loss_batch
 from .data import Dataset, encode_direct
@@ -160,28 +160,28 @@ def lr_at(epoch: int, config: TrainConfig) -> float:
     return config.lr * config.scheduler_gamma ** (epoch // config.scheduler_step)
 
 
-def _network_overrides(config: TrainConfig) -> dict:
-    return {"hidden": config.hidden, "horizon": config.horizon,
-            "leak": config.lambda_leak, "alpha": config.alpha}
-
-
-def _batch_loss(spec, tape_records, tape, labels):
-    if spec.coding == "first-to-spike":
-        if spec.model_kind.startswith("S"):
-            # fused-logit form: gradients survive output-sigmoid saturation
-            logits = tape.traces[-1].v             # (T, N, n)
-            return ml_loss_logits_batch(np.moveaxis(logits, 0, 1), labels)
-        times = first_spike_times(tape_records[-1])  # (N, n)
-        return fts_ce_loss_batch(times, labels)
-    counts = tape_records[-1].sum(axis=0)
-    return rate_ce_loss_batch(counts, labels)
+def _batch_loss(spec, tape, labels):
+    """``spec``'s loss on one taped batch: (value, the (T, N, n) gradient at
+    the output layer that ``backward`` takes).  S-F: the ML first-spike loss,
+    fused through the output sigmoid to survive saturation; D-R: rate
+    cross-entropy, the same gradient at every step; D-F: temporal
+    cross-entropy, routed to first-spike steps by the sign estimator."""
+    out = tape.traces[-1]
+    if spec.model_kind == "S-F-BPTT":
+        loss = ml_loss_logits_batch(np.moveaxis(out.v, 0, 1), labels)
+        return loss.value, np.moveaxis(loss.grad, 1, 0)
+    if spec.model_kind == "D-R-BPTT":
+        loss = rate_ce_loss_batch(out.spikes.sum(axis=0), labels)
+        return loss.value, np.broadcast_to(loss.grad, (tape.horizon,) + loss.grad.shape)
+    times = first_spike_times(out.spikes)
+    loss = fts_ce_loss_batch(times, labels)
+    return loss.value, sign_estimator_backward(loss.grad, times, tape.horizon)
 
 
 def test_accuracy(spec, params, dataset: Dataset, config: TrainConfig) -> float:
-    mode = "rate" if spec.coding == "rate" else "first-to-spike"
     # run_network's default batch, as metrics.evaluate uses: stochastic
     # predictions depend on the batch, and the log must match `spikefirst eval`
-    res = run_network(spec, params, dataset.images, mode=mode, seed=config.seed)
+    res = run_network(spec, params, dataset.images, mode=spec.coding, seed=config.seed)
     return float((res.predictions == dataset.labels).mean())
 
 
@@ -201,11 +201,9 @@ def train(config: TrainConfig, train_ds: Dataset, test_ds: Dataset | None = None
     ``log_rows`` is one dict per epoch: epoch, lr, train_loss, test_acc,
     wall_time_s.  When ``test_ds`` is given the returned checkpoint is the
     best-accuracy epoch snapshot, otherwise the final state.  ``resume``
-    continues a run bit-exactly from its stored epoch.
+    continues a run bit-exactly from its stored epoch and trains its spec;
+    the config's network settings are then not read.
     """
-    spec = build(config.arch, config.model_kind, _network_overrides(config))
-    stochastic = spec.model_kind.startswith("S")
-
     if resume is not None:
         spec = resume.spec
         params = {k: v.copy() for k, v in resume.params.items()}
@@ -215,6 +213,9 @@ def train(config: TrainConfig, train_ds: Dataset, test_ds: Dataset | None = None
         start_epoch = resume.epoch
         best_acc = resume.best_accuracy
     else:
+        spec = build(config.arch, config.model_kind,
+                     {"hidden": config.hidden, "horizon": config.horizon,
+                      "leak": config.lambda_leak, "alpha": config.alpha})
         params = init_params(spec, RngStream(config.seed, stream_id=_STREAM_INIT))
         adam = AdamState()
         start_epoch = 0
@@ -227,6 +228,7 @@ def train(config: TrainConfig, train_ds: Dataset, test_ds: Dataset | None = None
     best_ckpt = _snapshot(spec, params, adam, start_epoch, config, max(best_acc, 0.0))
     last_good = best_ckpt
     n_neuron_layers = len(spec.neuron_layers())
+    stochastic = spec.model_kind.startswith("S")
 
     for epoch in range(start_epoch, config.epochs):
         t0 = time.monotonic()
@@ -238,25 +240,24 @@ def train(config: TrainConfig, train_ds: Dataset, test_ds: Dataset | None = None
         try:
             for b, s in enumerate(range(0, n, config.batch_size)):
                 idx = order[s : s + config.batch_size]
-                images = train_ds.images[idx]
                 labels = train_ds.labels[idx]
-                encoded = encode_direct(images, spec.horizon)
+                encoded = encode_direct(train_ds.images[idx], spec.horizon)
                 streams = None
                 if stochastic:
                     streams = [RngStream(config.seed,
                                          stream_id=_STREAM_TRAIN_BASE
                                          + (epoch << 24) + (b << 8) + li)
                                for li in range(n_neuron_layers)]
-                records, tape = net_forward(spec, params, encoded, streams)
-                loss = _batch_loss(spec, records, tape, labels)
-                if not np.isfinite(loss.value):
+                tape = net_forward(spec, params, encoded, streams)[1]
+                loss, g_top = _batch_loss(spec, tape, labels)
+                if not np.isfinite(loss):
                     raise NumericalError(f"loss diverged at epoch {epoch} batch {b}")
-                grads = backward(tape, loss)
+                grads = backward(tape, g_top)
                 # the tape is the step's largest allocation: free it before
                 # Adam's scratch arrays and the next batch's forward pass
-                del records, tape
+                del tape, g_top
                 adam_step(params, grads, adam, lr, config.weight_decay)
-                epoch_loss += loss.value
+                epoch_loss += loss
                 n_batches += 1
         except NumericalError as exc:
             raise TrainingDiverged(str(exc), checkpoint=last_good) from exc
@@ -275,9 +276,7 @@ def train(config: TrainConfig, train_ds: Dataset, test_ds: Dataset | None = None
         if epoch_hook is not None:
             epoch_hook(row, last_good)
 
-    if test_ds is None:
-        return last_good, log_rows
-    return best_ckpt, log_rows
+    return (last_good if test_ds is None else best_ckpt), log_rows
 
 
 def write_log_csv(log_rows, path) -> None:

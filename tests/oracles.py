@@ -11,6 +11,9 @@
   surrogate they call; the synaptic helper is the package's own) so that
   tests can demand bit-identical gradients and parameters from the
   package's versions;
+* ``output_gradient``: the choice of output-layer gradient that the reverse
+  sweep made from its loss before ``train._batch_loss`` took it over, keyed
+  by model kind, the reference for the trainer's;
 * ``det_lif_step`` and ``stoch_lif_step``: the LIF updates as they stood
   before ``network.step`` advanced each state in its own buffers, kept
   verbatim, read-only and allocating every step, so that tests can demand
@@ -22,7 +25,7 @@ import numpy as np
 from spikefirst.bptt import Tape, _synaptic_step, sign_estimator_backward
 from spikefirst.coding import LossValue
 from spikefirst.errors import NumericalError, ShapeError, StateError
-from spikefirst.neurons import LayerState, sigmoid
+from spikefirst.neurons import LayerState, first_spike_times, sigmoid
 from spikefirst.rng import RngStream, rng_uniform
 from spikefirst.tensor import pool2d_backward
 from spikefirst.train import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState
@@ -102,8 +105,7 @@ def _ml_loss_core(p: np.ndarray, targets: np.ndarray):
 def ml_loss(probs, correct: int) -> LossValue:
     """ML first-spike loss for one sample: -log sum_t P_t with exact gradient.
 
-    The gradient is w.r.t. the (T, n) probability table; ``kind`` is "ml",
-    which ``bptt.backward`` does not take.
+    The gradient is w.r.t. the (T, n) probability table.
     """
     p = np.asarray(probs, dtype=np.float64)
     n = p.shape[-1]
@@ -111,7 +113,7 @@ def ml_loss(probs, correct: int) -> LossValue:
         raise IndexError(f"correct={correct} out of range for {n} neurons")
     pc = np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP)
     losses, grads = _ml_loss_core(pc[None], np.asarray([correct]))
-    return LossValue(value=float(losses[0]), grad=grads[0], kind="ml")
+    return LossValue(value=float(losses[0]), grad=grads[0])
 
 
 # ---- reference copies of the package's reverse sweep and Adam update
@@ -125,45 +127,50 @@ def arctan_surrogate_grad(v: np.ndarray, alpha: float = 2.0) -> np.ndarray:
     return (1.0 / np.pi) / (1.0 + z * z)
 
 
-def backward(tape: Tape, loss) -> dict:
+def output_gradient(tape: Tape, loss, model_kind: str) -> np.ndarray:
+    """The (T, N, n) gradient at the output layer from ``loss``, the
+    LossValue of ``model_kind``'s loss on the taped output.
+
+    D-F routes dL/dt through the sign estimator at the output's first-spike
+    times, D-R spreads dL/d(count) over every timestep, and S-F supplies the
+    fused dL/dV at the membrane potential of a stochastic output layer, the
+    only gradient such a layer takes.
+    """
+    horizon = tape.horizon
+    out = tape.traces[-1]
+    if out.layer.neuron == "stoch":
+        if model_kind != "S-F-BPTT":
+            raise StateError(f"a stochastic output layer takes the fused S-F loss, "
+                             f"got model kind {model_kind!r}")
+        # already fused through the output sigmoid; (N, T, n) seen time-major
+        return np.moveaxis(loss.grad, 1, 0)
+    if model_kind == "D-F-BPTT":
+        return sign_estimator_backward(loss.grad, first_spike_times(out.spikes), horizon)
+    if model_kind == "D-R-BPTT":
+        # accumulated count is a plain sum over time: same gradient each step
+        return np.broadcast_to(loss.grad, (horizon,) + loss.grad.shape)
+    raise StateError(f"model kind {model_kind!r} does not apply to a deterministic "
+                     "output layer")
+
+
+def backward(tape: Tape, g_top: np.ndarray) -> dict:
     """Reverse sweep over a recorded forward pass.
 
-    ``loss`` is a LossValue whose ``kind`` selects how the output-layer
-    gradient enters the network: "fts" routes dL/dt through the sign
-    estimator, "rate" spreads dL/d(count) over every timestep, and "ml-v"
-    supplies dL/dV at the membrane potential of a stochastic output layer,
-    the only kind such a layer takes.  Returns a dict mapping weight names
-    to gradients, each summed over the timesteps from t = T-1 down to 0.
+    ``g_top`` is the (T, N, n) loss gradient at the output layer, as
+    ``output_gradient`` gives it.  Returns a dict mapping weight names to
+    gradients, each summed over the timesteps from t = T-1 down to 0.
 
     The sweep is time-major (see the module docstring): each gradient passed
     from layer to layer, and each neuron layer's carry, is one step's
-    (N, ...) array, so apart from the (T, N, n_out) loss gradient its memory
-    is O(N * width) whatever the horizon.
+    (N, ...) array, so apart from ``g_top`` its memory is O(N * width)
+    whatever the horizon.
 
-    ``backward`` writes only into buffers it allocated: neither
-    ``loss.grad`` nor any array on the tape is modified, so a tape can be
-    swept again.
+    ``backward`` writes only into buffers it allocated: neither ``g_top``
+    nor any array on the tape is modified, so a tape can be swept again.
     """
     horizon = tape.horizon
     traces = tape.traces
     last = len(traces) - 1
-
-    # g_top[t]: step t's gradient w.r.t. the output layer's spikes or, for a
-    # stochastic output layer, its membrane potential; read only
-    if traces[last].layer.neuron == "stoch":
-        if loss.kind != "ml-v":
-            raise StateError(f"a stochastic output layer takes the fused 'ml-v' loss, "
-                             f"got loss kind {loss.kind!r}")
-        # already fused through the output sigmoid; (N, T, n) seen time-major
-        g_top = np.moveaxis(loss.grad, 1, 0)
-    elif loss.kind == "fts":
-        g_top = sign_estimator_backward(loss.grad, loss.aux["first_times"], horizon)
-    elif loss.kind == "rate":
-        # accumulated count is a plain sum over time: same gradient each step
-        g_top = np.broadcast_to(loss.grad, (horizon,) + loss.grad.shape)
-    else:
-        raise StateError(f"loss kind {loss.kind!r} does not apply to a deterministic "
-                         "output layer")
 
     grads: dict[str, np.ndarray] = {}
     carry: dict[int, np.ndarray] = {}   # per neuron layer: dL/dV_t from step t+1

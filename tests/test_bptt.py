@@ -14,13 +14,12 @@ import pytest
 
 import spikefirst as sf
 from spikefirst.bptt import arctan_surrogate_grad, sign_estimator_backward
-from spikefirst.coding import (LossValue, fts_ce_loss_batch, ml_loss_logits_batch,
-                               rate_ce_loss_batch)
-from spikefirst.errors import StateError
+from spikefirst.coding import fts_ce_loss_batch, ml_loss_logits_batch, rate_ce_loss_batch
 from spikefirst.network import LayerSpec
 from spikefirst.neurons import first_spike_times, sigmoid
 from spikefirst.rng import RngStream
 from spikefirst.tensor import conv2d, pool2d
+from spikefirst.train import _batch_loss
 
 import oracles
 from oracles import smoothed_spike
@@ -118,8 +117,7 @@ def test_deterministic_end_to_end_gradient():
     labels = np.array([1, 2])
 
     _, tape = sf.forward(spec, params, sf.encode_direct(x, horizon))
-    counts = tape.traces[-1].spikes.sum(axis=0)
-    grads = sf.backward(tape, rate_ce_loss_batch(counts, labels))
+    grads = sf.backward(tape, _batch_loss(spec, tape, labels)[1])
 
     tr0, tr1 = tape.traces
     reset0 = (np.concatenate([np.zeros((1, n, nh)), tr0.v[:-1]]) >= 1.0).astype(float)
@@ -161,8 +159,7 @@ def test_deterministic_conv_pool_end_to_end_gradient():
 
     _, tape = sf.forward(spec, params, sf.encode_direct(x, horizon))
     assert tape.traces[0].inputs.shape == x.shape
-    counts = tape.traces[-1].spikes.sum(axis=0)
-    grads = sf.backward(tape, rate_ce_loss_batch(counts, labels))
+    grads = sf.backward(tape, _batch_loss(spec, tape, labels)[1])
 
     tr0, tr2 = tape.traces[0], tape.traces[2]
     reset0 = (np.concatenate([np.zeros((1,) + tr0.v.shape[1:]), tr0.v[:-1]]) >= 1.0)
@@ -201,8 +198,7 @@ def test_stochastic_end_to_end_gradient_fused_logits():
 
     streams = [RngStream(6, 11), RngStream(6, 12)]
     _, tape = sf.forward(spec, params, sf.encode_direct(x, horizon), streams)
-    loss = ml_loss_logits_batch(np.moveaxis(tape.traces[-1].v, 0, 1), labels)
-    grads = sf.backward(tape, loss)
+    grads = sf.backward(tape, _batch_loss(spec, tape, labels)[1])
 
     off0 = tape.traces[0].spikes - tape.traces[0].probs  # frozen noise offsets
 
@@ -257,8 +253,8 @@ def test_stochastic_conv_max_pool_end_to_end_gradient():
 
     streams = [RngStream(8, 20 + i) for i in range(3)]
     _, tape = sf.forward(spec, params, sf.encode_direct(x, horizon), streams)
-    loss = ml_loss_logits_batch(np.moveaxis(tape.traces[-1].v, 0, 1), labels)
-    grads = sf.backward(tape, loss)
+    loss, g_top = _batch_loss(spec, tape, labels)
+    grads = sf.backward(tape, g_top)
 
     tr0, tr1 = tape.traces[0], tape.traces[1]
     assert tr1.inputs.dtype == np.uint8
@@ -284,25 +280,8 @@ def test_stochastic_conv_max_pool_end_to_end_gradient():
             vouts.append(v3)
         return ml_loss_logits_batch(np.stack(vouts, axis=1), labels).value
 
-    assert relaxed_loss() == pytest.approx(loss.value, rel=1e-12)
+    assert relaxed_loss() == pytest.approx(loss, rel=1e-12)
     _fd_check(params, grads, relaxed_loss)
-
-
-def test_stochastic_output_layer_takes_only_fused_loss():
-    horizon, n = 3, 2
-    spec = _two_layer_spec("S-F-BPTT", 6, 8, 3, horizon, leak=0.7)
-    rng = np.random.default_rng(5)
-    params = {"layer0.w": rng.normal(size=(8, 6)), "layer1.w": rng.normal(size=(3, 8))}
-    streams = [RngStream(1, 0), RngStream(1, 1)]
-    records, tape = sf.forward(spec, params, sf.encode_direct(rng.uniform(size=(n, 6)), horizon),
-                               streams)
-    labels = np.array([0, 1])
-    # "ml" is the probability-table form of the ML loss (oracles.ml_loss)
-    for loss in (LossValue(0.0, np.full((n, horizon, 3), 0.5), kind="ml"),
-                 fts_ce_loss_batch(first_spike_times(records[-1]), labels),
-                 rate_ce_loss_batch(records[-1].sum(axis=0), labels)):
-        with pytest.raises(StateError, match="ml-v"):
-            sf.backward(tape, loss)
 
 
 def test_fts_backward_only_touches_first_spike_steps():
@@ -314,13 +293,13 @@ def test_fts_backward_only_touches_first_spike_steps():
     params = {"layer0.w": rng.normal(size=(nh, nin)),
               "layer1.w": rng.normal(size=(nout, nh))}
     x = rng.uniform(0, 1, size=(2, nin))
-    from spikefirst.coding import fts_ce_loss_batch
-    from spikefirst.neurons import first_spike_times
 
     records, tape = sf.forward(spec, params, sf.encode_direct(x, horizon))
-    times = first_spike_times(records[-1])
-    loss = fts_ce_loss_batch(times, np.array([0, 1]))
-    grads = sf.backward(tape, loss)
+    _, g_top = _batch_loss(spec, tape, np.array([0, 1]))
+    steps = np.minimum(first_spike_times(records[-1]), horizon).astype(int) - 1
+    assert g_top.shape == (horizon, 2, nout)
+    assert np.all(g_top[steps != np.arange(horizon)[:, None, None]] == 0.0)
+    grads = sf.backward(tape, g_top)
     assert set(grads) == {"layer0.w", "layer1.w"}
     assert all(np.isfinite(g).all() for g in grads.values())
 
@@ -332,9 +311,8 @@ def test_backward_conv_pool_network_shapes():
     spec = sf.build("lenet5", "D-F-BPTT", {"horizon": horizon})
     params = sf.init_params(spec, RngStream(0, 1))
     x = rng.uniform(0, 1, size=(2, 1, 28, 28))
-    records, tape = sf.forward(spec, params, sf.encode_direct(x, horizon))
-    counts = records[-1].sum(axis=0)
-    grads = sf.backward(tape, rate_ce_loss_batch(counts, np.array([3, 7])))
+    _, tape = sf.forward(spec, params, sf.encode_direct(x, horizon))
+    grads = sf.backward(tape, _batch_loss(spec, tape, np.array([3, 7]))[1])
     for name, g in grads.items():
         assert g.shape == params[name].shape
         assert np.isfinite(g).all()
@@ -347,19 +325,18 @@ def _backward_peak(model_kind, arch, overrides, n, horizon=20):
     params = sf.init_params(spec, RngStream(0, 1))
     x = np.random.default_rng(3).uniform(0, 1, size=(n, 1, 28, 28))
     labels = np.arange(n) % 10
+    streams = None
     if model_kind.startswith("S"):
         streams = [RngStream(0, 10 + i) for i in range(len(spec.neuron_layers()))]
-        _, tape = sf.forward(spec, params, sf.encode_direct(x, horizon), streams)
-        loss = ml_loss_logits_batch(np.moveaxis(tape.traces[-1].v, 0, 1), labels)
     else:
         params = {k: 4.0 * w for k, w in params.items()}
-        records, tape = sf.forward(spec, params, sf.encode_direct(x, horizon))
-        loss = fts_ce_loss_batch(first_spike_times(records[-1]), labels)
+    _, tape = sf.forward(spec, params, sf.encode_direct(x, horizon), streams)
+    _, g_top = _batch_loss(spec, tape, labels)
     largest_v = max(tr.v.nbytes for tr in tape.traces if tr.v is not None)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        sf.backward(tape, loss)
+        sf.backward(tape, g_top)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -405,7 +382,7 @@ def test_backward_peak_memory_does_not_grow_with_horizon(model_kind, arch, overr
 
 def _taped_net(kind, n=3):
     """A small network of ``kind`` (D-F, D-R, S-F or S-F conv) run on ``n``
-    samples, its tape and loss."""
+    samples: its spec, spike records, tape and labels."""
     rng = np.random.default_rng(21)
     horizon = 4
     labels = np.arange(n) % 3
@@ -423,36 +400,31 @@ def _taped_net(kind, n=3):
                   "layer1.w": rng.normal(size=(3, 8)) * 1.5}
         x = rng.uniform(size=(n, 6))
     records, tape = sf.forward(spec, params, sf.encode_direct(x, horizon), streams)
-    if spec.model_kind.startswith("S"):
-        loss = ml_loss_logits_batch(np.moveaxis(tape.traces[-1].v, 0, 1), labels)
-    elif kind == "D-R":
-        loss = rate_ce_loss_batch(records[-1].sum(axis=0), labels)
-    else:
-        loss = fts_ce_loss_batch(first_spike_times(records[-1]), labels)
-    return records, tape, loss
+    return spec, records, tape, labels
 
 
 @pytest.mark.parametrize("n", [1, 3])
-@pytest.mark.parametrize("kind,loss_kind", [("D-F", "fts"), ("D-R", "rate"),
-                                            ("S-F", "ml-v"), ("S-F conv", "ml-v")])
-def test_backward_writes_nothing_it_is_given(kind, loss_kind, n):
+@pytest.mark.parametrize("kind", ["D-F", "D-R", "S-F", "S-F conv"],
+                         ids=["D-F-fts", "D-R-rate", "S-F-ml-v", "S-F conv-ml-v"])
+def test_backward_writes_nothing_it_is_given(kind, n):
     # the reverse sweep adds into gradient buffers in place, so it must own
-    # them: the time-major ml-v gradient it reads is a view of loss.grad
-    _, tape, loss = _taped_net(kind, n)
-    assert loss.kind == loss_kind
-    given = [("loss.grad", loss.grad)] + [
+    # them: the time-major ml-v gradient it reads is a view of the loss's
+    # gradient, and the rate gradient is one step's array broadcast over time
+    spec, _, tape, labels = _taped_net(kind, n)
+    _, g_top = _batch_loss(spec, tape, labels)
+    given = [("g_top", g_top)] + [
         (f"layer{i}.{name}", getattr(tr, name)) for i, tr in enumerate(tape.traces)
         for name in ("inputs", "weight", "v", "spikes", "probs")
         if getattr(tr, name) is not None]
     before = [a.tobytes() for _, a in given]
-    sf.backward(tape, loss)
+    sf.backward(tape, g_top)
     for (name, a), b in zip(given, before):
         assert a.tobytes() == b, f"backward wrote into {name}"
 
 
 @pytest.mark.parametrize("kind", ["D-F", "S-F", "S-F conv"])
 def test_tape_records_only_what_backward_reads(kind):
-    records, tape, _ = _taped_net(kind)
+    _, records, tape, _ = _taped_net(kind)
     traces = tape.traces
     last = len(traces) - 1
     neuron = [tr for tr in traces if tr.layer.neuron != "none"]
@@ -477,9 +449,10 @@ def test_tape_records_only_what_backward_reads(kind):
 
 @pytest.mark.parametrize("kind", ["D-F", "S-F", "S-F conv"])
 def test_uint8_spike_tape_gives_bit_identical_gradients(kind):
-    _, tape, loss = _taped_net(kind)
+    spec, _, tape, labels = _taped_net(kind)
+    _, g_top = _batch_loss(spec, tape, labels)
     taped = [None if tr.spikes is None else tr.spikes.copy() for tr in tape.traces]
-    grads = sf.backward(tape, loss)
+    grads = sf.backward(tape, g_top)
     # backward reads a cast copy of a spike step, never writes into the tape
     for tr, before in zip(tape.traces, taped):
         assert before is None or np.array_equal(tr.spikes, before)
@@ -488,7 +461,7 @@ def test_uint8_spike_tape_gives_bit_identical_gradients(kind):
             tr.spikes = tr.spikes.astype(np.float64)
         if i > 0 and tape.traces[i - 1].spikes is not None:
             tr.inputs = tape.traces[i - 1].spikes
-    wide = sf.backward(tape, loss)
+    wide = sf.backward(tape, g_top)
     assert set(grads) == set(wide)
     for name in grads:
         assert np.array_equal(grads[name], wide[name]), name
@@ -508,8 +481,7 @@ def _sf_forward_backward_peak_ratio():
     try:
         base = tracemalloc.get_traced_memory()[0]
         _, tape = sf.forward(spec, params, encoded, streams)
-        loss = ml_loss_logits_batch(np.moveaxis(tape.traces[-1].v, 0, 1), np.arange(n) % 10)
-        sf.backward(tape, loss)
+        sf.backward(tape, _batch_loss(spec, tape, np.arange(n) % 10)[1])
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -530,9 +502,23 @@ def test_stochastic_in_place_forward_backward_peak_memory():
     assert ratio <= 3.5, f"forward + backward peak {ratio:.2f}x one (T, N, hidden) buffer"
 
 
-def _assert_same_gradients(tape, loss):
-    grads = sf.backward(tape, loss)
-    want = oracles.backward(tape, loss)
+def _assert_same_gradients(spec, tape, labels):
+    # the trainer's loss and output gradient, and the sweep, against the
+    # reference output gradient of the model kind's loss and the reference
+    # sweep
+    out = tape.traces[-1]
+    if spec.model_kind == "S-F-BPTT":
+        loss = ml_loss_logits_batch(np.moveaxis(out.v, 0, 1), labels)
+    elif spec.model_kind == "D-R-BPTT":
+        loss = rate_ce_loss_batch(out.spikes.sum(axis=0), labels)
+    else:
+        loss = fts_ce_loss_batch(first_spike_times(out.spikes), labels)
+    want_g_top = oracles.output_gradient(tape, loss, spec.model_kind)
+    value, g_top = _batch_loss(spec, tape, labels)
+    assert value == loss.value
+    assert g_top.shape == want_g_top.shape and g_top.tobytes() == want_g_top.tobytes()
+    grads = sf.backward(tape, g_top)
+    want = oracles.backward(tape, want_g_top)
     assert set(grads) == set(want)
     for name in want:
         assert grads[name].tobytes() == want[name].tobytes(), name
@@ -543,14 +529,15 @@ def _assert_same_gradients(tape, loss):
 def test_backward_is_bit_identical_to_reference(kind, n):
     # the sweep reuses its per-step buffers but keeps every operation, its
     # operands and their order: gradients equal the reference bit for bit
-    _, tape, loss = _taped_net(kind, n)
-    _assert_same_gradients(tape, loss)
+    spec, _, tape, labels = _taped_net(kind, n)
+    _assert_same_gradients(spec, tape, labels)
 
 
 @pytest.mark.parametrize("model_kind,arch,overrides,n",
                          [("D-F-BPTT", "mlp2", {"hidden": 800}, 64),
                           ("S-F-BPTT", "mlp2", {"hidden": 800}, 64),
-                          ("D-F-BPTT", "lenet5", {}, 8)])
+                          ("D-F-BPTT", "lenet5", {}, 8),
+                          ("D-R-BPTT", "mlp2", {"hidden": 800}, 64)])
 def test_training_step_gradients_are_bit_identical_to_reference(model_kind, arch,
                                                                 overrides, n):
     spec = sf.build(arch, model_kind, overrides)
@@ -558,15 +545,13 @@ def test_training_step_gradients_are_bit_identical_to_reference(model_kind, arch
     x = np.random.default_rng(5).uniform(0, 1, size=(n, 1, 28, 28))
     labels = np.arange(n) % 10
     encoded = sf.encode_direct(x, spec.horizon)
+    streams = None
     if model_kind.startswith("S"):
         streams = [RngStream(0, 10 + i) for i in range(len(spec.neuron_layers()))]
-        _, tape = sf.forward(spec, params, encoded, streams)
-        loss = ml_loss_logits_batch(np.moveaxis(tape.traces[-1].v, 0, 1), labels)
     else:
         params = {k: 4.0 * w for k, w in params.items()}
-        records, tape = sf.forward(spec, params, encoded)
-        loss = fts_ce_loss_batch(first_spike_times(records[-1]), labels)
-    _assert_same_gradients(tape, loss)
+    _, tape = sf.forward(spec, params, encoded, streams)
+    _assert_same_gradients(spec, tape, labels)
 
 
 @pytest.mark.parametrize("v", [1.5, np.float64(-2.0), np.array(0.0),

@@ -12,6 +12,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import spikefirst
@@ -20,6 +21,8 @@ from spikefirst.checkpoint import load_checkpoint
 from spikefirst.cli import EXIT_CHECKPOINT, EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
 from spikefirst.network import parse_spec
 from spikefirst.train import PRESETS
+
+from test_network import UNUSABLE_SPECS, unusable_spec
 
 
 def run(*argv):
@@ -128,6 +131,40 @@ def test_train_manifest_records_subset_and_dataset(tmp_path, synthetic_mnist):
     config = json.loads((tmp_path / "manifest.json").read_text())["config"]
     assert config["subset"] == 7 and config["dataset"] == "mnist"
     assert config["hidden"] == 8
+
+
+def test_train_reads_the_dataset_of_its_arch(tmp_path, monkeypatch):
+    # vgg15 trains on CIFAR-10, as eval, tune and noise read it for a vgg15
+    # checkpoint; the manifest records the dataset
+    root = tmp_path / "cifar"
+    root.mkdir()
+    rng = np.random.default_rng(0)
+    for name in [f"data_batch_{i}.bin" for i in range(1, 6)] + ["test_batch.bin"]:
+        (root / name).write_bytes(rng.integers(0, 10, size=(4, 3073), dtype=np.uint8).tobytes())
+    seen = []
+
+    def recording_train(config, train_ds, test_ds):
+        seen.append((config.arch, train_ds.name, train_ds.images.shape, test_ds.name))
+        spec = spikefirst.build("mlp2", "D-F-BPTT", {"hidden": 2})
+        return spikefirst.Checkpoint(spec=spec, params=spikefirst.init_params(
+            spec, spikefirst.RngStream(0, 1))), []
+
+    monkeypatch.setattr(cli, "train", recording_train)
+    out = tmp_path / "out"
+    assert run("train", "--preset", "cifar-sf-bptt", "--data", str(root),
+               "--out", str(out)) == EXIT_OK
+    assert seen == [("vgg15", "cifar10", (20, 3, 32, 32), "cifar10")]
+    assert json.loads((out / "manifest.json").read_text())["config"]["dataset"] == "cifar10"
+    # without CIFAR-10 files under the root, a vgg15 run is a dataset error
+    assert run("train", "--arch", "vgg15", "--data", str(tmp_path / "nowhere"),
+               "--out", str(out)) == EXIT_DATA
+
+
+def test_dataset_is_not_a_config_key(tmp_path, synthetic_mnist):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("dataset=mnist\n")
+    assert run("train", "--config", str(cfg), "--epochs", "0", "--data", synthetic_mnist,
+               "--out", str(tmp_path)) == EXIT_CONFIG
 
 
 def test_config_file_overridden_by_flags(tmp_path, synthetic_mnist):
@@ -250,6 +287,19 @@ def test_eval_checkpoint_with_an_unusable_layer_field(tmp_path, synthetic_mnist)
     spikefirst.save_checkpoint(spikefirst.Checkpoint(spec=spec, params=params), path)
     assert run("eval", str(path), "--data", synthetic_mnist,
                "--out", str(tmp_path)) == EXIT_CHECKPOINT
+
+
+@pytest.mark.parametrize("command", ["eval", "tune"])
+@pytest.mark.parametrize("arch,kind,edit,error", [c[1:] for c in UNUSABLE_SPECS],
+                         ids=[c[0] for c in UNUSABLE_SPECS])
+def test_checkpoint_of_a_spec_the_network_cannot_run(tmp_path, synthetic_mnist, capsys,
+                                                     command, arch, kind, edit, error):
+    path = tmp_path / "unusable.ckpt"
+    spikefirst.save_checkpoint(spikefirst.Checkpoint(spec=unusable_spec(arch, kind, edit),
+                                                     params={}), path)
+    assert run(command, str(path), "--data", synthetic_mnist,
+               "--out", str(tmp_path / "out")) == EXIT_CHECKPOINT
+    assert error in capsys.readouterr().err
 
 
 def test_eval_happy_path(tiny_run, tmp_path, capsys, synthetic_mnist):

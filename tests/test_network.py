@@ -105,6 +105,83 @@ def test_network_spec_rejects_weighted_layer_without_neuron_model():
             replace(spec, layers=layers)
 
 
+def _header(**fields):
+    """An edit that sets header fields of a spec, past the spec's own checks."""
+    return lambda spec: spec.__dict__.update(fields)
+
+
+def _layer(i, **fields):
+    """An edit that sets fields of layer ``i``, past the spec's own checks."""
+    return lambda spec: spec.layers[i].__dict__.update(fields)
+
+
+_CONV = LayerSpec(kind="conv", in_channels=1, out_channels=1, kernel=1, neuron="det")
+_POOL = LayerSpec(kind="pool", window=2)
+
+# Specs the network cannot run as stored: (id, arch, model kind, edit, error).
+# Each edit applies to build(arch, kind, {"hidden": 4, "horizon": 3}).
+UNUSABLE_SPECS = [
+    ("S-F-with-det-neurons", "mlp2", "D-F-BPTT", _header(model_kind="S-F-BPTT"),
+     "S-F-BPTT takes stoch neurons, layer 0 has det"),
+    ("D-F-with-stoch-output", "mlp2", "D-F-BPTT", _layer(1, neuron="stoch"),
+     "D-F-BPTT takes det neurons, layer 1 has stoch"),
+    ("D-F-with-stoch-hidden", "lenet5", "D-F-BPTT", _layer(2, neuron="stoch"),
+     "D-F-BPTT takes det neurons, layer 2 has stoch"),
+    ("D-R-with-stoch-neurons", "mlp2", "S-F-BPTT",
+     _header(model_kind="D-R-BPTT", coding="rate"),
+     "D-R-BPTT takes det neurons, layer 0 has stoch"),
+    ("D-F-with-rate", "mlp2", "D-F-BPTT", _header(coding="rate"),
+     "D-F-BPTT takes first-to-spike coding"),
+    ("D-R-with-first-to-spike", "mlp2", "D-R-BPTT", _header(coding="first-to-spike"),
+     "D-R-BPTT takes rate coding"),
+    ("S-F-with-rate", "mlp2", "S-F-BPTT", _header(coding="rate"),
+     "S-F-BPTT takes first-to-spike coding"),
+    ("no-layers", "mlp2", "D-F-BPTT", _header(layers=[]), "at least one layer"),
+    ("pool-first", "lenet5", "D-F-BPTT", lambda s: s.layers.pop(0),
+     "layer 0 is a pool layer"),
+    ("pool-last", "lenet5", "D-F-BPTT", lambda s: s.layers.append(_POOL),
+     "the last layer, a pool layer, has no neuron model"),
+    ("linear-features", "mlp2", "D-F-BPTT", _layer(1, in_features=5),
+     "linear layer 1 takes 5 features, layer 0 gives 4"),
+    ("conv-channels", "lenet5", "D-F-BPTT", _layer(2, in_channels=5),
+     "conv layer 2 takes 5 channels, 6 reach it"),
+    ("conv-after-linear", "mlp2", "D-F-BPTT", lambda s: s.layers.append(_CONV),
+     "conv layer 2 follows a linear layer"),
+    ("pool-after-linear", "lenet5", "D-F-BPTT", lambda s: s.layers.insert(5, _POOL),
+     "pool layer 5 follows a linear layer"),
+    ("v_th-bool", "mlp2", "D-F-BPTT", _layer(0, v_th=True), "v_th must be an int or a float"),
+    ("k-string", "mlp2", "S-F-BPTT", _layer(1, k="1.0"), "k must be an int or a float"),
+    ("leak-null", "mlp2", "D-F-BPTT", _layer(0, leak=None), "leak must be an int or a float"),
+    ("alpha-string", "mlp2", "D-F-BPTT", _header(alpha="2.0"),
+     "alpha must be an int or a float"),
+]
+
+
+def unusable_spec(arch, kind, edit):
+    spec = build(arch, kind, {"hidden": 4, "horizon": 3})
+    edit(spec)
+    return spec
+
+
+@pytest.mark.parametrize("arch,kind,edit,error", [c[1:] for c in UNUSABLE_SPECS],
+                         ids=[c[0] for c in UNUSABLE_SPECS])
+def test_parse_spec_rejects_a_spec_the_network_cannot_run(arch, kind, edit, error):
+    text = serialize_spec(unusable_spec(arch, kind, edit))
+    with pytest.raises(ParameterError, match=error):
+        parse_spec(text)
+
+
+def test_network_spec_takes_numpy_numbers():
+    # the tuner and numpy arithmetic hand over numpy scalars
+    layer = LayerSpec(kind="linear", in_features=np.int64(2), out_features=2, neuron="det",
+                      v_th=np.float32(0.5), k=np.int32(2), leak=np.float64(0.25))
+    assert (layer.v_th, layer.k, layer.leak) == (0.5, 2.0, 0.25)
+    assert all(type(x) is float for x in (layer.v_th, layer.k, layer.leak))
+    spec = sf.NetworkSpec(layers=[layer], coding="first-to-spike", horizon=3,
+                          model_kind="D-F-BPTT", arch="mlp2", alpha=np.int64(3))
+    assert type(spec.alpha) is float and spec.alpha == 3.0
+
+
 def test_weight_shape():
     spec = build("lenet5", "D-F-BPTT")
     assert weight_shape(spec.layers[0]) == (6, 1, 5, 5)

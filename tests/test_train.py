@@ -248,15 +248,31 @@ def test_resume_is_bit_exact(kind, tmp_path):
     assert (tmp_path / "s.ckpt").read_bytes() == (tmp_path / "r.ckpt").read_bytes()
 
 
+def test_resume_trains_the_checkpoints_network():
+    # a D-F config resuming an S-F checkpoint: the run trains the
+    # checkpoint's stochastic network, as the S-F config would, and builds
+    # no network of its own
+    ds = synthetic_mnist_like()
+    sf_cfg = tiny_config(model_kind="S-F-BPTT", lambda_leak=0.7, epochs=2)
+    half, _ = train(tiny_config(model_kind="S-F-BPTT", lambda_leak=0.7, epochs=1), ds)
+    want, _ = train(sf_cfg, ds, resume=half)
+    df_cfg = tiny_config(model_kind="D-F-BPTT", lambda_leak=0.9, epochs=2, hidden=7)
+    got, log = train(df_cfg, ds, resume=half)
+    assert got.spec == half.spec and len(log) == 1
+    for name in want.params:
+        assert got.params[name].tobytes() == want.params[name].tobytes(), name
+        assert got.adam_m[name].tobytes() == want.adam_m[name].tobytes(), name
+
+
 def test_divergence_raises_with_last_good_state(monkeypatch):
     ds = synthetic_mnist_like()
 
     real_backward = train_mod.backward
     calls = {"n": 0}
 
-    def poisoned(tape, loss):
+    def poisoned(tape, g_top):
         calls["n"] += 1
-        grads = real_backward(tape, loss)
+        grads = real_backward(tape, g_top)
         if calls["n"] > 3:       # NaN partway through the second epoch
             grads = {k: v * np.nan for k, v in grads.items()}
         return grads
