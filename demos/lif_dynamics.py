@@ -18,10 +18,8 @@ DRIVE = 0.55
 
 def main():
     # a one-neuron layer of each kind; the step functions read v_th / k / leak
-    det = LayerSpec(kind="linear", neuron="det", in_features=1, out_features=1,
-                    v_th=1.0, leak=0.9)
-    sto = LayerSpec(kind="linear", neuron="stoch", in_features=1, out_features=1,
-                    k=1.0, leak=0.7)
+    det = LayerSpec(kind="linear", in_features=1, out_features=1, v_th=1.0, leak=0.9)
+    sto = LayerSpec(kind="linear", in_features=1, out_features=1, k=1.0, leak=0.7)
     det_state = LayerState(v=np.zeros(1))
     sto_state = LayerState(v=np.zeros(1))
     stream = RngStream(seed=7, stream_id=1)

@@ -22,7 +22,7 @@ def main(path):
     ckpt = load_checkpoint(path)
     test_ds = load_mnist_idx(DATA / "t10k-images-idx3-ubyte",
                              DATA / "t10k-labels-idx1-ubyte", split="test")
-    mode = "rate" if ckpt.spec.coding == "rate" else "first-to-spike"
+    mode = ckpt.spec.coding
     report = evaluate(ckpt, test_ds, mode=mode)
 
     print(f"{ckpt.spec.model_kind} {ckpt.spec.arch}, {mode} inference, "

@@ -9,7 +9,7 @@ differential evolution.
 
 __version__ = "0.1.0"
 
-from .bptt import Tape, arctan_surrogate_grad, backward, sign_estimator_backward
+from .bptt import Tape, backward, sign_estimator_backward
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .coding import LossValue, fts_softmax
 from .data import Dataset, encode_direct, load_cifar10_bin, load_mnist_idx

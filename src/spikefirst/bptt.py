@@ -3,21 +3,23 @@
 Three estimators bridge the non-differentiable pieces:
 
 * arctan surrogate for the hard threshold (backward only; forward keeps the
-  exact spike),
+  exact spike), of the fixed width ``ALPHA``,
 * sign estimator routing the loss gradient on a first-spike time to the spike
   output at exactly that time (with value -1),
 * straight-through estimator passing gradients unchanged through the Bernoulli
   draw of stochastic neurons.
 
-The tape records, per timestep, only what ``backward`` reads: each synaptic
-layer's input, every neuron layer's spikes, the membrane potential ``v`` of
-deterministic layers and of the output layer (the fused S-F loss gradient
-enters there), and the firing probabilities ``probs`` of hidden stochastic
-layers.  Spike trains are taped as ``uint8``; 0 and 1 are exact, so casting
-them back to float64 for the GEMMs leaves every gradient bit-identical.  A
-layer fed by a neuron layer reads that layer's spike buffer as its input, so
-each spike train is recorded once.  The network input is direct-encoded, the same at
-every step, so layer 0's input is recorded once, as (N, ...).
+The tape holds the network's neuron model, that of every layer but the pool
+layers, and records, per timestep, only what ``backward`` reads: each
+synaptic layer's input, every neuron layer's spikes, the membrane potential
+``v`` of deterministic layers and of the output layer (the fused S-F loss
+gradient enters there), and the firing probabilities ``probs`` of hidden
+stochastic layers.  Spike trains are taped as ``uint8``; 0 and 1 are exact,
+so casting them back to float64 for the GEMMs leaves every gradient
+bit-identical.  A layer fed by a neuron layer reads that layer's spike buffer
+as its input, so each spike train is recorded once.  The network input is
+direct-encoded, the same at every step, so layer 0's input is recorded once,
+as (N, ...).
 
 ``backward`` starts from the (T, N, n_out) loss gradient at the output layer,
 whatever the loss, and replays the tape in one time-major reverse sweep: for
@@ -53,20 +55,16 @@ from .errors import StateError
 from .tensor import conv2d_backward, pool2d_backward
 
 
-def arctan_surrogate_grad(v: np.ndarray, alpha: float = 2.0) -> np.ndarray:
-    """Elementwise (1/pi) / (1 + (pi * v * alpha / 2)^2).
-
-    Used as d(spike)/dV in the backward pass, evaluated at V - v_th.
-    """
-    v = np.asarray(v, dtype=np.float64)
-    # [()] gives a scalar back for a scalar or 0-d input
-    return _arctan_surrogate_in_place(np.multiply(np.pi, v, out=np.empty(v.shape)), alpha)[()]
+# width of the arctan surrogate
+ALPHA = 2.0
 
 
-def _arctan_surrogate_in_place(z: np.ndarray, alpha: float) -> np.ndarray:
-    """``arctan_surrogate_grad`` of ``z / pi``, written over ``z``, which the
-    caller owns and has already multiplied by pi; returns ``z``."""
-    z *= alpha / 2.0
+def _arctan_surrogate_in_place(z: np.ndarray) -> np.ndarray:
+    """The arctan surrogate (1/pi) / (1 + (pi * v * ALPHA / 2)^2) of
+    ``v = z / pi``, written over ``z``, which the caller owns and has already
+    multiplied by pi; returns ``z``.  ``backward`` takes it as d(spike)/dV,
+    evaluated at V - v_th."""
+    z *= ALPHA / 2.0
     np.multiply(z, z, out=z)
     z += 1.0
     return np.divide(1.0 / np.pi, z, out=z)
@@ -113,7 +111,7 @@ class Tape:
     """Ordered forward recording over T timesteps."""
 
     horizon: int
-    alpha: float = 2.0
+    neuron: str                         # det | stoch
     traces: list = field(default_factory=list)
 
 
@@ -191,16 +189,16 @@ def backward(tape: Tape, g_top: np.ndarray) -> dict:
                 carry[i] = np.zeros(g.shape)
                 work[i] = np.empty(g.shape)
             gv = work[i]
-            if layer.neuron == "det":
+            if tape.neuron == "det":
                 # dV_t/dV_{t-1}: leak path only; the reset indicator is treated
                 # as a constant in the backward pass.
                 np.subtract(trace.v[t], layer.v_th, out=gv)
                 gv *= np.pi
-                _arctan_surrogate_in_place(gv, tape.alpha)
+                _arctan_surrogate_in_place(gv)
                 gv *= g
                 gv += carry[i]
                 np.multiply(gv, layer.leak, out=carry[i])
-            elif layer.neuron == "stoch":
+            else:                               # stoch
                 if i == last:
                     np.add(g, carry[i], out=gv)     # g is already dL/dV
                 else:
@@ -215,8 +213,6 @@ def backward(tape: Tape, g_top: np.ndarray) -> dict:
                 inv_k = 1.0 / layer.k
                 np.multiply(gv, layer.leak * inv_k, out=carry[i])
                 gv *= inv_k
-            else:
-                raise StateError(f"weighted layer without neuron model: {layer}")
 
             # gv is step t's drive gradient, overwritten at step t - 1
             if i == 0:

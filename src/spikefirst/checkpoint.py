@@ -2,13 +2,17 @@
 
 Layout: 8-byte magic, uint32 version, a sequence of length-prefixed named
 sections, and a trailing CRC32 of everything before it.  This is format
-version 2: sections hold the network spec as JSON (``network.serialize_spec``),
+version 3: sections hold the network spec as JSON (``network.serialize_spec``,
+whose model kind is the one statement of the neuron model and the coding),
 scalar metadata as JSON, and the parameter / optimizer tensors.  Files of any
-other version, such as version 1 with its key=value spec, raise
+other version, such as version 1 with its key=value spec or version 2 with a
+coding, a surrogate width and a neuron model per layer in its spec, raise
 CheckpointError.  The container is self-describing and byte-deterministic, so
 identical training runs produce identical files.  A loaded file holds
 exactly one weight ``layer{i}.w`` of the spec's shape per linear or conv
-layer, and optimizer moments only for those weights, at the same shapes.
+layer, and optimizer moments only for those weights, at the same shapes;
+its ``epoch`` and ``adam_step`` are integers >= 0, its ``seed`` an integer
+and its ``best_accuracy`` a number in [0, 1].
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from .errors import CheckpointError, ParameterError
 from .network import NetworkSpec, parse_spec, serialize_spec, weight_shape
 
 MAGIC = b"SPIKEFST"
-VERSION = 2
+VERSION = 3
 
 
 @dataclass
@@ -40,7 +44,6 @@ class Checkpoint:
     epoch: int = 0
     seed: int = 0
     best_accuracy: float = 0.0
-    train_config: dict = field(default_factory=dict)
 
 
 def _pack_arrays(arrays: dict) -> bytes:
@@ -101,13 +104,17 @@ def _unpack_arrays(buf: bytes, what: str) -> dict:
     return arrays
 
 
+def _is_number(value, types) -> bool:
+    """Whether ``value``, read from JSON, is of ``types`` and not a bool."""
+    return isinstance(value, types) and not isinstance(value, bool)
+
+
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
     meta = {
         "adam_step": ckpt.adam_step,
         "epoch": ckpt.epoch,
         "seed": ckpt.seed,
         "best_accuracy": ckpt.best_accuracy,
-        "train_config": ckpt.train_config,
     }
     sections = [
         ("spec", serialize_spec(ckpt.spec).encode()),
@@ -168,11 +175,19 @@ def load_checkpoint(path) -> Checkpoint:
                                       f"{arr.shape}; the spec's weights are {weights}")
     try:
         meta = json.loads(meta_text.decode())
-        return Checkpoint(spec=spec, params=params, adam_m=adam_m, adam_v=adam_v,
-                          adam_step=int(meta["adam_step"]), epoch=int(meta["epoch"]),
-                          seed=int(meta["seed"]),
-                          best_accuracy=float(meta["best_accuracy"]),
-                          train_config=meta.get("train_config", {}))
-    except (ValueError, KeyError, TypeError, OverflowError, AttributeError,
-            RecursionError) as exc:
+        adam_step, epoch, seed, best = (meta[key] for key in
+                                        ("adam_step", "epoch", "seed", "best_accuracy"))
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
         raise CheckpointError(f"{path}: malformed metadata: {exc!r}") from exc
+    for name, value in (("adam_step", adam_step), ("epoch", epoch)):
+        if not _is_number(value, int) or value < 0:
+            raise CheckpointError(f"{path}: {name} must be an integer >= 0, got {value!r}")
+    if not _is_number(seed, int):
+        raise CheckpointError(f"{path}: seed must be an integer, got {seed!r}")
+    # NaN fails the range test
+    if not _is_number(best, (int, float)) or not 0.0 <= best <= 1.0:
+        raise CheckpointError(f"{path}: best_accuracy must be a number in [0, 1], "
+                              f"got {best!r}")
+    return Checkpoint(spec=spec, params=params, adam_m=adam_m, adam_v=adam_v,
+                      adam_step=adam_step, epoch=epoch, seed=seed,
+                      best_accuracy=float(best))

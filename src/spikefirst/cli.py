@@ -38,12 +38,9 @@ EXIT_CHECKPOINT = 4
 
 DATA_ENV = "SPIKEFIRST_DATA"
 
-# TrainConfig's fields are the training settings: their annotated types cast
-# config-file values and type the flags
+# TrainConfig's fields are the training settings, each a config key and a
+# train flag: their annotated types cast config-file values and type the flags
 _CASTS = typing.get_type_hints(TrainConfig)
-_TRAIN_FLAGS = ("model_kind", "arch", "epochs", "batch_size", "lr", "weight_decay",
-                "scheduler_step", "scheduler_gamma", "lambda_leak", "horizon", "seed",
-                "hidden")
 _RUN_KEYS = ("preset", "data", "out", "subset")
 _CONFIG_KEYS = set(_CASTS) | set(_RUN_KEYS)
 
@@ -150,7 +147,7 @@ def _build_train_config(args) -> tuple[TrainConfig, dict]:
     """The run's TrainConfig and its ``data``, ``out`` and ``subset``, from
     the preset, the config file and the flags; flags win."""
     values = _read_config_file(args.config) if args.config else {}
-    for key in (*_TRAIN_FLAGS, *_RUN_KEYS):
+    for key in (*_CASTS, *_RUN_KEYS):
         flag = getattr(args, key)
         if flag is not None:
             values[key] = flag
@@ -311,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", help=f"dataset root (default ${DATA_ENV})")
     p.add_argument("--out", help="output directory (default ./runs)")
     p.add_argument("--subset", type=int, help="train on the first N samples only")
-    for key in _TRAIN_FLAGS:
+    for key in _CASTS:
         p.add_argument("--" + key.replace("_", "-"), type=_CASTS[key], dest=key)
     p.set_defaults(func=cmd_train)
 

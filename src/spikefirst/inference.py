@@ -74,8 +74,8 @@ def run_network(spec: NetworkSpec, params: dict, images: np.ndarray,
         raise ParameterError("empty dataset")
 
     fts = mode == "first-to-spike"
-    neuron_layers = [i for i, l in enumerate(spec.layers) if l.neuron != "none"]
-    stochastic = any(spec.layers[i].neuron == "stoch" for i in neuron_layers)
+    neuron_layers = [i for i, _ in spec.weighted_layers()]
+    stochastic = spec.neuron == "stoch"
 
     predictions = np.full(n_total, -1, dtype=np.int64)
     latencies = np.full(n_total, float(horizon))

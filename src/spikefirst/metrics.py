@@ -83,8 +83,7 @@ def evaluate(ckpt: Checkpoint, dataset: Dataset, mode: str = "first-to-spike",
     layer_rates = [float(total / (math.prod(shape) * total_steps))
                    for total, shape in zip(res.layer_totals, layer_shapes(spec, input_hw))]
     feeding = [input_rate] + [layer_rates[i - 1] for i, _ in spec.weighted_layers()[1:]]
-    rates = [input_rate] + [layer_rates[i] for i, l in enumerate(spec.layers)
-                            if l.neuron != "none"]
+    rates = [input_rate] + [layer_rates[i] for i, _ in spec.weighted_layers()]
     energy = energy_cost(feeding, total_steps / len(dataset),
                          network_op_counts(spec, input_hw))
     return MetricsReport(accuracy=accuracy, mean_latency=mean_latency,

@@ -1,15 +1,17 @@
 """Declarative architecture construction and the unrolled forward pass.
 
 ``build`` resolves an architecture name (mlp2 / lenet5 / vgg15) and model kind
-(D-F-BPTT / S-F-BPTT / D-R-BPTT) into a fully specified layer stack.  ``step``
-is the simulator core: it advances every layer by one timestep (pooling, the
-synaptic op, then the LIF update of ``neurons`` in the layer state's own
-buffers) and returns each layer's input, membrane potential, spikes and
-firing probabilities; the network input reaches it only as layer 0's drive,
-which the caller computes.  ``forward`` calls it for t = 1..T and records the
-BPTT tape; ``inference.run_network`` calls it with early exit.  First-to-spike
-coding applies only to the final output layer; hidden layers always
-communicate through their spike trains.
+(D-F-BPTT / S-F-BPTT / D-R-BPTT) into a fully specified layer stack.  The
+model kind alone fixes the neuron model of every linear and conv layer and
+the output coding (``KIND_MODELS``).  ``step`` is the simulator core: it
+advances every layer by one timestep (pooling, the synaptic op, then the LIF
+update of ``neurons`` in the layer state's own buffers) and returns each
+layer's input, membrane potential, spikes and firing probabilities; the
+network input reaches it only as layer 0's drive, which the caller computes.
+``forward`` calls it for t = 1..T and records the BPTT tape;
+``inference.run_network`` calls it with early exit.  First-to-spike coding
+applies only to the final output layer; hidden layers always communicate
+through their spike trains.
 
 Layers carry no bias terms; thresholds (deterministic) and membrane scales
 (stochastic) play that role and are the quantities the evolutionary tuner
@@ -30,8 +32,8 @@ from .neurons import LayerState, det_lif_step, sigmoid, stoch_lif_step  # noqa: 
 from .rng import RngStream, rng_uniform
 from .tensor import _conv_out_size, conv2d, pool2d
 
-# Each model kind's neuron model and output coding: a spec stores all three,
-# and they must agree.
+# Each model kind's neuron model, that of every layer but the pool layers,
+# and its output coding.
 KIND_MODELS = {"D-F-BPTT": ("det", "first-to-spike"),
                "S-F-BPTT": ("stoch", "first-to-spike"),
                "D-R-BPTT": ("det", "rate")}
@@ -39,22 +41,20 @@ MODEL_KINDS = tuple(KIND_MODELS)
 CODINGS = ("first-to-spike", "rate")
 ARCHS = ("mlp2", "lenet5", "vgg15")
 LAYER_KINDS = ("linear", "conv", "pool")
-NEURONS = ("det", "stoch", "none")
 POOL_MODES = ("average", "max")
 
 # Table-level defaults: leak 0.9 for deterministic models, 0.7 for stochastic.
 DET_LEAK = 0.9
 STOCH_LEAK = 0.7
 DEFAULT_HIDDEN = 800
-DEFAULT_ALPHA = 2.0
 
 
 @dataclass
 class LayerSpec:
-    """One layer: synaptic op parameters plus its neuron model."""
+    """One layer: its synaptic op and, unless it is a pool layer, the
+    parameters of its neurons, whose model the spec's model kind fixes."""
 
     kind: str                   # linear | conv | pool
-    neuron: str = "none"        # det | stoch | none
     in_features: int = 0
     out_features: int = 0
     in_channels: int = 0
@@ -73,15 +73,11 @@ class LayerSpec:
         # their defaults (kernel 0 on linear layers, window 0 on conv layers)
         if self.kind not in LAYER_KINDS:
             raise ParameterError(f"layer kind must be one of {LAYER_KINDS}, got {self.kind!r}")
-        if self.neuron not in NEURONS:
-            raise ParameterError(f"neuron must be one of {NEURONS}, got {self.neuron!r}")
         if self.kind == "linear":
             minima = {"in_features": 1, "out_features": 1}
         elif self.kind == "conv":
             minima = {"in_channels": 1, "out_channels": 1, "kernel": 1, "stride": 1, "pad": 0}
         else:
-            if self.neuron != "none":
-                raise ParameterError(f"a pool layer has no neuron model, got {self.neuron!r}")
             if self.pool_mode not in POOL_MODES:
                 raise ParameterError(f"pool mode must be one of {POOL_MODES}, "
                                      f"got {self.pool_mode!r}")
@@ -114,55 +110,38 @@ def _real(value, what: str) -> float:
 
 @dataclass
 class NetworkSpec:
-    """Ordered layer stack plus coding mode and time horizon.
+    """Ordered layer stack plus time horizon and model kind.
 
-    The checks reject any spec the network cannot run as stored:
-    ``model_kind``, ``coding`` and every layer's neuron model must agree as
-    ``KIND_MODELS`` says; layer 0 is linear or conv and the last layer has a
-    neuron model; a linear layer takes the features of the linear layer
-    before it, and a conv layer the channels of the conv layer before it;
-    nothing but linear layers follows a linear layer.  Two shapes depend on
-    the input image and stay runtime ShapeErrors: the channels that reach
-    layer 0, and the flattened size where a conv or pool layer feeds a
-    linear one.
+    ``model_kind`` is the one statement of the neuron model and the coding:
+    ``neuron`` and ``coding`` look them up in ``KIND_MODELS``.  The checks
+    reject any spec the network cannot run as stored: layer 0 is linear or
+    conv and the last layer is not a pool layer; a linear layer takes the
+    features of the linear layer before it, and a conv layer the channels of
+    the conv layer before it; nothing but linear layers follows a linear
+    layer.  Two shapes depend on the input image and stay runtime
+    ShapeErrors: the channels that reach layer 0, and the flattened size
+    where a conv or pool layer feeds a linear one.
     """
 
     layers: list
-    coding: str                 # first-to-spike | rate
     horizon: int
     model_kind: str
     arch: str
-    alpha: float = DEFAULT_ALPHA
 
     def __post_init__(self):
-        if self.coding not in CODINGS:
-            raise ParameterError(f"coding must be one of {CODINGS}, got {self.coding!r}")
         if self.model_kind not in MODEL_KINDS:
             raise ParameterError(f"model kind must be one of {MODEL_KINDS}, "
                                  f"got {self.model_kind!r}")
         if self.arch not in ARCHS:
             raise ParameterError(f"arch must be one of {ARCHS}, got {self.arch!r}")
         self.horizon = _count(self.horizon, "horizon", 1)
-        self.alpha = _real(self.alpha, "alpha")
-        if not 0.0 < self.alpha < np.inf:
-            raise ParameterError(f"alpha must be finite and > 0, got {self.alpha}")
-        neuron, coding = KIND_MODELS[self.model_kind]
-        if self.coding != coding:
-            raise ParameterError(f"{self.model_kind} takes {coding} coding, got {self.coding}")
         layers = self.layers
         if not layers:
             raise ParameterError("a network needs at least one layer")
         if layers[0].kind == "pool":
             raise ParameterError("layer 0 is a pool layer; it must be linear or conv")
-        for i, layer in self.weighted_layers():
-            if layer.neuron == "none":
-                raise ParameterError(f"{layer.kind} layer {i} has no neuron model")
-            if layer.neuron != neuron:
-                raise ParameterError(f"{self.model_kind} takes {neuron} neurons, "
-                                     f"layer {i} has {layer.neuron}")
-        if layers[-1].neuron == "none":
-            raise ParameterError(f"the last layer, a {layers[-1].kind} layer, "
-                                 "has no neuron model")
+        if layers[-1].kind == "pool":
+            raise ParameterError("the last layer is a pool layer")
         channels = layers[0].out_channels
         for i, (prev, layer) in enumerate(zip(layers, layers[1:]), start=1):
             if prev.kind == "linear":
@@ -177,8 +156,18 @@ class NetworkSpec:
                                          f"channels, {channels} reach it")
                 channels = layer.out_channels
 
+    @property
+    def neuron(self) -> str:
+        """det | stoch: the neuron model of every layer but the pool layers."""
+        return KIND_MODELS[self.model_kind][0]
+
+    @property
+    def coding(self) -> str:
+        """first-to-spike | rate"""
+        return KIND_MODELS[self.model_kind][1]
+
     def neuron_layers(self):
-        return [l for l in self.layers if l.neuron != "none"]
+        return [l for l in self.layers if l.kind != "pool"]
 
     def weighted_layers(self):
         return [(i, l) for i, l in enumerate(self.layers) if l.kind in ("linear", "conv")]
@@ -193,21 +182,21 @@ def normalize_model_kind(kind: str) -> str:
 
 def _mlp2_layers(hidden: int) -> list:
     return [
-        LayerSpec(kind="linear", in_features=784, out_features=hidden, neuron="det"),
-        LayerSpec(kind="linear", in_features=hidden, out_features=10, neuron="det"),
+        LayerSpec(kind="linear", in_features=784, out_features=hidden),
+        LayerSpec(kind="linear", in_features=hidden, out_features=10),
     ]
 
 
 def _lenet5_layers() -> list:
     # conv(1->6, 5x5, pad 2) keeps 28x28 so the classic 400-unit flatten holds.
     return [
-        LayerSpec(kind="conv", in_channels=1, out_channels=6, kernel=5, pad=2, neuron="det"),
+        LayerSpec(kind="conv", in_channels=1, out_channels=6, kernel=5, pad=2),
         LayerSpec(kind="pool", window=2, pool_mode="average"),
-        LayerSpec(kind="conv", in_channels=6, out_channels=16, kernel=5, neuron="det"),
+        LayerSpec(kind="conv", in_channels=6, out_channels=16, kernel=5),
         LayerSpec(kind="pool", window=2, pool_mode="average"),
-        LayerSpec(kind="linear", in_features=400, out_features=120, neuron="det"),
-        LayerSpec(kind="linear", in_features=120, out_features=84, neuron="det"),
-        LayerSpec(kind="linear", in_features=84, out_features=10, neuron="det"),
+        LayerSpec(kind="linear", in_features=400, out_features=120),
+        LayerSpec(kind="linear", in_features=120, out_features=84),
+        LayerSpec(kind="linear", in_features=84, out_features=10),
     ]
 
 
@@ -222,17 +211,17 @@ def _vgg15_layers() -> list:
             layers.append(LayerSpec(kind="pool", window=2, pool_mode="max"))
         else:
             layers.append(LayerSpec(kind="conv", in_channels=c_in, out_channels=item,
-                                    kernel=3, pad=1, neuron="det"))
+                                    kernel=3, pad=1))
             c_in = item
-    layers.append(LayerSpec(kind="linear", in_features=512, out_features=512, neuron="det"))
-    layers.append(LayerSpec(kind="linear", in_features=512, out_features=10, neuron="det"))
+    layers.append(LayerSpec(kind="linear", in_features=512, out_features=512))
+    layers.append(LayerSpec(kind="linear", in_features=512, out_features=10))
     return layers
 
 
 def build(arch_name: str, model_kind: str, overrides: dict | None = None) -> NetworkSpec:
     """Resolve an architecture + model kind into a concrete NetworkSpec.
 
-    ``overrides`` may set ``hidden``, ``horizon``, ``leak`` and ``alpha``;
+    ``overrides`` may set ``hidden``, ``horizon`` and ``leak``;
     ``tuner.apply_candidate`` sets per-layer thresholds and scales.
     """
     overrides = dict(overrides or {})
@@ -252,15 +241,13 @@ def build(arch_name: str, model_kind: str, overrides: dict | None = None) -> Net
     neuron, coding = KIND_MODELS[kind]
     leak = float(overrides.pop("leak", STOCH_LEAK if neuron == "stoch" else DET_LEAK))
     for i, l in enumerate(layers):
-        if l.neuron != "none":
-            layers[i] = replace(l, neuron=neuron, leak=leak)
+        if l.kind != "pool":
+            layers[i] = replace(l, leak=leak)
 
     horizon = int(overrides.pop("horizon", 15 if coding == "rate" else 20))
-    alpha = float(overrides.pop("alpha", DEFAULT_ALPHA))
     if overrides:
         raise ValueError(f"unknown override keys: {sorted(overrides)}")
-    return NetworkSpec(layers=layers, coding=coding, horizon=horizon,
-                       model_kind=kind, arch=arch_name, alpha=alpha)
+    return NetworkSpec(layers=layers, horizon=horizon, model_kind=kind, arch=arch_name)
 
 
 def weight_shape(layer: LayerSpec) -> tuple:
@@ -320,8 +307,8 @@ def step(spec: NetworkSpec, params: dict, drive0: np.ndarray, states: dict,
     ``drive0`` is layer 0's synaptic drive at this step, (N, ...); layer 0 is
     a linear or conv layer.  ``states`` maps layer index to its
     ``LayerState``; missing entries start at rest and the dict is updated in
-    place.  ``streams`` holds one RngStream per neuron layer (entries of
-    deterministic layers are ignored; None for a deterministic network).
+    place.  ``streams`` holds one RngStream per neuron layer of a stochastic
+    network; a deterministic network ignores it (None).
     Returns one ``(input, v, spikes, probs)`` tuple per layer: a pool layer
     has only its input, a deterministic layer no probs, and layer 0 no input.
 
@@ -335,6 +322,7 @@ def step(spec: NetworkSpec, params: dict, drive0: np.ndarray, states: dict,
     """
     out = []
     n = 0
+    stochastic = spec.neuron == "stoch"
     for i, layer in enumerate(spec.layers):
         if i == 0:
             inp, drive = None, drive0
@@ -348,15 +336,13 @@ def step(spec: NetworkSpec, params: dict, drive0: np.ndarray, states: dict,
         if state is None:
             state = LayerState(v=np.zeros(drive.shape))
         probs = None
-        if layer.neuron == "det":
-            state, spikes = det_lif_step(state, layer, drive, out=state)
-        elif layer.neuron == "stoch":
+        if stochastic:
             stream = streams[n] if streams is not None else None
             if stream is None:
                 raise ShapeError("stochastic network requires RNG streams")
             state, spikes, probs = stoch_lif_step(state, layer, drive, stream, out=state)
         else:
-            raise ShapeError(f"weighted layer without neuron model at index {i}")
+            state, spikes = det_lif_step(state, layer, drive, out=state)
         states[i] = state
         n += 1
         out.append((inp, state.v, spikes, probs))
@@ -402,12 +388,12 @@ def forward(spec: NetworkSpec, params: dict, encoded: np.ndarray,
     drive0 = synaptic_drive(spec.layers[0], traces[0].weight, encoded[0])
 
     # A neuron layer's spike train is the next layer's input: it is taped once.
-    shared = [i for i in range(1, len(traces)) if spec.layers[i - 1].neuron != "none"]
+    shared = [i for i in range(1, len(traces)) if spec.layers[i - 1].kind != "pool"]
     taped = []
     for i, layer in enumerate(spec.layers):
         names = set() if i == 0 or i in shared else {"inputs"}
-        if layer.neuron != "none":
-            hidden_stoch = layer.neuron == "stoch" and i < len(spec.layers) - 1
+        if layer.kind != "pool":
+            hidden_stoch = spec.neuron == "stoch" and i < len(spec.layers) - 1
             names |= {"spikes", "probs" if hidden_stoch else "v"}
         taped.append(names)
     states = {}
@@ -426,8 +412,8 @@ def forward(spec: NetworkSpec, params: dict, encoded: np.ndarray,
     for i in shared:
         traces[i].inputs = traces[i - 1].spikes
 
-    tape = Tape(horizon=horizon, alpha=spec.alpha, traces=traces)
-    records = [traces[i].spikes for i, l in enumerate(spec.layers) if l.neuron != "none"]
+    tape = Tape(horizon=horizon, neuron=spec.neuron, traces=traces)
+    records = [traces[i].spikes for i, l in enumerate(spec.layers) if l.kind != "pool"]
     return records, tape
 
 

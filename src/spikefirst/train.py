@@ -9,7 +9,7 @@ resumed run continues bit-exactly.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -47,7 +47,6 @@ class TrainConfig:
     horizon: int = 20
     seed: int = 0
     hidden: int = 800
-    alpha: float = 2.0
 
     def __post_init__(self):
         self.model_kind = normalize_model_kind(self.model_kind)
@@ -185,13 +184,12 @@ def test_accuracy(spec, params, dataset: Dataset, config: TrainConfig) -> float:
     return float((res.predictions == dataset.labels).mean())
 
 
-def _snapshot(spec, params, adam, epoch, config, best_acc) -> Checkpoint:
+def _snapshot(spec, params, adam, epoch, seed, best_acc) -> Checkpoint:
     return Checkpoint(spec=spec,
                       params={k: v.copy() for k, v in params.items()},
                       adam_m={k: v.copy() for k, v in adam.m.items()},
                       adam_v={k: v.copy() for k, v in adam.v.items()},
-                      adam_step=adam.step, epoch=epoch, seed=config.seed,
-                      best_accuracy=best_acc, train_config=asdict(config))
+                      adam_step=adam.step, epoch=epoch, seed=seed, best_accuracy=best_acc)
 
 
 def train(config: TrainConfig, train_ds: Dataset, test_ds: Dataset | None = None,
@@ -215,20 +213,20 @@ def train(config: TrainConfig, train_ds: Dataset, test_ds: Dataset | None = None
     else:
         spec = build(config.arch, config.model_kind,
                      {"hidden": config.hidden, "horizon": config.horizon,
-                      "leak": config.lambda_leak, "alpha": config.alpha})
+                      "leak": config.lambda_leak})
         params = init_params(spec, RngStream(config.seed, stream_id=_STREAM_INIT))
         adam = AdamState()
         start_epoch = 0
-        best_acc = -1.0
-    if test_ds is None:
-        best_acc = max(best_acc, 0.0)   # nothing is ranked: every snapshot records 0.0
+        # every accuracy is >= 0, so the first ranked epoch is the best so far;
+        # without a test set nothing is ranked and every snapshot records 0.0
+        best_acc = 0.0
 
     n = len(train_ds)
     log_rows = []
-    best_ckpt = _snapshot(spec, params, adam, start_epoch, config, max(best_acc, 0.0))
+    best_ckpt = _snapshot(spec, params, adam, start_epoch, config.seed, best_acc)
     last_good = best_ckpt
     n_neuron_layers = len(spec.neuron_layers())
-    stochastic = spec.model_kind.startswith("S")
+    stochastic = spec.neuron == "stoch"
 
     for epoch in range(start_epoch, config.epochs):
         t0 = time.monotonic()
@@ -268,7 +266,7 @@ def train(config: TrainConfig, train_ds: Dataset, test_ds: Dataset | None = None
         row = {"epoch": epoch + 1, "lr": lr, "train_loss": train_loss,
                "test_acc": acc, "wall_time_s": time.monotonic() - t0}
         log_rows.append(row)
-        last_good = _snapshot(spec, params, adam, epoch + 1, config, best_acc)
+        last_good = _snapshot(spec, params, adam, epoch + 1, config.seed, best_acc)
         if test_ds is not None and acc >= best_acc:
             best_acc = acc
             # the same epoch's arrays: last_good is never mutated, only replaced

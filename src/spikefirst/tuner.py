@@ -120,15 +120,11 @@ def de_minimize(objective, bounds, config: DeConfig) -> DeResult:
                     history=history, vectors=vectors)
 
 
-def _tuned_param_key(ckpt: Checkpoint) -> str:
-    return "k" if ckpt.spec.model_kind.startswith("S") else "v_th"
-
-
 def apply_candidate(ckpt: Checkpoint, vector) -> Checkpoint:
     """Checkpoint copy with per-layer thresholds/scales from ``vector``."""
-    key = _tuned_param_key(ckpt)
     spec = ckpt.spec
-    neuron_idx = [i for i, l in enumerate(spec.layers) if l.neuron != "none"]
+    key = "k" if spec.neuron == "stoch" else "v_th"
+    neuron_idx = [i for i, _ in spec.weighted_layers()]
     vector = np.asarray(vector, dtype=np.float64)
     if vector.shape != (len(neuron_idx),):
         raise ParameterError(f"candidate needs {len(neuron_idx)} values, got {vector.shape}")

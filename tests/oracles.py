@@ -37,8 +37,8 @@ PROB_CLAMP = 1e-7
 def smoothed_spike(v: np.ndarray, alpha: float = 2.0) -> np.ndarray:
     """Smooth arctan relaxation of the hard threshold.
 
-    Antiderivative of ``bptt.arctan_surrogate_grad``: (2 / (pi^2 * alpha)) *
-    arctan(pi * v * alpha / 2).  Same arctan shape as the usual smoothed
+    Antiderivative of ``arctan_surrogate_grad``, the backward pass's
+    surrogate: (2 / (pi^2 * alpha)) * arctan(pi * v * alpha / 2).  Same arctan shape as the usual smoothed
     spike, normalized so its exact slope is the backward rule in use (the
     published gradient formula carries a 1/pi prefactor rather than the
     literal derivative's alpha/2).
@@ -138,7 +138,7 @@ def output_gradient(tape: Tape, loss, model_kind: str) -> np.ndarray:
     """
     horizon = tape.horizon
     out = tape.traces[-1]
-    if out.layer.neuron == "stoch":
+    if tape.neuron == "stoch":
         if model_kind != "S-F-BPTT":
             raise StateError(f"a stochastic output layer takes the fused S-F loss, "
                              f"got model kind {model_kind!r}")
@@ -185,14 +185,14 @@ def backward(tape: Tape, g_top: np.ndarray) -> dict:
                 g = pool2d_backward(g, trace.inputs[t], layer.window, layer.pool_mode)
                 continue
 
-            if layer.neuron == "det":
+            if tape.neuron == "det":
                 # dV_t/dV_{t-1}: leak path only; the reset indicator is treated
                 # as a constant in the backward pass.
-                sur = arctan_surrogate_grad(trace.v[t] - layer.v_th, tape.alpha)
+                sur = arctan_surrogate_grad(trace.v[t] - layer.v_th)
                 gv = g * sur + carry.get(i, 0.0)
                 carry[i] = gv * layer.leak
                 g = gv
-            elif layer.neuron == "stoch":
+            elif tape.neuron == "stoch":
                 if i == last:
                     direct = g                 # already dL/dV
                 else:
@@ -204,7 +204,7 @@ def backward(tape: Tape, g_top: np.ndarray) -> dict:
                 carry[i] = gv * (layer.leak * inv_k)
                 g = gv * inv_k
             else:
-                raise StateError(f"weighted layer without neuron model: {layer}")
+                raise StateError(f"unknown neuron model {tape.neuron!r}")
 
             # g is step t's drive gradient, a buffer this sweep allocated
             if i == 0:

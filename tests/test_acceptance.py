@@ -77,10 +77,10 @@ def test_criterion_2_gradient_checks():
             assert abs(fd - loss.grad[t, i]) <= 1e-6 * max(1.0, abs(fd))
 
     # arctan surrogate against finite differences of the smoothed threshold
-    from spikefirst.bptt import arctan_surrogate_grad
+    from test_bptt import surrogate
     v = np.linspace(-3, 3, 121)
     fd = (smoothed_spike(v + eps) - smoothed_spike(v - eps)) / (2 * eps)
-    assert np.all(np.abs(fd - arctan_surrogate_grad(v))
+    assert np.all(np.abs(fd - surrogate(v))
                   <= 1e-6 * np.maximum(1.0, np.abs(fd)))
 
     # conv2d / pool2d backward (reuses the unit-test oracles)
@@ -194,9 +194,7 @@ def test_criterion_7_output_layer_sparsity(tuned_df, tuned_sf, smoke_dr, eval_su
 def test_criterion_8_noise_robustness(smoke_df, smoke_sf, smoke_dr, eval_subset):
     accs = {}
     for tag, ckpt in (("df", smoke_df), ("sf", smoke_sf), ("dr", smoke_dr)):
-        clean = evaluate(ckpt, eval_subset,
-                         mode="rate" if ckpt.spec.coding == "rate"
-                         else "first-to-spike").accuracy
+        clean = evaluate(ckpt, eval_subset, mode=ckpt.spec.coding).accuracy
         rows = dict(noise_sweep(ckpt, eval_subset, [0.0, 1.0]))
         assert rows[0.0] == clean                 # bit-for-bit clean reuse
         assert rows[1.0] < rows[0.0]              # heavy noise hurts every model

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import spikefirst as sf
-from spikefirst.bptt import arctan_surrogate_grad, sign_estimator_backward
+from spikefirst.bptt import _arctan_surrogate_in_place, sign_estimator_backward
 from spikefirst.coding import fts_ce_loss_batch, ml_loss_logits_batch, rate_ce_loss_batch
 from spikefirst.network import LayerSpec
 from spikefirst.neurons import first_spike_times, sigmoid
@@ -25,17 +25,22 @@ import oracles
 from oracles import smoothed_spike
 
 
+def surrogate(v):
+    """The backward pass's arctan surrogate at ``v``, computed as the sweep
+    computes it: in place, over a copy of ``v`` multiplied by pi."""
+    return _arctan_surrogate_in_place(np.multiply(np.pi, v, out=np.empty(np.shape(v))))
+
+
 def test_surrogate_hand_values():
     # (1/pi) / (1 + (pi * v * alpha / 2)^2) at alpha = 2
-    assert arctan_surrogate_grad(np.array(0.0)) == pytest.approx(1 / np.pi)
-    assert arctan_surrogate_grad(np.array(1.0)) == pytest.approx(
-        (1 / np.pi) / (1 + np.pi**2), abs=1e-12)
-    assert arctan_surrogate_grad(np.array(1.0)) == pytest.approx(0.029284, abs=1e-5)
+    assert surrogate(0.0) == pytest.approx(1 / np.pi)
+    assert surrogate(1.0) == pytest.approx((1 / np.pi) / (1 + np.pi**2), abs=1e-12)
+    assert surrogate(1.0) == pytest.approx(0.029284, abs=1e-5)
 
 
 def test_surrogate_symmetric_peaked_at_zero():
     v = np.linspace(-4, 4, 81)
-    g = arctan_surrogate_grad(v)
+    g = surrogate(v)
     assert np.allclose(g, g[::-1])
     assert g.argmax() == 40
 
@@ -44,13 +49,7 @@ def test_surrogate_is_derivative_of_smoothed_spike():
     v = np.linspace(-3, 3, 61)
     eps = 1e-6
     fd = (smoothed_spike(v + eps) - smoothed_spike(v - eps)) / (2 * eps)
-    assert np.allclose(fd, arctan_surrogate_grad(v), atol=1e-9)
-
-
-def test_surrogate_alpha_sharpens():
-    g1 = arctan_surrogate_grad(np.array(0.5), alpha=1.0)
-    g4 = arctan_surrogate_grad(np.array(0.5), alpha=4.0)
-    assert g4 < g1                       # larger alpha, narrower bump
+    assert np.allclose(fd, surrogate(v), atol=1e-9)
 
 
 def test_sign_estimator_routes_negated_gradient():
@@ -82,11 +81,8 @@ def test_sign_estimator_batched():
 
 def _two_layer_spec(model_kind, nin, nh, nout, horizon, **neuron_kw):
     spec = sf.build("mlp2", model_kind, {"hidden": nh, "horizon": horizon})
-    neuron = "stoch" if model_kind.startswith("S") else "det"
-    spec.layers[0] = LayerSpec(kind="linear", in_features=nin, out_features=nh,
-                               neuron=neuron, **neuron_kw)
-    spec.layers[1] = LayerSpec(kind="linear", in_features=nh, out_features=nout,
-                               neuron=neuron, **neuron_kw)
+    spec.layers[0] = LayerSpec(kind="linear", in_features=nin, out_features=nh, **neuron_kw)
+    spec.layers[1] = LayerSpec(kind="linear", in_features=nh, out_features=nout, **neuron_kw)
     return spec
 
 
@@ -146,11 +142,11 @@ def test_deterministic_conv_pool_end_to_end_gradient():
     horizon, n, nout = 5, 2, 3
     spec = sf.NetworkSpec(layers=[
         LayerSpec(kind="conv", in_channels=1, out_channels=2, kernel=3, pad=1,
-                  neuron="det", leak=0.9, v_th=1.0),
+                  leak=0.9, v_th=1.0),
         LayerSpec(kind="pool", window=2, pool_mode="average"),
         LayerSpec(kind="linear", in_features=8, out_features=nout,
-                  neuron="det", leak=0.9, v_th=1.0),
-    ], coding="rate", horizon=horizon, model_kind="D-R-BPTT", arch="lenet5")
+                  leak=0.9, v_th=1.0),
+    ], horizon=horizon, model_kind="D-R-BPTT", arch="lenet5")
     rng = np.random.default_rng(9)
     params = {"layer0.w": rng.normal(size=(2, 1, 3, 3)) * 0.8,
               "layer2.w": rng.normal(size=(nout, 8)) * 1.5}
@@ -221,13 +217,12 @@ def _sf_conv_spec(horizon):
     # conv -> conv -> max pool -> linear, all stochastic: the VGG pattern
     return sf.NetworkSpec(layers=[
         LayerSpec(kind="conv", in_channels=1, out_channels=2, kernel=3, pad=1,
-                  neuron="stoch", leak=0.7, k=1.3),
+                  leak=0.7, k=1.3),
         LayerSpec(kind="conv", in_channels=2, out_channels=2, kernel=3, pad=1,
-                  neuron="stoch", leak=0.7, k=0.9),
+                  leak=0.7, k=0.9),
         LayerSpec(kind="pool", window=2, pool_mode="max"),
-        LayerSpec(kind="linear", in_features=8, out_features=3,
-                  neuron="stoch", leak=0.7, k=0.8),
-    ], coding="first-to-spike", horizon=horizon, model_kind="S-F-BPTT", arch="vgg15")
+        LayerSpec(kind="linear", in_features=8, out_features=3, leak=0.7, k=0.8),
+    ], horizon=horizon, model_kind="S-F-BPTT", arch="vgg15")
 
 
 def _windows(a):
@@ -427,21 +422,21 @@ def test_tape_records_only_what_backward_reads(kind):
     _, records, tape, _ = _taped_net(kind)
     traces = tape.traces
     last = len(traces) - 1
-    neuron = [tr for tr in traces if tr.layer.neuron != "none"]
+    neuron = [tr for tr in traces if tr.layer.kind != "pool"]
     assert len(records) == len(neuron)
     assert all(r is tr.spikes for r, tr in zip(records, neuron))
     for i, tr in enumerate(traces):
-        if i > 0 and traces[i - 1].layer.neuron != "none":
+        if i > 0 and traces[i - 1].layer.kind != "pool":
             assert tr.inputs is traces[i - 1].spikes         # shared, uint8
         else:
             assert tr.inputs.dtype == np.float64             # image or pooled input
-        if tr.layer.neuron == "none":
+        if tr.layer.kind == "pool":
             assert tr.v is None and tr.spikes is None and tr.probs is None
             continue
         assert tr.spikes.dtype == np.uint8
         assert set(np.unique(tr.spikes)) <= {0, 1}
         # backward reads probs of hidden stochastic layers, v of the rest
-        hidden_stoch = tr.layer.neuron == "stoch" and i < last
+        hidden_stoch = tape.neuron == "stoch" and i < last
         kept = tr.probs if hidden_stoch else tr.v
         assert (tr.v is None) == hidden_stoch and (tr.probs is None) != hidden_stoch
         assert kept.dtype == np.float64 and kept.shape == tr.spikes.shape
@@ -560,8 +555,7 @@ def test_training_step_gradients_are_bit_identical_to_reference(model_kind, arch
 def test_surrogate_is_bit_identical_to_reference(v):
     # five steps in one buffer; scalars and 0-d arrays still work
     before = np.copy(v)
-    got = arctan_surrogate_grad(v, 3.0)
-    want = oracles.arctan_surrogate_grad(v, 3.0)
-    assert type(got) is type(want)
-    assert np.shape(got) == np.shape(v) and np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    got = surrogate(v)
+    want = oracles.arctan_surrogate_grad(v)
+    assert np.shape(got) == np.shape(v) and got.tobytes() == np.asarray(want).tobytes()
     assert np.array_equal(v, before)

@@ -12,10 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spikefirst import checkpoint
 from spikefirst.checkpoint import (MAGIC, Checkpoint, load_checkpoint,
                                    save_checkpoint)
 from spikefirst.errors import CheckpointError
-from spikefirst.network import build, init_params
+from spikefirst.network import ARCHS, KIND_MODELS, build, init_params
 from spikefirst.rng import RngStream
 from spikefirst.tuner import apply_candidate
 
@@ -27,8 +28,7 @@ def ckpt():
     return Checkpoint(spec=spec, params=params,
                       adam_m={k: np.zeros_like(v) for k, v in params.items()},
                       adam_v={k: np.ones_like(v) for k, v in params.items()},
-                      adam_step=17, epoch=3, seed=42, best_accuracy=0.97,
-                      train_config={"lr": 1e-3, "epochs": 10})
+                      adam_step=17, epoch=3, seed=42, best_accuracy=0.97)
 
 
 def test_round_trip(ckpt, tmp_path):
@@ -38,11 +38,31 @@ def test_round_trip(ckpt, tmp_path):
     assert back.spec == ckpt.spec
     assert back.adam_step == 17 and back.epoch == 3 and back.seed == 42
     assert back.best_accuracy == 0.97
-    assert back.train_config == ckpt.train_config
     for name in ckpt.params:
         assert np.array_equal(back.params[name], ckpt.params[name])
         assert np.array_equal(back.adam_m[name], ckpt.adam_m[name])
         assert np.array_equal(back.adam_v[name], ckpt.adam_v[name])
+
+
+@pytest.mark.parametrize("arch", ARCHS)
+@pytest.mark.parametrize("kind", sorted(KIND_MODELS))
+def test_every_built_spec_round_trips(tmp_path, monkeypatch, arch, kind):
+    spec = build(arch, kind, {"hidden": 4, "horizon": 3})
+    # the spec is under test, not its weights (vgg15's fill 120 MB): each
+    # weight is stored as one value
+    monkeypatch.setattr(checkpoint, "weight_shape", lambda layer: (1,))
+    params = {f"layer{i}.w": np.zeros(1) for i, _ in spec.weighted_layers()}
+    path = tmp_path / "s.ckpt"
+    save_checkpoint(Checkpoint(spec=spec, params=params), path)
+    assert checkpoint.VERSION == 3
+    assert struct.unpack_from("<I", path.read_bytes(), 8) == (3,)
+    # the model kind is the one statement of the neuron model and the coding
+    stored = json.loads(dict(read_sections(path.read_bytes()))["spec"])
+    assert sorted(stored) == ["arch", "horizon", "layers", "model_kind"]
+    assert not any("neuron" in layer for layer in stored["layers"])
+    back = load_checkpoint(path).spec
+    assert back == spec
+    assert (back.neuron, back.coding) == KIND_MODELS[kind]
 
 
 def test_save_is_byte_deterministic(ckpt, tmp_path):
@@ -87,7 +107,9 @@ def test_rejects_bitflip(ckpt, tmp_path):
 def test_rejects_unknown_version(ckpt, tmp_path):
     path = tmp_path / "v.ckpt"
     save_checkpoint(ckpt, path)
-    for version in (99, 1):                      # version 1 held a key=value spec
+    # version 1 held a key=value spec, version 2 a coding, a surrogate width
+    # and a neuron model per layer in its JSON spec
+    for version in (99, 1, 2):
         raw = bytearray(path.read_bytes()[:-4])
         raw[8:12] = struct.pack("<I", version)
         raw += struct.pack("<I", zlib.crc32(bytes(raw)))   # keep the CRC valid
@@ -154,8 +176,8 @@ _CODE = "__import__('os').system('touch {marker}')"
 
 @pytest.mark.parametrize("old,new", [
     ('"kind": "linear"', '"kind": {code}'),
-    ('"alpha": 2.0', '"alpha": {code}'),
-    ('"alpha": 2.0', '"alpha": "{code}"'),
+    ('"horizon": 6', '"horizon": {code}'),
+    ('"horizon": 6', '"horizon": "{code}"'),
 ], ids=["layer", "header", "json-string"])
 def test_spec_with_code_is_rejected_not_run(ckpt, tmp_path, old, new):
     # a crafted but CRC-valid checkpoint: its spec holds an expression, as raw
@@ -212,17 +234,19 @@ def test_rejects_out_of_range_neuron_parameter(ckpt, tmp_path):
 
 # A layer field of a CRC-valid lenet5 checkpoint that run_network cannot use:
 # it failed there with ValueError, ZeroDivisionError, KeyError or ShapeError.
+# A layer holds no neuron model since format 3, so "neuron" is an unknown field.
 _BAD_LENET5_FIELDS = [(1, "pool_mode", "foo"), (1, "window", 0), (1, "kind", "foo"),
                       (0, "neuron", "bogus"), (0, "stride", 0), (6, "out_features", 0),
                       (0, "kernel", 3.0)]
 
 
 def save_lenet5_with(path, index, field, value):
-    """A lenet5 checkpoint whose layer ``index`` has ``field`` set to ``value``."""
+    """A lenet5 checkpoint whose layer ``index`` has ``field`` set to ``value``
+    in its spec's JSON, past LayerSpec's own checks."""
     spec = build("lenet5", "D-F-BPTT", {"horizon": 3})
-    params = init_params(spec, RngStream(1, 1))
-    setattr(spec.layers[index], field, value)    # past LayerSpec's own checks
-    save_checkpoint(Checkpoint(spec=spec, params=params), path)
+    save_checkpoint(Checkpoint(spec=spec, params=init_params(spec, RngStream(1, 1))), path)
+    rewrite_section(path, "spec",
+                    _edit_json(lambda s: s["layers"][index].update({field: value})))
 
 
 @pytest.mark.parametrize("index,field,value", _BAD_LENET5_FIELDS,
@@ -249,8 +273,10 @@ def test_rejects_empty_output_layer_whose_weights_fit(tmp_path):
 
 # A header field of a CRC-valid mlp2 checkpoint that run_network ran as if
 # nothing were wrong (horizon 0: rejected there with exit 2) or failed on
-# (a horizon that is not an integer), or a weighted layer without a neuron
-# model, which failed in network.step with ShapeError.
+# (a horizon that is not an integer).  Since format 3 the model kind is the
+# one statement of the neuron model and the coding, and the surrogate width
+# is a constant: a "coding" or "alpha" key, or a layer's "neuron" key, is an
+# unknown field.
 _BAD_SPEC_FIELDS = [(None, "coding", "foo"), (None, "model_kind", "X"), (None, "arch", "foo"),
                     (None, "horizon", 0), (None, "horizon", 2.5), (None, "horizon", True),
                     (None, "horizon", "20"), (None, "alpha", -1.0), (None, "alpha", 0.0),
@@ -261,9 +287,11 @@ _BAD_SPEC_FIELDS = [(None, "coding", "foo"), (None, "model_kind", "X"), (None, "
                          ids=[f"{'spec' if i is None else f'layer{i}'}.{f}={v!r}"
                               for i, f, v in _BAD_SPEC_FIELDS])
 def test_rejects_spec_field_the_network_cannot_use(ckpt, tmp_path, index, field, value):
-    setattr(ckpt.spec if index is None else ckpt.spec.layers[index], field, value)
     path = tmp_path / "bad.ckpt"
-    save_checkpoint(ckpt, path)                  # past NetworkSpec's own checks
+    save_checkpoint(ckpt, path)
+    # past NetworkSpec's own checks
+    rewrite_section(path, "spec", _edit_json(
+        lambda s: (s if index is None else s["layers"][index]).update({field: value})))
     with pytest.raises(CheckpointError, match="malformed network spec"):
         load_checkpoint(path)
 
@@ -364,6 +392,35 @@ def test_rejects_malformed_meta(ckpt, tmp_path, meta):
         load_checkpoint(path)
 
 
+# Meta scalars of CRC-valid files that a run cannot use: a negative adam_step
+# divides by zero in Adam's bias correction on resume, and epoch 2.9 would be
+# read as 2.
+_BAD_META = [("adam_step", -1), ("adam_step", 3.0), ("adam_step", False), ("epoch", -3),
+             ("epoch", "2"), ("epoch", 2.9), ("epoch", True), ("seed", "42"), ("seed", 4.2),
+             ("seed", None), ("best_accuracy", float("nan")), ("best_accuracy", float("inf")),
+             ("best_accuracy", -1.0), ("best_accuracy", 1.5), ("best_accuracy", "0.9"),
+             ("best_accuracy", True)]
+
+
+@pytest.mark.parametrize("key,value", _BAD_META, ids=[f"{k}={v!r}" for k, v in _BAD_META])
+def test_rejects_meta_scalar_out_of_range(ckpt, tmp_path, key, value):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(ckpt, path)
+    rewrite_section(path, "meta", _edit_json(lambda m: m.update({key: value})))
+    with pytest.raises(CheckpointError, match=key):
+        load_checkpoint(path)
+
+
+def test_meta_scalars_at_their_bounds_load(ckpt, tmp_path):
+    path = tmp_path / "m.ckpt"
+    for adam_step, epoch, seed, best in ((0, 0, -5, 0), (2**40, 7, 2**70, 1)):
+        save_checkpoint(replace(ckpt, adam_step=adam_step, epoch=epoch, seed=seed,
+                                best_accuracy=best), path)
+        back = load_checkpoint(path)
+        assert (back.adam_step, back.epoch, back.seed) == (adam_step, epoch, seed)
+        assert back.best_accuracy == best and type(back.best_accuracy) is float
+
+
 @pytest.fixture(scope="module")
 def small_ckpt(tmp_path_factory):
     # 3 input features keep the file small, so most edits land in its structure
@@ -371,8 +428,7 @@ def small_ckpt(tmp_path_factory):
     spec.layers[0] = replace(spec.layers[0], in_features=3)
     params = {"layer0.w": np.arange(6.0).reshape(2, 3), "layer1.w": np.ones((10, 2))}
     path = tmp_path_factory.mktemp("fuzz") / "s.ckpt"
-    save_checkpoint(Checkpoint(spec=spec, params=params, adam_m=params, seed=3,
-                               train_config={"lr": 0.01}), path)
+    save_checkpoint(Checkpoint(spec=spec, params=params, adam_m=params, seed=3), path)
     # unedited, the file loads: the fuzzed loads start from a valid checkpoint
     assert load_checkpoint(path).spec == spec
     return path

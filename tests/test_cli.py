@@ -7,6 +7,7 @@ import argparse
 import dataclasses
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -20,8 +21,9 @@ from spikefirst import cli
 from spikefirst.checkpoint import load_checkpoint
 from spikefirst.cli import EXIT_CHECKPOINT, EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
 from spikefirst.network import parse_spec
-from spikefirst.train import PRESETS
+from spikefirst.train import PRESETS, TrainConfig
 
+from test_checkpoint import _edit_json, rewrite_section
 from test_network import UNUSABLE_SPECS, unusable_spec
 
 
@@ -191,6 +193,20 @@ def test_train_flag_set():
                      "--lambda-leak", "--horizon", "--seed", "--hidden"}
 
 
+def test_readme_names_every_config_key_and_train_has_a_flag_for_each(capsys):
+    fields = {f.name for f in dataclasses.fields(TrainConfig)}
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    listed = section.split("Its keys are", 1)[1].split(";", 1)[0]
+    assert set(re.findall(r"`([a-z_]+)`", listed)) == fields | {"preset", "data", "out",
+                                                                 "subset"}
+    with pytest.raises(SystemExit):
+        run("train", "--help")
+    usage = capsys.readouterr().out
+    for name in fields:
+        assert re.search(rf"--{name.replace('_', '-')}\b", usage), name
+
+
 @pytest.mark.parametrize("preset", sorted(PRESETS))
 def test_preset_round_trips_through_config_file(tmp_path, preset):
     want = PRESETS[preset]
@@ -272,9 +288,10 @@ def test_eval_checkpoint_without_a_spec_weight(tmp_path, synthetic_mnist):
 def test_eval_checkpoint_with_an_unknown_coding(tmp_path, synthetic_mnist):
     spec = spikefirst.build("mlp2", "D-F-BPTT", {"hidden": 4, "horizon": 3})
     params = spikefirst.init_params(spec, spikefirst.RngStream(0, 1))
-    spec.coding = "foo"                 # past NetworkSpec's own checks
     path = tmp_path / "coding.ckpt"
     spikefirst.save_checkpoint(spikefirst.Checkpoint(spec=spec, params=params), path)
+    # the model kind states the coding: a spec's own "coding" is an unknown field
+    rewrite_section(path, "spec", _edit_json(lambda s: s.update(coding="foo")))
     assert run("eval", str(path), "--data", synthetic_mnist,
                "--out", str(tmp_path)) == EXIT_CHECKPOINT
 
@@ -295,8 +312,9 @@ def test_eval_checkpoint_with_an_unusable_layer_field(tmp_path, synthetic_mnist)
 def test_checkpoint_of_a_spec_the_network_cannot_run(tmp_path, synthetic_mnist, capsys,
                                                      command, arch, kind, edit, error):
     path = tmp_path / "unusable.ckpt"
-    spikefirst.save_checkpoint(spikefirst.Checkpoint(spec=unusable_spec(arch, kind, edit),
-                                                     params={}), path)
+    spec = spikefirst.build(arch, kind, {"hidden": 4, "horizon": 3})
+    spikefirst.save_checkpoint(spikefirst.Checkpoint(spec=spec, params={}), path)
+    rewrite_section(path, "spec", lambda _: unusable_spec(arch, kind, edit).encode())
     assert run(command, str(path), "--data", synthetic_mnist,
                "--out", str(tmp_path / "out")) == EXIT_CHECKPOINT
     assert error in capsys.readouterr().err

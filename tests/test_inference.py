@@ -14,10 +14,8 @@ from spikefirst.rng import RngStream, rng_gaussian
 
 
 def single_layer_spec(n, horizon, leak=0.0, v_th=1.0):
-    layer = LayerSpec(kind="linear", neuron="det", in_features=n,
-                      out_features=n, leak=leak, v_th=v_th)
-    return NetworkSpec(layers=[layer], coding="first-to-spike", horizon=horizon,
-                       model_kind="D-F-BPTT", arch="mlp2")
+    layer = LayerSpec(kind="linear", in_features=n, out_features=n, leak=leak, v_th=v_th)
+    return NetworkSpec(layers=[layer], horizon=horizon, model_kind="D-F-BPTT", arch="mlp2")
 
 
 def identity_params(n):
@@ -111,10 +109,8 @@ def test_spike_and_input_accounting():
 
 
 def test_stochastic_inference_reproducible():
-    layer = LayerSpec(kind="linear", neuron="stoch", in_features=3,
-                      out_features=3, leak=0.7, k=1.0)
-    spec = NetworkSpec(layers=[layer], coding="first-to-spike", horizon=8,
-                       model_kind="S-F-BPTT", arch="mlp2")
+    layer = LayerSpec(kind="linear", in_features=3, out_features=3, leak=0.7, k=1.0)
+    spec = NetworkSpec(layers=[layer], horizon=8, model_kind="S-F-BPTT", arch="mlp2")
     rng = np.random.default_rng(1)
     params = {"layer0.w": rng.normal(size=(3, 3))}
     images = rng.uniform(0, 1, size=(200, 3))

@@ -1,6 +1,7 @@
 """Architecture construction, the unrolled forward pass, spec round trips."""
 
-from dataclasses import replace
+import json
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -31,12 +32,12 @@ def test_build_mlp2_defaults():
     assert spec.layers[1].out_features == 10
     assert spec.coding == "first-to-spike"
     assert spec.horizon == 20
-    assert all(l.neuron == "det" and l.leak == 0.9 for l in spec.layers)
+    assert spec.neuron == "det" and all(l.leak == 0.9 for l in spec.layers)
 
 
 def test_build_stochastic_leak_default():
     spec = build("mlp2", "S-F-BPTT")
-    assert all(l.neuron == "stoch" and l.leak == 0.7 for l in spec.layers)
+    assert spec.neuron == "stoch" and all(l.leak == 0.7 for l in spec.layers)
 
 
 def test_build_rate_coding():
@@ -64,10 +65,9 @@ def test_build_vgg15_stack():
 
 
 def test_build_overrides():
-    spec = build("mlp2", "D-F-BPTT", {"hidden": 64, "horizon": 7, "leak": 0.5,
-                                      "alpha": 3.0})
+    spec = build("mlp2", "D-F-BPTT", {"hidden": 64, "horizon": 7, "leak": 0.5})
     assert spec.layers[0].out_features == 64
-    assert spec.horizon == 7 and spec.alpha == 3.0
+    assert spec.horizon == 7
     assert [l.leak for l in spec.layers] == [0.5, 0.5]
     # per-layer thresholds come from the tuner, as numpy values
     tuned = apply_candidate(Checkpoint(spec=spec, params={}), np.array([1.5, 0.8]))
@@ -81,6 +81,8 @@ def test_build_rejects_bad_overrides():
         build("mlp2", "D-F-BPTT", {"v_th": [1.0, 1.0]})   # the tuner sets thresholds
     with pytest.raises(ValueError):
         build("mlp2", "D-F-BPTT", {"nonsense": 1})
+    with pytest.raises(ValueError, match="alpha"):
+        build("mlp2", "D-F-BPTT", {"alpha": 2.0})          # the surrogate width is fixed
     with pytest.raises(ValueError):
         build("mlp7", "D-F-BPTT")
 
@@ -92,94 +94,89 @@ def test_build_rejects_bad_overrides():
 ])
 def test_network_spec_rejects_bad_header_field(field, value):
     spec = build("mlp2", "D-F-BPTT", {"hidden": 4})
-    with pytest.raises(ParameterError, match=field.replace("_", " ")):
+    # the model kind states the coding and the surrogate width is a constant:
+    # a spec takes neither, whatever the value
+    error = TypeError if field in ("coding", "alpha") else ParameterError
+    with pytest.raises(error, match=field.replace("_", " ")):
         replace(spec, **{field: value})
 
 
-def test_network_spec_rejects_weighted_layer_without_neuron_model():
-    spec = build("lenet5", "D-F-BPTT")
-    for i in (0, 2, 6):
-        layers = list(spec.layers)
-        layers[i] = replace(layers[i], neuron="none")
-        with pytest.raises(ParameterError, match=f"layer {i} has no neuron model"):
-            replace(spec, layers=layers)
-
-
 def _header(**fields):
-    """An edit that sets header fields of a spec, past the spec's own checks."""
-    return lambda spec: spec.__dict__.update(fields)
+    """An edit of a spec's JSON that sets header fields."""
+    return lambda spec: spec.update(fields)
 
 
 def _layer(i, **fields):
-    """An edit that sets fields of layer ``i``, past the spec's own checks."""
-    return lambda spec: spec.layers[i].__dict__.update(fields)
+    """An edit of a spec's JSON that sets fields of layer ``i``."""
+    return lambda spec: spec["layers"][i].update(fields)
 
 
-_CONV = LayerSpec(kind="conv", in_channels=1, out_channels=1, kernel=1, neuron="det")
-_POOL = LayerSpec(kind="pool", window=2)
+_CONV = asdict(LayerSpec(kind="conv", in_channels=1, out_channels=1, kernel=1))
+_POOL = asdict(LayerSpec(kind="pool", window=2))
+_UNKNOWN = "unexpected keyword argument '{}'"
 
 # Specs the network cannot run as stored: (id, arch, model kind, edit, error).
-# Each edit applies to build(arch, kind, {"hidden": 4, "horizon": 3}).
+# Each edit applies to the JSON of build(arch, kind, {"hidden": 4, "horizon": 3}).
+# The model kind is the one statement of the neuron model and the coding, so
+# a spec that states another one holds an unknown field.
 UNUSABLE_SPECS = [
-    ("S-F-with-det-neurons", "mlp2", "D-F-BPTT", _header(model_kind="S-F-BPTT"),
-     "S-F-BPTT takes stoch neurons, layer 0 has det"),
+    ("S-F-with-det-neurons", "mlp2", "S-F-BPTT", _layer(0, neuron="det"),
+     _UNKNOWN.format("neuron")),
     ("D-F-with-stoch-output", "mlp2", "D-F-BPTT", _layer(1, neuron="stoch"),
-     "D-F-BPTT takes det neurons, layer 1 has stoch"),
+     _UNKNOWN.format("neuron")),
     ("D-F-with-stoch-hidden", "lenet5", "D-F-BPTT", _layer(2, neuron="stoch"),
-     "D-F-BPTT takes det neurons, layer 2 has stoch"),
-    ("D-R-with-stoch-neurons", "mlp2", "S-F-BPTT",
-     _header(model_kind="D-R-BPTT", coding="rate"),
-     "D-R-BPTT takes det neurons, layer 0 has stoch"),
-    ("D-F-with-rate", "mlp2", "D-F-BPTT", _header(coding="rate"),
-     "D-F-BPTT takes first-to-spike coding"),
+     _UNKNOWN.format("neuron")),
+    ("D-R-with-stoch-neurons", "mlp2", "D-R-BPTT", _layer(0, neuron="stoch"),
+     _UNKNOWN.format("neuron")),
+    ("D-F-with-rate", "mlp2", "D-F-BPTT", _header(coding="rate"), _UNKNOWN.format("coding")),
     ("D-R-with-first-to-spike", "mlp2", "D-R-BPTT", _header(coding="first-to-spike"),
-     "D-R-BPTT takes rate coding"),
-    ("S-F-with-rate", "mlp2", "S-F-BPTT", _header(coding="rate"),
-     "S-F-BPTT takes first-to-spike coding"),
+     _UNKNOWN.format("coding")),
+    ("S-F-with-rate", "mlp2", "S-F-BPTT", _header(coding="rate"), _UNKNOWN.format("coding")),
     ("no-layers", "mlp2", "D-F-BPTT", _header(layers=[]), "at least one layer"),
-    ("pool-first", "lenet5", "D-F-BPTT", lambda s: s.layers.pop(0),
+    ("pool-first", "lenet5", "D-F-BPTT", lambda s: s["layers"].pop(0),
      "layer 0 is a pool layer"),
-    ("pool-last", "lenet5", "D-F-BPTT", lambda s: s.layers.append(_POOL),
-     "the last layer, a pool layer, has no neuron model"),
+    ("pool-last", "lenet5", "D-F-BPTT", lambda s: s["layers"].append(_POOL),
+     "the last layer is a pool layer"),
     ("linear-features", "mlp2", "D-F-BPTT", _layer(1, in_features=5),
      "linear layer 1 takes 5 features, layer 0 gives 4"),
     ("conv-channels", "lenet5", "D-F-BPTT", _layer(2, in_channels=5),
      "conv layer 2 takes 5 channels, 6 reach it"),
-    ("conv-after-linear", "mlp2", "D-F-BPTT", lambda s: s.layers.append(_CONV),
+    ("conv-after-linear", "mlp2", "D-F-BPTT", lambda s: s["layers"].append(_CONV),
      "conv layer 2 follows a linear layer"),
-    ("pool-after-linear", "lenet5", "D-F-BPTT", lambda s: s.layers.insert(5, _POOL),
+    ("pool-after-linear", "lenet5", "D-F-BPTT", lambda s: s["layers"].insert(5, _POOL),
      "pool layer 5 follows a linear layer"),
     ("v_th-bool", "mlp2", "D-F-BPTT", _layer(0, v_th=True), "v_th must be an int or a float"),
     ("k-string", "mlp2", "S-F-BPTT", _layer(1, k="1.0"), "k must be an int or a float"),
     ("leak-null", "mlp2", "D-F-BPTT", _layer(0, leak=None), "leak must be an int or a float"),
-    ("alpha-string", "mlp2", "D-F-BPTT", _header(alpha="2.0"),
-     "alpha must be an int or a float"),
+    # the surrogate width is a constant of the backward pass
+    ("alpha-string", "mlp2", "D-F-BPTT", _header(alpha="2.0"), _UNKNOWN.format("alpha")),
 ]
 
 
 def unusable_spec(arch, kind, edit):
-    spec = build(arch, kind, {"hidden": 4, "horizon": 3})
-    edit(spec)
-    return spec
+    """The JSON text of build(arch, kind, {"hidden": 4, "horizon": 3}) after ``edit``."""
+    fields = json.loads(serialize_spec(build(arch, kind, {"hidden": 4, "horizon": 3})))
+    edit(fields)
+    return json.dumps(fields)
 
 
 @pytest.mark.parametrize("arch,kind,edit,error", [c[1:] for c in UNUSABLE_SPECS],
                          ids=[c[0] for c in UNUSABLE_SPECS])
 def test_parse_spec_rejects_a_spec_the_network_cannot_run(arch, kind, edit, error):
-    text = serialize_spec(unusable_spec(arch, kind, edit))
-    with pytest.raises(ParameterError, match=error):
-        parse_spec(text)
+    # parse_spec raises TypeError for an unknown field, ParameterError for a bad value
+    with pytest.raises((ParameterError, TypeError), match=error):
+        parse_spec(unusable_spec(arch, kind, edit))
 
 
 def test_network_spec_takes_numpy_numbers():
     # the tuner and numpy arithmetic hand over numpy scalars
-    layer = LayerSpec(kind="linear", in_features=np.int64(2), out_features=2, neuron="det",
+    layer = LayerSpec(kind="linear", in_features=np.int64(2), out_features=2,
                       v_th=np.float32(0.5), k=np.int32(2), leak=np.float64(0.25))
     assert (layer.v_th, layer.k, layer.leak) == (0.5, 2.0, 0.25)
     assert all(type(x) is float for x in (layer.v_th, layer.k, layer.leak))
-    spec = sf.NetworkSpec(layers=[layer], coding="first-to-spike", horizon=3,
-                          model_kind="D-F-BPTT", arch="mlp2", alpha=np.int64(3))
-    assert type(spec.alpha) is float and spec.alpha == 3.0
+    spec = sf.NetworkSpec(layers=[layer], horizon=np.int64(3), model_kind="D-F-BPTT",
+                          arch="mlp2")
+    assert type(spec.horizon) is int and spec.horizon == 3
 
 
 def test_weight_shape():
@@ -219,7 +216,7 @@ def test_step_returns_the_states_own_buffers(kind):
     sf.step(spec, params, drive0, states, streams)
     buffers = {i: (s.v, s.fired_prev) for i, s in states.items()}
     outs = sf.step(spec, params, drive0, states, streams)
-    assert sorted(states) == [i for i, l in enumerate(spec.layers) if l.neuron != "none"]
+    assert sorted(states) == [i for i, _ in spec.weighted_layers()]
     for i, (v, fired_prev) in buffers.items():
         assert states[i].v is v and states[i].fired_prev is fired_prev
         _, out_v, out_spikes, _ = outs[i]
@@ -334,7 +331,7 @@ _ROUND_TRIP_CASES = [(arch, kind, tuned) for tuned in (False, True)
 @pytest.mark.parametrize("arch,kind,tuned", _ROUND_TRIP_CASES,
                          ids=[f"{a}-{k}{'-tuned' if t else ''}" for a, k, t in _ROUND_TRIP_CASES])
 def test_spec_serialization_round_trip(arch, kind, tuned):
-    spec = build(arch, kind, {"horizon": 9, "alpha": 2.5})
+    spec = build(arch, kind, {"horizon": 9})
     spec.layers[0].v_th = 1.25
     if tuned:
         # thresholds or scales from numpy floats, as the DE tuner sets them
@@ -348,7 +345,8 @@ def test_spec_serialization_round_trip(arch, kind, tuned):
     assert serialize_spec(back) == text
 
 
-# One field a layer of that kind reads, set to a value the simulator cannot use.
+# One field a layer of that kind reads, set to a value the simulator cannot use,
+# or a neuron model, which no layer takes: the spec's model kind states it.
 _BAD_LAYER_FIELDS = [
     ({"kind": "foo"}, "kind"),
     ({"kind": "linear", "neuron": "bogus"}, "neuron"),
@@ -371,6 +369,6 @@ _BAD_LAYER_FIELDS = [
                          ids=[f"{what}={fields[what.replace(' ', '_')]!r}"
                               for fields, what in _BAD_LAYER_FIELDS])
 def test_layer_spec_rejects_fields_its_kind_cannot_use(fields, what):
-    with pytest.raises(ParameterError, match=what):
+    with pytest.raises(TypeError if what == "neuron" else ParameterError, match=what):
         LayerSpec(**fields)
 

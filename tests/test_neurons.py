@@ -18,13 +18,11 @@ import oracles
 
 
 def det(v_th=1.0, leak=0.9):
-    return LayerSpec(kind="linear", neuron="det", in_features=1, out_features=1,
-                     v_th=v_th, leak=leak)
+    return LayerSpec(kind="linear", in_features=1, out_features=1, v_th=v_th, leak=leak)
 
 
 def stoch(k=1.0, leak=0.7):
-    return LayerSpec(kind="linear", neuron="stoch", in_features=1, out_features=1,
-                     k=k, leak=leak)
+    return LayerSpec(kind="linear", in_features=1, out_features=1, k=k, leak=leak)
 
 
 def rest(shape):

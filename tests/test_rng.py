@@ -227,12 +227,9 @@ def test_inference_noise_never_meets_bernoulli_streams(monkeypatch):
     monkeypatch.setattr(neurons, "rng_uniform", recording("uniform", neurons.rng_uniform))
     monkeypatch.setattr(inference, "rng_gaussian",
                         recording("gaussian", inference.rng_gaussian))
-    layers = [LayerSpec(kind="linear", neuron="stoch", in_features=20, out_features=16,
-                        leak=0.7, k=1.0),
-              LayerSpec(kind="linear", neuron="stoch", in_features=16, out_features=10,
-                        leak=0.7, k=1.0)]
-    spec = NetworkSpec(layers=layers, coding="first-to-spike", horizon=6,
-                       model_kind="S-F-BPTT", arch="mlp2")
+    layers = [LayerSpec(kind="linear", in_features=20, out_features=16, leak=0.7, k=1.0),
+              LayerSpec(kind="linear", in_features=16, out_features=10, leak=0.7, k=1.0)]
+    spec = NetworkSpec(layers=layers, horizon=6, model_kind="S-F-BPTT", arch="mlp2")
     rng = np.random.default_rng(2)
     params = {"layer0.w": rng.normal(size=(16, 20)) * 0.3,
               "layer1.w": rng.normal(size=(10, 16)) * 0.3}

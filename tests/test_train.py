@@ -9,7 +9,7 @@ import pytest
 # the package re-exports the train() function under the same name, so fetch
 # the module itself for monkeypatching
 train_mod = importlib.import_module("spikefirst.train")
-from spikefirst.checkpoint import save_checkpoint
+from spikefirst.checkpoint import load_checkpoint, save_checkpoint
 from spikefirst.data import Dataset
 from spikefirst.errors import NumericalError, ParameterError
 from spikefirst.metrics import evaluate
@@ -262,6 +262,20 @@ def test_resume_trains_the_checkpoints_network():
     for name in want.params:
         assert got.params[name].tobytes() == want.params[name].tobytes(), name
         assert got.adam_m[name].tobytes() == want.adam_m[name].tobytes(), name
+
+
+def test_every_snapshot_of_a_ranked_run_loads(tmp_path):
+    # the CLI saves the last good snapshot of a diverged run: every epoch's
+    # snapshot records a best accuracy in [0, 1], which the loader demands
+    paths = []
+
+    def save(row, snap):
+        paths.append(tmp_path / f"e{row['epoch']}.ckpt")
+        save_checkpoint(snap, paths[-1])
+
+    train(tiny_config(epochs=2), synthetic_mnist_like(40), synthetic_mnist_like(30, seed=1),
+          epoch_hook=save)
+    assert [load_checkpoint(p).epoch for p in paths] == [1, 2]
 
 
 def test_divergence_raises_with_last_good_state(monkeypatch):
