@@ -3,7 +3,7 @@
 Three estimators bridge the non-differentiable pieces:
 
 * arctan surrogate for the hard threshold (backward only; forward keeps the
-  exact spike), of the fixed width ``ALPHA``,
+  exact spike), of the fixed width 2,
 * sign estimator routing the loss gradient on a first-spike time to the spike
   output at exactly that time (with value -1),
 * straight-through estimator passing gradients unchanged through the Bernoulli
@@ -55,16 +55,12 @@ from .errors import StateError
 from .tensor import conv2d_backward, pool2d_backward
 
 
-# width of the arctan surrogate
-ALPHA = 2.0
-
-
 def _arctan_surrogate_in_place(z: np.ndarray) -> np.ndarray:
-    """The arctan surrogate (1/pi) / (1 + (pi * v * ALPHA / 2)^2) of
-    ``v = z / pi``, written over ``z``, which the caller owns and has already
-    multiplied by pi; returns ``z``.  ``backward`` takes it as d(spike)/dV,
-    evaluated at V - v_th."""
-    z *= ALPHA / 2.0
+    """The arctan surrogate (1/pi) / (1 + (pi * v * alpha / 2)^2) of width
+    alpha = 2, that is (1/pi) / (1 + (pi * v)^2), of ``v = z / pi``, written
+    over ``z``, which the caller owns and has already multiplied by pi;
+    returns ``z``.  ``backward`` takes it as d(spike)/dV, evaluated at
+    V - v_th."""
     np.multiply(z, z, out=z)
     z += 1.0
     return np.divide(1.0 / np.pi, z, out=z)

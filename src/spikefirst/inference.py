@@ -15,6 +15,19 @@ A sample is simulated for exactly its latency steps.  Activity is reported
 as totals over all samples and simulated steps: one for the clean input
 image and one per layer, the spikes of a neuron layer or the output of a
 pool layer.
+
+Evaluation runs block-major.  Layer 0's clean drive is one GEMM or conv per
+batch of ``batch_size`` rows; the batch is then cut into row blocks, and
+each block runs all of its timesteps, with its own active set, layer states
+and output accumulator, before the next block starts.  A block is sized so
+that its widest neuron layer's membrane, spike and drive arrays fit a 2 MiB
+L2 cache (``_block_rows``), so its state stays in cache from one step to
+the next instead of streaming through memory at every step.  Rows are
+independent, so a deterministic network gives the same results in any
+blocking.  Stochastic networks and noisy runs keep one block per batch: the
+draws of a stochastic network are keyed by batch and made at the shape of
+the active set, so blocking would change them, and a noisy run recomputes
+layer 0's drive at every step, a GEMM that gets too thin in small blocks.
 """
 
 from __future__ import annotations
@@ -27,8 +40,14 @@ import numpy as np
 from .errors import ParameterError
 # sigmoid is re-exported: bench/test_bench.py reaches it through this module
 from .neurons import LayerState, sigmoid  # noqa: F401
-from .network import CODINGS, NetworkSpec, step, synaptic_drive
+from .network import CODINGS, NetworkSpec, layer_shapes, step, synaptic_drive
 from .rng import RngStream, rng_gaussian
+
+# a block's widest neuron layer (v, fired_prev and drive, float64) fits this
+# L2 size; blocks are powers of two of at least _MIN_BLOCK_ROWS rows
+_L2_BYTES = 2 << 20
+_BYTES_PER_NEURON = 24
+_MIN_BLOCK_ROWS = 8
 
 
 @dataclass
@@ -41,6 +60,15 @@ class InferenceResult:
     # neuron layer or the pooled values of a pool layer.
     input_total: float = 0.0
     layer_totals: list = field(default_factory=list)
+
+
+def _block_rows(spec: NetworkSpec, images: np.ndarray) -> int:
+    """Rows per block: the largest power of two whose widest neuron layer
+    fits ``_L2_BYTES``, and at least ``_MIN_BLOCK_ROWS``."""
+    shapes = layer_shapes(spec, images.shape[-2:])
+    widest = max(math.prod(shapes[i]) for i, _ in spec.weighted_layers())
+    fit = _L2_BYTES // (_BYTES_PER_NEURON * widest)
+    return max(_MIN_BLOCK_ROWS, 1 << max(fit.bit_length() - 1, 0))
 
 
 def run_network(spec: NetworkSpec, params: dict, images: np.ndarray,
@@ -58,6 +86,14 @@ def run_network(spec: NetworkSpec, params: dict, images: np.ndarray,
     (noise_seed, i, t), where i is the sample's index in ``images``: a
     sample's noise depends neither on the batch size nor on which other
     samples exited, and results are reproducible.
+
+    ``batch_size`` is the number of rows per layer-0 GEMM or conv, and it
+    bounds memory: layer 0's drive is held for one batch at a time.  Within
+    a batch a deterministic network is simulated block-major (see the module
+    docstring), each block of ``_block_rows`` rows through all its steps.
+    A stochastic network, whose draws are keyed per batch rather than per
+    sample, and a noisy run, whose layer-0 GEMM runs at every step, take one
+    block per batch.
     """
     if mode not in CODINGS:
         raise ParameterError(f"unknown inference mode {mode!r}")
@@ -87,70 +123,81 @@ def run_network(spec: NetworkSpec, params: dict, images: np.ndarray,
     # step t draws every sample's noise at counter t, one keyed row per sample
     noise = RngStream(noise_seed) if input_noise_std > 0 else None
 
+    # blocking would change a stochastic network's draws and thin a noisy
+    # run's per-step GEMM: those keep one block per batch
+    block = batch_size
+    if not stochastic and noise is None:
+        block = min(_block_rows(spec, images), batch_size)
+
     for b_start in range(0, n_total, batch_size):
         b_end = min(b_start + batch_size, n_total)
-        x0 = np.asarray(images[b_start:b_end], dtype=np.float64)
-        nb = b_end - b_start
-        active = np.arange(nb)
-        row_sums0[b_start:b_end] = x0.reshape(nb, -1).sum(axis=1)
-        drive0 = None
+        x_batch = np.asarray(images[b_start:b_end], dtype=np.float64)
+        row_sums0[b_start:b_end] = x_batch.reshape(b_end - b_start, -1).sum(axis=1)
+        drive_batch = None
         if noise is None:
-            # layer 0's drive is the same at every step: computed once, and
-            # compacted with the states when samples exit
-            drive0 = synaptic_drive(spec.layers[0], params["layer0.w"], x0)
-        states = {}
-        # the active samples' summed output: membrane potential in
-        # first-to-spike mode (for timeouts), spike counts in rate mode
-        out_acc = None
-        streams = None
-        if stochastic:
-            # each stochastic layer draws once per step, so step t draws at
-            # counter t
-            key = (b_start & 0xFFFFFFFF) << 16
-            streams = [RngStream(seed, key | (i & 0xFFFF), counter=1)
-                       for i in neuron_layers]
+            # layer 0's drive is the same at every step: one GEMM or conv per
+            # batch, of which each block compacts its own rows as samples exit
+            drive_batch = synaptic_drive(spec.layers[0], params["layer0.w"], x_batch)
 
-        for t in range(1, horizon + 1):
-            if noise is not None:
-                # fresh noise for the active samples, whose images x0 holds
-                drive0 = None       # frees the last step's drive before the next
-                noise.counter = t
-                drive0 = synaptic_drive(spec.layers[0], params["layer0.w"], x0 + rng_gaussian(
-                    noise, x0.shape, input_noise_std, rows=b_start + active))
-            for i, (inp, v, spikes, probs) in enumerate(step(spec, params, drive0, states,
-                                                             streams)):
-                if pool_fed[i]:
-                    totals[i - 1] += inp.sum()
-                if spikes is not None:
-                    totals[i] += spikes.sum()
-            # the output layer's; the next step overwrites these buffers
-            out_v, out_spikes, out_probs = v, spikes, probs
-            if out_acc is None:
-                out_acc = np.zeros_like(out_v)
-            out_acc += out_v if fts else out_spikes
+        for r_start in range(0, b_end - b_start, block):
+            first = b_start + r_start       # the block's first row in images
+            x0 = x_batch[r_start:r_start + block]
+            drive0 = None if noise is not None else drive_batch[r_start:r_start + block]
+            active = np.arange(len(x0))
+            states = {}
+            # the active samples' summed output: membrane potential in
+            # first-to-spike mode (for timeouts), spike counts in rate mode
+            out_acc = None
+            streams = None
+            if stochastic:
+                # the batch is one block; each stochastic layer draws once
+                # per step, so step t draws at counter t
+                key = (b_start & 0xFFFFFFFF) << 16
+                streams = [RngStream(seed, key | (i & 0xFFFF), counter=1)
+                           for i in neuron_layers]
 
-            if fts:
-                fired = out_spikes.any(axis=1)
-                if fired.any():
-                    out_score = out_v if out_probs is None else out_probs
-                    masked = np.where(out_spikes[fired] > 0, out_score[fired], -np.inf)
-                    done = b_start + active[fired]
-                    predictions[done] = masked.argmax(axis=1)
-                    latencies[done] = t
-                    keep = ~fired
-                    active = active[keep]
-                    out_acc = out_acc[keep]
-                    states = {i: LayerState(v=s.v[keep], fired_prev=s.fired_prev[keep])
-                              for i, s in states.items()}
-                    if noise is None:
-                        drive0 = drive0[keep]
-                    else:
-                        x0 = x0[keep]
-                    if active.size == 0:
-                        break
+            for t in range(1, horizon + 1):
+                if noise is not None:
+                    # fresh noise for the active samples, whose images x0 holds
+                    drive0 = None       # frees the last step's drive before the next
+                    noise.counter = t
+                    drive0 = synaptic_drive(spec.layers[0], params["layer0.w"],
+                                            x0 + rng_gaussian(noise, x0.shape, input_noise_std,
+                                                              rows=first + active))
+                for i, (inp, v, spikes, probs) in enumerate(step(spec, params, drive0,
+                                                                 states, streams)):
+                    if pool_fed[i]:
+                        totals[i - 1] += inp.sum()
+                    if spikes is not None:
+                        totals[i] += spikes.sum()
+                # the output layer's; the next step overwrites these buffers
+                out_v, out_spikes, out_probs = v, spikes, probs
+                if out_acc is None:
+                    out_acc = np.zeros_like(out_v)
+                out_acc += out_v if fts else out_spikes
 
-        # first-to-spike timeouts, or every sample in rate mode
-        predictions[b_start + active] = out_acc.argmax(axis=1)
+                if fts:
+                    fired = out_spikes.any(axis=1)
+                    if fired.any():
+                        out_score = out_v if out_probs is None else out_probs
+                        masked = np.where(out_spikes[fired] > 0, out_score[fired], -np.inf)
+                        done = first + active[fired]
+                        predictions[done] = masked.argmax(axis=1)
+                        latencies[done] = t
+                        keep = ~fired
+                        active = active[keep]
+                        out_acc = out_acc[keep]
+                        states = {i: LayerState(v=s.v[keep], fired_prev=s.fired_prev[keep])
+                                  for i, s in states.items()}
+                        if noise is None:
+                            drive0 = drive0[keep]
+                        else:
+                            x0 = x0[keep]
+                        if active.size == 0:
+                            break
+
+            # first-to-spike timeouts, or every sample in rate mode
+            predictions[first + active] = out_acc.argmax(axis=1)
 
     return InferenceResult(predictions=predictions, latencies=latencies,
                            steps=latencies.astype(np.int64),

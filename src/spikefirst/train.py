@@ -266,11 +266,14 @@ def train(config: TrainConfig, train_ds: Dataset, test_ds: Dataset | None = None
         row = {"epoch": epoch + 1, "lr": lr, "train_loss": train_loss,
                "test_acc": acc, "wall_time_s": time.monotonic() - t0}
         log_rows.append(row)
-        last_good = _snapshot(spec, params, adam, epoch + 1, config.seed, best_acc)
-        if test_ds is not None and acc >= best_acc:
+        # ranked before the snapshot, which records the best accuracy up to
+        # and including this epoch, as a run resumed from it must rank against
+        improved = test_ds is not None and acc >= best_acc
+        if improved:
             best_acc = acc
-            # the same epoch's arrays: last_good is never mutated, only replaced
-            best_ckpt = replace(last_good, best_accuracy=best_acc)
+        last_good = _snapshot(spec, params, adam, epoch + 1, config.seed, best_acc)
+        if improved:
+            best_ckpt = last_good       # never mutated, only replaced
         if epoch_hook is not None:
             epoch_hook(row, last_good)
 

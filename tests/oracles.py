@@ -17,16 +17,24 @@
 * ``det_lif_step`` and ``stoch_lif_step``: the LIF updates as they stood
   before ``network.step`` advanced each state in its own buffers, kept
   verbatim, read-only and allocating every step, so that tests can demand
-  the same bytes from the in-place versions.
+  the same bytes from the in-place versions;
+* ``run_network``: evaluation as it stood before it stepped row blocks,
+  every batch simulated whole at each timestep, kept verbatim so that
+  tests can demand the same results from the runs that still take one
+  block per batch: stochastic networks and noisy runs.
 """
+
+import math
 
 import numpy as np
 
 from spikefirst.bptt import Tape, _synaptic_step, sign_estimator_backward
 from spikefirst.coding import LossValue
-from spikefirst.errors import NumericalError, ShapeError, StateError
+from spikefirst.errors import NumericalError, ParameterError, ShapeError, StateError
+from spikefirst.inference import InferenceResult
+from spikefirst.network import CODINGS, NetworkSpec, step, synaptic_drive
 from spikefirst.neurons import LayerState, first_spike_times, sigmoid
-from spikefirst.rng import RngStream, rng_uniform
+from spikefirst.rng import RngStream, rng_gaussian, rng_uniform
 from spikefirst.tensor import pool2d_backward
 from spikefirst.train import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState
 
@@ -292,3 +300,120 @@ def stoch_lif_step(state: LayerState, layer, drive: np.ndarray, stream: RngStrea
     spikes = rng_uniform(stream, probs.shape)
     np.less(spikes, probs, out=spikes)
     return LayerState(v=v, fired_prev=spikes), spikes, probs
+
+
+# ---- reference copy of the package's evaluation loop
+
+def run_network(spec: NetworkSpec, params: dict, images: np.ndarray,
+                mode: str = "first-to-spike", horizon: int | None = None,
+                seed: int = 0, batch_size: int = 512, input_noise_std: float = 0.0,
+                noise_seed: int = 1234) -> InferenceResult:
+    """Simulate the network over a dataset; see module docstring for rules.
+
+    ``images`` is (N, C, H, W) or (N, F); direct encoding applies the image
+    as constant drive every step, so layer 0's drive is computed once per
+    batch.  ``input_noise_std`` > 0 adds fresh elementwise Gaussian noise to
+    the image at every timestep, drawn only for the samples still active, and
+    layer 0's drive is then computed at every step.  Stochastic draws are
+    keyed by (seed, batch, layer) and the noise of sample i at step t by
+    (noise_seed, i, t), where i is the sample's index in ``images``: a
+    sample's noise depends neither on the batch size nor on which other
+    samples exited, and results are reproducible.
+    """
+    if mode not in CODINGS:
+        raise ParameterError(f"unknown inference mode {mode!r}")
+    horizon = spec.horizon if horizon is None else int(horizon)
+    if horizon < 1:
+        raise ParameterError(f"horizon must be >= 1, got {horizon}")
+    if batch_size < 1:
+        raise ParameterError(f"batch size must be >= 1, got {batch_size}")
+    if not (math.isfinite(input_noise_std) and input_noise_std >= 0):
+        raise ParameterError(f"input noise std must be finite and >= 0, "
+                             f"got {input_noise_std}")
+    n_total = images.shape[0]
+    if n_total == 0:
+        raise ParameterError("empty dataset")
+
+    fts = mode == "first-to-spike"
+    neuron_layers = [i for i, _ in spec.weighted_layers()]
+    stochastic = spec.neuron == "stoch"
+
+    predictions = np.full(n_total, -1, dtype=np.int64)
+    latencies = np.full(n_total, float(horizon))
+    totals = [0.0 for _ in spec.layers]
+    # a pool layer's output is only seen as the next layer's input
+    pool_fed = [i > 0 and spec.layers[i - 1].kind == "pool" for i in range(len(spec.layers))]
+    # layer 0's clean input is the same at every step: its total is summed per sample
+    row_sums0 = np.zeros(n_total)
+    # step t draws every sample's noise at counter t, one keyed row per sample
+    noise = RngStream(noise_seed) if input_noise_std > 0 else None
+
+    for b_start in range(0, n_total, batch_size):
+        b_end = min(b_start + batch_size, n_total)
+        x0 = np.asarray(images[b_start:b_end], dtype=np.float64)
+        nb = b_end - b_start
+        active = np.arange(nb)
+        row_sums0[b_start:b_end] = x0.reshape(nb, -1).sum(axis=1)
+        drive0 = None
+        if noise is None:
+            # layer 0's drive is the same at every step: computed once, and
+            # compacted with the states when samples exit
+            drive0 = synaptic_drive(spec.layers[0], params["layer0.w"], x0)
+        states = {}
+        # the active samples' summed output: membrane potential in
+        # first-to-spike mode (for timeouts), spike counts in rate mode
+        out_acc = None
+        streams = None
+        if stochastic:
+            # each stochastic layer draws once per step, so step t draws at
+            # counter t
+            key = (b_start & 0xFFFFFFFF) << 16
+            streams = [RngStream(seed, key | (i & 0xFFFF), counter=1)
+                       for i in neuron_layers]
+
+        for t in range(1, horizon + 1):
+            if noise is not None:
+                # fresh noise for the active samples, whose images x0 holds
+                drive0 = None       # frees the last step's drive before the next
+                noise.counter = t
+                drive0 = synaptic_drive(spec.layers[0], params["layer0.w"], x0 + rng_gaussian(
+                    noise, x0.shape, input_noise_std, rows=b_start + active))
+            for i, (inp, v, spikes, probs) in enumerate(step(spec, params, drive0, states,
+                                                             streams)):
+                if pool_fed[i]:
+                    totals[i - 1] += inp.sum()
+                if spikes is not None:
+                    totals[i] += spikes.sum()
+            # the output layer's; the next step overwrites these buffers
+            out_v, out_spikes, out_probs = v, spikes, probs
+            if out_acc is None:
+                out_acc = np.zeros_like(out_v)
+            out_acc += out_v if fts else out_spikes
+
+            if fts:
+                fired = out_spikes.any(axis=1)
+                if fired.any():
+                    out_score = out_v if out_probs is None else out_probs
+                    masked = np.where(out_spikes[fired] > 0, out_score[fired], -np.inf)
+                    done = b_start + active[fired]
+                    predictions[done] = masked.argmax(axis=1)
+                    latencies[done] = t
+                    keep = ~fired
+                    active = active[keep]
+                    out_acc = out_acc[keep]
+                    states = {i: LayerState(v=s.v[keep], fired_prev=s.fired_prev[keep])
+                              for i, s in states.items()}
+                    if noise is None:
+                        drive0 = drive0[keep]
+                    else:
+                        x0 = x0[keep]
+                    if active.size == 0:
+                        break
+
+        # first-to-spike timeouts, or every sample in rate mode
+        predictions[b_start + active] = out_acc.argmax(axis=1)
+
+    return InferenceResult(predictions=predictions, latencies=latencies,
+                           steps=latencies.astype(np.int64),
+                           input_total=float((row_sums0 * latencies).sum()),
+                           layer_totals=[float(t) for t in totals])

@@ -3,10 +3,14 @@
 ``bench/harness.py`` drives the package through its public modules; a change
 to a function or an option it uses, an early-exit result that no longer
 matches a full-horizon forward pass, or a training step whose result moves
-by one bit, would otherwise show only when the benchmark is run.
+by one bit, would otherwise show only when the benchmark is run.  Its
+tracer reads the arguments and results of wrapped package functions, so a
+change to those would otherwise show only in a traced run.
 """
 
+import math
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -66,3 +70,32 @@ def test_bench_eval_digests_match_reference_lif_steps(tmp_path, monkeypatch, wor
     for op, g, r in zip(ops, got, want):
         assert g.problems == [] and r.problems == [], op.__name__
         assert g.digest == r.digest, op.__name__
+
+
+@pytest.mark.parametrize("workload", sorted(gen.WORKLOADS))
+def test_bench_traced_round_gives_every_per_layer_figure(tmp_path, workload):
+    # a warm-up, a traced and a plain round, as `bench/run.py --trace 1` runs
+    # them: every per-layer figure comes out finite, so a tracer hook that
+    # no longer fits the program fails here and not only in a traced run
+    sf, _ = harness.import_program(ROOT)
+    w = gen.WORKLOADS[workload]
+    tracer = harness.make_tracer()
+    with tracer, tracer.operation("setup0"):
+        setup = harness.make_setup(sf, w, 43, tmp_path)
+    runner = harness.Runner(sf, w, setup)
+    speed = harness.HostSpeed()
+    rounds = []
+    for r in range(3):
+        t0 = time.perf_counter()
+        if r == 1:
+            runner.tracer = tracer
+            with tracer:
+                rounds.append(harness.run_round(runner, speed, tracer, r))
+            runner.tracer = None
+        else:
+            rounds.append(harness.run_round(runner, speed, None, r))
+        rounds[-1]["_seconds"] = time.perf_counter() - t0
+    assert harness.collect_failures({}, rounds) == {}
+    layer = harness.trace_metrics(tracer, rounds, [1], setup, {})
+    assert sorted(layer) == sorted(harness.PER_LAYER)
+    assert [k for k, v in layer.items() if v is None or not math.isfinite(v)] == []

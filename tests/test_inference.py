@@ -6,11 +6,14 @@ import numpy as np
 import pytest
 
 import spikefirst as sf
+from spikefirst import inference
 from spikefirst.errors import ParameterError
-from spikefirst.inference import run_network
+from spikefirst.inference import _block_rows, run_network
 from spikefirst.network import LayerSpec, NetworkSpec, synaptic_drive
 from spikefirst.neurons import first_spike_times
 from spikefirst.rng import RngStream, rng_gaussian
+
+import oracles
 
 
 def single_layer_spec(n, horizon, leak=0.0, v_th=1.0):
@@ -20,6 +23,21 @@ def single_layer_spec(n, horizon, leak=0.0, v_th=1.0):
 
 def identity_params(n):
     return {"layer0.w": np.eye(n)}
+
+
+def shrink_blocks(monkeypatch, rows):
+    """Make ``run_network`` step blocks of ``rows`` rows, whatever the network:
+    no block fits an empty budget, so each takes the minimum."""
+    monkeypatch.setattr(inference, "_L2_BYTES", 0)
+    monkeypatch.setattr(inference, "_MIN_BLOCK_ROWS", rows)
+
+
+def assert_same_result(got, want):
+    assert np.array_equal(got.predictions, want.predictions)
+    assert np.array_equal(got.latencies, want.latencies)
+    assert np.array_equal(got.steps, want.steps)
+    assert got.input_total == want.input_total
+    assert got.layer_totals == want.layer_totals
 
 
 def test_first_spike_prediction_and_latency():
@@ -77,7 +95,7 @@ def test_early_exit_per_sample_independence():
     assert res.latencies[1] == 4 and res.steps[1] == 4
 
 
-def test_batched_equals_unbatched():
+def test_batched_equals_unbatched(monkeypatch):
     rng = np.random.default_rng(0)
     spec = single_layer_spec(4, horizon=6, leak=1.0)
     params = {"layer0.w": rng.normal(size=(4, 4)) * 0.3}
@@ -93,6 +111,11 @@ def test_batched_equals_unbatched():
         assert np.array_equal(res.steps, full.steps)
         assert res.input_total == full.input_total
         assert res.layer_totals == full.layer_totals
+    # nor does stepping each batch in row blocks, ragged or not
+    for rows in (1, 3, 4):
+        shrink_blocks(monkeypatch, rows)
+        for batch_size in (10, 7, 3):
+            assert_same_result(run_network(spec, params, images, batch_size=batch_size), full)
 
 
 def test_spike_and_input_accounting():
@@ -223,7 +246,7 @@ def assert_totals_match_tape(res, spec, tape, steps):
     ("mlp2", {"hidden": 32, "horizon": 12}, 2.0),
     ("lenet5", {"horizon": 6}, 3.0),
 ])
-def test_early_exit_matches_full_horizon_forward(arch, overrides, gain):
+def test_early_exit_matches_full_horizon_forward(monkeypatch, arch, overrides, gain):
     spec = sf.build(arch, "D-F-BPTT", overrides)
     params = {k: w * gain for k, w in sf.init_params(spec, RngStream(3, 0)).items()}
     rng = np.random.default_rng(11)
@@ -268,9 +291,25 @@ def test_early_exit_matches_full_horizon_forward(arch, overrides, gain):
     rate_res = run_network(rate_spec, params, images, mode="rate", batch_size=5)
     rate_records, rate_tape = sf.forward(rate_spec, params,
                                          sf.encode_direct(images, rate_spec.horizon))
-    assert np.array_equal(rate_res.predictions, rate_records[-1].sum(axis=0).argmax(axis=1))
+    rate_preds = rate_records[-1].sum(axis=0).argmax(axis=1)
+    assert np.array_equal(rate_res.predictions, rate_preds)
     assert np.array_equal(rate_res.steps, np.full(len(images), rate_spec.horizon))
     assert_totals_match_tape(rate_res, rate_spec, rate_tape, rate_res.steps)
+
+    # row blocks of 1, 3 and 4 rows in the batches of 5, 5 and 2, the last
+    # block of a batch often short, each stepped through all its timesteps:
+    # the same results
+    for rows in (1, 3, 4):
+        shrink_blocks(monkeypatch, rows)
+        res = run_network(spec, params, images, batch_size=5)
+        assert np.array_equal(res.predictions, preds), rows
+        assert np.array_equal(res.latencies, lat), rows
+        assert np.array_equal(res.steps, lat), rows
+        assert_totals_match_tape(res, spec, tape, lat)
+        res = run_network(rate_spec, params, images, mode="rate", batch_size=5)
+        assert np.array_equal(res.predictions, rate_preds), rows
+        assert np.array_equal(res.steps, np.full(len(images), rate_spec.horizon)), rows
+        assert_totals_match_tape(res, rate_spec, rate_tape, res.steps)
 
 
 @pytest.mark.parametrize("arch,overrides,gain,n", [
@@ -291,3 +330,42 @@ def test_noisy_inference_is_batch_size_invariant(arch, overrides, gain, n):
         assert np.array_equal(res.latencies, runs[0].latencies)
         assert np.array_equal(res.steps, runs[0].steps)
     assert len(np.unique(runs[0].latencies)) > 1
+
+
+
+@pytest.mark.parametrize("arch,overrides,gain", [
+    ("mlp2", {"hidden": 32, "horizon": 12}, 2.0),
+    ("lenet5", {"horizon": 6}, 3.0),
+])
+def test_stochastic_and_noisy_runs_match_reference_run_network(monkeypatch, arch, overrides,
+                                                               gain):
+    # a stochastic network's draws are keyed by batch and made at the shape
+    # of the active set, and a noisy run recomputes layer 0's drive at every
+    # step: both keep one block per batch, so however small the blocks of
+    # a clean deterministic run, they give the reference loop's bits
+    shrink_blocks(monkeypatch, 2)
+    params = {k: w * gain for k, w in
+              sf.init_params(sf.build(arch, "D-F-BPTT", overrides), RngStream(3, 0)).items()}
+    rng = np.random.default_rng(13)
+    images = rng.uniform(size=(12, 1, 28, 28)) * (rng.uniform(size=(12, 1, 28, 28)) < 0.3)
+    stoch = sf.build(arch, "S-F-BPTT", overrides)
+    for mode in ("first-to-spike", "rate"):
+        for batch_size in (5, 512):
+            got = run_network(stoch, params, images, mode=mode, seed=4, batch_size=batch_size)
+            want = oracles.run_network(stoch, params, images, mode=mode, seed=4,
+                                       batch_size=batch_size)
+            assert_same_result(got, want)
+    det = sf.build(arch, "D-F-BPTT", overrides)
+    noisy = dict(batch_size=5, input_noise_std=0.3, noise_seed=21)
+    got = run_network(det, params, images, **noisy)
+    assert_same_result(got, oracles.run_network(det, params, images, **noisy))
+    assert len(np.unique(got.latencies)) > 1
+
+
+@pytest.mark.parametrize("arch,shape,rows", [
+    ("mlp2", (1, 1, 28, 28), 64),       # 800 hidden neurons: 19.2 kB a row
+    ("lenet5", (1, 1, 28, 28), 16),     # 6 x 28 x 28 in the first conv layer
+    ("vgg15", (1, 3, 32, 32), 8),       # 1.5 MB a row: the minimum
+])
+def test_block_rows_fit_l2(arch, shape, rows):
+    assert _block_rows(sf.build(arch, "D-F-BPTT"), np.zeros(shape)) == rows

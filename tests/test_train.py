@@ -1,6 +1,7 @@
 """Adam, LR schedule, training loop determinism, resume, divergence handling."""
 
 import importlib
+import itertools
 import weakref
 
 import numpy as np
@@ -276,6 +277,34 @@ def test_every_snapshot_of_a_ranked_run_loads(tmp_path):
     train(tiny_config(epochs=2), synthetic_mnist_like(40), synthetic_mnist_like(30, seed=1),
           epoch_hook=save)
     assert [load_checkpoint(p).epoch for p in paths] == [1, 2]
+
+
+def test_resume_from_the_best_epochs_snapshot_returns_that_epoch(tmp_path):
+    # with 35% of the labels flipped and a large step, epoch 1 scores best
+    # and the later epochs fall back.  Each snapshot ranks its own epoch, so
+    # a run resumed from epoch 1's snapshot still ranks against epoch 1's
+    # accuracy and returns that epoch, as the straight run does
+    clean = synthetic_mnist_like(60)
+    flip = np.random.default_rng(100).random(60) < 0.35
+    ds = Dataset(images=clean.images, labels=np.where(flip, 1 - clean.labels, clean.labels))
+    test = synthetic_mnist_like(40, seed=1)
+    cfg = tiny_config(epochs=4, lr=3e-2, seed=3)
+    paths = []
+
+    def save(row, snap):
+        paths.append(tmp_path / f"e{row['epoch']}.ckpt")
+        save_checkpoint(snap, paths[-1])
+
+    straight, rows = train(cfg, ds, test, epoch_hook=save)
+    accs = [r["test_acc"] for r in rows]
+    assert straight.epoch == 1 and max(accs[1:]) < accs[0]
+    # every snapshot's best accuracy counts its own epoch
+    assert [load_checkpoint(p).best_accuracy for p in paths] == list(itertools.accumulate(accs, max))
+
+    resumed, _ = train(cfg, ds, test, resume=load_checkpoint(paths[0]))
+    save_checkpoint(straight, tmp_path / "s.ckpt")
+    save_checkpoint(resumed, tmp_path / "r.ckpt")
+    assert (tmp_path / "s.ckpt").read_bytes() == (tmp_path / "r.ckpt").read_bytes()
 
 
 def test_divergence_raises_with_last_good_state(monkeypatch):
