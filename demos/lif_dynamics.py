@@ -30,7 +30,7 @@ def main():
     for t in range(1, HORIZON + 1):
         drive = np.array([DRIVE])
         det_state, ds = det_lif_step(det_state, det, drive)
-        sto_state, ss, p = stoch_lif_step(sto_state, sto, drive, stream)
+        sto_state, ss, p = stoch_lif_step(sto_state, sto, drive, stream, rows=[0])
         det_spikes.append(ds)
         sto_spikes.append(ss)
         print(f"{t:>3} {det_state.v[0]:>8.4f} {int(ds[0]):>9} "

@@ -125,6 +125,12 @@ def _out_dir(out) -> Path:
 
 
 def _write_manifest(out: Path, command: str, config: dict, seed, artifacts: dict):
+    # results depend on the numpy and BLAS build and the BLAS thread count
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):       # not exposed: null
+        blas = {}
+    threads = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
     manifest = {
         "command": command,
         "config": config,
@@ -132,6 +138,9 @@ def _write_manifest(out: Path, command: str, config: dict, seed, artifacts: dict
         "artifacts": {k: str(v) for k, v in artifacts.items()},
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "version": __version__,
+        "numpy": np.__version__,
+        "blas": {k: blas.get(k) for k in ("name", "version")},
+        "blas_threads": {k: os.environ.get(k) for k in threads},
     }
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
@@ -212,6 +221,8 @@ def _load_ckpt(path):
 
 
 def cmd_eval(args) -> int:
+    if args.timesteps is not None and args.timesteps < 1:
+        raise CliError(f"timesteps must be >= 1, got {args.timesteps}", EXIT_CONFIG)
     ckpt = _load_ckpt(args.checkpoint)
     (test_ds,) = _load_splits(args.data, _dataset_of(ckpt.spec.arch), "test")
     mode = args.mode or ckpt.spec.coding
@@ -236,7 +247,6 @@ def cmd_eval(args) -> int:
 
 def cmd_tune(args) -> int:
     ckpt = _load_ckpt(args.checkpoint)
-    (train_ds,) = _load_splits(args.data, _dataset_of(ckpt.spec.arch), "train")
     try:
         bounds = None
         if args.bounds:
@@ -249,6 +259,7 @@ def cmd_tune(args) -> int:
                           latency_weight=args.beta, seed=args.seed, bounds=bounds)
     except (ValueError, ParameterError) as exc:
         raise CliError(f"bad DE configuration: {exc}", EXIT_CONFIG)
+    (train_ds,) = _load_splits(args.data, _dataset_of(ckpt.spec.arch), "train")
     out = _out_dir(args.out)
     tuned_path = out / "tuned.ckpt"
     history_path = out / "de_history.csv"

@@ -23,11 +23,10 @@ and output accumulator, before the next block starts.  A block is sized so
 that its widest neuron layer's membrane, spike and drive arrays fit a 2 MiB
 L2 cache (``_block_rows``), so its state stays in cache from one step to
 the next instead of streaming through memory at every step.  Rows are
-independent, so a deterministic network gives the same results in any
-blocking.  Stochastic networks and noisy runs keep one block per batch: the
-draws of a stochastic network are keyed by batch and made at the shape of
-the active set, so blocking would change them, and a noisy run recomputes
-layer 0's drive at every step, a GEMM that gets too thin in small blocks.
+independent, and every random draw is keyed by the sample's index in the
+dataset, so no draw depends on the blocking or the batch.
+Only a noisy run keeps one block per batch: it recomputes layer 0's drive at
+every step, a GEMM that gets too thin in small blocks.
 """
 
 from __future__ import annotations
@@ -81,19 +80,17 @@ def run_network(spec: NetworkSpec, params: dict, images: np.ndarray,
     as constant drive every step, so layer 0's drive is computed once per
     batch.  ``input_noise_std`` > 0 adds fresh elementwise Gaussian noise to
     the image at every timestep, drawn only for the samples still active, and
-    layer 0's drive is then computed at every step.  Stochastic draws are
-    keyed by (seed, batch, layer) and the noise of sample i at step t by
-    (noise_seed, i, t), where i is the sample's index in ``images``: a
-    sample's noise depends neither on the batch size nor on which other
+    layer 0's drive is then computed at every step.  The Bernoulli draws of
+    sample i in layer l at step t are keyed by (seed, l, t, i) and its noise
+    by (noise_seed, i, t), where i is the sample's index in ``images``: a
+    sample's draws depend neither on the batch size nor on which other
     samples exited, and results are reproducible.
 
     ``batch_size`` is the number of rows per layer-0 GEMM or conv, and it
     bounds memory: layer 0's drive is held for one batch at a time.  Within
-    a batch a deterministic network is simulated block-major (see the module
-    docstring), each block of ``_block_rows`` rows through all its steps.
-    A stochastic network, whose draws are keyed per batch rather than per
-    sample, and a noisy run, whose layer-0 GEMM runs at every step, take one
-    block per batch.
+    a batch the network is simulated block-major (see the module docstring),
+    each block of ``_block_rows`` rows through all its steps.  A noisy run,
+    whose layer-0 GEMM runs at every step, takes one block per batch.
     """
     if mode not in CODINGS:
         raise ParameterError(f"unknown inference mode {mode!r}")
@@ -110,8 +107,6 @@ def run_network(spec: NetworkSpec, params: dict, images: np.ndarray,
         raise ParameterError("empty dataset")
 
     fts = mode == "first-to-spike"
-    neuron_layers = [i for i, _ in spec.weighted_layers()]
-    stochastic = spec.neuron == "stoch"
 
     predictions = np.full(n_total, -1, dtype=np.int64)
     latencies = np.full(n_total, float(horizon))
@@ -123,11 +118,8 @@ def run_network(spec: NetworkSpec, params: dict, images: np.ndarray,
     # step t draws every sample's noise at counter t, one keyed row per sample
     noise = RngStream(noise_seed) if input_noise_std > 0 else None
 
-    # blocking would change a stochastic network's draws and thin a noisy
-    # run's per-step GEMM: those keep one block per batch
-    block = batch_size
-    if not stochastic and noise is None:
-        block = min(_block_rows(spec, images), batch_size)
+    # blocking would thin a noisy run's per-step GEMM: it keeps one block per batch
+    block = batch_size if noise is not None else min(_block_rows(spec, images), batch_size)
 
     for b_start in range(0, n_total, batch_size):
         b_end = min(b_start + batch_size, n_total)
@@ -140,21 +132,16 @@ def run_network(spec: NetworkSpec, params: dict, images: np.ndarray,
             drive_batch = synaptic_drive(spec.layers[0], params["layer0.w"], x_batch)
 
         for r_start in range(0, b_end - b_start, block):
-            first = b_start + r_start       # the block's first row in images
             x0 = x_batch[r_start:r_start + block]
             drive0 = None if noise is not None else drive_batch[r_start:r_start + block]
-            active = np.arange(len(x0))
+            # the active samples' indices in images, which key their draws
+            ids = b_start + r_start + np.arange(len(x0))
             states = {}
             # the active samples' summed output: membrane potential in
             # first-to-spike mode (for timeouts), spike counts in rate mode
             out_acc = None
-            streams = None
-            if stochastic:
-                # the batch is one block; each stochastic layer draws once
-                # per step, so step t draws at counter t
-                key = (b_start & 0xFFFFFFFF) << 16
-                streams = [RngStream(seed, key | (i & 0xFFFF), counter=1)
-                           for i in neuron_layers]
+            # a stochastic layer draws once per step, so step t draws at counter t
+            streams = [RngStream(seed, i, counter=1) for i, _ in spec.weighted_layers()]
 
             for t in range(1, horizon + 1):
                 if noise is not None:
@@ -163,9 +150,9 @@ def run_network(spec: NetworkSpec, params: dict, images: np.ndarray,
                     noise.counter = t
                     drive0 = synaptic_drive(spec.layers[0], params["layer0.w"],
                                             x0 + rng_gaussian(noise, x0.shape, input_noise_std,
-                                                              rows=first + active))
-                for i, (inp, v, spikes, probs) in enumerate(step(spec, params, drive0,
-                                                                 states, streams)):
+                                                              rows=ids))
+                for i, (inp, v, spikes, probs) in enumerate(step(spec, params, drive0, states,
+                                                                 streams, ids)):
                     if pool_fed[i]:
                         totals[i - 1] += inp.sum()
                     if spikes is not None:
@@ -181,11 +168,11 @@ def run_network(spec: NetworkSpec, params: dict, images: np.ndarray,
                     if fired.any():
                         out_score = out_v if out_probs is None else out_probs
                         masked = np.where(out_spikes[fired] > 0, out_score[fired], -np.inf)
-                        done = first + active[fired]
+                        done = ids[fired]
                         predictions[done] = masked.argmax(axis=1)
                         latencies[done] = t
                         keep = ~fired
-                        active = active[keep]
+                        ids = ids[keep]
                         out_acc = out_acc[keep]
                         states = {i: LayerState(v=s.v[keep], fired_prev=s.fired_prev[keep])
                                   for i, s in states.items()}
@@ -193,11 +180,11 @@ def run_network(spec: NetworkSpec, params: dict, images: np.ndarray,
                             drive0 = drive0[keep]
                         else:
                             x0 = x0[keep]
-                        if active.size == 0:
+                        if ids.size == 0:
                             break
 
             # first-to-spike timeouts, or every sample in rate mode
-            predictions[first + active] = out_acc.argmax(axis=1)
+            predictions[ids] = out_acc.argmax(axis=1)
 
     return InferenceResult(predictions=predictions, latencies=latencies,
                            steps=latencies.astype(np.int64),

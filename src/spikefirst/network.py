@@ -301,14 +301,15 @@ def synaptic_drive(layer: LayerSpec, weight: np.ndarray, x: np.ndarray) -> np.nd
 
 
 def step(spec: NetworkSpec, params: dict, drive0: np.ndarray, states: dict,
-         streams) -> list:
+         streams, rows=None) -> list:
     """Advance every layer of ``spec`` by one timestep.
 
     ``drive0`` is layer 0's synaptic drive at this step, (N, ...); layer 0 is
     a linear or conv layer.  ``states`` maps layer index to its
     ``LayerState``; missing entries start at rest and the dict is updated in
     place.  ``streams`` holds one RngStream per neuron layer of a stochastic
-    network; a deterministic network ignores it (None).
+    network and ``rows`` the sample id of each of the N rows, which keys
+    their draws; a deterministic network ignores both (None).
     Returns one ``(input, v, spikes, probs)`` tuple per layer: a pool layer
     has only its input, a deterministic layer no probs, and layer 0 no input.
 
@@ -338,9 +339,9 @@ def step(spec: NetworkSpec, params: dict, drive0: np.ndarray, states: dict,
         probs = None
         if stochastic:
             stream = streams[n] if streams is not None else None
-            if stream is None:
-                raise ShapeError("stochastic network requires RNG streams")
-            state, spikes, probs = stoch_lif_step(state, layer, drive, stream, out=state)
+            if stream is None or rows is None:
+                raise ShapeError("stochastic network requires RNG streams and row ids")
+            state, spikes, probs = stoch_lif_step(state, layer, drive, stream, rows=rows, out=state)
         else:
             state, spikes = det_lif_step(state, layer, drive, out=state)
         states[i] = state
@@ -351,11 +352,12 @@ def step(spec: NetworkSpec, params: dict, drive0: np.ndarray, states: dict,
 
 
 def forward(spec: NetworkSpec, params: dict, encoded: np.ndarray,
-            streams: list | None = None):
+            streams: list | None = None, rows=None):
     """Simulate all layers for t = 1..T, recording spikes and the BPTT tape.
 
     ``encoded`` is time-major: (T, N, ...).  For stochastic networks
-    ``streams`` supplies one RngStream per neuron layer.  Returns
+    ``streams`` supplies one RngStream per neuron layer and ``rows`` (default
+    ``arange(N)``) the sample id of each row, which keys its draws.  Returns
     (records, tape) where records is a list of per-neuron-layer spike arrays
     (T, N, ...) of 0/1 ``uint8``, the same arrays as the tape's ``spikes``.
 
@@ -385,6 +387,7 @@ def forward(spec: NetworkSpec, params: dict, encoded: np.ndarray,
         traces.append(trace)
 
     traces[0].inputs = encoded[0]
+    rows = np.arange(encoded.shape[1]) if rows is None else rows
     drive0 = synaptic_drive(spec.layers[0], traces[0].weight, encoded[0])
 
     # A neuron layer's spike train is the next layer's input: it is taped once.
@@ -399,7 +402,7 @@ def forward(spec: NetworkSpec, params: dict, encoded: np.ndarray,
     states = {}
     for t in range(horizon):
         for trace, names, values in zip(traces, taped,
-                                        step(spec, params, drive0, states, streams)):
+                                        step(spec, params, drive0, states, streams, rows)):
             for name, value in zip(("inputs", "v", "spikes", "probs"), values):
                 if name not in names:
                     continue

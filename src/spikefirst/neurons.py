@@ -17,7 +17,7 @@ the crossing, carrying any residual potential forward:
     spike_t = [V_t >= v_th]
 
 The stochastic neuron scales its membrane potential and fires as a Bernoulli
-draw of a sigmoid firing probability (no reset term):
+draw of a sigmoid firing probability (no reset term; draws keyed by sample):
 
     V_t = (leak * V_{t-1} + drive) / k
     p_t = sigmoid(V_t),   spike_t ~ Bernoulli(p_t)
@@ -102,11 +102,12 @@ def det_lif_step(state: LayerState, layer, drive: np.ndarray,
 
 
 def stoch_lif_step(state: LayerState, layer, drive: np.ndarray, stream: RngStream,
-                   out: LayerState | None = None):
+                   *, rows, out: LayerState | None = None):
     """One stochastic LIF timestep of ``layer`` (a LayerSpec); returns
     (new_state, spikes, probs).
 
-    The new state is ``out`` if given, which may be ``state`` itself, and
+    Row i draws ``stream``'s keyed uniforms for sample id ``rows[i]``.  The
+    new state is ``out`` if given, which may be ``state`` itself, and
     otherwise a new one, as in ``det_lif_step``; ``probs`` is a new array.
     """
     drive, out = _operands(state, drive, out)
@@ -116,7 +117,7 @@ def stoch_lif_step(state: LayerState, layer, drive: np.ndarray, stream: RngStrea
     out.v /= layer.k
     probs = sigmoid(out.v)
     # the draw's buffer receives its own comparison as 0.0 / 1.0
-    spikes = rng_uniform(stream, probs.shape, out=out.fired_prev)
+    spikes = rng_uniform(stream, probs.shape, rows=rows, out=out.fired_prev)
     np.less(spikes, probs, out=spikes)
     return out, spikes, probs
 

@@ -1,15 +1,15 @@
 """Counter-based random number streams.
 
-Streams are built on the Philox counter-based generator, so a draw is a pure
-function of ``(seed, stream_id, counter)``: replaying the same state yields the
-same values on every platform, and distinct ``stream_id`` values give
-statistically independent sequences.  This is what keeps stochastic-neuron runs
-reproducible regardless of batch iteration order or worker scheduling.
-
-A uniform draw is keyed per call.  Gaussian draws are keyed per row only
-(``rng_gaussian(..., rows=ids)``): row i comes from its own block, a pure
-function of (seed, stream_id, counter, ids[i]), so it does not depend on
-which other rows are drawn.
+A draw is a pure function of its stream's ``(seed, stream_id, counter)``:
+replaying a state gives the same values on every platform, and distinct
+``stream_id`` values give independent sequences.  Plain uniforms (init,
+shuffles, DE) are Philox, keyed per call.  Keyed draws (``rows=ids``) make
+row i a pure function of the state and ids[i], whatever the other rows:
+Gaussian rows (input noise) come from a Philox block per id, uniform rows
+(Bernoulli draws) from SplitMix64's finaliser over a Weyl counter (Steele,
+Lea & Flood, OOPSLA 2014).  No draw depends on a sample's batch or block,
+so a run is a pure function of (config, seed, dataset, numpy and BLAS
+build, BLAS thread count).
 """
 
 from __future__ import annotations
@@ -22,15 +22,19 @@ import numpy as np
 from .errors import ParameterError, ShapeError
 
 _MASK64 = (1 << 64) - 1
+# SplitMix64's Weyl increment and finaliser multipliers, and the Weyl step
+# between keyed rows: rows under 2**20 apart are over 2**40 increments apart
+_GAMMA, _MIX1, _MIX2 = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+_ROW_STEP = 0xDB4F0B9175AE2165
 
 
 @dataclass
 class RngStream:
     """A splittable random stream identified by (seed, stream_id, counter).
 
-    Each sampling call jumps the underlying Philox counter to a block that is
-    a pure function of the three fields, draws, and increments ``counter`` by
-    one.  Calls therefore never overlap and are individually replayable.
+    Each sampling call draws from a Philox block or a hash key that is a
+    pure function of the three fields, and increments ``counter`` by one.
+    Calls therefore never overlap and are individually replayable.
     """
 
     seed: int
@@ -79,8 +83,29 @@ class RngStream:
         return RngStream(self.seed, stream_id=stream_id, counter=0)
 
 
-def rng_uniform(stream: RngStream, shape, out: np.ndarray | None = None) -> np.ndarray:
+def _mix64(z):
+    """SplitMix64's finaliser of a Python int, or in place of a uint64 array."""
+    if isinstance(z, int):
+        for shift, mult in ((30, _MIX1), (27, _MIX2)):
+            z = (z ^ z >> shift) * mult & _MASK64
+        return z ^ z >> 31
+    tmp = np.empty_like(z)
+    for shift, mult in ((30, _MIX1), (27, _MIX2)):
+        z ^= np.right_shift(z, shift, out=tmp)
+        z *= mult
+    z ^= np.right_shift(z, 31, out=tmp)
+    return z
+
+
+def rng_uniform(stream: RngStream, shape, *, rows=None,
+                out: np.ndarray | None = None) -> np.ndarray:
     """Uniform [0, 1) draws; advances the stream's counter by one call.
+
+    Without ``rows`` the draws are Philox's.  With ``rows``, one integer id
+    per entry of ``shape[0]``, entry j of row i is the low (j even) or high
+    32 bits of word j // 2 over 2**32.  Word w finalises the stream key plus
+    rows[i] row steps and w + 1 Weyl increments; the stream key absorbs
+    seed, stream_id and counter, each plus one increment and finalised.
 
     ``out``, a C-contiguous float64 array of ``shape``, receives the draws
     in place of a new array: the same values at the same counter.
@@ -90,13 +115,27 @@ def rng_uniform(stream: RngStream, shape, out: np.ndarray | None = None) -> np.n
                                 and out.flags.c_contiguous and out.flags.writeable):
         raise ShapeError(f"uniform draws of shape {shape} need a writable C-contiguous "
                          f"float64 buffer of that shape, got {out.dtype} {out.shape}")
-    g = stream._generator()
-    if out is None:
-        out = g.random(size=shape, dtype=np.float64)
+    out = np.empty(shape) if out is None else out
+    if rows is None:
+        stream._generator().random(out=out)
     else:
-        g.random(out=out)
+        n, m = _row_count(shape, rows), math.prod(shape[1:])
+        key = 0
+        for word in (stream.seed, stream.stream_id, stream.counter):
+            key = _mix64((key + word + _GAMMA) & _MASK64)
+        weyl = np.arange(1, (m + 3) // 2, dtype=np.uint64) * _GAMMA + key
+        words = _mix64(np.add.outer(np.asarray(rows, dtype=np.uint64) * _ROW_STEP, weyl))
+        halves = words.astype("<u8", copy=False).view("<u4")[:, :m]
+        np.multiply(halves, 2.0 ** -32, out=out.reshape(n, m))
     stream.counter = (stream.counter + 1) & _MASK64
     return out
+
+
+def _row_count(shape: tuple, rows) -> int:
+    if not shape or len(rows) != shape[0]:
+        raise ParameterError(f"need one row id per leading entry of {shape}, "
+                             f"got {len(rows)}")
+    return shape[0]
 
 
 def rng_gaussian(stream: RngStream, shape, std: float = 1.0, *, rows) -> np.ndarray:
@@ -110,11 +149,8 @@ def rng_gaussian(stream: RngStream, shape, std: float = 1.0, *, rows) -> np.ndar
     if std < 0:
         raise ParameterError(f"std must be >= 0, got {std}")
     shape = tuple(shape)
-    if not shape or len(rows) != shape[0]:
-        raise ParameterError(f"need one row id per leading entry of {shape}, "
-                             f"got {len(rows)}")
     out = np.empty(shape)
-    flat = out.reshape(len(rows), math.prod(shape[1:]))
+    flat = out.reshape(_row_count(shape, rows), math.prod(shape[1:]))
     for gen, values in zip(stream._row_generators(rows), flat):
         gen.standard_normal(out=values)
     out *= std

@@ -1,9 +1,10 @@
 """Training loop: batching, Adam, step LR schedule, checkpointing, presets.
 
 Every source of randomness is a counter-based stream keyed by
-(seed, purpose, epoch, ...), so a run is a pure function of
-(config, seed, dataset): checkpoints are byte-identical across repeats and a
-resumed run continues bit-exactly.
+(seed, purpose, epoch, ...), a stochastic neuron's also by sample index, so
+a run is a pure function of (config, seed, dataset, numpy and BLAS build,
+BLAS thread count, on which a GEMM's summation order depends): checkpoints
+are byte-identical across repeats and a resumed run continues bit-exactly.
 """
 
 from __future__ import annotations
@@ -61,6 +62,8 @@ class TrainConfig:
             raise ParameterError(f"scheduler step must be >= 1, got {self.scheduler_step}")
         if not 0.0 < self.scheduler_gamma <= 1.0:
             raise ParameterError(f"scheduler gamma must be in (0, 1], got {self.scheduler_gamma}")
+        if not 0.0 <= self.lambda_leak <= 1.0:
+            raise ParameterError(f"leak must be in [0, 1], got {self.lambda_leak}")
 
 
 # Full schedules follow the published hyperparameter table; the D-R baseline
@@ -178,8 +181,6 @@ def _batch_loss(spec, tape, labels):
 
 
 def test_accuracy(spec, params, dataset: Dataset, config: TrainConfig) -> float:
-    # run_network's default batch, as metrics.evaluate uses: stochastic
-    # predictions depend on the batch, and the log must match `spikefirst eval`
     res = run_network(spec, params, dataset.images, mode=spec.coding, seed=config.seed)
     return float((res.predictions == dataset.labels).mean())
 
@@ -226,7 +227,6 @@ def train(config: TrainConfig, train_ds: Dataset, test_ds: Dataset | None = None
     best_ckpt = _snapshot(spec, params, adam, start_epoch, config.seed, best_acc)
     last_good = best_ckpt
     n_neuron_layers = len(spec.neuron_layers())
-    stochastic = spec.neuron == "stoch"
 
     for epoch in range(start_epoch, config.epochs):
         t0 = time.monotonic()
@@ -240,13 +240,10 @@ def train(config: TrainConfig, train_ds: Dataset, test_ds: Dataset | None = None
                 idx = order[s : s + config.batch_size]
                 labels = train_ds.labels[idx]
                 encoded = encode_direct(train_ds.images[idx], spec.horizon)
-                streams = None
-                if stochastic:
-                    streams = [RngStream(config.seed,
-                                         stream_id=_STREAM_TRAIN_BASE
-                                         + (epoch << 24) + (b << 8) + li)
-                               for li in range(n_neuron_layers)]
-                tape = net_forward(spec, params, encoded, streams)[1]
+                # every batch draws from one stream per (epoch, layer), keyed by dataset index
+                streams = [RngStream(config.seed, stream_id=_STREAM_TRAIN_BASE + (epoch << 8) + li)
+                           for li in range(n_neuron_layers)]
+                tape = net_forward(spec, params, encoded, streams, rows=idx)[1]
                 loss, g_top = _batch_loss(spec, tape, labels)
                 if not np.isfinite(loss):
                     raise NumericalError(f"loss diverged at epoch {epoch} batch {b}")

@@ -39,6 +39,8 @@ class DeConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.pop_size < 0 or 0 < self.pop_size < 4:
+            raise ParameterError(f"pop_size must be 0 (auto) or >= 4, got {self.pop_size}")
         if self.max_generations < 1:
             raise ParameterError(f"max generations must be >= 1, got {self.max_generations}")
         if not 0.0 <= self.latency_weight < np.inf:
@@ -52,13 +54,6 @@ class DeResult:
     best_objective: float
     history: list = field(default_factory=list)   # per-generation best objective
     vectors: list = field(default_factory=list)   # per-generation best vector
-
-
-def _resolve_pop(config: DeConfig, dims: int) -> int:
-    pop = config.pop_size or min(15 * dims, 60)
-    if pop < 4:
-        raise ParameterError(f"pop_size must be >= 4 for DE/rand/1, got {pop}")
-    return pop
 
 
 def de_minimize(objective, bounds, config: DeConfig) -> DeResult:
@@ -80,7 +75,7 @@ def de_minimize(objective, bounds, config: DeConfig) -> DeResult:
         val = float(objective(vec))
         return DeResult(best_vector=vec, best_objective=val, history=[val], vectors=[vec])
 
-    pop_size = _resolve_pop(config, dims)
+    pop_size = config.pop_size or min(15 * dims, 60)
     stream = RngStream(config.seed, stream_id=7)
     pop = low + rng_uniform(stream, (pop_size, dims)) * (high - low)
     fitness = np.array([objective(pop[i]) for i in range(pop_size)], dtype=np.float64)

@@ -19,9 +19,12 @@
   verbatim, read-only and allocating every step, so that tests can demand
   the same bytes from the in-place versions;
 * ``run_network``: evaluation as it stood before it stepped row blocks,
-  every batch simulated whole at each timestep, kept verbatim so that
-  tests can demand the same results from the runs that still take one
-  block per batch: stochastic networks and noisy runs.
+  every batch simulated whole at each timestep, kept verbatim for a
+  deterministic network so that tests can demand the same results from the
+  runs that still take one block per batch: noisy runs;
+* ``keyed_uniform``: one keyed uniform of ``rng.rng_uniform(..., rows=)``,
+  SplitMix64 in plain Python integers, the reference for the vectorised
+  hash.
 """
 
 import math
@@ -287,9 +290,9 @@ def det_lif_step(state: LayerState, layer, drive: np.ndarray):
     return LayerState(v=v, fired_prev=spikes), spikes
 
 
-def stoch_lif_step(state: LayerState, layer, drive: np.ndarray, stream: RngStream):
+def stoch_lif_step(state: LayerState, layer, drive: np.ndarray, stream: RngStream, *, rows):
     """One stochastic LIF timestep of ``layer`` (a LayerSpec); returns
-    (new_state, spikes, probs)."""
+    (new_state, spikes, probs).  ``rows`` keys each row's draws."""
     drive = _drive(state, drive)
     # (leak * V + drive) / k, evaluated in that order in v's own buffer
     v = layer.leak * state.v
@@ -297,9 +300,37 @@ def stoch_lif_step(state: LayerState, layer, drive: np.ndarray, stream: RngStrea
     v /= layer.k
     probs = sigmoid(v)
     # the draw's buffer receives its own comparison as 0.0 / 1.0
-    spikes = rng_uniform(stream, probs.shape)
+    spikes = rng_uniform(stream, probs.shape, rows=rows)
     np.less(spikes, probs, out=spikes)
     return LayerState(v=v, fired_prev=spikes), spikes, probs
+
+
+# ---- reference keyed uniform
+
+_MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+_ROW_STEP = 0xDB4F0B9175AE2165
+
+
+def _mix64(z: int) -> int:
+    """SplitMix64's finaliser (Steele, Lea & Flood, OOPSLA 2014)."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
+def keyed_uniform(seed: int, stream_id: int, counter: int, row: int, col: int) -> float:
+    """Entry ``col`` of row ``row`` of a keyed uniform draw at stream state
+    (seed, stream_id, counter): a key absorbs the three state words in turn,
+    each added with one Weyl increment and finalised; the row's 64-bit word
+    col // 2 is the finaliser of that key plus ``row`` row steps and
+    col // 2 + 1 Weyl increments; even columns take its low 32 bits, odd
+    ones its high, over 2**32."""
+    key = 0
+    for word in (seed, stream_id, counter):
+        key = _mix64((key + word + _GAMMA) & _MASK64)
+    word = _mix64((key + row * _ROW_STEP + (col // 2 + 1) * _GAMMA) & _MASK64)
+    return (word >> 32 if col % 2 else word & 0xFFFFFFFF) / 2**32
 
 
 # ---- reference copy of the package's evaluation loop
@@ -314,12 +345,14 @@ def run_network(spec: NetworkSpec, params: dict, images: np.ndarray,
     as constant drive every step, so layer 0's drive is computed once per
     batch.  ``input_noise_std`` > 0 adds fresh elementwise Gaussian noise to
     the image at every timestep, drawn only for the samples still active, and
-    layer 0's drive is then computed at every step.  Stochastic draws are
-    keyed by (seed, batch, layer) and the noise of sample i at step t by
-    (noise_seed, i, t), where i is the sample's index in ``images``: a
-    sample's noise depends neither on the batch size nor on which other
-    samples exited, and results are reproducible.
+    layer 0's drive is then computed at every step.  The noise of sample i
+    at step t is keyed by (noise_seed, i, t), where i is the sample's index
+    in ``images``: a sample's noise depends neither on the batch size nor on
+    which other samples exited, and results are reproducible.  ``seed``
+    keyed a stochastic network's draws, which this copy no longer runs.
     """
+    if spec.neuron == "stoch":
+        raise ParameterError("the reference loop runs deterministic networks only")
     if mode not in CODINGS:
         raise ParameterError(f"unknown inference mode {mode!r}")
     horizon = spec.horizon if horizon is None else int(horizon)
@@ -335,8 +368,6 @@ def run_network(spec: NetworkSpec, params: dict, images: np.ndarray,
         raise ParameterError("empty dataset")
 
     fts = mode == "first-to-spike"
-    neuron_layers = [i for i, _ in spec.weighted_layers()]
-    stochastic = spec.neuron == "stoch"
 
     predictions = np.full(n_total, -1, dtype=np.int64)
     latencies = np.full(n_total, float(horizon))
@@ -363,13 +394,6 @@ def run_network(spec: NetworkSpec, params: dict, images: np.ndarray,
         # the active samples' summed output: membrane potential in
         # first-to-spike mode (for timeouts), spike counts in rate mode
         out_acc = None
-        streams = None
-        if stochastic:
-            # each stochastic layer draws once per step, so step t draws at
-            # counter t
-            key = (b_start & 0xFFFFFFFF) << 16
-            streams = [RngStream(seed, key | (i & 0xFFFF), counter=1)
-                       for i in neuron_layers]
 
         for t in range(1, horizon + 1):
             if noise is not None:
@@ -379,7 +403,7 @@ def run_network(spec: NetworkSpec, params: dict, images: np.ndarray,
                 drive0 = synaptic_drive(spec.layers[0], params["layer0.w"], x0 + rng_gaussian(
                     noise, x0.shape, input_noise_std, rows=b_start + active))
             for i, (inp, v, spikes, probs) in enumerate(step(spec, params, drive0, states,
-                                                             streams)):
+                                                             None)):
                 if pool_fed[i]:
                     totals[i - 1] += inp.sum()
                 if spikes is not None:

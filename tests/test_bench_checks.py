@@ -50,8 +50,8 @@ def _reference_det_lif_step(state, layer, drive, out=None):
     return oracles.det_lif_step(state, layer, drive)
 
 
-def _reference_stoch_lif_step(state, layer, drive, stream, out=None):
-    return oracles.stoch_lif_step(state, layer, drive, stream)
+def _reference_stoch_lif_step(state, layer, drive, stream, *, rows, out=None):
+    return oracles.stoch_lif_step(state, layer, drive, stream, rows=rows)
 
 
 @pytest.mark.parametrize("workload", sorted(gen.WORKLOADS))

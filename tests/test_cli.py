@@ -258,6 +258,43 @@ def test_missing_data_root(tmp_path, monkeypatch):
     assert run("train", "--epochs", "0", "--out", str(tmp_path)) == EXIT_DATA
 
 
+@pytest.mark.parametrize("leak", ["1.5", "-0.1", "nan"])
+def test_train_rejects_a_leak_outside_the_unit_interval_before_reading_data(
+        tmp_path, monkeypatch, leak):
+    # such a leak exited 3 ("no dataset root") without data, and with data
+    # failed only inside build (nan not at all)
+    monkeypatch.delenv("SPIKEFIRST_DATA", raising=False)
+    assert run("train", "--lambda-leak", leak, "--out", str(tmp_path)) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("argv", [
+    ("tune", "--pop", "3"), ("tune", "--pop", "-1"), ("tune", "--generations", "0"),
+    ("tune", "--beta", "-1"), ("eval", "--timesteps", "0"),
+], ids=["pop3", "pop-1", "generations0", "beta-1", "timesteps0"])
+def test_bad_options_fail_before_the_dataset_is_read(tiny_run, tmp_path, monkeypatch, argv):
+    # each exited 3 ("no dataset root"), its options checked only after the
+    # dataset was read
+    monkeypatch.delenv("SPIKEFIRST_DATA", raising=False)
+    command, *flags = argv
+    assert run(command, str(tiny_run / "checkpoint.ckpt"), *flags,
+               "--out", str(tmp_path)) == EXIT_CONFIG
+
+
+def test_manifest_records_numpy_blas_and_thread_settings(tmp_path, synthetic_mnist,
+                                                         monkeypatch):
+    # a run's bits depend on the numpy and BLAS build and the BLAS thread count
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    assert run("train", "--epochs", "0", "--hidden", "8", "--data", synthetic_mnist,
+               "--out", str(tmp_path)) == EXIT_OK
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["numpy"] == np.__version__
+    assert sorted(manifest["blas"]) == ["name", "version"]
+    threads = manifest["blas_threads"]
+    assert sorted(threads) == ["MKL_NUM_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS"]
+    assert threads["OPENBLAS_NUM_THREADS"] == "1" and threads["MKL_NUM_THREADS"] is None
+
+
 def test_bad_data_root(tmp_path):
     assert run("train", "--epochs", "0", "--data", str(tmp_path / "nowhere"),
                "--out", str(tmp_path)) == EXIT_DATA

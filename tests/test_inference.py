@@ -117,6 +117,38 @@ def test_batched_equals_unbatched(monkeypatch):
         for batch_size in (10, 7, 3):
             assert_same_result(run_network(spec, params, images, batch_size=batch_size), full)
 
+    # and every random draw is keyed by the sample's index in the dataset:
+    # Bernoulli draws of a stochastic network in both modes and input noise
+    # move with neither the batch nor the row blocks, on the whole set, a
+    # subset and a permutation of it alike
+    monkeypatch.undo()
+    images = rng.uniform(size=(600, 1, 28, 28)) * (rng.uniform(size=(600, 1, 28, 28)) < 0.3)
+    datasets = {"all": images, "subset": images[rng.permutation(600)[:230]],
+                "permuted": images[rng.permutation(600)]}
+    for kind, kwargs in (("S-F-BPTT", {"seed": 4}), ("S-F-BPTT", {"seed": 4, "mode": "rate"}),
+                         ("D-F-BPTT", {"input_noise_std": 0.3, "noise_seed": 8})):
+        spec = sf.build("mlp2", kind, {"hidden": 32, "horizon": 12})
+        params = {k: w * 2.0 for k, w in sf.init_params(spec, RngStream(3, 0)).items()}
+        if kind == "S-F-BPTT":
+            params["layer1.w"] -= 0.15      # outputs that fire late or time out
+        whole = {}
+        for name, data in datasets.items():
+            runs = [run_network(spec, params, data, batch_size=b, **kwargs)
+                    for b in (512, 100, 7)]
+            whole[name] = runs[0]
+            with monkeypatch.context() as m:
+                shrink_blocks(m, 16)
+                runs.append(run_network(spec, params, data, **kwargs))
+            for res in runs[1:]:
+                assert_same_result(res, runs[0])
+            assert len(np.unique(runs[0].predictions)) > 1, (kind, name)
+            if kwargs.get("mode") != "rate":
+                assert len(np.unique(runs[0].latencies)) > 1, (kind, name)
+        # a sample keeps its draws where it keeps its index: a prefix of the set
+        head = run_network(spec, params, images[:130], batch_size=7, **kwargs)
+        assert np.array_equal(head.predictions, whole["all"].predictions[:130])
+        assert np.array_equal(head.latencies, whole["all"].latencies[:130])
+
 
 def test_spike_and_input_accounting():
     spec = single_layer_spec(2, horizon=3, leak=1.0)
@@ -183,10 +215,13 @@ def test_run_network_rejects_bad_noise_std(std):
         run_network(spec, identity_params(2), np.ones((1, 2)), input_noise_std=std)
 
 
-def fts_from_full_horizon(spikes, v):
+def fts_from_full_horizon(spikes, v, score=None):
     """Predictions and latencies by the module's tie and timeout rules, read
-    off a full-horizon record of the output layer (T, N, n)."""
+    off a full-horizon record of the output layer (T, N, n): ties go to the
+    highest ``score``, the membrane potential ``v`` unless given (a
+    stochastic layer's firing probability)."""
     horizon = v.shape[0]
+    score = v if score is None else score
     times = first_spike_times(spikes)
     first = times.min(axis=1)
     acc = np.zeros_like(v[0])
@@ -195,7 +230,7 @@ def fts_from_full_horizon(spikes, v):
     preds = np.empty(len(first), dtype=np.int64)
     for s, t in enumerate(first):
         if t <= horizon:
-            preds[s] = np.where(times[s] == t, v[int(t) - 1, s], -np.inf).argmax()
+            preds[s] = np.where(times[s] == t, score[int(t) - 1, s], -np.inf).argmax()
         else:
             preds[s] = acc[s].argmax()
     return preds, np.minimum(first, horizon)
@@ -296,6 +331,39 @@ def test_early_exit_matches_full_horizon_forward(monkeypatch, arch, overrides, g
     assert np.array_equal(rate_res.steps, np.full(len(images), rate_spec.horizon))
     assert_totals_match_tape(rate_res, rate_spec, rate_tape, rate_res.steps)
 
+    # a stochastic network's draws are keyed by (seed, layer, step, sample
+    # index): a full-horizon forward on the same keyed streams, every sample
+    # drawn at every step, gives the early-exit results, and its spike counts
+    # the rate results
+    sf_spec = sf.build(arch, "S-F-BPTT", overrides)
+    out_w = f"layer{len(sf_spec.layers) - 1}.w"
+    # lower output weights and 40 samples: whatever the draws, samples exit
+    # at several steps and some time out (so at every seed in 0..29)
+    sf_params = dict(params, **{out_w: params[out_w] - {"mlp2": 0.15, "lenet5": 0.08}[arch]})
+    sf_rng = np.random.default_rng(15)
+    sf_images = sf_rng.uniform(size=(40, 1, 28, 28)) * (sf_rng.uniform(size=(40, 1, 28, 28)) < 0.3)
+    seed = 4
+    streams = [RngStream(seed, i, counter=1) for i, _ in sf_spec.weighted_layers()]
+    sf_records, sf_tape = sf.forward(sf_spec, sf_params, sf.encode_direct(sf_images, horizon),
+                                     streams, rows=np.arange(len(sf_images)))
+    out_v = sf_tape.traces[-1].v
+    sf_preds, sf_lat = fts_from_full_horizon(sf_records[-1], out_v, sf.neurons.sigmoid(out_v))
+    sf_rate = sf_records[-1].sum(axis=0).argmax(axis=1)
+    assert (sf_lat < horizon).any() and (sf_lat == horizon).any()
+    assert len(np.unique(sf_lat)) > 2
+
+    def check_stochastic():
+        res = run_network(sf_spec, sf_params, sf_images, batch_size=5, seed=seed)
+        assert np.array_equal(res.predictions, sf_preds)
+        assert np.array_equal(res.latencies, sf_lat)
+        assert np.array_equal(res.steps, sf_lat)
+        assert_totals_match_tape(res, sf_spec, sf_tape, sf_lat)
+        res = run_network(sf_spec, sf_params, sf_images, mode="rate", batch_size=5, seed=seed)
+        assert np.array_equal(res.predictions, sf_rate)
+        assert_totals_match_tape(res, sf_spec, sf_tape, res.steps)
+
+    check_stochastic()
+
     # row blocks of 1, 3 and 4 rows in the batches of 5, 5 and 2, the last
     # block of a batch often short, each stepped through all its timesteps:
     # the same results
@@ -310,6 +378,7 @@ def test_early_exit_matches_full_horizon_forward(monkeypatch, arch, overrides, g
         assert np.array_equal(res.predictions, rate_preds), rows
         assert np.array_equal(res.steps, np.full(len(images), rate_spec.horizon)), rows
         assert_totals_match_tape(res, rate_spec, rate_tape, res.steps)
+        check_stochastic()
 
 
 @pytest.mark.parametrize("arch,overrides,gain,n", [
@@ -337,25 +406,15 @@ def test_noisy_inference_is_batch_size_invariant(arch, overrides, gain, n):
     ("mlp2", {"hidden": 32, "horizon": 12}, 2.0),
     ("lenet5", {"horizon": 6}, 3.0),
 ])
-def test_stochastic_and_noisy_runs_match_reference_run_network(monkeypatch, arch, overrides,
-                                                               gain):
-    # a stochastic network's draws are keyed by batch and made at the shape
-    # of the active set, and a noisy run recomputes layer 0's drive at every
-    # step: both keep one block per batch, so however small the blocks of
-    # a clean deterministic run, they give the reference loop's bits
+def test_noisy_runs_match_reference_run_network(monkeypatch, arch, overrides, gain):
+    # a noisy run recomputes layer 0's drive at every step and keeps one
+    # block per batch, so however small the blocks of a clean run, it gives
+    # the reference loop's bits
     shrink_blocks(monkeypatch, 2)
-    params = {k: w * gain for k, w in
-              sf.init_params(sf.build(arch, "D-F-BPTT", overrides), RngStream(3, 0)).items()}
+    det = sf.build(arch, "D-F-BPTT", overrides)
+    params = {k: w * gain for k, w in sf.init_params(det, RngStream(3, 0)).items()}
     rng = np.random.default_rng(13)
     images = rng.uniform(size=(12, 1, 28, 28)) * (rng.uniform(size=(12, 1, 28, 28)) < 0.3)
-    stoch = sf.build(arch, "S-F-BPTT", overrides)
-    for mode in ("first-to-spike", "rate"):
-        for batch_size in (5, 512):
-            got = run_network(stoch, params, images, mode=mode, seed=4, batch_size=batch_size)
-            want = oracles.run_network(stoch, params, images, mode=mode, seed=4,
-                                       batch_size=batch_size)
-            assert_same_result(got, want)
-    det = sf.build(arch, "D-F-BPTT", overrides)
     noisy = dict(batch_size=5, input_noise_std=0.3, noise_seed=21)
     got = run_network(det, params, images, **noisy)
     assert_same_result(got, oracles.run_network(det, params, images, **noisy))

@@ -213,9 +213,10 @@ def test_step_returns_the_states_own_buffers(kind):
     drive0 = synaptic_drive(spec.layers[0], params["layer0.w"], x)
     streams = [RngStream(1, i) for i in range(len(spec.neuron_layers()))]
     states = {}
-    sf.step(spec, params, drive0, states, streams)
+    rows = np.arange(3)
+    sf.step(spec, params, drive0, states, streams, rows)
     buffers = {i: (s.v, s.fired_prev) for i, s in states.items()}
-    outs = sf.step(spec, params, drive0, states, streams)
+    outs = sf.step(spec, params, drive0, states, streams, rows)
     assert sorted(states) == [i for i, _ in spec.weighted_layers()]
     for i, (v, fired_prev) in buffers.items():
         assert states[i].v is v and states[i].fired_prev is fired_prev

@@ -150,11 +150,12 @@ def test_stoch_lif_step_matches_formula_without_touching_inputs():
     state = LayerState(v=rng.normal(size=(4, 6)), fired_prev=np.ones((4, 6)))
     drive = rng.normal(size=(4, 6))
     v0, d0 = state.v.copy(), drive.copy()
-    new, spikes, probs = stoch_lif_step(state, layer, drive, RngStream(5, 2))
+    rows = np.array([9, 2, 40, 3])
+    new, spikes, probs = stoch_lif_step(state, layer, drive, RngStream(5, 2), rows=rows)
     v = (0.7 * v0 + d0) / 1.3
     assert np.array_equal(new.v, v)
     assert np.array_equal(probs, sigmoid(v))
-    u = rng_uniform(RngStream(5, 2), v.shape)
+    u = rng_uniform(RngStream(5, 2), v.shape, rows=rows)
     assert np.array_equal(spikes, (u < probs).astype(np.float64))
     assert spikes.dtype == np.float64 and new.fired_prev is spikes
     # the in-place kernel leaves its inputs alone and shares no result buffer
@@ -177,8 +178,10 @@ def test_lif_step_into_its_own_state_equals_fresh_state(neuron, shape):
                     else (stoch_lif_step, oracles.stoch_lif_step))
 
     def advance(fn, state, drive, stream, **out):
-        args = (state, layer, drive) if neuron == "det" else (state, layer, drive, stream)
-        new, *outs = fn(*args, **out)        # spikes, and probs if stochastic
+        if neuron == "det":
+            new, *outs = fn(state, layer, drive, **out)
+        else:
+            new, *outs = fn(state, layer, drive, stream, rows=np.arange(shape[0]), **out)        # spikes, and probs if stochastic
         return new, [a.tobytes() for a in outs]
 
     drives = np.random.default_rng(11).normal(0.3, 1.0, size=(20,) + shape)
@@ -207,7 +210,7 @@ def test_lif_states_of_another_shape_are_rejected():
     state = rest((3, 4))
     for call in (lambda out: det_lif_step(state, det(), np.zeros((3, 4)), out=out),
                  lambda out: stoch_lif_step(state, stoch(), np.zeros((3, 4)),
-                                            RngStream(0), out=out)):
+                                            RngStream(0), rows=np.arange(3), out=out)):
         with pytest.raises(ShapeError):
             call(rest((3, 5)))
 
@@ -234,10 +237,10 @@ def test_stoch_lif_membrane_and_probs():
     layer = stoch(k=2.0, leak=0.7)
     state = rest((1,))
     stream = RngStream(0, 0)
-    state, _, p1 = stoch_lif_step(state, layer, np.array([1.0]), stream)
+    state, _, p1 = stoch_lif_step(state, layer, np.array([1.0]), stream, rows=[0])
     assert state.v[0] == pytest.approx(0.5)
     assert p1[0] == pytest.approx(sigmoid(np.array([0.5]))[0])
-    state, _, _ = stoch_lif_step(state, layer, np.array([1.0]), stream)
+    state, _, _ = stoch_lif_step(state, layer, np.array([1.0]), stream, rows=[0])
     assert state.v[0] == pytest.approx((0.7 * 0.5 + 1.0) / 2.0)
 
 
@@ -245,8 +248,8 @@ def test_stoch_lif_no_reset_after_firing():
     layer = stoch(k=1.0, leak=0.5)
     state = rest((1,))
     stream = RngStream(0, 1)
-    state, _, _ = stoch_lif_step(state, layer, np.array([10.0]), stream)
-    state, _, _ = stoch_lif_step(state, layer, np.array([0.0]), stream)
+    state, _, _ = stoch_lif_step(state, layer, np.array([10.0]), stream, rows=[0])
+    state, _, _ = stoch_lif_step(state, layer, np.array([0.0]), stream, rows=[0])
     # pure leak, no threshold subtraction regardless of the (certain) spike
     assert state.v[0] == pytest.approx(5.0)
 
@@ -256,15 +259,15 @@ def test_stoch_lif_spike_frequency_matches_probability():
     stream = RngStream(3, 9)
     drive = np.full(20000, 0.8)
     state = rest(drive.shape)
-    _, spikes, probs = stoch_lif_step(state, layer, drive, stream)
+    _, spikes, probs = stoch_lif_step(state, layer, drive, stream, rows=np.arange(20000))
     assert abs(spikes.mean() - probs[0]) < 0.02
 
 
 def test_stoch_lif_reproducible_given_stream():
     layer = stoch()
     d = np.zeros(50)
-    _, a, _ = stoch_lif_step(rest(d.shape), layer, d, RngStream(4, 4))
-    _, b, _ = stoch_lif_step(rest(d.shape), layer, d, RngStream(4, 4))
+    _, a, _ = stoch_lif_step(rest(d.shape), layer, d, RngStream(4, 4), rows=np.arange(50))
+    _, b, _ = stoch_lif_step(rest(d.shape), layer, d, RngStream(4, 4), rows=np.arange(50))
     assert np.array_equal(a, b)
 
 

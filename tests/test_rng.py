@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from spikefirst.errors import ParameterError, ShapeError
 from spikefirst.rng import RngStream, rng_gaussian, rng_uniform
 
+import oracles
+
 
 def test_same_state_same_draws():
     a = rng_uniform(RngStream(7, 3), (100,))
@@ -205,11 +207,96 @@ def test_keyed_rows_need_one_id_per_row():
         rng_gaussian(RngStream(0), (), rows=[0])
 
 
+# ------------------------------------------------------ keyed uniform rows
+
+@pytest.mark.parametrize("seed,stream_id,counter", [
+    (0, 0, 0), (7, 3, 1), (2**64 - 3, 2**63 + 5, 2**64 - 1), (99, 2**33 + 5, 20),
+])
+def test_keyed_uniforms_match_scalar_reference(seed, stream_id, counter):
+    # row ids past 2**32 and 2**63, and an odd row width: the last word's
+    # high half is drawn and dropped
+    rows = np.array([0, 1, 5, 2**32 + 1, 2**40 + 3, 2**63 + 7, 2**64 - 1], dtype=np.uint64)
+    s = RngStream(seed, stream_id, counter=counter)
+    x = rng_uniform(s, (len(rows), 3, 5), rows=rows)
+    assert s.counter == (counter + 1) & (2**64 - 1)
+    flat = x.reshape(len(rows), 15)
+    for i, row in enumerate(rows.tolist()):
+        for col in range(15):
+            want = oracles.keyed_uniform(seed, stream_id, counter, row, col)
+            assert flat[i, col] == want, (row, col)
+
+
+def test_keyed_uniforms_into_buffer_equal_fresh_draw():
+    buf = np.full((6, 7), np.nan)
+    rows = np.arange(10, 16)
+    got = rng_uniform(RngStream(4, 2, counter=3), buf.shape, rows=rows, out=buf)
+    assert got is buf
+    assert got.tobytes() == rng_uniform(RngStream(4, 2, counter=3), buf.shape,
+                                        rows=rows).tobytes()
+
+
+@given(st.lists(st.integers(0, 2**40), min_size=1, max_size=12, unique=True),
+       st.integers(0, 2**20), st.randoms(use_true_random=False))
+@settings(max_examples=25, deadline=None)
+def test_keyed_uniform_rows_equal_rows_drawn_one_at_a_time(rows, counter, rnd):
+    # any subset, in any order: a row depends only on its own id
+    rnd.shuffle(rows)
+    x = rng_uniform(RngStream(11, 4, counter=counter), (len(rows), 2, 3), rows=np.array(rows))
+    for i, row in enumerate(rows):
+        one = rng_uniform(RngStream(11, 4, counter=counter), (1, 2, 3), rows=[row])
+        assert np.array_equal(x[i], one[0]), row
+
+
+def test_keyed_uniform_moments():
+    # 256 x 800 = 204800 values: the standard errors of the mean and the
+    # variance (1/12) are 6.4e-4 and 1.9e-4, so both bounds sit about 6
+    # errors out; no value leaves [0, 1), and the deciles fill evenly
+    x = rng_uniform(RngStream(3, 1), (256, 800), rows=np.arange(256))
+    assert x.min() >= 0.0 and x.max() < 1.0
+    assert abs(x.mean() - 0.5) < 0.004
+    assert abs(x.var() - 1 / 12) < 0.0012
+    counts = np.bincount((x * 10).astype(int).ravel(), minlength=10)
+    assert np.abs(counts / x.size - 0.1).max() < 0.004
+
+
+def test_keyed_uniforms_uncorrelated_across_rows_columns_steps_and_layers():
+    # neighbouring sample ids and neurons at one step, one id at consecutive
+    # steps, and two layers' streams: 255 x 800 pairs give a correlation
+    # standard error of 2.2e-3
+    ids = np.arange(5000, 5256)
+
+    def draw(layer, counter):
+        return rng_uniform(RngStream(9, layer, counter=counter), (256, 800), rows=ids)
+
+    a = draw(0, 1)
+    pairs = {"rows": (a[:-1], a[1:]), "columns": (a[:, :-1], a[:, 1:]),
+             "steps": (a, draw(0, 2)), "layers": (a, draw(1, 1))}
+    for what, (x, y) in pairs.items():
+        assert abs(np.corrcoef(x.ravel(), y.ravel())[0, 1]) < 0.011, what
+
+
+def test_keyed_rows_are_far_apart_on_the_weyl_counter():
+    # row r's words start rows * _ROW_STEP after row 0's, so two rows share
+    # a word only if their distance times _ROW_STEP is a small multiple of
+    # the increment: for rows under 2**20 apart it is over 2**40 increments
+    from spikefirst.rng import _GAMMA, _ROW_STEP
+    steps = np.arange(1, 1 << 20, dtype=np.uint64) * np.uint64(
+        _ROW_STEP * pow(_GAMMA, -1, 1 << 64) % (1 << 64))
+    assert np.minimum(steps, -steps).min() > 1 << 40
+
+
+def test_keyed_uniforms_need_one_id_per_row():
+    with pytest.raises(ParameterError):
+        rng_uniform(RngStream(0), (3, 2), rows=[0, 1])
+    with pytest.raises(ParameterError):
+        rng_uniform(RngStream(0), (), rows=[0])
+
+
 def test_inference_noise_never_meets_bernoulli_streams(monkeypatch):
-    # Keyed rows set counter word 3 to 1; uniform draws leave it 0.  So with
-    # noise_seed == seed, which gives the first Bernoulli stream the noise
-    # stream's key, no noise block is a Bernoulli block: the raw Philox
-    # words they consume share nothing.
+    # With noise_seed == seed the noise stream and the first Bernoulli stream
+    # share (seed, stream_id), yet they never meet: the noise is Philox and
+    # the Bernoulli draws the SplitMix64 hash, and every draw of each kind
+    # equals its own reference, keyed by the sample's index in the dataset
     from spikefirst import inference, neurons
     from spikefirst.network import LayerSpec, NetworkSpec
 
@@ -217,10 +304,9 @@ def test_inference_noise_never_meets_bernoulli_streams(monkeypatch):
 
     def recording(kind, fn):
         def draw(stream, shape, *args, **kwargs):
-            calls.append((kind, (stream.seed, stream.stream_id, stream.counter),
-                          kwargs.get("rows")))
+            state = (stream.seed, stream.stream_id, stream.counter)
             out = fn(stream, shape, *args, **kwargs)
-            calls[-1] += (out,)
+            calls.append((kind, state, np.asarray(kwargs["rows"]), out.copy()))
             return out
         return draw
 
@@ -241,18 +327,18 @@ def test_inference_noise_never_meets_bernoulli_streams(monkeypatch):
     keys = {kind: {state[:2] for k, state, _, _ in calls if k == kind}
             for kind in ("uniform", "gaussian")}
     assert keys["uniform"] & keys["gaussian"]
-    bernoulli, noise = set(), set()
-    for kind, (s_seed, stream_id, counter), rows, out in calls:
-        assert s_seed == seed
-        if kind == "uniform":
-            block = _philox_at((s_seed, stream_id, counter))
-            bernoulli.update(block.bit_generator.random_raw(out.size).tolist())
-            continue
-        for row, values in zip(rows.tolist(), out):
-            block = _row_block(s_seed, stream_id, counter, row)
-            ref = np.random.Generator(block).standard_normal(values.shape) * std
-            assert np.array_equal(values, ref)
-            noise.update(_row_block(s_seed, stream_id, counter, row)
-                         .random_raw(values.size).tolist())
-    assert len(bernoulli) == 40 * 26 * 6 and len(noise) == 40 * 20 * 6
-    assert not bernoulli & noise
+    drawn = {"uniform": set(), "gaussian": set()}
+    for kind, state, rows, out in calls:
+        assert state[0] == seed
+        for row, values in zip(rows.tolist(), out.reshape(len(rows), -1)):
+            drawn[kind].add((state[1:], row))
+            if kind == "uniform":
+                want = [oracles.keyed_uniform(*state, row, col) for col in range(values.size)]
+            else:
+                want = np.random.Generator(_row_block(*state, row)).standard_normal(
+                    values.size) * std
+            assert np.array_equal(values, want), (kind, state, row)
+    # each sample drew once per step: 16 + 10 Bernoulli values in two layers
+    # and 20 noise values
+    assert len(drawn["uniform"]) == 40 * 2 * 6 and len(drawn["gaussian"]) == 40 * 6
+    assert sum(out.size for kind, *_, out in calls if kind == "uniform") == 40 * 26 * 6

@@ -11,9 +11,10 @@ import pytest
 # the module itself for monkeypatching
 train_mod = importlib.import_module("spikefirst.train")
 from spikefirst.checkpoint import load_checkpoint, save_checkpoint
-from spikefirst.data import Dataset
+from spikefirst.data import Dataset, encode_direct
 from spikefirst.errors import NumericalError, ParameterError
 from spikefirst.metrics import evaluate
+from spikefirst.rng import RngStream
 from spikefirst.train import (AdamState, PRESETS, TrainConfig, TrainingDiverged,
                               adam_step, lr_at, train, write_log_csv)
 
@@ -108,10 +109,16 @@ def test_config_validation():
                        ({"lr": float("nan")}, "lr"), ({"lr": float("inf")}, "lr"),
                        ({"weight_decay": -1e-4}, "weight decay"),
                        ({"weight_decay": float("nan")}, "weight decay"),
-                       ({"weight_decay": float("inf")}, "weight decay")):
+                       ({"weight_decay": float("inf")}, "weight decay"),
+                       # a leak outside [0, 1] failed only inside build, and
+                       # nan not at all
+                       ({"lambda_leak": 1.5}, "leak"), ({"lambda_leak": -0.1}, "leak"),
+                       ({"lambda_leak": float("nan")}, "leak")):
         with pytest.raises(ParameterError, match=match):
             TrainConfig(**bad)
     assert TrainConfig(hidden=1, weight_decay=0.0).weight_decay == 0.0
+    assert TrainConfig(lambda_leak=0.0).lambda_leak == 0.0
+    assert TrainConfig(lambda_leak=1.0).lambda_leak == 1.0
 
 
 @pytest.mark.parametrize("step", [0, -2])
@@ -175,9 +182,8 @@ def test_train_tracks_best_accuracy():
 
 
 def test_logged_test_acc_equals_evaluate_for_stochastic_model():
-    # a stochastic model's predictions depend on the simulation batch, so the
-    # log matches `spikefirst eval` only if both use run_network's default
-    # batch; the test set is larger than that batch
+    # the log and `spikefirst eval` key a stochastic model's draws by the
+    # same seed and sample indices; the test set is larger than one batch
     ds = synthetic_mnist_like(40)
     test = synthetic_mnist_like(700, seed=1)
     seen = []
@@ -185,6 +191,47 @@ def test_logged_test_acc_equals_evaluate_for_stochastic_model():
                        epoch_hook=lambda row, snap: seen.append(evaluate(snap, test).accuracy))
     assert [r["test_acc"] for r in rows] == seen
     assert ckpt.best_accuracy == evaluate(ckpt, test).accuracy
+
+
+def test_stochastic_training_draws_do_not_depend_on_the_batch(monkeypatch):
+    # training draws are keyed by (epoch, layer, step, dataset index): with
+    # the weights held still, each sample fires the same spikes in an epoch
+    # of batches of 20 as of 7, and forward on a reordered subset of a
+    # batch's rows gives those rows of forward on the whole batch
+    ds = synthetic_mnist_like(40)
+    forward = train_mod.net_forward
+    monkeypatch.setattr(train_mod, "adam_step", lambda *args, **kwargs: None)
+    seen = {}
+    for batch_size in (20, 7):
+        spikes = seen[batch_size] = {}
+
+        def recording(spec, params, encoded, streams, rows):
+            records, tape = forward(spec, params, encoded, streams, rows=rows)
+            for i, row in enumerate(rows.tolist()):
+                spikes[row] = [r[:, i].copy() for r in records]
+            return records, tape
+
+        monkeypatch.setattr(train_mod, "net_forward", recording)
+        ckpt, _ = train(tiny_config(model_kind="S-F-BPTT", lambda_leak=0.7, epochs=1,
+                                    batch_size=batch_size), ds)
+    assert sorted(seen[20]) == sorted(seen[7]) == list(range(40))
+    for row in range(40):
+        for a, b in zip(seen[20][row], seen[7][row]):
+            assert np.array_equal(a, b), row
+    rate = np.mean([s[0].mean() for s in seen[20].values()])
+    assert 0.05 < rate < 0.95
+
+    idx = np.array([31, 4, 17, 9, 22, 38, 0])
+
+    def keyed_forward(rows):
+        streams = [RngStream(6, 100 + li) for li in range(2)]
+        return forward(ckpt.spec, ckpt.params,
+                       encode_direct(ds.images[rows], ckpt.spec.horizon), streams, rows=rows)[0]
+
+    whole = keyed_forward(idx)
+    sub = np.array([5, 0, 3])
+    for w, part in zip(whole, keyed_forward(idx[sub])):
+        assert np.array_equal(w[:, sub], part)
 
 
 @pytest.mark.parametrize("epochs", [1, 3])

@@ -85,8 +85,11 @@ def test_config_validation():
             DeConfig(max_generations=generations)
     with pytest.raises(ParameterError):
         de_minimize(sphere, np.array([[1.0, 0.0]]), DeConfig())
-    with pytest.raises(ParameterError):
-        de_minimize(sphere, np.tile([0.0, 1.0], (2, 1)), DeConfig(pop_size=3))
+    # DE/rand/1 draws three others per member; 0 picks the size from the bounds
+    for pop in (1, 3, -1):
+        with pytest.raises(ParameterError, match="pop_size"):
+            DeConfig(pop_size=pop)
+    assert DeConfig(pop_size=4).pop_size == 4
     for bounds in ([[np.nan, 1.0]], [[0.5, np.inf]], [[-np.inf, 1.0]],
                    [[0.0, 1.0], [1.0, np.nan]]):
         with pytest.raises(ParameterError, match="finite"):
