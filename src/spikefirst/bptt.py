@@ -31,7 +31,11 @@ layer adds step t's contribution to its weight gradient (one GEMM, or one
 ``conv2d_backward``) and passes the input gradient down.  So every gradient
 that moves between layers is one step's (N, ...) array, and the gradient
 memory is O(N * width) whatever the horizon; only the tape and the
-(T, N, n_out) loss gradient grow with T.  Layer 0 adds its drive gradient
+(T, N, n_out) loss gradient grow with T.  N is the tape's rows: training
+(``train.train``) records and sweeps one row block of a batch at a time,
+64 rows for the 800-unit mlp2, and sums the blocks' weight gradients, so
+both bounds hold per block, and the (N, ...) buffers stay in cache from
+one step to the next.  Layer 0 adds its drive gradient
 into one (N, ...) sum over time, which one GEMM or one ``conv2d_backward``
 turns into its weight gradient after the sweep.  The gradient with respect
 to the network input is never computed, since nothing reads it.

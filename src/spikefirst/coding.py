@@ -31,6 +31,11 @@ class LossValue:
     ``grad`` has the shape of the loss function's input.  Turning it into the
     (T, N, n) gradient at the output layer that ``bptt.backward`` takes is
     ``train._batch_loss``'s job, which also picks the loss.
+
+    Each loss function's ``batch_size`` (default: the rows given) divides
+    the sum over the rows.  Training passes the whole batch's size for each
+    row block of it, so the blocks' values add up to the batch mean and each
+    block's gradient rows are the whole batch's, bit for bit.
     """
 
     value: float
@@ -52,16 +57,18 @@ def fts_softmax(first_times: np.ndarray) -> np.ndarray:
     return _softmax(-np.asarray(first_times, dtype=np.float64))
 
 
-def fts_ce_loss_batch(first_times: np.ndarray, targets: np.ndarray) -> LossValue:
+def fts_ce_loss_batch(first_times: np.ndarray, targets: np.ndarray,
+                      batch_size: int | None = None) -> LossValue:
     """Mean temporal cross-entropy over a batch; grad is w.r.t. each time."""
     t = np.asarray(first_times, dtype=np.float64)
     n_samples, n = t.shape
+    batch_size = n_samples if batch_size is None else batch_size
     p = fts_softmax(t)
     idx = np.arange(n_samples)
-    value = -np.log(p[idx, targets]).mean()
+    value = -np.log(p[idx, targets]).sum() / batch_size
     onehot = np.zeros_like(p)
     onehot[idx, targets] = 1.0
-    grad = (onehot - p) / n_samples
+    grad = (onehot - p) / batch_size
     return LossValue(value=float(value), grad=grad)
 
 
@@ -69,7 +76,8 @@ def _softplus(x: np.ndarray) -> np.ndarray:
     return np.logaddexp(0.0, x)
 
 
-def ml_loss_logits_batch(v: np.ndarray, targets: np.ndarray) -> LossValue:
+def ml_loss_logits_batch(v: np.ndarray, targets: np.ndarray,
+                         batch_size: int | None = None) -> LossValue:
     """Mean ML first-spike loss with the gradient fused through the sigmoid.
 
     ``v`` is the (N, T, n) table of output-layer membrane potentials whose
@@ -87,6 +95,7 @@ def ml_loss_logits_batch(v: np.ndarray, targets: np.ndarray) -> LossValue:
     v = np.asarray(v, dtype=np.float64)
     targets = np.asarray(targets)
     n_samples, horizon, n = v.shape
+    batch_size = n_samples if batch_size is None else batch_size
     idx = np.arange(n_samples)
     p = sigmoid(v)
     lp = -_softplus(-v)                                       # log p
@@ -105,16 +114,18 @@ def ml_loss_logits_batch(v: np.ndarray, targets: np.ndarray) -> LossValue:
     grads = suffix[:, :, None] * p
     pc = p[idx, :, targets]
     grads[idx, :, targets] = -(r * (1.0 - pc) - suffix_next * pc)
-    return LossValue(value=float(losses.mean()), grad=grads / n_samples)
+    return LossValue(value=float(losses.sum() / batch_size), grad=grads / batch_size)
 
 
-def rate_ce_loss_batch(acc: np.ndarray, targets: np.ndarray) -> LossValue:
+def rate_ce_loss_batch(acc: np.ndarray, targets: np.ndarray,
+                       batch_size: int | None = None) -> LossValue:
     """Mean rate cross-entropy over a batch of accumulations (N, n)."""
     acc = np.asarray(acc, dtype=np.float64)
     n_samples = acc.shape[0]
+    batch_size = n_samples if batch_size is None else batch_size
     idx = np.arange(n_samples)
     p = _softmax(acc)
-    value = -np.log(np.maximum(p[idx, targets], np.finfo(np.float64).tiny)).mean()
+    value = -np.log(np.maximum(p[idx, targets], np.finfo(np.float64).tiny)).sum() / batch_size
     onehot = np.zeros_like(p)
     onehot[idx, targets] = 1.0
-    return LossValue(value=float(value), grad=(p - onehot) / n_samples)
+    return LossValue(value=float(value), grad=(p - onehot) / batch_size)

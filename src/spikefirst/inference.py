@@ -21,10 +21,11 @@ batch of ``batch_size`` rows; the batch is then cut into row blocks, and
 each block runs all of its timesteps, with its own active set, layer states
 and output accumulator, before the next block starts.  A block is sized so
 that its widest neuron layer's membrane, spike and drive arrays fit a 2 MiB
-L2 cache (``_block_rows``), so its state stays in cache from one step to
-the next instead of streaming through memory at every step.  Rows are
-independent, and every random draw is keyed by the sample's index in the
-dataset, so no draw depends on the blocking or the batch.
+L2 cache (``network.block_rows``, which training shares), so its state
+stays in cache from one step to the next instead of streaming through
+memory at every step.  Rows are independent, and every random draw is keyed
+by the sample's index in the dataset, so no draw depends on the blocking or
+the batch.
 Only a noisy run keeps one block per batch: it recomputes layer 0's drive at
 every step, a GEMM that gets too thin in small blocks.
 """
@@ -39,14 +40,8 @@ import numpy as np
 from .errors import ParameterError
 # sigmoid is re-exported: bench/test_bench.py reaches it through this module
 from .neurons import LayerState, sigmoid  # noqa: F401
-from .network import CODINGS, NetworkSpec, layer_shapes, step, synaptic_drive
+from .network import CODINGS, NetworkSpec, block_rows, step, synaptic_drive
 from .rng import RngStream, rng_gaussian
-
-# a block's widest neuron layer (v, fired_prev and drive, float64) fits this
-# L2 size; blocks are powers of two of at least _MIN_BLOCK_ROWS rows
-_L2_BYTES = 2 << 20
-_BYTES_PER_NEURON = 24
-_MIN_BLOCK_ROWS = 8
 
 
 @dataclass
@@ -59,15 +54,6 @@ class InferenceResult:
     # neuron layer or the pooled values of a pool layer.
     input_total: float = 0.0
     layer_totals: list = field(default_factory=list)
-
-
-def _block_rows(spec: NetworkSpec, images: np.ndarray) -> int:
-    """Rows per block: the largest power of two whose widest neuron layer
-    fits ``_L2_BYTES``, and at least ``_MIN_BLOCK_ROWS``."""
-    shapes = layer_shapes(spec, images.shape[-2:])
-    widest = max(math.prod(shapes[i]) for i, _ in spec.weighted_layers())
-    fit = _L2_BYTES // (_BYTES_PER_NEURON * widest)
-    return max(_MIN_BLOCK_ROWS, 1 << max(fit.bit_length() - 1, 0))
 
 
 def run_network(spec: NetworkSpec, params: dict, images: np.ndarray,
@@ -89,8 +75,8 @@ def run_network(spec: NetworkSpec, params: dict, images: np.ndarray,
     ``batch_size`` is the number of rows per layer-0 GEMM or conv, and it
     bounds memory: layer 0's drive is held for one batch at a time.  Within
     a batch the network is simulated block-major (see the module docstring),
-    each block of ``_block_rows`` rows through all its steps.  A noisy run,
-    whose layer-0 GEMM runs at every step, takes one block per batch.
+    each block of ``network.block_rows`` rows through all its steps.  A noisy
+    run, whose layer-0 GEMM runs at every step, takes one block per batch.
     """
     if mode not in CODINGS:
         raise ParameterError(f"unknown inference mode {mode!r}")
@@ -119,7 +105,8 @@ def run_network(spec: NetworkSpec, params: dict, images: np.ndarray,
     noise = RngStream(noise_seed) if input_noise_std > 0 else None
 
     # blocking would thin a noisy run's per-step GEMM: it keeps one block per batch
-    block = batch_size if noise is not None else min(_block_rows(spec, images), batch_size)
+    block = (batch_size if noise is not None
+             else min(block_rows(spec, images.shape[-2:]), batch_size))
 
     for b_start in range(0, n_total, batch_size):
         b_end = min(b_start + batch_size, n_total)

@@ -21,6 +21,7 @@ adjusts per layer.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -47,6 +48,12 @@ POOL_MODES = ("average", "max")
 DET_LEAK = 0.9
 STOCH_LEAK = 0.7
 DEFAULT_HIDDEN = 800
+
+# a block's widest neuron layer (v, fired_prev and drive, float64) fits this
+# L2 size; blocks are powers of two of at least _MIN_BLOCK_ROWS rows
+_L2_BYTES = 2 << 20
+_BYTES_PER_NEURON = 24
+_MIN_BLOCK_ROWS = 8
 
 
 @dataclass
@@ -275,6 +282,18 @@ def layer_shapes(spec: NetworkSpec, input_hw: tuple) -> list:
             h, w = h // layer.window, w // layer.window
         shapes.append((c, h, w))
     return shapes
+
+
+def block_rows(spec: NetworkSpec, input_hw: tuple) -> int:
+    """Rows per block of a block-major simulation, for (H, W) inputs: the
+    largest power of two whose widest neuron layer fits ``_L2_BYTES``, and at
+    least ``_MIN_BLOCK_ROWS``.  Training and evaluation both step a batch
+    one block of rows at a time, so that a block's state stays in cache from
+    one step to the next."""
+    shapes = layer_shapes(spec, input_hw)
+    widest = max(math.prod(shapes[i]) for i, _ in spec.weighted_layers())
+    fit = _L2_BYTES // (_BYTES_PER_NEURON * widest)
+    return max(_MIN_BLOCK_ROWS, 1 << max(fit.bit_length() - 1, 0))
 
 
 def init_params(spec: NetworkSpec, stream: RngStream) -> dict:

@@ -20,7 +20,8 @@ from .coding import fts_ce_loss_batch, ml_loss_logits_batch, rate_ce_loss_batch
 from .data import Dataset, encode_direct
 from .errors import NumericalError, ParameterError
 from .inference import run_network
-from .network import build, forward as net_forward, init_params, normalize_model_kind
+from .network import (block_rows, build, forward as net_forward, init_params,
+                      normalize_model_kind)
 from .neurons import first_spike_times
 from .rng import RngStream, rng_uniform
 
@@ -162,21 +163,25 @@ def lr_at(epoch: int, config: TrainConfig) -> float:
     return config.lr * config.scheduler_gamma ** (epoch // config.scheduler_step)
 
 
-def _batch_loss(spec, tape, labels):
+def _batch_loss(spec, tape, labels, batch_size=None):
     """``spec``'s loss on one taped batch: (value, the (T, N, n) gradient at
     the output layer that ``backward`` takes).  S-F: the ML first-spike loss,
     fused through the output sigmoid to survive saturation; D-R: rate
     cross-entropy, the same gradient at every step; D-F: temporal
-    cross-entropy, routed to first-spike steps by the sign estimator."""
+    cross-entropy, routed to first-spike steps by the sign estimator.
+
+    The tape may hold a row block of a batch of ``batch_size`` rows (default:
+    the tape's own rows): the value is then the block's share of the batch
+    mean and the gradient rows are those of the whole batch."""
     out = tape.traces[-1]
     if spec.model_kind == "S-F-BPTT":
-        loss = ml_loss_logits_batch(np.moveaxis(out.v, 0, 1), labels)
+        loss = ml_loss_logits_batch(np.moveaxis(out.v, 0, 1), labels, batch_size)
         return loss.value, np.moveaxis(loss.grad, 1, 0)
     if spec.model_kind == "D-R-BPTT":
-        loss = rate_ce_loss_batch(out.spikes.sum(axis=0), labels)
+        loss = rate_ce_loss_batch(out.spikes.sum(axis=0), labels, batch_size)
         return loss.value, np.broadcast_to(loss.grad, (tape.horizon,) + loss.grad.shape)
     times = first_spike_times(out.spikes)
-    loss = fts_ce_loss_batch(times, labels)
+    loss = fts_ce_loss_batch(times, labels, batch_size)
     return loss.value, sign_estimator_backward(loss.grad, times, tape.horizon)
 
 
@@ -202,6 +207,16 @@ def train(config: TrainConfig, train_ds: Dataset, test_ds: Dataset | None = None
     best-accuracy epoch snapshot, otherwise the final state.  ``resume``
     continues a run bit-exactly from its stored epoch and trains its spec;
     the config's network settings are then not read.
+
+    Each batch runs block-major, as evaluation does: its rows are cut into
+    blocks of ``network.block_rows`` rows, and each block runs forward, loss
+    and backward on its own tape, which is freed before the next block's
+    forward.  A block's membrane state then stays in cache from one step to
+    the next, and the tape, the step's largest allocation, is held for one
+    block rather than the batch.  The losses divide by the batch's size, so
+    the blocks' weight gradients, summed in place, are the batch's up to
+    the order of their sums; one Adam step follows per batch.  Training
+    draws are keyed by dataset index, so no draw depends on the blocking.
     """
     if resume is not None:
         spec = resume.spec
@@ -227,6 +242,7 @@ def train(config: TrainConfig, train_ds: Dataset, test_ds: Dataset | None = None
     best_ckpt = _snapshot(spec, params, adam, start_epoch, config.seed, best_acc)
     last_good = best_ckpt
     n_neuron_layers = len(spec.neuron_layers())
+    block = block_rows(spec, train_ds.images.shape[-2:])
 
     for epoch in range(start_epoch, config.epochs):
         t0 = time.monotonic()
@@ -238,19 +254,33 @@ def train(config: TrainConfig, train_ds: Dataset, test_ds: Dataset | None = None
         try:
             for b, s in enumerate(range(0, n, config.batch_size)):
                 idx = order[s : s + config.batch_size]
-                labels = train_ds.labels[idx]
-                encoded = encode_direct(train_ds.images[idx], spec.horizon)
-                # every batch draws from one stream per (epoch, layer), keyed by dataset index
-                streams = [RngStream(config.seed, stream_id=_STREAM_TRAIN_BASE + (epoch << 8) + li)
-                           for li in range(n_neuron_layers)]
-                tape = net_forward(spec, params, encoded, streams, rows=idx)[1]
-                loss, g_top = _batch_loss(spec, tape, labels)
-                if not np.isfinite(loss):
-                    raise NumericalError(f"loss diverged at epoch {epoch} batch {b}")
-                grads = backward(tape, g_top)
-                # the tape is the step's largest allocation: free it before
-                # Adam's scratch arrays and the next batch's forward pass
-                del tape, g_top
+                # block-major: each row block runs forward, loss and backward
+                # on its own tape, its per-step state kept in cache, and adds
+                # its weight gradients into the batch's
+                loss = 0.0
+                grads = {}
+                for r in range(0, len(idx), block):
+                    rows = idx[r : r + block]
+                    # every block draws step t at counter t of one stream per
+                    # (epoch, layer), keyed by dataset index
+                    streams = [RngStream(config.seed,
+                                         stream_id=_STREAM_TRAIN_BASE + (epoch << 8) + li)
+                               for li in range(n_neuron_layers)]
+                    encoded = encode_direct(train_ds.images[rows], spec.horizon)
+                    tape = net_forward(spec, params, encoded, streams, rows=rows)[1]
+                    block_loss, g_top = _batch_loss(spec, tape, train_ds.labels[rows], len(idx))
+                    loss += block_loss
+                    if not np.isfinite(loss):
+                        raise NumericalError(f"loss diverged at epoch {epoch} batch {b}")
+                    for name, g in backward(tape, g_top).items():
+                        if name in grads:
+                            grads[name] += g
+                        else:
+                            grads[name] = g
+                    # the tape is the step's largest allocation, and g the
+                    # block's last weight gradient: free both before the next
+                    # block's forward pass and Adam's scratch arrays
+                    del tape, g_top, g
                 adam_step(params, grads, adam, lr, config.weight_decay)
                 epoch_loss += loss
                 n_batches += 1

@@ -74,6 +74,22 @@ def test_fts_ce_loss_batch_is_mean():
     assert np.allclose(batch.grad, np.concatenate([s.grad for s in singles]) / 2)
 
 
+@pytest.mark.parametrize("loss_fn,shape", [(fts_ce_loss_batch, (11, 10)),
+                                            (ml_loss_logits_batch, (11, 6, 10)),
+                                            (rate_ce_loss_batch, (11, 10))])
+def test_losses_of_row_blocks_share_the_batch_divisor(loss_fn, shape):
+    # training runs a batch in row blocks and gives each block's loss the
+    # batch's size: the gradient rows are the whole batch's bit for bit and
+    # the values add up to the batch mean
+    x = np.random.default_rng(4).normal(2.0, 3.0, size=shape)
+    targets = np.arange(shape[0]) % shape[-1]
+    whole = loss_fn(x, targets)
+    assert whole.value == loss_fn(x, targets, shape[0]).value
+    blocks = [loss_fn(x[r : r + 4], targets[r : r + 4], shape[0]) for r in range(0, shape[0], 4)]
+    assert np.concatenate([b.grad for b in blocks]).tobytes() == whole.grad.tobytes()
+    assert sum(b.value for b in blocks) == pytest.approx(whole.value, rel=1e-14)
+
+
 def test_fts_ce_loss_target_range():
     with pytest.raises(IndexError):
         fts_ce_loss_batch(np.array([[1.0, 2.0]]), np.array([2]))

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 import spikefirst as sf
-from spikefirst import inference
+from spikefirst import network
 from spikefirst.errors import ParameterError
-from spikefirst.inference import _block_rows, run_network
-from spikefirst.network import LayerSpec, NetworkSpec, synaptic_drive
+from spikefirst.inference import run_network
+from spikefirst.network import LayerSpec, NetworkSpec, block_rows, synaptic_drive
 from spikefirst.neurons import first_spike_times
 from spikefirst.rng import RngStream, rng_gaussian
 
@@ -28,8 +28,8 @@ def identity_params(n):
 def shrink_blocks(monkeypatch, rows):
     """Make ``run_network`` step blocks of ``rows`` rows, whatever the network:
     no block fits an empty budget, so each takes the minimum."""
-    monkeypatch.setattr(inference, "_L2_BYTES", 0)
-    monkeypatch.setattr(inference, "_MIN_BLOCK_ROWS", rows)
+    monkeypatch.setattr(network, "_L2_BYTES", 0)
+    monkeypatch.setattr(network, "_MIN_BLOCK_ROWS", rows)
 
 
 def assert_same_result(got, want):
@@ -427,4 +427,4 @@ def test_noisy_runs_match_reference_run_network(monkeypatch, arch, overrides, ga
     ("vgg15", (1, 3, 32, 32), 8),       # 1.5 MB a row: the minimum
 ])
 def test_block_rows_fit_l2(arch, shape, rows):
-    assert _block_rows(sf.build(arch, "D-F-BPTT"), np.zeros(shape)) == rows
+    assert block_rows(sf.build(arch, "D-F-BPTT"), shape[-2:]) == rows

@@ -2,6 +2,7 @@
 
 import importlib
 import itertools
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -10,10 +11,12 @@ import pytest
 # the package re-exports the train() function under the same name, so fetch
 # the module itself for monkeypatching
 train_mod = importlib.import_module("spikefirst.train")
-from spikefirst.checkpoint import load_checkpoint, save_checkpoint
+from spikefirst import network
+from spikefirst.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from spikefirst.data import Dataset, encode_direct
 from spikefirst.errors import NumericalError, ParameterError
 from spikefirst.metrics import evaluate
+from spikefirst.network import block_rows, build, init_params
 from spikefirst.rng import RngStream
 from spikefirst.train import (AdamState, PRESETS, TrainConfig, TrainingDiverged,
                               adam_step, lr_at, train, write_log_csv)
@@ -360,6 +363,9 @@ def test_divergence_raises_with_last_good_state(monkeypatch):
     real_backward = train_mod.backward
     calls = {"n": 0}
 
+    # backward runs once per row block; the 24-neuron network's blocks are
+    # 2048 rows, so each batch of 20 is one block and one call, and an epoch
+    # of 60 samples is three calls
     def poisoned(tape, g_top):
         calls["n"] += 1
         grads = real_backward(tape, g_top)
@@ -370,19 +376,26 @@ def test_divergence_raises_with_last_good_state(monkeypatch):
     monkeypatch.setattr(train_mod, "backward", poisoned)
     with pytest.raises(TrainingDiverged) as exc:
         train(tiny_config(epochs=3), ds)
+    assert calls["n"] == 4                    # Adam rejected the first NaN batch
     assert exc.value.checkpoint is not None
     assert exc.value.checkpoint.epoch == 1    # the completed first epoch
 
 
 @pytest.mark.parametrize("model_kind", ["D-F-BPTT", "S-F-BPTT", "D-R-BPTT"])
 def test_tape_is_freed_before_the_optimizer_step(monkeypatch, model_kind):
-    # the tape is the step's largest allocation; Adam's scratch arrays and
-    # the end-of-epoch snapshot must not stack on top of it
+    # the tape is the step's largest allocation; the next block's forward
+    # pass, Adam's scratch arrays and the end-of-epoch snapshot must not
+    # stack on top of it.  8-row blocks cut each batch of 20 into 8 + 8 + 4
+    # rows, so every block's tape must be dead before the next block starts
     ds = synthetic_mnist_like(40)
     real_forward, real_adam = train_mod.net_forward, train_mod.adam_step
     taped = []
 
+    def assert_tapes_freed(when):
+        assert all(ref() is None for refs in taped for ref in refs), f"tape alive {when}"
+
     def forward(*args, **kwargs):
+        assert_tapes_freed("during the next block's forward")
         records, tape = real_forward(*args, **kwargs)
         arrays = [a for tr in tape.traces for a in (tr.v, tr.spikes, tr.probs)
                   if a is not None]
@@ -390,14 +403,130 @@ def test_tape_is_freed_before_the_optimizer_step(monkeypatch, model_kind):
         return records, tape
 
     def adam(*args, **kwargs):
-        assert all(ref() is None for ref in taped[-1]), "tape alive during adam_step"
+        assert_tapes_freed("during adam_step")
         return real_adam(*args, **kwargs)
 
+    monkeypatch.setattr(network, "_L2_BYTES", 0)
+    monkeypatch.setattr(network, "_MIN_BLOCK_ROWS", 8)
     monkeypatch.setattr(train_mod, "net_forward", forward)
     monkeypatch.setattr(train_mod, "adam_step", adam)
     leak = 0.7 if model_kind.startswith("S") else 0.9
     train(tiny_config(model_kind=model_kind, lambda_leak=leak, epochs=1), ds)
-    assert len(taped) == 2
+    assert len(taped) == 6                    # two batches of three blocks
+
+
+def _mnist_like(n, seed=5):
+    """``n`` MNIST-shaped images of sparse random pixels, labels 0-9 in turn."""
+    rng = np.random.default_rng(seed)
+    images = rng.uniform(0, 1, size=(n, 1, 28, 28)) * (rng.uniform(size=(n, 1, 28, 28)) < 0.3)
+    return Dataset(images=images, labels=np.arange(n) % 10)
+
+
+def _resumable(arch, model_kind, gain):
+    """A fresh checkpoint of ``arch`` with its initial weights times ``gain``."""
+    spec = build(arch, model_kind, {"hidden": 800} if arch == "mlp2" else {})
+    params = init_params(spec, RngStream(0, 1))
+    return Checkpoint(spec=spec, params={k: gain * w for k, w in params.items()})
+
+
+@pytest.mark.parametrize("model_kind,arch,n,block", [
+    ("D-F-BPTT", "mlp2", 128, 64),
+    ("S-F-BPTT", "mlp2", 128, 64),
+    ("D-R-BPTT", "mlp2", 128, 64),
+    ("D-F-BPTT", "lenet5", 32, 16),
+])
+def test_blocked_step_matches_whole_batch_step(model_kind, arch, n, block):
+    # train cuts each batch into block_rows blocks: a step over two blocks
+    # against the same step with the whole batch as one block.  The spikes
+    # of every sample are equal and the losses' rows are the whole batch's
+    # bit for bit; only the order of the sums over rows differs, so the
+    # summed weight gradients and loss are equal to a few ulps (at most
+    # 2.1e-15 of a weight's largest gradient entry here, 1.8e-15 at batch
+    # 512).  The bound, 1e-13 of the largest entry, leaves room for such
+    # reorderings of sums over hundreds of rows, and a flipped spike, which
+    # changes one sample's contribution, moves a gradient by orders of
+    # magnitude more.  The deterministic weights are scaled up so that every
+    # layer spikes.
+    ckpt = _resumable(arch, model_kind, 1.0 if model_kind.startswith("S") else 4.0)
+    ds = _mnist_like(n)
+    cfg = TrainConfig(model_kind=model_kind, arch=arch, epochs=1, batch_size=n,
+                      lambda_leak=0.7 if model_kind.startswith("S") else 0.9)
+    assert block_rows(ckpt.spec, (28, 28)) == block
+
+    def step(whole_batch):
+        seen = {"rows": [], "spikes": []}
+        forward = train_mod.net_forward
+
+        def recording(*args, **kwargs):
+            records, tape = forward(*args, **kwargs)
+            seen["rows"].append(len(kwargs["rows"]))
+            seen["spikes"].append([r.copy() for r in records])
+            return records, tape
+
+        with pytest.MonkeyPatch.context() as m:
+            if whole_batch:
+                m.setattr(train_mod, "block_rows", lambda spec, input_hw: n)
+            m.setattr(train_mod, "net_forward", recording)
+            m.setattr(train_mod, "adam_step",
+                      lambda params, grads, *args: seen.update(grads=grads))
+            _, log = train(cfg, ds, resume=ckpt)
+        spikes = [np.concatenate(layer, axis=1) for layer in zip(*seen["spikes"])]
+        return seen["rows"], spikes, seen["grads"], log[0]["train_loss"]
+
+    rows, spikes, grads, loss = step(whole_batch=False)
+    whole_rows, whole_spikes, whole_grads, whole_loss = step(whole_batch=True)
+    assert rows == [block] * (n // block) and whole_rows == [n]
+    for layer, (got, want) in enumerate(zip(spikes, whole_spikes)):
+        assert np.array_equal(got, want), f"layer {layer}: a spike flipped"
+        assert 0.02 < got.mean() < 0.98, layer
+    assert abs(loss - whole_loss) <= 1e-13 * abs(whole_loss)
+    assert sorted(grads) == sorted(whole_grads)
+    for name, want in whole_grads.items():
+        err = np.abs(grads[name] - want).max() / np.abs(want).max()
+        assert err <= 1e-13, f"{name}: {err:.2e} of its largest entry"
+
+
+@pytest.mark.parametrize("model_kind", ["D-F-BPTT", "S-F-BPTT", "D-R-BPTT"])
+def test_training_step_peak_memory_is_one_blocks_tape(monkeypatch, model_kind):
+    # one mlp2-800 step at batch 512, T=20, in its 64-row blocks.  From the
+    # first block's forward to Adam, the peak holds one block's tape (its
+    # (T, 64, 800) membranes or probabilities and uint8 spikes, 1.1 units of
+    # one (T, 64, 800) float64 buffer), the batch's and one block's weight
+    # gradients (0.6 units each) and per-step buffers: 2.7 units measured,
+    # bounded at 3.  A whole-batch tape alone is 9 units, and a step in
+    # 128-row blocks measured 4.05.  Adam then adds weight-sized buffers
+    # only, the same whatever the block: its first step holds the gradient,
+    # two moments and two scratch arrays of 784 x 800 (3.1 units), bounded
+    # with the step at 3.5.  A whole-batch step peaks at 11.9 units.
+    horizon, n, hidden = 20, 512, 800
+    unit = horizon * 64 * hidden * 8
+    cfg = TrainConfig(model_kind=model_kind, arch="mlp2", epochs=1, batch_size=n,
+                      horizon=horizon, hidden=hidden,
+                      lambda_leak=0.7 if model_kind.startswith("S") else 0.9)
+    ds = _mnist_like(n)
+    real_forward, real_adam = train_mod.net_forward, train_mod.adam_step
+    peaks = {}
+
+    def forward(*args, **kwargs):
+        if "base" not in peaks:
+            tracemalloc.reset_peak()
+            peaks["base"] = tracemalloc.get_traced_memory()[0]
+        return real_forward(*args, **kwargs)
+
+    def adam(*args, **kwargs):
+        peaks["blocks"] = tracemalloc.get_traced_memory()[1] - peaks["base"]
+        real_adam(*args, **kwargs)
+        peaks["step"] = tracemalloc.get_traced_memory()[1] - peaks["base"]
+
+    monkeypatch.setattr(train_mod, "net_forward", forward)
+    monkeypatch.setattr(train_mod, "adam_step", adam)
+    tracemalloc.start()
+    try:
+        train(cfg, ds)
+    finally:
+        tracemalloc.stop()
+    assert peaks["blocks"] <= 3 * unit, f"blocks peak {peaks['blocks'] / unit:.2f} units"
+    assert peaks["step"] <= 3.5 * unit, f"step peak {peaks['step'] / unit:.2f} units"
 
 
 def test_write_log_csv(tmp_path):
