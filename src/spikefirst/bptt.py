@@ -10,16 +10,17 @@ Three estimators bridge the non-differentiable pieces:
   draw of stochastic neurons.
 
 The tape holds the network's neuron model, that of every layer but the pool
-layers, and records, per timestep, only what ``backward`` reads: each
-synaptic layer's input, every neuron layer's spikes, the membrane potential
-``v`` of deterministic layers and of the output layer (the fused S-F loss
-gradient enters there), and the firing probabilities ``probs`` of hidden
-stochastic layers.  Spike trains are taped as ``uint8``; 0 and 1 are exact,
-so casting them back to float64 for the GEMMs leaves every gradient
-bit-identical.  A layer fed by a neuron layer reads that layer's spike buffer
-as its input, so each spike train is recorded once.  The network input is
-direct-encoded, the same at every step, so layer 0's input is recorded once,
-as (N, ...).
+layers, and records, per timestep, only what ``backward`` reads: every
+layer's output, the membrane potential ``v`` of deterministic layers and of
+the output layer (the fused S-F loss gradient enters there), and the firing
+probabilities ``probs`` of hidden stochastic layers.  Each output is
+recorded once, on the layer that makes it, and layer i's input is layer
+i-1's output: nothing is taped under two names.  Spike trains are taped as
+``uint8``; 0 and 1 are exact, so casting them back to float64 for the GEMMs
+and the conv and pool kernels leaves every gradient bit-identical.  A pool
+layer's output is taped as float64.  The network input is direct-encoded,
+the same at every step, so layer 0's input is recorded once, as (N, ...),
+and is the only input on the tape.
 
 ``backward`` starts from the (T, N, n_out) loss gradient at the output layer,
 whatever the loss, and replays the tape in one time-major reverse sweep: for
@@ -43,10 +44,11 @@ to the network input is never computed, since nothing reads it.
 The sweep allocates its per-step arrays once per call and overwrites them at
 every step: each neuron layer's carry, a work buffer that holds its
 surrogate, then dL/dV_t, then its drive gradient, a 1 - p scratch for a
-hidden stochastic layer, and a float64 buffer into which a linear layer
-casts its uint8 spike step.  Each is read only within its own step, and none
-escapes into the returned gradients; every ufunc keeps the operands and the
-order of the plain expressions, so the gradients are the same bits.
+hidden stochastic layer, and a float64 buffer into which each layer fed by
+a neuron layer casts the uint8 spike step it reads.  Each is read only
+within its own step, and none escapes into the returned gradients; every
+ufunc keeps the operands and the order of the plain expressions, so the
+gradients are the same bits.
 """
 
 from __future__ import annotations
@@ -96,13 +98,14 @@ class LayerTrace:
     layer: object                       # LayerSpec
     wname: str | None = None
     weight: np.ndarray | None = None
-    # (T, N, ...) input to the synaptic op; after a neuron layer this is the
-    # same uint8 array as that layer's ``spikes``.  Layer 0's input is the
-    # same at every step and is held once, as (N, ...).
+    # layer 0's input, the network input, the same at every step and held
+    # once, as (N, ...); layer i > 0 reads layer i-1's ``spikes`` instead
     inputs: np.ndarray | None = None
     # (T, N, ...) membrane potentials: deterministic layers and the output layer
     v: np.ndarray | None = None
-    spikes: np.ndarray | None = None    # (T, N, ...) uint8 0/1, neuron layers
+    # (T, N, ...) the layer's output: uint8 0/1 spikes of a neuron layer, the
+    # float64 pooled map of a pool layer
+    spikes: np.ndarray | None = None
     probs: np.ndarray | None = None     # (T, N, ...) hidden stochastic layers only
 
 
@@ -125,14 +128,13 @@ def _synaptic_step(trace: LayerTrace, g_drive: np.ndarray, x: np.ndarray,
     """
     layer = trace.layer
     if layer.kind == "linear":
-        # a uint8 spike step is cast to float64
+        # backward passes float64; any other step is cast
         flat = x.reshape(x.shape[0], -1).astype(np.float64, copy=False)
         grad_w = g_drive.T @ flat
         if not need_input:
             return grad_w, None
         return grad_w, (g_drive @ trace.weight).reshape(x.shape)
     if layer.kind == "conv":
-        # conv2d_backward casts a uint8 step to float64
         grad_in, grad_w = conv2d_backward(g_drive, x, trace.weight, layer.stride,
                                           layer.pad, need_input=need_input)
         return grad_w, grad_in
@@ -173,16 +175,24 @@ def backward(tape: Tape, g_top: np.ndarray) -> dict:
     carry: dict[int, np.ndarray] = {}
     work: dict[int, np.ndarray] = {}
     one_minus_p: dict[int, np.ndarray] = {}
-    cast: dict[int, np.ndarray] = {}    # per linear layer fed by uint8 spikes
+    cast: dict[int, np.ndarray] = {}    # per layer fed by uint8 spikes
     folded = None                       # layer 0: sum_t of its g_drive
     for t in range(horizon - 1, -1, -1):
         g = g_top[t]
         for i in range(last, -1, -1):
             trace = traces[i]
             layer = trace.layer
+            if i > 0:
+                # layer i's input is layer i-1's output; a uint8 spike step
+                # is cast to float64
+                x = traces[i - 1].spikes[t]
+                if x.dtype != np.float64:
+                    if i not in cast:
+                        cast[i] = np.empty(x.shape)
+                    np.copyto(cast[i], x)
+                    x = cast[i]
             if layer.kind == "pool":
-                # pool2d_backward casts a uint8 step to float64
-                g = pool2d_backward(g, trace.inputs[t], layer.window, layer.pool_mode)
+                g = pool2d_backward(g, x, layer.window, layer.pool_mode)
                 continue
 
             if i not in work:
@@ -223,12 +233,6 @@ def backward(tape: Tape, g_top: np.ndarray) -> dict:
                 else:
                     folded += gv
                 continue
-            x = trace.inputs[t]
-            if layer.kind == "linear" and x.dtype != np.float64:
-                if i not in cast:
-                    cast[i] = np.empty(x.shape)
-                np.copyto(cast[i], x)
-                x = cast[i]
             grad_w, g = _synaptic_step(trace, gv, x)
             if trace.wname in grads:
                 grads[trace.wname] += grad_w

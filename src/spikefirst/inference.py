@@ -97,8 +97,6 @@ def run_network(spec: NetworkSpec, params: dict, images: np.ndarray,
     predictions = np.full(n_total, -1, dtype=np.int64)
     latencies = np.full(n_total, float(horizon))
     totals = [0.0 for _ in spec.layers]
-    # a pool layer's output is only seen as the next layer's input
-    pool_fed = [i > 0 and spec.layers[i - 1].kind == "pool" for i in range(len(spec.layers))]
     # layer 0's clean input is the same at every step: its total is summed per sample
     row_sums0 = np.zeros(n_total)
     # step t draws every sample's noise at counter t, one keyed row per sample
@@ -138,14 +136,11 @@ def run_network(spec: NetworkSpec, params: dict, images: np.ndarray,
                     drive0 = synaptic_drive(spec.layers[0], params["layer0.w"],
                                             x0 + rng_gaussian(noise, x0.shape, input_noise_std,
                                                               rows=ids))
-                for i, (inp, v, spikes, probs) in enumerate(step(spec, params, drive0, states,
-                                                                 streams, ids)):
-                    if pool_fed[i]:
-                        totals[i - 1] += inp.sum()
-                    if spikes is not None:
-                        totals[i] += spikes.sum()
+                for i, (v, out, probs) in enumerate(step(spec, params, drive0, states,
+                                                         streams, ids)):
+                    totals[i] += out.sum()
                 # the output layer's; the next step overwrites these buffers
-                out_v, out_spikes, out_probs = v, spikes, probs
+                out_v, out_spikes, out_probs = v, out, probs
                 if out_acc is None:
                     out_acc = np.zeros_like(out_v)
                 out_acc += out_v if fts else out_spikes

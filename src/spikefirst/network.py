@@ -6,8 +6,9 @@ model kind alone fixes the neuron model of every linear and conv layer and
 the output coding (``KIND_MODELS``).  ``step`` is the simulator core: it
 advances every layer by one timestep (pooling, the synaptic op, then the LIF
 update of ``neurons`` in the layer state's own buffers) and returns each
-layer's input, membrane potential, spikes and firing probabilities; the
-network input reaches it only as layer 0's drive, which the caller computes.
+layer's membrane potential, output and firing probabilities; layer i's input
+is layer i-1's output, and the network input reaches it only as layer 0's
+drive, which the caller computes.
 ``forward`` calls it for t = 1..T and records the BPTT tape;
 ``inference.run_network`` calls it with early exit.  First-to-spike coding
 applies only to the final output layer; hidden layers always communicate
@@ -329,29 +330,26 @@ def step(spec: NetworkSpec, params: dict, drive0: np.ndarray, states: dict,
     place.  ``streams`` holds one RngStream per neuron layer of a stochastic
     network and ``rows`` the sample id of each of the N rows, which keys
     their draws; a deterministic network ignores both (None).
-    Returns one ``(input, v, spikes, probs)`` tuple per layer: a pool layer
-    has only its input, a deterministic layer no probs, and layer 0 no input.
+    Returns one ``(v, out, probs)`` tuple per layer.  ``out`` is the layer's
+    output, a neuron layer's spikes or a pool layer's pooled map, and layer
+    i's input is layer i-1's ``out``.  A pool layer has no ``v`` and no
+    ``probs``, a deterministic layer no ``probs``.
 
     Each neuron layer's state is advanced in its own buffers, so no step
-    allocates a new membrane or spike array: the returned ``v`` and
-    ``spikes`` (and a later layer's ``input``, which is the spikes of the
-    layer before) are ``states[i].v`` and ``states[i].fired_prev``
-    themselves.  They are valid until the next ``step`` on the same
-    ``states``, which overwrites them; a caller that keeps them longer
-    copies them.
+    allocates a new membrane or spike array: the returned ``v`` and spikes
+    are ``states[i].v`` and ``states[i].fired_prev`` themselves.  They are
+    valid until the next ``step`` on the same ``states``, which overwrites
+    them; a caller that keeps them longer copies them.
     """
-    out = []
+    outs = []
     n = 0
     stochastic = spec.neuron == "stoch"
     for i, layer in enumerate(spec.layers):
-        if i == 0:
-            inp, drive = None, drive0
-        elif layer.kind == "pool":
-            out.append((x, None, None, None))
+        if layer.kind == "pool":
             x = pool2d(x, layer.window, layer.pool_mode)
+            outs.append((None, x, None))
             continue
-        else:
-            inp, drive = x, synaptic_drive(layer, params[f"layer{i}.w"], x)
+        drive = drive0 if i == 0 else synaptic_drive(layer, params[f"layer{i}.w"], x)
         state = states.get(i)
         if state is None:
             state = LayerState(v=np.zeros(drive.shape))
@@ -365,9 +363,9 @@ def step(spec: NetworkSpec, params: dict, drive0: np.ndarray, states: dict,
             state, spikes = det_lif_step(state, layer, drive, out=state)
         states[i] = state
         n += 1
-        out.append((inp, state.v, spikes, probs))
+        outs.append((state.v, spikes, probs))
         x = spikes
-    return out
+    return outs
 
 
 def forward(spec: NetworkSpec, params: dict, encoded: np.ndarray,
@@ -380,16 +378,19 @@ def forward(spec: NetworkSpec, params: dict, encoded: np.ndarray,
     (records, tape) where records is a list of per-neuron-layer spike arrays
     (T, N, ...) of 0/1 ``uint8``, the same arrays as the tape's ``spikes``.
 
-    The tape holds only what ``bptt.backward`` reads: the membrane potential
-    ``v`` of deterministic layers and of the output layer, the firing
-    probabilities ``probs`` of hidden stochastic layers, every spike train
-    (shared as the next layer's ``inputs``) and any other synaptic input.
+    The tape holds only what ``bptt.backward`` reads.  Each layer's output
+    is recorded once, as that layer's own ``spikes``: 0/1 ``uint8`` for a
+    neuron layer, the float64 pooled map for a pool layer; layer i reads
+    layer i-1's as its input.  Besides, it holds the membrane potential
+    ``v`` of deterministic layers and of the output layer and the firing
+    probabilities ``probs`` of hidden stochastic layers.
 
     ``encoded`` must be direct-encoded: the same input at every step, stride
     0 along time, as ``data.encode_direct`` returns it; any other array
     raises ShapeError.  Layer 0's drive is computed once and reused at every
-    step, and its tape entry holds the input once, as (N, ...); ``backward``
-    folds that layer's weight gradient over time.
+    step, and layer 0's ``inputs``, the only ones on the tape, hold the
+    input once, as (N, ...); ``backward`` folds that layer's weight gradient
+    over time.
     """
     horizon = encoded.shape[0]
     if horizon != spec.horizon:
@@ -398,41 +399,35 @@ def forward(spec: NetworkSpec, params: dict, encoded: np.ndarray,
         raise ShapeError("forward takes a direct-encoded input: the same input at every "
                          "step, stride 0 along time, as data.encode_direct returns it")
     traces = []
+    taped = []
     for i, layer in enumerate(spec.layers):
         trace = LayerTrace(layer=layer)
-        if layer.kind in ("linear", "conv"):
+        names = {"spikes"}
+        if layer.kind != "pool":
             trace.wname = f"layer{i}.w"
             trace.weight = params[trace.wname]
+            hidden_stoch = spec.neuron == "stoch" and i < len(spec.layers) - 1
+            names.add("probs" if hidden_stoch else "v")
         traces.append(trace)
+        taped.append(names)
 
     traces[0].inputs = encoded[0]
     rows = np.arange(encoded.shape[1]) if rows is None else rows
     drive0 = synaptic_drive(spec.layers[0], traces[0].weight, encoded[0])
-
-    # A neuron layer's spike train is the next layer's input: it is taped once.
-    shared = [i for i in range(1, len(traces)) if spec.layers[i - 1].kind != "pool"]
-    taped = []
-    for i, layer in enumerate(spec.layers):
-        names = set() if i == 0 or i in shared else {"inputs"}
-        if layer.kind != "pool":
-            hidden_stoch = spec.neuron == "stoch" and i < len(spec.layers) - 1
-            names |= {"spikes", "probs" if hidden_stoch else "v"}
-        taped.append(names)
     states = {}
     for t in range(horizon):
         for trace, names, values in zip(traces, taped,
                                         step(spec, params, drive0, states, streams, rows)):
-            for name, value in zip(("inputs", "v", "spikes", "probs"), values):
+            for name, value in zip(("v", "spikes", "probs"), values):
                 if name not in names:
                     continue
                 buf = getattr(trace, name)
                 if buf is None:
+                    spiking = name == "spikes" and trace.layer.kind != "pool"
                     buf = np.empty((horizon,) + value.shape,
-                                   np.uint8 if name == "spikes" else np.float64)
+                                   np.uint8 if spiking else np.float64)
                     setattr(trace, name, buf)
                 buf[t] = value
-    for i in shared:
-        traces[i].inputs = traces[i - 1].spikes
 
     tape = Tape(horizon=horizon, neuron=spec.neuron, traces=traces)
     records = [traces[i].spikes for i, l in enumerate(spec.layers) if l.kind != "pool"]

@@ -20,8 +20,8 @@ from .coding import fts_ce_loss_batch, ml_loss_logits_batch, rate_ce_loss_batch
 from .data import Dataset, encode_direct
 from .errors import NumericalError, ParameterError
 from .inference import run_network
-from .network import (block_rows, build, forward as net_forward, init_params,
-                      normalize_model_kind)
+from .network import (ARCHS, DEFAULT_HIDDEN, block_rows, build, forward as net_forward,
+                      init_params, normalize_model_kind)
 from .neurons import first_spike_times
 from .rng import RngStream, rng_uniform
 
@@ -52,6 +52,11 @@ class TrainConfig:
 
     def __post_init__(self):
         self.model_kind = normalize_model_kind(self.model_kind)
+        if self.arch not in ARCHS:
+            raise ParameterError(f"arch must be one of {ARCHS}, got {self.arch!r}")
+        if self.arch != "mlp2" and self.hidden != DEFAULT_HIDDEN:
+            raise ParameterError(f"hidden sets the mlp2 width only; {self.arch} has fixed "
+                                 f"widths, got hidden {self.hidden}")
         if self.epochs < 0 or self.batch_size < 1 or self.horizon < 1 or self.hidden < 1:
             raise ParameterError("epochs/batch_size/horizon/hidden out of range")
         if not 0.0 < self.lr < np.inf:

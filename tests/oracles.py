@@ -8,7 +8,8 @@
   derivative is the arctan surrogate, for finite-difference networks;
 * ``backward`` and ``adam_step``: the reverse sweep and the Adam update as
   they stood before they reused per-step buffers, kept verbatim (with the
-  surrogate they call; the synaptic helper is the package's own) so that
+  surrogate they call; the synaptic helper is the package's own, and the
+  sweep reads each layer's input where the tape now holds it) so that
   tests can demand bit-identical gradients and parameters from the
   package's versions;
 * ``output_gradient``: the choice of output-layer gradient that the reverse
@@ -192,8 +193,9 @@ def backward(tape: Tape, g_top: np.ndarray) -> dict:
             trace = traces[i]
             layer = trace.layer
             if layer.kind == "pool":
-                # pool2d_backward casts a uint8 step to float64
-                g = pool2d_backward(g, trace.inputs[t], layer.window, layer.pool_mode)
+                # layer i's input is layer i-1's output; pool2d_backward
+                # casts a uint8 step to float64
+                g = pool2d_backward(g, traces[i - 1].spikes[t], layer.window, layer.pool_mode)
                 continue
 
             if tape.neuron == "det":
@@ -226,7 +228,7 @@ def backward(tape: Tape, g_top: np.ndarray) -> dict:
                 else:
                     folded += g
                 continue
-            grad_w, g = _synaptic_step(trace, g, trace.inputs[t])
+            grad_w, g = _synaptic_step(trace, g, traces[i - 1].spikes[t])
             if trace.wname in grads:
                 grads[trace.wname] += grad_w
             else:
@@ -372,8 +374,6 @@ def run_network(spec: NetworkSpec, params: dict, images: np.ndarray,
     predictions = np.full(n_total, -1, dtype=np.int64)
     latencies = np.full(n_total, float(horizon))
     totals = [0.0 for _ in spec.layers]
-    # a pool layer's output is only seen as the next layer's input
-    pool_fed = [i > 0 and spec.layers[i - 1].kind == "pool" for i in range(len(spec.layers))]
     # layer 0's clean input is the same at every step: its total is summed per sample
     row_sums0 = np.zeros(n_total)
     # step t draws every sample's noise at counter t, one keyed row per sample
@@ -402,14 +402,10 @@ def run_network(spec: NetworkSpec, params: dict, images: np.ndarray,
                 noise.counter = t
                 drive0 = synaptic_drive(spec.layers[0], params["layer0.w"], x0 + rng_gaussian(
                     noise, x0.shape, input_noise_std, rows=b_start + active))
-            for i, (inp, v, spikes, probs) in enumerate(step(spec, params, drive0, states,
-                                                             None)):
-                if pool_fed[i]:
-                    totals[i - 1] += inp.sum()
-                if spikes is not None:
-                    totals[i] += spikes.sum()
+            for i, (v, out, probs) in enumerate(step(spec, params, drive0, states, None)):
+                totals[i] += out.sum()
             # the output layer's; the next step overwrites these buffers
-            out_v, out_spikes, out_probs = v, spikes, probs
+            out_v, out_spikes, out_probs = v, out, probs
             if out_acc is None:
                 out_acc = np.zeros_like(out_v)
             out_acc += out_v if fts else out_spikes

@@ -15,6 +15,8 @@ from pathlib import Path
 
 import pytest
 
+from spikefirst.rng import RngStream
+
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "bench"))
 
@@ -99,3 +101,12 @@ def test_bench_traced_round_gives_every_per_layer_figure(tmp_path, workload):
     layer = harness.trace_metrics(tracer, rounds, [1], setup, {})
     assert sorted(layer) == sorted(harness.PER_LAYER)
     assert [k for k, v in layer.items() if v is None or not math.isfinite(v)] == []
+    # the tape figure is one training block's tape, each array counted once
+    spec, params = setup.ckpt.spec, setup.ckpt.params
+    images = setup.train_ds.images[:sf.network.block_rows(spec, (28, 28))]
+    streams = [RngStream(0, i) for i in range(len(spec.neuron_layers()))]
+    _, tape = sf.network.forward(spec, params, sf.data.encode_direct(images, spec.horizon),
+                                 streams)
+    taped = {id(a): a for tr in tape.traces for a in (tr.inputs, tr.v, tr.spikes, tr.probs)
+             if a is not None}
+    assert layer["bptt.tape_mb"] * 2**20 == sum(a.nbytes for a in taped.values())

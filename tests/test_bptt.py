@@ -252,7 +252,7 @@ def test_stochastic_conv_max_pool_end_to_end_gradient():
     grads = sf.backward(tape, g_top)
 
     tr0, tr1 = tape.traces[0], tape.traces[1]
-    assert tr1.inputs.dtype == np.uint8
+    assert tr0.spikes.dtype == np.uint8     # the conv layer 1 reads
     off0 = tr0.spikes - tr0.probs        # frozen noise offsets
     off1 = tr1.spikes - tr1.probs
     route = _windows(tr1.spikes).argmax(axis=-1)[..., None]   # frozen routing
@@ -376,13 +376,18 @@ def test_backward_peak_memory_does_not_grow_with_horizon(model_kind, arch, overr
 
 
 def _taped_net(kind, n=3):
-    """A small network of ``kind`` (D-F, D-R, S-F or S-F conv) run on ``n``
-    samples: its spec, spike records, tape and labels."""
+    """A small network of ``kind`` (D-F, D-R, S-F, S-F conv or D-F lenet5)
+    run on ``n`` samples: its spec, spike records, tape and labels."""
     rng = np.random.default_rng(21)
     horizon = 4
     labels = np.arange(n) % 3
     streams = None if kind.startswith("D") else [RngStream(4, 30 + i) for i in range(3)]
-    if kind == "S-F conv":
+    if kind == "D-F lenet5":
+        # weights scaled up so that every layer spikes
+        spec = sf.build("lenet5", "D-F-BPTT", {"horizon": horizon})
+        params = {k: w * 4.0 for k, w in sf.init_params(spec, RngStream(3, 0)).items()}
+        x = rng.uniform(size=(n, 1, 28, 28)) * (rng.uniform(size=(n, 1, 28, 28)) < 0.3)
+    elif kind == "S-F conv":
         spec = _sf_conv_spec(horizon)
         params = {"layer0.w": rng.normal(size=(2, 1, 3, 3)),
                   "layer1.w": rng.normal(size=(2, 2, 3, 3)),
@@ -417,7 +422,7 @@ def test_backward_writes_nothing_it_is_given(kind, n):
         assert a.tobytes() == b, f"backward wrote into {name}"
 
 
-@pytest.mark.parametrize("kind", ["D-F", "S-F", "S-F conv"])
+@pytest.mark.parametrize("kind", ["D-F", "S-F", "S-F conv", "D-F lenet5"])
 def test_tape_records_only_what_backward_reads(kind):
     _, records, tape, _ = _taped_net(kind)
     traces = tape.traces
@@ -425,13 +430,23 @@ def test_tape_records_only_what_backward_reads(kind):
     neuron = [tr for tr in traces if tr.layer.kind != "pool"]
     assert len(records) == len(neuron)
     assert all(r is tr.spikes for r, tr in zip(records, neuron))
+    # every array is taped under one name: layer i reads layer i-1's output
+    # where that layer recorded it, and only layer 0 holds an input, the image
+    taped = [a for tr in traces for a in (tr.inputs, tr.v, tr.spikes, tr.probs)
+             if a is not None]
+    assert len({id(a) for a in taped}) == len(taped)
+    assert not any(np.may_share_memory(a, b)
+                   for j, a in enumerate(taped) for b in taped[j + 1:])
+    assert traces[0].inputs.dtype == np.float64
+    assert all(tr.inputs is None for tr in traces[1:])
     for i, tr in enumerate(traces):
-        if i > 0 and traces[i - 1].layer.kind != "pool":
-            assert tr.inputs is traces[i - 1].spikes         # shared, uint8
-        else:
-            assert tr.inputs.dtype == np.float64             # image or pooled input
         if tr.layer.kind == "pool":
-            assert tr.v is None and tr.spikes is None and tr.probs is None
+            # its output is the pooled spikes of the layer before
+            assert tr.v is None and tr.probs is None
+            assert tr.spikes.dtype == np.float64
+            for t in range(tape.horizon):
+                pooled = pool2d(traces[i - 1].spikes[t], tr.layer.window, tr.layer.pool_mode)
+                assert np.array_equal(tr.spikes[t], pooled), t
             continue
         assert tr.spikes.dtype == np.uint8
         assert set(np.unique(tr.spikes)) <= {0, 1}
@@ -451,11 +466,8 @@ def test_uint8_spike_tape_gives_bit_identical_gradients(kind):
     # backward reads a cast copy of a spike step, never writes into the tape
     for tr, before in zip(tape.traces, taped):
         assert before is None or np.array_equal(tr.spikes, before)
-    for i, tr in enumerate(tape.traces):
-        if tr.spikes is not None:
-            tr.spikes = tr.spikes.astype(np.float64)
-        if i > 0 and tape.traces[i - 1].spikes is not None:
-            tr.inputs = tape.traces[i - 1].spikes
+    for tr in tape.traces:
+        tr.spikes = tr.spikes.astype(np.float64)
     wide = sf.backward(tape, g_top)
     assert set(grads) == set(wide)
     for name in grads:

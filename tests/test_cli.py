@@ -267,6 +267,24 @@ def test_train_rejects_a_leak_outside_the_unit_interval_before_reading_data(
     assert run("train", "--lambda-leak", leak, "--out", str(tmp_path)) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("how", ["flag", "config"])
+@pytest.mark.parametrize("key,value", [("arch", "foo"), ("hidden", "5")])
+def test_train_rejects_a_bad_arch_or_hidden_before_reading_data(
+        tmp_path, synthetic_mnist, monkeypatch, how, key, value):
+    # an unknown arch loaded the dataset and then died in build with a
+    # traceback; lenet5 dropped a hidden width and wrote it to the manifest
+    monkeypatch.setattr(cli, "_load_splits", lambda *a: pytest.fail("dataset read"))
+    values = {"arch": "lenet5", key: value}
+    if how == "flag":
+        argv = [f"--{k}={v}" for k, v in values.items()]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{k}={v}\n" for k, v in values.items()))
+        argv = ["--config", str(cfg)]
+    assert run("train", *argv, "--data", synthetic_mnist, "--out", str(tmp_path)) == EXIT_CONFIG
+    assert not (tmp_path / "manifest.json").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ("tune", "--pop", "3"), ("tune", "--pop", "-1"), ("tune", "--generations", "0"),
     ("tune", "--beta", "-1"), ("eval", "--timesteps", "0"),

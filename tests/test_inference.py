@@ -256,8 +256,8 @@ def stepped_tape(spec, params, images, drives0):
     def stacked(i, k):
         return None if outs[0][i][k] is None else np.stack([o[i][k] for o in outs])
 
-    traces = [SimpleNamespace(inputs=images if i == 0 else stacked(i, 0),
-                              v=stacked(i, 1), spikes=stacked(i, 2))
+    traces = [SimpleNamespace(inputs=images if i == 0 else None,
+                              v=stacked(i, 0), spikes=stacked(i, 1))
               for i in range(len(spec.layers))]
     return SimpleNamespace(horizon=len(drives0), traces=traces)
 
@@ -270,11 +270,10 @@ def assert_totals_match_tape(res, spec, tape, steps):
     want = summed_over_steps(np.broadcast_to(image, (tape.horizon,) + image.shape), steps)
     assert res.input_total == pytest.approx(want, rel=1e-12, abs=0)
     assert len(res.layer_totals) == len(spec.layers)
-    for i, layer in enumerate(spec.layers):
-        # a pool layer's output is the next layer's input: average-pooled
+    for i, trace in enumerate(tape.traces):
+        # each layer's output: its spikes, or a pool layer's average-pooled
         # spikes, exact in any order
-        record = tape.traces[i + 1].inputs if layer.kind == "pool" else tape.traces[i].spikes
-        assert res.layer_totals[i] == summed_over_steps(record, steps), i
+        assert res.layer_totals[i] == summed_over_steps(trace.spikes, steps), i
 
 
 @pytest.mark.parametrize("arch,overrides,gain", [

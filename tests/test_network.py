@@ -197,9 +197,8 @@ def test_layer_shapes_match_one_step(arch, input_shape):
     x = np.random.default_rng(0).uniform(size=(2,) + input_shape)
     outs = sf.step(spec, params, synaptic_drive(spec.layers[0], params["layer0.w"], x),
                    {}, None)
-    # a layer's output is its spikes, or for a pool layer the next layer's input
-    got = [outs[i + 1][0].shape[1:] if l.kind == "pool" else outs[i][2].shape[1:]
-           for i, l in enumerate(spec.layers)]
+    # a layer's output is its spikes, or a pool layer's pooled map
+    got = [out.shape[1:] for _, out, _ in outs]
     assert layer_shapes(spec, input_shape[1:]) == got
 
 
@@ -220,11 +219,14 @@ def test_step_returns_the_states_own_buffers(kind):
     assert sorted(states) == [i for i, _ in spec.weighted_layers()]
     for i, (v, fired_prev) in buffers.items():
         assert states[i].v is v and states[i].fired_prev is fired_prev
-        _, out_v, out_spikes, _ = outs[i]
+        out_v, out_spikes, _ = outs[i]
         assert np.shares_memory(out_v, v) and np.shares_memory(out_spikes, fired_prev)
-        if i + 1 < len(spec.layers):
-            # the next layer's input, pooled or not, is these spikes
-            assert np.shares_memory(outs[i + 1][0], fired_prev)
+    # a pool layer has no state: its output is a new pooled map
+    for i, layer in enumerate(spec.layers):
+        if layer.kind == "pool":
+            out_v, pooled, out_probs = outs[i]
+            assert out_v is None and out_probs is None
+            assert not any(np.shares_memory(pooled, a) for a in buffers[i - 1])
 
 
 def test_init_params_deterministic_and_scaled():
@@ -257,7 +259,8 @@ def test_forward_matches_stepwise_neuron_module():
         s1, spk1 = det_lif_step(s1, spec.layers[1], spk0 @ params["layer1.w"].T)
         assert np.array_equal(records[0][t], spk0)
         assert np.array_equal(records[1][t], spk1)
-    assert tape.traces[1].inputs is records[0]
+    # layer 1 reads layer 0's spikes, which only layer 0 tapes
+    assert tape.traces[0].spikes is records[0] and tape.traces[1].inputs is None
 
 
 def test_forward_horizon_mismatch():
@@ -313,15 +316,14 @@ def test_forward_lenet_shapes():
     shapes = [r.shape for r in records]
     assert shapes == [(2, 2, 6, 28, 28), (2, 2, 16, 10, 10),
                       (2, 2, 120), (2, 2, 84), (2, 2, 10)]
-    # a neuron layer's spike train is taped once and read as the next
-    # layer's input; a pool layer's output is the next layer's own buffer
+    # each layer's output is taped once, on the layer that makes it, and
+    # read by the next layer as its input; a pool layer's is its own
+    # float64 buffer
     tr = tape.traces
-    for i in (1, 3, 5, 6):
-        assert tr[i].inputs is tr[i - 1].spikes
-    for i in (2, 4):
-        assert tr[i - 1].spikes is None
-        assert tr[i].inputs.shape[:2] == (2, 2)
-        assert not np.shares_memory(tr[i].inputs, tr[i - 2].spikes)
+    assert all(t.inputs is None for t in tr[1:])
+    for i in (1, 3):
+        assert tr[i].spikes.dtype == np.float64 and tr[i].spikes.shape[:2] == (2, 2)
+        assert not np.shares_memory(tr[i].spikes, tr[i - 1].spikes)
 
 
 _ROUND_TRIP_CASES = [(arch, kind, tuned) for tuned in (False, True)

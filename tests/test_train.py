@@ -16,7 +16,7 @@ from spikefirst.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from spikefirst.data import Dataset, encode_direct
 from spikefirst.errors import NumericalError, ParameterError
 from spikefirst.metrics import evaluate
-from spikefirst.network import block_rows, build, init_params
+from spikefirst.network import DEFAULT_HIDDEN, block_rows, build, init_params
 from spikefirst.rng import RngStream
 from spikefirst.train import (AdamState, PRESETS, TrainConfig, TrainingDiverged,
                               adam_step, lr_at, train, write_log_csv)
@@ -122,6 +122,18 @@ def test_config_validation():
     assert TrainConfig(hidden=1, weight_decay=0.0).weight_decay == 0.0
     assert TrainConfig(lambda_leak=0.0).lambda_leak == 0.0
     assert TrainConfig(lambda_leak=1.0).lambda_leak == 1.0
+
+
+def test_config_rejects_an_unknown_arch_and_a_hidden_width_it_cannot_use():
+    # an unknown arch failed only inside build, after the dataset was read;
+    # lenet5 and vgg15 have fixed widths, and their hidden was dropped
+    with pytest.raises(ParameterError, match="arch"):
+        TrainConfig(arch="foo")
+    for arch in ("lenet5", "vgg15"):
+        with pytest.raises(ParameterError, match="hidden"):
+            TrainConfig(arch=arch, hidden=5)
+        assert TrainConfig(arch=arch, hidden=DEFAULT_HIDDEN).hidden == DEFAULT_HIDDEN
+    assert TrainConfig(arch="mlp2", hidden=5).hidden == 5
 
 
 @pytest.mark.parametrize("step", [0, -2])
