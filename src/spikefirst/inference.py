@@ -38,6 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterError
+from .heap import simulating
 # sigmoid is re-exported: bench/test_bench.py reaches it through this module
 from .neurons import LayerState, sigmoid  # noqa: F401
 from .network import CODINGS, NetworkSpec, block_rows, step, synaptic_drive
@@ -56,6 +57,7 @@ class InferenceResult:
     layer_totals: list = field(default_factory=list)
 
 
+@simulating()
 def run_network(spec: NetworkSpec, params: dict, images: np.ndarray,
                 mode: str = "first-to-spike", horizon: int | None = None,
                 seed: int = 0, batch_size: int = 512, input_noise_std: float = 0.0,

@@ -19,6 +19,7 @@ from .checkpoint import Checkpoint
 from .coding import fts_ce_loss_batch, ml_loss_logits_batch, rate_ce_loss_batch
 from .data import Dataset, encode_direct
 from .errors import NumericalError, ParameterError
+from .heap import simulating
 from .inference import run_network
 from .network import (ARCHS, DEFAULT_HIDDEN, block_rows, build, forward as net_forward,
                       init_params, normalize_model_kind)
@@ -203,6 +204,7 @@ def _snapshot(spec, params, adam, epoch, seed, best_acc) -> Checkpoint:
                       adam_step=adam.step, epoch=epoch, seed=seed, best_accuracy=best_acc)
 
 
+@simulating()
 def train(config: TrainConfig, train_ds: Dataset, test_ds: Dataset | None = None,
           resume: Checkpoint | None = None, epoch_hook=None):
     """Run the full schedule; returns (best_checkpoint, log_rows).
