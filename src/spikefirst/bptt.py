@@ -20,7 +20,8 @@ i-1's output: nothing is taped under two names.  Spike trains are taped as
 and the conv and pool kernels leaves every gradient bit-identical.  A pool
 layer's output is taped as float64.  The network input is direct-encoded,
 the same at every step, so layer 0's input is recorded once, as (N, ...),
-and is the only input on the tape.
+and is the only input on the tape; ``backward`` does not read it, but
+``layer0_weight_grad`` does for a caller with one tape.
 
 ``backward`` starts from the (T, N, n_out) loss gradient at the output layer,
 whatever the loss, and replays the tape in one time-major reverse sweep: for
@@ -36,10 +37,17 @@ memory is O(N * width) whatever the horizon; only the tape and the
 (``train.train``) records and sweeps one row block of a batch at a time,
 64 rows for the 800-unit mlp2, and sums the blocks' weight gradients, so
 both bounds hold per block, and the (N, ...) buffers stay in cache from
-one step to the next.  Layer 0 adds its drive gradient
-into one (N, ...) sum over time, which one GEMM or one ``conv2d_backward``
-turns into its weight gradient after the sweep.  The gradient with respect
-to the network input is never computed, since nothing reads it.
+one step to the next.
+
+Layer 0's input is the same at every step, so its weight gradient is
+(sum_t g_t)^T x: the sweep adds layer 0's drive gradient into one (N, ...)
+sum over time and hands that sum back, in place of the weight gradient.
+``layer0_weight_grad`` turns it into the weight gradient with one GEMM or
+one ``conv2d_backward``.  ``train`` collects the sums of all of a batch's
+blocks and makes that product once per batch, over the batch's images;
+a caller with one tape makes it from the tape's ``inputs``.  The gradient
+with respect to the network input is never computed, since nothing reads
+it.
 
 The sweep allocates its per-step arrays once per call and overwrites them at
 every step: each neuron layer's carry, a work buffer that holds its
@@ -149,7 +157,9 @@ def backward(tape: Tape, g_top: np.ndarray) -> dict:
     output layer, and to the membrane potential of a stochastic one, whose
     fused S-F gradient already went through the sigmoid.  Returns a dict
     mapping weight names to gradients, each summed over the timesteps from
-    t = T-1 down to 0.
+    t = T-1 down to 0, except layer 0's: its name maps to layer 0's drive
+    gradient summed over time, (N, ...) like its drive, which
+    ``layer0_weight_grad`` turns into the weight gradient.
 
     The sweep is time-major (see the module docstring): each gradient passed
     from layer to layer, and each neuron layer's carry, is one step's
@@ -227,7 +237,7 @@ def backward(tape: Tape, g_top: np.ndarray) -> dict:
             # gv is step t's drive gradient, overwritten at step t - 1
             if i == 0:
                 # the input is the same at every step:
-                # sum_t g_t^T x = (sum_t g_t)^T x, computed after the sweep
+                # sum_t g_t^T x = (sum_t g_t)^T x, left to layer0_weight_grad
                 if folded is None:
                     folded = gv.copy()
                 else:
@@ -239,6 +249,15 @@ def backward(tape: Tape, g_top: np.ndarray) -> dict:
             else:
                 grads[trace.wname] = grad_w
 
-    grads[traces[0].wname], _ = _synaptic_step(traces[0], folded, traces[0].inputs,
-                                               need_input=False)
+    grads[traces[0].wname] = folded
     return grads
+
+
+def layer0_weight_grad(layer, weight: np.ndarray, g_drive: np.ndarray,
+                       x: np.ndarray) -> np.ndarray:
+    """Layer 0's weight gradient from its drive gradient summed over time,
+    ``g_drive`` (N, ...) as ``backward`` hands it back, and the network
+    input ``x`` (N, ...), the same at every step: ``g_drive^T x`` for a
+    linear layer, one ``conv2d_backward`` for a conv layer."""
+    return _synaptic_step(LayerTrace(layer=layer, weight=weight), g_drive, x,
+                          need_input=False)[0]

@@ -251,8 +251,6 @@ def cmd_tune(args) -> int:
         bounds = None
         if args.bounds:
             lo, hi = (float(x) for x in args.bounds.split(","))
-            if hi < lo:
-                raise ValueError("upper bound below lower bound")
             n = len(ckpt.spec.neuron_layers())
             bounds = np.tile([lo, hi], (n, 1))
         config = DeConfig(pop_size=args.pop or 0, max_generations=args.generations,

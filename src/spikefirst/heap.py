@@ -23,11 +23,11 @@ at the next.
 ``simulating`` raises the mmap threshold to ``SIMULATION_MAPPED_BYTES``
 (32 MiB, glibc's maximum) while ``train.train`` or
 ``inference.run_network`` runs.  Both free and allocate the same arrays
-at every block or step: an 8 MB tape buffer and a 5 MB weight gradient
-per mlp2-800 training block, and up to 19 MB of im2col columns per vgg15
-step.  Mapping each afresh zeroes its pages every time, which cost 16%
-of an mlp2-800 training step.  On the heap they reuse the chunks freed
-before them.
+at every block, batch or step: an 8 MB tape buffer per mlp2-800 training
+block, a 5 MB weight gradient per batch, and up to 4.7 MB of im2col
+columns per run of samples of a vgg15 conv.  Mapping each afresh zeroes
+its pages every time, which cost 16% of an mlp2-800 training step.  On
+the heap they reuse the chunks freed before them.
 
 Elsewhere than glibc (no ``mallopt``) both are no-ops.
 """

@@ -32,7 +32,7 @@ from .errors import ParameterError, ShapeError
 # sigmoid is re-exported: bench/test_bench.py reaches it through this module
 from .neurons import LayerState, det_lif_step, sigmoid, stoch_lif_step  # noqa: F401
 from .rng import RngStream, rng_uniform
-from .tensor import _conv_out_size, conv2d, pool2d
+from .tensor import _L2_BYTES, _conv_out_size, conv2d, pool2d
 
 # Each model kind's neuron model, that of every layer but the pool layers,
 # and its output coding.
@@ -50,9 +50,9 @@ DET_LEAK = 0.9
 STOCH_LEAK = 0.7
 DEFAULT_HIDDEN = 800
 
-# a block's widest neuron layer (v, fired_prev and drive, float64) fits this
-# L2 size; blocks are powers of two of at least _MIN_BLOCK_ROWS rows
-_L2_BYTES = 2 << 20
+# a block's widest neuron layer (v, fired_prev and drive, float64) fits
+# _L2_BYTES, the L2 size conv runs are cut to; blocks are powers of two of at
+# least _MIN_BLOCK_ROWS rows
 _BYTES_PER_NEURON = 24
 _MIN_BLOCK_ROWS = 8
 
@@ -369,7 +369,7 @@ def step(spec: NetworkSpec, params: dict, drive0: np.ndarray, states: dict,
 
 
 def forward(spec: NetworkSpec, params: dict, encoded: np.ndarray,
-            streams: list | None = None, rows=None):
+            streams: list | None = None, rows=None, drive0: np.ndarray | None = None):
     """Simulate all layers for t = 1..T, recording spikes and the BPTT tape.
 
     ``encoded`` is time-major: (T, N, ...).  For stochastic networks
@@ -378,19 +378,24 @@ def forward(spec: NetworkSpec, params: dict, encoded: np.ndarray,
     (records, tape) where records is a list of per-neuron-layer spike arrays
     (T, N, ...) of 0/1 ``uint8``, the same arrays as the tape's ``spikes``.
 
-    The tape holds only what ``bptt.backward`` reads.  Each layer's output
-    is recorded once, as that layer's own ``spikes``: 0/1 ``uint8`` for a
-    neuron layer, the float64 pooled map for a pool layer; layer i reads
-    layer i-1's as its input.  Besides, it holds the membrane potential
-    ``v`` of deterministic layers and of the output layer and the firing
-    probabilities ``probs`` of hidden stochastic layers.
+    The tape holds only what ``bptt.backward`` reads, and layer 0's input
+    (see below).  Each layer's output is recorded once, as that layer's own
+    ``spikes``: 0/1 ``uint8`` for a neuron layer, the float64 pooled map
+    for a pool layer; layer i reads layer i-1's as its input.  Besides, it
+    holds the membrane potential ``v`` of deterministic layers and of the
+    output layer and the firing probabilities ``probs`` of hidden
+    stochastic layers.
 
     ``encoded`` must be direct-encoded: the same input at every step, stride
     0 along time, as ``data.encode_direct`` returns it; any other array
     raises ShapeError.  Layer 0's drive is computed once and reused at every
     step, and layer 0's ``inputs``, the only ones on the tape, hold the
-    input once, as (N, ...); ``backward`` folds that layer's weight gradient
-    over time.
+    input once, as (N, ...); ``backward`` folds that layer's drive gradient
+    over time, and ``bptt.layer0_weight_grad`` turns it into the weight
+    gradient.  A caller that already has layer 0's drive for these rows
+    passes it as ``drive0`` ((N, ...), read only), as ``train`` does with
+    its rows of the batch's drive; otherwise it is computed from
+    ``encoded[0]``.
     """
     horizon = encoded.shape[0]
     if horizon != spec.horizon:
@@ -413,7 +418,10 @@ def forward(spec: NetworkSpec, params: dict, encoded: np.ndarray,
 
     traces[0].inputs = encoded[0]
     rows = np.arange(encoded.shape[1]) if rows is None else rows
-    drive0 = synaptic_drive(spec.layers[0], traces[0].weight, encoded[0])
+    if drive0 is None:
+        drive0 = synaptic_drive(spec.layers[0], traces[0].weight, encoded[0])
+    elif len(drive0) != encoded.shape[1]:
+        raise ShapeError(f"drive0 has {len(drive0)} rows, the input {encoded.shape[1]}")
     states = {}
     for t in range(horizon):
         for trace, names, values in zip(traces, taped,

@@ -13,17 +13,28 @@ output pixel, with the samples outside the pixels.  It copies one strided
 slice of the zero-padded, channel-major ``(C, N, H+2p, W+2p)`` input per tap.
 ``_col2im`` is its adjoint and scatter-adds the same slices back.
 
+Runs of samples.  ``conv2d`` and ``conv2d_backward`` unroll a batch a run of
+samples at a time, and each run's columns are used and freed before the next
+run's are built.  ``_run_samples`` sizes the run from the layer's shape: the
+largest power of two whose columns fit ``_L2_BYTES``, at least one sample (8
+samples at lenet5's first conv, 16 at its second, 1 at vgg15's 64-channel
+convs at 32x32).  A batch-sized call then streams its columns through cache
+once instead of writing them all out and reading them back, and never holds
+more than one run's columns.
+
 Accumulation order and batch invariance.  ``conv2d`` multiplies the
 ``(C_O, C_I·KH·KW)`` kernel matrix by each sample's ``(C_I·KH·KW, OH·OW)``
 block of columns, one BLAS GEMM per sample, all of the same shape, so every
-output is the same sum in the same order whatever the batch holds: a sample
-alone, a fancy-indexed subset and the full batch give bit-equal rows.  Early
-exit relies on this, since ``inference.run_network`` convolves only the
-samples still active.  (One GEMM over all ``N·OH·OW`` columns is not
+output is the same sum in the same order whatever the batch holds and however
+it is cut into runs: a sample alone, a fancy-indexed subset and the full batch
+give bit-equal rows.  Early exit relies on this, since
+``inference.run_network`` convolves only the samples still active.  (One GEMM over all ``N·OH·OW`` columns is not
 batch-invariant: BLAS computes the last partial tile of columns with another
 kernel, so which outputs land there depends on N.)  ``conv2d_backward``
-reduces over the whole batch, so it uses one GEMM for the kernel gradient
-(``gmat @ cols.T``) and one for the column gradient (``kmat.T @ gmat``).
+reduces over the batch: per run, one GEMM gives the run's kernel gradient
+(``gmat @ cols.T``), added in run order into the first run's, and one the
+run's column gradient (``kmat.T @ gmat``).  A batch of one run makes exactly
+the two GEMMs of an unchunked call.
 Average pooling adds the ``window²`` strided slices in row-major tap order
 and divides by ``window²``.  On 0/1 spike inputs every step is exact, so the
 result equals the tile mean bit for bit.
@@ -34,6 +45,10 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ShapeError
+
+# the L2 size that one run of im2col columns, and one block of a block-major
+# simulation (network.block_rows), are cut to fit
+_L2_BYTES = 2 << 20
 
 
 def _conv_out_size(size: int, k: int, stride: int, pad: int) -> int:
@@ -47,7 +62,7 @@ def _conv_out_size(size: int, k: int, stride: int, pad: int) -> int:
 
 
 def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int):
-    """x (N, C, H, W) -> columns (C*kh*kw, N*OH*OW) plus output dims."""
+    """x (N, C, H, W) -> columns (C*kh*kw, N*OH*OW)."""
     n, c, h, w = x.shape
     oh = _conv_out_size(h, kh, stride, pad)
     ow = _conv_out_size(w, kw, stride, pad)
@@ -60,11 +75,20 @@ def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int):
     for i in range(kh):
         for j in range(kw):
             cols[:, i, j] = xp[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride]
-    return cols.reshape(c * kh * kw, n * oh * ow), oh, ow
+    return cols.reshape(c * kh * kw, n * oh * ow)
+
+
+def _run_samples(taps: int, pixels: int) -> int:
+    """Samples per run of im2col columns, for ``taps`` (C·KH·KW) rows and
+    ``pixels`` (OH·OW) columns per sample: the largest power of two whose
+    float64 columns fit ``_L2_BYTES``, and at least 1."""
+    fit = _L2_BYTES // (8 * taps * pixels)
+    return 1 << max(fit.bit_length() - 1, 0)
 
 
 def _col2im(cols: np.ndarray, x_shape, kh: int, kw: int, stride: int, pad: int) -> np.ndarray:
-    """Scatter-add columns back to an (N, C, H, W) image; adjoint of _im2col."""
+    """Scatter-add columns back to an (N, C, H, W) image; adjoint of _im2col.
+    Returns a strided view; the caller copies it where it belongs."""
     n, c, h, w = x_shape
     oh = _conv_out_size(h, kh, stride, pad)
     ow = _conv_out_size(w, kw, stride, pad)
@@ -73,7 +97,7 @@ def _col2im(cols: np.ndarray, x_shape, kh: int, kw: int, stride: int, pad: int) 
     for i in range(kh):
         for j in range(kw):
             xp[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride] += cols[:, i, j]
-    return np.ascontiguousarray(xp[:, :, pad : pad + h, pad : pad + w].transpose(1, 0, 2, 3))
+    return xp[:, :, pad : pad + h, pad : pad + w].transpose(1, 0, 2, 3)
 
 
 def _batch(x: np.ndarray) -> np.ndarray:
@@ -93,11 +117,20 @@ def conv2d(inp: np.ndarray, kernel: np.ndarray, stride: int = 1, pad: int = 0) -
     co, ci, kh, kw = k.shape
     if ci != x.shape[1]:
         raise ShapeError(f"channel mismatch: input {x.shape[1]}, kernel {ci}")
-    n = x.shape[0]
-    cols, oh, ow = _im2col(x, kh, kw, stride, pad)
-    # (C_O, K) @ (N, K, OH*OW): one GEMM per sample, read in place from cols
-    out = k.reshape(co, -1) @ cols.reshape(-1, n, oh * ow).transpose(1, 0, 2)
-    return out.reshape(n, co, oh, ow)
+    n, _, h, w = x.shape
+    oh = _conv_out_size(h, kh, stride, pad)
+    ow = _conv_out_size(w, kw, stride, pad)
+    kmat = k.reshape(co, -1)
+    out = np.empty((n, co, oh, ow))
+    run = _run_samples(kmat.shape[1], oh * ow)
+    for s in range(0, n, run):
+        xs = x[s : s + run]
+        m = len(xs)
+        cols = _im2col(xs, kh, kw, stride, pad)
+        # (C_O, K) @ (m, K, OH*OW): one GEMM per sample, read in place from cols
+        np.matmul(kmat, cols.reshape(-1, m, oh * ow).transpose(1, 0, 2),
+                  out=out[s : s + m].reshape(m, co, oh * ow))
+    return out
 
 
 def conv2d_backward(grad_out: np.ndarray, inp: np.ndarray, kernel: np.ndarray,
@@ -111,16 +144,30 @@ def conv2d_backward(grad_out: np.ndarray, inp: np.ndarray, kernel: np.ndarray,
     g = _batch(grad_out)
     k = np.asarray(kernel, dtype=np.float64)
     co, ci, kh, kw = k.shape
-    cols, oh, ow = _im2col(x, kh, kw, stride, pad)
-    if g.shape != (x.shape[0], co, oh, ow):
+    n, _, h, w = x.shape
+    oh = _conv_out_size(h, kh, stride, pad)
+    ow = _conv_out_size(w, kw, stride, pad)
+    if g.shape != (n, co, oh, ow):
         raise ShapeError(f"grad_out shape {g.shape} does not match forward output "
-                         f"{(x.shape[0], co, oh, ow)}")
-    gmat = g.transpose(1, 0, 2, 3).reshape(co, -1)      # (C_O, N*OH*OW), a copy
-    grad_kernel = (gmat @ cols.T).reshape(k.shape)
-    if not need_input:
-        return None, grad_kernel
-    grad_input = _col2im(k.reshape(co, -1).T @ gmat, x.shape, kh, kw, stride, pad)
-    return grad_input, grad_kernel
+                         f"{(n, co, oh, ow)}")
+    kmat = k.reshape(co, -1)
+    grad_kernel = None
+    grad_input = np.empty(x.shape) if need_input else None
+    run = _run_samples(kmat.shape[1], oh * ow)
+    for s in range(0, n, run):
+        xs = x[s : s + run]
+        cols = _im2col(xs, kh, kw, stride, pad)
+        gmat = g[s : s + run].transpose(1, 0, 2, 3).reshape(co, -1)    # (C_O, m*OH*OW), a copy
+        part = gmat @ cols.T
+        if grad_kernel is None:
+            grad_kernel = part
+        else:
+            grad_kernel += part
+        if need_input:
+            grad_input[s : s + run] = _col2im(kmat.T @ gmat, xs.shape, kh, kw, stride, pad)
+    if grad_kernel is None:                             # an empty batch
+        grad_kernel = np.zeros(kmat.shape)
+    return grad_input, grad_kernel.reshape(k.shape)
 
 
 def pool2d(inp: np.ndarray, window: int, mode: str = "average") -> np.ndarray:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .bptt import backward, sign_estimator_backward
+from .bptt import backward, layer0_weight_grad, sign_estimator_backward
 from .checkpoint import Checkpoint
 from .coding import fts_ce_loss_batch, ml_loss_logits_batch, rate_ce_loss_batch
 from .data import Dataset, encode_direct
@@ -22,7 +22,7 @@ from .errors import NumericalError, ParameterError
 from .heap import simulating
 from .inference import run_network
 from .network import (ARCHS, DEFAULT_HIDDEN, block_rows, build, forward as net_forward,
-                      init_params, normalize_model_kind)
+                      init_params, normalize_model_kind, synaptic_drive)
 from .neurons import first_spike_times
 from .rng import RngStream, rng_uniform
 
@@ -220,10 +220,18 @@ def train(config: TrainConfig, train_ds: Dataset, test_ds: Dataset | None = None
     and backward on its own tape, which is freed before the next block's
     forward.  A block's membrane state then stays in cache from one step to
     the next, and the tape, the step's largest allocation, is held for one
-    block rather than the batch.  The losses divide by the batch's size, so
-    the blocks' weight gradients, summed in place, are the batch's up to
-    the order of their sums; one Adam step follows per batch.  Training
-    draws are keyed by dataset index, so no draw depends on the blocking.
+    block rather than the batch.  Layer 0's work is done once per batch:
+    one GEMM or conv gives the batch's layer-0 drive, and each block's
+    forward reads its rows of it; each block's backward hands back layer
+    0's drive gradient summed over time, which is written over those rows,
+    done with by then, and after the last block one GEMM or one
+    ``conv2d_backward`` (``bptt.layer0_weight_grad``) turns the whole
+    buffer and the batch's images into layer 0's weight gradient.  The
+    losses divide by the batch's size, so the other layers' weight
+    gradients, summed in place over the blocks, are the batch's up to the
+    order of their sums; the batch's images and drive are freed before the
+    one Adam step per batch.  Training draws are keyed by dataset index, so
+    no draw depends on the blocking.
     """
     if resume is not None:
         spec = resume.spec
@@ -250,6 +258,7 @@ def train(config: TrainConfig, train_ds: Dataset, test_ds: Dataset | None = None
     last_good = best_ckpt
     n_neuron_layers = len(spec.neuron_layers())
     block = block_rows(spec, train_ds.images.shape[-2:])
+    layer0, w0 = spec.layers[0], "layer0.w"
 
     for epoch in range(start_epoch, config.epochs):
         t0 = time.monotonic()
@@ -261,9 +270,14 @@ def train(config: TrainConfig, train_ds: Dataset, test_ds: Dataset | None = None
         try:
             for b, s in enumerate(range(0, n, config.batch_size)):
                 idx = order[s : s + config.batch_size]
+                images = train_ds.images[idx]
+                # layer 0's drive, once per batch; each block's forward reads
+                # its rows, and its backward's layer-0 drive gradient then
+                # replaces them
+                drive = synaptic_drive(layer0, params[w0], images)
                 # block-major: each row block runs forward, loss and backward
                 # on its own tape, its per-step state kept in cache, and adds
-                # its weight gradients into the batch's
+                # the other layers' weight gradients into the batch's
                 loss = 0.0
                 grads = {}
                 for r in range(0, len(idx), block):
@@ -273,21 +287,28 @@ def train(config: TrainConfig, train_ds: Dataset, test_ds: Dataset | None = None
                     streams = [RngStream(config.seed,
                                          stream_id=_STREAM_TRAIN_BASE + (epoch << 8) + li)
                                for li in range(n_neuron_layers)]
-                    encoded = encode_direct(train_ds.images[rows], spec.horizon)
-                    tape = net_forward(spec, params, encoded, streams, rows=rows)[1]
+                    encoded = encode_direct(images[r : r + block], spec.horizon)
+                    tape = net_forward(spec, params, encoded, streams, rows=rows,
+                                       drive0=drive[r : r + block])[1]
                     block_loss, g_top = _batch_loss(spec, tape, train_ds.labels[rows], len(idx))
                     loss += block_loss
                     if not np.isfinite(loss):
                         raise NumericalError(f"loss diverged at epoch {epoch} batch {b}")
-                    for name, g in backward(tape, g_top).items():
+                    block_grads = backward(tape, g_top)
+                    drive[r : r + block] = block_grads.pop(w0)
+                    for name in block_grads:
                         if name in grads:
-                            grads[name] += g
+                            grads[name] += block_grads[name]
                         else:
-                            grads[name] = g
-                    # the tape is the step's largest allocation, and g the
-                    # block's last weight gradient: free both before the next
-                    # block's forward pass and Adam's scratch arrays
-                    del tape, g_top, g
+                            grads[name] = block_grads[name]
+                    # the tape is the step's largest allocation: free it, and
+                    # the block's weight gradients, before the next block's
+                    # forward pass
+                    del tape, g_top, block_grads
+                grads[w0] = layer0_weight_grad(layer0, params[w0], drive, images)
+                # Adam's scratch arrays need not stack on the batch's arrays
+                # (encoded is a view of images)
+                del images, drive, encoded
                 adam_step(params, grads, adam, lr, config.weight_decay)
                 epoch_loss += loss
                 n_batches += 1

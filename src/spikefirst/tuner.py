@@ -46,6 +46,21 @@ class DeConfig:
         if not 0.0 <= self.latency_weight < np.inf:
             raise ParameterError(f"latency weight must be finite and >= 0, "
                                  f"got {self.latency_weight}")
+        if self.bounds is not None:
+            self.bounds = _checked_bounds(self.bounds)
+
+
+def _checked_bounds(bounds) -> np.ndarray:
+    """``bounds`` as a finite (dims, 2) float64 array of [low, high] rows with
+    low <= high, or ParameterError."""
+    bounds = np.asarray(bounds, dtype=np.float64)
+    if bounds.ndim != 2 or bounds.shape[1] != 2:
+        raise ParameterError(f"bounds must be a (dims, 2) array, got shape {bounds.shape}")
+    if not np.isfinite(bounds).all():
+        raise ParameterError(f"bounds must be finite, got {bounds.tolist()}")
+    if np.any(bounds[:, 0] > bounds[:, 1]):
+        raise ParameterError(f"a lower bound is above its upper bound: {bounds.tolist()}")
+    return bounds
 
 
 @dataclass
@@ -62,11 +77,7 @@ def de_minimize(objective, bounds, config: DeConfig) -> DeResult:
     ``bounds`` is a (dims, 2) array of [low, high] per dimension.
     Deterministic given ``config.seed``.
     """
-    bounds = np.asarray(bounds, dtype=np.float64)
-    if bounds.ndim != 2 or bounds.shape[1] != 2 or np.any(bounds[:, 0] > bounds[:, 1]):
-        raise ParameterError(f"invalid bounds array with shape {bounds.shape}")
-    if not np.isfinite(bounds).all():
-        raise ParameterError(f"bounds must be finite, got {bounds.tolist()}")
+    bounds = _checked_bounds(bounds)
     dims = bounds.shape[0]
     low, high = bounds[:, 0], bounds[:, 1]
     if np.all(low == high):

@@ -8,10 +8,11 @@
   derivative is the arctan surrogate, for finite-difference networks;
 * ``backward`` and ``adam_step``: the reverse sweep and the Adam update as
   they stood before they reused per-step buffers, kept verbatim (with the
-  surrogate they call; the synaptic helper is the package's own, and the
-  sweep reads each layer's input where the tape now holds it) so that
-  tests can demand bit-identical gradients and parameters from the
-  package's versions;
+  surrogate they call; the synaptic helper is the package's own, the
+  sweep reads each layer's input where the tape now holds it, and it hands
+  back layer 0's drive gradient summed over time, as the package's does)
+  so that tests can demand bit-identical gradients and parameters from
+  the package's versions;
 * ``output_gradient``: the choice of output-layer gradient that the reverse
   sweep made from its loss before ``train._batch_loss`` took it over, keyed
   by model kind, the reference for the trainer's;
@@ -170,7 +171,9 @@ def backward(tape: Tape, g_top: np.ndarray) -> dict:
 
     ``g_top`` is the (T, N, n) loss gradient at the output layer, as
     ``output_gradient`` gives it.  Returns a dict mapping weight names to
-    gradients, each summed over the timesteps from t = T-1 down to 0.
+    gradients, each summed over the timesteps from t = T-1 down to 0,
+    except layer 0's: its name maps to layer 0's drive gradient summed over
+    time, as the package's ``backward`` hands it back.
 
     The sweep is time-major (see the module docstring): each gradient passed
     from layer to layer, and each neuron layer's carry, is one step's
@@ -234,8 +237,7 @@ def backward(tape: Tape, g_top: np.ndarray) -> dict:
             else:
                 grads[trace.wname] = grad_w
 
-    grads[traces[0].wname], _ = _synaptic_step(traces[0], folded, traces[0].inputs,
-                                               need_input=False)
+    grads[traces[0].wname] = folded
     return grads
 
 

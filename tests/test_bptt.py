@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 import spikefirst as sf
-from spikefirst.bptt import _arctan_surrogate_in_place, sign_estimator_backward
+from spikefirst.bptt import (_arctan_surrogate_in_place, layer0_weight_grad,
+                             sign_estimator_backward)
 from spikefirst.coding import fts_ce_loss_batch, ml_loss_logits_batch, rate_ce_loss_batch
 from spikefirst.network import LayerSpec
 from spikefirst.neurons import first_spike_times, sigmoid
@@ -86,6 +87,16 @@ def _two_layer_spec(model_kind, nin, nh, nout, horizon, **neuron_kw):
     return spec
 
 
+def _weight_grads(tape, g_top):
+    """Every weight gradient of one tape: ``backward``'s, with layer 0's drive
+    gradient summed over time turned into its weight gradient, as ``train``
+    does once per batch."""
+    grads = sf.backward(tape, g_top)
+    tr = tape.traces[0]
+    grads[tr.wname] = layer0_weight_grad(tr.layer, tr.weight, grads[tr.wname], tr.inputs)
+    return grads
+
+
 def _fd_check(params, grads, loss_fn, eps=1e-6, tol=1e-5):
     for name in params:
         w = params[name]
@@ -113,7 +124,7 @@ def test_deterministic_end_to_end_gradient():
     labels = np.array([1, 2])
 
     _, tape = sf.forward(spec, params, sf.encode_direct(x, horizon))
-    grads = sf.backward(tape, _batch_loss(spec, tape, labels)[1])
+    grads = _weight_grads(tape, _batch_loss(spec, tape, labels)[1])
 
     tr0, tr1 = tape.traces
     reset0 = (np.concatenate([np.zeros((1, n, nh)), tr0.v[:-1]]) >= 1.0).astype(float)
@@ -155,7 +166,7 @@ def test_deterministic_conv_pool_end_to_end_gradient():
 
     _, tape = sf.forward(spec, params, sf.encode_direct(x, horizon))
     assert tape.traces[0].inputs.shape == x.shape
-    grads = sf.backward(tape, _batch_loss(spec, tape, labels)[1])
+    grads = _weight_grads(tape, _batch_loss(spec, tape, labels)[1])
 
     tr0, tr2 = tape.traces[0], tape.traces[2]
     reset0 = (np.concatenate([np.zeros((1,) + tr0.v.shape[1:]), tr0.v[:-1]]) >= 1.0)
@@ -194,7 +205,7 @@ def test_stochastic_end_to_end_gradient_fused_logits():
 
     streams = [RngStream(6, 11), RngStream(6, 12)]
     _, tape = sf.forward(spec, params, sf.encode_direct(x, horizon), streams)
-    grads = sf.backward(tape, _batch_loss(spec, tape, labels)[1])
+    grads = _weight_grads(tape, _batch_loss(spec, tape, labels)[1])
 
     off0 = tape.traces[0].spikes - tape.traces[0].probs  # frozen noise offsets
 
@@ -249,7 +260,7 @@ def test_stochastic_conv_max_pool_end_to_end_gradient():
     streams = [RngStream(8, 20 + i) for i in range(3)]
     _, tape = sf.forward(spec, params, sf.encode_direct(x, horizon), streams)
     loss, g_top = _batch_loss(spec, tape, labels)
-    grads = sf.backward(tape, g_top)
+    grads = _weight_grads(tape, g_top)
 
     tr0, tr1 = tape.traces[0], tape.traces[1]
     assert tr0.spikes.dtype == np.uint8     # the conv layer 1 reads
@@ -307,7 +318,7 @@ def test_backward_conv_pool_network_shapes():
     params = sf.init_params(spec, RngStream(0, 1))
     x = rng.uniform(0, 1, size=(2, 1, 28, 28))
     _, tape = sf.forward(spec, params, sf.encode_direct(x, horizon))
-    grads = sf.backward(tape, _batch_loss(spec, tape, np.array([3, 7]))[1])
+    grads = _weight_grads(tape, _batch_loss(spec, tape, np.array([3, 7]))[1])
     for name, g in grads.items():
         assert g.shape == params[name].shape
         assert np.isfinite(g).all()

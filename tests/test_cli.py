@@ -429,10 +429,13 @@ def test_tune_bad_bounds(tiny_run, tmp_path, synthetic_mnist):
 @pytest.mark.parametrize("flag,value", [("--bounds", "nan,1"), ("--bounds", "0.5,inf"),
                                         ("--beta", "nan")])
 def test_tune_rejects_non_finite_settings(tiny_run, tmp_path, synthetic_mnist, flag, value):
-    # such a run wrote a tuned.ckpt that `show` could not read back
-    assert run("tune", str(tiny_run / "checkpoint.ckpt"), flag, value, "--generations", "1",
-               "--pop", "4", "--data", synthetic_mnist, "--out", str(tmp_path)) == EXIT_CONFIG
-    assert not (tmp_path / "tuned.ckpt").exists()
+    # such a run wrote a tuned.ckpt that `show` could not read back.  The
+    # settings are checked before any data is read, so a missing data path
+    # does not change the exit code
+    for data in (synthetic_mnist, str(tmp_path / "no-such-data")):
+        assert run("tune", str(tiny_run / "checkpoint.ckpt"), flag, value, "--generations",
+                   "1", "--pop", "4", "--data", data, "--out", str(tmp_path)) == EXIT_CONFIG, data
+        assert not (tmp_path / "tuned.ckpt").exists()
 
 
 @pytest.mark.parametrize("generations", ["0", "-3"])

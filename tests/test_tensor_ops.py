@@ -5,7 +5,7 @@ import pytest
 
 from spikefirst.data import encode_direct
 from spikefirst.errors import ShapeError
-from spikefirst.tensor import conv2d, conv2d_backward, pool2d, pool2d_backward
+from spikefirst.tensor import _run_samples, conv2d, conv2d_backward, pool2d, pool2d_backward
 
 
 def naive_conv2d(x, k, stride=1, pad=0):
@@ -96,10 +96,22 @@ def naive_conv2d_adjoint(g, x, k, stride, pad):
     return grad_xp[:, :, pad : pad + h, pad : pad + w], grad_k.transpose(1, 0, 2, 3)
 
 
+def test_conv_runs_follow_the_layer_shape():
+    # samples per run of im2col columns, (C_I*KH*KW, OH*OW) float64 each,
+    # within 2 MiB: lenet5's conv 1 and conv 2, vgg15's first conv and its
+    # 64-channel conv at 32x32, whose columns exceed 2 MiB for one sample
+    assert _run_samples(1 * 5 * 5, 28 * 28) == 8
+    assert _run_samples(6 * 5 * 5, 10 * 10) == 16
+    assert _run_samples(3 * 3 * 3, 32 * 32) == 8
+    assert _run_samples(64 * 3 * 3, 32 * 32) == 1
+
+
 @pytest.mark.parametrize("x_shape,k_shape,stride,pad", [
     ((2, 1, 28, 28), (6, 1, 5, 5), 1, 2),     # lenet5 conv 1
     ((2, 6, 14, 14), (16, 6, 5, 5), 1, 0),    # lenet5 conv 2
     ((3, 3, 9, 9), (4, 3, 3, 3), 2, 1),
+    ((10, 1, 28, 28), (6, 1, 5, 5), 1, 2),    # runs of 8 and 2 samples
+    ((20, 6, 14, 14), (16, 6, 5, 5), 1, 0),   # runs of 16 and 4 samples
 ])
 def test_conv2d_backward_matches_naive_adjoint(x_shape, k_shape, stride, pad):
     rng = np.random.default_rng(7)
@@ -116,11 +128,14 @@ def test_conv2d_backward_matches_naive_adjoint(x_shape, k_shape, stride, pad):
     ((64, 1, 28, 28), (6, 1, 5, 5), 1, 2),
     ((64, 6, 14, 14), (16, 6, 5, 5), 1, 0),
     ((33, 3, 9, 9), (4, 3, 3, 3), 2, 1),
+    ((40, 1, 28, 28), (6, 1, 5, 5), 1, 2),    # lenet5 conv 1: five runs of 8
+    ((4, 64, 32, 32), (64, 64, 3, 3), 1, 1),  # vgg15 at 32x32: runs of 1
 ])
 @pytest.mark.parametrize("spikes", [False, True])
 def test_conv2d_and_pool2d_are_batch_invariant(x_shape, k_shape, stride, pad, spikes):
     # early exit convolves only the samples still active: each sample's
-    # result must be bit-equal however many others share its batch
+    # result must be bit-equal however many others share its batch, and
+    # wherever the batch's runs of samples cut it
     rng = np.random.default_rng(8)
     x = rng.random(x_shape)
     if spikes:
@@ -128,10 +143,13 @@ def test_conv2d_and_pool2d_are_batch_invariant(x_shape, k_shape, stride, pad, sp
     k = rng.normal(size=k_shape)
     full = conv2d(x, k, stride, pad)
     pooled = pool2d(x[..., :8, :8], 2)
-    subsets = [np.sort(rng.choice(len(x), m, replace=False)) for m in (1, 2, 3, 7, 20)]
-    for idx in subsets + [np.array([len(x) - 1, 0, 5])]:
+    subsets = [np.sort(rng.choice(len(x), m, replace=False))
+               for m in (1, 2, 3, 7, 20) if m <= len(x)]
+    for idx in subsets + [np.array([len(x) - 1, 0, min(5, len(x) // 2)])]:
         assert np.array_equal(conv2d(x[idx], k, stride, pad), full[idx])
         assert np.array_equal(pool2d(x[idx][..., :8, :8], 2), pooled[idx])
+    for i in range(len(x)):
+        assert np.array_equal(conv2d(x[i : i + 1], k, stride, pad), full[i : i + 1]), i
 
 
 def test_kernels_accept_non_contiguous_inputs():

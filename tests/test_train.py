@@ -220,8 +220,8 @@ def test_stochastic_training_draws_do_not_depend_on_the_batch(monkeypatch):
     for batch_size in (20, 7):
         spikes = seen[batch_size] = {}
 
-        def recording(spec, params, encoded, streams, rows):
-            records, tape = forward(spec, params, encoded, streams, rows=rows)
+        def recording(spec, params, encoded, streams, rows, drive0=None):
+            records, tape = forward(spec, params, encoded, streams, rows=rows, drive0=drive0)
             for i, row in enumerate(rows.tolist()):
                 spikes[row] = [r[:, i].copy() for r in records]
             return records, tape
@@ -500,37 +500,40 @@ def test_blocked_step_matches_whole_batch_step(model_kind, arch, n, block):
 
 @pytest.mark.parametrize("model_kind", ["D-F-BPTT", "S-F-BPTT", "D-R-BPTT"])
 def test_training_step_peak_memory_is_one_blocks_tape(monkeypatch, model_kind):
-    # one mlp2-800 step at batch 512, T=20, in its 64-row blocks.  From the
-    # first block's forward to Adam, the peak holds one block's tape (its
-    # (T, 64, 800) membranes or probabilities and uint8 spikes, 1.1 units of
-    # one (T, 64, 800) float64 buffer), the batch's and one block's weight
-    # gradients (0.6 units each) and per-step buffers: 2.7 units measured,
-    # bounded at 3.  A whole-batch tape alone is 9 units, and a step in
-    # 128-row blocks measured 4.05.  Adam then adds weight-sized buffers
+    # one mlp2-800 step at batch 512, T=20, in its 64-row blocks, counted
+    # from the batch's layer-0 drive.  Up to Adam, the peak holds the
+    # batch's images and layer-0 drive, which then holds the blocks'
+    # layer-0 drive gradients (0.4 units each of one (T, 64, 800) float64
+    # buffer), one block's tape (its (T, 64, 800) membranes or
+    # probabilities and uint8 spikes, 1.1 units) and per-step buffers, and
+    # at the end layer 0's weight gradient (0.6 units): 1.9 units measured,
+    # bounded at 3.  A whole-batch tape alone is 9 units.  The batch's
+    # arrays are freed before Adam, which then adds weight-sized buffers
     # only, the same whatever the block: its first step holds the gradient,
-    # two moments and two scratch arrays of 784 x 800 (3.1 units), bounded
-    # with the step at 3.5.  A whole-batch step peaks at 11.9 units.
+    # two moments and two scratch arrays of 784 x 800, 2.7 units measured
+    # for the step (3.1 with the batch's images still alive), bounded at
+    # 3.5.  A whole-batch step peaks at 11.9 units.
     horizon, n, hidden = 20, 512, 800
     unit = horizon * 64 * hidden * 8
     cfg = TrainConfig(model_kind=model_kind, arch="mlp2", epochs=1, batch_size=n,
                       horizon=horizon, hidden=hidden,
                       lambda_leak=0.7 if model_kind.startswith("S") else 0.9)
     ds = _mnist_like(n)
-    real_forward, real_adam = train_mod.net_forward, train_mod.adam_step
+    real_drive, real_adam = train_mod.synaptic_drive, train_mod.adam_step
     peaks = {}
 
-    def forward(*args, **kwargs):
+    def drive(*args, **kwargs):
         if "base" not in peaks:
             tracemalloc.reset_peak()
             peaks["base"] = tracemalloc.get_traced_memory()[0]
-        return real_forward(*args, **kwargs)
+        return real_drive(*args, **kwargs)
 
     def adam(*args, **kwargs):
         peaks["blocks"] = tracemalloc.get_traced_memory()[1] - peaks["base"]
         real_adam(*args, **kwargs)
         peaks["step"] = tracemalloc.get_traced_memory()[1] - peaks["base"]
 
-    monkeypatch.setattr(train_mod, "net_forward", forward)
+    monkeypatch.setattr(train_mod, "synaptic_drive", drive)
     monkeypatch.setattr(train_mod, "adam_step", adam)
     tracemalloc.start()
     try:
@@ -539,6 +542,38 @@ def test_training_step_peak_memory_is_one_blocks_tape(monkeypatch, model_kind):
         tracemalloc.stop()
     assert peaks["blocks"] <= 3 * unit, f"blocks peak {peaks['blocks'] / unit:.2f} units"
     assert peaks["step"] <= 3.5 * unit, f"step peak {peaks['step'] / unit:.2f} units"
+
+
+def test_layer0_runs_once_per_batch(monkeypatch):
+    # a batch of 512 rows in 64-row blocks runs 8 forward passes, but makes
+    # layer 0's drive once and its weight gradient once, each over the
+    # whole batch
+    n = 512
+    cfg = TrainConfig(arch="mlp2", epochs=1, batch_size=n, horizon=2)
+    ds = _mnist_like(n)
+    calls = {"forward": [], "drive": [], "weight_grad": []}
+
+    def counting(key, fn, rows):
+        def wrapped(*args, **kwargs):
+            if rows(args) is not None:
+                calls[key].append(rows(args))
+            return fn(*args, **kwargs)
+        return wrapped
+
+    def layer0_rows(args):
+        layer, _, x = args
+        return len(x) if layer.kind == "linear" and layer.in_features == 784 else None
+
+    for module in (network, train_mod):
+        monkeypatch.setattr(module, "synaptic_drive",
+                            counting("drive", module.synaptic_drive, layer0_rows))
+    monkeypatch.setattr(train_mod, "net_forward",
+                        counting("forward", train_mod.net_forward, lambda a: a[2].shape[1]))
+    monkeypatch.setattr(train_mod, "layer0_weight_grad",
+                        counting("weight_grad", train_mod.layer0_weight_grad,
+                                 lambda a: len(a[3])))
+    train(cfg, ds)
+    assert calls == {"forward": [64] * 8, "drive": [n], "weight_grad": [n]}
 
 
 def test_write_log_csv(tmp_path):

@@ -94,6 +94,12 @@ def test_config_validation():
                    [[0.0, 1.0], [1.0, np.nan]]):
         with pytest.raises(ParameterError, match="finite"):
             de_minimize(sphere, np.array(bounds), DeConfig())
+        with pytest.raises(ParameterError, match="finite"):
+            DeConfig(bounds=np.array(bounds))
+    for bounds in ([[1.0, 0.0]], [1.0, 2.0], [[0.0, 1.0, 2.0]]):
+        with pytest.raises(ParameterError, match="bound"):
+            DeConfig(bounds=np.array(bounds))
+    assert DeConfig(bounds=[[0.5, 0.5], [0.3, 3]]).bounds.tolist() == [[0.5, 0.5], [0.3, 3.0]]
 
 
 def _checkpoint(kind):
