@@ -20,8 +20,7 @@ i-1's output: nothing is taped under two names.  Spike trains are taped as
 and the conv and pool kernels leaves every gradient bit-identical.  A pool
 layer's output is taped as float64.  The network input is direct-encoded,
 the same at every step, so layer 0's input is recorded once, as (N, ...),
-and is the only input on the tape; ``backward`` does not read it, but
-``layer0_weight_grad`` does for a caller with one tape.
+and is the only input on the tape, which ``backward`` does not read.
 
 ``backward`` starts from the (T, N, n_out) loss gradient at the output layer,
 whatever the loss, and replays the tape in one time-major reverse sweep: for
@@ -29,8 +28,8 @@ t = T-1 down to 0 it walks the layers from the output down, and each layer
 turns step t's gradient with respect to its output into step t's gradient
 with respect to its input.  A neuron layer keeps its own (N, ...) carry, the
 gradient that flows to its membrane potential from step t+1; a synaptic
-layer adds step t's contribution to its weight gradient (one GEMM, or one
-``conv2d_backward``) and passes the input gradient down.  So every gradient
+layer adds step t's contribution to its weight gradient and passes the
+input gradient down, both from one ``synaptic_backward``.  So every gradient
 that moves between layers is one step's (N, ...) array, and the gradient
 memory is O(N * width) whatever the horizon; only the tape and the
 (T, N, n_out) loss gradient grow with T.  N is the tape's rows: training
@@ -40,23 +39,22 @@ both bounds hold per block, and the (N, ...) buffers stay in cache from
 one step to the next.
 
 Layer 0's input is the same at every step, so its weight gradient is
-(sum_t g_t)^T x: the sweep adds layer 0's drive gradient into one (N, ...)
-sum over time and hands that sum back, in place of the weight gradient.
-``layer0_weight_grad`` turns it into the weight gradient with one GEMM or
-one ``conv2d_backward``.  ``train`` collects the sums of all of a batch's
-blocks and makes that product once per batch, over the batch's images;
-a caller with one tape makes it from the tape's ``inputs``.  The gradient
-with respect to the network input is never computed, since nothing reads
-it.
+(sum_t g_t)^T x: the sweep hands back layer 0's drive gradient summed over
+time, (N, ...), beside the other layers' weight gradients, and the caller
+makes that product with ``synaptic_backward(..., need_input=False)``:
+``train`` once per batch, from all its blocks' sums and its images, a
+caller with one tape from the tape's ``inputs``.  The gradient with respect
+to the network input is never computed, since nothing reads it.
 
-The sweep allocates its per-step arrays once per call and overwrites them at
-every step: each neuron layer's carry, a work buffer that holds its
-surrogate, then dL/dV_t, then its drive gradient, a 1 - p scratch for a
-hidden stochastic layer, and a float64 buffer into which each layer fed by
-a neuron layer casts the uint8 spike step it reads.  Each is read only
-within its own step, and none escapes into the returned gradients; every
-ufunc keeps the operands and the order of the plain expressions, so the
-gradients are the same bits.
+The sweep allocates its per-step arrays once per call, from the tape's
+shapes, and overwrites them at every step: each neuron layer's carry, a
+work buffer that holds its surrogate, then dL/dV_t, then its drive
+gradient, a 1 - p scratch for a hidden stochastic layer, and a float64
+buffer into which each layer fed by a neuron layer casts the uint8 spike
+step it reads.  None escapes: the weight gradients are fresh GEMM results,
+and layer 0's sum over time has a buffer of its own.  Every ufunc keeps
+the operands and the order of the plain expressions, so the gradients
+are the same bits.
 """
 
 from __future__ import annotations
@@ -65,8 +63,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import StateError
-from .tensor import conv2d_backward, pool2d_backward
+from .tensor import conv2d_backward, linear_backward, pool2d_backward
 
 
 def _arctan_surrogate_in_place(z: np.ndarray) -> np.ndarray:
@@ -126,49 +123,33 @@ class Tape:
     traces: list = field(default_factory=list)
 
 
-def _synaptic_step(trace: LayerTrace, g_drive: np.ndarray, x: np.ndarray,
-                   need_input: bool = True):
-    """Backprop one step's drive gradient through a linear or conv op.
-
-    ``g_drive`` is (N, ...) and ``x`` the op's input at that step.  Returns
-    (grad_weight, grad_input), grad_input shaped like ``x``, or None when
-    ``need_input`` is false.
-    """
-    layer = trace.layer
+def synaptic_backward(layer, weight: np.ndarray, g_drive: np.ndarray, x: np.ndarray, *,
+                      need_input: bool = True):
+    """Backprop a drive gradient ``g_drive`` (N, ...) through the synaptic op
+    of a linear or conv ``layer`` on input ``x``: ``tensor.linear_backward``
+    or ``tensor.conv2d_backward``.  Returns ``(grad_input, grad_weight)``,
+    ``grad_input`` shaped like ``x``, or None when ``need_input`` is false."""
     if layer.kind == "linear":
-        # backward passes float64; any other step is cast
-        flat = x.reshape(x.shape[0], -1).astype(np.float64, copy=False)
-        grad_w = g_drive.T @ flat
-        if not need_input:
-            return grad_w, None
-        return grad_w, (g_drive @ trace.weight).reshape(x.shape)
-    if layer.kind == "conv":
-        grad_in, grad_w = conv2d_backward(g_drive, x, trace.weight, layer.stride,
-                                          layer.pad, need_input=need_input)
-        return grad_w, grad_in
-    raise StateError(f"layer kind {layer.kind!r} has no synaptic op")
+        return linear_backward(g_drive, x, weight, need_input=need_input)
+    return conv2d_backward(g_drive, x, weight, layer.stride, layer.pad,
+                           need_input=need_input)
 
 
-def backward(tape: Tape, g_top: np.ndarray) -> dict:
+def backward(tape: Tape, g_top: np.ndarray):
     """Reverse sweep over a recorded forward pass.
 
     ``g_top`` is the (T, N, n) loss gradient at the output layer from
     ``train._batch_loss``: with respect to the spikes of a deterministic
     output layer, and to the membrane potential of a stochastic one, whose
-    fused S-F gradient already went through the sigmoid.  Returns a dict
-    mapping weight names to gradients, each summed over the timesteps from
-    t = T-1 down to 0, except layer 0's: its name maps to layer 0's drive
-    gradient summed over time, (N, ...) like its drive, which
-    ``layer0_weight_grad`` turns into the weight gradient.
+    fused S-F gradient already went through the sigmoid.  Returns
+    ``(grads, g_drive0)``: ``grads`` maps the weight names of layers 1 and
+    up to their gradients, each summed over the timesteps from t = T-1 down
+    to 0, and ``g_drive0`` is layer 0's drive gradient summed over time,
+    (N, ...) like its drive, which ``synaptic_backward`` turns into layer
+    0's weight gradient.
 
-    The sweep is time-major (see the module docstring): each gradient passed
-    from layer to layer, and each neuron layer's carry, is one step's
-    (N, ...) array, so apart from ``g_top`` its memory is O(N * width)
-    whatever the horizon.
-
-    The (N, ...) buffers the sweep reuses from step to step (see the module
-    docstring) never escape: the weight gradients are fresh GEMM results,
-    and layer 0's sum over time starts as a copy of its work buffer.
+    The sweep is time-major: apart from ``g_top`` its memory is O(N * width)
+    whatever the horizon (see the module docstring).
 
     ``backward`` writes only into buffers it allocated: neither ``g_top``
     nor any array on the tape is modified, so a tape can be swept again.
@@ -176,40 +157,41 @@ def backward(tape: Tape, g_top: np.ndarray) -> dict:
     horizon = tape.horizon
     traces = tape.traces
     last = len(traces) - 1
+    stoch = tape.neuron == "stoch"
+
+    # per layer, None where it has none (see the module docstring), made in
+    # the order the sweep first uses them (the peak resident set depends on
+    # it); a carry starts at zeros, not a skipped add, so -0.0 becomes +0.0
+    carry, work, one_minus_p, cast = ([None] * len(traces) for _ in range(4))
+    for i, trace in reversed(list(enumerate(traces))):
+        if i > 0 and traces[i - 1].spikes.dtype != np.float64:
+            cast[i] = np.empty(traces[i - 1].spikes.shape[1:])
+        if trace.layer.kind != "pool":
+            shape = trace.spikes.shape[1:]
+            carry[i], work[i] = np.zeros(shape), np.empty(shape)
+            if stoch and i < last:
+                one_minus_p[i] = np.empty(shape)
+    g_drive0 = np.empty(traces[0].spikes.shape[1:])
 
     grads: dict[str, np.ndarray] = {}
-    # per neuron layer, reused at every step: dL/dV_t from step t+1 (zeros
-    # before the first step rather than a skipped add, so that a -0.0 there
-    # becomes +0.0 as at every other step), the work buffer and the 1 - p
-    # scratch
-    carry: dict[int, np.ndarray] = {}
-    work: dict[int, np.ndarray] = {}
-    one_minus_p: dict[int, np.ndarray] = {}
-    cast: dict[int, np.ndarray] = {}    # per layer fed by uint8 spikes
-    folded = None                       # layer 0: sum_t of its g_drive
     for t in range(horizon - 1, -1, -1):
+        first = t == horizon - 1
         g = g_top[t]
         for i in range(last, -1, -1):
             trace = traces[i]
             layer = trace.layer
             if i > 0:
-                # layer i's input is layer i-1's output; a uint8 spike step
-                # is cast to float64
+                # layer i's input is layer i-1's output
                 x = traces[i - 1].spikes[t]
-                if x.dtype != np.float64:
-                    if i not in cast:
-                        cast[i] = np.empty(x.shape)
+                if cast[i] is not None:
                     np.copyto(cast[i], x)
                     x = cast[i]
             if layer.kind == "pool":
                 g = pool2d_backward(g, x, layer.window, layer.pool_mode)
                 continue
 
-            if i not in work:
-                carry[i] = np.zeros(g.shape)
-                work[i] = np.empty(g.shape)
             gv = work[i]
-            if tape.neuron == "det":
+            if not stoch:
                 # dV_t/dV_{t-1}: leak path only; the reset indicator is treated
                 # as a constant in the backward pass.
                 np.subtract(trace.v[t], layer.v_th, out=gv)
@@ -218,14 +200,12 @@ def backward(tape: Tape, g_top: np.ndarray) -> dict:
                 gv *= g
                 gv += carry[i]
                 np.multiply(gv, layer.leak, out=carry[i])
-            else:                               # stoch
+            else:
                 if i == last:
                     np.add(g, carry[i], out=gv)     # g is already dL/dV
                 else:
                     # straight through the Bernoulli draw, then the sigmoid
                     p = trace.probs[t]
-                    if i not in one_minus_p:
-                        one_minus_p[i] = np.empty(g.shape)
                     np.subtract(1.0, p, out=one_minus_p[i])
                     np.multiply(g, p, out=gv)
                     gv *= one_minus_p[i]
@@ -237,27 +217,16 @@ def backward(tape: Tape, g_top: np.ndarray) -> dict:
             # gv is step t's drive gradient, overwritten at step t - 1
             if i == 0:
                 # the input is the same at every step:
-                # sum_t g_t^T x = (sum_t g_t)^T x, left to layer0_weight_grad
-                if folded is None:
-                    folded = gv.copy()
+                # sum_t g_t^T x = (sum_t g_t)^T x, left to the caller
+                if first:
+                    np.copyto(g_drive0, gv)
                 else:
-                    folded += gv
+                    g_drive0 += gv
                 continue
-            grad_w, g = _synaptic_step(trace, gv, x)
-            if trace.wname in grads:
-                grads[trace.wname] += grad_w
-            else:
+            g, grad_w = synaptic_backward(layer, trace.weight, gv, x)
+            if first:
                 grads[trace.wname] = grad_w
+            else:
+                grads[trace.wname] += grad_w
 
-    grads[traces[0].wname] = folded
-    return grads
-
-
-def layer0_weight_grad(layer, weight: np.ndarray, g_drive: np.ndarray,
-                       x: np.ndarray) -> np.ndarray:
-    """Layer 0's weight gradient from its drive gradient summed over time,
-    ``g_drive`` (N, ...) as ``backward`` hands it back, and the network
-    input ``x`` (N, ...), the same at every step: ``g_drive^T x`` for a
-    linear layer, one ``conv2d_backward`` for a conv layer."""
-    return _synaptic_step(LayerTrace(layer=layer, weight=weight), g_drive, x,
-                          need_input=False)[0]
+    return grads, g_drive0

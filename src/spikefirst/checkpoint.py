@@ -19,9 +19,11 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 import zlib
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -110,6 +112,8 @@ def _is_number(value, types) -> bool:
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
+    """Write ``ckpt`` to a temporary file beside ``path``, then move it over
+    ``path``: a save that fails or is killed partway leaves the old file."""
     meta = {
         "adam_step": ckpt.adam_step,
         "epoch": ckpt.epoch,
@@ -131,9 +135,15 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         body.append(struct.pack("<Q", len(payload)))
         body.append(payload)
     blob = b"".join(body)
-    with open(path, "wb") as f:
-        f.write(blob)
-        f.write(struct.pack("<I", zlib.crc32(blob)))
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(blob)
+            f.write(struct.pack("<I", zlib.crc32(blob)))
+        os.replace(tmp, path)
+    except BaseException:
+        Path(tmp).unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path) -> Checkpoint:

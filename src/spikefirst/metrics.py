@@ -67,8 +67,6 @@ def evaluate(ckpt: Checkpoint, dataset: Dataset, mode: str = "first-to-spike",
     horizon (pass ``horizon`` to override the spec's).  Stochastic draws are
     keyed by the checkpoint's training seed.
     """
-    if len(dataset) == 0:
-        raise ParameterError("empty dataset")
     spec = ckpt.spec
     res = run_network(spec, ckpt.params, dataset.images, mode=mode,
                       horizon=horizon, seed=ckpt.seed)

@@ -32,7 +32,7 @@ from .errors import ParameterError, ShapeError
 # sigmoid is re-exported: bench/test_bench.py reaches it through this module
 from .neurons import LayerState, det_lif_step, sigmoid, stoch_lif_step  # noqa: F401
 from .rng import RngStream, rng_uniform
-from .tensor import _L2_BYTES, _conv_out_size, conv2d, pool2d
+from .tensor import _L2_BYTES, _conv_out_size, conv2d, linear, pool2d
 
 # Each model kind's neuron model, that of every layer but the pool layers,
 # and its output coding.
@@ -312,11 +312,7 @@ def init_params(spec: NetworkSpec, stream: RngStream) -> dict:
 def synaptic_drive(layer: LayerSpec, weight: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Synaptic input of a linear or conv layer for one timestep."""
     if layer.kind == "linear":
-        flat = x.reshape(x.shape[0], -1)
-        if flat.shape[1] != layer.in_features:
-            raise ShapeError(f"linear layer expects {layer.in_features} features, "
-                             f"got {flat.shape[1]} (input shape {x.shape})")
-        return flat @ weight.T
+        return linear(x, weight)
     return conv2d(x, weight, layer.stride, layer.pad)
 
 
@@ -378,23 +374,16 @@ def forward(spec: NetworkSpec, params: dict, encoded: np.ndarray,
     (records, tape) where records is a list of per-neuron-layer spike arrays
     (T, N, ...) of 0/1 ``uint8``, the same arrays as the tape's ``spikes``.
 
-    The tape holds only what ``bptt.backward`` reads, and layer 0's input
-    (see below).  Each layer's output is recorded once, as that layer's own
-    ``spikes``: 0/1 ``uint8`` for a neuron layer, the float64 pooled map
-    for a pool layer; layer i reads layer i-1's as its input.  Besides, it
-    holds the membrane potential ``v`` of deterministic layers and of the
-    output layer and the firing probabilities ``probs`` of hidden
-    stochastic layers.
+    The tape holds what the ``bptt`` module docstring lists; each taped
+    array is allocated up front, from ``layer_shapes``.
 
     ``encoded`` must be direct-encoded: the same input at every step, stride
     0 along time, as ``data.encode_direct`` returns it; any other array
     raises ShapeError.  Layer 0's drive is computed once and reused at every
     step, and layer 0's ``inputs``, the only ones on the tape, hold the
-    input once, as (N, ...); ``backward`` folds that layer's drive gradient
-    over time, and ``bptt.layer0_weight_grad`` turns it into the weight
-    gradient.  A caller that already has layer 0's drive for these rows
-    passes it as ``drive0`` ((N, ...), read only), as ``train`` does with
-    its rows of the batch's drive; otherwise it is computed from
+    input once, as (N, ...).  A caller that already has layer 0's drive for
+    these rows passes it as ``drive0`` ((N, ...), read only), as ``train``
+    does with its rows of the batch's drive; otherwise it is computed from
     ``encoded[0]``.
     """
     horizon = encoded.shape[0]
@@ -403,39 +392,37 @@ def forward(spec: NetworkSpec, params: dict, encoded: np.ndarray,
     if encoded.strides[0] != 0:
         raise ShapeError("forward takes a direct-encoded input: the same input at every "
                          "step, stride 0 along time, as data.encode_direct returns it")
+    n = encoded.shape[1]
     traces = []
-    taped = []
-    for i, layer in enumerate(spec.layers):
-        trace = LayerTrace(layer=layer)
-        names = {"spikes"}
-        if layer.kind != "pool":
-            trace.wname = f"layer{i}.w"
-            trace.weight = params[trace.wname]
-            hidden_stoch = spec.neuron == "stoch" and i < len(spec.layers) - 1
-            names.add("probs" if hidden_stoch else "v")
+    for i, (layer, shape) in enumerate(zip(spec.layers, layer_shapes(spec, encoded.shape[-2:]))):
+        full = (horizon, n) + shape
+        if layer.kind == "pool":
+            traces.append(LayerTrace(layer=layer, spikes=np.empty(full)))
+            continue
+        name = f"layer{i}.w"
+        trace = LayerTrace(layer=layer, wname=name, weight=params[name],
+                           spikes=np.empty(full, np.uint8))
+        if spec.neuron == "stoch" and i < len(spec.layers) - 1:
+            trace.probs = np.empty(full)
+        else:
+            trace.v = np.empty(full)
         traces.append(trace)
-        taped.append(names)
 
     traces[0].inputs = encoded[0]
-    rows = np.arange(encoded.shape[1]) if rows is None else rows
+    rows = np.arange(n) if rows is None else rows
     if drive0 is None:
         drive0 = synaptic_drive(spec.layers[0], traces[0].weight, encoded[0])
-    elif len(drive0) != encoded.shape[1]:
-        raise ShapeError(f"drive0 has {len(drive0)} rows, the input {encoded.shape[1]}")
+    elif len(drive0) != n:
+        raise ShapeError(f"drive0 has {len(drive0)} rows, the input {n}")
     states = {}
     for t in range(horizon):
-        for trace, names, values in zip(traces, taped,
-                                        step(spec, params, drive0, states, streams, rows)):
-            for name, value in zip(("v", "spikes", "probs"), values):
-                if name not in names:
-                    continue
-                buf = getattr(trace, name)
-                if buf is None:
-                    spiking = name == "spikes" and trace.layer.kind != "pool"
-                    buf = np.empty((horizon,) + value.shape,
-                                   np.uint8 if spiking else np.float64)
-                    setattr(trace, name, buf)
-                buf[t] = value
+        for trace, (v, out, probs) in zip(traces, step(spec, params, drive0, states,
+                                                       streams, rows)):
+            trace.spikes[t] = out
+            if trace.v is not None:
+                trace.v[t] = v
+            if trace.probs is not None:
+                trace.probs[t] = probs
 
     tape = Tape(horizon=horizon, neuron=spec.neuron, traces=traces)
     records = [traces[i].spikes for i, l in enumerate(spec.layers) if l.kind != "pool"]

@@ -1,11 +1,14 @@
-"""Dense tensor primitives: 2-D convolution/pooling and their gradients.
+"""Dense tensor primitives: the two synaptic ops, linear and 2-D convolution,
+2-D pooling, and their gradients.
 
-All values are 64-bit floats.  Operations are pure and use fixed accumulation
-orders, so repeated runs on the same machine are bit-identical.
+All values are 64-bit floats; a 0/1 ``uint8`` spike input is cast exactly.
+Operations are pure and use fixed accumulation orders, so repeated runs on
+the same machine are bit-identical.
 
-Convolution uses the cross-correlation convention (no kernel flip) with zero
-padding.  ``conv2d``/``pool2d`` take a batch ``(N, C, H, W)`` in any memory
-layout; results are C-contiguous.
+``linear`` flattens an (N, ...) input to (N, F_I) and multiplies it by the
+transposed (F_O, F_I) weight.  Convolution uses the cross-correlation
+convention (no kernel flip) with zero padding.  ``conv2d``/``pool2d`` take a
+batch ``(N, C, H, W)`` in any memory layout; results are C-contiguous.
 
 Layout.  ``_im2col`` unrolls a batch into a ``(C·KH·KW, N·OH·OW)`` matrix: one
 row per kernel tap (channel, then tap row, then tap column) and one column per
@@ -22,19 +25,31 @@ convs at 32x32).  A batch-sized call then streams its columns through cache
 once instead of writing them all out and reading them back, and never holds
 more than one run's columns.
 
-Accumulation order and batch invariance.  ``conv2d`` multiplies the
-``(C_O, C_I·KH·KW)`` kernel matrix by each sample's ``(C_I·KH·KW, OH·OW)``
-block of columns, one BLAS GEMM per sample, all of the same shape, so every
-output is the same sum in the same order whatever the batch holds and however
-it is cut into runs: a sample alone, a fancy-indexed subset and the full batch
-give bit-equal rows.  Early exit relies on this, since
-``inference.run_network`` convolves only the samples still active.  (One GEMM over all ``N·OH·OW`` columns is not
-batch-invariant: BLAS computes the last partial tile of columns with another
-kernel, so which outputs land there depends on N.)  ``conv2d_backward``
-reduces over the batch: per run, one GEMM gives the run's kernel gradient
-(``gmat @ cols.T``), added in run order into the first run's, and one the
-run's column gradient (``kmat.T @ gmat``).  A batch of one run makes exactly
-the two GEMMs of an unchunked call.
+Accumulation order and batch invariance.  Early exit runs the synaptic ops
+on the samples still active only (``inference.run_network``), so a sample's
+output should be the same bits whatever else its batch holds.  ``conv2d``
+multiplies the ``(C_O, C_I·KH·KW)`` kernel matrix by each sample's
+``(C_I·KH·KW, OH·OW)`` block of columns, one BLAS GEMM per sample, all of the
+same shape, so a sample alone, a fancy-indexed subset and the full batch
+give bit-equal rows however the batch is cut into runs.  (One GEMM over all
+``N·OH·OW`` columns is not batch-invariant: BLAS computes the last partial
+tile of columns with another kernel, so which outputs land there depends on
+N.)  ``linear``, one GEMM over the batch's rows, is not batch-invariant
+the same way: one random subset of each size, multiplied alone, gave other
+bits than the same rows of the full product at 1/511 subset sizes at
+512×784→800, 2/63 at 64×512→512, 47–48/63 at 64×800→10, 120/511 at
+512×800→10, and 10/15, 14/15 and 9–11/15 at lenet5's 16-row 400→120,
+120→84 and 84→10 (two seeds; random images at 784→800, random 0/1 rows
+elsewhere; numpy 2.4.6, OpenBLAS 0.3.31, 1 thread).  So an early-exit hidden drive can
+differ in its last bit from a full-batch ``forward``'s and, rarely, flip a
+spike at the threshold.  Zero-padded row blocks of a fixed size (8 to 128)
+in one stacked ``matmul`` gave bit-equal rows at all of them.
+``linear_backward`` makes one GEMM for the weight gradient, a sum over the
+batch, and one for the input gradient.  ``conv2d_backward`` reduces over
+the batch: per run, one GEMM gives the run's kernel gradient (``gmat @
+cols.T``), added in run order into the first run's, and one the run's
+column gradient (``kmat.T @ gmat``).  A batch of one run makes exactly the
+two GEMMs of an unchunked call.
 Average pooling adds the ``window²`` strided slices in row-major tap order
 and divides by ``window²``.  On 0/1 spike inputs every step is exact, so the
 result equals the tile mean bit for bit.
@@ -106,6 +121,31 @@ def _batch(x: np.ndarray) -> np.ndarray:
     if x.ndim != 4:
         raise ShapeError(f"expected an (N, C, H, W) batch, got shape {x.shape}")
     return x
+
+
+def linear(inp: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """(N, ...) input, flattened to (N, F_I), times the transposed
+    (F_O, F_I) weight: the (N, F_O) output."""
+    flat = inp.reshape(inp.shape[0], -1)
+    if flat.shape[1] != weight.shape[1]:
+        raise ShapeError(f"linear layer expects {weight.shape[1]} features, "
+                         f"got {flat.shape[1]} (input shape {inp.shape})")
+    return flat @ weight.T
+
+
+def linear_backward(grad_out: np.ndarray, inp: np.ndarray, weight: np.ndarray, *,
+                    need_input: bool = True):
+    """Gradients of linear w.r.t. input and weight: ``(grad_input,
+    grad_weight)``, shaped like ``inp`` and ``weight``; ``grad_input`` is
+    None when ``need_input`` is false."""
+    flat = inp.reshape(inp.shape[0], -1)
+    if flat.shape[1] != weight.shape[1] or grad_out.shape != (len(flat), len(weight)):
+        raise ShapeError(f"linear backward: grad_out {grad_out.shape}, input {inp.shape} "
+                         f"and weight {weight.shape} do not match")
+    grad_weight = grad_out.T @ flat
+    if not need_input:
+        return None, grad_weight
+    return (grad_out @ weight).reshape(inp.shape), grad_weight
 
 
 def conv2d(inp: np.ndarray, kernel: np.ndarray, stride: int = 1, pad: int = 0) -> np.ndarray:

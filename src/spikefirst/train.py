@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .bptt import backward, layer0_weight_grad, sign_estimator_backward
+from .bptt import backward, sign_estimator_backward, synaptic_backward
 from .checkpoint import Checkpoint
 from .coding import fts_ce_loss_batch, ml_loss_logits_batch, rate_ce_loss_batch
 from .data import Dataset, encode_direct
@@ -224,9 +224,9 @@ def train(config: TrainConfig, train_ds: Dataset, test_ds: Dataset | None = None
     one GEMM or conv gives the batch's layer-0 drive, and each block's
     forward reads its rows of it; each block's backward hands back layer
     0's drive gradient summed over time, which is written over those rows,
-    done with by then, and after the last block one GEMM or one
-    ``conv2d_backward`` (``bptt.layer0_weight_grad``) turns the whole
-    buffer and the batch's images into layer 0's weight gradient.  The
+    done with by then, and after the last block one
+    ``bptt.synaptic_backward`` turns the whole buffer and the batch's
+    images into layer 0's weight gradient.  The
     losses divide by the batch's size, so the other layers' weight
     gradients, summed in place over the blocks, are the batch's up to the
     order of their sums; the batch's images and drive are freed before the
@@ -294,8 +294,7 @@ def train(config: TrainConfig, train_ds: Dataset, test_ds: Dataset | None = None
                     loss += block_loss
                     if not np.isfinite(loss):
                         raise NumericalError(f"loss diverged at epoch {epoch} batch {b}")
-                    block_grads = backward(tape, g_top)
-                    drive[r : r + block] = block_grads.pop(w0)
+                    block_grads, drive[r : r + block] = backward(tape, g_top)
                     for name in block_grads:
                         if name in grads:
                             grads[name] += block_grads[name]
@@ -305,7 +304,8 @@ def train(config: TrainConfig, train_ds: Dataset, test_ds: Dataset | None = None
                     # the block's weight gradients, before the next block's
                     # forward pass
                     del tape, g_top, block_grads
-                grads[w0] = layer0_weight_grad(layer0, params[w0], drive, images)
+                _, grads[w0] = synaptic_backward(layer0, params[w0], drive, images,
+                                                 need_input=False)
                 # Adam's scratch arrays need not stack on the batch's arrays
                 # (encoded is a view of images)
                 del images, drive, encoded

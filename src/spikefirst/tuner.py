@@ -98,13 +98,8 @@ def de_minimize(objective, bounds, config: DeConfig) -> DeResult:
         trials = np.empty_like(pop)
         for i in range(pop_size):
             # three distinct donors, all different from the target
-            others = [j for j in range(pop_size) if j != i]
-            picks = draws[i, :3]
-            a = others[int(picks[0] * len(others)) % len(others)]
-            rem = [j for j in others if j != a]
-            b = rem[int(picks[1] * len(rem)) % len(rem)]
-            rem2 = [j for j in rem if j != b]
-            c = rem2[int(picks[2] * len(rem2)) % len(rem2)]
+            pool = [j for j in range(pop_size) if j != i]
+            a, b, c = (pool.pop(int(u * len(pool)) % len(pool)) for u in draws[i, :3])
             mutant = pop[a] + DEFAULT_F * (pop[b] - pop[c])
             cross = draws[i, 4:] < DEFAULT_CR
             jrand = int(draws[i, 3] * dims) % dims

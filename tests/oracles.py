@@ -33,7 +33,7 @@ import math
 
 import numpy as np
 
-from spikefirst.bptt import Tape, _synaptic_step, sign_estimator_backward
+from spikefirst.bptt import Tape, sign_estimator_backward, synaptic_backward
 from spikefirst.coding import LossValue
 from spikefirst.errors import NumericalError, ParameterError, ShapeError, StateError
 from spikefirst.inference import InferenceResult
@@ -166,14 +166,14 @@ def output_gradient(tape: Tape, loss, model_kind: str) -> np.ndarray:
                      "output layer")
 
 
-def backward(tape: Tape, g_top: np.ndarray) -> dict:
+def backward(tape: Tape, g_top: np.ndarray):
     """Reverse sweep over a recorded forward pass.
 
     ``g_top`` is the (T, N, n) loss gradient at the output layer, as
-    ``output_gradient`` gives it.  Returns a dict mapping weight names to
-    gradients, each summed over the timesteps from t = T-1 down to 0,
-    except layer 0's: its name maps to layer 0's drive gradient summed over
-    time, as the package's ``backward`` hands it back.
+    ``output_gradient`` gives it.  Returns ``(grads, g_drive0)``, as the
+    package's ``backward`` does: a dict mapping the weight names of layers 1
+    and up to gradients, each summed over the timesteps from t = T-1 down
+    to 0, and layer 0's drive gradient summed over time.
 
     The sweep is time-major (see the module docstring): each gradient passed
     from layer to layer, and each neuron layer's carry, is one step's
@@ -231,14 +231,13 @@ def backward(tape: Tape, g_top: np.ndarray) -> dict:
                 else:
                     folded += g
                 continue
-            grad_w, g = _synaptic_step(trace, g, traces[i - 1].spikes[t])
+            g, grad_w = synaptic_backward(layer, trace.weight, g, traces[i - 1].spikes[t])
             if trace.wname in grads:
                 grads[trace.wname] += grad_w
             else:
                 grads[trace.wname] = grad_w
 
-    grads[traces[0].wname] = folded
-    return grads
+    return grads, folded
 
 
 def adam_step(params: dict, grads: dict, state: AdamState, lr: float,

@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 import spikefirst as sf
-from spikefirst.bptt import (_arctan_surrogate_in_place, layer0_weight_grad,
-                             sign_estimator_backward)
+from spikefirst.bptt import (_arctan_surrogate_in_place, sign_estimator_backward,
+                             synaptic_backward)
 from spikefirst.coding import fts_ce_loss_batch, ml_loss_logits_batch, rate_ce_loss_batch
 from spikefirst.network import LayerSpec
 from spikefirst.neurons import first_spike_times, sigmoid
@@ -91,9 +91,10 @@ def _weight_grads(tape, g_top):
     """Every weight gradient of one tape: ``backward``'s, with layer 0's drive
     gradient summed over time turned into its weight gradient, as ``train``
     does once per batch."""
-    grads = sf.backward(tape, g_top)
+    grads, g_drive0 = sf.backward(tape, g_top)
     tr = tape.traces[0]
-    grads[tr.wname] = layer0_weight_grad(tr.layer, tr.weight, grads[tr.wname], tr.inputs)
+    _, grads[tr.wname] = synaptic_backward(tr.layer, tr.weight, g_drive0, tr.inputs,
+                                           need_input=False)
     return grads
 
 
@@ -305,9 +306,9 @@ def test_fts_backward_only_touches_first_spike_steps():
     steps = np.minimum(first_spike_times(records[-1]), horizon).astype(int) - 1
     assert g_top.shape == (horizon, 2, nout)
     assert np.all(g_top[steps != np.arange(horizon)[:, None, None]] == 0.0)
-    grads = sf.backward(tape, g_top)
-    assert set(grads) == {"layer0.w", "layer1.w"}
-    assert all(np.isfinite(g).all() for g in grads.values())
+    grads, g_drive0 = sf.backward(tape, g_top)
+    assert set(grads) == {"layer1.w"}
+    assert all(np.isfinite(g).all() for g in [g_drive0, *grads.values()])
 
 
 def test_backward_conv_pool_network_shapes():
@@ -473,14 +474,15 @@ def test_uint8_spike_tape_gives_bit_identical_gradients(kind):
     spec, _, tape, labels = _taped_net(kind)
     _, g_top = _batch_loss(spec, tape, labels)
     taped = [None if tr.spikes is None else tr.spikes.copy() for tr in tape.traces]
-    grads = sf.backward(tape, g_top)
+    grads, g_drive0 = sf.backward(tape, g_top)
     # backward reads a cast copy of a spike step, never writes into the tape
     for tr, before in zip(tape.traces, taped):
         assert before is None or np.array_equal(tr.spikes, before)
     for tr in tape.traces:
         tr.spikes = tr.spikes.astype(np.float64)
-    wide = sf.backward(tape, g_top)
+    wide, wide_drive0 = sf.backward(tape, g_top)
     assert set(grads) == set(wide)
+    assert np.array_equal(g_drive0, wide_drive0)
     for name in grads:
         assert np.array_equal(grads[name], wide[name]), name
 
@@ -535,8 +537,9 @@ def _assert_same_gradients(spec, tape, labels):
     value, g_top = _batch_loss(spec, tape, labels)
     assert value == loss.value
     assert g_top.shape == want_g_top.shape and g_top.tobytes() == want_g_top.tobytes()
-    grads = sf.backward(tape, g_top)
-    want = oracles.backward(tape, want_g_top)
+    grads, g_drive0 = sf.backward(tape, g_top)
+    want, want_drive0 = oracles.backward(tape, want_g_top)
+    assert g_drive0.tobytes() == want_drive0.tobytes()
     assert set(grads) == set(want)
     for name in want:
         assert grads[name].tobytes() == want[name].tobytes(), name

@@ -73,6 +73,40 @@ def test_save_is_byte_deterministic(ckpt, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_failed_save_keeps_the_old_file(ckpt, tmp_path, monkeypatch):
+    # a save that dies partway (here: the disk fills after half the bytes)
+    # must leave the previous checkpoint loadable and no temporary file
+    path = tmp_path / "c.ckpt"
+    save_checkpoint(ckpt, path)
+    before = path.read_bytes()
+
+    class HalfWritten:
+        def __init__(self, f):
+            self.f = f
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.f.close()
+
+        def write(self, data):
+            self.f.write(data[: len(data) // 2])
+            raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(checkpoint, "open", lambda *a, **k: HalfWritten(open(*a, **k)),
+                        raising=False)
+    changed = replace(ckpt, epoch=ckpt.epoch + 1)
+    with pytest.raises(OSError):
+        save_checkpoint(changed, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["c.ckpt"]
+    monkeypatch.undo()
+    save_checkpoint(changed, path)
+    assert load_checkpoint(path).epoch == ckpt.epoch + 1
+    assert [p.name for p in tmp_path.iterdir()] == ["c.ckpt"]
+
+
 def test_file_starts_with_magic(ckpt, tmp_path):
     path = tmp_path / "m.ckpt"
     save_checkpoint(ckpt, path)

@@ -5,7 +5,8 @@ import pytest
 
 from spikefirst.data import encode_direct
 from spikefirst.errors import ShapeError
-from spikefirst.tensor import _run_samples, conv2d, conv2d_backward, pool2d, pool2d_backward
+from spikefirst.tensor import (_run_samples, conv2d, conv2d_backward, linear, linear_backward,
+                               pool2d, pool2d_backward)
 
 
 def naive_conv2d(x, k, stride=1, pad=0):
@@ -179,6 +180,67 @@ def test_conv2d_backward_rejects_wrong_grad_shape():
     k = rng.normal(size=(3, 2, 3, 3))
     with pytest.raises(ShapeError):
         conv2d_backward(np.zeros((1, 3, 5, 5)), x, k, 1, 0)
+
+
+def _linear_case(x_shape, n_out, seed=10):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=x_shape)
+    w = rng.normal(size=(n_out, int(np.prod(x_shape[1:]))))
+    g = rng.normal(size=(x_shape[0], n_out))
+    return x, w, g
+
+
+_LINEAR_SHAPES = [((5, 7), 3), ((4, 2, 3, 3), 6)]     # a conv map feeds a linear layer
+
+
+@pytest.mark.parametrize("x_shape,n_out", _LINEAR_SHAPES)
+def test_linear_and_backward_match_row_by_row_sums(x_shape, n_out):
+    x, w, g = _linear_case(x_shape, n_out)
+    flat = x.reshape(len(x), -1)
+    rows, feats = flat.shape
+    want_out = np.array([[sum(flat[b, i] * w[o, i] for i in range(feats))
+                          for o in range(n_out)] for b in range(rows)])
+    want_gw = sum(np.outer(g[b], flat[b]) for b in range(rows))
+    want_gi = np.array([sum(g[b, o] * w[o] for o in range(n_out)) for b in range(rows)])
+    assert np.allclose(linear(x, w), want_out, rtol=1e-12, atol=1e-12)
+    gi, gw = linear_backward(g, x, w)
+    assert gi.shape == x.shape and gw.shape == w.shape
+    assert np.allclose(gi, want_gi.reshape(x.shape), rtol=1e-12, atol=1e-12)
+    assert np.allclose(gw, want_gw, rtol=1e-12, atol=1e-12)
+    none, gw_only = linear_backward(g, x, w, need_input=False)
+    assert none is None and np.array_equal(gw_only, gw)
+
+
+@pytest.mark.parametrize("x_shape,n_out", _LINEAR_SHAPES)
+def test_linear_backward_is_the_adjoint(x_shape, n_out):
+    # <linear(x), g> = <x, grad_input> = <w, grad_weight>
+    x, w, g = _linear_case(x_shape, n_out, seed=11)
+    gi, gw = linear_backward(g, x, w)
+    out = float((linear(x, w) * g).sum())
+    for other in (float((x * gi).sum()), float((w * gw).sum())):
+        assert abs(out - other) <= 1e-12 * max(1.0, abs(out))
+
+
+def test_linear_of_uint8_spikes_equals_its_float64_cast():
+    rng = np.random.default_rng(12)
+    spikes = (rng.random((9, 40)) < 0.3).astype(np.uint8)
+    wide = spikes.astype(np.float64)
+    w = rng.normal(size=(10, 40))
+    g = rng.normal(size=(9, 10))
+    assert np.array_equal(linear(spikes, w), linear(wide, w))
+    for got, want in zip(linear_backward(g, spikes, w), linear_backward(g, wide, w)):
+        assert np.array_equal(got, want)
+
+
+def test_linear_shape_errors():
+    x, w, g = _linear_case((5, 7), 3)
+    wrong = np.zeros((3, 8))
+    with pytest.raises(ShapeError):
+        linear(x, wrong)                                 # feature mismatch
+    with pytest.raises(ShapeError):
+        linear_backward(g, x, wrong)
+    with pytest.raises(ShapeError):
+        linear_backward(g[:, :2], x, w)                  # grad of another output
 
 
 def test_pool2d_average_and_max_values():

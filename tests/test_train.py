@@ -380,10 +380,10 @@ def test_divergence_raises_with_last_good_state(monkeypatch):
     # of 60 samples is three calls
     def poisoned(tape, g_top):
         calls["n"] += 1
-        grads = real_backward(tape, g_top)
+        grads, g_drive0 = real_backward(tape, g_top)
         if calls["n"] > 3:       # NaN partway through the second epoch
             grads = {k: v * np.nan for k, v in grads.items()}
-        return grads
+        return grads, g_drive0
 
     monkeypatch.setattr(train_mod, "backward", poisoned)
     with pytest.raises(TrainingDiverged) as exc:
@@ -569,8 +569,8 @@ def test_layer0_runs_once_per_batch(monkeypatch):
                             counting("drive", module.synaptic_drive, layer0_rows))
     monkeypatch.setattr(train_mod, "net_forward",
                         counting("forward", train_mod.net_forward, lambda a: a[2].shape[1]))
-    monkeypatch.setattr(train_mod, "layer0_weight_grad",
-                        counting("weight_grad", train_mod.layer0_weight_grad,
+    monkeypatch.setattr(train_mod, "synaptic_backward",
+                        counting("weight_grad", train_mod.synaptic_backward,
                                  lambda a: len(a[3])))
     train(cfg, ds)
     assert calls == {"forward": [64] * 8, "drive": [n], "weight_grad": [n]}
