@@ -29,10 +29,12 @@ def main():
     det_spikes, sto_spikes = [], []
     for t in range(1, HORIZON + 1):
         drive = np.array([DRIVE])
-        det_state, ds = det_lif_step(det_state, det, drive)
-        sto_state, ss, p = stoch_lif_step(sto_state, sto, drive, stream, rows=[0])
-        det_spikes.append(ds)
-        sto_spikes.append(ss)
+        # each step advances its state in place; the spikes it returns are
+        # the state's own buffer, which the next step overwrites
+        ds = det_lif_step(det_state, det, drive)
+        ss, p = stoch_lif_step(sto_state, sto, drive, stream, rows=[0])
+        det_spikes.append(ds.copy())
+        sto_spikes.append(ss.copy())
         print(f"{t:>3} {det_state.v[0]:>8.4f} {int(ds[0]):>9} "
               f"{sto_state.v[0]:>8.4f} {p[0]:>8.4f} {int(ss[0]):>9}")
 

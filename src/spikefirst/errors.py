@@ -27,7 +27,3 @@ class CheckpointError(SpikeFirstError):
 
 class NumericalError(SpikeFirstError):
     """A computation lost all precision (underflow/NaN) and cannot proceed."""
-
-
-class StateError(SpikeFirstError):
-    """An object is not in a valid state for the requested operation."""

@@ -123,12 +123,13 @@ class NetworkSpec:
     ``model_kind`` is the one statement of the neuron model and the coding:
     ``neuron`` and ``coding`` look them up in ``KIND_MODELS``.  The checks
     reject any spec the network cannot run as stored: layer 0 is linear or
-    conv and the last layer is not a pool layer; a linear layer takes the
-    features of the linear layer before it, and a conv layer the channels of
-    the conv layer before it; nothing but linear layers follows a linear
-    layer.  Two shapes depend on the input image and stay runtime
-    ShapeErrors: the channels that reach layer 0, and the flattened size
-    where a conv or pool layer feeds a linear one.
+    conv and the last layer is linear, since every loss and prediction reads
+    an (N, n_out) output; a linear layer takes the features of the linear
+    layer before it, and a conv layer the channels of the conv layer before
+    it; nothing but linear layers follows a linear layer.  Two shapes depend
+    on the input image and stay runtime ShapeErrors: the channels that reach
+    layer 0, and the flattened size where a conv or pool layer feeds a
+    linear one.
     """
 
     layers: list
@@ -163,6 +164,9 @@ class NetworkSpec:
                     raise ParameterError(f"conv layer {i} takes {layer.in_channels} "
                                          f"channels, {channels} reach it")
                 channels = layer.out_channels
+        if layers[-1].kind == "conv":
+            raise ParameterError("the last layer is a conv layer; the output layer "
+                                 "must be linear")
 
     @property
     def neuron(self) -> str:
@@ -348,16 +352,15 @@ def step(spec: NetworkSpec, params: dict, drive0: np.ndarray, states: dict,
         drive = drive0 if i == 0 else synaptic_drive(layer, params[f"layer{i}.w"], x)
         state = states.get(i)
         if state is None:
-            state = LayerState(v=np.zeros(drive.shape))
+            state = states[i] = LayerState(v=np.zeros(drive.shape))
         probs = None
         if stochastic:
             stream = streams[n] if streams is not None else None
             if stream is None or rows is None:
                 raise ShapeError("stochastic network requires RNG streams and row ids")
-            state, spikes, probs = stoch_lif_step(state, layer, drive, stream, rows=rows, out=state)
+            spikes, probs = stoch_lif_step(state, layer, drive, stream, rows=rows)
         else:
-            state, spikes = det_lif_step(state, layer, drive, out=state)
-        states[i] = state
+            spikes = det_lif_step(state, layer, drive)
         n += 1
         outs.append((state.v, spikes, probs))
         x = spikes
@@ -373,6 +376,9 @@ def forward(spec: NetworkSpec, params: dict, encoded: np.ndarray,
     ``arange(N)``) the sample id of each row, which keys its draws.  Returns
     (records, tape) where records is a list of per-neuron-layer spike arrays
     (T, N, ...) of 0/1 ``uint8``, the same arrays as the tape's ``spikes``.
+    ``train`` reads only the tape; the records stay in the result because
+    the benchmark's rate check (``bench/harness.py``, ``check_rate``) reads
+    the output layer's spikes as ``records[-1]``.
 
     The tape holds what the ``bptt`` module docstring lists; each taped
     array is allocated up front, from ``layer_shapes``.

@@ -4,10 +4,10 @@ This module is the only definition of the LIF update: training
 (``network.forward``) and evaluation (``inference.run_network``) both advance
 their neurons through ``det_lif_step`` and ``stoch_lif_step``, which read the
 threshold ``v_th``, membrane scale ``k`` and ``leak`` from the layer's
-``LayerSpec``.  Both return a new state in new buffers, or, given
-``out=``, write it into that state's own ``v`` and ``fired_prev``:
-``network.step`` passes ``out=state`` so that a layer's state lives in the
-same two buffers for a whole simulation.
+``LayerSpec``.  Both advance the ``LayerState`` they are given in its own
+``v`` and ``fired_prev`` buffers, so a layer's state lives in the same two
+buffers for a whole simulation and no step allocates a membrane or spike
+array.
 
 The deterministic neuron integrates leaky state plus synaptic drive, fires at
 a hard threshold, and soft-resets by subtracting the threshold one step after
@@ -67,59 +67,51 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return np.divide(1.0, out, out=out)
 
 
-def _operands(state: LayerState, drive, out: LayerState | None):
-    """The step's drive as float64 and the state that receives the step."""
+def _drive(state: LayerState, drive) -> np.ndarray:
+    """The step's drive as float64, checked against the state's shape."""
     drive = np.asarray(drive, dtype=np.float64)
     if drive.shape != state.v.shape:
         raise ShapeError(f"drive shape {drive.shape} != state shape {state.v.shape}")
-    if out is None:
-        out = LayerState(v=np.empty(drive.shape), fired_prev=np.empty(drive.shape))
-    elif out.v.shape != drive.shape:
-        raise ShapeError(f"out state shape {out.v.shape} != state shape {drive.shape}")
-    return drive, out
+    return drive
 
 
-def det_lif_step(state: LayerState, layer, drive: np.ndarray,
-                 out: LayerState | None = None):
-    """One deterministic LIF timestep of ``layer`` (a LayerSpec); returns
-    (new_state, spikes).
+def det_lif_step(state: LayerState, layer, drive: np.ndarray) -> np.ndarray:
+    """Advance ``state`` by one deterministic LIF timestep of ``layer`` (a
+    LayerSpec); returns the spikes, which are ``state.fired_prev``.
 
-    Evaluated as ((leak * V) + drive) - (fired_prev * v_th) in the new
-    state's two buffers: ``v`` takes the sum, ``fired_prev`` first the reset
-    term and then the comparison ``v >= v_th`` as 0.0 / 1.0, and is returned
-    as ``spikes``.  The new state is ``out`` if given, which may be ``state``
-    itself, and otherwise a new one; ``drive`` is only read, and so is
-    ``state`` unless it is ``out``.  ``inference.run_network`` passes one
-    hoisted drive at every step.
+    Evaluated as ((leak * V) + drive) - (fired_prev * v_th) in the state's
+    two buffers: ``v`` takes the sum, ``fired_prev`` first the reset term and
+    then the comparison ``v >= v_th`` as 0.0 / 1.0.  ``drive`` is only read;
+    ``inference.run_network`` passes one hoisted drive at every step.
     """
-    drive, out = _operands(state, drive, out)
-    np.multiply(layer.leak, state.v, out=out.v)
-    out.v += drive
-    np.multiply(state.fired_prev, layer.v_th, out=out.fired_prev)
-    out.v -= out.fired_prev
-    np.greater_equal(out.v, layer.v_th, out=out.fired_prev)
-    return out, out.fired_prev
+    drive = _drive(state, drive)
+    np.multiply(layer.leak, state.v, out=state.v)
+    state.v += drive
+    np.multiply(state.fired_prev, layer.v_th, out=state.fired_prev)
+    state.v -= state.fired_prev
+    np.greater_equal(state.v, layer.v_th, out=state.fired_prev)
+    return state.fired_prev
 
 
 def stoch_lif_step(state: LayerState, layer, drive: np.ndarray, stream: RngStream,
-                   *, rows, out: LayerState | None = None):
-    """One stochastic LIF timestep of ``layer`` (a LayerSpec); returns
-    (new_state, spikes, probs).
+                   *, rows):
+    """Advance ``state`` by one stochastic LIF timestep of ``layer`` (a
+    LayerSpec); returns (spikes, probs).
 
-    Row i draws ``stream``'s keyed uniforms for sample id ``rows[i]``.  The
-    new state is ``out`` if given, which may be ``state`` itself, and
-    otherwise a new one, as in ``det_lif_step``; ``probs`` is a new array.
+    Row i draws ``stream``'s keyed uniforms for sample id ``rows[i]``.  As in
+    ``det_lif_step``, ``spikes`` is ``state.fired_prev`` and ``drive`` is only
+    read; ``probs`` is a new array.
     """
-    drive, out = _operands(state, drive, out)
-    # (leak * V + drive) / k, evaluated in that order in the new v
-    np.multiply(layer.leak, state.v, out=out.v)
-    out.v += drive
-    out.v /= layer.k
-    probs = sigmoid(out.v)
+    drive = _drive(state, drive)
+    # (leak * V + drive) / k, evaluated in that order in v's own buffer
+    np.multiply(layer.leak, state.v, out=state.v)
+    state.v += drive
+    state.v /= layer.k
+    probs = sigmoid(state.v)
     # the draw's buffer receives its own comparison as 0.0 / 1.0
-    spikes = rng_uniform(stream, probs.shape, rows=rows, out=out.fired_prev)
+    spikes = rng_uniform(stream, probs.shape, rows=rows, out=state.fired_prev)
     np.less(spikes, probs, out=spikes)
-    return out, spikes, probs
+    return spikes, probs
 
 
 def first_spike_times(spikes) -> np.ndarray:

@@ -254,8 +254,10 @@ def train(config: TrainConfig, train_ds: Dataset, test_ds: Dataset | None = None
 
     n = len(train_ds)
     log_rows = []
-    best_ckpt = _snapshot(spec, params, adam, start_epoch, config.seed, best_acc)
-    last_good = best_ckpt
+    last_good = _snapshot(spec, params, adam, start_epoch, config.seed, best_acc)
+    # without a test set nothing is ranked and the final state is returned:
+    # the initial snapshot is then freed as soon as epoch 1's replaces it
+    best_ckpt = last_good if test_ds is not None else None
     n_neuron_layers = len(spec.neuron_layers())
     block = block_rows(spec, train_ds.images.shape[-2:])
     layer0, w0 = spec.layers[0], "layer0.w"
@@ -336,7 +338,8 @@ def train(config: TrainConfig, train_ds: Dataset, test_ds: Dataset | None = None
 
 
 def write_log_csv(log_rows, path) -> None:
-    """Append-only per-epoch CSV: epoch, lr, train_loss, test_acc, wall_time_s."""
+    """Write ``log_rows`` to ``path`` as a per-epoch CSV, replacing any file
+    there: epoch, lr, train_loss, test_acc, wall_time_s."""
     with open(path, "w") as f:
         f.write("epoch,lr,train_loss,test_acc,wall_time_s\n")
         for row in log_rows:

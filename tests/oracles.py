@@ -35,13 +35,18 @@ import numpy as np
 
 from spikefirst.bptt import Tape, sign_estimator_backward, synaptic_backward
 from spikefirst.coding import LossValue
-from spikefirst.errors import NumericalError, ParameterError, ShapeError, StateError
+from spikefirst.errors import NumericalError, ParameterError, ShapeError, SpikeFirstError
 from spikefirst.inference import InferenceResult
 from spikefirst.network import CODINGS, NetworkSpec, step, synaptic_drive
 from spikefirst.neurons import LayerState, first_spike_times, sigmoid
 from spikefirst.rng import RngStream, rng_gaussian, rng_uniform
 from spikefirst.tensor import pool2d_backward
 from spikefirst.train import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState
+
+
+class StateError(SpikeFirstError):
+    """An object is not in a valid state for the requested operation."""
+
 
 # ml_loss clamps probabilities away from {0, 1} so the loss stays finite
 PROB_CLAMP = 1e-7

@@ -48,19 +48,29 @@ def test_bench_train_digest_matches_reference_step(tmp_path, monkeypatch, worklo
     assert got.digest == want.digest
 
 
-def _reference_det_lif_step(state, layer, drive, out=None):
-    return oracles.det_lif_step(state, layer, drive)
+def _advance(state, new):
+    """Copy the reference step's new state into the state the caller owns."""
+    state.v[...] = new.v
+    state.fired_prev[...] = new.fired_prev
 
 
-def _reference_stoch_lif_step(state, layer, drive, stream, *, rows, out=None):
-    return oracles.stoch_lif_step(state, layer, drive, stream, rows=rows)
+def _reference_det_lif_step(state, layer, drive):
+    new, _ = oracles.det_lif_step(state, layer, drive)
+    _advance(state, new)
+    return state.fired_prev
+
+
+def _reference_stoch_lif_step(state, layer, drive, stream, *, rows):
+    new, _, probs = oracles.stoch_lif_step(state, layer, drive, stream, rows=rows)
+    _advance(state, new)
+    return state.fired_prev, probs
 
 
 @pytest.mark.parametrize("workload", sorted(gen.WORKLOADS))
 def test_bench_eval_digests_match_reference_lif_steps(tmp_path, monkeypatch, workload):
     # the bench's evaluations at their own shapes, once as is and once with
-    # the reference LIF steps, which leave their state alone and allocate a
-    # new one at every step: the reports agree bit for bit
+    # the reference LIF steps, which compute each new state in fresh buffers:
+    # the reports agree bit for bit
     sf, _ = harness.import_program(ROOT)
     w = gen.WORKLOADS[workload]
     runner = harness.Runner(sf, w, harness.make_setup(sf, w, 43, tmp_path))

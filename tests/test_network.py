@@ -137,6 +137,9 @@ UNUSABLE_SPECS = [
      "layer 0 is a pool layer"),
     ("pool-last", "lenet5", "D-F-BPTT", lambda s: s["layers"].append(_POOL),
      "the last layer is a pool layer"),
+    # every loss and prediction reads an (N, n_out) output
+    ("conv-last", "lenet5", "D-F-BPTT", lambda s: s.update(layers=s["layers"][:3]),
+     "the last layer is a conv layer"),
     ("linear-features", "mlp2", "D-F-BPTT", _layer(1, in_features=5),
      "linear layer 1 takes 5 features, layer 0 gives 4"),
     ("conv-channels", "lenet5", "D-F-BPTT", _layer(2, in_channels=5),
@@ -255,8 +258,8 @@ def test_forward_matches_stepwise_neuron_module():
     s0 = LayerState(v=np.zeros((n, 5)))
     s1 = LayerState(v=np.zeros((n, 10)))
     for t in range(horizon):
-        s0, spk0 = det_lif_step(s0, spec.layers[0], x @ params["layer0.w"].T)
-        s1, spk1 = det_lif_step(s1, spec.layers[1], spk0 @ params["layer1.w"].T)
+        spk0 = det_lif_step(s0, spec.layers[0], x @ params["layer0.w"].T)
+        spk1 = det_lif_step(s1, spec.layers[1], spk0 @ params["layer1.w"].T)
         assert np.array_equal(records[0][t], spk0)
         assert np.array_equal(records[1][t], spk1)
     # layer 1 reads layer 0's spikes, which only layer 0 tapes

@@ -33,7 +33,7 @@ def run_det(drives, layer):
     state = rest(np.shape(drives[0]))
     vs, spikes = [], []
     for d in drives:
-        state, s = det_lif_step(state, layer, np.asarray(d, dtype=float))
+        s = det_lif_step(state, layer, np.asarray(d, dtype=float))
         vs.append(state.v.copy())
         spikes.append(s.copy())
     return np.array(vs), np.array(spikes)
@@ -59,9 +59,9 @@ def test_det_lif_reset_lags_one_step():
     # the subtraction uses the previous step's firing, not the current one
     layer = det(v_th=1.0, leak=0.9)
     state = rest((1,))
-    state, s1 = det_lif_step(state, layer, np.array([1.5]))
+    s1 = det_lif_step(state, layer, np.array([1.5]))
     assert s1[0] == 1.0 and state.v[0] == 1.5   # no subtraction yet
-    state, _ = det_lif_step(state, layer, np.array([0.0]))
+    det_lif_step(state, layer, np.array([0.0]))
     assert state.v[0] == pytest.approx(0.9 * 1.5 - 1.0)
 
 
@@ -130,15 +130,16 @@ def test_det_lif_step_matches_formula_without_touching_inputs():
     state = LayerState(v=rng.normal(size=(4, 6)), fired_prev=fired)
     drive = rng.normal(size=(4, 6))
     v0, f0, d0 = state.v.copy(), fired.copy(), drive.copy()
-    new, spikes = det_lif_step(state, layer, drive)
+    buffers = (state.v, state.fired_prev)
+    spikes = det_lif_step(state, layer, drive)
     v = 0.9 * v0 + d0 - f0 * 0.8
-    assert new.v.tobytes() == v.tobytes()
+    assert state.v.tobytes() == v.tobytes()
     assert np.array_equal(spikes, (v >= 0.8).astype(np.float64))
-    assert spikes.dtype == np.float64 and new.fired_prev is spikes
+    assert spikes.dtype == np.float64 and spikes is state.fired_prev
     assert 0 < spikes.sum() < spikes.size
-    assert np.array_equal(state.v, v0) and np.array_equal(state.fired_prev, f0)
+    assert state.v is buffers[0] and state.fired_prev is buffers[1]
     assert np.array_equal(drive, d0)
-    arrays = [new.v, spikes, state.v, state.fired_prev, drive]
+    arrays = [state.v, spikes, drive]
     for i, a in enumerate(arrays):
         for b in arrays[i + 1:]:
             assert not np.shares_memory(a, b)
@@ -150,17 +151,19 @@ def test_stoch_lif_step_matches_formula_without_touching_inputs():
     state = LayerState(v=rng.normal(size=(4, 6)), fired_prev=np.ones((4, 6)))
     drive = rng.normal(size=(4, 6))
     v0, d0 = state.v.copy(), drive.copy()
+    buffers = (state.v, state.fired_prev)
     rows = np.array([9, 2, 40, 3])
-    new, spikes, probs = stoch_lif_step(state, layer, drive, RngStream(5, 2), rows=rows)
+    spikes, probs = stoch_lif_step(state, layer, drive, RngStream(5, 2), rows=rows)
     v = (0.7 * v0 + d0) / 1.3
-    assert np.array_equal(new.v, v)
+    assert np.array_equal(state.v, v)
     assert np.array_equal(probs, sigmoid(v))
     u = rng_uniform(RngStream(5, 2), v.shape, rows=rows)
     assert np.array_equal(spikes, (u < probs).astype(np.float64))
-    assert spikes.dtype == np.float64 and new.fired_prev is spikes
-    # the in-place kernel leaves its inputs alone and shares no result buffer
-    assert np.array_equal(state.v, v0) and np.array_equal(drive, d0)
-    arrays = [new.v, spikes, probs, state.v, drive]
+    assert spikes.dtype == np.float64 and spikes is state.fired_prev
+    # the kernel writes only the state's own buffers; drive and probs share none
+    assert state.v is buffers[0] and state.fired_prev is buffers[1]
+    assert np.array_equal(drive, d0)
+    arrays = [state.v, spikes, probs, drive]
     for i, a in enumerate(arrays):
         for b in arrays[i + 1:]:
             assert not np.shares_memory(a, b)
@@ -170,33 +173,27 @@ def test_stoch_lif_step_matches_formula_without_touching_inputs():
     ("det", (8, 30)), ("stoch", (8, 30)), ("det", (3, 6, 7, 7)), ("stoch", (3, 6, 7, 7)),
 ], ids=["D-F", "S-F", "D-F conv", "S-F conv"])
 def test_lif_step_into_its_own_state_equals_fresh_state(neuron, shape):
-    # network.step advances each state in its own buffers: 20 chained steps
-    # give the bytes of the read-only form, which allocates every step, and
-    # of the reference step as it stood before the in-place form
+    # each kernel advances its state in the state's own buffers: 20 chained
+    # steps give the bytes of the reference step, which allocates a fresh
+    # state at every step
     layer = det(v_th=0.8) if neuron == "det" else stoch(k=1.3)
-    lif, ref_lif = ((det_lif_step, oracles.det_lif_step) if neuron == "det"
-                    else (stoch_lif_step, oracles.stoch_lif_step))
-
-    def advance(fn, state, drive, stream, **out):
-        if neuron == "det":
-            new, *outs = fn(state, layer, drive, **out)
-        else:
-            new, *outs = fn(state, layer, drive, stream, rows=np.arange(shape[0]), **out)        # spikes, and probs if stochastic
-        return new, [a.tobytes() for a in outs]
-
+    rows = np.arange(shape[0])
     drives = np.random.default_rng(11).normal(0.3, 1.0, size=(20,) + shape)
-    state, fresh, ref = rest(shape), rest(shape), rest(shape)
+    state, ref = rest(shape), rest(shape)
     buffers = (state.v, state.fired_prev)
-    streams = [RngStream(3, 1) for _ in range(3)]
+    streams = [RngStream(3, 1) for _ in range(2)]
     fired = 0.0
     for drive in drives:
-        new, got = advance(lif, state, drive, streams[0], out=state)
-        fresh, want = advance(lif, fresh, drive, streams[1])
-        ref, want_ref = advance(ref_lif, ref, drive, streams[2])
-        assert new is state and state.v is buffers[0] and state.fired_prev is buffers[1]
-        assert got[0] == state.fired_prev.tobytes()
-        assert got == want == want_ref
-        assert state.v.tobytes() == fresh.v.tobytes() == ref.v.tobytes()
+        if neuron == "det":
+            got = [det_lif_step(state, layer, drive)]
+            ref, *want = oracles.det_lif_step(ref, layer, drive)
+        else:
+            got = list(stoch_lif_step(state, layer, drive, streams[0], rows=rows))
+            ref, *want = oracles.stoch_lif_step(ref, layer, drive, streams[1], rows=rows)
+        assert state.v is buffers[0] and state.fired_prev is buffers[1]
+        assert got[0] is state.fired_prev      # spikes, and probs if stochastic
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+        assert state.v.tobytes() == ref.v.tobytes()
         fired += state.fired_prev.mean()
     assert 0.05 < fired / len(drives) < 0.95
     assert len({s.counter for s in streams}) == 1
@@ -208,11 +205,11 @@ def test_lif_states_of_another_shape_are_rejected():
     # a state is kept in C order, the order the stochastic step draws in
     assert LayerState(v=np.zeros((4, 3)).T).v.flags.c_contiguous
     state = rest((3, 4))
-    for call in (lambda out: det_lif_step(state, det(), np.zeros((3, 4)), out=out),
-                 lambda out: stoch_lif_step(state, stoch(), np.zeros((3, 4)),
-                                            RngStream(0), rows=np.arange(3), out=out)):
+    for call in (lambda drive: det_lif_step(state, det(), drive),
+                 lambda drive: stoch_lif_step(state, stoch(), drive,
+                                              RngStream(0), rows=np.arange(3))):
         with pytest.raises(ShapeError):
-            call(rest((3, 5)))
+            call(np.zeros((3, 5)))
 
 
 def test_det_lif_step_into_its_own_state_allocates_no_array():
@@ -225,7 +222,7 @@ def test_det_lif_step_into_its_own_state_allocates_no_array():
     tracemalloc.start()
     try:
         for _ in range(20):
-            det_lif_step(state, layer, drive, out=state)
+            det_lif_step(state, layer, drive)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -237,10 +234,10 @@ def test_stoch_lif_membrane_and_probs():
     layer = stoch(k=2.0, leak=0.7)
     state = rest((1,))
     stream = RngStream(0, 0)
-    state, _, p1 = stoch_lif_step(state, layer, np.array([1.0]), stream, rows=[0])
+    _, p1 = stoch_lif_step(state, layer, np.array([1.0]), stream, rows=[0])
     assert state.v[0] == pytest.approx(0.5)
     assert p1[0] == pytest.approx(sigmoid(np.array([0.5]))[0])
-    state, _, _ = stoch_lif_step(state, layer, np.array([1.0]), stream, rows=[0])
+    stoch_lif_step(state, layer, np.array([1.0]), stream, rows=[0])
     assert state.v[0] == pytest.approx((0.7 * 0.5 + 1.0) / 2.0)
 
 
@@ -248,8 +245,8 @@ def test_stoch_lif_no_reset_after_firing():
     layer = stoch(k=1.0, leak=0.5)
     state = rest((1,))
     stream = RngStream(0, 1)
-    state, _, _ = stoch_lif_step(state, layer, np.array([10.0]), stream, rows=[0])
-    state, _, _ = stoch_lif_step(state, layer, np.array([0.0]), stream, rows=[0])
+    stoch_lif_step(state, layer, np.array([10.0]), stream, rows=[0])
+    stoch_lif_step(state, layer, np.array([0.0]), stream, rows=[0])
     # pure leak, no threshold subtraction regardless of the (certain) spike
     assert state.v[0] == pytest.approx(5.0)
 
@@ -259,15 +256,15 @@ def test_stoch_lif_spike_frequency_matches_probability():
     stream = RngStream(3, 9)
     drive = np.full(20000, 0.8)
     state = rest(drive.shape)
-    _, spikes, probs = stoch_lif_step(state, layer, drive, stream, rows=np.arange(20000))
+    spikes, probs = stoch_lif_step(state, layer, drive, stream, rows=np.arange(20000))
     assert abs(spikes.mean() - probs[0]) < 0.02
 
 
 def test_stoch_lif_reproducible_given_stream():
     layer = stoch()
     d = np.zeros(50)
-    _, a, _ = stoch_lif_step(rest(d.shape), layer, d, RngStream(4, 4), rows=np.arange(50))
-    _, b, _ = stoch_lif_step(rest(d.shape), layer, d, RngStream(4, 4), rows=np.arange(50))
+    a, _ = stoch_lif_step(rest(d.shape), layer, d, RngStream(4, 4), rows=np.arange(50))
+    b, _ = stoch_lif_step(rest(d.shape), layer, d, RngStream(4, 4), rows=np.arange(50))
     assert np.array_equal(a, b)
 
 

@@ -1,5 +1,6 @@
 """Adam, LR schedule, training loop determinism, resume, divergence handling."""
 
+import gc
 import importlib
 import itertools
 import tracemalloc
@@ -258,6 +259,26 @@ def test_train_without_test_set_records_zero_best_accuracy(epochs):
                     epoch_hook=lambda row, snap: seen.append(snap.best_accuracy))
     assert ckpt.best_accuracy == 0.0
     assert seen == [0.0] * epochs
+
+
+def test_train_without_test_set_frees_the_initial_snapshot(monkeypatch):
+    # without a test set the initial snapshot can be returned only before
+    # epoch 1's exists; holding it all run costs a copy of the parameters
+    # (114 MB on vgg15)
+    snapshot, made, alive = train_mod._snapshot, [], []
+
+    def recording(*args):
+        ckpt = snapshot(*args)
+        made.append(weakref.ref(ckpt))
+        return ckpt
+
+    def hook(row, snap):
+        gc.collect()
+        alive.append([ref() is not None for ref in made])
+
+    monkeypatch.setattr(train_mod, "_snapshot", recording)
+    train(tiny_config(epochs=2), synthetic_mnist_like(40), None, epoch_hook=hook)
+    assert alive == [[False, True], [False, False, True]]
 
 
 def test_returned_checkpoint_does_not_alias_live_arrays():
