@@ -42,9 +42,7 @@ def tune_checkpoint(path):
                              DATA / "t10k-labels-idx1-ubyte", split="test")
 
     before = evaluate(ckpt, test_ds.subset(np.arange(2000)))
-    config = DeConfig(pop_size=8, max_generations=8, seed=0,
-                      bounds=np.tile([0.5, 3.0],
-                                     (len(ckpt.spec.neuron_layers()), 1)))
+    config = DeConfig(pop_size=8, max_generations=8, seed=0, bounds=(0.5, 3.0))
     tuned, result = de_optimize(ckpt, train_ds, config)
     after = evaluate(tuned, test_ds.subset(np.arange(2000)))
 

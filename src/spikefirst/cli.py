@@ -25,11 +25,10 @@ from . import __version__
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import Dataset, load_cifar10_bin, load_mnist_idx
 from .errors import CheckpointError, ParameterError, SpikeFirstError
-from .metrics import (evaluate, noise_sweep, write_metrics_csv, write_noise_csv,
-                      write_rates_csv)
+from .metrics import evaluate, noise_sweep
 from .network import CODINGS, serialize_spec
-from .train import PRESETS, TrainConfig, TrainingDiverged, train, write_log_csv
-from .tuner import DeConfig, de_optimize, write_de_csv
+from .train import PRESETS, TrainConfig, TrainingDiverged, train
+from .tuner import DeConfig, de_optimize
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -124,6 +123,11 @@ def _out_dir(out) -> Path:
     return out
 
 
+def _write_csv(path: Path, header: str, lines) -> None:
+    """Write ``header`` and then each of ``lines`` to ``path``, one a line."""
+    path.write_text("".join(f"{line}\n" for line in (header, *lines)))
+
+
 def _write_manifest(out: Path, command: str, config: dict, seed, artifacts: dict):
     # results depend on the numpy and BLAS build and the BLAS thread count
     try:
@@ -199,7 +203,9 @@ def cmd_train(args) -> int:
             print(f"last good checkpoint retained at {ckpt_path}", file=sys.stderr)
         return EXIT_CONFIG
     save_checkpoint(ckpt, ckpt_path)
-    write_log_csv(log, log_path)
+    _write_csv(log_path, "epoch,lr,train_loss,test_acc,wall_time_s",
+               (f"{row['epoch']},{row['lr']:.10g},{row['train_loss']:.12g},"
+                f"{row['test_acc']:.6f},{row['wall_time_s']:.3f}" for row in log))
     if log:
         last = log[-1]
         print(f"trained {config.model_kind} {config.arch}: "
@@ -214,27 +220,33 @@ def cmd_train(args) -> int:
 def _load_ckpt(path):
     try:
         return load_checkpoint(path)
-    except OSError as exc:
+    except (OSError, CheckpointError) as exc:
         raise CliError(f"cannot read checkpoint {path}: {exc}", EXIT_CHECKPOINT)
-    except CheckpointError as exc:
-        raise CliError(str(exc), EXIT_CHECKPOINT)
+
+
+def _checkpoint_run(args, split: str):
+    """The checkpoint, the ``split`` split of its dataset, and the output directory."""
+    ckpt = _load_ckpt(args.checkpoint)
+    (dataset,) = _load_splits(args.data, _dataset_of(ckpt.spec.arch), split)
+    return ckpt, dataset, _out_dir(args.out)
 
 
 def cmd_eval(args) -> int:
     if args.timesteps is not None and args.timesteps < 1:
         raise CliError(f"timesteps must be >= 1, got {args.timesteps}", EXIT_CONFIG)
-    ckpt = _load_ckpt(args.checkpoint)
-    (test_ds,) = _load_splits(args.data, _dataset_of(ckpt.spec.arch), "test")
+    ckpt, test_ds, out = _checkpoint_run(args, "test")
     mode = args.mode or ckpt.spec.coding
-    out = _out_dir(args.out)
     metrics_path = out / "metrics.csv"
     rates_path = out / "layer_rates.csv"
     _write_manifest(out, "eval", {"checkpoint": str(args.checkpoint), "mode": mode,
                                   "timesteps": args.timesteps},
                     ckpt.seed, {"metrics": metrics_path, "rates": rates_path})
     report = evaluate(ckpt, test_ds, mode=mode, horizon=args.timesteps)
-    write_metrics_csv(report, metrics_path, label=ckpt.spec.model_kind)
-    write_rates_csv(report, rates_path)
+    _write_csv(metrics_path, "model,mode,accuracy,mean_latency,energy_cost,n_samples",
+               [f"{ckpt.spec.model_kind},{report.mode},{report.accuracy:.6f},"
+                f"{report.mean_latency:.6f},{report.energy_cost:.6f},{report.n_samples}"])
+    _write_csv(rates_path, "layer_index,rate",
+               (f"{i},{rate:.8f}" for i, rate in enumerate(report.layer_rates)))
     print(f"model: {ckpt.spec.model_kind} {ckpt.spec.arch} ({mode})")
     print(f"accuracy:     {report.accuracy:.4f}")
     print(f"mean latency: {report.mean_latency:.3f} timesteps")
@@ -246,19 +258,13 @@ def cmd_eval(args) -> int:
 
 
 def cmd_tune(args) -> int:
-    ckpt = _load_ckpt(args.checkpoint)
     try:
-        bounds = None
-        if args.bounds:
-            lo, hi = (float(x) for x in args.bounds.split(","))
-            n = len(ckpt.spec.neuron_layers())
-            bounds = np.tile([lo, hi], (n, 1))
+        bounds = {"bounds": [float(x) for x in args.bounds.split(",")]} if args.bounds else {}
         config = DeConfig(pop_size=args.pop or 0, max_generations=args.generations,
-                          latency_weight=args.beta, seed=args.seed, bounds=bounds)
+                          latency_weight=args.beta, seed=args.seed, **bounds)
     except (ValueError, ParameterError) as exc:
         raise CliError(f"bad DE configuration: {exc}", EXIT_CONFIG)
-    (train_ds,) = _load_splits(args.data, _dataset_of(ckpt.spec.arch), "train")
-    out = _out_dir(args.out)
+    ckpt, train_ds, out = _checkpoint_run(args, "train")
     tuned_path = out / "tuned.ckpt"
     history_path = out / "de_history.csv"
     _write_manifest(out, "tune", {"checkpoint": str(args.checkpoint),
@@ -267,7 +273,10 @@ def cmd_tune(args) -> int:
                     args.seed, {"tuned": tuned_path, "history": history_path})
     tuned, result = de_optimize(ckpt, train_ds, config)
     save_checkpoint(tuned, tuned_path)
-    write_de_csv(result, history_path)
+    columns = "".join(f",v{i}" for i in range(len(result.best_vector)))
+    _write_csv(history_path, f"generation,best_objective{columns}",
+               (f"{g},{obj:.8g}" + "".join(f",{v:.8g}" for v in vec)
+                for g, (obj, vec) in enumerate(zip(result.history, result.vectors), start=1)))
     vals = ", ".join(f"{v:.4f}" for v in result.best_vector)
     print(f"best objective {result.best_objective:.5f} with [{vals}]")
     print(f"tuned checkpoint: {tuned_path}")
@@ -275,21 +284,19 @@ def cmd_tune(args) -> int:
 
 
 def cmd_noise(args) -> int:
-    ckpt = _load_ckpt(args.checkpoint)
     try:
         variances = [float(x) for x in args.variances.split(",") if x.strip()]
         if not variances or not all(math.isfinite(v) and v >= 0 for v in variances):
             raise ValueError("variances must be finite and non-negative")
     except ValueError as exc:
         raise CliError(f"bad variance list: {exc}", EXIT_CONFIG)
-    (test_ds,) = _load_splits(args.data, _dataset_of(ckpt.spec.arch), "test")
-    out = _out_dir(args.out)
+    ckpt, test_ds, out = _checkpoint_run(args, "test")
     noise_path = out / "noise_sweep.csv"
     _write_manifest(out, "noise", {"checkpoint": str(args.checkpoint),
                                    "variances": variances},
                     args.seed, {"noise": noise_path})
     rows = noise_sweep(ckpt, test_ds, variances, seed=args.seed)
-    write_noise_csv(rows, noise_path)
+    _write_csv(noise_path, "variance,accuracy", (f"{var:.6g},{acc:.6f}" for var, acc in rows))
     for var, acc in rows:
         print(f"variance {var:>6g}: accuracy {acc:.4f}")
     return EXIT_OK
@@ -336,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, default=0.1)
     p.add_argument("--generations", type=int, default=30)
     p.add_argument("--pop", type=int, default=None)
-    p.add_argument("--bounds", help="lo,hi per-layer bounds")
+    p.add_argument("--bounds", help="lo,hi range of every neuron layer's value (default 0.3,3)")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_tune)
 

@@ -117,23 +117,3 @@ def noise_sweep(ckpt: Checkpoint, dataset: Dataset, variances,
         rows.append((var, float((res.predictions == dataset.labels).mean())))
     return rows
 
-
-def write_metrics_csv(report: MetricsReport, path, label: str = "model") -> None:
-    with open(path, "w") as f:
-        f.write("model,mode,accuracy,mean_latency,energy_cost,n_samples\n")
-        f.write(f"{label},{report.mode},{report.accuracy:.6f},"
-                f"{report.mean_latency:.6f},{report.energy_cost:.6f},{report.n_samples}\n")
-
-
-def write_rates_csv(report: MetricsReport, path) -> None:
-    with open(path, "w") as f:
-        f.write("layer_index,rate\n")
-        for i, r in enumerate(report.layer_rates):
-            f.write(f"{i},{r:.8f}\n")
-
-
-def write_noise_csv(rows, path) -> None:
-    with open(path, "w") as f:
-        f.write("variance,accuracy\n")
-        for var, acc in rows:
-            f.write(f"{var:.6g},{acc:.6f}\n")

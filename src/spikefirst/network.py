@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -77,8 +77,8 @@ class LayerSpec:
     leak: float = DET_LEAK
 
     def __post_init__(self):
-        # each kind checks the fields it reads; build() leaves the others at
-        # their defaults (kernel 0 on linear layers, window 0 on conv layers)
+        # each kind checks the fields it reads, and the others must keep their
+        # defaults (kernel 0 on linear layers, window 0 on conv layers)
         if self.kind not in LAYER_KINDS:
             raise ParameterError(f"layer kind must be one of {LAYER_KINDS}, got {self.kind!r}")
         if self.kind == "linear":
@@ -90,6 +90,12 @@ class LayerSpec:
                 raise ParameterError(f"pool mode must be one of {POOL_MODES}, "
                                      f"got {self.pool_mode!r}")
             minima = {"window": 1}
+        reads = {*minima, *(("pool_mode",) if self.kind == "pool" else ("v_th", "k", "leak"))}
+        for name, default in _LAYER_DEFAULTS.items():
+            value = getattr(self, name)
+            if name not in reads and (type(value) is not type(default) or value != default):
+                raise ParameterError(f"a {self.kind} layer does not read {name}; it must "
+                                     f"keep its default {default!r}, got {value!r}")
         for name, minimum in minima.items():
             setattr(self, name, _count(getattr(self, name), f"{self.kind} layer {name}", minimum))
         self.v_th, self.k, self.leak = (_real(getattr(self, name), name)
@@ -100,6 +106,10 @@ class LayerSpec:
             raise ParameterError(f"k must be finite and > 0, got {self.k}")
         if not 0.0 <= self.leak <= 1.0:
             raise ParameterError(f"leak must be in [0, 1], got {self.leak}")
+
+
+# every LayerSpec field but the kind, and its default
+_LAYER_DEFAULTS = {f.name: f.default for f in fields(LayerSpec) if f.name != "kind"}
 
 
 def _count(value, what: str, minimum: int) -> int:
@@ -233,22 +243,21 @@ def _vgg15_layers() -> list:
 def build(arch_name: str, model_kind: str, overrides: dict | None = None) -> NetworkSpec:
     """Resolve an architecture + model kind into a concrete NetworkSpec.
 
-    ``overrides`` may set ``hidden``, ``horizon`` and ``leak``;
-    ``tuner.apply_candidate`` sets per-layer thresholds and scales.
+    ``overrides`` may set ``hidden`` (mlp2's width; the other archs' are
+    fixed), ``horizon`` and ``leak``; ``tuner.apply_candidate`` sets
+    per-layer thresholds and scales.
     """
     overrides = dict(overrides or {})
     kind = normalize_model_kind(model_kind)
     if arch_name not in ARCHS:
         raise ValueError(f"unknown architecture {arch_name!r}; expected one of {ARCHS}")
 
-    if arch_name == "mlp2":
-        layers = _mlp2_layers(int(overrides.pop("hidden", DEFAULT_HIDDEN)))
-    elif arch_name == "lenet5":
-        overrides.pop("hidden", None)
-        layers = _lenet5_layers()
-    else:
-        overrides.pop("hidden", None)
-        layers = _vgg15_layers()
+    hidden = int(overrides.pop("hidden", DEFAULT_HIDDEN))
+    if hidden < 1 or arch_name != "mlp2" and hidden != DEFAULT_HIDDEN:
+        raise ParameterError(f"hidden sets the mlp2 width, >= 1; lenet5 and vgg15 have fixed "
+                             f"widths and take only {DEFAULT_HIDDEN}: got {hidden} on {arch_name}")
+    layers = (_mlp2_layers(hidden) if arch_name == "mlp2"
+              else _lenet5_layers() if arch_name == "lenet5" else _vgg15_layers())
 
     neuron, coding = KIND_MODELS[kind]
     leak = float(overrides.pop("leak", STOCH_LEAK if neuron == "stoch" else DET_LEAK))
@@ -449,5 +458,5 @@ def parse_spec(text: str | bytes) -> NetworkSpec:
     (a non-object, an unknown or missing field), KeyError (no ``layers``),
     OverflowError, RecursionError (too deeply nested) or ParameterError.
     """
-    fields = json.loads(text)
-    return NetworkSpec(**{**fields, "layers": [LayerSpec(**l) for l in fields["layers"]]})
+    data = json.loads(text)
+    return NetworkSpec(**{**data, "layers": [LayerSpec(**l) for l in data["layers"]]})

@@ -21,7 +21,7 @@ from .data import Dataset, encode_direct
 from .errors import NumericalError, ParameterError
 from .heap import simulating
 from .inference import run_network
-from .network import (ARCHS, DEFAULT_HIDDEN, block_rows, build, forward as net_forward,
+from .network import (ARCHS, NetworkSpec, block_rows, build, forward as net_forward,
                       init_params, normalize_model_kind, synaptic_drive)
 from .neurons import first_spike_times
 from .rng import RngStream, rng_uniform
@@ -55,11 +55,9 @@ class TrainConfig:
         self.model_kind = normalize_model_kind(self.model_kind)
         if self.arch not in ARCHS:
             raise ParameterError(f"arch must be one of {ARCHS}, got {self.arch!r}")
-        if self.arch != "mlp2" and self.hidden != DEFAULT_HIDDEN:
-            raise ParameterError(f"hidden sets the mlp2 width only; {self.arch} has fixed "
-                                 f"widths, got hidden {self.hidden}")
-        if self.epochs < 0 or self.batch_size < 1 or self.horizon < 1 or self.hidden < 1:
-            raise ParameterError("epochs/batch_size/horizon/hidden out of range")
+        self.network_spec()             # checks hidden, horizon and leak
+        if self.epochs < 0 or self.batch_size < 1:
+            raise ParameterError("epochs/batch_size out of range")
         if not 0.0 < self.lr < np.inf:
             raise ParameterError(f"lr must be finite and > 0, got {self.lr}")
         if not 0.0 <= self.weight_decay < np.inf:
@@ -69,8 +67,11 @@ class TrainConfig:
             raise ParameterError(f"scheduler step must be >= 1, got {self.scheduler_step}")
         if not 0.0 < self.scheduler_gamma <= 1.0:
             raise ParameterError(f"scheduler gamma must be in (0, 1], got {self.scheduler_gamma}")
-        if not 0.0 <= self.lambda_leak <= 1.0:
-            raise ParameterError(f"leak must be in [0, 1], got {self.lambda_leak}")
+
+    def network_spec(self) -> NetworkSpec:
+        """The spec this config trains, with its hidden, horizon and leak."""
+        return build(self.arch, self.model_kind,
+                     {"hidden": self.hidden, "horizon": self.horizon, "leak": self.lambda_leak})
 
 
 # Full schedules follow the published hyperparameter table; the D-R baseline
@@ -191,11 +192,6 @@ def _batch_loss(spec, tape, labels, batch_size=None):
     return loss.value, sign_estimator_backward(loss.grad, times, tape.horizon)
 
 
-def test_accuracy(spec, params, dataset: Dataset, config: TrainConfig) -> float:
-    res = run_network(spec, params, dataset.images, mode=spec.coding, seed=config.seed)
-    return float((res.predictions == dataset.labels).mean())
-
-
 def _snapshot(spec, params, adam, epoch, seed, best_acc) -> Checkpoint:
     return Checkpoint(spec=spec,
                       params={k: v.copy() for k, v in params.items()},
@@ -242,9 +238,7 @@ def train(config: TrainConfig, train_ds: Dataset, test_ds: Dataset | None = None
         start_epoch = resume.epoch
         best_acc = resume.best_accuracy
     else:
-        spec = build(config.arch, config.model_kind,
-                     {"hidden": config.hidden, "horizon": config.horizon,
-                      "leak": config.lambda_leak})
+        spec = config.network_spec()
         params = init_params(spec, RngStream(config.seed, stream_id=_STREAM_INIT))
         adam = AdamState()
         start_epoch = 0
@@ -318,8 +312,9 @@ def train(config: TrainConfig, train_ds: Dataset, test_ds: Dataset | None = None
             raise TrainingDiverged(str(exc), checkpoint=last_good) from exc
 
         train_loss = epoch_loss / max(n_batches, 1)
-        acc = (test_accuracy(spec, params, test_ds, config) if test_ds is not None
-               else float("nan"))
+        acc = (float((run_network(spec, params, test_ds.images, mode=spec.coding,
+                                  seed=config.seed).predictions == test_ds.labels).mean())
+               if test_ds is not None else float("nan"))
         row = {"epoch": epoch + 1, "lr": lr, "train_loss": train_loss,
                "test_acc": acc, "wall_time_s": time.monotonic() - t0}
         log_rows.append(row)
@@ -336,12 +331,3 @@ def train(config: TrainConfig, train_ds: Dataset, test_ds: Dataset | None = None
 
     return (last_good if test_ds is None else best_ckpt), log_rows
 
-
-def write_log_csv(log_rows, path) -> None:
-    """Write ``log_rows`` to ``path`` as a per-epoch CSV, replacing any file
-    there: epoch, lr, train_loss, test_acc, wall_time_s."""
-    with open(path, "w") as f:
-        f.write("epoch,lr,train_loss,test_acc,wall_time_s\n")
-        for row in log_rows:
-            f.write(f"{row['epoch']},{row['lr']:.10g},{row['train_loss']:.12g},"
-                    f"{row['test_acc']:.6f},{row['wall_time_s']:.3f}\n")

@@ -32,9 +32,11 @@ EVAL_SEED = 99                      # fixed seed of every candidate's evaluation
 
 @dataclass
 class DeConfig:
+    """DE settings; ``bounds`` is one (low, high) range for every neuron layer."""
+
     pop_size: int = 0               # 0: 15 * dims, capped at 60
     max_generations: int = DEFAULT_GENERATIONS
-    bounds: np.ndarray | None = None  # (dims, 2)
+    bounds: tuple = (0.3, 3.0)
     latency_weight: float = 0.1
     seed: int = 0
 
@@ -46,19 +48,19 @@ class DeConfig:
         if not 0.0 <= self.latency_weight < np.inf:
             raise ParameterError(f"latency weight must be finite and >= 0, "
                                  f"got {self.latency_weight}")
-        if self.bounds is not None:
-            self.bounds = _checked_bounds(self.bounds)
+        self.bounds = tuple(_checked_bounds(self.bounds, ndim=1).tolist())
 
 
-def _checked_bounds(bounds) -> np.ndarray:
-    """``bounds`` as a finite (dims, 2) float64 array of [low, high] rows with
-    low <= high, or ParameterError."""
+def _checked_bounds(bounds, ndim: int = 2) -> np.ndarray:
+    """``bounds`` as a finite float64 (low, high) pair (``ndim`` 1) or (dims, 2)
+    array of such rows (``ndim`` 2) with low <= high, or ParameterError."""
     bounds = np.asarray(bounds, dtype=np.float64)
-    if bounds.ndim != 2 or bounds.shape[1] != 2:
-        raise ParameterError(f"bounds must be a (dims, 2) array, got shape {bounds.shape}")
+    if bounds.ndim != ndim or bounds.shape[-1] != 2:
+        want = "a (low, high) pair" if ndim == 1 else "a (dims, 2) array"
+        raise ParameterError(f"bounds must be {want}, got shape {bounds.shape}")
     if not np.isfinite(bounds).all():
         raise ParameterError(f"bounds must be finite, got {bounds.tolist()}")
-    if np.any(bounds[:, 0] > bounds[:, 1]):
+    if np.any(bounds[..., 0] > bounds[..., 1]):
         raise ParameterError(f"a lower bound is above its upper bound: {bounds.tolist()}")
     return bounds
 
@@ -157,27 +159,11 @@ def validation_subset(train_ds: Dataset, size: int = VALIDATION_SIZE,
 
 
 def de_optimize(ckpt: Checkpoint, train_ds: Dataset, config: DeConfig):
-    """Tune per-layer thresholds/scales of a trained checkpoint.
-
-    Returns (tuned_checkpoint, DeResult).  Bounds default to [0.3, 3.0] per
-    neuron layer when not supplied.
-    """
-    n_layers = len(ckpt.spec.neuron_layers())
-    bounds = config.bounds
-    if bounds is None:
-        bounds = np.tile([0.3, 3.0], (n_layers, 1))
+    """Tune per-layer thresholds/scales of a trained checkpoint, each within
+    ``config.bounds``.  Returns (tuned_checkpoint, DeResult)."""
     subset = validation_subset(train_ds, seed=config.seed)
     objective = lambda vec: tradeoff_objective(  # noqa: E731
         ckpt, vec, subset, beta=config.latency_weight)
-    result = de_minimize(objective, bounds, config)
+    result = de_minimize(objective, [config.bounds] * len(ckpt.spec.neuron_layers()), config)
     return apply_candidate(ckpt, result.best_vector), result
 
-
-def write_de_csv(result: DeResult, path) -> None:
-    with open(path, "w") as f:
-        dims = len(result.best_vector)
-        cols = ",".join(f"v{i}" for i in range(dims))
-        f.write(f"generation,best_objective,{cols}\n")
-        for g, (obj, vec) in enumerate(zip(result.history, result.vectors), start=1):
-            vals = ",".join(f"{v:.8g}" for v in vec)
-            f.write(f"{g},{obj:.8g},{vals}\n")

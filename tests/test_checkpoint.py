@@ -20,6 +20,8 @@ from spikefirst.network import ARCHS, KIND_MODELS, build, init_params
 from spikefirst.rng import RngStream
 from spikefirst.tuner import apply_candidate
 
+from test_network import small_spec
+
 
 @pytest.fixture
 def ckpt():
@@ -47,7 +49,7 @@ def test_round_trip(ckpt, tmp_path):
 @pytest.mark.parametrize("arch", ARCHS)
 @pytest.mark.parametrize("kind", sorted(KIND_MODELS))
 def test_every_built_spec_round_trips(tmp_path, monkeypatch, arch, kind):
-    spec = build(arch, kind, {"hidden": 4, "horizon": 3})
+    spec = small_spec(arch, kind)
     # the spec is under test, not its weights (vgg15's fill 120 MB): each
     # weight is stored as one value
     monkeypatch.setattr(checkpoint, "weight_shape", lambda layer: (1,))
@@ -243,7 +245,7 @@ def test_round_trip_of_overridden_spec(tmp_path):
     assert back.spec == tuned.spec
     assert [l.v_th for l in back.spec.layers] == [1.2, 0.9]
     for arch, kind in itertools.product(["mlp2", "lenet5"], ["D-F-BPTT", "S-F-BPTT", "D-R-BPTT"]):
-        spec = build(arch, kind, {"hidden": 4, "horizon": 3})
+        spec = small_spec(arch, kind)
         layers = list(spec.layers)
         layers[-1] = replace(layers[-1], out_features=np.int64(10))
         spec = replace(spec, layers=layers, horizon=np.int64(3))

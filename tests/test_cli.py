@@ -20,11 +20,13 @@ import spikefirst
 from spikefirst import cli
 from spikefirst.checkpoint import load_checkpoint
 from spikefirst.cli import EXIT_CHECKPOINT, EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
+from spikefirst.metrics import MetricsReport
 from spikefirst.network import parse_spec
 from spikefirst.train import PRESETS, TrainConfig
+from spikefirst.tuner import DeResult
 
 from test_checkpoint import _edit_json, rewrite_section
-from test_network import UNUSABLE_SPECS, unusable_spec
+from test_network import UNUSABLE_SPECS, small_spec, unusable_spec
 
 
 def run(*argv):
@@ -367,12 +369,26 @@ def test_eval_checkpoint_with_an_unusable_layer_field(tmp_path, synthetic_mnist)
 def test_checkpoint_of_a_spec_the_network_cannot_run(tmp_path, synthetic_mnist, capsys,
                                                      command, arch, kind, edit, error):
     path = tmp_path / "unusable.ckpt"
-    spec = spikefirst.build(arch, kind, {"hidden": 4, "horizon": 3})
+    spec = small_spec(arch, kind)
     spikefirst.save_checkpoint(spikefirst.Checkpoint(spec=spec, params={}), path)
     rewrite_section(path, "spec", lambda _: unusable_spec(arch, kind, edit).encode())
     assert run(command, str(path), "--data", synthetic_mnist,
                "--out", str(tmp_path / "out")) == EXIT_CHECKPOINT
     assert error in capsys.readouterr().err
+
+
+def test_show_rejects_a_layer_field_its_kind_does_not_read(tmp_path, capsys):
+    # show printed a pool layer's v_th though no code reads it
+    spec = spikefirst.build("lenet5", "D-F-BPTT", {"horizon": 3})
+    path = tmp_path / "pool-v_th.ckpt"
+    spikefirst.save_checkpoint(spikefirst.Checkpoint(
+        spec=spec, params=spikefirst.init_params(spec, spikefirst.RngStream(0, 1))), path)
+    assert run("show", str(path)) == EXIT_OK
+    rewrite_section(path, "spec", _edit_json(lambda s: s["layers"][1].update(v_th=5.0)))
+    capsys.readouterr()
+    assert run("show", str(path)) == EXIT_CHECKPOINT
+    captured = capsys.readouterr()
+    assert "a pool layer does not read v_th" in captured.err and captured.out == ""
 
 
 def test_eval_happy_path(tiny_run, tmp_path, capsys, synthetic_mnist):
@@ -424,6 +440,14 @@ def test_noise_happy_path(tiny_run, tmp_path, synthetic_mnist):
 def test_tune_bad_bounds(tiny_run, tmp_path, synthetic_mnist):
     assert run("tune", str(tiny_run / "checkpoint.ckpt"), "--bounds", "2,1",
                "--data", synthetic_mnist, "--out", str(tmp_path)) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("bounds", ["2,1", "1", "0.5,1,2", "a,b", "nan,1"])
+def test_tune_checks_bounds_before_reading_the_checkpoint(tmp_path, bounds):
+    # --bounds is one range for every layer, so it needs no checkpoint
+    missing = str(tmp_path / "none.ckpt")
+    assert run("tune", missing, "--bounds", bounds, "--out", str(tmp_path)) == EXIT_CONFIG
+    assert run("tune", missing, "--bounds", "0.5,2", "--out", str(tmp_path)) == EXIT_CHECKPOINT
 
 
 @pytest.mark.parametrize("flag,value", [("--bounds", "nan,1"), ("--bounds", "0.5,inf"),
@@ -481,3 +505,63 @@ def test_tune_reads_only_the_train_split(tiny_run, tmp_path, synthetic_mnist):
     data = copy_split(synthetic_mnist, tmp_path / "train_only", "train")
     assert run("tune", str(tiny_run / "checkpoint.ckpt"), "--generations", "1",
                "--pop", "4", "--data", data, "--out", str(tmp_path)) == EXIT_OK
+
+
+# Each result file's exact header and row format.  The results are stand-ins,
+# so every formatted digit is known.
+
+def test_train_log_format(tmp_path, synthetic_mnist, monkeypatch):
+    def fixed_train(config, train_ds, test_ds):
+        spec = spikefirst.build("mlp2", "D-F-BPTT", {"hidden": 2})
+        ckpt = spikefirst.Checkpoint(spec=spec, params=spikefirst.init_params(
+            spec, spikefirst.RngStream(0, 1)))
+        return ckpt, [{"epoch": 1, "lr": 1e-3, "train_loss": 2 / 3, "test_acc": 0.5,
+                       "wall_time_s": 1.25},
+                      {"epoch": 2, "lr": 5e-4, "train_loss": 0.125, "test_acc": 1 / 3,
+                       "wall_time_s": 0.0625}]
+
+    monkeypatch.setattr(cli, "train", fixed_train)
+    assert run("train", "--data", synthetic_mnist, "--out", str(tmp_path)) == EXIT_OK
+    assert (tmp_path / "train_log.csv").read_text() == (
+        "epoch,lr,train_loss,test_acc,wall_time_s\n"
+        "1,0.001,0.666666666667,0.500000,1.250\n"
+        "2,0.0005,0.125,0.333333,0.062\n")
+
+
+def test_metrics_and_layer_rates_format(tiny_run, tmp_path, synthetic_mnist, monkeypatch):
+    report = MetricsReport(accuracy=0.5, mean_latency=29 / 4, layer_rates=[0.125, 1 / 3, 0.0],
+                           energy_cost=1 / 16, n_samples=200, mode="rate", horizon=3)
+    monkeypatch.setattr(cli, "evaluate", lambda *a, **k: report)
+    assert run("eval", str(tiny_run / "checkpoint.ckpt"), "--data", synthetic_mnist,
+               "--out", str(tmp_path)) == EXIT_OK
+    assert (tmp_path / "metrics.csv").read_text() == (
+        "model,mode,accuracy,mean_latency,energy_cost,n_samples\n"
+        "D-R-BPTT,rate,0.500000,7.250000,0.062500,200\n")
+    assert (tmp_path / "layer_rates.csv").read_text() == (
+        "layer_index,rate\n0,0.12500000\n1,0.33333333\n2,0.00000000\n")
+
+
+def test_noise_sweep_format(tiny_run, tmp_path, synthetic_mnist, monkeypatch):
+    monkeypatch.setattr(cli, "noise_sweep", lambda *a, **k: [(0.0, 0.5), (0.25, 1 / 3),
+                                                             (1e-7, 1.0)])
+    assert run("noise", str(tiny_run / "checkpoint.ckpt"), "--variances", "0,0.25,1e-7",
+               "--data", synthetic_mnist, "--out", str(tmp_path)) == EXIT_OK
+    assert (tmp_path / "noise_sweep.csv").read_text() == (
+        "variance,accuracy\n0,0.500000\n0.25,0.333333\n1e-07,1.000000\n")
+
+
+def test_de_history_format(tiny_run, tmp_path, synthetic_mnist, monkeypatch):
+    # one column per neuron layer: the tiny run's mlp2 has two
+    def fixed_de(ckpt, train_ds, config):
+        result = DeResult(best_vector=np.array([1.0, 2 / 3]), best_objective=0.5,
+                          history=[1 / 3 + 1, 0.5],
+                          vectors=[np.array([0.3, 3.0]), np.array([1.0, 2 / 3])])
+        return ckpt, result
+
+    monkeypatch.setattr(cli, "de_optimize", fixed_de)
+    assert run("tune", str(tiny_run / "checkpoint.ckpt"), "--data", synthetic_mnist,
+               "--out", str(tmp_path)) == EXIT_OK
+    assert (tmp_path / "de_history.csv").read_text() == (
+        "generation,best_objective,v0,v1\n"
+        "1,1.3333333,0.3,3\n"
+        "2,0.5,1,0.66666667\n")

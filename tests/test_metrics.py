@@ -6,10 +6,7 @@ import pytest
 from spikefirst.checkpoint import Checkpoint
 from spikefirst.data import Dataset
 from spikefirst.errors import ParameterError
-from spikefirst.metrics import (energy_cost, evaluate, network_op_counts,
-                                noise_sweep,
-                                write_metrics_csv, write_noise_csv,
-                                write_rates_csv)
+from spikefirst.metrics import energy_cost, evaluate, network_op_counts, noise_sweep
 from spikefirst.network import build, init_params
 from spikefirst import inference, metrics
 from spikefirst.rng import RngStream, rng_gaussian
@@ -179,16 +176,3 @@ def test_noise_sweep_rate_model_uses_rate_mode():
     rows = noise_sweep(ckpt, random_dataset(16), [0.0])
     assert len(rows) == 1
 
-
-def test_csv_writers(tmp_path):
-    ckpt = random_checkpoint()
-    ds = random_dataset(16)
-    rep = evaluate(ckpt, ds)
-    write_metrics_csv(rep, tmp_path / "m.csv", label="toy")
-    write_rates_csv(rep, tmp_path / "r.csv")
-    write_noise_csv([(0.0, 0.5), (1.0, 0.25)], tmp_path / "n.csv")
-    m = (tmp_path / "m.csv").read_text().splitlines()
-    assert m[0] == "model,mode,accuracy,mean_latency,energy_cost,n_samples"
-    assert m[1].startswith("toy,first-to-spike,")
-    assert len((tmp_path / "r.csv").read_text().splitlines()) == 1 + 3
-    assert (tmp_path / "n.csv").read_text().splitlines()[1] == "0,0.500000"

@@ -9,7 +9,7 @@ import pytest
 import spikefirst as sf
 from spikefirst.checkpoint import Checkpoint
 from spikefirst.errors import ParameterError, ShapeError
-from spikefirst.network import (LayerSpec, build, init_params, layer_shapes,
+from spikefirst.network import (DEFAULT_HIDDEN, LayerSpec, build, init_params, layer_shapes,
                                 normalize_model_kind, parse_spec, serialize_spec,
                                 synaptic_drive, weight_shape)
 from spikefirst.neurons import LayerState, det_lif_step
@@ -87,6 +87,18 @@ def test_build_rejects_bad_overrides():
         build("mlp7", "D-F-BPTT")
 
 
+def test_build_takes_hidden_only_where_it_sets_a_width():
+    # lenet5 and vgg15 have fixed widths: their hidden was dropped
+    for arch in ("lenet5", "vgg15"):
+        for hidden in (3, 0):
+            with pytest.raises(ParameterError, match="hidden"):
+                build(arch, "D-F-BPTT", {"hidden": hidden})
+        assert build(arch, "D-F-BPTT", {"hidden": DEFAULT_HIDDEN}) == build(arch, "D-F-BPTT")
+    for hidden in (0, -5):
+        with pytest.raises(ParameterError, match="hidden sets the mlp2 width, >= 1"):
+            build("mlp2", "D-F-BPTT", {"hidden": hidden})
+
+
 @pytest.mark.parametrize("field,value", [
     ("coding", "foo"), ("model_kind", "X"), ("model_kind", "d-f-bptt"), ("arch", "foo"),
     ("horizon", 0), ("horizon", 2.5), ("horizon", True), ("horizon", "20"), ("alpha", -1.0),
@@ -116,7 +128,7 @@ _POOL = asdict(LayerSpec(kind="pool", window=2))
 _UNKNOWN = "unexpected keyword argument '{}'"
 
 # Specs the network cannot run as stored: (id, arch, model kind, edit, error).
-# Each edit applies to the JSON of build(arch, kind, {"hidden": 4, "horizon": 3}).
+# Each edit applies to the JSON of small_spec(arch, kind).
 # The model kind is the one statement of the neuron model and the coding, so
 # a spec that states another one holds an unknown field.
 UNUSABLE_SPECS = [
@@ -151,14 +163,29 @@ UNUSABLE_SPECS = [
     ("v_th-bool", "mlp2", "D-F-BPTT", _layer(0, v_th=True), "v_th must be an int or a float"),
     ("k-string", "mlp2", "S-F-BPTT", _layer(1, k="1.0"), "k must be an int or a float"),
     ("leak-null", "mlp2", "D-F-BPTT", _layer(0, leak=None), "leak must be an int or a float"),
+    # a field its kind does not read keeps its default
+    ("linear-kernel", "mlp2", "D-F-BPTT", _layer(0, kernel=7),
+     "a linear layer does not read kernel"),
+    ("linear-pool-mode", "mlp2", "D-F-BPTT", _layer(1, pool_mode="max"),
+     "a linear layer does not read pool_mode"),
+    ("conv-out-features", "lenet5", "D-F-BPTT", _layer(0, out_features=6),
+     "a conv layer does not read out_features"),
+    ("pool-v_th", "lenet5", "D-F-BPTT", _layer(1, v_th=5.0), "a pool layer does not read v_th"),
+    ("pool-leak", "lenet5", "S-F-BPTT", _layer(3, leak=0.1), "a pool layer does not read leak"),
     # the surrogate width is a constant of the backward pass
     ("alpha-string", "mlp2", "D-F-BPTT", _header(alpha="2.0"), _UNKNOWN.format("alpha")),
 ]
 
 
+def small_spec(arch, kind):
+    """build(arch, kind) at horizon 3, and 4 wide on mlp2, the one arch whose
+    width ``hidden`` sets."""
+    return build(arch, kind, {"horizon": 3, **({"hidden": 4} if arch == "mlp2" else {})})
+
+
 def unusable_spec(arch, kind, edit):
-    """The JSON text of build(arch, kind, {"hidden": 4, "horizon": 3}) after ``edit``."""
-    fields = json.loads(serialize_spec(build(arch, kind, {"hidden": 4, "horizon": 3})))
+    """The JSON text of small_spec(arch, kind) after ``edit``."""
+    fields = json.loads(serialize_spec(small_spec(arch, kind)))
     edit(fields)
     return json.dumps(fields)
 
@@ -194,7 +221,7 @@ def test_weight_shape():
     ("mlp2", (1, 28, 28)), ("lenet5", (1, 28, 28)), ("vgg15", (3, 32, 32)),
 ])
 def test_layer_shapes_match_one_step(arch, input_shape):
-    spec = build(arch, "D-F-BPTT", {"hidden": 16})
+    spec = build(arch, "D-F-BPTT", {"hidden": 16} if arch == "mlp2" else {})
     # the shapes do not depend on the weights
     params = {f"layer{i}.w": np.zeros(weight_shape(l)) for i, l in spec.weighted_layers()}
     x = np.random.default_rng(0).uniform(size=(2,) + input_shape)
@@ -368,6 +395,12 @@ _BAD_LAYER_FIELDS = [
     ({"kind": "pool", "window": True}, "window"),
     ({"kind": "pool", "window": 2, "pool_mode": "foo"}, "pool mode"),
     ({"kind": "pool", "window": 2, "neuron": "det"}, "neuron"),
+    # a field the kind does not read
+    ({"kind": "linear", "in_features": 2, "out_features": 2, "stride": 2}, "stride"),
+    ({"kind": "conv", "in_channels": 1, "out_channels": 2, "kernel": 3, "window": 2},
+     "window"),
+    ({"kind": "pool", "window": 2, "k": 2.0}, "k"),
+    ({"kind": "pool", "window": 2, "pad": True}, "pad"),
 ]
 
 

@@ -1,0 +1,70 @@
+"""Static checks of the package's module boundaries, read from its source.
+
+Only the command line and the checkpoint format write files: every result
+file's format lives in ``cli``, and the library modules hand back values.
+No package function is named like a test, since pytest would collect it from
+any test module that imports it."""
+
+import ast
+from pathlib import Path
+
+import spikefirst
+
+PACKAGE = Path(spikefirst.__file__).resolve().parent
+WRITERS = {"cli", "checkpoint"}
+
+
+def _modules():
+    return {path.stem: ast.parse(path.read_text(), filename=str(path))
+            for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def _call_name(call: ast.Call) -> str | None:
+    func = call.func
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return None
+
+
+def _writes(call: ast.Call) -> bool:
+    """Whether ``call`` writes a file: ``write_text``, ``write_bytes``, or an
+    ``open`` whose mode is not a constant read-only one."""
+    name = _call_name(call)
+    if name in ("write_text", "write_bytes"):
+        return True
+    if name != "open":
+        return False
+    # open(file, mode) and Path.open(mode)
+    args = call.args[1:2] if isinstance(call.func, ast.Name) else call.args[:1]
+    modes = args + [k.value for k in call.keywords if k.arg == "mode"]
+    return any(not (isinstance(m, ast.Constant) and isinstance(m.value, str)
+                    and not set(m.value) & set("wax+")) for m in modes)
+
+
+def test_only_the_cli_and_the_checkpoint_write_files():
+    found = sorted(f"{module}.py:{node.lineno}"
+                   for module, tree in _modules().items() if module not in WRITERS
+                   for node in ast.walk(tree)
+                   if isinstance(node, ast.Call) and _writes(node))
+    assert found == []
+
+
+def test_the_writer_check_sees_each_form_of_write():
+    def calls(source):
+        return [n for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Call)]
+
+    for source in ('open(p, "w")', 'open(p, mode="ab")', 'p.open("x")', "open(p, mode)",
+                   'p.write_text("")', 'p.write_bytes(b"")', 'open(p, "r+")'):
+        assert any(_writes(c) for c in calls(source)), source
+    for source in ("open(p)", 'open(p, "rb")', 'p.open("r")', "p.read_text()"):
+        assert not any(_writes(c) for c in calls(source)), source
+
+
+def test_no_package_function_is_named_like_a_test():
+    found = sorted(f"{module}.{node.name}" for module, tree in _modules().items()
+                   for node in tree.body
+                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   and node.name.startswith("test"))
+    assert found == []

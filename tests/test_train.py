@@ -20,7 +20,7 @@ from spikefirst.metrics import evaluate
 from spikefirst.network import DEFAULT_HIDDEN, block_rows, build, init_params
 from spikefirst.rng import RngStream
 from spikefirst.train import (AdamState, PRESETS, TrainConfig, TrainingDiverged,
-                              adam_step, lr_at, train, write_log_csv)
+                              adam_step, lr_at, train)
 
 import oracles
 
@@ -596,12 +596,3 @@ def test_layer0_runs_once_per_batch(monkeypatch):
     train(cfg, ds)
     assert calls == {"forward": [64] * 8, "drive": [n], "weight_grad": [n]}
 
-
-def test_write_log_csv(tmp_path):
-    rows = [{"epoch": 1, "lr": 0.1, "train_loss": 2.0, "test_acc": 0.5,
-             "wall_time_s": 1.25}]
-    path = tmp_path / "log.csv"
-    write_log_csv(rows, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "epoch,lr,train_loss,test_acc,wall_time_s"
-    assert lines[1].startswith("1,0.1,2,0.500000")

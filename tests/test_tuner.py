@@ -7,8 +7,10 @@ from spikefirst.checkpoint import Checkpoint
 from spikefirst.errors import ParameterError
 from spikefirst.network import build, init_params
 from spikefirst.rng import RngStream
-from spikefirst.tuner import (DeConfig, apply_candidate, de_minimize,
-                              validation_subset, write_de_csv)
+from spikefirst import tuner
+from spikefirst.data import Dataset
+from spikefirst.tuner import (DeConfig, apply_candidate, de_minimize, de_optimize,
+                              validation_subset)
 
 
 def sphere(x):
@@ -90,16 +92,45 @@ def test_config_validation():
         with pytest.raises(ParameterError, match="pop_size"):
             DeConfig(pop_size=pop)
     assert DeConfig(pop_size=4).pop_size == 4
+    # de_minimize takes one [low, high] row per dimension
     for bounds in ([[np.nan, 1.0]], [[0.5, np.inf]], [[-np.inf, 1.0]],
                    [[0.0, 1.0], [1.0, np.nan]]):
         with pytest.raises(ParameterError, match="finite"):
             de_minimize(sphere, np.array(bounds), DeConfig())
-        with pytest.raises(ParameterError, match="finite"):
-            DeConfig(bounds=np.array(bounds))
     for bounds in ([[1.0, 0.0]], [1.0, 2.0], [[0.0, 1.0, 2.0]]):
         with pytest.raises(ParameterError, match="bound"):
-            DeConfig(bounds=np.array(bounds))
-    assert DeConfig(bounds=[[0.5, 0.5], [0.3, 3]]).bounds.tolist() == [[0.5, 0.5], [0.3, 3.0]]
+            de_minimize(sphere, np.array(bounds), DeConfig())
+    # DeConfig takes one (low, high) pair, the range of every layer
+    for bounds in ((np.nan, 1.0), (0.5, np.inf), (-np.inf, 1.0)):
+        with pytest.raises(ParameterError, match="finite"):
+            DeConfig(bounds=bounds)
+    for bounds in ((1.0, 0.0), (1.0,), (0.0, 1.0, 2.0), [[0.5, 3.0], [0.5, 3.0]]):
+        with pytest.raises(ParameterError, match="bound"):
+            DeConfig(bounds=bounds)
+    assert DeConfig().bounds == (0.3, 3.0)
+    assert DeConfig(bounds=np.array([0.5, 0.5])).bounds == (0.5, 0.5)
+    bounds = DeConfig(bounds=[1, 3]).bounds
+    assert bounds == (1.0, 3.0) and all(type(b) is float for b in bounds)
+
+
+@pytest.mark.parametrize("kind", ["D-F-BPTT", "S-F-BPTT"])
+def test_de_optimize_searches_every_neuron_layer_over_the_one_range(monkeypatch, kind):
+    seen = []
+
+    def recording(objective, bounds, config):
+        seen.append(np.asarray(bounds).tolist())
+        return de_minimize(objective, bounds, config)
+
+    monkeypatch.setattr(tuner, "de_minimize", recording)
+    spec = build("lenet5", kind, {"horizon": 3})
+    ckpt = Checkpoint(spec=spec, params=init_params(spec, RngStream(0, 1)))
+    rng = np.random.default_rng(0)
+    ds = Dataset(images=rng.random((8, 1, 28, 28)), labels=rng.integers(0, 10, 8))
+    tuned, result = de_optimize(ckpt, ds, DeConfig(pop_size=4, max_generations=1,
+                                                   bounds=(0.5, 2.0)))
+    assert seen == [[[0.5, 2.0]] * 5]
+    assert len(result.best_vector) == 5
+    assert all(0.5 <= v <= 2.0 for v in result.best_vector)
 
 
 def _checkpoint(kind):
@@ -142,13 +173,3 @@ def test_validation_subset_fixed_and_seeded():
     assert np.array_equal(a.images, b.images)
     assert not np.array_equal(a.images, c.images)
 
-
-def test_write_de_csv(tmp_path):
-    from spikefirst.tuner import DeResult
-    result = DeResult(best_vector=np.array([1.0, 2.0]), best_objective=0.5,
-                      history=[1.0, 0.5], vectors=[np.array([0.0, 0.0]),
-                                                   np.array([1.0, 2.0])])
-    write_de_csv(result, tmp_path / "de.csv")
-    lines = (tmp_path / "de.csv").read_text().splitlines()
-    assert lines[0] == "generation,best_objective,v0,v1"
-    assert lines[2] == "2,0.5,1,2"
