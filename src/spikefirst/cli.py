@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import os
 import sys
 import time
@@ -25,7 +24,7 @@ from . import __version__
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import Dataset, load_cifar10_bin, load_mnist_idx
 from .errors import CheckpointError, ParameterError, SpikeFirstError
-from .metrics import evaluate, noise_sweep
+from .metrics import evaluate, noise_sweep, noise_variances
 from .network import CODINGS, serialize_spec
 from .train import PRESETS, TrainConfig, TrainingDiverged, train
 from .tuner import DeConfig, de_optimize
@@ -177,7 +176,7 @@ def _build_train_config(args) -> tuple[TrainConfig, dict]:
     kwargs.update((key, _cast(key, _CASTS[key], raw)) for key, raw in values.items())
     try:
         return TrainConfig(**kwargs), extras
-    except (ParameterError, ValueError) as exc:
+    except ParameterError as exc:
         raise CliError(str(exc), EXIT_CONFIG)
 
 
@@ -285,10 +284,8 @@ def cmd_tune(args) -> int:
 
 def cmd_noise(args) -> int:
     try:
-        variances = [float(x) for x in args.variances.split(",") if x.strip()]
-        if not variances or not all(math.isfinite(v) and v >= 0 for v in variances):
-            raise ValueError("variances must be finite and non-negative")
-    except ValueError as exc:
+        variances = noise_variances(args.variances.split(","))
+    except ParameterError as exc:
         raise CliError(f"bad variance list: {exc}", EXIT_CONFIG)
     ckpt, test_ds, out = _checkpoint_run(args, "test")
     noise_path = out / "noise_sweep.csv"

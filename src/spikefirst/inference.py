@@ -17,7 +17,8 @@ image and one per layer, the spikes of a neuron layer or the output of a
 pool layer.
 
 Evaluation runs block-major.  Layer 0's clean drive is one GEMM or conv per
-batch of ``batch_size`` rows; the batch is then cut into row blocks, and
+batch of ``network.batch_rows`` rows, which that function works out from
+the network and the image shape; the batch is then cut into row blocks, and
 each block runs all of its timesteps, with its own active set, layer states
 and output accumulator, before the next block starts.  A block is sized so
 that its widest neuron layer's membrane, spike and drive arrays fit a 2 MiB
@@ -41,7 +42,7 @@ from .errors import ParameterError
 from .heap import simulating
 # sigmoid is re-exported: bench/test_bench.py reaches it through this module
 from .neurons import LayerState, sigmoid  # noqa: F401
-from .network import CODINGS, NetworkSpec, block_rows, step, synaptic_drive
+from .network import CODINGS, NetworkSpec, batch_rows, block_rows, step, synaptic_drive
 from .rng import RngStream, rng_gaussian
 
 
@@ -60,7 +61,7 @@ class InferenceResult:
 @simulating()
 def run_network(spec: NetworkSpec, params: dict, images: np.ndarray,
                 mode: str = "first-to-spike", horizon: int | None = None,
-                seed: int = 0, batch_size: int = 512, input_noise_std: float = 0.0,
+                seed: int = 0, input_noise_std: float = 0.0,
                 noise_seed: int = 1234) -> InferenceResult:
     """Simulate the network over a dataset; see module docstring for rules.
 
@@ -74,10 +75,10 @@ def run_network(spec: NetworkSpec, params: dict, images: np.ndarray,
     sample's draws depend neither on the batch size nor on which other
     samples exited, and results are reproducible.
 
-    ``batch_size`` is the number of rows per layer-0 GEMM or conv, and it
-    bounds memory: layer 0's drive is held for one batch at a time.  Within
-    a batch the network is simulated block-major (see the module docstring),
-    each block of ``network.block_rows`` rows through all its steps.  A noisy
+    A batch of ``network.batch_rows`` rows is simulated at a time, which
+    bounds memory to one batch's layer-0 drive and state.  Within a batch
+    the network is simulated block-major (see the module docstring), each
+    block of ``network.block_rows`` rows through all its steps.  A noisy
     run, whose layer-0 GEMM runs at every step, takes one block per batch.
     """
     if mode not in CODINGS:
@@ -85,8 +86,6 @@ def run_network(spec: NetworkSpec, params: dict, images: np.ndarray,
     horizon = spec.horizon if horizon is None else int(horizon)
     if horizon < 1:
         raise ParameterError(f"horizon must be >= 1, got {horizon}")
-    if batch_size < 1:
-        raise ParameterError(f"batch size must be >= 1, got {batch_size}")
     if not (math.isfinite(input_noise_std) and input_noise_std >= 0):
         raise ParameterError(f"input noise std must be finite and >= 0, "
                              f"got {input_noise_std}")
@@ -104,12 +103,12 @@ def run_network(spec: NetworkSpec, params: dict, images: np.ndarray,
     # step t draws every sample's noise at counter t, one keyed row per sample
     noise = RngStream(noise_seed) if input_noise_std > 0 else None
 
+    batch = batch_rows(spec, images.shape[-2:])
     # blocking would thin a noisy run's per-step GEMM: it keeps one block per batch
-    block = (batch_size if noise is not None
-             else min(block_rows(spec, images.shape[-2:]), batch_size))
+    block = batch if noise is not None else block_rows(spec, images.shape[-2:])
 
-    for b_start in range(0, n_total, batch_size):
-        b_end = min(b_start + batch_size, n_total)
+    for b_start in range(0, n_total, batch):
+        b_end = min(b_start + batch, n_total)
         x_batch = np.asarray(images[b_start:b_end], dtype=np.float64)
         row_sums0[b_start:b_end] = x_batch.reshape(b_end - b_start, -1).sum(axis=1)
         drive_batch = None

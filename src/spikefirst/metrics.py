@@ -90,6 +90,22 @@ def evaluate(ckpt: Checkpoint, dataset: Dataset, mode: str = "first-to-spike",
                          horizon=int(horizon or spec.horizon))
 
 
+def noise_variances(values) -> list:
+    """``values`` as floats, each a finite variance >= 0, else ParameterError
+    (an empty string too): the one rule that ``noise_sweep`` and the
+    ``noise`` command's ``--variances`` list read variances by."""
+    variances = []
+    for value in values:
+        try:
+            var = float(value)
+        except (TypeError, ValueError):
+            raise ParameterError(f"variance must be a number, got {value!r}") from None
+        if not (math.isfinite(var) and var >= 0):
+            raise ParameterError(f"variance must be finite and >= 0, got {var}")
+        variances.append(var)
+    return variances
+
+
 def noise_sweep(ckpt: Checkpoint, dataset: Dataset, variances,
                 seed: int = 1234) -> list:
     """Accuracy under additive elementwise Gaussian input noise.
@@ -105,12 +121,8 @@ def noise_sweep(ckpt: Checkpoint, dataset: Dataset, variances,
     std: a variance's row depends neither on the other variances nor on the
     batch size.  Returns a list of (variance, accuracy) pairs.
     """
-    variances = [float(v) for v in variances]
-    for v in variances:
-        if not (math.isfinite(v) and v >= 0):
-            raise ParameterError(f"variance must be finite and >= 0, got {v}")
     rows = []
-    for var in variances:
+    for var in noise_variances(variances):
         res = run_network(ckpt.spec, ckpt.params, dataset.images, mode=ckpt.spec.coding,
                           seed=ckpt.seed, input_noise_std=np.sqrt(var),
                           noise_seed=seed)

@@ -29,10 +29,11 @@ import numpy as np
 
 from .bptt import LayerTrace, Tape
 from .errors import ParameterError, ShapeError
+from .heap import SIMULATION_MAPPED_BYTES
 # sigmoid is re-exported: bench/test_bench.py reaches it through this module
 from .neurons import LayerState, det_lif_step, sigmoid, stoch_lif_step  # noqa: F401
 from .rng import RngStream, rng_uniform
-from .tensor import _L2_BYTES, _conv_out_size, conv2d, linear, pool2d
+from .tensor import _L2_BYTES, _conv_out_size, _pow2_fit, conv2d, linear, pool2d
 
 # Each model kind's neuron model, that of every layer but the pool layers,
 # and its output coding.
@@ -55,6 +56,9 @@ DEFAULT_HIDDEN = 800
 # least _MIN_BLOCK_ROWS rows
 _BYTES_PER_NEURON = 24
 _MIN_BLOCK_ROWS = 8
+# an evaluation batch is at most _MAX_BATCH_ROWS rows: mlp2's 784->800
+# layer-0 GEMM keeps the 512 rows it has always run at, and with them its bits
+_MAX_BATCH_ROWS = 512
 
 
 @dataclass
@@ -198,7 +202,7 @@ class NetworkSpec:
 def normalize_model_kind(kind: str) -> str:
     k = kind.upper().replace("_", "-")
     if k not in MODEL_KINDS:
-        raise ValueError(f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}")
+        raise ParameterError(f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}")
     return k
 
 
@@ -250,7 +254,7 @@ def build(arch_name: str, model_kind: str, overrides: dict | None = None) -> Net
     overrides = dict(overrides or {})
     kind = normalize_model_kind(model_kind)
     if arch_name not in ARCHS:
-        raise ValueError(f"unknown architecture {arch_name!r}; expected one of {ARCHS}")
+        raise ParameterError(f"unknown architecture {arch_name!r}; expected one of {ARCHS}")
 
     hidden = int(overrides.pop("hidden", DEFAULT_HIDDEN))
     if hidden < 1 or arch_name != "mlp2" and hidden != DEFAULT_HIDDEN:
@@ -267,7 +271,7 @@ def build(arch_name: str, model_kind: str, overrides: dict | None = None) -> Net
 
     horizon = int(overrides.pop("horizon", 15 if coding == "rate" else 20))
     if overrides:
-        raise ValueError(f"unknown override keys: {sorted(overrides)}")
+        raise ParameterError(f"unknown override keys: {sorted(overrides)}")
     return NetworkSpec(layers=layers, horizon=horizon, model_kind=kind, arch=arch_name)
 
 
@@ -306,8 +310,19 @@ def block_rows(spec: NetworkSpec, input_hw: tuple) -> int:
     one step to the next."""
     shapes = layer_shapes(spec, input_hw)
     widest = max(math.prod(shapes[i]) for i, _ in spec.weighted_layers())
-    fit = _L2_BYTES // (_BYTES_PER_NEURON * widest)
-    return max(_MIN_BLOCK_ROWS, 1 << max(fit.bit_length() - 1, 0))
+    return max(_MIN_BLOCK_ROWS, _pow2_fit(_L2_BYTES, _BYTES_PER_NEURON * widest))
+
+
+def batch_rows(spec: NetworkSpec, input_hw: tuple) -> int:
+    """Rows per evaluation batch, for (H, W) inputs: the largest power of two
+    whose state over every layer fits ``heap.SIMULATION_MAPPED_BYTES``, the
+    size below which a simulation's arrays stay on the heap; at most
+    ``_MAX_BATCH_ROWS``; and at least ``block_rows``, so that a clean batch
+    is cut into whole blocks.  512 rows on mlp2, 128 on lenet5, 8 on vgg15
+    (28x28 and 32x32 inputs)."""
+    state = _BYTES_PER_NEURON * sum(math.prod(s) for s in layer_shapes(spec, input_hw))
+    return max(block_rows(spec, input_hw),
+               min(_MAX_BATCH_ROWS, _pow2_fit(SIMULATION_MAPPED_BYTES, state)))
 
 
 def init_params(spec: NetworkSpec, stream: RngStream) -> dict:

@@ -93,12 +93,17 @@ def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int):
     return cols.reshape(c * kh * kw, n * oh * ow)
 
 
+def _pow2_fit(budget: int, unit: int) -> int:
+    """The largest power of two whose multiple of ``unit`` bytes fits
+    ``budget`` bytes, and at least 1."""
+    return 1 << max((budget // unit).bit_length() - 1, 0)
+
+
 def _run_samples(taps: int, pixels: int) -> int:
     """Samples per run of im2col columns, for ``taps`` (C·KH·KW) rows and
     ``pixels`` (OH·OW) columns per sample: the largest power of two whose
     float64 columns fit ``_L2_BYTES``, and at least 1."""
-    fit = _L2_BYTES // (8 * taps * pixels)
-    return 1 << max(fit.bit_length() - 1, 0)
+    return _pow2_fit(_L2_BYTES, 8 * taps * pixels)
 
 
 def _col2im(cols: np.ndarray, x_shape, kh: int, kw: int, stride: int, pad: int) -> np.ndarray:

@@ -21,8 +21,8 @@ from .data import Dataset, encode_direct
 from .errors import NumericalError, ParameterError
 from .heap import simulating
 from .inference import run_network
-from .network import (ARCHS, NetworkSpec, block_rows, build, forward as net_forward,
-                      init_params, normalize_model_kind, synaptic_drive)
+from .network import (NetworkSpec, block_rows, build, forward as net_forward, init_params,
+                      normalize_model_kind, synaptic_drive)
 from .neurons import first_spike_times
 from .rng import RngStream, rng_uniform
 
@@ -53,9 +53,7 @@ class TrainConfig:
 
     def __post_init__(self):
         self.model_kind = normalize_model_kind(self.model_kind)
-        if self.arch not in ARCHS:
-            raise ParameterError(f"arch must be one of {ARCHS}, got {self.arch!r}")
-        self.network_spec()             # checks hidden, horizon and leak
+        self.network_spec()             # checks arch, hidden, horizon and leak
         if self.epochs < 0 or self.batch_size < 1:
             raise ParameterError("epochs/batch_size out of range")
         if not 0.0 < self.lr < np.inf:
@@ -192,11 +190,14 @@ def _batch_loss(spec, tape, labels, batch_size=None):
     return loss.value, sign_estimator_backward(loss.grad, times, tape.horizon)
 
 
-def _snapshot(spec, params, adam, epoch, seed, best_acc) -> Checkpoint:
-    return Checkpoint(spec=spec,
-                      params={k: v.copy() for k, v in params.items()},
-                      adam_m={k: v.copy() for k, v in adam.m.items()},
-                      adam_v={k: v.copy() for k, v in adam.v.items()},
+def _snapshot(spec, params, adam, epoch, seed, best_acc, final=False) -> Checkpoint:
+    """The run's state after ``epoch`` epochs.  It copies the live parameters
+    and Adam moments, which training goes on to update, unless this is the
+    ``final`` epoch's: that one takes them as they are."""
+    def own(arrays):
+        return arrays if final else {k: v.copy() for k, v in arrays.items()}
+
+    return Checkpoint(spec=spec, params=own(params), adam_m=own(adam.m), adam_v=own(adam.v),
                       adam_step=adam.step, epoch=epoch, seed=seed, best_accuracy=best_acc)
 
 
@@ -209,7 +210,8 @@ def train(config: TrainConfig, train_ds: Dataset, test_ds: Dataset | None = None
     wall_time_s.  When ``test_ds`` is given the returned checkpoint is the
     best-accuracy epoch snapshot, otherwise the final state.  ``resume``
     continues a run bit-exactly from its stored epoch and trains its spec;
-    the config's network settings are then not read.
+    the config's network settings are then not read.  ``resume``'s arrays
+    are only read, and the returned checkpoint may share them.
 
     Each batch runs block-major, as evaluation does: its rows are cut into
     blocks of ``network.block_rows`` rows, and each block runs forward, loss
@@ -248,7 +250,9 @@ def train(config: TrainConfig, train_ds: Dataset, test_ds: Dataset | None = None
 
     n = len(train_ds)
     log_rows = []
-    last_good = _snapshot(spec, params, adam, start_epoch, config.seed, best_acc)
+    # a resumed run starts from the caller's checkpoint, which it only reads
+    last_good = (_snapshot(spec, params, adam, start_epoch, config.seed, best_acc)
+                 if resume is None else replace(resume, seed=config.seed))
     # without a test set nothing is ranked and the final state is returned:
     # the initial snapshot is then freed as soon as epoch 1's replaces it
     best_ckpt = last_good if test_ds is not None else None
@@ -306,10 +310,14 @@ def train(config: TrainConfig, train_ds: Dataset, test_ds: Dataset | None = None
                 # (encoded is a view of images)
                 del images, drive, encoded
                 adam_step(params, grads, adam, lr, config.weight_decay)
+                del grads
                 epoch_loss += loss
                 n_batches += 1
         except NumericalError as exc:
             raise TrainingDiverged(str(exc), checkpoint=last_good) from exc
+        # nothing from here on can diverge: the last snapshot is kept only as
+        # the best one, not beside the next one while that is copied
+        last_good = None
 
         train_loss = epoch_loss / max(n_batches, 1)
         acc = (float((run_network(spec, params, test_ds.images, mode=spec.coding,
@@ -323,7 +331,8 @@ def train(config: TrainConfig, train_ds: Dataset, test_ds: Dataset | None = None
         improved = test_ds is not None and acc >= best_acc
         if improved:
             best_acc = acc
-        last_good = _snapshot(spec, params, adam, epoch + 1, config.seed, best_acc)
+        last_good = _snapshot(spec, params, adam, epoch + 1, config.seed, best_acc,
+                              epoch + 1 == config.epochs)
         if improved:
             best_ckpt = last_good       # never mutated, only replaced
         if epoch_hook is not None:

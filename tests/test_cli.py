@@ -20,7 +20,8 @@ import spikefirst
 from spikefirst import cli
 from spikefirst.checkpoint import load_checkpoint
 from spikefirst.cli import EXIT_CHECKPOINT, EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
-from spikefirst.metrics import MetricsReport
+from spikefirst.errors import ParameterError
+from spikefirst.metrics import MetricsReport, noise_variances
 from spikefirst.network import parse_spec
 from spikefirst.train import PRESETS, TrainConfig
 from spikefirst.tuner import DeResult
@@ -427,6 +428,21 @@ def test_noise_rejects_non_finite_variances(tiny_run, tmp_path, synthetic_mnist,
     assert run("noise", str(tiny_run / "checkpoint.ckpt"), "--variances", variances,
                "--data", synthetic_mnist, "--out", str(tmp_path)) == EXIT_CONFIG
     assert not (tmp_path / "noise_sweep.csv").exists()
+
+
+@pytest.mark.parametrize("variances", ["0,,1", "0,1,", "0,-1", "0.5,nan"])
+def test_noise_reads_its_variances_by_the_librarys_rule(tiny_run, tmp_path, synthetic_mnist,
+                                                       capsys, variances):
+    # an empty entry was dropped, so "0,,1" ran two variances; the command
+    # and noise_sweep now read a list by one rule and report one message,
+    # before the checkpoint is read and anything is written
+    out = tmp_path / "out"
+    assert run("noise", str(tiny_run / "checkpoint.ckpt"), "--variances", variances,
+               "--data", synthetic_mnist, "--out", str(out)) == EXIT_CONFIG
+    assert not out.exists()
+    with pytest.raises(ParameterError) as exc:
+        noise_variances(variances.split(","))
+    assert capsys.readouterr().err == f"error: bad variance list: {exc.value}\n"
 
 
 def test_noise_happy_path(tiny_run, tmp_path, synthetic_mnist):

@@ -1,12 +1,13 @@
 """First-to-spike early exit, tie-breaking, timeout and rate-mode prediction."""
 
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import spikefirst as sf
-from spikefirst import network
+from spikefirst import heap, inference, network
 from spikefirst.errors import ParameterError
 from spikefirst.inference import run_network
 from spikefirst.network import LayerSpec, NetworkSpec, block_rows, synaptic_drive
@@ -30,6 +31,14 @@ def shrink_blocks(monkeypatch, rows):
     no block fits an empty budget, so each takes the minimum."""
     monkeypatch.setattr(network, "_L2_BYTES", 0)
     monkeypatch.setattr(network, "_MIN_BLOCK_ROWS", rows)
+
+
+def run_batched(rows, *args, **kwargs):
+    """``run_network`` in batches of ``rows`` rows, whatever the network: the
+    batching rule ``network.batch_rows`` is replaced for this one call."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(inference, "batch_rows", lambda spec, input_hw: rows)
+        return run_network(*args, **kwargs)
 
 
 def assert_same_result(got, want):
@@ -100,13 +109,13 @@ def test_batched_equals_unbatched(monkeypatch):
     spec = single_layer_spec(4, horizon=6, leak=1.0)
     params = {"layer0.w": rng.normal(size=(4, 4)) * 0.3}
     images = rng.uniform(0, 1, size=(10, 4))
-    full = run_network(spec, params, images, batch_size=10)
-    split = run_network(spec, params, images, batch_size=3)
+    full = run_batched(10, spec, params, images)
+    split = run_batched(3, spec, params, images)
     assert np.array_equal(full.predictions, split.predictions)
     assert np.array_equal(full.latencies, split.latencies)
     # the activity totals are summed per sample, so no batching moves them
-    for batch_size in (512, 100, 7):
-        res = run_network(spec, params, images, batch_size=batch_size)
+    for batch in (512, 100, 7):
+        res = run_batched(batch, spec, params, images)
         assert np.array_equal(res.predictions, full.predictions)
         assert np.array_equal(res.steps, full.steps)
         assert res.input_total == full.input_total
@@ -114,8 +123,8 @@ def test_batched_equals_unbatched(monkeypatch):
     # nor does stepping each batch in row blocks, ragged or not
     for rows in (1, 3, 4):
         shrink_blocks(monkeypatch, rows)
-        for batch_size in (10, 7, 3):
-            assert_same_result(run_network(spec, params, images, batch_size=batch_size), full)
+        for batch in (10, 7, 3):
+            assert_same_result(run_batched(batch, spec, params, images), full)
 
     # and every random draw is keyed by the sample's index in the dataset:
     # Bernoulli draws of a stochastic network in both modes and input noise
@@ -133,8 +142,7 @@ def test_batched_equals_unbatched(monkeypatch):
             params["layer1.w"] -= 0.15      # outputs that fire late or time out
         whole = {}
         for name, data in datasets.items():
-            runs = [run_network(spec, params, data, batch_size=b, **kwargs)
-                    for b in (512, 100, 7)]
+            runs = [run_batched(b, spec, params, data, **kwargs) for b in (512, 100, 7)]
             whole[name] = runs[0]
             with monkeypatch.context() as m:
                 shrink_blocks(m, 16)
@@ -145,7 +153,7 @@ def test_batched_equals_unbatched(monkeypatch):
             if kwargs.get("mode") != "rate":
                 assert len(np.unique(runs[0].latencies)) > 1, (kind, name)
         # a sample keeps its draws where it keeps its index: a prefix of the set
-        head = run_network(spec, params, images[:130], batch_size=7, **kwargs)
+        head = run_batched(7, spec, params, images[:130], **kwargs)
         assert np.array_equal(head.predictions, whole["all"].predictions[:130])
         assert np.array_equal(head.latencies, whole["all"].latencies[:130])
 
@@ -194,17 +202,6 @@ def test_run_network_rejects_nonpositive_horizon(mode, horizon):
     with pytest.raises(ParameterError, match="horizon"):
         run_network(spec, identity_params(2), np.ones((1, 2)), mode=mode,
                     horizon=horizon)
-
-
-@pytest.mark.parametrize("mode", ["first-to-spike", "rate"])
-@pytest.mark.parametrize("batch_size", [0, -5])
-def test_run_network_rejects_nonpositive_batch_size(mode, batch_size):
-    # -5 would simulate nothing and predict -1 everywhere; 0 would escape
-    # from range() as a bare ValueError
-    spec = single_layer_spec(2, horizon=3)
-    with pytest.raises(ParameterError, match="batch size"):
-        run_network(spec, identity_params(2), np.ones((1, 2)), mode=mode,
-                    batch_size=batch_size)
 
 
 @pytest.mark.parametrize("std", [-0.5, float("nan"), float("inf")])
@@ -287,7 +284,7 @@ def test_early_exit_matches_full_horizon_forward(monkeypatch, arch, overrides, g
     images = rng.uniform(size=(12, 1, 28, 28)) * (rng.uniform(size=(12, 1, 28, 28)) < 0.3)
     horizon = spec.horizon
 
-    res = run_network(spec, params, images, batch_size=5)
+    res = run_batched(5, spec, params, images)
     encoded = sf.encode_direct(images, horizon)
     records, tape = sf.forward(spec, params, encoded)
     preds, lat = fts_from_full_horizon(records[-1], tape.traces[-1].v)
@@ -306,7 +303,7 @@ def test_early_exit_matches_full_horizon_forward(monkeypatch, arch, overrides, g
                                                     images.shape, std,
                                                     rows=np.arange(len(images))))
                for t in range(1, horizon + 1)]
-    noisy_res = run_network(spec, params, images, batch_size=5, input_noise_std=std,
+    noisy_res = run_batched(5, spec, params, images, input_noise_std=std,
                             noise_seed=noise_seed)
     tape_n = stepped_tape(spec, params, images, drives0)
     preds_n, lat_n = fts_from_full_horizon(tape_n.traces[-1].spikes, tape_n.traces[-1].v)
@@ -322,7 +319,7 @@ def test_early_exit_matches_full_horizon_forward(monkeypatch, arch, overrides, g
 
     # rate mode runs the full horizon and predicts the most active output
     rate_spec = sf.build(arch, "D-R-BPTT", overrides)
-    rate_res = run_network(rate_spec, params, images, mode="rate", batch_size=5)
+    rate_res = run_batched(5, rate_spec, params, images, mode="rate")
     rate_records, rate_tape = sf.forward(rate_spec, params,
                                          sf.encode_direct(images, rate_spec.horizon))
     rate_preds = rate_records[-1].sum(axis=0).argmax(axis=1)
@@ -352,12 +349,12 @@ def test_early_exit_matches_full_horizon_forward(monkeypatch, arch, overrides, g
     assert len(np.unique(sf_lat)) > 2
 
     def check_stochastic():
-        res = run_network(sf_spec, sf_params, sf_images, batch_size=5, seed=seed)
+        res = run_batched(5, sf_spec, sf_params, sf_images, seed=seed)
         assert np.array_equal(res.predictions, sf_preds)
         assert np.array_equal(res.latencies, sf_lat)
         assert np.array_equal(res.steps, sf_lat)
         assert_totals_match_tape(res, sf_spec, sf_tape, sf_lat)
-        res = run_network(sf_spec, sf_params, sf_images, mode="rate", batch_size=5, seed=seed)
+        res = run_batched(5, sf_spec, sf_params, sf_images, mode="rate", seed=seed)
         assert np.array_equal(res.predictions, sf_rate)
         assert_totals_match_tape(res, sf_spec, sf_tape, res.steps)
 
@@ -368,12 +365,12 @@ def test_early_exit_matches_full_horizon_forward(monkeypatch, arch, overrides, g
     # the same results
     for rows in (1, 3, 4):
         shrink_blocks(monkeypatch, rows)
-        res = run_network(spec, params, images, batch_size=5)
+        res = run_batched(5, spec, params, images)
         assert np.array_equal(res.predictions, preds), rows
         assert np.array_equal(res.latencies, lat), rows
         assert np.array_equal(res.steps, lat), rows
         assert_totals_match_tape(res, spec, tape, lat)
-        res = run_network(rate_spec, params, images, mode="rate", batch_size=5)
+        res = run_batched(5, rate_spec, params, images, mode="rate")
         assert np.array_equal(res.predictions, rate_preds), rows
         assert np.array_equal(res.steps, np.full(len(images), rate_spec.horizon)), rows
         assert_totals_match_tape(res, rate_spec, rate_tape, res.steps)
@@ -391,8 +388,11 @@ def test_noisy_inference_is_batch_size_invariant(arch, overrides, gain, n):
     params = {k: w * gain for k, w in sf.init_params(spec, RngStream(3, 0)).items()}
     rng = np.random.default_rng(12)
     images = rng.uniform(size=(n, 1, 28, 28)) * (rng.uniform(size=(n, 1, 28, 28)) < 0.3)
-    runs = [run_network(spec, params, images, batch_size=b, input_noise_std=0.3,
-                        noise_seed=8) for b in (512, 100, 7)]
+    runs = [run_batched(b, spec, params, images, input_noise_std=0.3, noise_seed=8)
+            for b in (512, 100, 7)]
+    # and in the batches network.batch_rows derives: 2048 rows on this mlp2,
+    # 128 on lenet5, whose 240 images are then two batches
+    runs.append(run_network(spec, params, images, input_noise_std=0.3, noise_seed=8))
     for res in runs[1:]:
         assert np.array_equal(res.predictions, runs[0].predictions)
         assert np.array_equal(res.latencies, runs[0].latencies)
@@ -414,9 +414,9 @@ def test_noisy_runs_match_reference_run_network(monkeypatch, arch, overrides, ga
     params = {k: w * gain for k, w in sf.init_params(det, RngStream(3, 0)).items()}
     rng = np.random.default_rng(13)
     images = rng.uniform(size=(12, 1, 28, 28)) * (rng.uniform(size=(12, 1, 28, 28)) < 0.3)
-    noisy = dict(batch_size=5, input_noise_std=0.3, noise_seed=21)
-    got = run_network(det, params, images, **noisy)
-    assert_same_result(got, oracles.run_network(det, params, images, **noisy))
+    noisy = dict(input_noise_std=0.3, noise_seed=21)
+    got = run_batched(5, det, params, images, **noisy)
+    assert_same_result(got, oracles.run_network(det, params, images, batch_size=5, **noisy))
     assert len(np.unique(got.latencies)) > 1
 
 
@@ -427,3 +427,43 @@ def test_noisy_runs_match_reference_run_network(monkeypatch, arch, overrides, ga
 ])
 def test_block_rows_fit_l2(arch, shape, rows):
     assert block_rows(sf.build(arch, "D-F-BPTT"), shape[-2:]) == rows
+
+
+@pytest.mark.parametrize("arch,hw,rows", [
+    ("mlp2", (28, 28), 512),            # the most rows a batch takes
+    ("lenet5", (28, 28), 128),          # 8094 neurons: 194 kB a row
+    ("vgg15", (32, 32), 8),             # 7.4 MB a row: one block
+])
+def test_batch_rows_fit_the_heap(arch, hw, rows):
+    spec = sf.build(arch, "D-F-BPTT")
+    assert network.batch_rows(spec, hw) == rows
+    assert rows % block_rows(spec, hw) == 0
+    # a network whose blocks exceed 512 rows takes one block per batch
+    tiny = single_layer_spec(4, horizon=3)
+    assert network.batch_rows(tiny, (1, 4)) == block_rows(tiny, (1, 4)) > 512
+
+
+@pytest.mark.parametrize("std,bound", [(0.0, 0.5), (0.3, 1.25)])
+def test_evaluation_peak_memory_is_bounded_by_one_batch(std, bound):
+    # 512 lenet5 images are four batches of network.batch_rows' 128 rows.  A
+    # batch's state over every layer fits heap.SIMULATION_MAPPED_BYTES, and a
+    # noisy batch, one block, holds all of it with its noisy images and
+    # layer-0 columns: 0.93 of it measured, bounded at 1.25.  A clean batch
+    # holds its layer-0 drive and one 16-row block's state: 0.27 measured,
+    # bounded at 0.5.  In one 512-row batch they peaked at 3.7 and 0.70, with
+    # the same results
+    spec = sf.build("lenet5", "D-F-BPTT")
+    params = {k: w * 3.0 for k, w in sf.init_params(spec, RngStream(3, 0)).items()}
+    rng = np.random.default_rng(12)
+    images = rng.uniform(size=(512, 1, 28, 28)) * (rng.uniform(size=(512, 1, 28, 28)) < 0.3)
+    noisy = dict(input_noise_std=std, noise_seed=8)
+    tracemalloc.start()
+    try:
+        got = run_network(spec, params, images, **noisy)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    budget = heap.SIMULATION_MAPPED_BYTES
+    assert peak <= bound * budget, f"peak {peak / budget:.2f} of the budget"
+    assert_same_result(got, run_batched(512, spec, params, images, **noisy))
+    assert len(np.unique(got.latencies)) > 1

@@ -20,7 +20,7 @@ from spikefirst.tuner import apply_candidate
 def test_normalize_model_kind():
     assert normalize_model_kind("d-f-bptt") == "D-F-BPTT"
     assert normalize_model_kind("S_F_BPTT") == "S-F-BPTT"
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterError):
         normalize_model_kind("X-BPTT")
 
 
@@ -77,13 +77,13 @@ def test_build_overrides():
 
 
 def test_build_rejects_bad_overrides():
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterError):
         build("mlp2", "D-F-BPTT", {"v_th": [1.0, 1.0]})   # the tuner sets thresholds
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterError):
         build("mlp2", "D-F-BPTT", {"nonsense": 1})
-    with pytest.raises(ValueError, match="alpha"):
+    with pytest.raises(ParameterError, match="alpha"):
         build("mlp2", "D-F-BPTT", {"alpha": 2.0})          # the surrogate width is fixed
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterError):
         build("mlp7", "D-F-BPTT")
 
 

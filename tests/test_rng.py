@@ -320,9 +320,10 @@ def test_inference_noise_never_meets_bernoulli_streams(monkeypatch):
     params = {"layer0.w": rng.normal(size=(16, 20)) * 0.3,
               "layer1.w": rng.normal(size=(10, 16)) * 0.3}
     seed, std = 5, 0.2
-    # rate mode keeps every sample for the whole horizon
+    # rate mode keeps every sample for the whole horizon, in batches of 16
+    monkeypatch.setattr(inference, "batch_rows", lambda spec, input_hw: 16)
     inference.run_network(spec, params, rng.uniform(size=(40, 20)), mode="rate",
-                          seed=seed, batch_size=16, input_noise_std=std, noise_seed=seed)
+                          seed=seed, input_noise_std=std, noise_seed=seed)
 
     keys = {kind: {state[:2] for k, state, _, _ in calls if k == kind}
             for kind in ("uniform", "gaussian")}
