@@ -112,8 +112,10 @@ def _is_number(value, types) -> bool:
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
-    """Write ``ckpt`` to a temporary file beside ``path``, then move it over
-    ``path``: a save that fails or is killed partway leaves the old file."""
+    """Write ``ckpt`` to a temporary file beside ``path``, flush it to disk,
+    then move it over ``path``: a save that fails or is killed partway, or a
+    crash of the machine after the move, leaves the old file or the new
+    one, never a partly written file."""
     meta = {
         "adam_step": ckpt.adam_step,
         "epoch": ckpt.epoch,
@@ -140,6 +142,8 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         with open(tmp, "wb") as f:
             f.write(blob)
             f.write(struct.pack("<I", zlib.crc32(blob)))
+            f.flush()
+            os.fsync(f.fileno())
         os.replace(tmp, path)
     except BaseException:
         Path(tmp).unlink(missing_ok=True)

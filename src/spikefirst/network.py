@@ -200,6 +200,8 @@ class NetworkSpec:
 
 
 def normalize_model_kind(kind: str) -> str:
+    if not isinstance(kind, str):
+        raise ParameterError(f"model kind must be a string, got {kind!r}")
     k = kind.upper().replace("_", "-")
     if k not in MODEL_KINDS:
         raise ParameterError(f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}")
@@ -256,20 +258,20 @@ def build(arch_name: str, model_kind: str, overrides: dict | None = None) -> Net
     if arch_name not in ARCHS:
         raise ParameterError(f"unknown architecture {arch_name!r}; expected one of {ARCHS}")
 
-    hidden = int(overrides.pop("hidden", DEFAULT_HIDDEN))
-    if hidden < 1 or arch_name != "mlp2" and hidden != DEFAULT_HIDDEN:
-        raise ParameterError(f"hidden sets the mlp2 width, >= 1; lenet5 and vgg15 have fixed "
+    hidden = _count(overrides.pop("hidden", DEFAULT_HIDDEN), "hidden", 1)
+    if arch_name != "mlp2" and hidden != DEFAULT_HIDDEN:
+        raise ParameterError(f"hidden sets the mlp2 width; lenet5 and vgg15 have fixed "
                              f"widths and take only {DEFAULT_HIDDEN}: got {hidden} on {arch_name}")
     layers = (_mlp2_layers(hidden) if arch_name == "mlp2"
               else _lenet5_layers() if arch_name == "lenet5" else _vgg15_layers())
 
     neuron, coding = KIND_MODELS[kind]
-    leak = float(overrides.pop("leak", STOCH_LEAK if neuron == "stoch" else DET_LEAK))
+    leak = _real(overrides.pop("leak", STOCH_LEAK if neuron == "stoch" else DET_LEAK), "leak")
     for i, l in enumerate(layers):
         if l.kind != "pool":
             layers[i] = replace(l, leak=leak)
 
-    horizon = int(overrides.pop("horizon", 15 if coding == "rate" else 20))
+    horizon = _count(overrides.pop("horizon", 15 if coding == "rate" else 20), "horizon", 1)
     if overrides:
         raise ParameterError(f"unknown override keys: {sorted(overrides)}")
     return NetworkSpec(layers=layers, horizon=horizon, model_kind=kind, arch=arch_name)
@@ -391,6 +393,20 @@ def step(spec: NetworkSpec, params: dict, drive0: np.ndarray, states: dict,
     return outs
 
 
+def _pool_tape_dtype(layer: LayerSpec, prev: LayerSpec):
+    """The dtype that tapes pool ``layer``'s output exactly, ``prev`` being
+    the layer before it.  Pooling a neuron layer's 0/1 spikes, a max pool
+    gives 0/1 (``uint8``) and an average pool over a w x w window k/w² for
+    k = 0..w², which is exact in float32 when w² is a power of two of at
+    most 2^24; any other pool output is taped as float64."""
+    if prev.kind == "pool":
+        return np.float64
+    if layer.pool_mode == "max":
+        return np.uint8
+    area = layer.window * layer.window
+    return np.float32 if area & (area - 1) == 0 and area <= 1 << 24 else np.float64
+
+
 def forward(spec: NetworkSpec, params: dict, encoded: np.ndarray,
             streams: list | None = None, rows=None, drive0: np.ndarray | None = None):
     """Simulate all layers for t = 1..T, recording spikes and the BPTT tape.
@@ -405,7 +421,9 @@ def forward(spec: NetworkSpec, params: dict, encoded: np.ndarray,
     the output layer's spikes as ``records[-1]``.
 
     The tape holds what the ``bptt`` module docstring lists; each taped
-    array is allocated up front, from ``layer_shapes``.
+    array is allocated up front, from ``layer_shapes``, and a pool layer's
+    output in the narrowest dtype that holds it exactly
+    (``_pool_tape_dtype``), which every reader casts back to float64.
 
     ``encoded`` must be direct-encoded: the same input at every step, stride
     0 along time, as ``data.encode_direct`` returns it; any other array
@@ -427,7 +445,8 @@ def forward(spec: NetworkSpec, params: dict, encoded: np.ndarray,
     for i, (layer, shape) in enumerate(zip(spec.layers, layer_shapes(spec, encoded.shape[-2:]))):
         full = (horizon, n) + shape
         if layer.kind == "pool":
-            traces.append(LayerTrace(layer=layer, spikes=np.empty(full)))
+            dtype = _pool_tape_dtype(layer, spec.layers[i - 1])
+            traces.append(LayerTrace(layer=layer, spikes=np.empty(full, dtype)))
             continue
         name = f"layer{i}.w"
         trace = LayerTrace(layer=layer, wname=name, weight=params[name],

@@ -120,11 +120,18 @@ def _col2im(cols: np.ndarray, x_shape, kh: int, kw: int, stride: int, pad: int) 
     return xp[:, :, pad : pad + h, pad : pad + w].transpose(1, 0, 2, 3)
 
 
+def _batch_shape(x: np.ndarray) -> tuple:
+    """The (N, C, H, W) shape of batch ``x``, whatever its dtype."""
+    shape = np.shape(x)
+    if len(shape) != 4:
+        raise ShapeError(f"expected an (N, C, H, W) batch, got shape {shape}")
+    return shape
+
+
 def _batch(x: np.ndarray) -> np.ndarray:
     """``x`` as a float64 (N, C, H, W) batch."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 4:
-        raise ShapeError(f"expected an (N, C, H, W) batch, got shape {x.shape}")
+    _batch_shape(x)
     return x
 
 
@@ -239,17 +246,17 @@ def pool2d_backward(grad_out: np.ndarray, inp: np.ndarray, window: int,
     """Gradient of pool2d w.r.t. its input.
 
     Max mode routes gradient to the window argmax (first occurrence on ties),
-    matching the indices the forward pass would record.
+    matching the indices the forward pass would record.  Average mode reads
+    only the shape of ``inp``, which may be of any dtype.
     """
-    x = _batch(inp)
     g = _batch(grad_out)
-    n, c, h, w = x.shape
+    n, c, h, w = _batch_shape(inp)
     if h % window or w % window:
         raise ShapeError(f"spatial dims {h}x{w} not divisible by window {window}")
     if mode == "average":
         grad = (g / (window * window)).repeat(window, axis=2).repeat(window, axis=3)
     elif mode == "max":
-        tiles = x.reshape(n, c, h // window, window, w // window, window)
+        tiles = _batch(inp).reshape(n, c, h // window, window, w // window, window)
         flat = tiles.transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h // window, w // window, -1)
         arg = flat.argmax(axis=-1)
         mask_flat = np.zeros_like(flat)

@@ -237,6 +237,16 @@ def _sf_conv_spec(horizon):
     ], horizon=horizon, model_kind="S-F-BPTT", arch="vgg15")
 
 
+def _df_pool_spec(horizon, *pools):
+    # conv -> the given pool layers -> linear, deterministic, on 6x6 or 8x8
+    # inputs: the pool layers whose output must stay float64 on the tape
+    return sf.NetworkSpec(layers=[
+        LayerSpec(kind="conv", in_channels=1, out_channels=2, kernel=3, pad=1),
+        *(LayerSpec(kind="pool", window=w, pool_mode=mode) for w, mode in pools),
+        LayerSpec(kind="linear", in_features=8, out_features=3),
+    ], horizon=horizon, model_kind="D-F-BPTT", arch="lenet5")
+
+
 def _windows(a):
     # (..., C, H, W) -> (..., C, H/2, W/2, 4): each 2x2 window, row-major, as
     # pool2d_backward orders it
@@ -388,8 +398,9 @@ def test_backward_peak_memory_does_not_grow_with_horizon(model_kind, arch, overr
 
 
 def _taped_net(kind, n=3):
-    """A small network of ``kind`` (D-F, D-R, S-F, S-F conv or D-F lenet5)
-    run on ``n`` samples: its spec, spike records, tape and labels."""
+    """A small network of ``kind`` (D-F, D-R, S-F, S-F conv, D-F lenet5,
+    D-F avg3 or D-F pool pool) run on ``n`` samples: its spec, spike
+    records, tape and labels."""
     rng = np.random.default_rng(21)
     horizon = 4
     labels = np.arange(n) % 3
@@ -405,6 +416,17 @@ def _taped_net(kind, n=3):
                   "layer1.w": rng.normal(size=(2, 2, 3, 3)),
                   "layer3.w": rng.normal(size=(3, 8))}
         x = rng.uniform(size=(n, 1, 4, 4))
+    elif kind in ("D-F avg3", "D-F pool pool"):
+        # a 3x3 average pool of 6x6 maps, or a 2x2 max pool of 8x8 maps
+        # and a 2x2 average pool of that
+        if kind == "D-F avg3":
+            pools, hw = [(3, "average")], 6
+        else:
+            pools, hw = [(2, "max"), (2, "average")], 8
+        spec = _df_pool_spec(horizon, *pools)
+        params = {"layer0.w": rng.normal(size=(2, 1, 3, 3)) * 1.5,
+                  f"layer{len(pools) + 1}.w": rng.normal(size=(3, 8)) * 1.5}
+        x = rng.uniform(size=(n, 1, hw, hw))
     else:
         spec = _two_layer_spec(kind + "-BPTT", 6, 8, 3, horizon,
                                leak=0.7 if kind == "S-F" else 0.9)
@@ -434,7 +456,15 @@ def test_backward_writes_nothing_it_is_given(kind, n):
         assert a.tobytes() == b, f"backward wrote into {name}"
 
 
-@pytest.mark.parametrize("kind", ["D-F", "S-F", "S-F conv", "D-F lenet5"])
+# the tape dtype of each pool layer, in order: the narrowest that holds its
+# outputs exactly, 0/1 after a max pool of spikes and k/4 after a 2x2
+# average pool of spikes, float64 for k/9 and for a pool of a pool
+_POOL_TAPE_DTYPES = {"D-F": [], "S-F": [], "S-F conv": [np.uint8],
+                     "D-F lenet5": [np.float32, np.float32], "D-F avg3": [np.float64],
+                     "D-F pool pool": [np.uint8, np.float64]}
+
+
+@pytest.mark.parametrize("kind", list(_POOL_TAPE_DTYPES))
 def test_tape_records_only_what_backward_reads(kind):
     _, records, tape, _ = _taped_net(kind)
     traces = tape.traces
@@ -451,14 +481,19 @@ def test_tape_records_only_what_backward_reads(kind):
                    for j, a in enumerate(taped) for b in taped[j + 1:])
     assert traces[0].inputs.dtype == np.float64
     assert all(tr.inputs is None for tr in traces[1:])
+    pools = [tr for tr in traces if tr.layer.kind == "pool"]
+    assert [tr.spikes.dtype for tr in pools] == _POOL_TAPE_DTYPES[kind]
     for i, tr in enumerate(traces):
         if tr.layer.kind == "pool":
-            # its output is the pooled spikes of the layer before
+            # its output is the pooled output of the layer before, bit for
+            # bit once cast to float64
             assert tr.v is None and tr.probs is None
-            assert tr.spikes.dtype == np.float64
             for t in range(tape.horizon):
                 pooled = pool2d(traces[i - 1].spikes[t], tr.layer.window, tr.layer.pool_mode)
-                assert np.array_equal(tr.spikes[t], pooled), t
+                assert tr.spikes[t].astype(np.float64).tobytes() == pooled.tobytes(), t
+            if kind == "D-F avg3":
+                # some k/9 on the tape has no float32 double
+                assert (tr.spikes.astype(np.float32) != tr.spikes).any()
             continue
         assert tr.spikes.dtype == np.uint8
         assert set(np.unique(tr.spikes)) <= {0, 1}
@@ -467,6 +502,22 @@ def test_tape_records_only_what_backward_reads(kind):
         kept = tr.probs if hidden_stoch else tr.v
         assert (tr.v is None) == hidden_stoch and (tr.probs is None) != hidden_stoch
         assert kept.dtype == np.float64 and kept.shape == tr.spikes.shape
+
+
+def test_lenet5_block_tape_bytes():
+    # one 16-row D-F lenet5 training block at T=20: per sample-step, 9 bytes
+    # a neuron (uint8 spikes, float64 v) over 4704 + 1600 + 120 + 84 + 10
+    # neurons and 4 bytes a pooled value (float32 k/4) over 1176 + 400, and
+    # the float64 image once per row: 20 * 16 * 64966 + 16 * 784 * 8 bytes
+    spec = sf.build("lenet5", "D-F-BPTT")
+    n = sf.network.block_rows(spec, (28, 28))
+    params = sf.init_params(spec, RngStream(0, 0))
+    x = np.random.default_rng(6).uniform(size=(n, 1, 28, 28))
+    _, tape = sf.forward(spec, params, sf.encode_direct(x, spec.horizon))
+    taped = {id(a): a for tr in tape.traces
+             for a in (tr.inputs, tr.v, tr.spikes, tr.probs) if a is not None}
+    assert (n, spec.horizon) == (16, 20)
+    assert sum(a.nbytes for a in taped.values()) == 20_889_472
 
 
 @pytest.mark.parametrize("kind", ["D-F", "S-F", "S-F conv"])
@@ -546,7 +597,7 @@ def _assert_same_gradients(spec, tape, labels):
 
 
 @pytest.mark.parametrize("n", [1, 3])
-@pytest.mark.parametrize("kind", ["D-F", "D-R", "S-F", "S-F conv"])
+@pytest.mark.parametrize("kind", ["D-F", "D-R", "S-F", "S-F conv", "D-F avg3", "D-F pool pool"])
 def test_backward_is_bit_identical_to_reference(kind, n):
     # the sweep reuses its per-step buffers but keeps every operation, its
     # operands and their order: gradients equal the reference bit for bit

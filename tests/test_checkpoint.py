@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import os
 import struct
 import warnings
 import zlib
@@ -107,6 +108,32 @@ def test_failed_save_keeps_the_old_file(ckpt, tmp_path, monkeypatch):
     save_checkpoint(changed, path)
     assert load_checkpoint(path).epoch == ckpt.epoch + 1
     assert [p.name for p in tmp_path.iterdir()] == ["c.ckpt"]
+
+
+def test_save_syncs_the_file_before_moving_it(ckpt, tmp_path, monkeypatch):
+    # the move can reach the disk before the data: a save flushes and syncs
+    # the whole temporary file first, so a crash after the move cannot leave
+    # an empty checkpoint
+    calls = []
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def fsync(fd):
+        st = os.fstat(fd)
+        calls.append(("fsync", st.st_ino, st.st_size))
+        real_fsync(fd)
+
+    def replace_(src, dst):
+        st = os.stat(src)
+        calls.append(("replace", st.st_ino, st.st_size))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(checkpoint.os, "fsync", fsync)
+    monkeypatch.setattr(checkpoint.os, "replace", replace_)
+    path = tmp_path / "s.ckpt"
+    save_checkpoint(ckpt, path)
+    st = path.stat()
+    assert calls == [("fsync", st.st_ino, st.st_size), ("replace", st.st_ino, st.st_size)]
+    assert load_checkpoint(path).epoch == ckpt.epoch
 
 
 def test_file_starts_with_magic(ckpt, tmp_path):

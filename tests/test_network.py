@@ -20,8 +20,9 @@ from spikefirst.tuner import apply_candidate
 def test_normalize_model_kind():
     assert normalize_model_kind("d-f-bptt") == "D-F-BPTT"
     assert normalize_model_kind("S_F_BPTT") == "S-F-BPTT"
-    with pytest.raises(ParameterError):
-        normalize_model_kind("X-BPTT")
+    for bad in ("X-BPTT", 5, None):
+        with pytest.raises(ParameterError, match="model kind"):
+            normalize_model_kind(bad)
 
 
 def test_build_mlp2_defaults():
@@ -85,6 +86,14 @@ def test_build_rejects_bad_overrides():
         build("mlp2", "D-F-BPTT", {"alpha": 2.0})          # the surrogate width is fixed
     with pytest.raises(ParameterError):
         build("mlp7", "D-F-BPTT")
+    with pytest.raises(ParameterError, match="model kind"):
+        build("mlp2", 5)
+    # a fraction was truncated to a smaller network, and a string raised a
+    # bare ValueError
+    for bad in ({"hidden": 2.7}, {"horizon": 3.9}, {"hidden": True}, {"horizon": np.float64(4)},
+                {"hidden": "x"}, {"horizon": "x"}, {"leak": "x"}, {"leak": None}):
+        with pytest.raises(ParameterError, match=next(iter(bad))):
+            build("mlp2", "D-F-BPTT", bad)
 
 
 def test_build_takes_hidden_only_where_it_sets_a_width():
@@ -95,7 +104,7 @@ def test_build_takes_hidden_only_where_it_sets_a_width():
                 build(arch, "D-F-BPTT", {"hidden": hidden})
         assert build(arch, "D-F-BPTT", {"hidden": DEFAULT_HIDDEN}) == build(arch, "D-F-BPTT")
     for hidden in (0, -5):
-        with pytest.raises(ParameterError, match="hidden sets the mlp2 width, >= 1"):
+        with pytest.raises(ParameterError, match="hidden must be an integer >= 1"):
             build("mlp2", "D-F-BPTT", {"hidden": hidden})
 
 
@@ -348,12 +357,15 @@ def test_forward_lenet_shapes():
                       (2, 2, 120), (2, 2, 84), (2, 2, 10)]
     # each layer's output is taped once, on the layer that makes it, and
     # read by the next layer as its input; a pool layer's is its own
-    # float64 buffer
+    # float32 buffer, which holds a 2x2 average of spikes, k/4, exactly
     tr = tape.traces
     assert all(t.inputs is None for t in tr[1:])
     for i in (1, 3):
-        assert tr[i].spikes.dtype == np.float64 and tr[i].spikes.shape[:2] == (2, 2)
+        assert tr[i].spikes.dtype == np.float32 and tr[i].spikes.shape[:2] == (2, 2)
         assert not np.shares_memory(tr[i].spikes, tr[i - 1].spikes)
+        for t in range(2):
+            pooled = sf.pool2d(tr[i - 1].spikes[t], 2)
+            assert tr[i].spikes[t].astype(np.float64).tobytes() == pooled.tobytes()
 
 
 _ROUND_TRIP_CASES = [(arch, kind, tuned) for tuned in (False, True)

@@ -118,7 +118,13 @@ def test_config_validation():
                        # a leak outside [0, 1] failed only inside build, and
                        # nan not at all
                        ({"lambda_leak": 1.5}, "leak"), ({"lambda_leak": -0.1}, "leak"),
-                       ({"lambda_leak": float("nan")}, "leak")):
+                       ({"lambda_leak": float("nan")}, "leak"),
+                       # a fraction was truncated, and a string or a
+                       # non-string kind raised a bare ValueError or
+                       # AttributeError
+                       ({"hidden": 2.7}, "hidden"), ({"horizon": 3.9}, "horizon"),
+                       ({"hidden": "x"}, "hidden"), ({"horizon": "x"}, "horizon"),
+                       ({"lambda_leak": "x"}, "leak"), ({"model_kind": 5}, "model kind")):
         with pytest.raises(ParameterError, match=match):
             TrainConfig(**bad)
     assert TrainConfig(hidden=1, weight_decay=0.0).weight_decay == 0.0
