@@ -55,15 +55,13 @@ caller with one tape from the tape's ``inputs``.  The gradient with respect
 to the network input is never computed, since nothing reads it.
 
 The sweep allocates its per-step arrays once per call, from the tape's
-shapes, and overwrites them at every step: each neuron layer's carry, a
+shapes, and overwrites them at every step: each neuron layer's carry, and a
 work buffer that holds its surrogate, then dL/dV_t, then its drive
-gradient, a 1 - p scratch for a hidden stochastic layer, and a float64
-buffer into which each layer whose input is taped narrower than float64
-casts the step it reads; an average pool has none, since its backward
-reads only its input's shape.  None escapes: the weight gradients are
-fresh GEMM results, and layer 0's sum over time has a buffer of its own.
-Every ufunc keeps the operands and the order of the plain expressions, so
-the gradients are the same bits.
+gradient; layer 0's sum over time has a buffer of its own.  Each taped step
+goes to the synaptic and pool kernels as stored, whatever its dtype, and
+they cast it to float64 exactly.  None of these buffers escapes: the
+weight gradients are fresh GEMM results.  Every ufunc keeps the operands
+and the order of the plain expressions, so the gradients are the same bits.
 """
 
 from __future__ import annotations
@@ -170,21 +168,14 @@ def backward(tape: Tape, g_top: np.ndarray):
     last = len(traces) - 1
     stoch = tape.neuron == "stoch"
 
-    # per layer, None where it has none (see the module docstring), made in
-    # the order the sweep first uses them (the peak resident set depends on
-    # it); a carry starts at zeros, not a skipped add, so -0.0 becomes +0.0
-    carry, work, one_minus_p, cast = ([None] * len(traces) for _ in range(4))
+    # per neuron layer, None for a pool layer, made in the order the sweep
+    # first uses them (the peak resident set depends on it); a carry starts
+    # at zeros, not a skipped add, so -0.0 becomes +0.0
+    carry, work = [None] * len(traces), [None] * len(traces)
     for i, trace in reversed(list(enumerate(traces))):
-        layer = trace.layer
-        # an average pool's backward reads only its input's shape
-        reads_input = not (layer.kind == "pool" and layer.pool_mode == "average")
-        if i > 0 and reads_input and traces[i - 1].spikes.dtype != np.float64:
-            cast[i] = np.empty(traces[i - 1].spikes.shape[1:])
-        if layer.kind != "pool":
+        if trace.layer.kind != "pool":
             shape = trace.spikes.shape[1:]
             carry[i], work[i] = np.zeros(shape), np.empty(shape)
-            if stoch and i < last:
-                one_minus_p[i] = np.empty(shape)
     g_drive0 = np.empty(traces[0].spikes.shape[1:])
 
     grads: dict[str, np.ndarray] = {}
@@ -195,11 +186,8 @@ def backward(tape: Tape, g_top: np.ndarray):
             trace = traces[i]
             layer = trace.layer
             if i > 0:
-                # layer i's input is layer i-1's output
+                # layer i's input is layer i-1's output, read as taped
                 x = traces[i - 1].spikes[t]
-                if cast[i] is not None:
-                    np.copyto(cast[i], x)
-                    x = cast[i]
             if layer.kind == "pool":
                 g = pool2d_backward(g, x, layer.window, layer.pool_mode)
                 continue
@@ -220,9 +208,8 @@ def backward(tape: Tape, g_top: np.ndarray):
                 else:
                     # straight through the Bernoulli draw, then the sigmoid
                     p = trace.probs[t]
-                    np.subtract(1.0, p, out=one_minus_p[i])
                     np.multiply(g, p, out=gv)
-                    gv *= one_minus_p[i]
+                    gv *= 1.0 - p
                     gv += carry[i]
                 inv_k = 1.0 / layer.k
                 np.multiply(gv, layer.leak * inv_k, out=carry[i])

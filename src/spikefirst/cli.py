@@ -98,18 +98,24 @@ def _load_cifar(root: Path, split: str, stats=None):
 
 def _load_splits(data, name: str, *splits: str) -> list:
     """The named splits of dataset ``name`` (``mnist`` or ``cifar10``) under
-    root ``data`` (default ``$SPIKEFIRST_DATA``), in order.  CIFAR-10's test
-    split is standardized with the training split's statistics, so it reads
-    both."""
+    root ``data`` (default ``$SPIKEFIRST_DATA``), in order; an empty split
+    is a dataset error.  CIFAR-10's test split is standardized with the
+    training split's statistics, so it reads both."""
     data = data or os.environ.get(DATA_ENV)
     if not data:
         raise CliError(f"no dataset root: pass --data or set {DATA_ENV}", EXIT_DATA)
     root = Path(data)
     if name == "mnist":
-        return [_load_mnist(root, split) for split in splits]
-    train_ds, stats = _load_cifar(root, "train")
-    return [train_ds if split == "train" else _load_cifar(root, split, stats=stats)[0]
-            for split in splits]
+        datasets = [_load_mnist(root, split) for split in splits]
+    else:
+        train_ds, stats = _load_cifar(root, "train")
+        datasets = [train_ds if split == "train" else _load_cifar(root, split, stats=stats)[0]
+                    for split in splits]
+    for split, dataset in zip(splits, datasets):
+        if len(dataset) == 0:
+            raise CliError(f"the {name} {split} split under {root} holds no samples",
+                           EXIT_DATA)
+    return datasets
 
 
 def _dataset_of(arch: str) -> str:

@@ -144,6 +144,6 @@ def encode_direct(image, horizon: int) -> np.ndarray:
     mutating.
     """
     if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
+        raise ParameterError(f"horizon must be >= 1, got {horizon}")
     pixels = np.asarray(image)
     return np.broadcast_to(pixels, (horizon,) + pixels.shape)

@@ -41,12 +41,11 @@ class LayerState:
     fired_prev: np.ndarray = field(default=None)
 
     def __post_init__(self):
-        # C order: the stochastic step draws its uniforms into fired_prev
-        self.v = np.asarray(self.v, dtype=np.float64, order="C")
+        self.v = np.asarray(self.v, dtype=np.float64)
         if self.fired_prev is None:
             self.fired_prev = np.zeros_like(self.v)
         else:
-            self.fired_prev = np.asarray(self.fired_prev, dtype=np.float64, order="C")
+            self.fired_prev = np.asarray(self.fired_prev, dtype=np.float64)
             if self.fired_prev.shape != self.v.shape:
                 raise ShapeError(f"fired_prev shape {self.fired_prev.shape} != "
                                  f"v shape {self.v.shape}")
@@ -108,10 +107,8 @@ def stoch_lif_step(state: LayerState, layer, drive: np.ndarray, stream: RngStrea
     state.v += drive
     state.v /= layer.k
     probs = sigmoid(state.v)
-    # the draw's buffer receives its own comparison as 0.0 / 1.0
-    spikes = rng_uniform(stream, probs.shape, rows=rows, out=state.fired_prev)
-    np.less(spikes, probs, out=spikes)
-    return spikes, probs
+    np.less(rng_uniform(stream, probs.shape, rows=rows), probs, out=state.fired_prev)
+    return state.fired_prev, probs
 
 
 def first_spike_times(spikes) -> np.ndarray:

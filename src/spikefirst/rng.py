@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError, ShapeError
+from .errors import ParameterError
 
 _MASK64 = (1 << 64) - 1
 # SplitMix64's Weyl increment and finaliser multipliers, and the Weyl step
@@ -97,25 +97,18 @@ def _mix64(z):
     return z
 
 
-def rng_uniform(stream: RngStream, shape, *, rows=None,
-                out: np.ndarray | None = None) -> np.ndarray:
-    """Uniform [0, 1) draws; advances the stream's counter by one call.
+def rng_uniform(stream: RngStream, shape, *, rows=None) -> np.ndarray:
+    """Uniform [0, 1) draws, a new float64 array of ``shape``; advances the
+    stream's counter by one call.
 
     Without ``rows`` the draws are Philox's.  With ``rows``, one integer id
     per entry of ``shape[0]``, entry j of row i is the low (j even) or high
     32 bits of word j // 2 over 2**32.  Word w finalises the stream key plus
     rows[i] row steps and w + 1 Weyl increments; the stream key absorbs
     seed, stream_id and counter, each plus one increment and finalised.
-
-    ``out``, a C-contiguous float64 array of ``shape``, receives the draws
-    in place of a new array: the same values at the same counter.
     """
     shape = tuple(shape)
-    if out is not None and not (out.shape == shape and out.dtype == np.float64
-                                and out.flags.c_contiguous and out.flags.writeable):
-        raise ShapeError(f"uniform draws of shape {shape} need a writable C-contiguous "
-                         f"float64 buffer of that shape, got {out.dtype} {out.shape}")
-    out = np.empty(shape) if out is None else out
+    out = np.empty(shape)
     if rows is None:
         stream._generator().random(out=out)
     else:

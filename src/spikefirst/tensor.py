@@ -1,7 +1,8 @@
 """Dense tensor primitives: the two synaptic ops, linear and 2-D convolution,
 2-D pooling, and their gradients.
 
-All values are 64-bit floats; a 0/1 ``uint8`` spike input is cast exactly.
+All values are 64-bit floats; a taped input, ``uint8`` spikes or a
+``float32`` pooled map, is cast exactly.
 Operations are pure and use fixed accumulation orders, so repeated runs on
 the same machine are bit-identical.
 
@@ -59,7 +60,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import ParameterError, ShapeError
 
 # the L2 size that one run of im2col columns, and one block of a block-major
 # simulation (network.block_rows), are cut to fit
@@ -67,6 +68,9 @@ _L2_BYTES = 2 << 20
 
 
 def _conv_out_size(size: int, k: int, stride: int, pad: int) -> int:
+    if stride < 1 or pad < 0:
+        raise ParameterError(f"conv stride must be >= 1 and pad >= 0, got stride "
+                             f"{stride}, pad {pad}")
     num = size + 2 * pad - k
     if num < 0 or num % stride != 0:
         raise ShapeError(
@@ -222,14 +226,23 @@ def conv2d_backward(grad_out: np.ndarray, inp: np.ndarray, kernel: np.ndarray,
     return grad_input, grad_kernel.reshape(k.shape)
 
 
-def pool2d(inp: np.ndarray, window: int, mode: str = "average") -> np.ndarray:
-    """Non-overlapping 2-D pooling over square windows."""
+def _pool_shape(x: np.ndarray, window: int, mode: str) -> tuple:
+    """The (N, C, H, W) shape of pool input ``x``, checked against a
+    ``window`` of at least 1 that tiles it and a known ``mode``."""
     if mode not in ("average", "max"):
-        raise ValueError(f"unknown pool mode {mode!r}")
-    x = _batch(inp)
-    n, c, h, w = x.shape
+        raise ParameterError(f"unknown pool mode {mode!r}")
+    if window < 1:
+        raise ParameterError(f"pool window must be >= 1, got {window}")
+    n, c, h, w = _batch_shape(x)
     if h % window or w % window:
         raise ShapeError(f"spatial dims {h}x{w} not divisible by window {window}")
+    return n, c, h, w
+
+
+def pool2d(inp: np.ndarray, window: int, mode: str = "average") -> np.ndarray:
+    """Non-overlapping 2-D pooling over square windows."""
+    x = _batch(inp)
+    n, c, h, w = _pool_shape(x, window, mode)
     if mode == "average":
         out = np.zeros((n, c, h // window, w // window))
         for i in range(window):
@@ -249,13 +262,11 @@ def pool2d_backward(grad_out: np.ndarray, inp: np.ndarray, window: int,
     matching the indices the forward pass would record.  Average mode reads
     only the shape of ``inp``, which may be of any dtype.
     """
+    n, c, h, w = _pool_shape(inp, window, mode)
     g = _batch(grad_out)
-    n, c, h, w = _batch_shape(inp)
-    if h % window or w % window:
-        raise ShapeError(f"spatial dims {h}x{w} not divisible by window {window}")
     if mode == "average":
         grad = (g / (window * window)).repeat(window, axis=2).repeat(window, axis=3)
-    elif mode == "max":
+    else:
         tiles = _batch(inp).reshape(n, c, h // window, window, w // window, window)
         flat = tiles.transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h // window, w // window, -1)
         arg = flat.argmax(axis=-1)
@@ -264,6 +275,4 @@ def pool2d_backward(grad_out: np.ndarray, inp: np.ndarray, window: int,
         mask = mask_flat.reshape(n, c, h // window, w // window, window, window)
         mask = mask.transpose(0, 1, 2, 4, 3, 5)
         grad = (mask * g.reshape(n, c, h // window, 1, w // window, 1)).reshape(n, c, h, w)
-    else:
-        raise ValueError(f"unknown pool mode {mode!r}")
     return grad

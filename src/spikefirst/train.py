@@ -231,6 +231,8 @@ def train(config: TrainConfig, train_ds: Dataset, test_ds: Dataset | None = None
     one Adam step per batch.  Training draws are keyed by dataset index, so
     no draw depends on the blocking.
     """
+    if len(train_ds) == 0:
+        raise ParameterError("empty training set")
     if resume is not None:
         spec = resume.spec
         params = {k: v.copy() for k, v in resume.params.items()}
@@ -319,7 +321,7 @@ def train(config: TrainConfig, train_ds: Dataset, test_ds: Dataset | None = None
         # the best one, not beside the next one while that is copied
         last_good = None
 
-        train_loss = epoch_loss / max(n_batches, 1)
+        train_loss = epoch_loss / n_batches
         acc = (float((run_network(spec, params, test_ds.images, mode=spec.coding,
                                   seed=config.seed).predictions == test_ds.labels).mean())
                if test_ds is not None else float("nan"))

@@ -201,8 +201,9 @@ def backward(tape: Tape, g_top: np.ndarray):
             trace = traces[i]
             layer = trace.layer
             if layer.kind == "pool":
-                # layer i's input is layer i-1's output; pool2d_backward
-                # casts a uint8 step to float64
+                # layer i's input is layer i-1's output, passed as taped:
+                # max pooling casts it to float64, average pooling reads
+                # only its shape
                 g = pool2d_backward(g, traces[i - 1].spikes[t], layer.window, layer.pool_mode)
                 continue
 

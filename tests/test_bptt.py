@@ -520,13 +520,15 @@ def test_lenet5_block_tape_bytes():
     assert sum(a.nbytes for a in taped.values()) == 20_889_472
 
 
-@pytest.mark.parametrize("kind", ["D-F", "S-F", "S-F conv"])
+@pytest.mark.parametrize("kind", ["D-F", "S-F", "S-F conv", "D-F lenet5", "D-F pool pool"])
 def test_uint8_spike_tape_gives_bit_identical_gradients(kind):
+    # uint8 spikes, and uint8 or float32 pooled maps (D-F lenet5, D-F pool
+    # pool), read straight by the kernels, give a float64 tape's gradients
     spec, _, tape, labels = _taped_net(kind)
     _, g_top = _batch_loss(spec, tape, labels)
     taped = [None if tr.spikes is None else tr.spikes.copy() for tr in tape.traces]
     grads, g_drive0 = sf.backward(tape, g_top)
-    # backward reads a cast copy of a spike step, never writes into the tape
+    # backward reads each taped step as stored, never writes into the tape
     for tr, before in zip(tape.traces, taped):
         assert before is None or np.array_equal(tr.spikes, before)
     for tr in tape.traces:

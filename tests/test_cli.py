@@ -26,6 +26,7 @@ from spikefirst.network import parse_spec
 from spikefirst.train import PRESETS, TrainConfig
 from spikefirst.tuner import DeResult
 
+from conftest import save_mnist_idx
 from test_checkpoint import _edit_json, rewrite_section
 from test_network import UNUSABLE_SPECS, small_spec, unusable_spec
 
@@ -319,6 +320,22 @@ def test_manifest_records_numpy_blas_and_thread_settings(tmp_path, synthetic_mni
 def test_bad_data_root(tmp_path):
     assert run("train", "--epochs", "0", "--data", str(tmp_path / "nowhere"),
                "--out", str(tmp_path)) == EXIT_DATA
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "noise", "tune"])
+def test_an_empty_split_is_a_dataset_error(tmp_path, synthetic_mnist, tiny_run, command):
+    # an IDX file of 0 images parses: train exited 0 with an untrained
+    # checkpoint, and eval, noise and tune exited 2 ("empty dataset")
+    root = tmp_path / "data"
+    shutil.copytree(synthetic_mnist, root)
+    # eval and noise read the test split, train and tune the training split
+    prefix = "t10k" if command in ("eval", "noise") else "train"
+    empty = spikefirst.Dataset(images=np.zeros((0, 1, 28, 28)), labels=np.zeros(0, np.int64))
+    save_mnist_idx(empty, root / f"{prefix}-images-idx3-ubyte",
+                   root / f"{prefix}-labels-idx1-ubyte")
+    args = (["--epochs", "1", "--hidden", "8", "--horizon", "3"] if command == "train"
+            else [str(tiny_run / "checkpoint.ckpt")])
+    assert run(command, *args, "--data", str(root), "--out", str(tmp_path / "out")) == EXIT_DATA
 
 
 def test_eval_missing_checkpoint(tmp_path, synthetic_mnist):

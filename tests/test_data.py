@@ -287,7 +287,7 @@ def test_encode_direct_single_and_batch():
 
 
 def test_encode_direct_validates_horizon():
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterError):
         encode_direct(np.zeros((1, 1, 2, 2)), 0)
 
 

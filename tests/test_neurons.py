@@ -202,8 +202,13 @@ def test_lif_step_into_its_own_state_equals_fresh_state(neuron, shape):
 def test_lif_states_of_another_shape_are_rejected():
     with pytest.raises(ShapeError):
         LayerState(v=np.zeros((3, 4)), fired_prev=np.zeros(4))
-    # a state is kept in C order, the order the stochastic step draws in
-    assert LayerState(v=np.zeros((4, 3)).T).v.flags.c_contiguous
+    # a state in another memory layout steps to the same bits
+    drive = np.random.default_rng(2).normal(size=(3, 4))
+    states = [rest((3, 4)), LayerState(v=np.zeros((4, 3)).T)]
+    for _ in range(3):
+        fired = [stoch_lif_step(s, stoch(), drive, RngStream(0), rows=np.arange(3))[0]
+                 for s in states]
+        assert fired[0].tobytes() == fired[1].copy(order="C").tobytes()
     state = rest((3, 4))
     for call in (lambda drive: det_lif_step(state, det(), drive),
                  lambda drive: stoch_lif_step(state, stoch(), drive,

@@ -2,13 +2,17 @@
 
 Only the command line and the checkpoint format write files: every result
 file's format lives in ``cli``, and the library modules hand back values.
-No package function is named like a test, since pytest would collect it from
-any test module that imports it."""
+Every exception the package raises is a ``SpikeFirstError``, apart from the
+command line's own ``CliError``.  No package function is named like a test,
+since pytest would collect it from any test module that imports it."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import spikefirst
+from spikefirst.cli import CliError
+from spikefirst.errors import SpikeFirstError
 
 PACKAGE = Path(spikefirst.__file__).resolve().parent
 WRITERS = {"cli", "checkpoint"}
@@ -67,4 +71,29 @@ def test_no_package_function_is_named_like_a_test():
                    for node in tree.body
                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
                    and node.name.startswith("test"))
+    assert found == []
+
+
+def _raised_class(module: str, exc: ast.expr):
+    """What ``raise exc`` in ``module`` names: the object bound to the name
+    of the raised class or call, or None for another expression."""
+    if isinstance(exc, ast.Call):
+        exc = exc.func
+    if isinstance(exc, ast.Name):
+        return getattr(importlib.import_module(f"spikefirst.{module}"), exc.id, None)
+    return None
+
+
+def test_the_package_raises_only_its_own_errors():
+    # bare re-raises pass through; the command line turns CliError into its
+    # exit codes
+    def allowed(module, raised):
+        return isinstance(raised, type) and (issubclass(raised, SpikeFirstError)
+                                             or (module == "cli" and raised is CliError))
+
+    found = sorted(f"{module}.py:{node.lineno}"
+                   for module, tree in _modules().items()
+                   for node in ast.walk(tree)
+                   if isinstance(node, ast.Raise) and node.exc is not None
+                   and not allowed(module, _raised_class(module, node.exc)))
     assert found == []

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spikefirst.errors import ParameterError, ShapeError
+from spikefirst.errors import ParameterError
 from spikefirst.rng import RngStream, rng_gaussian, rng_uniform
 
 import oracles
@@ -32,34 +32,6 @@ def test_replay_from_saved_state():
     a = rng_uniform(s, (5,))
     b = rng_uniform(RngStream(*saved), (5,))
     assert np.array_equal(a, b)
-
-
-def test_uniform_into_buffer_equals_fresh_draw():
-    # the stochastic LIF step draws into its state's spike buffer
-    s = RngStream(7, 3, counter=5)
-    buf = np.full((4, 6, 5), np.nan)
-    got = rng_uniform(s, buf.shape, out=buf)
-    assert got is buf and s.counter == 6
-    assert got.tobytes() == rng_uniform(RngStream(7, 3, counter=5), buf.shape).tobytes()
-    # the next call draws what it would after a fresh draw
-    assert (rng_uniform(s, (3,)).tobytes()
-            == rng_uniform(RngStream(7, 3, counter=6), (3,)).tobytes())
-
-
-def _read_only(a):
-    a.flags.writeable = False
-    return a
-
-
-@pytest.mark.parametrize("buf", [
-    np.empty((4, 6), order="F"), np.empty((4, 12))[:, ::2], np.empty((4, 6), np.float32),
-    np.empty((4, 5)), np.empty(24), _read_only(np.empty((4, 6))),
-], ids=["fortran", "strided", "float32", "shape", "flat", "read-only"])
-def test_uniform_rejects_a_buffer_it_cannot_fill_in_draw_order(buf):
-    s = RngStream(1)
-    with pytest.raises(ShapeError):
-        rng_uniform(s, (4, 6), out=buf)
-    assert s.counter == 0
 
 
 def test_draw_independent_of_earlier_shapes():
@@ -224,15 +196,6 @@ def test_keyed_uniforms_match_scalar_reference(seed, stream_id, counter):
         for col in range(15):
             want = oracles.keyed_uniform(seed, stream_id, counter, row, col)
             assert flat[i, col] == want, (row, col)
-
-
-def test_keyed_uniforms_into_buffer_equal_fresh_draw():
-    buf = np.full((6, 7), np.nan)
-    rows = np.arange(10, 16)
-    got = rng_uniform(RngStream(4, 2, counter=3), buf.shape, rows=rows, out=buf)
-    assert got is buf
-    assert got.tobytes() == rng_uniform(RngStream(4, 2, counter=3), buf.shape,
-                                        rows=rows).tobytes()
 
 
 @given(st.lists(st.integers(0, 2**40), min_size=1, max_size=12, unique=True),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from spikefirst.data import encode_direct
-from spikefirst.errors import ShapeError
+from spikefirst.errors import ParameterError, ShapeError
 from spikefirst.tensor import (_run_samples, conv2d, conv2d_backward, linear, linear_backward,
                                pool2d, pool2d_backward)
 
@@ -274,10 +274,32 @@ def test_pool2d_average_of_spikes_equals_tile_mean_bitwise(window):
 
 
 def test_pool2d_validates():
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterError):
         pool2d(np.zeros((1, 1, 4, 4)), 2, "median")
     with pytest.raises(ShapeError):
         pool2d(np.zeros((1, 1, 5, 5)), 2)
+
+
+_MAPS, _GRADS = np.zeros((1, 1, 4, 4)), np.zeros((1, 1, 2, 2))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: pool2d(_MAPS, 2, "foo"),
+    lambda: pool2d_backward(_GRADS, _MAPS, 2, "foo"),
+    lambda: pool2d(_MAPS, 0),
+    lambda: pool2d_backward(_GRADS, _MAPS, 0),
+    lambda: pool2d(_MAPS, -2),
+    lambda: pool2d_backward(_GRADS, _MAPS, -2),
+    lambda: conv2d(_MAPS, np.zeros((1, 1, 3, 3)), stride=0),
+    lambda: conv2d_backward(_GRADS, _MAPS, np.zeros((1, 1, 3, 3)), stride=0),
+    lambda: conv2d(_MAPS, np.zeros((1, 1, 1, 1)), pad=-1),
+    lambda: conv2d_backward(_GRADS, _MAPS, np.zeros((1, 1, 1, 1)), pad=-1),
+], ids=["pool-mode", "pool-backward-mode", "pool-window-0", "pool-backward-window-0",
+        "pool-window-negative", "pool-backward-window-negative", "conv-stride-0",
+        "conv-backward-stride-0", "conv-pad-negative", "conv-backward-pad-negative"])
+def test_ops_reject_bad_parameters_with_parameter_error(call):
+    with pytest.raises(ParameterError):
+        call()
 
 
 @pytest.mark.parametrize("mode", ["average", "max"])

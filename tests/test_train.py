@@ -144,6 +144,13 @@ def test_config_rejects_an_unknown_arch_and_a_hidden_width_it_cannot_use():
     assert TrainConfig(arch="mlp2", hidden=5).hidden == 5
 
 
+def test_train_rejects_an_empty_training_set():
+    # it logged a 0.0 loss for each epoch and returned an untrained checkpoint
+    empty = Dataset(images=np.zeros((0, 1, 28, 28)), labels=np.zeros(0, np.int64))
+    with pytest.raises(ParameterError, match="empty training set"):
+        train(TrainConfig(epochs=2, hidden=16, horizon=4), empty)
+
+
 @pytest.mark.parametrize("step", [0, -2])
 def test_config_rejects_nonpositive_scheduler_step(step):
     # 0 made lr_at divide by zero; -2 made the rate grow (0.4 at epoch 3)
