@@ -203,9 +203,8 @@ def cmd_train(args) -> int:
         ckpt, log = train(config, train_ds, test_ds)
     except TrainingDiverged as exc:
         print(f"training diverged: {exc}", file=sys.stderr)
-        if exc.checkpoint is not None:
-            save_checkpoint(exc.checkpoint, ckpt_path)
-            print(f"last good checkpoint retained at {ckpt_path}", file=sys.stderr)
+        save_checkpoint(exc.checkpoint, ckpt_path)
+        print(f"last good checkpoint retained at {ckpt_path}", file=sys.stderr)
         return EXIT_CONFIG
     save_checkpoint(ckpt, ckpt_path)
     _write_csv(log_path, "epoch,lr,train_loss,test_acc,wall_time_s",

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConsistencyError, FormatError, ParameterError
+from .errors import ConsistencyError, FormatError, ParameterError, integer
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -27,10 +27,17 @@ CIFAR_RECORD = 3073
 
 @dataclass
 class Dataset:
+    """Images and their labels, one label per image (else ConsistencyError)."""
+
     images: np.ndarray          # (N, C, H, W) float64
     labels: np.ndarray          # (N,) int64
     split: str = "train"
     name: str = "mnist"
+
+    def __post_init__(self):
+        if len(self.images) != len(self.labels):
+            raise ConsistencyError(f"image count {len(self.images)} != label count "
+                                   f"{len(self.labels)}")
 
     def __len__(self):
         return len(self.labels)
@@ -70,8 +77,6 @@ def load_mnist_idx(images_path, labels_path, split: str = "train") -> Dataset:
         lraw = _read_exact(f, lcount, "label data")
     labels = np.frombuffer(lraw, dtype=np.uint8)
 
-    if count != lcount:
-        raise ConsistencyError(f"image count {count} != label count {lcount}")
     if labels.size and labels.max() > 9:
         raise FormatError(f"label byte {labels.max()} out of range 0..9")
     return Dataset(images=pixels.astype(np.float64) / 255.0,
@@ -143,7 +148,5 @@ def encode_direct(image, horizon: int) -> np.ndarray:
     (N, C, H, W) -> (T, N, C, H, W).  Returns a broadcast view; copy before
     mutating.
     """
-    if horizon < 1:
-        raise ParameterError(f"horizon must be >= 1, got {horizon}")
     pixels = np.asarray(image)
-    return np.broadcast_to(pixels, (horizon,) + pixels.shape)
+    return np.broadcast_to(pixels, (integer(horizon, "horizon", 1),) + pixels.shape)

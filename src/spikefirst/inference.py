@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, integer
 from .heap import simulating
 # sigmoid is re-exported: bench/test_bench.py reaches it through this module
 from .neurons import LayerState, sigmoid  # noqa: F401
@@ -83,9 +83,8 @@ def run_network(spec: NetworkSpec, params: dict, images: np.ndarray,
     """
     if mode not in CODINGS:
         raise ParameterError(f"unknown inference mode {mode!r}")
-    horizon = spec.horizon if horizon is None else int(horizon)
-    if horizon < 1:
-        raise ParameterError(f"horizon must be >= 1, got {horizon}")
+    horizon = spec.horizon if horizon is None else integer(horizon, "horizon", 1)
+    seed, noise_seed = integer(seed, "seed"), integer(noise_seed, "noise seed")
     if not (math.isfinite(input_noise_std) and input_noise_std >= 0):
         raise ParameterError(f"input noise std must be finite and >= 0, "
                              f"got {input_noise_std}")

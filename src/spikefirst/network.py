@@ -28,12 +28,12 @@ from dataclasses import asdict, dataclass, fields, replace
 import numpy as np
 
 from .bptt import LayerTrace, Tape
-from .errors import ParameterError, ShapeError
+from .errors import ParameterError, ShapeError, integer, real
 from .heap import SIMULATION_MAPPED_BYTES
 # sigmoid is re-exported: bench/test_bench.py reaches it through this module
 from .neurons import LayerState, det_lif_step, sigmoid, stoch_lif_step  # noqa: F401
 from .rng import RngStream, rng_uniform
-from .tensor import _L2_BYTES, _conv_out_size, _pow2_fit, conv2d, linear, pool2d
+from .tensor import L2_BYTES, conv2d, conv_out_size, linear, pool2d, pow2_fit
 
 # Each model kind's neuron model, that of every layer but the pool layers,
 # and its output coding.
@@ -52,7 +52,7 @@ STOCH_LEAK = 0.7
 DEFAULT_HIDDEN = 800
 
 # a block's widest neuron layer (v, fired_prev and drive, float64) fits
-# _L2_BYTES, the L2 size conv runs are cut to; blocks are powers of two of at
+# L2_BYTES, the L2 size conv runs are cut to; blocks are powers of two of at
 # least _MIN_BLOCK_ROWS rows
 _BYTES_PER_NEURON = 24
 _MIN_BLOCK_ROWS = 8
@@ -101,8 +101,8 @@ class LayerSpec:
                 raise ParameterError(f"a {self.kind} layer does not read {name}; it must "
                                      f"keep its default {default!r}, got {value!r}")
         for name, minimum in minima.items():
-            setattr(self, name, _count(getattr(self, name), f"{self.kind} layer {name}", minimum))
-        self.v_th, self.k, self.leak = (_real(getattr(self, name), name)
+            setattr(self, name, integer(getattr(self, name), f"{self.kind} layer {name}", minimum))
+        self.v_th, self.k, self.leak = (real(getattr(self, name), name)
                                         for name in ("v_th", "k", "leak"))
         if not 0.0 < self.v_th < np.inf:
             raise ParameterError(f"v_th must be finite and > 0, got {self.v_th}")
@@ -114,20 +114,6 @@ class LayerSpec:
 
 # every LayerSpec field but the kind, and its default
 _LAYER_DEFAULTS = {f.name: f.default for f in fields(LayerSpec) if f.name != "kind"}
-
-
-def _count(value, what: str, minimum: int) -> int:
-    """``value`` as a Python int, if it is an integer (not a bool) >= ``minimum``."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
-        raise ParameterError(f"{what} must be an integer >= {minimum}, got {value!r}")
-    return int(value)
-
-
-def _real(value, what: str) -> float:
-    """``value`` as a Python float, if it is an int or a float (not a bool)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-        raise ParameterError(f"{what} must be an int or a float, got {value!r}")
-    return float(value)
 
 
 @dataclass
@@ -157,7 +143,7 @@ class NetworkSpec:
                                  f"got {self.model_kind!r}")
         if self.arch not in ARCHS:
             raise ParameterError(f"arch must be one of {ARCHS}, got {self.arch!r}")
-        self.horizon = _count(self.horizon, "horizon", 1)
+        self.horizon = integer(self.horizon, "horizon", 1)
         layers = self.layers
         if not layers:
             raise ParameterError("a network needs at least one layer")
@@ -258,7 +244,7 @@ def build(arch_name: str, model_kind: str, overrides: dict | None = None) -> Net
     if arch_name not in ARCHS:
         raise ParameterError(f"unknown architecture {arch_name!r}; expected one of {ARCHS}")
 
-    hidden = _count(overrides.pop("hidden", DEFAULT_HIDDEN), "hidden", 1)
+    hidden = integer(overrides.pop("hidden", DEFAULT_HIDDEN), "hidden", 1)
     if arch_name != "mlp2" and hidden != DEFAULT_HIDDEN:
         raise ParameterError(f"hidden sets the mlp2 width; lenet5 and vgg15 have fixed "
                              f"widths and take only {DEFAULT_HIDDEN}: got {hidden} on {arch_name}")
@@ -266,12 +252,12 @@ def build(arch_name: str, model_kind: str, overrides: dict | None = None) -> Net
               else _lenet5_layers() if arch_name == "lenet5" else _vgg15_layers())
 
     neuron, coding = KIND_MODELS[kind]
-    leak = _real(overrides.pop("leak", STOCH_LEAK if neuron == "stoch" else DET_LEAK), "leak")
+    leak = real(overrides.pop("leak", STOCH_LEAK if neuron == "stoch" else DET_LEAK), "leak")
     for i, l in enumerate(layers):
         if l.kind != "pool":
             layers[i] = replace(l, leak=leak)
 
-    horizon = _count(overrides.pop("horizon", 15 if coding == "rate" else 20), "horizon", 1)
+    horizon = integer(overrides.pop("horizon", 15 if coding == "rate" else 20), "horizon", 1)
     if overrides:
         raise ParameterError(f"unknown override keys: {sorted(overrides)}")
     return NetworkSpec(layers=layers, horizon=horizon, model_kind=kind, arch=arch_name)
@@ -296,8 +282,8 @@ def layer_shapes(spec: NetworkSpec, input_hw: tuple) -> list:
             continue
         if layer.kind == "conv":
             c = layer.out_channels
-            h = _conv_out_size(h, layer.kernel, layer.stride, layer.pad)
-            w = _conv_out_size(w, layer.kernel, layer.stride, layer.pad)
+            h = conv_out_size(h, layer.kernel, layer.stride, layer.pad)
+            w = conv_out_size(w, layer.kernel, layer.stride, layer.pad)
         else:
             h, w = h // layer.window, w // layer.window
         shapes.append((c, h, w))
@@ -306,13 +292,13 @@ def layer_shapes(spec: NetworkSpec, input_hw: tuple) -> list:
 
 def block_rows(spec: NetworkSpec, input_hw: tuple) -> int:
     """Rows per block of a block-major simulation, for (H, W) inputs: the
-    largest power of two whose widest neuron layer fits ``_L2_BYTES``, and at
+    largest power of two whose widest neuron layer fits ``L2_BYTES``, and at
     least ``_MIN_BLOCK_ROWS``.  Training and evaluation both step a batch
     one block of rows at a time, so that a block's state stays in cache from
     one step to the next."""
     shapes = layer_shapes(spec, input_hw)
     widest = max(math.prod(shapes[i]) for i, _ in spec.weighted_layers())
-    return max(_MIN_BLOCK_ROWS, _pow2_fit(_L2_BYTES, _BYTES_PER_NEURON * widest))
+    return max(_MIN_BLOCK_ROWS, pow2_fit(L2_BYTES, _BYTES_PER_NEURON * widest))
 
 
 def batch_rows(spec: NetworkSpec, input_hw: tuple) -> int:
@@ -324,7 +310,7 @@ def batch_rows(spec: NetworkSpec, input_hw: tuple) -> int:
     (28x28 and 32x32 inputs)."""
     state = _BYTES_PER_NEURON * sum(math.prod(s) for s in layer_shapes(spec, input_hw))
     return max(block_rows(spec, input_hw),
-               min(_MAX_BATCH_ROWS, _pow2_fit(SIMULATION_MAPPED_BYTES, state)))
+               min(_MAX_BATCH_ROWS, pow2_fit(SIMULATION_MAPPED_BYTES, state)))
 
 
 def init_params(spec: NetworkSpec, stream: RngStream) -> dict:

@@ -11,6 +11,13 @@ transposed (F_O, F_I) weight.  Convolution uses the cross-correlation
 convention (no kernel flip) with zero padding.  ``conv2d``/``pool2d`` take a
 batch ``(N, C, H, W)`` in any memory layout; results are C-contiguous.
 
+Geometry.  ``conv2d`` and ``conv2d_backward`` share one prologue,
+``_conv_geometry``: it checks that the kernel is 4-D and takes the input's
+channels, and works out the output size (``conv_out_size``) and the run
+length (``_run_samples``) once per call.  Both ops then raise ``ShapeError``
+for the same mismatches, and ``_im2col`` and ``_col2im`` take the output
+size it gives rather than working it out again for every run.
+
 Layout.  ``_im2col`` unrolls a batch into a ``(C·KH·KW, N·OH·OW)`` matrix: one
 row per kernel tap (channel, then tap row, then tap column) and one column per
 output pixel, with the samples outside the pixels.  It copies one strided
@@ -20,7 +27,7 @@ slice of the zero-padded, channel-major ``(C, N, H+2p, W+2p)`` input per tap.
 Runs of samples.  ``conv2d`` and ``conv2d_backward`` unroll a batch a run of
 samples at a time, and each run's columns are used and freed before the next
 run's are built.  ``_run_samples`` sizes the run from the layer's shape: the
-largest power of two whose columns fit ``_L2_BYTES``, at least one sample (8
+largest power of two whose columns fit ``L2_BYTES``, at least one sample (8
 samples at lenet5's first conv, 16 at its second, 1 at vgg15's 64-channel
 convs at 32x32).  A batch-sized call then streams its columns through cache
 once instead of writing them all out and reading them back, and never holds
@@ -64,10 +71,12 @@ from .errors import ParameterError, ShapeError
 
 # the L2 size that one run of im2col columns, and one block of a block-major
 # simulation (network.block_rows), are cut to fit
-_L2_BYTES = 2 << 20
+L2_BYTES = 2 << 20
 
 
-def _conv_out_size(size: int, k: int, stride: int, pad: int) -> int:
+def conv_out_size(size: int, k: int, stride: int, pad: int) -> int:
+    """A conv's output size along one axis: ``size`` input pixels, a ``k``-tap
+    kernel, ``stride`` and zero padding ``pad``, which must tile it exactly."""
     if stride < 1 or pad < 0:
         raise ParameterError(f"conv stride must be >= 1 and pad >= 0, got stride "
                              f"{stride}, pad {pad}")
@@ -80,11 +89,9 @@ def _conv_out_size(size: int, k: int, stride: int, pad: int) -> int:
     return num // stride + 1
 
 
-def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int):
+def _im2col(x: np.ndarray, kh: int, kw: int, oh: int, ow: int, stride: int, pad: int):
     """x (N, C, H, W) -> columns (C*kh*kw, N*OH*OW)."""
     n, c, h, w = x.shape
-    oh = _conv_out_size(h, kh, stride, pad)
-    ow = _conv_out_size(w, kw, stride, pad)
     xp = x.transpose(1, 0, 2, 3)            # channel-major view
     if pad:
         padded = np.zeros((c, n, h + 2 * pad, w + 2 * pad))
@@ -97,7 +104,7 @@ def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int):
     return cols.reshape(c * kh * kw, n * oh * ow)
 
 
-def _pow2_fit(budget: int, unit: int) -> int:
+def pow2_fit(budget: int, unit: int) -> int:
     """The largest power of two whose multiple of ``unit`` bytes fits
     ``budget`` bytes, and at least 1."""
     return 1 << max((budget // unit).bit_length() - 1, 0)
@@ -106,16 +113,15 @@ def _pow2_fit(budget: int, unit: int) -> int:
 def _run_samples(taps: int, pixels: int) -> int:
     """Samples per run of im2col columns, for ``taps`` (C·KH·KW) rows and
     ``pixels`` (OH·OW) columns per sample: the largest power of two whose
-    float64 columns fit ``_L2_BYTES``, and at least 1."""
-    return _pow2_fit(_L2_BYTES, 8 * taps * pixels)
+    float64 columns fit ``L2_BYTES``, and at least 1."""
+    return pow2_fit(L2_BYTES, 8 * taps * pixels)
 
 
-def _col2im(cols: np.ndarray, x_shape, kh: int, kw: int, stride: int, pad: int) -> np.ndarray:
+def _col2im(cols: np.ndarray, x_shape, kh: int, kw: int, oh: int, ow: int, stride: int,
+            pad: int) -> np.ndarray:
     """Scatter-add columns back to an (N, C, H, W) image; adjoint of _im2col.
     Returns a strided view; the caller copies it where it belongs."""
     n, c, h, w = x_shape
-    oh = _conv_out_size(h, kh, stride, pad)
-    ow = _conv_out_size(w, kw, stride, pad)
     cols = cols.reshape(c, kh, kw, n, oh, ow)
     xp = np.zeros((c, n, h + 2 * pad, w + 2 * pad))
     for i in range(kh):
@@ -164,25 +170,31 @@ def linear_backward(grad_out: np.ndarray, inp: np.ndarray, weight: np.ndarray, *
     return (grad_out @ weight).reshape(inp.shape), grad_weight
 
 
-def conv2d(inp: np.ndarray, kernel: np.ndarray, stride: int = 1, pad: int = 0) -> np.ndarray:
-    """Cross-correlation of (N, C_I, H, W) with kernel (C_O, C_I, K_H, K_W)."""
-    x = _batch(inp)
+def _conv_geometry(x: np.ndarray, kernel, stride: int, pad: int) -> tuple:
+    """The prologue ``conv2d`` and ``conv2d_backward`` share: a (C_O, C_I, KH,
+    KW) ``kernel`` checked against batch ``x``, and ``(kmat, KH, KW, OH, OW,
+    run)``: the float64 (C_O, C_I·KH·KW) kernel matrix, the taps, the output
+    size and the samples per run of columns."""
     k = np.asarray(kernel, dtype=np.float64)
     if k.ndim != 4:
         raise ShapeError(f"kernel must be 4-D, got {k.shape}")
     co, ci, kh, kw = k.shape
     if ci != x.shape[1]:
         raise ShapeError(f"channel mismatch: input {x.shape[1]}, kernel {ci}")
-    n, _, h, w = x.shape
-    oh = _conv_out_size(h, kh, stride, pad)
-    ow = _conv_out_size(w, kw, stride, pad)
-    kmat = k.reshape(co, -1)
-    out = np.empty((n, co, oh, ow))
-    run = _run_samples(kmat.shape[1], oh * ow)
-    for s in range(0, n, run):
+    oh, ow = conv_out_size(x.shape[2], kh, stride, pad), conv_out_size(x.shape[3], kw, stride, pad)
+    return k.reshape(co, -1), kh, kw, oh, ow, _run_samples(ci * kh * kw, oh * ow)
+
+
+def conv2d(inp: np.ndarray, kernel: np.ndarray, stride: int = 1, pad: int = 0) -> np.ndarray:
+    """Cross-correlation of (N, C_I, H, W) with kernel (C_O, C_I, K_H, K_W)."""
+    x = _batch(inp)
+    kmat, kh, kw, oh, ow, run = _conv_geometry(x, kernel, stride, pad)
+    co = len(kmat)
+    out = np.empty((len(x), co, oh, ow))
+    for s in range(0, len(x), run):
         xs = x[s : s + run]
         m = len(xs)
-        cols = _im2col(xs, kh, kw, stride, pad)
+        cols = _im2col(xs, kh, kw, oh, ow, stride, pad)
         # (C_O, K) @ (m, K, OH*OW): one GEMM per sample, read in place from cols
         np.matmul(kmat, cols.reshape(-1, m, oh * ow).transpose(1, 0, 2),
                   out=out[s : s + m].reshape(m, co, oh * ow))
@@ -198,21 +210,16 @@ def conv2d_backward(grad_out: np.ndarray, inp: np.ndarray, kernel: np.ndarray,
     """
     x = _batch(inp)
     g = _batch(grad_out)
-    k = np.asarray(kernel, dtype=np.float64)
-    co, ci, kh, kw = k.shape
-    n, _, h, w = x.shape
-    oh = _conv_out_size(h, kh, stride, pad)
-    ow = _conv_out_size(w, kw, stride, pad)
-    if g.shape != (n, co, oh, ow):
+    kmat, kh, kw, oh, ow, run = _conv_geometry(x, kernel, stride, pad)
+    co = len(kmat)
+    if g.shape != (len(x), co, oh, ow):
         raise ShapeError(f"grad_out shape {g.shape} does not match forward output "
-                         f"{(n, co, oh, ow)}")
-    kmat = k.reshape(co, -1)
+                         f"{(len(x), co, oh, ow)}")
     grad_kernel = None
     grad_input = np.empty(x.shape) if need_input else None
-    run = _run_samples(kmat.shape[1], oh * ow)
-    for s in range(0, n, run):
+    for s in range(0, len(x), run):
         xs = x[s : s + run]
-        cols = _im2col(xs, kh, kw, stride, pad)
+        cols = _im2col(xs, kh, kw, oh, ow, stride, pad)
         gmat = g[s : s + run].transpose(1, 0, 2, 3).reshape(co, -1)    # (C_O, m*OH*OW), a copy
         part = gmat @ cols.T
         if grad_kernel is None:
@@ -220,10 +227,11 @@ def conv2d_backward(grad_out: np.ndarray, inp: np.ndarray, kernel: np.ndarray,
         else:
             grad_kernel += part
         if need_input:
-            grad_input[s : s + run] = _col2im(kmat.T @ gmat, xs.shape, kh, kw, stride, pad)
+            grad_input[s : s + run] = _col2im(kmat.T @ gmat, xs.shape, kh, kw, oh, ow,
+                                              stride, pad)
     if grad_kernel is None:                             # an empty batch
         grad_kernel = np.zeros(kmat.shape)
-    return grad_input, grad_kernel.reshape(k.shape)
+    return grad_input, grad_kernel.reshape(co, -1, kh, kw)
 
 
 def _pool_shape(x: np.ndarray, window: int, mode: str) -> tuple:
@@ -260,10 +268,14 @@ def pool2d_backward(grad_out: np.ndarray, inp: np.ndarray, window: int,
 
     Max mode routes gradient to the window argmax (first occurrence on ties),
     matching the indices the forward pass would record.  Average mode reads
-    only the shape of ``inp``, which may be of any dtype.
+    only the shape of ``inp``, which may be of any dtype.  ``grad_out`` must
+    have the pooled output's shape, else ShapeError.
     """
     n, c, h, w = _pool_shape(inp, window, mode)
     g = _batch(grad_out)
+    if g.shape != (n, c, h // window, w // window):
+        raise ShapeError(f"grad_out shape {g.shape} does not match pooled output "
+                         f"{(n, c, h // window, w // window)}")
     if mode == "average":
         grad = (g / (window * window)).repeat(window, axis=2).repeat(window, axis=3)
     else:

@@ -18,7 +18,7 @@ from .bptt import backward, sign_estimator_backward, synaptic_backward
 from .checkpoint import Checkpoint
 from .coding import fts_ce_loss_batch, ml_loss_logits_batch, rate_ce_loss_batch
 from .data import Dataset, encode_direct
-from .errors import NumericalError, ParameterError
+from .errors import NumericalError, ParameterError, integer
 from .heap import simulating
 from .inference import run_network
 from .network import (NetworkSpec, block_rows, build, forward as net_forward, init_params,
@@ -54,15 +54,15 @@ class TrainConfig:
     def __post_init__(self):
         self.model_kind = normalize_model_kind(self.model_kind)
         self.network_spec()             # checks arch, hidden, horizon and leak
-        if self.epochs < 0 or self.batch_size < 1:
-            raise ParameterError("epochs/batch_size out of range")
+        self.epochs = integer(self.epochs, "epochs", 0)
+        self.batch_size = integer(self.batch_size, "batch size", 1)
+        self.scheduler_step = integer(self.scheduler_step, "scheduler step", 1)
+        self.seed = integer(self.seed, "seed")
         if not 0.0 < self.lr < np.inf:
             raise ParameterError(f"lr must be finite and > 0, got {self.lr}")
         if not 0.0 <= self.weight_decay < np.inf:
             raise ParameterError(f"weight decay must be finite and >= 0, "
                                  f"got {self.weight_decay}")
-        if self.scheduler_step < 1:
-            raise ParameterError(f"scheduler step must be >= 1, got {self.scheduler_step}")
         if not 0.0 < self.scheduler_gamma <= 1.0:
             raise ParameterError(f"scheduler gamma must be in (0, 1], got {self.scheduler_gamma}")
 
@@ -115,9 +115,11 @@ class AdamState:
 
 
 class TrainingDiverged(NumericalError):
-    """Loss went NaN; `.checkpoint` holds the last good state."""
+    """Loss went NaN; ``.checkpoint`` holds the last good state: the last
+    completed epoch's snapshot, or the checkpoint the run started from (the
+    config's epoch-0 checkpoint for a fresh run)."""
 
-    def __init__(self, message, checkpoint=None):
+    def __init__(self, message, checkpoint: Checkpoint):
         super().__init__(message)
         self.checkpoint = checkpoint
 
@@ -201,6 +203,15 @@ def _snapshot(spec, params, adam, epoch, seed, best_acc, final=False) -> Checkpo
                       adam_step=adam.step, epoch=epoch, seed=seed, best_accuracy=best_acc)
 
 
+def _initial_checkpoint(config: TrainConfig) -> Checkpoint:
+    """The epoch-0 checkpoint of ``config``'s run: its spec's parameters
+    initialised from the config's seed, no Adam state and a best accuracy of
+    0.0, which every accuracy ranks at or above."""
+    spec = config.network_spec()
+    init = RngStream(config.seed, stream_id=_STREAM_INIT)
+    return Checkpoint(spec=spec, params=init_params(spec, init), seed=config.seed)
+
+
 @simulating()
 def train(config: TrainConfig, train_ds: Dataset, test_ds: Dataset | None = None,
           resume: Checkpoint | None = None, epoch_hook=None):
@@ -211,7 +222,11 @@ def train(config: TrainConfig, train_ds: Dataset, test_ds: Dataset | None = None
     best-accuracy epoch snapshot, otherwise the final state.  ``resume``
     continues a run bit-exactly from its stored epoch and trains its spec;
     the config's network settings are then not read.  ``resume``'s arrays
-    are only read, and the returned checkpoint may share them.
+    are only read, and the returned checkpoint may share them.  A fresh run
+    is a resume from the config's epoch-0 checkpoint (its spec's initial
+    parameters, drawn from the config's seed), down the same path: resuming
+    that checkpoint, as ``train`` returns it for ``epochs=0``, gives the same
+    bytes as the fresh run.
 
     Each batch runs block-major, as evaluation does: its rows are cut into
     blocks of ``network.block_rows`` rows, and each block runs forward, loss
@@ -233,30 +248,21 @@ def train(config: TrainConfig, train_ds: Dataset, test_ds: Dataset | None = None
     """
     if len(train_ds) == 0:
         raise ParameterError("empty training set")
-    if resume is not None:
-        spec = resume.spec
-        params = {k: v.copy() for k, v in resume.params.items()}
-        adam = AdamState(m={k: v.copy() for k, v in resume.adam_m.items()},
-                         v={k: v.copy() for k, v in resume.adam_v.items()},
-                         step=resume.adam_step)
-        start_epoch = resume.epoch
-        best_acc = resume.best_accuracy
-    else:
-        spec = config.network_spec()
-        params = init_params(spec, RngStream(config.seed, stream_id=_STREAM_INIT))
-        adam = AdamState()
-        start_epoch = 0
-        # every accuracy is >= 0, so the first ranked epoch is the best so far;
-        # without a test set nothing is ranked and every snapshot records 0.0
-        best_acc = 0.0
-
+    # a fresh run resumes the config's epoch-0 checkpoint; either one is
+    # held only as last_good and only read
+    last_good = replace(resume if resume is not None else _initial_checkpoint(config),
+                        seed=config.seed)
+    spec = last_good.spec
+    params = {k: v.copy() for k, v in last_good.params.items()}
+    adam = AdamState(m={k: v.copy() for k, v in last_good.adam_m.items()},
+                     v={k: v.copy() for k, v in last_good.adam_v.items()},
+                     step=last_good.adam_step)
+    start_epoch, best_acc = last_good.epoch, last_good.best_accuracy
     n = len(train_ds)
     log_rows = []
-    # a resumed run starts from the caller's checkpoint, which it only reads
-    last_good = (_snapshot(spec, params, adam, start_epoch, config.seed, best_acc)
-                 if resume is None else replace(resume, seed=config.seed))
     # without a test set nothing is ranked and the final state is returned:
-    # the initial snapshot is then freed as soon as epoch 1's replaces it
+    # the initial checkpoint is then freed as soon as epoch 1's snapshot
+    # replaces it
     best_ckpt = last_good if test_ds is not None else None
     n_neuron_layers = len(spec.neuron_layers())
     block = block_rows(spec, train_ds.images.shape[-2:])

@@ -19,7 +19,7 @@ import numpy as np
 
 from .checkpoint import Checkpoint
 from .data import Dataset
-from .errors import ParameterError
+from .errors import ParameterError, integer
 from .inference import run_network
 from .rng import RngStream, rng_uniform
 
@@ -41,10 +41,11 @@ class DeConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.pop_size < 0 or 0 < self.pop_size < 4:
+        self.pop_size = integer(self.pop_size, "pop_size", 0)
+        if 0 < self.pop_size < 4:
             raise ParameterError(f"pop_size must be 0 (auto) or >= 4, got {self.pop_size}")
-        if self.max_generations < 1:
-            raise ParameterError(f"max generations must be >= 1, got {self.max_generations}")
+        self.max_generations = integer(self.max_generations, "max generations", 1)
+        self.seed = integer(self.seed, "seed")
         if not 0.0 <= self.latency_weight < np.inf:
             raise ParameterError(f"latency weight must be finite and >= 0, "
                                  f"got {self.latency_weight}")

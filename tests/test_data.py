@@ -287,8 +287,17 @@ def test_encode_direct_single_and_batch():
 
 
 def test_encode_direct_validates_horizon():
-    with pytest.raises(ParameterError):
-        encode_direct(np.zeros((1, 1, 2, 2)), 0)
+    for horizon in (0, 2.5, True):
+        with pytest.raises(ParameterError, match="horizon"):
+            encode_direct(np.zeros((1, 1, 2, 2)), horizon)
+
+
+@pytest.mark.parametrize("n_images,n_labels", [(6, 8), (8, 5)])
+def test_dataset_rejects_mismatched_image_and_label_counts(n_images, n_labels):
+    # 6 images with 8 labels failed mid-epoch with an IndexError, and 8 with
+    # 5 in evaluate with numpy's broadcast error
+    with pytest.raises(ConsistencyError, match="label count"):
+        Dataset(images=np.zeros((n_images, 1, 2, 2)), labels=np.zeros(n_labels, np.int64))
 
 
 def test_dataset_subset():

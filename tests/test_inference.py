@@ -29,7 +29,7 @@ def identity_params(n):
 def shrink_blocks(monkeypatch, rows):
     """Make ``run_network`` step blocks of ``rows`` rows, whatever the network:
     no block fits an empty budget, so each takes the minimum."""
-    monkeypatch.setattr(network, "_L2_BYTES", 0)
+    monkeypatch.setattr(network, "L2_BYTES", 0)
     monkeypatch.setattr(network, "_MIN_BLOCK_ROWS", rows)
 
 
@@ -195,9 +195,10 @@ def test_run_network_validates():
 
 
 @pytest.mark.parametrize("mode", ["first-to-spike", "rate"])
-@pytest.mark.parametrize("horizon", [0, -2])
+@pytest.mark.parametrize("horizon", [0, -2, 2.5, True, "3"])
 def test_run_network_rejects_nonpositive_horizon(mode, horizon):
-    # 0 must not fall back to the spec's horizon, nor a negative one crash
+    # 0 must not fall back to the spec's horizon, nor a negative one crash;
+    # a fraction, a bool or a string is not a count of steps
     spec = single_layer_spec(2, horizon=3)
     with pytest.raises(ParameterError, match="horizon"):
         run_network(spec, identity_params(2), np.ones((1, 2)), mode=mode,

@@ -97,3 +97,18 @@ def test_the_package_raises_only_its_own_errors():
                    if isinstance(node, ast.Raise) and node.exc is not None
                    and not allowed(module, _raised_class(module, node.exc)))
     assert found == []
+
+
+def test_no_module_imports_another_modules_private_name():
+    # a rule that two modules share has one owner, which names it publicly;
+    # dunder names such as __version__ are public
+    def private(name):
+        return name.startswith("_") and not name.startswith("__")
+
+    found = sorted(f"{module}.py:{node.lineno}"
+                   for module, tree in _modules().items()
+                   for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom)
+                   and (node.level or (node.module or "").startswith("spikefirst"))
+                   and any(private(alias.name) for alias in node.names))
+    assert found == []

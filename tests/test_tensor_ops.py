@@ -182,6 +182,23 @@ def test_conv2d_backward_rejects_wrong_grad_shape():
         conv2d_backward(np.zeros((1, 3, 5, 5)), x, k, 1, 0)
 
 
+_X = np.zeros((2, 3, 8, 8))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: conv2d_backward(np.zeros((2, 4, 6, 6)), _X, np.zeros((4, 2, 3, 3))),
+    lambda: conv2d_backward(np.zeros((2, 4, 6, 6)), _X, np.zeros((4, 3, 3))),
+    lambda: pool2d_backward(np.zeros((2, 3, 3, 3)), _X, 2, "average"),
+    lambda: pool2d_backward(np.zeros((2, 3, 3, 3)), _X, 2, "max"),
+], ids=["conv-backward-channels", "conv-backward-3d-kernel", "pool-backward-average-grad",
+        "pool-backward-max-grad"])
+def test_backward_ops_reject_mismatched_shapes_with_shape_error(call):
+    # each failed inside numpy, or (average pooling) returned a gradient of
+    # another shape than its input's
+    with pytest.raises(ShapeError):
+        call()
+
+
 def _linear_case(x_shape, n_out, seed=10):
     rng = np.random.default_rng(seed)
     x = rng.normal(size=x_shape)

@@ -124,7 +124,14 @@ def test_config_validation():
                        # AttributeError
                        ({"hidden": 2.7}, "hidden"), ({"horizon": 3.9}, "horizon"),
                        ({"hidden": "x"}, "hidden"), ({"horizon": "x"}, "horizon"),
-                       ({"lambda_leak": "x"}, "leak"), ({"model_kind": 5}, "model kind")):
+                       ({"lambda_leak": "x"}, "leak"), ({"model_kind": 5}, "model kind"),
+                       # counts and the seed: a fraction or a bool failed deep
+                       # inside training, changed the schedule or saved a
+                       # checkpoint that would not load
+                       ({"epochs": 1.5}, "epochs"), ({"epochs": True}, "epochs"),
+                       ({"batch_size": 2.5}, "batch size"),
+                       ({"scheduler_step": 1.5}, "scheduler step"),
+                       ({"seed": 1.5}, "seed")):
         with pytest.raises(ParameterError, match=match):
             TrainConfig(**bad)
     assert TrainConfig(hidden=1, weight_decay=0.0).weight_decay == 0.0
@@ -276,21 +283,22 @@ def test_train_without_test_set_records_zero_best_accuracy(epochs):
 
 
 def test_train_without_test_set_frees_the_initial_snapshot(monkeypatch):
-    # without a test set the initial snapshot can be returned only before
-    # epoch 1's exists; holding it all run costs a copy of the parameters
-    # (114 MB on vgg15)
-    snapshot, made, alive = train_mod._snapshot, [], []
+    # without a test set the epoch-0 checkpoint can be returned only before
+    # epoch 1's snapshot exists; holding it all run costs a copy of the
+    # parameters (114 MB on vgg15)
+    init, made, alive = train_mod.init_params, [], []
 
     def recording(*args):
-        ckpt = snapshot(*args)
-        made.append(weakref.ref(ckpt))
-        return ckpt
+        params = init(*args)        # the epoch-0 checkpoint's arrays
+        made.append([weakref.ref(a) for a in params.values()])
+        return params
 
     def hook(row, snap):
+        made.append([weakref.ref(snap)])
         gc.collect()
-        alive.append([ref() is not None for ref in made])
+        alive.append([any(ref() is not None for ref in refs) for refs in made])
 
-    monkeypatch.setattr(train_mod, "_snapshot", recording)
+    monkeypatch.setattr(train_mod, "init_params", recording)
     train(tiny_config(epochs=2), synthetic_mnist_like(40), None, epoch_hook=hook)
     assert alive == [[False, True], [False, False, True]]
 
@@ -338,12 +346,13 @@ def test_resume_is_bit_exact(kind, tmp_path):
     cfg = tiny_config(model_kind=kind, lambda_leak=leak, epochs=4)
 
     straight, _ = train(cfg, ds)
-    half, _ = train(tiny_config(model_kind=kind, lambda_leak=leak, epochs=2), ds)
-    resumed, _ = train(cfg, ds, resume=half)
-
     save_checkpoint(straight, tmp_path / "s.ckpt")
-    save_checkpoint(resumed, tmp_path / "r.ckpt")
-    assert (tmp_path / "s.ckpt").read_bytes() == (tmp_path / "r.ckpt").read_bytes()
+    # epoch 0 is the checkpoint a fresh run starts from
+    for epochs in (0, 2):
+        half, _ = train(tiny_config(model_kind=kind, lambda_leak=leak, epochs=epochs), ds)
+        resumed, _ = train(cfg, ds, resume=half)
+        save_checkpoint(resumed, tmp_path / "r.ckpt")
+        assert (tmp_path / "s.ckpt").read_bytes() == (tmp_path / "r.ckpt").read_bytes(), epochs
 
 
 def test_resume_trains_the_checkpoints_network():
@@ -453,7 +462,7 @@ def test_tape_is_freed_before_the_optimizer_step(monkeypatch, model_kind):
         assert_tapes_freed("during adam_step")
         return real_adam(*args, **kwargs)
 
-    monkeypatch.setattr(network, "_L2_BYTES", 0)
+    monkeypatch.setattr(network, "L2_BYTES", 0)
     monkeypatch.setattr(network, "_MIN_BLOCK_ROWS", 8)
     monkeypatch.setattr(train_mod, "net_forward", forward)
     monkeypatch.setattr(train_mod, "adam_step", adam)

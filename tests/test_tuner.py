@@ -82,13 +82,15 @@ def test_config_validation():
     for weight in (-0.1, float("nan"), float("inf")):
         with pytest.raises(ParameterError, match="latency weight"):
             DeConfig(latency_weight=weight)
-    for generations in (0, -3):
+    for generations in (0, -3, 2.5, True):
         with pytest.raises(ParameterError, match="generations"):
             DeConfig(max_generations=generations)
+    with pytest.raises(ParameterError, match="seed"):
+        DeConfig(seed=1.5)
     with pytest.raises(ParameterError):
         de_minimize(sphere, np.array([[1.0, 0.0]]), DeConfig())
     # DE/rand/1 draws three others per member; 0 picks the size from the bounds
-    for pop in (1, 3, -1):
+    for pop in (1, 3, -1, 4.5):
         with pytest.raises(ParameterError, match="pop_size"):
             DeConfig(pop_size=pop)
     assert DeConfig(pop_size=4).pop_size == 4
